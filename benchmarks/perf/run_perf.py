@@ -82,6 +82,7 @@ from repro.api import evaluate
 from repro.config import EnvConfig, EvalConfig, PPOConfig, RuntimeConfig, TrainConfig
 from repro.nn import ValueMLP, make_policy
 from repro.rl import PPOAgent, TrajectoryBuffer, make_reward
+from repro.rl.ppo import _policy_plan
 from repro.rl.trainer import Trainer
 from repro.telemetry import core as telemetry
 from repro.runtime import ShardedVecSchedGym
@@ -787,10 +788,10 @@ def bench_ppo_update(agent, buffer, ppo_cfg, max_obsv, job_features):
             replace(ppo_cfg, update_path=path),
             seed=0,
         )
-        path_agent._policy_step(data, idx_lists[0])  # warm-up
+        path_agent._policy_step(_policy_plan(data, path, idx_lists[0]))  # warm-up
         start = time.perf_counter()
         for idx in idx_lists:
-            path_agent._policy_step(data, idx)
+            path_agent._policy_step(_policy_plan(data, path, idx))
         report[f"{path}_sec_per_iter"] = (
             (time.perf_counter() - start) / len(idx_lists)
         )

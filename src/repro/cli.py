@@ -90,6 +90,23 @@ __all__ = ["main", "build_parser", "setup_logging"]
 logger = logging.getLogger("repro.cli")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted.
+
+    A plain ``StreamHandler(sys.stderr)`` keeps the stream object it was
+    built with; once a caller swaps and closes that stream (pytest's
+    capture between tests, a daemon re-pointing its stderr) every later
+    record, from any thread, fails with "I/O operation on closed file".
+    """
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def setup_logging(verbose: bool = False, quiet: bool = False) -> None:
     """Route ``repro.*`` diagnostics to stderr at the chosen level.
 
@@ -105,7 +122,7 @@ def setup_logging(verbose: bool = False, quiet: bool = False) -> None:
     root = logging.getLogger("repro")
     for handler in list(root.handlers):
         root.removeHandler(handler)
-    handler = logging.StreamHandler(sys.stderr)
+    handler = _StderrHandler()
     handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
     root.addHandler(handler)
     root.setLevel(level)

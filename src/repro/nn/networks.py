@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import Conv2d, Dense, Flatten, Module, Sequential, max_pool2d
+from .ragged import RaggedRows
 from .tensor import Tensor
 
 __all__ = [
@@ -188,7 +189,12 @@ class LeNetPolicy(Module):
 
 
 class ValueMLP(Module):
-    """The value network (Fig. 6): a 3-layer MLP over the flattened state."""
+    """The value network (Fig. 6): a 3-layer MLP over the flattened state.
+
+    The first layer multiplies through :class:`RaggedRows`, so a forward
+    or backward pass costs what the waiting jobs fill of the window, not
+    its padded ``max_obsv_size * job_features`` width.
+    """
 
     def __init__(
         self,
@@ -206,13 +212,15 @@ class ValueMLP(Module):
         layers.append(Dense(dims[-1], 1, activation="identity", rng=rng))
         self.mlp = Sequential(*layers)
 
-    def forward(self, obs: np.ndarray) -> Tensor:
-        obs = np.asarray(obs, dtype=np.float64)
-        if obs.ndim == 2:
-            obs = obs[None]
-        b = obs.shape[0]
-        x = Tensor(obs.reshape(b, -1))
-        return self.mlp(x).reshape(b)    # (B,)
+    def forward(self, obs: "np.ndarray | RaggedRows") -> Tensor:
+        """``(B, M, F)`` observations, or their flattened rows already
+        bucketed (the PPO update plans them once), to ``(B,)`` values."""
+        if not isinstance(obs, RaggedRows):
+            obs = np.asarray(obs)
+            if obs.ndim == 2:
+                obs = obs[None]
+            obs = RaggedRows.from_dense(obs.reshape(obs.shape[0], -1))
+        return self.mlp(obs).reshape(obs.shape[0])    # (B,)
 
 
 #: Table IV presets: name -> factory(max_obsv_size, job_features, seed).

@@ -90,17 +90,34 @@ class Adam(_Optimizer):
         self.b1, self.b2, self.eps = b1, b2, eps
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        # two work arrays per parameter: a step allocates nothing
+        self._scratch = [
+            (np.empty_like(p.data), np.empty_like(p.data)) for p in self.params
+        ]
         self._t = 0
 
     def step(self) -> None:
+        """``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, evaluated in
+        that operation order (bit-identical to the closed form) with every
+        intermediate written into the parameter's work arrays."""
         self._t += 1
         bc1 = 1.0 - self.b1**self._t
         bc2 = 1.0 - self.b2**self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
+        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
+            g = p.grad
+            if g is None:
                 continue
             m *= self.b1
-            m += (1.0 - self.b1) * p.grad
+            np.multiply(g, 1.0 - self.b1, out=a)
+            m += a
             v *= self.b2
-            v += (1.0 - self.b2) * p.grad * p.grad
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, 1.0 - self.b2, out=a)
+            a *= g
+            v += a
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a

@@ -22,14 +22,17 @@ from repro.config import PPOConfig, RuntimeConfig
 from repro.nn import (
     Adam,
     Module,
+    RaggedRows,
     Tensor,
     clip_grad_norm,
+    flat_action_index,
+    gather_rows,
     log_prob_of,
     masked_log_softmax,
     no_grad,
+    row_extents,
     sample_action,
     sample_action_batch,
-    segment_log_prob_of,
     segment_log_softmax,
     segment_sum,
     valid_rows,
@@ -58,37 +61,94 @@ class UpdateStats:
     kl_last: float = float("nan")
 
 
+def _take(array: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+    """Rows ``idx`` of ``array``; ``None`` means every row, uncopied."""
+    return array if idx is None else array[idx]
+
+
+def _policy_plan(
+    data: dict[str, np.ndarray], update_path: str, idx: np.ndarray | None
+) -> tuple:
+    """What one policy-loss evaluation reads of rows ``idx`` of ``data``:
+    ``(inputs, old_log_probs, advantages)``, the arguments of
+    :func:`_policy_terms` after the policy.
+
+    ``update_path="dense"`` forwards the padded ``(obs, masks, actions)``
+    blocks.  ``"sparse"`` forwards the CSR gather ``(rows, indptr,
+    action_pos)``: the K valid job rows across the minibatch as float64,
+    the observation segment splits, and each chosen action's position in
+    the flat vector — gathered straight from the stored batch, so the
+    padded ``obs[idx]`` is never built.
+    """
+    masks = _take(data["masks"], idx)
+    actions = _take(data["actions"], idx)
+    if update_path == "sparse":
+        b_idx, s_idx, indptr = valid_rows(masks)
+        rows = data["obs"][b_idx if idx is None else idx[b_idx], s_idx]
+        inputs = (
+            rows.astype(np.float64),
+            indptr,
+            flat_action_index(masks, actions, indptr),
+        )
+    else:
+        inputs = (_take(data["obs"], idx), masks, actions)
+    return inputs, _take(data["log_probs"], idx), _take(data["advantages"], idx)
+
+
+_POLICY_KEYS = ("obs", "masks", "actions", "log_probs", "advantages")
+
+
+def _raw_rows(
+    data: dict[str, np.ndarray], keys: tuple[str, ...], idx: np.ndarray | None
+) -> dict[str, np.ndarray]:
+    """Rows ``idx`` of the named batch arrays: a sharded step's plan (the
+    reducer splits row ranges, each worker plans its own shard)."""
+    return {k: _take(data[k], idx) for k in keys}
+
+
+def _value_plan(
+    flat_obs: np.ndarray,
+    extents: np.ndarray,
+    returns: np.ndarray,
+    idx: np.ndarray | None,
+) -> tuple[RaggedRows, np.ndarray]:
+    """An in-process value step's plan: bucketed observation rows (float64
+    prefixes only, no dense copy) and their regression targets."""
+    ragged = RaggedRows.from_dense(flat_obs, rows=idx, extents=extents)
+    return ragged, _take(returns, idx)
+
+
 def _policy_terms(
     policy: Module,
-    batch: dict[str, np.ndarray],
+    inputs: tuple,
+    old_log_probs: np.ndarray,
+    advantages: np.ndarray,
     clip_ratio: float,
     update_path: str,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Per-row PPO-clip terms: ``(surrogate, entropy_rows, logp)``.
 
-    The one forward pass both update paths share.  ``update_path="dense"``
-    scores the padded ``(B, M)`` block and masks; ``"sparse"`` gathers the
-    K valid rows across the minibatch, forwards only those through the
-    policy's gradient-capable row scorer, and works on the flat vector
-    with CSR segment ops — no ``-1e9`` padding anywhere.  Both paths
-    produce the same values to float64 round-off.
+    The one forward pass both update paths share, over a
+    :func:`_policy_plan`.  ``update_path="dense"`` scores the padded
+    ``(B, M)`` block and masks; ``"sparse"`` forwards only the valid rows
+    through the policy's gradient-capable row scorer and works on the
+    flat vector with CSR segment ops — no ``-1e9`` padding anywhere.
+    Both paths produce the same values to float64 round-off.
     """
-    obs = batch["obs"]
-    masks = batch["masks"]
-    actions = batch["actions"]
     if update_path == "sparse":
-        b_idx, s_idx, indptr = valid_rows(masks)
-        scores = policy.score_rows_grad(obs[b_idx, s_idx])
+        rows, indptr, action_pos = inputs
+        scores = policy.score_rows_grad(rows)
         log_probs = segment_log_softmax(scores, indptr)
-        logp = segment_log_prob_of(log_probs, masks, actions, indptr)
+        logp = gather_rows(log_probs, action_pos)
         ent_rows = -segment_sum(log_probs.exp() * log_probs, indptr)
     else:
+        obs, masks, actions = inputs
         logits = policy(obs, masks)
         log_probs = masked_log_softmax(logits, masks)
         logp = log_prob_of(log_probs, actions)
         ent_rows = -(log_probs.exp() * log_probs).sum(axis=-1)
-    ratio = (logp - Tensor(batch["log_probs"])).exp()
-    adv_t = Tensor(batch["advantages"])
+    ratio = (logp - Tensor(old_log_probs)).exp()
+    adv_t = Tensor(advantages)
     clipped = ratio.clip(1.0 - clip_ratio, 1.0 + clip_ratio) * adv_t
     surrogate = (ratio * adv_t).minimum(clipped)
     return surrogate, ent_rows, logp
@@ -103,7 +163,7 @@ def _policy_shard_loss(
 ) -> tuple[Tensor, dict[str, float]]:
     """Sum-reduced policy loss on one shard (GradientReducer contract)."""
     surrogate, ent_rows, logp = _policy_terms(
-        policy, shard, clip_ratio, update_path
+        policy, *_policy_plan(shard, update_path, None), clip_ratio, update_path
     )
     loss_sum = -surrogate.sum()
     ent_sum = ent_rows.sum()
@@ -320,12 +380,20 @@ class PPOAgent:
     # learning
     # ------------------------------------------------------------------
     def update(self, data: dict[str, np.ndarray]) -> UpdateStats:
-        """One epoch of PPO updates from a :class:`TrajectoryBuffer` dump."""
+        """One epoch of PPO updates from a :class:`TrajectoryBuffer` dump.
+
+        Each iteration steps on a minibatch *plan* — what the step reads
+        of its rows, gathered and cast ahead of the forward pass
+        (:func:`_policy_plan`, :func:`_value_plan`).  When one minibatch
+        covers the batch every iteration reads the same rows, so the plan
+        is built once and reused; otherwise each iteration builds its own
+        from the stored batch and a fresh random index vector.  Plans live
+        only inside this call.
+        """
         cfg = self.config
         n = len(data["actions"])
         if n == 0:
             raise ValueError("empty update batch")
-        batch_size = min(cfg.minibatch_size, n)
 
         # Per-iteration spans carry the update path in the name so dense
         # and sparse timings stay distinguishable in one trace; KL rides
@@ -335,14 +403,18 @@ class PPOAgent:
         pi_span = f"update.policy_iter.{cfg.update_path}"
         kl_gauge = reg.gauge("update.kl")
 
+        sharded = self._grad_runtime is not None
+        if sharded:
+            build = partial(_raw_rows, data, _POLICY_KEYS)
+            step = self._policy_step_sharded
+        else:
+            build = partial(_policy_plan, data, cfg.update_path)
+            step = self._policy_step
         pi_losses, kls, entropies = [], [], []
         early_stopped = False
-        iters_run = 0
-        for _ in range(cfg.train_pi_iters):
-            idx = self._minibatch_indices(n, batch_size)
+        for plan in self._plans(n, cfg.train_pi_iters, build):
             with reg.span(pi_span):
-                loss_pi, kl, ent = self._policy_step(data, idx)
-            iters_run += 1
+                loss_pi, kl, ent = step(plan)
             kl_gauge.set(kl)
             pi_losses.append(loss_pi)
             kls.append(kl)
@@ -351,40 +423,53 @@ class PPOAgent:
                 early_stopped = True
                 break
 
+        if sharded:
+            build = partial(_raw_rows, data, ("obs", "returns"))
+            step = self._value_step_sharded
+        else:
+            # one pass over the stored batch finds every row's non-zero
+            # extent; each value plan buckets its rows by it
+            flat_obs = data["obs"].reshape(n, -1)
+            build = partial(
+                _value_plan, flat_obs, row_extents(flat_obs), data["returns"]
+            )
+            step = self._value_step
         v_losses = []
-        for _ in range(cfg.train_v_iters):
-            idx = self._minibatch_indices(n, batch_size)
+        for plan in self._plans(n, cfg.train_v_iters, build):
             with reg.span("update.value_iter"):
-                v_losses.append(self._value_step(data, idx))
+                v_losses.append(step(plan))
 
         return UpdateStats(
             policy_loss=float(np.mean(pi_losses)),
             value_loss=float(np.mean(v_losses)),
             kl=float(np.mean(kls)),
             entropy=float(np.mean(entropies)),
-            pi_iters_run=iters_run,
+            pi_iters_run=len(kls),
             early_stopped=early_stopped,
             kl_last=float(kls[-1]),
         )
 
-    def _minibatch_indices(self, n: int, batch_size: int) -> np.ndarray:
+    def _plans(self, n: int, iters: int, build):
+        """Yield ``iters`` minibatch plans over a batch of ``n`` rows.
+
+        ``build(idx)`` plans the rows ``idx``; ``None`` stands for every
+        row in stored order and draws nothing from the agent's generator.
+        """
+        batch_size = self.config.minibatch_size
         if batch_size >= n:
-            return np.arange(n)
-        return self.rng.choice(n, size=batch_size, replace=False)
+            plan = build(None)
+            for _ in range(iters):
+                yield plan
+        else:
+            for _ in range(iters):
+                yield build(self.rng.choice(n, size=batch_size, replace=False))
 
-    def _policy_step(
-        self, data: dict[str, np.ndarray], idx: np.ndarray
-    ) -> tuple[float, float, float]:
+    def _policy_step(self, plan: tuple) -> tuple[float, float, float]:
         cfg = self.config
-        batch = {
-            k: data[k][idx]
-            for k in ("obs", "masks", "actions", "log_probs", "advantages")
-        }
-        if self._grad_runtime is not None:
-            return self._policy_step_sharded(batch)
-
+        inputs, old_log_probs, advantages = plan
         surrogate, ent_rows, logp = _policy_terms(
-            self.policy, batch, cfg.clip_ratio, cfg.update_path
+            self.policy, inputs, old_log_probs, advantages,
+            cfg.clip_ratio, cfg.update_path,
         )
         loss = -surrogate.mean()
         ent = ent_rows.mean()
@@ -401,11 +486,11 @@ class PPOAgent:
             # Fraction of samples whose importance ratio hit the clip
             # boundary — pure read of already-computed values, so the
             # update itself is bit-identical with telemetry off.
-            ratio = np.exp(logp.numpy() - batch["log_probs"])
+            ratio = np.exp(logp.numpy() - old_log_probs)
             clip_frac = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_ratio))
             reg.gauge("update.clip_frac").set(clip_frac)
 
-        kl = float(np.mean(batch["log_probs"] - logp.numpy()))
+        kl = float(np.mean(old_log_probs - logp.numpy()))
         return float(loss.item()), kl, float(ent.item())
 
     def _policy_step_sharded(
@@ -424,18 +509,16 @@ class PPOAgent:
         self._apply_grads(self.pi_optimizer, grads, n)
         return aux["loss"] / n, aux["kl"] / n, aux["entropy"] / n
 
-    def _value_step(self, data: dict[str, np.ndarray], idx: np.ndarray) -> float:
-        obs = data["obs"][idx]
-        if self._grad_runtime is not None:
-            batch = {"obs": obs, "returns": data["returns"][idx]}
-            grads, aux, n = self._reducer().grad_sums(
-                "value", self.value, _value_shard_loss, batch
-            )
-            self._apply_grads(self.v_optimizer, grads, n)
-            return aux["loss"] / n
-        returns = Tensor(data["returns"][idx])
-        values = self.value(obs)
-        loss = ((values - returns) ** 2.0).mean()
+    def _value_step_sharded(self, batch: dict[str, np.ndarray]) -> float:
+        grads, aux, n = self._reducer().grad_sums(
+            "value", self.value, _value_shard_loss, batch
+        )
+        self._apply_grads(self.v_optimizer, grads, n)
+        return aux["loss"] / n
+
+    def _value_step(self, plan: tuple[RaggedRows, np.ndarray]) -> float:
+        obs, returns = plan
+        loss = ((self.value(obs) - Tensor(returns)) ** 2.0).mean()
         self.v_optimizer.zero_grad()
         loss.backward()
         clip_grad_norm(self.v_optimizer.params, self.config.max_grad_norm)

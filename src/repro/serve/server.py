@@ -10,8 +10,9 @@ land in the per-tenant ``serve.decision_latency_sec`` histograms.
 
 Shutdown is graceful by construction: SIGTERM/SIGINT (or a ``drain``
 request with ``"stop": true``) stops accepting connections, finishes any
-in-flight request, drains every tenant engine to quiescence, writes the
-final telemetry snapshot (flushing the JSONL sink), and exits 0.
+in-flight request, hangs up on the clients still connected, drains every
+tenant engine to quiescence, writes the final telemetry snapshot
+(flushing the JSONL sink), and exits 0.
 
 The daemon prints exactly one readiness line to stdout::
 
@@ -40,6 +41,10 @@ __all__ = ["ServeDaemon", "serve"]
 
 logger = logging.getLogger("repro.serve")
 
+#: how long a stop waits for the remaining connections' handlers to see
+#: the hang-up and return (a client that never reads can hold one open)
+_HANGUP_GRACE_SEC = 5.0
+
 
 class ServeDaemon:
     """Lifecycle owner: bind, serve, drain, flush, exit."""
@@ -50,6 +55,8 @@ class ServeDaemon:
         self.address: tuple[str, int] | None = None
         self._stop: asyncio.Event | None = None
         self._stop_reason: str | None = None
+        #: live connections: handler task -> its writer
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     def request_stop(self, reason: str) -> None:
@@ -65,6 +72,8 @@ class ServeDaemon:
         )
         tel_requests = reg.counter("serve.requests") if reg.enabled else None
         stop_after = False
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while not stop_after:
                 line = await reader.readline()
@@ -89,11 +98,26 @@ class ServeDaemon:
         except (ConnectionResetError, BrokenPipeError):
             pass  # client died mid-request; nothing to answer
         finally:
+            del self._connections[task]
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
         if stop_after:
             self.request_stop("drain request")
+
+    async def _hang_up(self) -> None:
+        """Close the connections still open at stop and let their handlers
+        return.  Dispatch is synchronous, so a handler is parked in
+        ``readline`` (or flushing a finished response): closing its
+        transport flushes, then feeds the reader EOF, and the handler
+        leaves through its normal path — left parked, the loop's teardown
+        would cancel it and asyncio would log the ``CancelledError``."""
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.wait(
+                list(self._connections), timeout=_HANGUP_GRACE_SEC
+            )
 
     # ------------------------------------------------------------------
     async def run_async(self) -> int:
@@ -121,6 +145,7 @@ class ServeDaemon:
                 await self._stop.wait()
             finally:
                 server.close()
+                await self._hang_up()
                 await server.wait_closed()
             logger.info("shutting down (%s): draining %d tenant(s)",
                         self._stop_reason, len(self.router.services))

@@ -1,5 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import io
+import logging
+import sys
+import threading
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -166,6 +171,36 @@ class TestCommands:
         lines = out.splitlines()
         assert " on " in lines[0]  # "bsld on Lublin-1 (...)" header
         assert all("±" in line for line in lines[1:]), lines
+
+    def test_log_handler_outlives_the_stderr_it_was_set_up_under(
+        self, monkeypatch
+    ):
+        """Regression: ``main()`` bound its handler to the ``sys.stderr``
+        of the moment; once that stream was swapped and closed (pytest's
+        capture between tests) a record logged later from another thread
+        printed ``--- Logging error --- ValueError: I/O operation on
+        closed file`` into the tier-1 output."""
+        errors = []
+        monkeypatch.setattr(
+            logging.Handler, "handleError",
+            lambda self, record: errors.append(sys.exc_info()[1]),
+        )
+        captured = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", captured)
+        for flags in ([], ["-q"], []):
+            assert main([*flags, "scenarios"]) == 0
+        captured.close()
+        later = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", later)
+        thread = threading.Thread(
+            target=logging.getLogger("repro.serve.server").warning,
+            args=("late record",),
+        )
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert errors == []
+        assert later.getvalue() == "repro.serve.server: late record\n"
 
     def test_train_then_evaluate_with_model(self, tmp_path, capsys):
         model = tmp_path / "m.npz"

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.nn import (
+    RaggedRows,
     Tensor,
     gather_rows,
     gradcheck,
     numerical_gradient,
+    ragged_matmul,
     scatter_rows,
     segment_entropy,
     segment_log_prob_of,
@@ -226,6 +228,57 @@ class TestSparseFunctionalTwins:
             lambda s: segment_entropy(segment_log_softmax(s, indptr), indptr),
             scores,
         )
+
+
+def prefix_matrix(extents, n_cols, seed=0):
+    """Random rows whose non-zero extent is ``extents[i]``; every third
+    entry inside the prefix is zeroed, the last prefix column never."""
+    x = rand(len(extents), n_cols, seed=seed)
+    x[:, ::3] = 0.0
+    for i, e in enumerate(extents):
+        x[i, e:] = 0.0
+        if e:
+            x[i, e - 1] = 1.0 + i
+    return x
+
+
+class TestRaggedMatmul:
+    EXTENTS = [0, 1, 12, 5, 3, 12, 0, 7, 2]  # zero, full-width, ties
+
+    def test_gradient_wrt_weight(self):
+        x = RaggedRows.from_dense(prefix_matrix(self.EXTENTS, 12))
+        gradcheck(lambda w: ragged_matmul(x, w), rand(12, 4, seed=1))
+        gradcheck(lambda w: x @ w, rand(12, 1, seed=2))
+
+    def test_through_a_value_network_shaped_graph(self):
+        x = RaggedRows.from_dense(prefix_matrix(self.EXTENTS, 12, seed=3))
+        gradcheck(
+            lambda w, b, v: (x @ w + b).tanh() @ v,
+            rand(12, 4, seed=1), rand(4, seed=2), rand(4, 1, seed=3),
+        )
+
+    def test_minibatch_rows_and_float32_source(self):
+        dense = prefix_matrix(self.EXTENTS, 12, seed=4).astype(np.float32)
+        rows = np.array([7, 2, 2, 0, 8, 3])  # reordered, repeated, a zero row
+        x = RaggedRows.from_dense(dense, rows=rows)
+        w = rand(12, 3, seed=5)
+        np.testing.assert_allclose(
+            (x @ Tensor(w)).numpy(), dense[rows].astype(np.float64) @ w,
+            rtol=0, atol=1e-12,
+        )
+        gradcheck(lambda w: x @ w, w)
+
+    def test_weight_gradient_accumulates_across_uses(self):
+        dense = prefix_matrix(self.EXTENTS, 12, seed=6)
+        x = RaggedRows.from_dense(dense)
+        gradcheck(lambda w: (x @ w) * (x @ w) + (x @ w), rand(12, 2, seed=7))
+
+    def test_rejects_mismatched_weight_and_non_matrix(self):
+        x = RaggedRows.from_dense(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"\(3, H\) weight"):
+            x @ Tensor(np.ones((4, 2)))
+        with pytest.raises(ValueError, match="2-D"):
+            RaggedRows.from_dense(np.ones((2, 3, 4)))
 
 
 class TestHarness:

@@ -56,6 +56,32 @@ class TestAdam:
         np.testing.assert_allclose(b.data, 1.0)  # untouched
         assert a.data[0] != 0.0
 
+    def test_step_is_bit_identical_to_the_closed_form(self):
+        """The allocation-free step must keep the operation order of the
+        textbook expression it replaced, bit for bit, over several steps
+        (bias corrections change every step) and parameter shapes."""
+        rng = np.random.default_rng(0)
+        shapes = [(37, 5), (5,), (1,)]
+        lr, b1, b2, eps = 3e-4, 0.9, 0.999, 1e-8
+        params = [Parameter(rng.standard_normal(s)) for s in shapes]
+        opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
+        want = [p.data.copy() for p in params]
+        ms = [np.zeros(s) for s in shapes]
+        vs = [np.zeros(s) for s in shapes]
+        for t in range(1, 6):
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)
+                     for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            opt.step()
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for i, g in enumerate(grads):
+                ms[i] = ms[i] * b1 + (1.0 - b1) * g
+                vs[i] = vs[i] * b2 + (1.0 - b2) * g * g
+                want[i] = want[i] - lr * (ms[i] / bc1) / (np.sqrt(vs[i] / bc2) + eps)
+                np.testing.assert_array_equal(params[i].data, want[i])
+                np.testing.assert_array_equal(params[i].grad, g)  # untouched
+
     def test_rejects_empty_params(self):
         with pytest.raises(ValueError):
             Adam([], lr=0.1)

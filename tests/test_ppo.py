@@ -3,9 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.config import PPOConfig
-from repro.nn import KernelPolicy, ValueMLP
+from repro.config import PPOConfig, RuntimeConfig
+from repro.nn import (
+    KernelPolicy,
+    MLPPolicy,
+    RaggedRows,
+    Tensor,
+    ValueMLP,
+    clip_grad_norm,
+    log_prob_of,
+    masked_log_softmax,
+    segment_log_prob_of,
+    segment_log_softmax,
+    segment_sum,
+    valid_rows,
+)
 from repro.rl import PPOAgent, TrajectoryBuffer
+from repro.runtime import shard_bounds
 
 M, F = 8, 7
 
@@ -120,3 +134,211 @@ class TestUpdate:
         agent.update(synthetic_batch(agent))
         after = agent.policy.parameters()
         assert any(not np.allclose(b, a.data) for b, a in zip(before, after))
+
+
+def padded_batch(n, m=16, max_jobs=5, seed=0):
+    """An update batch shaped like a rollout's: ``k`` waiting jobs packed
+    into the first ``k`` of ``m`` slots, float32, the rest exactly zero."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, max_jobs + 1, size=n)
+    masks = np.arange(m) < counts[:, None]
+    obs = rng.random((n, m, F)).astype(np.float32) * masks[:, :, None]
+    return {
+        "obs": obs,
+        "masks": masks,
+        "actions": rng.integers(0, counts),
+        "log_probs": -np.abs(rng.standard_normal(n)) - 0.5,
+        "advantages": rng.standard_normal(n),
+        "returns": rng.standard_normal(n),
+    }
+
+
+def reference_update(agent, data, n_shards=1):
+    """The update as it ran before plans and the ragged first layer, kept
+    as the oracle: every iteration re-gathers ``data[k][idx]``, re-derives
+    the valid rows, and the value network multiplies the dense padded
+    float64 matrix through plain ``Tensor.__matmul__``.  Losses are
+    sum-reduced per contiguous shard and gradients divided by the row
+    count, which is GradientReducer's arithmetic (one shard: the mean
+    loss).  Returns ``(policy_losses, kls, value_losses)`` per iteration.
+    """
+    cfg = agent.config
+    n = len(data["actions"])
+    size = min(cfg.minibatch_size, n)
+
+    def minibatch():
+        if size >= n:
+            return {k: v for k, v in data.items()}
+        idx = agent.rng.choice(n, size=size, replace=False)
+        return {k: v[idx] for k, v in data.items()}
+
+    def step(optimizer, shard_loss, batch):
+        optimizer.zero_grad()
+        total, kl = 0.0, 0.0
+        for lo, hi in shard_bounds(size, n_shards):
+            loss, shard_kl = shard_loss({k: v[lo:hi] for k, v in batch.items()})
+            loss.backward()
+            total += loss.item()
+            kl += shard_kl
+        for p in optimizer.params:
+            p.grad = p.grad / size
+        clip_grad_norm(optimizer.params, cfg.max_grad_norm)
+        optimizer.step()
+        return total / size, kl / size
+
+    def policy_loss(shard):
+        obs, masks = shard["obs"].astype(np.float64), shard["masks"]
+        if cfg.update_path == "sparse":
+            b_idx, s_idx, indptr = valid_rows(masks)
+            scores = agent.policy.score_rows_grad(obs[b_idx, s_idx])
+            log_probs = segment_log_softmax(scores, indptr)
+            logp = segment_log_prob_of(log_probs, masks, shard["actions"], indptr)
+            ent = -segment_sum(log_probs.exp() * log_probs, indptr)
+        else:
+            log_probs = masked_log_softmax(agent.policy(obs, masks), masks)
+            logp = log_prob_of(log_probs, shard["actions"])
+            ent = -(log_probs.exp() * log_probs).sum(axis=-1)
+        ratio = (logp - Tensor(shard["log_probs"])).exp()
+        adv = Tensor(shard["advantages"])
+        clipped = ratio.clip(1 - cfg.clip_ratio, 1 + cfg.clip_ratio) * adv
+        loss = -(ratio * adv).minimum(clipped).sum() - cfg.entropy_coef * ent.sum()
+        return loss, float(np.sum(shard["log_probs"] - logp.numpy()))
+
+    def value_loss(shard):
+        flat = shard["obs"].reshape(len(shard["obs"]), -1).astype(np.float64)
+        values = agent.value.mlp(Tensor(flat)).reshape(len(flat))
+        return ((values - Tensor(shard["returns"])) ** 2.0).sum(), 0.0
+
+    pi_losses, kls = [], []
+    for _ in range(cfg.train_pi_iters):
+        loss, kl = step(agent.pi_optimizer, policy_loss, minibatch())
+        pi_losses.append(loss)
+        kls.append(kl)
+        if kl > 1.5 * cfg.target_kl:
+            break
+    v_losses = [
+        step(agent.v_optimizer, value_loss, minibatch())[0]
+        for _ in range(cfg.train_v_iters)
+    ]
+    return pi_losses, kls, v_losses
+
+
+class TestUpdatePlan:
+    """`update` gathers each minibatch once (once per epoch when a single
+    minibatch covers the batch) and runs the value net on bucketed row
+    prefixes; none of that may change what is computed."""
+
+    def agents(self, update_path, policy="kernel", grad_runtime=None, **ppo):
+        def build(runtime):
+            net = (
+                KernelPolicy(F, hidden=(8, 8), seed=3) if policy == "kernel"
+                else MLPPolicy(16, F, hidden=(8, 8), seed=3)
+            )
+            cfg = PPOConfig(
+                update_path=update_path, train_pi_iters=6, train_v_iters=6,
+                entropy_coef=0.01, **ppo,
+            )
+            return PPOAgent(net, ValueMLP(16, F, hidden=(16, 8), seed=4),
+                            cfg, seed=5, grad_runtime=runtime)
+
+        return build(grad_runtime), build(None)
+
+    def assert_same_update(self, agent, oracle, data, n_shards=1):
+        # behaviour log-probs of the initial policy: KL starts at zero
+        data["log_probs"] = oracle.episode_log_probs(
+            data["obs"], data["masks"], data["actions"]
+        )
+        try:
+            stats = agent.update(data)
+        finally:
+            agent.close()
+        pi_losses, kls, v_losses = reference_update(oracle, data, n_shards)
+        assert stats.pi_iters_run == len(kls)
+        assert stats.policy_loss == pytest.approx(np.mean(pi_losses), rel=1e-10)
+        assert stats.kl == pytest.approx(np.mean(kls), rel=1e-10, abs=1e-14)
+        assert stats.kl_last == pytest.approx(kls[-1], rel=1e-10, abs=1e-14)
+        assert stats.value_loss == pytest.approx(np.mean(v_losses), rel=1e-10)
+        for net in ("policy", "value"):
+            for got, want in zip(getattr(agent, net).parameters(),
+                                 getattr(oracle, net).parameters()):
+                # atol: the policy's last bias has an exactly-zero true
+                # gradient (softmax shift invariance); Adam normalises its
+                # round-off noise into steps of ~1e-12
+                np.testing.assert_allclose(
+                    got.data, want.data, rtol=1e-10, atol=1e-10
+                )
+        # both drew the same minibatches from their generators
+        assert agent.rng.random() == oracle.rng.random()
+        return stats
+
+    @pytest.mark.parametrize("update_path", ["dense", "sparse"])
+    @pytest.mark.parametrize("minibatch_size", [4096, 24])
+    def test_matches_per_iteration_gather(self, update_path, minibatch_size):
+        agent, oracle = self.agents(update_path, minibatch_size=minibatch_size)
+        self.assert_same_update(agent, oracle, padded_batch(60))
+
+    def test_dense_path_with_a_joint_policy(self):
+        agent, oracle = self.agents("dense", policy="mlp", minibatch_size=24)
+        self.assert_same_update(agent, oracle, padded_batch(60, seed=1))
+
+    @pytest.mark.parametrize("update_path", ["dense", "sparse"])
+    @pytest.mark.parametrize("minibatch_size", [4096, 24])
+    def test_matches_through_gradient_sharding(self, update_path, minibatch_size):
+        runtime = RuntimeConfig(backend="serial", workers=3)
+        agent, oracle = self.agents(
+            update_path, grad_runtime=runtime, minibatch_size=minibatch_size
+        )
+        self.assert_same_update(agent, oracle, padded_batch(60, seed=2), 3)
+
+    def test_early_stop_draws_no_further_minibatch(self):
+        agent, oracle = self.agents(
+            "sparse", minibatch_size=24, target_kl=1e-4, pi_lr=1e-3
+        )
+        stats = self.assert_same_update(agent, oracle, padded_batch(60, seed=4))
+        assert stats.early_stopped and stats.pi_iters_run == 3
+
+    def test_single_minibatch_is_planned_once(self, monkeypatch):
+        """The hoist itself: one gather and one bucketing per epoch when
+        the batch fits a minibatch, one per iteration when it does not."""
+        import repro.rl.ppo as ppo
+
+        calls = {"valid_rows": 0, "from_dense": 0}
+
+        def count(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(ppo, "valid_rows", count("valid_rows", valid_rows))
+        monkeypatch.setattr(
+            RaggedRows, "from_dense",
+            count("from_dense", RaggedRows.from_dense),
+        )
+        data = padded_batch(60)
+        self.agents("sparse", target_kl=1e9)[0].update(data)
+        assert calls == {"valid_rows": 1, "from_dense": 1}
+        self.agents("sparse", target_kl=1e9, minibatch_size=24)[0].update(data)
+        assert calls == {"valid_rows": 1 + 6, "from_dense": 1 + 6}
+
+    def test_value_batch_matches_the_dense_forward(self):
+        agent, _ = self.agents("sparse")
+        obs = padded_batch(40, seed=6)["obs"]
+        dense = agent.value.mlp(Tensor(obs.reshape(40, -1).astype(np.float64)))
+        np.testing.assert_allclose(
+            agent.value_batch(obs), dense.numpy().reshape(40),
+            rtol=1e-12, atol=1e-14,
+        )
+
+
+def test_ragged_work_follows_fill_not_padding():
+    """Hardware-independent guard for the value step's cost: at <= 5 %
+    fill of the paper's 128-slot window the first layer's multiply-
+    accumulate count is at most a quarter of the dense product's."""
+    h = 128
+    obs = padded_batch(768, m=128, max_jobs=11, seed=7)["obs"]
+    flat = obs.reshape(768, -1)
+    fill = np.count_nonzero(obs.any(axis=2)) / (768 * 128)
+    assert fill <= 0.05
+    ragged_macs = RaggedRows.from_dense(flat).volume * h
+    assert ragged_macs <= 0.25 * flat.size * h

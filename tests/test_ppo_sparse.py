@@ -7,7 +7,7 @@ import pytest
 from repro.config import EnvConfig, PPOConfig, RuntimeConfig, TrainConfig
 from repro.nn import KernelPolicy, MLPPolicy, Tensor, ValueMLP
 from repro.rl import PPOAgent, Trainer
-from repro.rl.ppo import UpdateStats, _policy_terms
+from repro.rl.ppo import UpdateStats, _policy_plan, _policy_terms
 from repro.runtime import GradientReducer, shard_bounds
 from repro.workloads import load_trace
 
@@ -36,6 +36,10 @@ def make_agent(update_path="dense", m=16, grad_runtime=None, **ppo_kwargs):
     return PPOAgent(policy, value, cfg, seed=0, grad_runtime=grad_runtime)
 
 
+def policy_terms(policy, data, path):
+    return _policy_terms(policy, *_policy_plan(data, path, None), 0.2, path)
+
+
 class TestSparsePath:
     def test_sparse_requires_score_rows_grad(self):
         policy = MLPPolicy(16, F, seed=0)
@@ -50,8 +54,8 @@ class TestSparsePath:
     def test_forward_parity(self):
         data = synthetic_data()
         policy = KernelPolicy(F, hidden=(8, 8), seed=7)
-        dense = _policy_terms(policy, data, 0.2, "dense")
-        sparse = _policy_terms(policy, data, 0.2, "sparse")
+        dense = policy_terms(policy, data, "dense")
+        sparse = policy_terms(policy, data, "sparse")
         for d, s in zip(dense, sparse):
             np.testing.assert_allclose(d.numpy(), s.numpy(), atol=1e-10)
 
@@ -63,7 +67,7 @@ class TestSparsePath:
 
         def grads(path):
             policy.zero_grad()
-            surrogate, ent_rows, _ = _policy_terms(policy, data, 0.2, path)
+            surrogate, ent_rows, _ = policy_terms(policy, data, path)
             (-surrogate.mean() - 0.01 * ent_rows.mean()).backward()
             return [p.grad.copy() for p in policy.parameters()]
 
@@ -87,9 +91,9 @@ class TestKLReporting:
         agent = make_agent(train_pi_iters=3, train_v_iters=1, target_kl=1e9)
         scripted = iter([(0.5, 0.1, 1.0), (0.4, 0.2, 1.0), (0.3, 0.6, 1.0)])
         monkeypatch.setattr(
-            agent, "_policy_step", lambda data, idx: next(scripted)
+            agent, "_policy_step", lambda plan: next(scripted)
         )
-        monkeypatch.setattr(agent, "_value_step", lambda data, idx: 0.0)
+        monkeypatch.setattr(agent, "_value_step", lambda plan: 0.0)
         stats = agent.update(synthetic_data())
         assert stats.kl == pytest.approx(np.mean([0.1, 0.2, 0.6]))
         assert stats.kl_last == pytest.approx(0.6)
@@ -98,9 +102,9 @@ class TestKLReporting:
         agent = make_agent(train_pi_iters=5, train_v_iters=1, target_kl=0.1)
         kls = iter([0.01, 0.9, 0.01, 0.01, 0.01])
         monkeypatch.setattr(
-            agent, "_policy_step", lambda data, idx: (0.0, next(kls), 0.0)
+            agent, "_policy_step", lambda plan: (0.0, next(kls), 0.0)
         )
-        monkeypatch.setattr(agent, "_value_step", lambda data, idx: 0.0)
+        monkeypatch.setattr(agent, "_value_step", lambda plan: 0.0)
         stats = agent.update(synthetic_data())
         assert stats.early_stopped and stats.pi_iters_run == 2
         assert stats.kl_last == pytest.approx(0.9)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.nn import Parameter, Tensor
+from repro.nn import Parameter, RaggedRows, Tensor, row_extents
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, width=64)
 small_arrays = arrays(
@@ -116,3 +116,45 @@ def test_gradient_accumulation_additive(x):
     t2.zero_grad()
     (t2 * 3.0).sum().backward()
     np.testing.assert_allclose(t1.grad, g_f + t2.grad, rtol=1e-10, atol=1e-12)
+
+
+@st.composite
+def ragged_problems(draw):
+    """``(x, w, g)``: a matrix with arbitrary per-row non-zero extents
+    (zero rows, full-width rows, zeros inside the prefix), a weight and an
+    upstream gradient.  ``shape`` picks the row-width pattern."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 24))
+    h = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["mixed", "all-zero", "full", "same-width"]))
+    if shape == "mixed":
+        extents = draw(st.lists(st.integers(0, d), min_size=n, max_size=n))
+    else:
+        width = {"all-zero": 0, "full": d}.get(shape, draw(st.integers(0, d)))
+        extents = [width] * n
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    x = rng.normal(size=(n, d))
+    x[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    for i, e in enumerate(extents):
+        x[i, e:] = 0.0
+    if draw(st.booleans()):
+        x = x.astype(np.float32)
+    return x, rng.normal(size=(d, h)), rng.normal(size=(n, h))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ragged_problems())
+def test_ragged_matmul_equals_dense_forward_and_backward(problem):
+    x, w, g = problem
+    dense = x.astype(np.float64)
+    ragged = RaggedRows.from_dense(x)
+    weight = Parameter(w)
+    out = ragged @ weight
+    np.testing.assert_allclose(out.numpy(), dense @ w, rtol=0, atol=1e-12)
+    out.backward(g)
+    np.testing.assert_allclose(weight.grad, dense.T @ g, rtol=0, atol=1e-12)
+    # what it stores: never more than the dense matrix, at most twice the
+    # non-zero prefixes, and nothing for all-zero rows
+    extents = row_extents(x)
+    assert ragged.volume <= min(x.size, 2 * extents.sum())
+    assert sum(len(rows) for rows, _ in ragged.buckets) == (extents > 0).sum()

@@ -3,6 +3,7 @@ multi-tenant router, asyncio socket daemon, load generator, and graceful
 shutdown (the SIGTERM subprocess test mirrors ``TestNoLeakedWorkers``)."""
 
 import asyncio
+import logging
 import os
 import re
 import signal
@@ -317,12 +318,16 @@ def live_server():
         TenantConfig(name="beta", scheduler="SJF", n_procs=32),
     ))
     daemon = ServeDaemon(config)
-    result = {}
+    result = daemon.result = {}
+
+    async def serve():
+        daemon.loop = asyncio.get_running_loop()
+        return await daemon.run_async()
 
     def run():
-        result["rc"] = asyncio.run(daemon.run_async())
+        result["rc"] = asyncio.run(serve())
 
-    thread = threading.Thread(target=run, daemon=True)
+    thread = daemon.thread = threading.Thread(target=run, daemon=True)
     thread.start()
     deadline = time.monotonic() + 15
     while daemon.address is None and time.monotonic() < deadline:
@@ -386,6 +391,52 @@ class TestLiveServer:
                 break  # listener gone
         else:
             pytest.fail("daemon kept listening after drain stop")
+
+
+    @pytest.mark.parametrize("how", ["drain-stop", "signal"])
+    def test_stop_with_a_second_live_connection_is_clean(
+        self, live_server, how
+    ):
+        """Regression: a stop arriving while another client was still
+        connected left that connection's handler parked in ``readline``;
+        the loop's teardown cancelled it and asyncio logged the
+        ``CancelledError`` traceback."""
+        records = []
+
+        class Collect(logging.Handler):
+            def emit(self, record):
+                records.append(record)
+
+        collect = Collect(level=logging.DEBUG)
+        # "repro" stops propagating once any test has run the CLI
+        watched = [logging.getLogger(), logging.getLogger("repro")]
+        for log in watched:
+            log.addHandler(collect)
+        try:
+            host, port = live_server.address
+            with ServeClient(host, port) as idle, \
+                    ServeClient(host, port) as active:
+                assert idle.ping()["ok"] and active.ping()["ok"]
+                if how == "drain-stop":
+                    assert active.drain(stop=True)["stop"] is True
+                else:  # what the SIGTERM/SIGINT handler calls, on the loop
+                    live_server.loop.call_soon_threadsafe(
+                        live_server.request_stop, "SIGTERM"
+                    )
+                live_server.thread.join(timeout=15)
+                assert not live_server.thread.is_alive()
+                # the daemon hung up on the idle client, it did not vanish
+                with pytest.raises(ServeError):
+                    idle.ping()
+        finally:
+            for log in watched:
+                log.removeHandler(collect)
+        assert live_server.result.get("rc") == 0
+        noisy = [
+            r.getMessage() for r in records
+            if r.exc_info or r.levelno >= logging.WARNING
+        ]
+        assert noisy == []
 
 
 class TestLoadGenerator:

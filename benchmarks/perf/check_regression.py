@@ -2,8 +2,8 @@
 
 Compares a fresh ``run_perf.py`` result against the committed
 ``BENCH_perf.json`` baseline at the same scale and exits non-zero when
-rollout performance regressed.  Two checks run, covering the two ways a
-regression can hide:
+rollout performance regressed.  Two baseline-relative checks run,
+covering the two ways a regression can hide:
 
 * **absolute throughput** (``rollout.vectorized_steps_per_sec``): gates
   when the baseline was recorded on comparable hardware (same machine /
@@ -11,15 +11,13 @@ regression can hide:
   reported as advisory instead of failing — unless ``--strict`` forces
   the gate.  Absolute steps/s across differently-sized CI runners would
   otherwise be a standing false alarm.
-* **within-run speedup ratios** (``rollout.speedup`` — vectorized vs
-  sequential rollout throughput —, ``ppo_update.sparse_speedup`` —
-  sparse vs dense policy-step time — and
-  ``runtime.actor.async_over_locked_1w`` — per-episode vs per-step IPC
-  at one process worker): each is measured *within one run*, so it is
-  hardware-independent and gates on **every** platform.  The
-  tolerance is looser (``--ratio-tolerance``, default 40%) because tiny
-  smoke runs are noisy; the checks exist to catch an optimised path
-  collapsing toward its reference, which no runner change can excuse.
+* **within-run speedup ratio** (``ppo_update.sparse_speedup`` — the
+  sparse policy step the agent picks for the kernel policy vs the dense
+  oracle): measured *within one run*, so it is hardware-independent and
+  gates on **every** platform.  The tolerance is looser
+  (``--ratio-tolerance``, default 40%) because tiny smoke runs are
+  noisy; the check exists to catch the optimised path collapsing toward
+  its oracle, which no runner change can excuse.
 
 A third check is an **absolute floor**, not a baseline comparison:
 ``telemetry.enabled_over_disabled`` (telemetry-enabled over -disabled
@@ -30,9 +28,10 @@ drift downward one tolerated baseline bump at a time.
 
 A fourth check is an **absolute ceiling** on the same within-run
 pattern: ``ipc.bytes_shm_over_inline`` (bytes actually written to the
-worker pipes under the shm transport over the same traffic inline-
-pickled) must stay at or below ``--ipc-ceiling`` (default 0.25 — "shm
-keeps at least 4x of the array traffic off the pipes").  Byte counts
+worker pipes with the shared-memory pool over the same traffic with
+the pool withheld) must stay at or below ``--ipc-ceiling`` (default
+0.25 — "the pool keeps at least 4x of the array traffic off the
+pipes").  Byte counts
 are exact, so no tolerance applies; 0 disables the check.
 
 A fifth check is an **absolute floor** on the serving layer:
@@ -65,23 +64,16 @@ import sys
 from pathlib import Path
 
 METRIC = ("rollout", "vectorized_steps_per_sec")
-#: (section, key, what fell) — all within-run, hardware-independent
-#: ratios; the section may be a dotted path into nested report dicts
+#: (section, key, what fell) — within-run, hardware-independent ratios
 RATIO_METRICS = (
-    ("rollout", "speedup", "vectorization speedup"),
     ("ppo_update", "sparse_speedup", "sparse-update speedup"),
-    ("runtime.actor", "async_over_locked_1w", "async actor-rollout advantage"),
 )
 
 
 def lookup_ratio(report: dict, section: str, key: str):
-    """``report["a"]["b"][key]`` for a dotted ``section`` path ``"a.b"``."""
-    node = report
-    for part in section.split("."):
-        node = node.get(part)
-        if not isinstance(node, dict):
-            return None
-    return node.get(key)
+    """``report[section][key]``, ``None`` when either level is missing."""
+    node = report.get(section)
+    return node.get(key) if isinstance(node, dict) else None
 
 
 def load_scale(path: Path, scale: str) -> dict | None:
@@ -118,7 +110,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.2,
                         help="allowed fractional throughput drop (0.2 = 20%%)")
     parser.add_argument("--ratio-tolerance", type=float, default=0.4,
-                        help="allowed fractional drop of the vectorization "
+                        help="allowed fractional drop of a within-run "
                              "speedup ratio; gates on any hardware "
                              "(0.4 = 40%%)")
     parser.add_argument("--strict", action="store_true",
@@ -235,8 +227,8 @@ def main(argv=None) -> int:
               f"ipc.bytes_shm_over_inline: {ipc:.3f} "
               f"(ceiling {args.ipc_ceiling:.2f})")
         if ipc > args.ipc_ceiling:
-            print(f"[bench-check] FAIL: the shm transport still writes "
-                  f"{ipc:.3f}x of the inline byte volume to the worker "
+            print(f"[bench-check] FAIL: the shared-memory pool still leaves "
+                  f"{ipc:.3f}x of the inline byte volume on the worker "
                   f"pipes (> {args.ipc_ceiling:.2f}) — large arrays are "
                   "leaking back in-band; this is an exact within-run byte "
                   "count, so hardware differences do not excuse it",

@@ -2,15 +2,11 @@
 
 Measures, in one run:
 
-* ``rollout.sequential_steps_per_sec`` — the pre-vectorisation training
-  rollout: one environment, the per-job-loop observation builder, and a
-  batch-size-1 policy *and* value forward per step (``PPOAgent.act``).
-* ``rollout.vectorized_steps_per_sec`` — the same sequences through
+* ``rollout.vectorized_steps_per_sec`` — bench sequences through
   :class:`VecSchedGym`: N environments in lock-step, one batched policy
   forward per step, value estimates deferred to one batched call per
   episode.
-* ``rollout.speedup`` — the ratio (the PR-1 acceptance bar is ≥ 5×).
-* ``rollout.phase_breakdown`` — where vectorised-rollout wall-time goes:
+* ``rollout.phase_breakdown`` — where in-parent rollout wall-time goes:
   env stepping vs policy forwards vs buffer bookkeeping, read from the
   ``rollout.*`` telemetry spans the training collector itself records.
 * ``telemetry.enabled_over_disabled`` — paired alternating-rep probe of
@@ -27,26 +23,29 @@ Measures, in one run:
   value step) on the batch the vectorised rollout collected.
 * ``ppo_update.dense_sec_per_iter`` / ``sparse_sec_per_iter`` /
   ``sparse_speedup`` — one policy step through the dense padded-logits
-  reference vs the segment-batched sparse autograd path, on identical
-  pre-drawn minibatches; the ratio is hardware-independent and gated in
-  CI like ``rollout.speedup``.
+  oracle (the kernel policy behind the tests' ``DenseOnly`` wrapper) vs
+  the segment-batched sparse autograd path the agent picks by itself,
+  on identical pre-drawn minibatches; the ratio is hardware-independent
+  and gated in CI.
 * ``serving.*`` — scheduler-as-a-service throughput: a two-tenant
   daemon on a loopback socket driven closed-loop by the load generator
   (requests/sec, request/decision latency percentiles), next to a
   direct in-process pass over the same streams.  The within-run
   ``serving.served_over_direct`` ratio is hardware-independent and
   gated in CI — it collapses only when the wire layer itself regresses.
-* ``runtime.*`` — worker scaling of the PR-2 execution runtime: rollout
-  throughput through :class:`ShardedVecSchedGym` and evaluation
-  throughput through :func:`repro.api.evaluate`, at 1/2/4 process
-  workers vs the single-process path.  ``runtime.cpu_count`` records how
-  many cores the numbers had to share — on a 1-core box process workers
-  can only time-slice, so read scaling figures against it.
-* ``runtime.actor`` — episode-granular actor-rollout throughput
-  (:class:`repro.runtime.ActorRuntime`: in-worker policy inference, one
-  IPC transfer per episode) next to the lock-step floor; the
-  ``async_over_locked_1w`` within-run ratio is hardware-independent and
-  gated in CI.
+* ``runtime.*`` — worker scaling of the execution runtime: rollout
+  throughput of the in-parent collector (``rollout_steps_per_sec``) next
+  to the episode-granular :class:`repro.runtime.ActorRuntime`
+  (``actor``: in-worker policy inference, one IPC transfer per episode)
+  on the serial backend and at 1/2/4 process workers, and evaluation
+  throughput through :func:`repro.api.evaluate`.  ``runtime.cpu_count``
+  records how many cores the numbers had to share — on a 1-core box
+  process workers can only time-slice, so read scaling figures against
+  it.
+* ``ipc.*`` — bytes the actor training flow writes to the worker pipes
+  with the shared-memory pool and with the pool withheld (the inline
+  fallback); ``bytes_shm_over_inline`` is an exact byte ratio, gated in
+  CI (ceiling 0.25).
 
 Results are merged into ``BENCH_perf.json`` (``--out`` overrides) under
 ``scales.<scale>``, one entry per scale preset, so successive PRs have a
@@ -70,10 +69,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import platform
+import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -85,15 +85,13 @@ from repro.rl import PPOAgent, TrajectoryBuffer, make_reward
 from repro.rl.ppo import _policy_plan
 from repro.rl.trainer import Trainer
 from repro.telemetry import core as telemetry
-from repro.runtime import ShardedVecSchedGym
-from repro.sim import SchedulingEngine, VecSchedGym, build_observation_loop, run_scheduler
+from repro.runtime import ActorRuntime, process_pool
+from repro.sim import VecSchedGym, run_scheduler
 from repro.schedulers import FCFS, SJF
 from repro.workloads import SequenceSampler, load_trace
 
-try:  # runnable both as a module and as a script
-    from .legacy import LegacySchedulingEngine, legacy_build_observation
-except ImportError:
-    from legacy import LegacySchedulingEngine, legacy_build_observation
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+from tests.conftest import DenseOnly  # noqa: E402  (the tests' dense oracle)
 
 SCALES = {
     #         n_jobs  n_seqs  seq_len  max_obsv  n_envs
@@ -101,52 +99,6 @@ SCALES = {
     "tiny": (2000, 24, 128, 128, 64),
     "paper": (10_000, 100, 256, 128, 32),
 }
-
-
-def rollout_sequential(agent, env_cfg, n_procs, sequences, rng):
-    """Pre-PR rollout loop: seed engine, loop-built observations, and a
-    batch-1 policy + value forward per step (see legacy.py)."""
-    steps = 0
-    start = time.perf_counter()
-    for jobs in sequences:
-        engine = LegacySchedulingEngine(jobs, n_procs)
-        engine.advance_until_decision()
-        while True:
-            obs, mask, visible = legacy_build_observation(
-                engine.pending, engine.now, engine.cluster.free_procs,
-                n_procs, env_cfg,
-            )
-            action, _, _ = agent.act(obs, mask, rng=rng)
-            engine.commit(visible[action])
-            steps += 1
-            if not engine.advance_until_decision():
-                break
-    return steps, time.perf_counter() - start
-
-
-def check_legacy_replica(env_cfg, n_procs, jobs):
-    """Guard: the optimised engine must reproduce the seed schedule and
-    observations exactly (FCFS walk over one sequence)."""
-    legacy = LegacySchedulingEngine(jobs, n_procs)
-    modern = SchedulingEngine([j.copy() for j in jobs], n_procs)
-    legacy.advance_until_decision()
-    modern.advance_until_decision()
-    while True:
-        l_obs, l_mask, l_vis = legacy_build_observation(
-            legacy.pending, legacy.now, legacy.cluster.free_procs, n_procs, env_cfg
-        )
-        m_obs, m_mask, m_vis = build_observation_loop(
-            modern.pending, modern.now, modern.cluster.free_procs, n_procs, env_cfg
-        )
-        assert np.array_equal(l_obs, m_obs) and np.array_equal(l_mask, m_mask)
-        legacy.commit(l_vis[0])
-        modern.commit(m_vis[0])
-        l_more = legacy.advance_until_decision()
-        m_more = modern.advance_until_decision()
-        assert l_more == m_more
-        if not l_more:
-            break
-    assert [j.job_id for j in legacy.completed] == [j.job_id for j in modern.completed]
 
 
 def rollout_vectorized(agent, env_cfg, n_procs, sequences, n_envs, rng, buffer=None):
@@ -207,9 +159,9 @@ def _phase_trainer(env_cfg, trace, n_sequences, seq_len, n_envs):
 
 
 def rollout_phase_breakdown(env_cfg, trace, sequences, n_envs, rng):
-    """Per-phase wall-time split of a vectorised rollout.
+    """Per-phase wall-time split of an in-parent rollout.
 
-    Drives the trainer's own ``_collect_vectorized`` under a telemetry
+    Drives the trainer's own ``_collect_in_parent`` under a telemetry
     session and reads the split from the ``rollout.*`` spans the
     collector records — the bench no longer hand-times a duplicate of the
     collection loop, so these fractions are, by construction, the ones a
@@ -220,7 +172,7 @@ def rollout_phase_breakdown(env_cfg, trace, sequences, n_envs, rng):
     )
     try:
         with telemetry.session() as reg:
-            trainer._collect_vectorized(
+            trainer._collect_in_parent(
                 sequences, list(rng.spawn(len(sequences))), TrajectoryBuffer()
             )
             t_policy = reg.span_seconds("rollout.policy_forward")
@@ -266,7 +218,7 @@ def bench_telemetry_overhead(env_cfg, trace, sequences, n_envs, repeat=20):
     def one_pass():
         rngs = list(np.random.default_rng(5).spawn(len(sequences)))
         start = time.perf_counter()
-        trainer._collect_vectorized(sequences, rngs, TrajectoryBuffer())
+        trainer._collect_in_parent(sequences, rngs, TrajectoryBuffer())
         return time.perf_counter() - start
 
     def enabled_pass():
@@ -305,80 +257,41 @@ def bench_telemetry_overhead(env_cfg, trace, sequences, n_envs, repeat=20):
         trainer.close()
 
 
-def rollout_sharded(agent, env_cfg, n_procs, sequences, n_envs, rng, runtime,
-                    repeat=5):
-    """The lock-step training collection path driven through the PR-2
-    sharded vec env: per-step ``act_batch`` in the parent, trajectory
-    buffering, and the canonical per-episode value/log-prob targets —
-    the same work per episode as the async actor path, so serial,
-    process, and actor throughput are measured on identical work.
+def rollout_in_parent(env_cfg, trace, sequences, n_envs, repeat=5):
+    """The in-parent training collector (``Trainer._collect_in_parent``):
+    per-step ``act_batch``, trajectory buffering, and the canonical
+    per-episode value/log-prob targets — the same work per episode as
+    the actor path, so the two are measured on identical work.
     Median-of-``repeat`` passes: one pass is a few ms at smoke scale,
     far inside scheduler noise on a loaded box, and the median (unlike
     best-of) is not hijacked by a single lucky low-jitter window."""
-    vec = ShardedVecSchedGym(n_envs, n_procs, "bsld", config=env_cfg,
-                             runtime=runtime)
+    trainer = _phase_trainer(
+        env_cfg, trace, len(sequences), len(sequences[0]), n_envs
+    )
     try:
+        rng = np.random.default_rng(2)
+        steps = sum(len(jobs) for jobs in sequences)
         times = []
         for _ in range(repeat):
-            buffer = TrajectoryBuffer()
-            # per-trajectory action streams, as in _collect_vectorized
             rngs = rng.spawn(len(sequences))
-            n = min(n_envs, len(sequences))
-            steps = 0
             start = time.perf_counter()
-            obs, masks = vec.reset(sequences[:n])
-            vec.queue_sequences(sequences[n:])
-            slot_of_env = list(range(n))
-            next_slot = n
-            while True:
-                active_idx = np.flatnonzero(vec.active)
-                if not len(active_idx):
-                    break
-                a_obs = obs[active_idx]
-                a_masks = masks[active_idx]
-                actions, log_probs = agent.act_batch(
-                    a_obs, a_masks, [rngs[slot_of_env[i]] for i in active_idx]
-                )
-                buffer.store_batch(a_obs, a_masks, actions, log_probs,
-                                   slots=[slot_of_env[i] for i in active_idx])
-                full = np.full(vec.n_envs, -1, dtype=np.int64)
-                full[active_idx] = actions
-                result = vec.step(full)
-                steps += len(active_idx)
-                for i in active_idx:
-                    if result.dones[i]:
-                        slot = slot_of_env[i]
-                        ep_obs = buffer.staged_obs(slot)
-                        buffer.end_slot(
-                            slot, result.rewards[i],
-                            values=agent.value_batch(ep_obs),
-                            log_probs=agent.episode_log_probs(
-                                ep_obs, buffer.staged_masks(slot),
-                                buffer.staged_actions(slot),
-                            ),
-                        )
-                        if result.infos[i].get("auto_reset"):
-                            slot_of_env[i] = next_slot
-                            next_slot += 1
-                obs, masks = result.observations, result.action_masks
+            trainer._collect_in_parent(sequences, rngs, TrajectoryBuffer())
             times.append(time.perf_counter() - start)
         if os.environ.get("PERF_DEBUG"):
-            print(f"[perf-debug] sharded reps: {[f'{t*1e3:.1f}ms' for t in times]}")
+            print(f"[perf-debug] in-parent reps: {[f'{t*1e3:.1f}ms' for t in times]}")
         return steps, float(np.median(times))
     finally:
-        vec.close()
+        trainer.close()
 
 
 def rollout_actor(agent, env_cfg, n_procs, sequences, n_envs, runtime,
                   repeat=5):
     """Episode-granular actor rollout: envs *and* policy replicas live in
     the workers, so IPC is at most one trajectory transfer per episode
-    instead of two array transfers per step (the async training path).
-    ``n_envs`` splits across the actors so the pool's total lock-step
-    width matches the sharded collector's.  Median-of-``repeat`` passes,
-    like :func:`rollout_sharded`."""
-    from repro.runtime import ActorRuntime
-
+    (the training path of every process-runtime run).  ``n_envs`` splits
+    across the actors so the pool's total lock-step width matches the
+    in-parent collector's.  Median-of-``repeat`` passes, like
+    :func:`rollout_in_parent`."""
     workers = max(1, runtime.workers)
     width = max(1, -(-min(n_envs, len(sequences)) // workers))
     actors = ActorRuntime(n_procs, "bsld", config=env_cfg, runtime=runtime,
@@ -400,135 +313,54 @@ def rollout_actor(agent, env_cfg, n_procs, sequences, n_envs, runtime,
         actors.close()
 
 
-def rollout_locked_vs_actor_1w(agent, env_cfg, n_procs, sequences, n_envs,
-                               repeat=13):
-    """Paired 1-worker probe for the gated async/locked ratio.
-
-    Locked and actor reps alternate inside one loop so each per-rep
-    ratio compares measurements taken milliseconds apart — immune to the
-    CPU-speed drift a shared box shows over the tens of seconds the
-    separate scaling sweeps span.  Returns ``(locked_steps_per_sec,
-    actor_steps_per_sec, ratio)`` with the throughputs as medians and
-    the ratio as the median of the per-rep ratios.
-    """
-    from repro.runtime import ActorRuntime
-
-    runtime = RuntimeConfig(backend="process", workers=1)
-    rng = np.random.default_rng(2)
-    vec = ShardedVecSchedGym(n_envs, n_procs, "bsld", config=env_cfg,
-                             runtime=runtime)
-    width = max(1, min(n_envs, len(sequences)))
-    actors = ActorRuntime(n_procs, "bsld", config=env_cfg,
-                          runtime=RuntimeConfig(backend="process", workers=1),
-                          n_envs=width, seed=2)
-    try:
-        actors.install(agent.policy, agent.value)
-
-        def locked_rep():
-            buffer = TrajectoryBuffer()
-            rngs = rng.spawn(len(sequences))
-            n = min(n_envs, len(sequences))
-            steps = 0
-            start = time.perf_counter()
-            obs, masks = vec.reset(sequences[:n])
-            vec.queue_sequences(sequences[n:])
-            slot_of_env = list(range(n))
-            next_slot = n
-            while True:
-                active_idx = np.flatnonzero(vec.active)
-                if not len(active_idx):
-                    break
-                a_obs = obs[active_idx]
-                a_masks = masks[active_idx]
-                actions, log_probs = agent.act_batch(
-                    a_obs, a_masks, [rngs[slot_of_env[i]] for i in active_idx]
-                )
-                buffer.store_batch(a_obs, a_masks, actions, log_probs,
-                                   slots=[slot_of_env[i] for i in active_idx])
-                full = np.full(vec.n_envs, -1, dtype=np.int64)
-                full[active_idx] = actions
-                result = vec.step(full)
-                steps += len(active_idx)
-                for i in active_idx:
-                    if result.dones[i]:
-                        slot = slot_of_env[i]
-                        ep_obs = buffer.staged_obs(slot)
-                        buffer.end_slot(
-                            slot, result.rewards[i],
-                            values=agent.value_batch(ep_obs),
-                            log_probs=agent.episode_log_probs(
-                                ep_obs, buffer.staged_masks(slot),
-                                buffer.staged_actions(slot),
-                            ),
-                        )
-                        if result.infos[i].get("auto_reset"):
-                            slot_of_env[i] = next_slot
-                            next_slot += 1
-                obs, masks = result.observations, result.action_masks
-            return steps, time.perf_counter() - start
-
-        def actor_rep(rep):
-            steps = 0
-            start = time.perf_counter()
-            actors.submit(rep, list(enumerate(sequences)))
-            for _ in range(len(sequences)):
-                steps += actors.drain().steps
-            return steps, time.perf_counter() - start
-
-        locked_rep()          # warm both paths outside the measured reps
-        actor_rep(0)
-        locked, actor, ratios = [], [], []
-        for rep in range(1, repeat + 1):
-            l_steps, l_time = locked_rep()
-            a_steps, a_time = actor_rep(rep)
-            locked.append(l_steps / l_time)
-            actor.append(a_steps / a_time)
-            ratios.append((a_steps / a_time) / (l_steps / l_time))
-        if os.environ.get("PERF_DEBUG"):
-            print(f"[perf-debug] paired ratios: {[f'{r:.2f}' for r in ratios]}")
-        return (float(np.median(locked)), float(np.median(actor)),
-                float(np.median(ratios)))
-    finally:
-        actors.close()
-        vec.close()
+def _pool_withheld():
+    raise OSError("shared-memory pool withheld by the ipc bench")
 
 
 def bench_ipc(agent, env_cfg, n_procs, sequences, n_envs, epochs=3):
-    """Bytes-over-pipe comparison of the two array transports.
+    """Bytes-over-pipe with the shared-memory pool and without it.
 
     Drives the identical actor training flow — install, per-epoch episode
     submit/drain, weight re-broadcast — through a 1-worker process
-    backend under each transport, with telemetry counting the bytes each
-    side actually writes (``runtime.ipc.bytes_inline``) and the bytes the
-    shm codec moved out-of-band instead (``runtime.ipc.bytes_shm``).
-    ``bytes_shm_over_inline`` — pipe bytes under shm over pipe bytes
-    under inline pickling — is a pure byte-count ratio, hardware-
-    independent, and gated in ``check_regression.py`` (ceiling 0.25,
-    i.e. shm must keep at least 4x of the array traffic off the pipes).
-    Encode seconds come from the ``runtime.ipc.encode`` span both sides
-    record around ``ArrayCodec.dumps``.
+    backend twice: as every run gets it (``"shm"``: large arrays spill to
+    the pool) and with the pool withheld, the way a host without
+    ``/dev/shm`` runs (``"pipe"``: every byte inline).  Telemetry counts
+    the bytes each side actually writes (``runtime.ipc.bytes_inline``)
+    and the bytes the codec moved out-of-band instead
+    (``runtime.ipc.bytes_shm``).  ``bytes_shm_over_inline`` — pipe bytes
+    with the pool over pipe bytes without — is a pure byte-count ratio,
+    hardware-independent, and gated in ``check_regression.py`` (ceiling
+    0.25, i.e. the pool must keep at least 4x of the array traffic off
+    the pipes).  Encode seconds come from the ``runtime.ipc.encode`` span
+    both sides record around ``ArrayCodec.dumps``.
     """
-    from repro.runtime import ActorRuntime
-
     width = max(1, min(n_envs, len(sequences)))
+    runtime = RuntimeConfig(backend="process", workers=1)
+    pool_log = logging.getLogger("repro.runtime.process_pool")
     out = {}
-    for transport in ("pipe", "shm"):
-        runtime = RuntimeConfig(backend="process", workers=1,
-                                transport=transport)
-        with telemetry.session() as reg:
-            actors = ActorRuntime(n_procs, "bsld", config=env_cfg,
-                                  runtime=runtime, n_envs=width, seed=2)
-            try:
-                actors.install(agent.policy, agent.value)
-                for epoch in range(epochs):
-                    actors.submit(epoch, list(enumerate(sequences)))
-                    for _ in range(len(sequences)):
-                        actors.drain()
-                    actors.push_weights(epoch + 1, agent.export_weights())
-            finally:
-                actors.close()
-            snap = reg.snapshot().aggregated()
-        out[transport] = {
+    for mode in ("pipe", "shm"):
+        real_pool, log_level = process_pool.SharedArrayPool, pool_log.level
+        if mode == "pipe":
+            process_pool.SharedArrayPool = _pool_withheld
+            pool_log.setLevel(logging.ERROR)  # the fallback warning is the point
+        try:
+            with telemetry.session() as reg:
+                actors = ActorRuntime(n_procs, "bsld", config=env_cfg,
+                                      runtime=runtime, n_envs=width, seed=2)
+                try:
+                    actors.install(agent.policy, agent.value)
+                    for epoch in range(epochs):
+                        actors.submit(epoch, list(enumerate(sequences)))
+                        for _ in range(len(sequences)):
+                            actors.drain()
+                        actors.push_weights(epoch + 1, agent.export_weights())
+                finally:
+                    actors.close()
+                snap = reg.snapshot().aggregated()
+        finally:
+            process_pool.SharedArrayPool = real_pool
+            pool_log.setLevel(log_level)
+        out[mode] = {
             "bytes_inline": int(snap.counters.get("runtime.ipc.bytes_inline", 0)),
             "bytes_shm": int(snap.counters.get("runtime.ipc.bytes_shm", 0)),
             "encode_sec_per_epoch": (
@@ -543,56 +375,25 @@ def bench_ipc(agent, env_cfg, n_procs, sequences, n_envs, epochs=3):
 
 def bench_runtime_scaling(agent, env_cfg, trace, sequences, n_envs,
                           eval_seqs, eval_len, workers_list=(1, 2, 4)):
-    """Worker scaling of rollouts (sharded vec env) and evaluation
-    (``api.evaluate`` fan-out) vs the single-process serial path."""
+    """Rollout throughput of the two collectors — in-parent, and the
+    actor pool on the serial backend and over process workers — and
+    worker scaling of evaluation (``api.evaluate`` fan-out)."""
     report = {"workers": list(workers_list), "cpu_count": os.cpu_count()}
 
-    # The gated async/locked 1-worker comparison runs as a paired probe
-    # (alternating reps) so CPU-speed drift cannot skew the ratio; the
-    # remaining worker counts come from the ordinary sweeps below.
-    locked_1w, actor_1w, ratio_1w = rollout_locked_vs_actor_1w(
-        agent, env_cfg, trace.max_procs, sequences, n_envs
-    )
+    steps, elapsed = rollout_in_parent(env_cfg, trace, sequences, n_envs)
+    report["rollout_steps_per_sec"] = {"serial": steps / elapsed}
 
-    steps, elapsed = rollout_sharded(
-        agent, env_cfg, trace.max_procs, sequences, n_envs,
-        np.random.default_rng(2), RuntimeConfig()
-    )
-    serial_rollout = steps / elapsed
-    rollout = {"serial": serial_rollout, "process": {"1": locked_1w}}
-    for w in workers_list:
-        if w == 1:
-            continue
-        steps, elapsed = rollout_sharded(
-            agent, env_cfg, trace.max_procs, sequences, n_envs,
-            np.random.default_rng(2),
-            RuntimeConfig(backend="process", workers=w),
-        )
-        rollout["process"][str(w)] = steps / elapsed
-    rollout["speedup_at_max_workers"] = (
-        rollout["process"][str(workers_list[-1])] / serial_rollout
-    )
-    report["rollout_steps_per_sec"] = rollout
-
-    # Episode-granular actor throughput next to the lock-step floor.  The
-    # 1-worker async/locked ratio is hardware-independent (identical work,
-    # identical process count — only the IPC granularity differs) and is
-    # gated in check_regression.py.
-    actor = {"serial": None, "process": {"1": actor_1w}}
+    actor = {"process": {}}
     steps, elapsed = rollout_actor(
         agent, env_cfg, trace.max_procs, sequences, n_envs, RuntimeConfig()
     )
     actor["serial"] = steps / elapsed
     for w in workers_list:
-        if w == 1:
-            continue
         steps, elapsed = rollout_actor(
             agent, env_cfg, trace.max_procs, sequences, n_envs,
             RuntimeConfig(backend="process", workers=w),
         )
         actor["process"][str(w)] = steps / elapsed
-    actor["locked_1w_steps_per_sec"] = locked_1w
-    actor["async_over_locked_1w"] = ratio_1w
     report["actor"] = actor
 
     def eval_once(runtime):
@@ -760,9 +561,11 @@ def bench_ppo_update(agent, buffer, ppo_cfg, max_obsv, job_features):
     """Full-update timing plus a dense-vs-sparse policy-step comparison.
 
     The comparison runs two fresh same-seed agents over identical
-    pre-drawn minibatch index lists, so the update arithmetic (padded
-    dense logits vs segment-batched sparse autograd) is the only thing
-    that differs between the two timings.
+    pre-drawn minibatch index lists — one on the kernel policy as is
+    (the agent picks the sparse step), one with its row scorer hidden
+    behind the tests' ``DenseOnly`` wrapper (the dense oracle) — so the
+    update arithmetic (padded dense logits vs segment-batched sparse
+    autograd) is the only thing that differs between the two timings.
     """
     data = buffer.get()
     start = time.perf_counter()
@@ -782,16 +585,18 @@ def bench_ppo_update(agent, buffer, ppo_cfg, max_obsv, job_features):
         for _ in range(ppo_cfg.train_pi_iters)
     ]
     for path in ("dense", "sparse"):
+        policy = make_policy("kernel", max_obsv, job_features, seed=0)
+        sparse = path == "sparse"
         path_agent = PPOAgent(
-            make_policy("kernel", max_obsv, job_features, seed=0),
+            policy if sparse else DenseOnly(policy),
             ValueMLP(max_obsv, job_features, seed=1),
-            replace(ppo_cfg, update_path=path),
+            ppo_cfg,
             seed=0,
         )
-        path_agent._policy_step(_policy_plan(data, path, idx_lists[0]))  # warm-up
+        path_agent._policy_step(_policy_plan(data, sparse, idx_lists[0]))  # warm-up
         start = time.perf_counter()
         for idx in idx_lists:
-            path_agent._policy_step(_policy_plan(data, path, idx))
+            path_agent._policy_step(_policy_plan(data, sparse, idx))
         report[f"{path}_sec_per_iter"] = (
             (time.perf_counter() - start) / len(idx_lists)
         )
@@ -829,21 +634,12 @@ def main(argv=None):
     value = ValueMLP(max_obsv, env_cfg.job_features, seed=1)
     agent = PPOAgent(policy, value, ppo_cfg, seed=0)
 
-    check_legacy_replica(env_cfg, trace.max_procs, sequences[0])
-
-    # Warm-up both paths (first-call allocation noise), then measure.
-    warm = sequences[:1]
-    rollout_sequential(agent, env_cfg, trace.max_procs, warm, np.random.default_rng(0))
-    rollout_vectorized(agent, env_cfg, trace.max_procs, warm, n_envs,
+    # Warm-up (first-call allocation noise), then measure.
+    rollout_vectorized(agent, env_cfg, trace.max_procs, sequences[:1], n_envs,
                        np.random.default_rng(0))
 
     print(f"[perf] scale={args.scale}: {n_seqs} sequences x {seq_len} jobs, "
           f"M={max_obsv}, n_envs={n_envs}")
-    seq_steps, seq_time = rollout_sequential(
-        agent, env_cfg, trace.max_procs, sequences, np.random.default_rng(1)
-    )
-    print(f"[perf] sequential: {seq_steps} steps in {seq_time:.2f}s "
-          f"({seq_steps / seq_time:,.0f} steps/s)")
 
     # Best of three: this number gates CI (check_regression.py), and at
     # smoke scale a single run is a ~10 ms timing window — too noisy.
@@ -859,9 +655,6 @@ def main(argv=None):
     )
     print(f"[perf] vectorized: {vec_steps} steps in {vec_time:.2f}s "
           f"({vec_steps / vec_time:,.0f} steps/s, best of 3)")
-
-    speedup = (vec_steps / vec_time) / (seq_steps / seq_time)
-    print(f"[perf] rollout speedup: {speedup:.2f}x")
 
     phase_breakdown = rollout_phase_breakdown(
         env_cfg, trace, sequences, n_envs, np.random.default_rng(1)
@@ -907,14 +700,10 @@ def main(argv=None):
     rr, er = runtime_report["rollout_steps_per_sec"], runtime_report["eval_sequences_per_sec"]
     print(f"[perf] runtime scaling over {runtime_report['cpu_count']} cores "
           f"(workers {runtime_report['workers']}):")
-    print(f"[perf]   rollout serial {rr['serial']:,.0f} steps/s; process "
-          + ", ".join(f"{w}w {v:,.0f}" for w, v in rr["process"].items())
-          + f" ({rr['speedup_at_max_workers']:.2f}x at max workers)")
+    print(f"[perf]   in-parent rollout {rr['serial']:,.0f} steps/s")
     ar = runtime_report["actor"]
     print(f"[perf]   actor serial {ar['serial']:,.0f} steps/s; process "
-          + ", ".join(f"{w}w {v:,.0f}" for w, v in ar["process"].items())
-          + (f" (async/locked at 1w: {ar['async_over_locked_1w']:.2f}x)"
-             if "async_over_locked_1w" in ar else ""))
+          + ", ".join(f"{w}w {v:,.0f}" for w, v in ar["process"].items()))
     print(f"[perf]   evaluate serial {er['serial']:,.1f} seqs/s; process "
           + ", ".join(f"{w}w {v:,.1f}" for w, v in er["process"].items())
           + f" ({er['speedup_at_max_workers']:.2f}x at max workers)")
@@ -945,11 +734,8 @@ def main(argv=None):
             "n_envs": n_envs,
         },
         "rollout": {
-            "sequential_steps_per_sec": seq_steps / seq_time,
             "vectorized_steps_per_sec": vec_steps / vec_time,
-            "sequential_steps": seq_steps,
             "vectorized_steps": vec_steps,
-            "speedup": speedup,
             "phase_breakdown": phase_breakdown,
         },
         "engine": {"events_per_sec": events_per_sec},

@@ -1,13 +1,21 @@
 #!/usr/bin/env python
-"""Fast training: the vectorised rollout engine in action.
+"""Fast training: nothing to switch on.
 
-The trainer collects every epoch's trajectories through ``VecSchedGym``
-(``TrainConfig.vectorized``, on by default): ``n_envs`` environments step
-in lock-step and each policy forward serves all of them at once, while
-value estimates are computed once per finished episode on a whole-episode
-batch.  This script times one identical epoch both ways and verifies the
-vectorised path reproduces the sequential numbers exactly — the speedup
-is free.
+How an epoch executes follows from what the code can observe:
+
+* collector — the serial runtime steps ``n_envs`` environments in
+  lock-step in this process (one batched policy forward serves all of
+  them); ``RuntimeConfig(backend="process")`` moves whole episodes onto
+  actor processes that hold a policy replica.  Same trajectories either
+  way;
+* update — the kernel policy exposes a per-row scorer, so the agent takes
+  the sparse PPO update (cost follows the valid job rows, not the padded
+  ``MAX_OBSV_SIZE`` slots);
+* transport — the actors' arrays travel through shared memory.
+
+This script runs one identical epoch in-parent and on two actor processes,
+checks the two reproduce each other exactly, and reads from the telemetry
+trace which update ran and how many bytes went out of band.
 
 Related: ``benchmarks/perf/run_perf.py`` measures the rollout/engine/PPO
 hot paths in isolation and records them in ``BENCH_perf.json``.
@@ -19,61 +27,63 @@ import time
 
 import repro
 from repro.rl import Trainer
+from repro.telemetry import core as telemetry
 
 trace = repro.load_trace("Lublin-1", n_jobs=3000, seed=0)
 print(f"Loaded {trace.name}: {len(trace)} jobs on {trace.max_procs} processors")
 
-# ---------------------------------------------------------------------------
-# 1. One epoch, collected sequentially (one env at a time).  Note: even the
-#    sequential mode shares the per-episode batched value/log-prob pass, so
-#    the gap to the true pre-vectorisation trainer is larger than measured
-#    here — benchmarks/perf/run_perf.py isolates the rollout and reports
-#    that ratio in BENCH_perf.json.
-# ---------------------------------------------------------------------------
 
+def one_epoch(workers):
+    """(record, seconds, telemetry snapshot) of one epoch on ``workers``."""
+    with telemetry.session() as reg:
+        trainer = Trainer(
+            trace,
+            metric="bsld",
+            policy_preset="kernel",
+            env_config=repro.EnvConfig(max_obsv_size=128),
+            ppo_config=repro.PPOConfig(
+                train_pi_iters=3, train_v_iters=3, minibatch_size=512,
+            ),
+            train_config=repro.TrainConfig(
+                epochs=1,
+                trajectories_per_epoch=48,
+                trajectory_length=64,
+                seed=0,
+                n_envs=32,
+                runtime=repro.RuntimeConfig.from_workers(workers),
+            ),
+        )
+        with trainer:
+            start = time.perf_counter()
+            record = trainer.run_epoch(0)
+            elapsed = time.perf_counter() - start
+        return record, elapsed, reg.snapshot().aggregated()
 
-def make_trainer(vectorized, n_envs=32):
-    return Trainer(
-        trace,
-        metric="bsld",
-        policy_preset="kernel",
-        env_config=repro.EnvConfig(max_obsv_size=128),
-        ppo_config=repro.PPOConfig(
-            train_pi_iters=3, train_v_iters=3, minibatch_size=512,
-        ),
-        train_config=repro.TrainConfig(
-            epochs=1,
-            trajectories_per_epoch=48,
-            trajectory_length=64,
-            seed=0,
-            vectorized=vectorized,
-            n_envs=n_envs,
-        ),
-    )
-
-
-sequential = make_trainer(vectorized=False)
-start = time.perf_counter()
-seq_record = sequential.run_epoch(0)
-seq_time = time.perf_counter() - start
-print(f"\nsequential epoch: {seq_time:5.1f}s  "
-      f"mean bsld {seq_record.mean_metric:.2f}  kl {seq_record.stats.kl:.5f}")
 
 # ---------------------------------------------------------------------------
-# 2. The same epoch through the vectorised collector.
+# 1. One epoch collected in this process: no backend, no worker.
 # ---------------------------------------------------------------------------
-vectorized = make_trainer(vectorized=True)
-start = time.perf_counter()
-vec_record = vectorized.run_epoch(0)
-vec_time = time.perf_counter() - start
-print(f"vectorized epoch: {vec_time:5.1f}s  "
-      f"mean bsld {vec_record.mean_metric:.2f}  kl {vec_record.stats.kl:.5f}  "
-      f"({seq_time / vec_time:.1f}x faster)")
+record, seconds, snap = one_epoch(workers=1)
+print(f"\nin-parent epoch: {seconds:5.1f}s  "
+      f"mean bsld {record.mean_metric:.2f}  kl {record.stats.kl:.5f}")
+print("  policy iterations ran as:",
+      sorted(name for name in snap.spans if "update.policy_iter" in name))
+
+# ---------------------------------------------------------------------------
+# 2. The same epoch with the episodes on two actor processes.
+# ---------------------------------------------------------------------------
+actor_record, actor_seconds, actor_snap = one_epoch(workers=2)
+print(f"2-actor epoch:   {actor_seconds:5.1f}s  "
+      f"mean bsld {actor_record.mean_metric:.2f}  "
+      f"kl {actor_record.stats.kl:.5f}")
+print(f"  {actor_snap.counters['runtime.ipc.bytes_shm']:,} bytes through "
+      f"shared memory, {actor_snap.counters['runtime.ipc.bytes_inline']:,} "
+      "on the pipes")
 
 # ---------------------------------------------------------------------------
 # 3. Same seed => exactly the same training step, to the last bit.
 # ---------------------------------------------------------------------------
-assert vec_record.mean_reward == seq_record.mean_reward
-assert vec_record.stats.kl == seq_record.stats.kl
-print("\nvectorised epoch reproduced the sequential epoch exactly "
+assert actor_record.mean_reward == record.mean_reward
+assert actor_record.stats.kl == record.stats.kl
+print("\nthe actor epoch reproduced the in-parent epoch exactly "
       "(same rewards, same update statistics).")

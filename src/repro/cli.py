@@ -66,7 +66,6 @@ import sys
 from . import (
     EvalConfig,
     EnvConfig,
-    PPOConfig,
     RuntimeConfig,
     ScenarioConfig,
     ServeConfig,
@@ -178,10 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="path to a saved RL policy (.npz) to include")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="fan sequences over N worker processes (1 = serial)")
-    p.add_argument("--transport", choices=["pipe", "shm"], default="pipe",
-                   help="worker array transport: pickled pipes (reference) "
-                        "or the zero-copy shared-memory plane (same "
-                        "results, far fewer pipe bytes)")
     p.add_argument("--telemetry", metavar="PATH", default=None,
                    help="enable telemetry and write the repro/telemetry@1 "
                         "JSONL trace to PATH")
@@ -207,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="fan matrix cells over N worker processes")
-    p.add_argument("--transport", choices=["pipe", "shm"], default="pipe",
-                   help="worker array transport (see evaluate --transport)")
     p.add_argument("-o", "--output", default=None,
                    help="write the matrix as JSON")
 
@@ -231,29 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable trajectory filtering (recommended for PIK)")
     p.add_argument("--swf-dir", default=None)
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="shard rollout envs over N worker processes (1 = serial)")
-    p.add_argument("--transport", choices=["pipe", "shm"], default="pipe",
-                   help="worker array transport (see evaluate --transport); "
-                        "applies to rollout, actor, and gradient workers")
-    p.add_argument("--update-path", choices=["dense", "sparse"],
-                   default="dense",
-                   help="PPO update arithmetic: dense padded logits "
-                        "(reference) or segment-batched sparse autograd "
-                        "(kernel policy only, much faster at large "
-                        "MAX_OBSV_SIZE)")
+                   help="collect rollouts on N actor processes (1 = in this "
+                        "process; same trajectories either way)")
     p.add_argument("--grad-workers", type=_positive_int, default=1,
                    help="shard minibatch gradients over N worker processes "
                         "(1 = in-process backward)")
-    p.add_argument("--rollout-mode", choices=["locked", "async"],
-                   default="locked",
-                   help="rollout collection: lock-step vectorized envs "
-                        "(reference) or episode-granular async actors with "
-                        "in-worker policy inference (one IPC transfer per "
-                        "episode; with --staleness 0 bit-identical to "
-                        "locked)")
     p.add_argument("--staleness", type=_nonnegative_int, default=0,
-                   help="async rollouts: how many updates collection may "
-                        "run ahead of learning (0 = fully synchronous)")
+                   help="how many updates rollout collection may run ahead "
+                        "of learning (0 = fully synchronous; > 0 always "
+                        "collects on the actors)")
     p.add_argument("--stale-mode", choices=["drop", "reweight"],
                    default="drop",
                    help="episodes past the staleness bound: exclude from "
@@ -306,15 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for training rollouts and the "
                         "evaluation fan-out (1 = serial)")
-    p.add_argument("--transport", choices=["pipe", "shm"], default="pipe",
-                   help="worker array transport (see evaluate --transport)")
-    p.add_argument("--rollout-mode", choices=["locked", "async"],
-                   default="locked",
-                   help="training rollout collection for every zoo policy "
-                        "(see train --rollout-mode)")
     p.add_argument("--staleness", type=_nonnegative_int, default=0,
-                   help="async rollouts: staleness bound in updates "
-                        "(0 = fully synchronous)")
+                   help="staleness bound of every zoo policy's training "
+                        "(see train --staleness)")
     p.add_argument("--telemetry", metavar="PATH", default=None,
                    help="enable telemetry and write the repro/telemetry@1 "
                         "JSONL trace to PATH")
@@ -444,7 +417,7 @@ def _cmd_evaluate(args) -> int:
         print("evaluate: pass a trace name or --scenario (not both)",
               file=sys.stderr)
         return 2
-    runtime = RuntimeConfig.from_workers(args.workers, transport=args.transport)
+    runtime = RuntimeConfig.from_workers(args.workers)
     schedulers = [cls() for cls in HEURISTICS.values()]
     if args.scenario:
         scen = get_scenario(args.scenario)  # fail fast on unknown names
@@ -512,7 +485,7 @@ def _cmd_compare(args) -> int:
     config = EvalConfig(
         n_sequences=args.sequences, sequence_length=args.length,
         seed=args.seed,
-        runtime=RuntimeConfig.from_workers(args.workers, transport=args.transport),
+        runtime=RuntimeConfig.from_workers(args.workers),
     )
     matrix = scenario_matrix(
         scheds, names, metric=args.metric,
@@ -580,18 +553,14 @@ def _cmd_train(args) -> int:
         metric=args.metric,
         policy_preset=args.policy,
         env_config=EnvConfig(max_obsv_size=args.obsv),
-        ppo_config=PPOConfig(update_path=args.update_path),
         train_config=TrainConfig(
             epochs=args.epochs,
             trajectories_per_epoch=args.trajectories,
             trajectory_length=args.length,
             seed=args.seed,
             use_trajectory_filter=args.filter,
-            runtime=RuntimeConfig.from_workers(
-                args.workers, transport=args.transport
-            ),
+            runtime=RuntimeConfig.from_workers(args.workers),
             grad_workers=args.grad_workers,
-            rollout_mode=args.rollout_mode,
             staleness=args.staleness,
             stale_mode=args.stale_mode,
             telemetry=_telemetry_config(args),
@@ -645,8 +614,7 @@ def _cmd_study(args) -> int:
         n_sequences=args.sequences,
         sequence_length=args.eval_length,
         on_mismatch=args.on_mismatch,
-        runtime=RuntimeConfig.from_workers(args.workers, transport=args.transport),
-        rollout_mode=args.rollout_mode,
+        runtime=RuntimeConfig.from_workers(args.workers),
         staleness=args.staleness,
         telemetry=_telemetry_config(args),
     )

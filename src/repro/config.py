@@ -73,31 +73,19 @@ class RuntimeConfig:
     ``backend="serial"`` runs everything in-process; ``"process"`` fans
     out over ``workers`` persistent ``multiprocessing`` workers.  Both
     produce bit-identical results for the same seeds — the backend is a
-    pure throughput knob, pinned by the runtime golden tests.
-
-    ``transport`` selects how process workers exchange array payloads:
-    ``"pipe"`` (the bit-identical reference) ships everything through the
-    pickled pipe messages; ``"shm"`` spills large ndarray payloads
-    out-of-band into a :class:`repro.runtime.SharedArrayPool` so pipes
-    carry only small control messages and (segment, offset, shape,
-    dtype) descriptors.  Results are bit-identical either way — the
-    transport is a pure bytes-over-pipe knob, pinned like the backend —
-    and unpicklable/small payloads fall back losslessly to the inline
-    path.  The serial backend ignores it (nothing crosses a process).
+    pure throughput knob, pinned by the runtime golden tests.  Process
+    workers exchange large arrays through the shared-memory plane of
+    :mod:`repro.runtime.shm`, which falls back losslessly to inline
+    pickles by itself (small payload, exhausted or unavailable pool).
     """
 
     #: accepted execution backends
     BACKENDS = ("serial", "process")
-    #: accepted array transports for the process backend
-    TRANSPORTS = ("pipe", "shm")
 
     backend: str = "serial"
     workers: int = 1
     #: tasks per map dispatch; None picks ~4 chunks per worker
     chunksize: int | None = None
-    #: array transport between processes: inline pickles ("pipe") or the
-    #: zero-copy shared-memory plane ("shm")
-    transport: str = "pipe"
 
     def __post_init__(self) -> None:
         if self.backend not in self.BACKENDS:
@@ -108,26 +96,17 @@ class RuntimeConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.chunksize is not None and self.chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {self.chunksize}")
-        if self.transport not in self.TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {self.TRANSPORTS}, "
-                f"got {self.transport!r}"
-            )
 
     @classmethod
     def from_workers(
-        cls,
-        workers: int,
-        chunksize: int | None = None,
-        transport: str = "pipe",
+        cls, workers: int, chunksize: int | None = None
     ) -> "RuntimeConfig":
         """The CLI convention: ``--workers N`` means a process pool for
         N > 1 and the serial backend for N == 1."""
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         backend = "process" if workers > 1 else "serial"
-        return cls(backend=backend, workers=workers, chunksize=chunksize,
-                   transport=transport)
+        return cls(backend=backend, workers=workers, chunksize=chunksize)
 
 
 @dataclass(frozen=True)
@@ -219,9 +198,6 @@ class EnvConfig:
 class PPOConfig:
     """PPO-clip hyper-parameters (SpinningUp defaults the paper used)."""
 
-    #: accepted policy-update implementations
-    UPDATE_PATHS = ("dense", "sparse")
-
     clip_ratio: float = 0.2
     pi_lr: float = 1e-3           # paper: "the learning rate is 1e-3"
     vf_lr: float = 1e-3
@@ -233,32 +209,18 @@ class PPOConfig:
     entropy_coef: float = 0.0
     max_grad_norm: float = 10.0
     minibatch_size: int = 4096    # bounds peak memory of each update pass
-    #: policy-step implementation: ``"dense"`` forwards the full padded
-    #: ``(batch, M)`` slot block (the reference path), ``"sparse"``
-    #: forwards only the valid rows through the segment-batched autograd
-    #: ops — same gradients to round-off, cost scales with valid rows.
-    #: Sparse needs a policy exposing ``score_rows_grad`` (the kernel
-    #: preset); the agent fails loudly at construction otherwise.
-    update_path: str = "dense"
 
     def __post_init__(self) -> None:
         if not 0 < self.clip_ratio < 1:
             raise ValueError("clip_ratio must be in (0, 1)")
         if not 0 <= self.gamma <= 1 or not 0 <= self.lam <= 1:
             raise ValueError("gamma and lam must be in [0, 1]")
-        if self.update_path not in self.UPDATE_PATHS:
-            raise ValueError(
-                f"update_path must be one of {self.UPDATE_PATHS}, "
-                f"got {self.update_path!r}"
-            )
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Epoch-level training protocol (§V-A)."""
 
-    #: accepted rollout-collection modes
-    ROLLOUT_MODES = ("locked", "async")
     #: what happens to an episode whose weight snapshot is older than
     #: ``staleness`` updates when it is consumed
     STALE_MODES = ("drop", "reweight")
@@ -270,20 +232,13 @@ class TrainConfig:
     use_trajectory_filter: bool = False
     filter_probe_samples: int = 200   # SJF probes to build the Fig. 7 distribution
     filter_phase1_fraction: float = 0.6  # fraction of epochs in filtered phase
-    vectorized: bool = True       # collect rollouts through the vec env
     n_envs: int = 16              # environments stepped in lock-step
-    runtime: RuntimeConfig = RuntimeConfig()  # where env shards execute
-    #: ``"locked"`` collects rollouts through the lock-step sharded vec env
-    #: (policy forward in the parent, two IPC transfers per env step);
-    #: ``"async"`` runs whole episodes inside the workers against a policy
-    #: replica (one transfer per episode) via the episode-granular
-    #: :class:`repro.runtime.ActorRuntime`.
-    rollout_mode: str = "locked"
-    #: async mode only: how many PPO updates ahead the learner may run
-    #: while workers still collect against an older weight snapshot.
-    #: 0 = fully synchronous (bit-identical to ``"locked"``); K > 0
-    #: prefetches up to K future epochs of episodes so workers stay busy
-    #: through the update/validation phase.
+    #: where rollouts run: in the parent (serial), or whole episodes on
+    #: ``workers`` actor processes (``backend="process"``) — same results
+    runtime: RuntimeConfig = RuntimeConfig()
+    #: how many PPO updates collection may run ahead of the learner: 0 is
+    #: fully synchronous; K > 0 (always on the actors) prefetches up to K
+    #: future epochs of episodes against weights up to K updates old
     staleness: int = 0
     #: episodes staler than the bound when consumed: ``"drop"`` excludes
     #: them from the update batch, ``"reweight"`` keeps them and lets
@@ -310,11 +265,6 @@ class TrainConfig:
         if self.grad_workers < 1:
             raise ValueError(
                 f"grad_workers must be >= 1, got {self.grad_workers}"
-            )
-        if self.rollout_mode not in self.ROLLOUT_MODES:
-            raise ValueError(
-                f"rollout_mode must be one of {self.ROLLOUT_MODES}, "
-                f"got {self.rollout_mode!r}"
             )
         if self.staleness < 0:
             raise ValueError(f"staleness must be >= 0, got {self.staleness}")
@@ -474,10 +424,8 @@ class StudyConfig:
     trajectory_length: int = 64
     max_obsv_size: int = 32
     use_trajectory_filter: bool = False
-    #: rollout collection for every per-scenario Trainer (see
-    #: :class:`TrainConfig`): ``"locked"`` or ``"async"``
-    rollout_mode: str = "locked"
-    #: async staleness bound per trainer (ignored when locked)
+    #: staleness bound of every per-scenario Trainer (see
+    #: :class:`TrainConfig`)
     staleness: int = 0
     # -- evaluation knobs (None = scenario protocol) --------------------
     n_jobs: int | None = None
@@ -505,11 +453,6 @@ class StudyConfig:
             raise ValueError(
                 f"on_mismatch must be one of {self.MISMATCH_MODES}, "
                 f"got {self.on_mismatch!r}"
-            )
-        if self.rollout_mode not in TrainConfig.ROLLOUT_MODES:
-            raise ValueError(
-                f"rollout_mode must be one of {TrainConfig.ROLLOUT_MODES}, "
-                f"got {self.rollout_mode!r}"
             )
         if self.staleness < 0:
             raise ValueError(f"staleness must be >= 0, got {self.staleness}")

@@ -66,15 +66,25 @@ def _take(array: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
     return array if idx is None else array[idx]
 
 
+def _row_scorer(policy: Module):
+    """The policy's gradient-capable per-row scorer, or ``None`` — the
+    whole update-path choice: a policy that scores jobs independently
+    (the kernel preset) takes the sparse update over valid rows; one that
+    scores them jointly (MLP / LeNet) has no per-row twin and takes the
+    dense update over the padded block, the oracle sparse is pinned to."""
+    scorer = getattr(policy, "score_rows_grad", None)
+    return scorer if callable(scorer) else None
+
+
 def _policy_plan(
-    data: dict[str, np.ndarray], update_path: str, idx: np.ndarray | None
+    data: dict[str, np.ndarray], sparse: bool, idx: np.ndarray | None
 ) -> tuple:
     """What one policy-loss evaluation reads of rows ``idx`` of ``data``:
     ``(inputs, old_log_probs, advantages)``, the arguments of
     :func:`_policy_terms` after the policy.
 
-    ``update_path="dense"`` forwards the padded ``(obs, masks, actions)``
-    blocks.  ``"sparse"`` forwards the CSR gather ``(rows, indptr,
+    The dense update forwards the padded ``(obs, masks, actions)``
+    blocks.  The sparse one forwards the CSR gather ``(rows, indptr,
     action_pos)``: the K valid job rows across the minibatch as float64,
     the observation segment splits, and each chosen action's position in
     the flat vector — gathered straight from the stored batch, so the
@@ -82,7 +92,7 @@ def _policy_plan(
     """
     masks = _take(data["masks"], idx)
     actions = _take(data["actions"], idx)
-    if update_path == "sparse":
+    if sparse:
         b_idx, s_idx, indptr = valid_rows(masks)
         rows = data["obs"][b_idx if idx is None else idx[b_idx], s_idx]
         inputs = (
@@ -124,20 +134,20 @@ def _policy_terms(
     old_log_probs: np.ndarray,
     advantages: np.ndarray,
     clip_ratio: float,
-    update_path: str,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Per-row PPO-clip terms: ``(surrogate, entropy_rows, logp)``.
 
     The one forward pass both update paths share, over a
-    :func:`_policy_plan`.  ``update_path="dense"`` scores the padded
-    ``(B, M)`` block and masks; ``"sparse"`` forwards only the valid rows
-    through the policy's gradient-capable row scorer and works on the
-    flat vector with CSR segment ops — no ``-1e9`` padding anywhere.
-    Both paths produce the same values to float64 round-off.
+    :func:`_policy_plan` built for the same policy.  Dense scores the
+    padded ``(B, M)`` block and masks; sparse forwards only the valid
+    rows through the policy's :func:`_row_scorer` and works on the flat
+    vector with CSR segment ops — no ``-1e9`` padding anywhere.  Both
+    produce the same values to float64 round-off.
     """
-    if update_path == "sparse":
+    scorer = _row_scorer(policy)
+    if scorer is not None:
         rows, indptr, action_pos = inputs
-        scores = policy.score_rows_grad(rows)
+        scores = scorer(rows)
         log_probs = segment_log_softmax(scores, indptr)
         logp = gather_rows(log_probs, action_pos)
         ent_rows = -segment_sum(log_probs.exp() * log_probs, indptr)
@@ -159,12 +169,10 @@ def _policy_shard_loss(
     shard: dict[str, np.ndarray],
     clip_ratio: float = 0.2,
     entropy_coef: float = 0.0,
-    update_path: str = "dense",
 ) -> tuple[Tensor, dict[str, float]]:
     """Sum-reduced policy loss on one shard (GradientReducer contract)."""
-    surrogate, ent_rows, logp = _policy_terms(
-        policy, *_policy_plan(shard, update_path, None), clip_ratio, update_path
-    )
+    plan = _policy_plan(shard, _row_scorer(policy) is not None, None)
+    surrogate, ent_rows, logp = _policy_terms(policy, *plan, clip_ratio)
     loss_sum = -surrogate.sum()
     ent_sum = ent_rows.sum()
     if entropy_coef > 0:
@@ -189,11 +197,11 @@ def _value_shard_loss(
 class PPOAgent:
     """Actor-critic agent with PPO-clip updates.
 
-    ``config.update_path`` selects the dense reference update or the
-    segment-batched sparse one (needs a policy exposing
-    ``score_rows_grad``, i.e. :class:`KernelPolicy`).  ``grad_runtime``
-    shards minibatch gradients across runtime workers (data-parallel;
-    ``None`` keeps the classic in-process backward pass).
+    The policy step is the segment-batched sparse update when the policy
+    exposes ``score_rows_grad`` (:class:`KernelPolicy`) and the dense one
+    otherwise (:func:`_row_scorer`).  ``grad_runtime`` shards minibatch
+    gradients across runtime workers (data-parallel; ``None`` keeps the
+    classic in-process backward pass).
     """
 
     def __init__(
@@ -207,14 +215,6 @@ class PPOAgent:
         self.policy = policy
         self.value = value
         self.config = config or PPOConfig()
-        if self.config.update_path == "sparse" and not callable(
-            getattr(policy, "score_rows_grad", None)
-        ):
-            raise TypeError(
-                "update_path='sparse' requires a policy with a "
-                f"score_rows_grad() method; {type(policy).__name__} scores "
-                "jobs jointly and has no per-row twin — use the dense path"
-            )
         self.rng = np.random.default_rng(seed)
         self.pi_optimizer = Adam(policy.parameters(), lr=self.config.pi_lr)
         self.v_optimizer = Adam(value.parameters(), lr=self.config.vf_lr)
@@ -273,8 +273,7 @@ class PPOAgent:
         :meth:`act_batch`, whose inverse-CDF sampler consumes the
         generator differently (one ``rng.random()`` per step vs
         ``rng.choice``), so the two paths draw different actions from the
-        same stream.  This entry point serves simple scripted use and the
-        pre-vectorisation perf baseline.
+        same stream.  This entry point serves simple scripted use.
         """
         with no_grad():
             logits = self.policy(obs[None], mask[None])
@@ -322,11 +321,11 @@ class PPOAgent:
 
         ``obs`` is ``(N, M, F)``, ``masks`` ``(N, M)``.  ``rngs`` is either
         one generator shared by all rows or a sequence of N per-row
-        generators (the vectorised trainer passes per-trajectory streams).
+        generators (the collectors pass per-trajectory streams).
         Returns ``(actions, log_probs)``, both length N.  Value estimates
         are intentionally *not* computed here — fetch them once per
         finished episode via :meth:`value_batch`, which is both faster and
-        numerically identical between sequential and vectorised rollouts.
+        numerically identical whatever the wave width.
         """
         obs = np.asarray(obs)
         n = obs.shape[0]
@@ -400,7 +399,8 @@ class PPOAgent:
         # as a gauge (clip-frac is recorded inside _policy_step, where the
         # ratios exist).
         reg = _telemetry.current()
-        pi_span = f"update.policy_iter.{cfg.update_path}"
+        sparse = _row_scorer(self.policy) is not None
+        pi_span = f"update.policy_iter.{'sparse' if sparse else 'dense'}"
         kl_gauge = reg.gauge("update.kl")
 
         sharded = self._grad_runtime is not None
@@ -408,7 +408,7 @@ class PPOAgent:
             build = partial(_raw_rows, data, _POLICY_KEYS)
             step = self._policy_step_sharded
         else:
-            build = partial(_policy_plan, data, cfg.update_path)
+            build = partial(_policy_plan, data, sparse)
             step = self._policy_step
         pi_losses, kls, entropies = [], [], []
         early_stopped = False
@@ -468,8 +468,7 @@ class PPOAgent:
         cfg = self.config
         inputs, old_log_probs, advantages = plan
         surrogate, ent_rows, logp = _policy_terms(
-            self.policy, inputs, old_log_probs, advantages,
-            cfg.clip_ratio, cfg.update_path,
+            self.policy, inputs, old_log_probs, advantages, cfg.clip_ratio
         )
         loss = -surrogate.mean()
         ent = ent_rows.mean()
@@ -501,7 +500,6 @@ class PPOAgent:
             _policy_shard_loss,
             clip_ratio=cfg.clip_ratio,
             entropy_coef=cfg.entropy_coef,
-            update_path=cfg.update_path,
         )
         grads, aux, n = self._reducer().grad_sums(
             "policy", self.policy, loss_fn, batch

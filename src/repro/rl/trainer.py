@@ -11,50 +11,40 @@ everything.
 The per-epoch mean metric values form the training curves of
 Figs. 8-13.
 
-Vectorised rollouts
--------------------
-With ``TrainConfig.vectorized`` (the default) the epoch's trajectories are
-collected through :class:`~repro.runtime.ShardedVecSchedGym`:
-``TrainConfig.n_envs`` environments step in lock-step — sharded over
-``TrainConfig.runtime`` workers (in-process by default, a process pool
-with ``RuntimeConfig(backend="process", workers=N)``) — and every policy
-forward serves all of them at once via :meth:`PPOAgent.act_batch`.  The
-workers only run env stepping and observation building; the policy
-forward and the PPO update stay in the parent, so worker count is a pure
-throughput knob and trajectories are bit-identical to the serial path
-under the per-trajectory RNG streams.  Value
-estimates are deferred to one batched :meth:`PPOAgent.value_batch` call
-per finished episode in *both* modes, so the two collection paths produce
-bit-identical trajectories, advantages and update statistics for the same
-seed:
-
-* each trajectory owns a dedicated action-sampling RNG stream derived from
-  ``(seed, epoch, trajectory index)`` — interleaving environments cannot
-  reorder anybody's random draws;
-* sequences are sampled (and filter-checked) in trajectory order before
-  stepping begins;
-* episodes enter the :class:`TrajectoryBuffer` in trajectory order.
-
-``benchmarks/perf/run_perf.py`` measures the resulting rollout speedup and
-records it in ``BENCH_perf.json``.
-
-Asynchronous rollouts
+How an epoch executes
 ---------------------
-``TrainConfig.rollout_mode="async"`` replaces the lock-step collector
-with the episode-granular :class:`~repro.runtime.ActorRuntime`: workers
-hold env + policy replicas, run whole episodes locally and stream
-finished trajectories back (one IPC transfer per episode instead of two
-per step).  ``TrainConfig.staleness`` bounds how far collection may run
-ahead of learning: epoch ``e + k`` (``k <= staleness``) is submitted
-while epoch ``e`` is still training, so its episodes act on weights up
-to ``k`` updates old.  PPO's importance ratios use the stored behaviour
-log-probs, so bounded off-policyness is absorbed by the update
-(``stale_mode="reweight"``) or over-stale episodes are excluded from the
-batch (``"drop"``); both are counted in :class:`EpochRecord`.  With
-``staleness=0`` nothing is prefetched and every episode acts on the
-current weights — that mode is **bit-identical** to the lock-step path
-(same sequences, same RNG streams, same per-episode target batches),
-which the async golden tests pin across serial and process backends.
+Nothing is configured; each choice follows from what the code observes.
+
+*Collector.*  With the serial runtime and ``staleness=0`` (the default)
+the trainer rolls the epoch's trajectories itself: ``TrainConfig.n_envs``
+environments of one :class:`~repro.sim.vec_env.VecSchedGym` step in
+lock-step, one batched policy forward per step — no backend, no worker.
+With ``RuntimeConfig(backend="process")`` or ``staleness > 0`` the
+episodes run on :class:`~repro.runtime.ActorRuntime` workers, which hold
+env + policy replicas and stream finished trajectories back (one transfer
+per episode).  ``staleness`` bounds how far collection may run ahead of
+learning: epoch ``e + k`` (``k <= staleness``) is submitted while epoch
+``e`` still trains, so its episodes act on weights up to ``k`` updates
+old; over-stale episodes are importance-reweighted by PPO's own ratios
+(``stale_mode="reweight"``) or dropped (``"drop"``), and counted in
+:class:`EpochRecord` either way.
+
+At ``staleness=0`` both collectors — and a loop of one-episode
+:meth:`Trainer._rollout` calls, the tests' sequential reference — give
+**bit-identical** trajectories, advantages and update statistics for the
+same seed, on any backend and worker count (the golden tests), because
+each trajectory samples actions from its own ``(seed, epoch, trajectory)``
+RNG stream, sequences are sampled (and filter-checked) and enter the
+:class:`TrajectoryBuffer` in trajectory order, and value estimates and
+behaviour log-probs are computed once per finished episode on its own
+``(T, M, F)`` batch.
+
+*Update.*  :class:`PPOAgent` takes the sparse policy step when the policy
+exposes ``score_rows_grad`` (the kernel preset), the dense one otherwise.
+
+*Transport.*  Process workers exchange arrays through the shared-memory
+plane of :mod:`repro.runtime.shm`, which falls back to inline pickles by
+itself.
 """
 
 from __future__ import annotations
@@ -73,7 +63,7 @@ from repro.config import EnvConfig, PPOConfig, RuntimeConfig, TrainConfig
 from repro.telemetry import core as _telemetry
 from repro.telemetry.sink import TelemetrySink, render_summary
 from repro.nn import Module, ValueMLP, make_policy
-from repro.runtime import ActorRuntime, EpisodeSlice, ShardedVecSchedGym
+from repro.runtime import ActorRuntime, EpisodeSlice, lockstep_rollout
 from repro.runtime.seeding import stream_rng
 from repro.schedulers.rl_scheduler import RLSchedulerPolicy
 from repro.sim.cluster import ClusterSpec
@@ -105,7 +95,7 @@ class EpochRecord:
     wall_time: float            # seconds spent in this epoch
     filtered_phase: bool
     val_reward: float = float("nan")  # greedy-policy reward on held-out seqs
-    #: async rollouts only: episodes past the staleness bound that were
+    #: ``staleness > 0`` only: episodes past the staleness bound that were
     #: excluded from (dropped) or importance-reweighted into this update
     n_stale_dropped: int = 0
     n_stale_reweighted: int = 0
@@ -281,8 +271,8 @@ class Trainer:
     MAX_FILTER_TRIES = 64
 
     #: RNG-stream tags: each trajectory samples actions from
-    #: default_rng([seed, tag, ...]) so sequential and vectorised rollouts
-    #: draw identical action sequences regardless of interleaving.
+    #: default_rng([seed, tag, ...]) so every collector draws identical
+    #: action sequences regardless of interleaving.
     _ACT_STREAM = 7919
     _PROBE_STREAM = 104_729
 
@@ -334,10 +324,7 @@ class Trainer:
         # grad_workers > 1 shards minibatch gradients over a process pool;
         # 1 keeps the classic in-process backward (grad_runtime=None).
         grad_runtime = (
-            RuntimeConfig.from_workers(
-                self.train_config.grad_workers,
-                transport=self.train_config.runtime.transport,
-            )
+            RuntimeConfig.from_workers(self.train_config.grad_workers)
             if self.train_config.grad_workers > 1
             else None
         )
@@ -351,18 +338,20 @@ class Trainer:
         self.sampler = SequenceSampler(
             trace, self.train_config.trajectory_length, seed=seed
         )
-        # Built on first vectorised collection — a non-vectorised run must
-        # not spawn (and hold) idle worker processes.
-        self._vec_env: ShardedVecSchedGym | None = None
-
-        # Async rollout state (rollout_mode="async"): the actor pool, the
-        # learner's update counter (= weight version), per-epoch sampled
-        # sequences, which epochs have been submitted, and episodes that
-        # arrived before their epoch was collected.
+        # The collector rule: whole episodes run on the actors when
+        # they live in other processes or may run ahead of the learner;
+        # otherwise this process steps the envs itself and never builds
+        # a backend.  Both are created on first use.
+        cfg = self.train_config
+        self._use_actors = cfg.runtime.backend == "process" or cfg.staleness > 0
+        self._vec_env: VecSchedGym | None = None
         self._actor_runtime: ActorRuntime | None = None
+        # Actor-collection state: the learner's update counter (= weight
+        # version), the submitted-but-uncollected epochs as
+        # ``(n_episodes, n_filter_rejections)``, and episodes that arrived
+        # before their epoch was collected.
         self._n_updates = 0
-        self._epoch_sequences: dict[int, tuple[list, int]] = {}
-        self._submitted_epochs: set[int] = set()
+        self._submitted: dict[int, tuple[int, int]] = {}
         self._early_episodes: dict[int, list[EpisodeSlice]] = {}
 
         # Terminal rewards span orders of magnitude across metrics (bsld in
@@ -411,7 +400,7 @@ class Trainer:
                         "trace": trace.name,
                         "metric": metric,
                         "epochs": self.train_config.epochs,
-                        "rollout_mode": self.train_config.rollout_mode,
+                        "staleness": self.train_config.staleness,
                         "workers": self.train_config.runtime.workers,
                     },
                 )
@@ -445,40 +434,24 @@ class Trainer:
                 # sample rather than spinning forever.
                 return jobs, rejected
 
-    @property
-    def vec_env(self) -> ShardedVecSchedGym:
-        """The rollout-collection env shards, created on first use.
-
-        Passing the metric *name* keeps the reward picklable, so process
-        workers rebuild it locally instead of shipping a closure.
-        """
-        if self._vec_env is None:
-            n_vec = min(
-                self.train_config.n_envs, self.train_config.trajectories_per_epoch
-            )
-            self._vec_env = ShardedVecSchedGym(
-                n_vec,
-                self.cluster_spec,
-                self.metric,
-                config=self.env_config,
-                runtime=self.train_config.runtime,
-            )
-        return self._vec_env
+    def _lockstep_width(self) -> int:
+        cfg = self.train_config
+        return min(cfg.n_envs, cfg.trajectories_per_epoch)
 
     @property
     def actor_runtime(self) -> ActorRuntime:
-        """The episode-granular actor pool, created on first async epoch.
+        """The episode-granular actor pool, created on first use.
 
-        Like :attr:`vec_env`, passing the metric *name* keeps the reward
-        picklable; the networks are replicated at install time and
-        re-streamed as snapshots after every update.  The lock-step width
-        splits across the actors so the pool's total concurrent envs
-        matches the locked collector's.
+        Passing the metric *name* keeps the reward picklable, so process
+        workers rebuild it locally instead of shipping a closure; the
+        networks are replicated at install time and re-streamed as
+        snapshots after every update.  The lock-step width splits across
+        the actors so the pool's total concurrent envs matches the
+        in-parent collector's.
         """
         if self._actor_runtime is None:
             cfg = self.train_config
-            n_vec = min(cfg.n_envs, cfg.trajectories_per_epoch)
-            width = max(1, -(-n_vec // max(1, cfg.runtime.workers)))
+            width = -(-self._lockstep_width() // cfg.runtime.workers)
             self._actor_runtime = ActorRuntime(
                 self.cluster_spec,
                 self.metric,
@@ -493,10 +466,6 @@ class Trainer:
             )
         return self._actor_runtime
 
-    def _traj_rng(self, epoch: int, traj: int) -> np.random.Generator:
-        """The action-sampling stream owned by one trajectory."""
-        return stream_rng(self.train_config.seed, self._ACT_STREAM, epoch, traj)
-
     def _rollout(
         self,
         jobs,
@@ -506,10 +475,10 @@ class Trainer:
     ) -> float:
         """One trajectory through SchedGym; returns the raw terminal reward.
 
-        Uses the same batched agent entry points as the vectorised
-        collector (with batch width 1) and defers value estimation to one
-        per-episode forward, so both collection modes are numerically
-        interchangeable.
+        The reward-scale probe, and the tests' sequential reference: it
+        uses the same batched agent entry points as the collectors (with
+        batch width 1) and the same per-episode targets, so a loop of
+        ``_rollout`` calls fills the buffer exactly like they do.
         """
         obs, mask = self.env.reset(jobs)
         while True:
@@ -528,9 +497,9 @@ class Trainer:
         """Per-episode value estimates and canonical behaviour log-probs.
 
         Both run on one ``(T, M, F)`` batch of the finished episode, so the
-        numbers are identical whether the episode was collected
-        sequentially or inside a vectorised wave (BLAS results depend on
-        batch shape; per-episode batches make the shape canonical)."""
+        numbers do not depend on which collector ran the episode or how
+        wide its waves were (BLAS results depend on batch shape;
+        per-episode batches make the shape canonical)."""
         ep_obs = buffer.staged_obs(slot)
         ep_masks = buffer.staged_masks(slot)
         ep_actions = buffer.staged_actions(slot)
@@ -539,86 +508,37 @@ class Trainer:
             "log_probs": self.agent.episode_log_probs(ep_obs, ep_masks, ep_actions),
         }
 
-    def _collect_vectorized(
+    def _collect_in_parent(
         self,
         sequences: list,
         rngs: list[np.random.Generator],
         buffer: TrajectoryBuffer,
     ) -> list[float]:
-        """Roll all sequences through the vec env; rewards by trajectory.
-
-        Phase timing (``rollout.policy_forward`` / ``rollout.env_step`` /
-        ``rollout.buffer``) is accumulated locally and flushed to the
-        registry once per call — the per-step cost when telemetry is off
-        is a single boolean test, and when on it is two clock reads per
-        phase.  These spans are the single instrumentation source for
-        phase fractions; the perf bench reads the same names.
-        """
-        vec = self.vec_env
-        n = min(vec.n_envs, len(sequences))
-        obs, masks = vec.reset(sequences[:n])
-        vec.queue_sequences(sequences[n:])
-        traj_of_env = list(range(n))
-        next_traj = n
-        rewards: list[float] = [0.0] * len(sequences)
+        """Roll all sequences through the in-parent vec env, straight into
+        ``buffer``; raw rewards by trajectory."""
+        rewards = [0.0] * len(sequences)
         scale = self._reward_scale or 1.0
-        reg = _telemetry.current()
-        timed = reg.enabled
-        perf = time.perf_counter
-        t_policy = t_env = t_buffer = 0.0
-        n_waves = 0
-        n_env_steps = 0
-        while True:
-            active_idx = np.flatnonzero(vec.active)
-            if not len(active_idx):
-                break
-            slots = [traj_of_env[i] for i in active_idx]
-            a_obs = obs[active_idx]
-            a_masks = masks[active_idx]
-            if timed:
-                t0 = perf()
-            actions, log_probs = self.agent.act_batch(
-                a_obs, a_masks, [rngs[s] for s in slots]
+
+        def record(trajs, obs, masks, actions, log_probs):
+            buffer.store_batch(obs, masks, actions, log_probs, slots=trajs)
+
+        def finish(traj, reward):
+            buffer.end_slot(
+                traj, reward / scale, **self._episode_targets(buffer, traj)
             )
-            if timed:
-                t1 = perf()
-                t_policy += t1 - t0
-            buffer.store_batch(a_obs, a_masks, actions, log_probs, slots=slots)
-            full_actions = np.full(vec.n_envs, -1, dtype=np.int64)
-            full_actions[active_idx] = actions
-            if timed:
-                t0 = perf()
-                t_buffer += t0 - t1
-            result = vec.step(full_actions)
-            if timed:
-                t1 = perf()
-                t_env += t1 - t0
-                n_waves += 1
-                n_env_steps += len(active_idx)
-            for i in active_idx:
-                if not result.dones[i]:
-                    continue
-                slot = traj_of_env[i]
-                buffer.end_slot(
-                    slot,
-                    result.rewards[i] / scale,
-                    **self._episode_targets(buffer, slot),
-                )
-                rewards[slot] = float(result.rewards[i])
-                if result.infos[i].get("auto_reset"):
-                    traj_of_env[i] = next_traj
-                    next_traj += 1
-            if timed:
-                t_buffer += perf() - t1
-            obs, masks = result.observations, result.action_masks
-        if timed and n_waves:
-            reg.add_span_time("rollout.policy_forward", t_policy, n_waves)
-            reg.add_span_time("rollout.env_step", t_env, n_waves)
-            reg.add_span_time("rollout.buffer", t_buffer, n_waves)
-            reg.counter("rollout.env_steps").add(n_env_steps)
+            rewards[traj] = reward
+
+        if self._vec_env is None:  # first in-parent collection
+            self._vec_env = VecSchedGym(
+                self._lockstep_width(),
+                self.cluster_spec,
+                make_reward(self.metric),
+                config=self.env_config,
+            )
+        lockstep_rollout(self._vec_env, self.agent, sequences, rngs, record, finish)
         return rewards
 
-    # -- async (episode-granular) collection ----------------------------
+    # -- actor (episode-granular) collection ----------------------------
     def _epoch_filtered(self, epoch: int) -> bool:
         """Whether the trajectory filter applies to this epoch (phase 1)."""
         cfg = self.train_config
@@ -626,32 +546,30 @@ class Trainer:
         return self.filter is not None and epoch < phase1_epochs
 
     def _sample_epoch_sequences(self, epoch: int) -> tuple[list, int]:
-        """Sample (once) and cache one epoch's training sequences.
+        """One epoch's training sequences and how many the filter rejected.
 
-        Async prefetch samples future epochs early; caching by epoch keeps
-        the sampler's draw order identical to the lock-step path (strictly
-        increasing epoch, trajectory order within an epoch) — the
-        foundation of the ``locked == async(staleness=0)`` golden tests.
+        Called once per epoch, in strictly increasing epoch order, by
+        whichever collector runs — so the sampler's draw order (and with
+        it every trajectory) is the same on all of them.
         """
-        if epoch not in self._epoch_sequences:
-            filtered = self._epoch_filtered(epoch)
-            sequences, total_rejected = [], 0
-            for _ in range(self.train_config.trajectories_per_epoch):
-                jobs, rejected = self._sample_sequence(filtered)
-                total_rejected += rejected
-                sequences.append(jobs)
-            self._epoch_sequences[epoch] = (sequences, total_rejected)
-        return self._epoch_sequences[epoch]
+        filtered = self._epoch_filtered(epoch)
+        sequences, total_rejected = [], 0
+        for _ in range(self.train_config.trajectories_per_epoch):
+            jobs, rejected = self._sample_sequence(filtered)
+            total_rejected += rejected
+            sequences.append(jobs)
+        return sequences, total_rejected
 
     def _submit_epoch(self, epoch: int) -> None:
-        """Queue one epoch's episodes on the actors (idempotent)."""
-        if epoch in self._submitted_epochs or epoch >= self.train_config.epochs:
+        """Queue one epoch's episodes on the actors (idempotent until the
+        epoch is collected)."""
+        if epoch in self._submitted or epoch >= self.train_config.epochs:
             return
-        sequences, _ = self._sample_epoch_sequences(epoch)
+        sequences, total_rejected = self._sample_epoch_sequences(epoch)
         self.actor_runtime.submit(epoch, list(enumerate(sequences)))
-        self._submitted_epochs.add(epoch)
+        self._submitted[epoch] = (len(sequences), total_rejected)
 
-    def _collect_async(
+    def _collect_from_actors(
         self, epoch: int, buffer: TrajectoryBuffer
     ) -> tuple[list[float], int, int, int, int]:
         """Collect one epoch's episodes from the actor pool.
@@ -666,10 +584,10 @@ class Trainer:
         self._submit_epoch(epoch)
         for future in range(epoch + 1, min(epoch + 1 + cfg.staleness, cfg.epochs)):
             self._submit_epoch(future)
-        sequences, total_rejected = self._epoch_sequences.pop(epoch)
+        n_episodes, total_rejected = self._submitted.pop(epoch)
 
         episodes = self._early_episodes.pop(epoch, [])
-        while len(episodes) < len(sequences):
+        while len(episodes) < n_episodes:
             ep = self.actor_runtime.drain()
             if ep.epoch == epoch:
                 episodes.append(ep)
@@ -733,21 +651,17 @@ class Trainer:
                 self._reward_scale = max(abs(probe_reward), 1e-6)
 
             n_dropped = n_reweighted = 0
-            if cfg.rollout_mode == "async":
+            if self._use_actors:
                 rewards, n_dropped, n_reweighted, n_kept, total_rejected = (
-                    self._collect_async(epoch, buffer)
+                    self._collect_from_actors(epoch, buffer)
                 )
             else:
                 sequences, total_rejected = self._sample_epoch_sequences(epoch)
-                self._epoch_sequences.pop(epoch)
-                rngs = [self._traj_rng(epoch, t) for t in range(len(sequences))]
-                if cfg.vectorized:
-                    rewards = self._collect_vectorized(sequences, rngs, buffer)
-                else:
-                    rewards = [
-                        self._rollout(jobs, buffer, rngs[t], slot=t)
-                        for t, jobs in enumerate(sequences)
-                    ]
+                rngs = [
+                    stream_rng(cfg.seed, self._ACT_STREAM, epoch, t)
+                    for t in range(len(sequences))
+                ]
+                rewards = self._collect_in_parent(sequences, rngs, buffer)
                 n_kept = len(sequences)
 
         with reg.span("epoch.update") as sp_update:
@@ -763,7 +677,7 @@ class Trainer:
             else:
                 stats = self.agent.update(buffer.get())
         with reg.span("epoch.broadcast") as sp_broadcast:
-            if cfg.rollout_mode == "async" and n_kept > 0:
+            if self._use_actors and n_kept > 0:
                 self._n_updates += 1
                 self.actor_runtime.push_weights(
                     self._n_updates, self.agent.export_weights()
@@ -818,32 +732,26 @@ class Trainer:
         return float(np.mean(rewards))
 
     def close(self) -> None:
-        """Release rollout, actor and gradient workers (no-op if never
-        spawned).
+        """Release actor and gradient workers (no-op if never spawned).
 
         Chained ``finally`` blocks: a teardown failure in one subsystem
-        must not leak the others' worker processes — this is what lets the
+        must not leak the other's worker processes — this is what lets the
         CLI paths guarantee no orphaned children on any exit path.
         """
         try:
-            if self._vec_env is not None:
-                self._vec_env.close()
-                self._vec_env = None
+            if self._actor_runtime is not None:
+                self._actor_runtime.close()
+                self._actor_runtime = None
         finally:
             try:
-                if self._actor_runtime is not None:
-                    self._actor_runtime.close()
-                    self._actor_runtime = None
+                self.agent.close()
             finally:
-                try:
-                    self.agent.close()
-                finally:
-                    if self._sink is not None:
-                        self._sink.close()
-                        self._sink = None
-                    if self._owns_telemetry:
-                        _telemetry.set_active(self._tel_prev)
-                        self._owns_telemetry = False
+                if self._sink is not None:
+                    self._sink.close()
+                    self._sink = None
+                if self._owns_telemetry:
+                    _telemetry.set_active(self._tel_prev)
+                    self._owns_telemetry = False
 
     def __enter__(self) -> "Trainer":
         return self

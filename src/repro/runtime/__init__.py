@@ -9,23 +9,22 @@ trajectory-filter probes, perf benchmarks — dispatches through one
   reference semantics);
 * :class:`ProcessPoolBackend` runs the same task functions on persistent
   ``multiprocessing`` workers with chunked dispatch and one-shot state
-  broadcast (policy weights, schedulers, environment shards).
+  broadcast (policy weights, schedulers, actor replicas).
 
 Both backends execute tasks against per-worker *state* dicts that persist
-across calls, so stateful subsystems (the env shards of
-:class:`ShardedVecSchedGym`) and stateless fan-out (``api.evaluate``) share
+across calls, so stateful subsystems (the env + policy replicas of
+:class:`ActorRuntime`) and stateless fan-out (``api.evaluate``) share
 one dispatch layer.  Backends are interchangeable by contract: the same
 tasks in the same order produce the same ordered results, which is what
 keeps process-pool rollouts bit-identical to serial ones.
 """
 
-from .actor import ActorRuntime, EpisodeSlice
+from .actor import ActorRuntime, EpisodeSlice, lockstep_rollout
 from .backend import ExecutionBackend, WorkerError, make_backend
 from .grad import GradientReducer, shard_bounds
 from .process_pool import ProcessPoolBackend
 from .seeding import derive_streams, stream_rng, task_seed
 from .serial import SerialBackend
-from .sharded_env import ShardedVecSchedGym
 from .shm import ArrayCodec, SharedArrayPool
 
 __all__ = [
@@ -36,9 +35,9 @@ __all__ = [
     "ProcessPoolBackend",
     "SharedArrayPool",
     "ArrayCodec",
-    "ShardedVecSchedGym",
     "ActorRuntime",
     "EpisodeSlice",
+    "lockstep_rollout",
     "GradientReducer",
     "shard_bounds",
     "stream_rng",

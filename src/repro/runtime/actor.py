@@ -1,9 +1,9 @@
 """Episode-granular actor runtime: in-worker rollouts, trajectory streaming.
 
-The lock-step :class:`ShardedVecSchedGym` pays two pipe transfers per env
-*step* (actions out, observations back) and keeps the policy forward in
-the parent, so on the process backend IPC dominates.  This module moves
-the whole rollout into the worker: each actor holds its own local vec of
+Stepping environments that live in worker processes from a policy in
+the parent costs two pipe transfers per env *step* (actions out,
+observations back), so IPC dominates.  This module moves the whole
+rollout into the worker: each actor holds its own local vec of
 :class:`~repro.sim.env.SchedGym` environments **and a replica of the
 policy/value networks**, lock-steps its assigned episodes locally (env
 stepping, observation building, *batched* action sampling, per-episode
@@ -43,10 +43,10 @@ import numpy as np
 from repro.config import EnvConfig, RuntimeConfig
 from repro.telemetry import core as _telemetry
 
-from .backend import ExecutionBackend, WorkerError, make_backend
+from .backend import WorkerError, make_backend
 from .seeding import stream_rng
 
-__all__ = ["ActorRuntime", "EpisodeSlice"]
+__all__ = ["ActorRuntime", "EpisodeSlice", "lockstep_rollout"]
 
 
 @dataclass
@@ -87,13 +87,12 @@ def _actor_init(state, cluster, reward_spec, config, n_envs, policy, value,
     # Imports stay local: repro.rl/.sim import repro.runtime, so importing
     # them at module scope would cycle through the package __init__.
     from repro.rl.ppo import PPOAgent
+    from repro.rl.reward import make_reward
     from repro.sim.vec_env import VecSchedGym
 
-    from .sharded_env import _resolve_reward
-
-    state["vec"] = VecSchedGym(
-        n_envs, cluster, _resolve_reward(reward_spec), config=config
-    )
+    # A metric *name* is always picklable; workers build the reward here.
+    reward = reward_spec if callable(reward_spec) else make_reward(reward_spec)
+    state["vec"] = VecSchedGym(n_envs, cluster, reward, config=config)
     state["agent"] = PPOAgent(policy, value)
     state["seed"] = seed
     state["act_stream"] = act_stream
@@ -105,52 +104,29 @@ def _actor_load_weights(state, version, snapshot):
     state["version"] = version
 
 
-def _actor_episodes(state, epoch, assignments):
-    """Run a chunk of complete episodes through the local vec env.
+def lockstep_rollout(vec, agent, sequences, rngs, record, finish) -> None:
+    """The one rollout loop — the trainer runs it in the parent, every
+    actor in its worker.
 
-    ``assignments`` is ``[(traj, jobs), ...]``; the chunk lock-steps
-    through ``state["vec"]`` with the same invariants as the trainer's
-    vectorised collector — each trajectory samples from its own
-    ``(seed, act_stream, epoch, traj)`` stream and finishes with one
-    canonical per-episode target batch — so episode content does not
-    depend on local env count or interleaving.  Returns one
-    :class:`EpisodeSlice` per assignment, in trajectory order.
+    Trajectory ``t`` is ``sequences[t]`` and samples its actions from
+    ``rngs[t]``; trajectories enter the envs in index order.  Every wave
+    calls ``record(trajs, obs, masks, actions, log_probs)`` (row ``j``
+    belongs to trajectory ``trajs[j]``), every finished episode
+    ``finish(traj, raw_terminal_reward)``.
+
+    Phase timing (``rollout.policy_forward`` / ``env_step`` / ``buffer``)
+    is accumulated locally and flushed to the registry once per call: the
+    per-step cost is one boolean test with telemetry off, two clock reads
+    per phase with it on.  The perf bench reads the same span names.
     """
-    agent, vec = state["agent"], state["vec"]
-    reg = _telemetry.current()
-    timed = reg.enabled
-    perf = _time.perf_counter
-    trajs = [traj for traj, _ in assignments]
-    with reg.span("rollout.decode_jobs"):
-        sequences = [
-            _decode_jobs(jobs) if isinstance(jobs, np.ndarray) else jobs
-            for _, jobs in assignments
-        ]
-    rngs = {
-        traj: stream_rng(state["seed"], state["act_stream"], epoch, traj)
-        for traj in trajs
-    }
     n = min(vec.n_envs, len(sequences))
     obs, masks = vec.reset(sequences[:n])
     vec.queue_sequences(sequences[n:])
-    m, f = obs.shape[1:]
-    traj_of_env = {i: trajs[i] for i in range(n)}
-    next_idx = n
-    # Per-trajectory episode buffers, written in place per step: one
-    # decision per job is the common episode length, so sizing by the
-    # sequence length avoids a stack-copy pass over every episode.
-    bufs: dict[int, tuple[np.ndarray, np.ndarray, list]] = {
-        traj: (
-            np.empty((len(seq), m, f), dtype=np.float32),
-            np.empty((len(seq), m), dtype=bool),
-            [],
-        )
-        for traj, seq in zip(trajs, sequences)
-    }
-    rewards: dict[int, float] = {}
-    # Same phase accounting (and span names) as the trainer's lock-step
-    # collector, recorded into this worker's registry — the parent sees
-    # them worker-labelled via the result-message piggyback.
+    traj_of_env = list(range(n))
+    next_traj = n
+    reg = _telemetry.current()
+    timed = reg.enabled
+    perf = _time.perf_counter
     t_policy = t_env = t_buffer = 0.0
     n_waves = 0
     n_env_steps = 0
@@ -158,41 +134,38 @@ def _actor_episodes(state, epoch, assignments):
         active_idx = np.flatnonzero(vec.active)
         if not len(active_idx):
             break
+        trajs = [traj_of_env[i] for i in active_idx]
         a_obs = obs[active_idx]
         a_masks = masks[active_idx]
-        acting = [traj_of_env[i] for i in active_idx]
         if timed:
             t0 = perf()
-        actions, _ = agent.act_batch(a_obs, a_masks, [rngs[t] for t in acting])
+        actions, log_probs = agent.act_batch(
+            a_obs, a_masks, [rngs[t] for t in trajs]
+        )
         if timed:
             t1 = perf()
             t_policy += t1 - t0
-        for j, traj in enumerate(acting):
-            ep_obs, ep_masks, ep_actions = bufs[traj]
-            t = len(ep_actions)
-            if t == len(ep_obs):  # episode outran its sequence-length hint
-                ep_obs = np.concatenate([ep_obs, np.empty_like(ep_obs)])
-                ep_masks = np.concatenate([ep_masks, np.empty_like(ep_masks)])
-                bufs[traj] = (ep_obs, ep_masks, ep_actions)
-            ep_obs[t] = a_obs[j]
-            ep_masks[t] = a_masks[j]
-            ep_actions.append(int(actions[j]))
-        full = np.full(vec.n_envs, -1, dtype=np.int64)
-        full[active_idx] = actions
+        record(trajs, a_obs, a_masks, actions, log_probs)
+        full_actions = np.full(vec.n_envs, -1, dtype=np.int64)
+        full_actions[active_idx] = actions
         if timed:
             t0 = perf()
             t_buffer += t0 - t1
-        result = vec.step(full)
+        result = vec.step(full_actions)
         if timed:
-            t_env += perf() - t0
+            t1 = perf()
+            t_env += t1 - t0
             n_waves += 1
             n_env_steps += len(active_idx)
         for i in active_idx:
-            if result.dones[i]:
-                rewards[traj_of_env[i]] = float(result.rewards[i])
-                if result.infos[i].get("auto_reset"):
-                    traj_of_env[i] = trajs[next_idx]
-                    next_idx += 1
+            if not result.dones[i]:
+                continue
+            finish(traj_of_env[i], float(result.rewards[i]))
+            if result.infos[i].get("auto_reset"):
+                traj_of_env[i] = next_traj
+                next_traj += 1
+        if timed:
+            t_buffer += perf() - t1
         obs, masks = result.observations, result.action_masks
     if timed and n_waves:
         reg.add_span_time("rollout.policy_forward", t_policy, n_waves)
@@ -200,13 +173,63 @@ def _actor_episodes(state, epoch, assignments):
         reg.add_span_time("rollout.buffer", t_buffer, n_waves)
         reg.counter("rollout.env_steps").add(n_env_steps)
 
+
+def _actor_episodes(state, epoch, assignments):
+    """Run a chunk of complete episodes through the local vec env.
+
+    ``assignments`` is ``[(traj, jobs), ...]``; the chunk goes through
+    :func:`lockstep_rollout` on ``state["vec"]`` — each trajectory samples
+    from its own ``(seed, act_stream, epoch, traj)`` stream and finishes
+    with one canonical per-episode target batch — so episode content does
+    not depend on local env count or interleaving.  Returns one
+    :class:`EpisodeSlice` per assignment, in trajectory order.
+    """
+    agent, vec = state["agent"], state["vec"]
+    trajs = [traj for traj, _ in assignments]
+    with _telemetry.current().span("rollout.decode_jobs"):
+        sequences = [
+            _decode_jobs(jobs) if isinstance(jobs, np.ndarray) else jobs
+            for _, jobs in assignments
+        ]
+    rngs = [
+        stream_rng(state["seed"], state["act_stream"], epoch, traj)
+        for traj in trajs
+    ]
+    m, f = vec.config.observation_shape
+    # Per-episode buffers (by position in the chunk), written in place per
+    # step: one decision per job is the common episode length, so sizing
+    # by the sequence length avoids a stack-copy pass over every episode.
+    bufs: list[tuple[np.ndarray, np.ndarray, list]] = [
+        (
+            np.empty((len(seq), m, f), dtype=np.float32),
+            np.empty((len(seq), m), dtype=bool),
+            [],
+        )
+        for seq in sequences
+    ]
+    rewards = [0.0] * len(sequences)
+
+    def record(ks, a_obs, a_masks, actions, _log_probs):
+        for j, k in enumerate(ks):
+            ep_obs, ep_masks, ep_actions = bufs[k]
+            t = len(ep_actions)
+            if t == len(ep_obs):  # episode outran its sequence-length hint
+                ep_obs = np.concatenate([ep_obs, np.empty_like(ep_obs)])
+                ep_masks = np.concatenate([ep_masks, np.empty_like(ep_masks)])
+                bufs[k] = (ep_obs, ep_masks, ep_actions)
+            ep_obs[t] = a_obs[j]
+            ep_masks[t] = a_masks[j]
+            ep_actions.append(int(actions[j]))
+
+    lockstep_rollout(vec, agent, sequences, rngs, record, rewards.__setitem__)
+
     slices = []
     pack_ok = False
     for k, traj in enumerate(trajs):
-        t = len(bufs[traj][2])
-        ep_obs = bufs[traj][0][:t]
-        ep_masks = bufs[traj][1][:t]
-        ep_actions = np.array(bufs[traj][2], dtype=np.int64)
+        t = len(bufs[k][2])
+        ep_obs = bufs[k][0][:t]
+        ep_masks = bufs[k][1][:t]
+        ep_actions = np.array(bufs[k][2], dtype=np.int64)
         if k == 0:
             # The zero-padding invariant behind _pack_obs is structural
             # (the observation builder zeroes padded rows), so one guarded
@@ -224,7 +247,7 @@ def _actor_episodes(state, epoch, assignments):
             actions=ep_actions,
             log_probs=agent.episode_log_probs(ep_obs, ep_masks, ep_actions),
             values=agent.value_batch(ep_obs),
-            reward=rewards[traj],
+            reward=rewards[k],
             steps=len(ep_actions),
         ))
     return slices
@@ -356,9 +379,8 @@ class ActorRuntime:
     episode sees.
 
     ``n_envs`` is the *per-worker* lock-step width: each actor batches
-    policy forwards across up to that many of its local episodes, so the
-    async path keeps the vectorised-forward advantage the lock-step
-    collector gets in the parent.
+    policy forwards across up to that many of its local episodes, like
+    the in-parent collector does.
     """
 
     def __init__(
@@ -367,7 +389,6 @@ class ActorRuntime:
         reward,
         config: EnvConfig | None = None,
         runtime: RuntimeConfig | None = None,
-        backend: ExecutionBackend | None = None,
         n_envs: int = 8,
         seed: int = 0,
         act_stream: int = 7919,
@@ -375,8 +396,7 @@ class ActorRuntime:
         if n_envs < 1:
             raise ValueError(f"n_envs must be >= 1, got {n_envs}")
         self.config = config or EnvConfig()
-        self._owns_backend = backend is None
-        self.backend = backend or make_backend(runtime or RuntimeConfig())
+        self.backend = make_backend(runtime or RuntimeConfig())
         self.backend.start()
         self._cluster = cluster
         self._reward = reward
@@ -396,21 +416,6 @@ class ActorRuntime:
     @property
     def n_workers(self) -> int:
         return self.backend.n_workers
-
-    @property
-    def n_envs(self) -> int:
-        """Per-worker lock-step width."""
-        return self._n_envs
-
-    @property
-    def version(self) -> int:
-        """The latest weight version pushed to the actors."""
-        return self._version
-
-    @property
-    def n_outstanding(self) -> int:
-        """Episodes submitted but not yet drained."""
-        return self._n_episodes_pending + len(self._ready)
 
     def install(self, policy, value, version: int = 0) -> None:
         """Replicate envs + networks into every worker (once per run)."""
@@ -432,7 +437,7 @@ class ActorRuntime:
         self._installed = True
 
     def close(self) -> None:
-        """Drain stragglers and release the backend if this runtime owns it."""
+        """Drain stragglers and release the backend."""
         while self.backend.started and self.backend.n_pending:
             try:
                 self.backend.next_result()
@@ -442,8 +447,7 @@ class ActorRuntime:
             kinds.clear()
         self._ready.clear()
         self._n_episodes_pending = 0
-        if self._owns_backend:
-            self.backend.close()
+        self.backend.close()
 
     def __enter__(self) -> "ActorRuntime":
         return self
@@ -461,7 +465,7 @@ class ActorRuntime:
                 f"weight version must not decrease: {version} < {self._version}"
             )
         # post_all encodes the snapshot once for all workers (one pool
-        # span under transport="shm") instead of n_workers pipe copies
+        # span) instead of n_workers pipe copies
         self.backend.post_all(_actor_load_weights, version, snapshot)
         for w in range(self.n_workers):
             self._kinds[w].append(("weights", 0))

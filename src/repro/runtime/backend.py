@@ -6,11 +6,11 @@ function ``fn(state, *args)`` executed against one worker's state.  Three
 dispatch primitives cover every fan-out pattern in the repo:
 
 ``broadcast(fn, *args)``
-    run ``fn`` once on *every* worker (install schedulers, build env
-    shards, push policy weights);
+    run ``fn`` once on *every* worker (install schedulers, build actor
+    replicas, install gradient replicas);
 ``scatter(fn, per_worker_args, workers=...)``
     run ``fn`` once on each listed worker with that worker's own
-    arguments (step the env shards);
+    arguments (one gradient shard per worker);
 ``map(fn, tasks, chunksize=...)``
     run ``fn(state, task)`` over an arbitrary task list, load-balanced in
     chunks across workers, results returned **in task order** (evaluate a
@@ -131,8 +131,7 @@ class ExecutionBackend(abc.ABC):
         ``workers`` defaults to ``range(len(per_worker_args))``.  Results
         come back ordered like ``workers``.  ``shared`` arguments are
         identical for every worker and are serialized **once** per call
-        on process backends (and spilled to shared memory once under
-        ``transport="shm"``) — put the big common payloads (weight
+        on process backends (and spilled to shared memory once) — put the big common payloads (weight
         snapshots) there and the per-worker variation (shards) in
         ``per_worker_args``.
         """
@@ -289,4 +288,4 @@ def make_backend(config=None, workers: int | None = None) -> ExecutionBackend:
         raise ValueError(f"workers must be >= 1, got {n}")
     if config.backend == "serial":
         return SerialBackend(n)
-    return ProcessPoolBackend(n, transport=config.transport)
+    return ProcessPoolBackend(n)

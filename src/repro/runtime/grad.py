@@ -1,7 +1,7 @@
 """Data-parallel gradient reduction over the execution backend.
 
-The third leg of the runtime: PR 2 sharded *environments* across workers,
-this module shards *gradient computation*.  A :class:`GradientReducer`
+The actor runtime moves *rollouts* into workers; this module shards
+*gradient computation*.  A :class:`GradientReducer`
 holds module replicas on every worker (installed once via ``broadcast``),
 and per minibatch:
 
@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backend import ExecutionBackend, make_backend
+from .backend import make_backend
 
 __all__ = ["GradientReducer", "shard_bounds"]
 
@@ -94,12 +94,11 @@ class GradientReducer:
     ``install`` ships the module replicas once; ``grad_sums`` runs one
     sharded backward pass and returns raw sums, leaving the divide, the
     clip and the optimizer step to the caller (they stay in the parent —
-    workers never update weights, mirroring how ``ShardedVecSchedGym``
-    keeps the policy forward in the parent).
+    workers never update weights).
     """
 
-    def __init__(self, runtime=None, backend: ExecutionBackend | None = None):
-        self._backend = backend or make_backend(runtime)
+    def __init__(self, runtime=None):
+        self._backend = make_backend(runtime)
         self._installed = False
 
     @property

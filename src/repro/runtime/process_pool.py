@@ -23,15 +23,15 @@ asynchronously wedging the queue's feeder thread.
 
 Every message — pipe or queue, either direction — is encoded by an
 :class:`repro.runtime.shm.ArrayCodec` and moved with ``send_bytes``/
-``recv_bytes``.  Under ``transport="pipe"`` the codec is plain pickle
-(the bit-identical reference).  Under ``transport="shm"`` large ndarray
-payloads spill out-of-band into a :class:`~repro.runtime.shm
-.SharedArrayPool` shared with the workers, so the pipes carry only small
-skeletons and span descriptors; small or unpicklable payloads fall back
-losslessly to the inline path.  Results are bit-identical either way.
-The parent owns the pool: it is created at start, destroyed at close,
-and leases owned by a worker that died mid-task are reclaimed when the
-death is detected.
+``recv_bytes``.  Large ndarray payloads spill out-of-band into a
+:class:`~repro.runtime.shm.SharedArrayPool` shared with the workers, so
+the pipes carry only small skeletons and span descriptors; a small
+payload or an exhausted pool falls back losslessly to carrying the
+bytes inline, and a host that cannot create the pool at all (no
+``/dev/shm``, size limit) runs every message inline after one warning.
+Results are bit-identical either way.  The parent owns the pool: it is
+created at start, destroyed at close, and leases owned by a worker that
+died mid-task are reclaimed when the death is detected.
 
 Task functions and their arguments must be picklable; define worker
 functions at module top level.  Exceptions raised in a worker come back
@@ -52,6 +52,7 @@ is ``None`` and the worker loop does no timing at all.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing as mp
 import pickle
 import queue as queue_mod
@@ -66,11 +67,10 @@ from .shm import ArrayCodec, SharedArrayPool
 
 __all__ = ["ProcessPoolBackend"]
 
+logger = logging.getLogger("repro.runtime.process_pool")
+
 #: wire sentinel: decoded message is None -> worker exits its loop
 _SHUTDOWN = None
-
-#: transports accepted by the backend (mirrors RuntimeConfig.TRANSPORTS)
-_TRANSPORTS = ("pipe", "shm")
 
 
 def _worker_main(
@@ -178,13 +178,8 @@ class ProcessPoolBackend(ExecutionBackend):
     #: seconds to wait for a worker to exit cleanly before terminating it
     JOIN_TIMEOUT = 5.0
 
-    def __init__(self, n_workers: int = 1, transport: str = "pipe"):
+    def __init__(self, n_workers: int = 1):
         super().__init__(n_workers)
-        if transport not in _TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {_TRANSPORTS}, got {transport!r}"
-            )
-        self.transport = transport
         self._procs: list[mp.Process] = []
         self._conns: list[Connection] = []
         self._result_queue = None
@@ -197,8 +192,13 @@ class ProcessPoolBackend(ExecutionBackend):
         ctx = mp.get_context()
         self._result_queue = ctx.Queue()
         self._posted_counts = [0] * self.n_workers
-        if self.transport == "shm":
+        try:
             self._pool = SharedArrayPool()
+        except OSError as exc:  # no /dev/shm, size limit: inline messages
+            logger.warning(
+                "shared-memory pool unavailable (%s); worker messages "
+                "travel inline", exc,
+            )
         self._codec = ArrayCodec(self._pool)
         # Workers inherit the parent's telemetry enablement at spawn time;
         # enabling telemetry after the pool starts leaves workers dark.

@@ -15,14 +15,14 @@ Two pieces:
 
 :class:`ArrayCodec`
     The wire codec every :class:`~repro.runtime.ProcessPoolBackend`
-    message goes through.  Without a pool it is plain pickle — the
-    bit-identical ``transport="pipe"`` reference.  With a pool it pickles
-    with protocol 5 and a ``buffer_callback`` that spills large ndarray
-    buffers out-of-band: pipes then carry only the small pickle skeleton
+    message goes through.  Without a pool (the host could not create
+    one) it is plain pickle.  With a pool it pickles with protocol 5 and
+    a ``buffer_callback`` that spills large ndarray buffers
+    out-of-band: pipes then carry only the small pickle skeleton
     plus one ``(slot, nbytes, sizes)`` descriptor.  Payloads that are
     small, non-contiguous, or face an exhausted pool fall back
     *losslessly* to carrying the buffers in-band — same bytes, same
-    decoded values — so shm can never deadlock or change results.
+    decoded values — so the pool can never deadlock or change results.
 
 Decoded buffers are **copied** out of the span into fresh ``bytearray``s
 (NumPy reconstructs arrays as writable views over them) and the lease is
@@ -31,8 +31,9 @@ released immediately — array lifetimes never pin pool slots.
 Telemetry: the codec counts ``runtime.ipc.bytes_shm`` and sets the
 ``runtime.ipc.pool_occupancy`` gauge at spill time; the backend counts
 ``runtime.ipc.bytes_inline`` (actual bytes written to a pipe or queue)
-at send time, so ``bytes_inline(shm) / bytes_inline(pipe)`` is the
-hardware-independent reduction ratio ``run_perf.py`` records.
+at send time, so ``bytes_inline`` with the pool over ``bytes_inline``
+with the pool withheld is the hardware-independent reduction ratio
+``run_perf.py`` records.
 """
 
 from __future__ import annotations
@@ -89,9 +90,15 @@ class SharedArrayPool:
         self._ctl = shared_memory.SharedMemory(
             create=True, size=3 * 8 * self.n_slots, name=f"repro-ctl-{tag}"
         )
-        self._data = shared_memory.SharedMemory(
-            create=True, size=self.n_slots * self.slot_bytes, name=f"repro-dat-{tag}"
-        )
+        try:
+            self._data = shared_memory.SharedMemory(
+                create=True, size=self.n_slots * self.slot_bytes,
+                name=f"repro-dat-{tag}",
+            )
+        except OSError:  # half-built pool: leave no control segment behind
+            self._ctl.close()
+            self._ctl.unlink()
+            raise
         self._lock = get_context().Lock()
         self._owner = True
         self._closed = False
@@ -246,7 +253,7 @@ _POOLED = b"S"  # protocol-5 skeleton + one pool-span descriptor
 
 
 class ArrayCodec:
-    """Message (de)serializer; ``pool=None`` is the plain-pickle pipe path."""
+    """Message (de)serializer; ``pool=None`` is the plain-pickle inline path."""
 
     #: per-buffer minimum for out-of-band treatment; tiny arrays pickle
     #: in-band where the skeleton bytes dominate anyway

@@ -45,6 +45,24 @@ logger = logging.getLogger("repro.serve")
 #: the hang-up and return (a client that never reads can hold one open)
 _HANGUP_GRACE_SEC = 5.0
 
+#: longest request line the daemon reads (asyncio's own stream default,
+#: named so the error response can quote it)
+_MAX_LINE_BYTES = 64 * 1024
+
+
+async def _discard_line(reader: asyncio.StreamReader, consumed: int) -> None:
+    """Drop the rest of an over-limit line: the ``consumed`` bytes the
+    failed read left buffered, then everything up to the newline (or EOF)."""
+    while consumed:
+        await reader.readexactly(consumed)
+        consumed = 0
+        try:
+            await reader.readuntil(b"\n")
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+        except asyncio.IncompleteReadError:
+            pass
+
 
 class ServeDaemon:
     """Lifecycle owner: bind, serve, drain, flush, exit."""
@@ -76,7 +94,22 @@ class ServeDaemon:
         self._connections[task] = writer
         try:
             while not stop_after:
-                line = await reader.readline()
+                # readline(), spelled out: it would turn an over-limit
+                # line into a bare ValueError and clear the buffer.
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF
+                except asyncio.LimitOverrunError as exc:
+                    # Swallow the rest of the line (so the close below is
+                    # a clean FIN, not a reset that could eat the reply),
+                    # answer once, then hang up on this connection only.
+                    await _discard_line(reader, exc.consumed)
+                    writer.write(encode(error_response(
+                        f"request line exceeds {_MAX_LINE_BYTES} bytes"
+                    )))
+                    await writer.drain()
+                    break
                 if not line:
                     break  # client hung up
                 t0 = perf_counter()
@@ -134,7 +167,8 @@ class ServeDaemon:
                         sig, self.request_stop, signal.Signals(sig).name
                     )
             server = await asyncio.start_server(
-                self._handle, self.config.host, self.config.port
+                self._handle, self.config.host, self.config.port,
+                limit=_MAX_LINE_BYTES,
             )
             host, port = server.sockets[0].getsockname()[:2]
             self.address = (host, port)

@@ -284,8 +284,7 @@ def build_observation_loop(
     The executable specification of the observation encoding: one Python
     loop, one job per iteration, scalar math only.  The vectorised
     :func:`build_observation` must match this bit-for-bit (golden
-    equivalence tests); the perf harness uses it as the pre-vectorisation
-    baseline.
+    equivalence tests).
     """
     visible = sorted(pending, key=lambda j: (j.submit_time, j.job_id))
     visible = visible[: config.max_obsv_size]

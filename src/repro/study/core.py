@@ -100,7 +100,6 @@ def _train_provenance(config: StudyConfig, metric: str) -> dict:
         "max_obsv_size": config.max_obsv_size,
         "use_trajectory_filter": config.use_trajectory_filter,
         "n_jobs": config.n_jobs,
-        "rollout_mode": config.rollout_mode,
         "staleness": config.staleness,
     }
 
@@ -116,8 +115,10 @@ def train_matrix(
     the checkpoint is loaded and marked ``from_checkpoint`` — delete the
     file (or point ``zoo_dir`` elsewhere) to force retraining.  Restored
     checkpoints carry their own training provenance (``train_meta``); a
-    mismatch against the current config is reported via ``progress`` and
-    the checkpoint's own settings stay authoritative in the artifact.
+    mismatch against the current config — on the keys both sides know, so
+    checkpoints written before a knob was retired restore silently — is
+    reported via ``progress`` and the checkpoint's own settings stay
+    authoritative in the artifact.
     """
     config = config or StudyConfig()
     zoo = Path(config.zoo_dir)
@@ -133,13 +134,13 @@ def train_matrix(
             )
             _say(progress,
                  f"{scenario.name}: skipped (checkpoint exists: {checkpoint})")
-            expected = _train_provenance(config, metric)
-            if result.train_meta is not None and result.train_meta != expected:
-                drift = {
-                    k: (result.train_meta.get(k), v)
-                    for k, v in expected.items()
-                    if result.train_meta.get(k) != v
-                }
+            recorded = result.train_meta or {}
+            drift = {
+                k: (recorded[k], v)
+                for k, v in _train_provenance(config, metric).items()
+                if k in recorded and recorded[k] != v
+            }
+            if drift:
                 _say(progress,
                      f"{scenario.name}: warning — checkpoint was trained "
                      f"with different settings {drift} (checkpoint vs "
@@ -152,7 +153,6 @@ def train_matrix(
             seed=config.seed,
             use_trajectory_filter=config.use_trajectory_filter,
             runtime=config.runtime,
-            rollout_mode=config.rollout_mode,
             staleness=config.staleness,
             # workload size/seed stay the scenario defaults unless the
             # study shrinks them (n_jobs) — the same trace the evaluation

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.nn import Module
 from repro.workloads import Job, SWFHeader, SWFTrace, load_trace
 
 
@@ -39,6 +40,34 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(0)
 
 
+@pytest.fixture()
+def no_shm_pool(monkeypatch):
+    """A host that cannot create shared-memory segments (no ``/dev/shm``,
+    size limit): every process pool started under this fixture falls back
+    to carrying its messages inline."""
+
+    def refuse(*args, **kwargs):
+        raise FileNotFoundError("[Errno 2] No such file or directory: '/dev/shm'")
+
+    monkeypatch.setattr("repro.runtime.process_pool.SharedArrayPool", refuse)
+
+
 def make_trace(jobs: list[Job], n_procs: int, name: str = "test") -> SWFTrace:
     """Helper to wrap hand-built jobs into a trace."""
     return SWFTrace(jobs=jobs, header=SWFHeader(max_procs=n_procs), name=name)
+
+
+class DenseOnly(Module):
+    """A policy with its per-row scorers hidden.
+
+    ``PPOAgent`` picks the sparse update when the policy exposes
+    ``score_rows_grad``; wrapping a kernel policy in this forces the dense
+    update on the same weights — the oracle the sparse path is checked
+    (and its speedup measured) against.
+    """
+
+    def __init__(self, policy: Module):
+        self.policy = policy
+
+    def forward(self, obs, masks):
+        return self.policy(obs, masks)

@@ -1,10 +1,11 @@
-"""Contract tests for episode-granular async rollouts (PR-7 acceptance).
+"""Contract tests for episode-granular actor rollouts (PR-7 acceptance).
 
-Four layers:
+Five layers:
 
-1. the golden property — ``rollout_mode="async"`` with ``staleness=0``
-   trains *bit-identically* to the lock-step path, on the serial and
-   process backends, for any worker count (no tolerances anywhere);
+1. the golden property — collecting through the actor pool with
+   ``staleness=0`` trains *bit-identically* to the in-parent lock-step
+   loop, on the serial and process backends, for any worker count (no
+   tolerances anywhere);
 2. :class:`ActorRuntime` semantics — episode content is independent of
    the in-worker lock-step width / auto-reset backlog interleaving and
    of cross-worker arrival order; staleness stamping and the
@@ -12,7 +13,9 @@ Four layers:
 3. the backend ``post``/``next_result`` primitives the runtime rides on
    (FIFO order, error propagation, the drained-queue guard);
 4. the satellite bugfix — a mid-epoch exception inside a ``Trainer``
-   context must not leak worker processes.
+   context must not leak worker processes;
+5. the collector rule — which of the two a ``Trainer`` uses follows from
+   its runtime and staleness alone.
 """
 
 import multiprocessing
@@ -44,9 +47,12 @@ def copy_sequences(sequences):
     return [[j.copy() for j in seq] for seq in sequences]
 
 
-def make_trainer(trace, runtime, rollout_mode, staleness=0,
+def make_trainer(trace, runtime, actors=False, staleness=0,
                  stale_mode="drop", epochs=2):
-    return Trainer(
+    """``actors=True`` forces the actor collector where the trainer's own
+    rule (process runtime or ``staleness > 0``) would collect in-parent —
+    the private hook the serial golden needs."""
+    trainer = Trainer(
         trace,
         env_config=ENV_CFG,
         ppo_config=PPOConfig(train_pi_iters=8, train_v_iters=8),
@@ -55,19 +61,19 @@ def make_trainer(trace, runtime, rollout_mode, staleness=0,
             trajectories_per_epoch=6,
             trajectory_length=18,
             seed=0,
-            vectorized=True,
             n_envs=4,  # 6 trajectories over 4 envs: exercises auto-reset
             runtime=runtime,
-            rollout_mode=rollout_mode,
             staleness=staleness,
             stale_mode=stale_mode,
         ),
     )
+    trainer._use_actors = trainer._use_actors or actors
+    return trainer
 
 
-def train_run(trace, runtime, rollout_mode, **kwargs):
+def train_run(trace, runtime, actors=False, **kwargs):
     epochs = kwargs.setdefault("epochs", 2)
-    with make_trainer(trace, runtime, rollout_mode, **kwargs) as trainer:
+    with make_trainer(trace, runtime, actors, **kwargs) as trainer:
         records = [trainer.run_epoch(e) for e in range(epochs)]
         weights = {k: v.copy() for k, v in trainer.policy.state_dict().items()}
         values = {k: v.copy() for k, v in trainer.value.state_dict().items()}
@@ -91,13 +97,14 @@ def assert_records_equal(rec_a, rec_b):
 
 
 class TestAsyncGolden:
-    """The acceptance-criterion test: async(staleness=0) == locked."""
+    """The acceptance-criterion test: actor pool (staleness=0) == in-parent
+    lock-step loop."""
 
     @pytest.mark.parametrize("runtime", [SERIAL, PROCESS_2, PROCESS_3],
                              ids=["serial", "process2", "process3"])
     def test_staleness_zero_identical_to_locked(self, trace, runtime):
-        rec_l, w_l, v_l = train_run(trace, SERIAL, "locked")
-        rec_a, w_a, v_a = train_run(trace, runtime, "async")
+        rec_l, w_l, v_l = train_run(trace, SERIAL)
+        rec_a, w_a, v_a = train_run(trace, runtime, actors=True)
         assert_records_equal(rec_l, rec_a)
         for key in w_l:
             np.testing.assert_array_equal(w_l[key], w_a[key])
@@ -106,8 +113,7 @@ class TestAsyncGolden:
 
     def test_nonzero_staleness_trains(self, trace):
         """The prefetch window runs and every epoch stays well-formed."""
-        records, _, _ = train_run(trace, PROCESS_2, "async",
-                                  staleness=1, epochs=3)
+        records, _, _ = train_run(trace, PROCESS_2, staleness=1, epochs=3)
         for r in records:
             assert np.isfinite(r.mean_reward)
             assert np.isfinite(r.val_reward)
@@ -204,7 +210,7 @@ class TestTrainerStaleness:
     """Drop/reweight accounting surfaces in the training curve."""
 
     def force_stale_epoch(self, trace, stale_mode):
-        with make_trainer(trace, SERIAL, "async", staleness=0,
+        with make_trainer(trace, SERIAL, actors=True, staleness=0,
                           stale_mode=stale_mode, epochs=1) as t:
             # Submit epoch 0 (episodes run at version 0), then advance the
             # learner two updates before collecting: every episode is now
@@ -336,10 +342,41 @@ class TestNoLeakedWorkers:
 
     def test_exception_mid_training_leaves_no_children(self, trace):
         with pytest.raises(RuntimeError, match="sentinel"):
-            with make_trainer(trace, PROCESS_2, "async", epochs=2) as t:
+            with make_trainer(trace, PROCESS_2, epochs=2) as t:
                 t.run_epoch(0)
                 assert t.actor_runtime.backend.started
                 raise RuntimeError("sentinel")
         for proc in multiprocessing.active_children():
             proc.join(timeout=10)
         assert multiprocessing.active_children() == []
+
+
+class TestCollectorRule:
+    """The collector is derived, not configured: in-parent when collection
+    stays in this process, the actor pool otherwise."""
+
+    def test_serial_trainer_never_builds_a_backend(self, trace, monkeypatch):
+        import repro.runtime.actor as actor_mod
+        import repro.runtime.grad as grad_mod
+
+        def no_backend(*args, **kwargs):
+            raise AssertionError("a serial trainer built a backend")
+
+        monkeypatch.setattr(actor_mod, "make_backend", no_backend)
+        monkeypatch.setattr(grad_mod, "make_backend", no_backend)
+        with make_trainer(trace, SERIAL, epochs=1) as t:
+            record = t.run_epoch(0)
+            assert np.isfinite(record.mean_reward)
+            assert t._actor_runtime is None
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("runtime,staleness", [(PROCESS_2, 0), (SERIAL, 1)],
+                             ids=["process", "stale"])
+    def test_process_or_stale_trainer_collects_through_actors(
+        self, trace, runtime, staleness
+    ):
+        with make_trainer(trace, runtime, staleness=staleness, epochs=1) as t:
+            t.run_epoch(0)
+            assert isinstance(t._actor_runtime, ActorRuntime)
+            assert t._actor_runtime.n_workers == runtime.workers
+            assert t._vec_env is None  # the in-parent envs were never built

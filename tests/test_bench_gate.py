@@ -1,9 +1,8 @@
 """Tests for the CI bench-regression gate (benchmarks/perf/check_regression.py).
 
 The gate has five kinds of checks: absolute rollout throughput (gates
-only on comparable hardware), the within-run speedup ratios — rollout
-vectorization, the sparse-vs-dense PPO update, the async actor advantage
-— which gate on every platform, the absolute telemetry-overhead floor
+only on comparable hardware), the within-run sparse-vs-dense PPO update
+ratio, which gates on every platform, the absolute telemetry-overhead floor
 (enabled/disabled rollout throughput within one run), the absolute
 shm pipe-byte ceiling (``ipc.bytes_shm_over_inline``), and the absolute
 serving wire-layer floor (``serving.served_over_direct``).  These tests pin
@@ -23,8 +22,8 @@ check_regression = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_regression)
 
 
-def bench_doc(steps_per_sec, speedup, python="3.11.7", cpu_count=4,
-              machine="x86_64", sparse_speedup=3.0, actor_ratio=1.6,
+def bench_doc(steps_per_sec, python="3.11.7", cpu_count=4,
+              machine="x86_64", sparse_speedup=3.0,
               telemetry_ratio=0.99, ipc_ratio=0.05, serving_ratio=0.2):
     return {
         "scales": {
@@ -32,8 +31,6 @@ def bench_doc(steps_per_sec, speedup, python="3.11.7", cpu_count=4,
                 "scale": "smoke",
                 "rollout": {
                     "vectorized_steps_per_sec": steps_per_sec,
-                    "sequential_steps_per_sec": steps_per_sec / speedup,
-                    "speedup": speedup,
                 },
                 "ppo_update": {
                     "sec_per_iter": 0.01,
@@ -47,11 +44,6 @@ def bench_doc(steps_per_sec, speedup, python="3.11.7", cpu_count=4,
                 },
                 "serving": {
                     "served_over_direct": serving_ratio,
-                },
-                "runtime": {
-                    "actor": {
-                        "async_over_locked_1w": actor_ratio,
-                    },
                 },
                 "platform": {
                     "python": python,
@@ -81,103 +73,51 @@ def gate(tmp_path):
 
 class TestThroughputGate:
     def test_ok_when_within_tolerance(self, gate):
-        assert gate(bench_doc(30000, 5.0), bench_doc(28000, 5.0)) == 0
+        assert gate(bench_doc(30000), bench_doc(28000)) == 0
 
     def test_improvement_never_fails(self, gate):
-        assert gate(bench_doc(30000, 5.0), bench_doc(90000, 15.0)) == 0
+        assert gate(bench_doc(30000), bench_doc(90000)) == 0
 
     def test_same_platform_drop_fails(self, gate):
-        assert gate(bench_doc(30000, 5.0), bench_doc(15000, 5.0)) == 1
+        assert gate(bench_doc(30000), bench_doc(15000)) == 1
 
     def test_python_patch_bump_still_gates(self, gate):
         # 3.11.7 vs 3.11.9 is the same platform for throughput purposes;
         # CI runners bump patch versions constantly.
-        base = bench_doc(30000, 5.0, python="3.11.7")
-        cur = bench_doc(15000, 5.0, python="3.11.9")
+        base = bench_doc(30000, python="3.11.7")
+        cur = bench_doc(15000, python="3.11.9")
         assert gate(base, cur) == 1
 
     def test_cross_platform_drop_is_advisory(self, gate):
-        base = bench_doc(30000, 5.0, cpu_count=1)
-        cur = bench_doc(15000, 5.0, cpu_count=4)
+        base = bench_doc(30000, cpu_count=1)
+        cur = bench_doc(15000, cpu_count=4)
         assert gate(base, cur) == 0
         assert gate(base, cur, "--strict") == 1
 
     def test_python_minor_change_is_cross_platform(self, gate):
-        base = bench_doc(30000, 5.0, python="3.11.7")
-        cur = bench_doc(15000, 5.0, python="3.12.1")
+        base = bench_doc(30000, python="3.11.7")
+        cur = bench_doc(15000, python="3.12.1")
         assert gate(base, cur) == 0
-
-
-class TestSpeedupRatioGate:
-    def test_ratio_collapse_fails_even_cross_platform(self, gate):
-        # Throughput drop would be advisory on different hardware, but the
-        # speedup ratio is measured within the current run — a collapse
-        # toward the sequential path gates everywhere.
-        base = bench_doc(30000, 5.0, cpu_count=1)
-        cur = bench_doc(15000, 1.2, cpu_count=4)
-        assert gate(base, cur) == 1
-
-    def test_ratio_within_tolerance_passes(self, gate):
-        base = bench_doc(30000, 5.0, cpu_count=1)
-        cur = bench_doc(25000, 3.5, cpu_count=4)  # 30% ratio drop < 40%
-        assert gate(base, cur) == 0
-
-    def test_ratio_tolerance_flag(self, gate):
-        base = bench_doc(30000, 5.0, cpu_count=1)
-        cur = bench_doc(25000, 3.5, cpu_count=4)
-        assert gate(base, cur, "--ratio-tolerance", "0.2") == 1
-
-    def test_missing_ratio_skips_check(self, gate):
-        base = bench_doc(30000, 5.0)
-        del base["scales"]["smoke"]["rollout"]["speedup"]
-        assert gate(base, bench_doc(29000, 5.0)) == 0
 
 
 class TestSparseSpeedupGate:
     def test_sparse_collapse_fails_even_cross_platform(self, gate):
-        base = bench_doc(30000, 5.0, cpu_count=1, sparse_speedup=3.0)
-        cur = bench_doc(29000, 5.0, cpu_count=4, sparse_speedup=1.1)
+        base = bench_doc(30000, cpu_count=1, sparse_speedup=3.0)
+        cur = bench_doc(29000, cpu_count=4, sparse_speedup=1.1)
         assert gate(base, cur) == 1
 
     def test_sparse_within_tolerance_passes(self, gate):
-        base = bench_doc(30000, 5.0, sparse_speedup=3.0)
-        cur = bench_doc(29000, 5.0, sparse_speedup=2.0)  # 33% drop < 40%
+        base = bench_doc(30000, sparse_speedup=3.0)
+        cur = bench_doc(29000, sparse_speedup=2.0)  # 33% drop < 40%
         assert gate(base, cur) == 0
+        assert gate(base, cur, "--ratio-tolerance", "0.2") == 1
 
     def test_pre_sparse_baseline_skips_check(self, gate):
         # Baselines recorded before the sparse path existed have no
         # ppo_update.sparse_speedup entry — first run seeds it.
-        base = bench_doc(30000, 5.0)
+        base = bench_doc(30000)
         del base["scales"]["smoke"]["ppo_update"]["sparse_speedup"]
-        assert gate(base, bench_doc(29000, 5.0, sparse_speedup=2.5)) == 0
-
-
-class TestActorRatioGate:
-    """The async-vs-locked 1-worker ratio lives behind a dotted section
-    path (``runtime.actor``) — pin both the lookup and the gate."""
-
-    def test_dotted_lookup(self):
-        doc = bench_doc(30000, 5.0, actor_ratio=1.7)["scales"]["smoke"]
-        assert check_regression.lookup_ratio(
-            doc, "runtime.actor", "async_over_locked_1w") == 1.7
-        assert check_regression.lookup_ratio(
-            doc, "runtime.missing", "async_over_locked_1w") is None
-        assert check_regression.lookup_ratio(doc, "rollout", "speedup") == 5.0
-
-    def test_actor_collapse_fails_even_cross_platform(self, gate):
-        base = bench_doc(30000, 5.0, cpu_count=1, actor_ratio=1.6)
-        cur = bench_doc(29000, 5.0, cpu_count=4, actor_ratio=0.7)
-        assert gate(base, cur) == 1
-
-    def test_actor_within_tolerance_passes(self, gate):
-        base = bench_doc(30000, 5.0, actor_ratio=1.6)
-        cur = bench_doc(29000, 5.0, actor_ratio=1.1)  # 31% drop < 40%
-        assert gate(base, cur) == 0
-
-    def test_pre_actor_baseline_skips_check(self, gate):
-        base = bench_doc(30000, 5.0)
-        del base["scales"]["smoke"]["runtime"]
-        assert gate(base, bench_doc(29000, 5.0)) == 0
+        assert gate(base, bench_doc(29000, sparse_speedup=2.5)) == 0
 
 
 class TestTelemetryFloorGate:
@@ -186,69 +126,69 @@ class TestTelemetryFloorGate:
     ratchet in one tolerated baseline bump at a time."""
 
     def test_over_floor_passes(self, gate):
-        assert gate(bench_doc(30000, 5.0),
-                    bench_doc(29000, 5.0, telemetry_ratio=0.97)) == 0
+        assert gate(bench_doc(30000),
+                    bench_doc(29000, telemetry_ratio=0.97)) == 0
 
     def test_under_floor_fails_even_cross_platform(self, gate):
-        base = bench_doc(30000, 5.0, cpu_count=1)
-        cur = bench_doc(29000, 5.0, cpu_count=4, telemetry_ratio=0.90)
+        base = bench_doc(30000, cpu_count=1)
+        cur = bench_doc(29000, cpu_count=4, telemetry_ratio=0.90)
         assert gate(base, cur) == 1
 
     def test_floor_is_absolute_not_baseline_relative(self, gate):
         # A degraded baseline must not excuse a degraded current run.
-        base = bench_doc(30000, 5.0, telemetry_ratio=0.80)
-        cur = bench_doc(29000, 5.0, telemetry_ratio=0.90)
+        base = bench_doc(30000, telemetry_ratio=0.80)
+        cur = bench_doc(29000, telemetry_ratio=0.90)
         assert gate(base, cur) == 1
 
     def test_floor_flag_overrides(self, gate):
-        base = bench_doc(30000, 5.0)
-        cur = bench_doc(29000, 5.0, telemetry_ratio=0.90)
+        base = bench_doc(30000)
+        cur = bench_doc(29000, telemetry_ratio=0.90)
         assert gate(base, cur, "--telemetry-floor", "0.85") == 0
         assert gate(base, cur, "--telemetry-floor", "0") == 0  # disabled
 
     def test_missing_entry_skips_check(self, gate):
-        cur = bench_doc(29000, 5.0)
+        cur = bench_doc(29000)
         del cur["scales"]["smoke"]["telemetry"]
-        assert gate(bench_doc(30000, 5.0), cur) == 0
+        assert gate(bench_doc(30000), cur) == 0
 
     def test_improvement_never_fails(self, gate):
-        assert gate(bench_doc(30000, 5.0),
-                    bench_doc(29000, 5.0, telemetry_ratio=1.05)) == 0
+        assert gate(bench_doc(30000),
+                    bench_doc(29000, telemetry_ratio=1.05)) == 0
 
 
 class TestIpcGate:
     """``ipc.bytes_shm_over_inline`` gates against an *absolute* ceiling
-    (default 0.25) — the shm transport must keep at least 4x of the
+    (default 0.25) — the shared-memory pool must keep at least 4x of the
     array byte volume off the worker pipes, regardless of what the
     baseline recorded."""
 
     def test_under_ceiling_passes(self, gate):
-        assert gate(bench_doc(30000, 5.0),
-                    bench_doc(29000, 5.0, ipc_ratio=0.10)) == 0
+        assert gate(bench_doc(30000),
+                    bench_doc(29000, ipc_ratio=0.10)) == 0
 
     def test_over_ceiling_fails_even_cross_platform(self, gate):
-        base = bench_doc(30000, 5.0, cpu_count=1)
-        cur = bench_doc(29000, 5.0, cpu_count=4, ipc_ratio=0.60)
+        base = bench_doc(30000, cpu_count=1)
+        cur = bench_doc(29000, cpu_count=4, ipc_ratio=0.60)
         assert gate(base, cur) == 1
 
     def test_ceiling_is_absolute_not_baseline_relative(self, gate):
         # A degraded baseline must not excuse a degraded current run.
-        base = bench_doc(30000, 5.0, ipc_ratio=0.90)
-        cur = bench_doc(29000, 5.0, ipc_ratio=0.40)
+        base = bench_doc(30000, ipc_ratio=0.90)
+        cur = bench_doc(29000, ipc_ratio=0.40)
         assert gate(base, cur) == 1
 
     def test_ceiling_flag_overrides(self, gate):
-        base = bench_doc(30000, 5.0)
-        cur = bench_doc(29000, 5.0, ipc_ratio=0.40)
+        base = bench_doc(30000)
+        cur = bench_doc(29000, ipc_ratio=0.40)
         assert gate(base, cur, "--ipc-ceiling", "0.5") == 0
         assert gate(base, cur, "--ipc-ceiling", "0") == 0  # disabled
 
     def test_missing_entry_skips_check(self, gate):
-        # Runs recorded before the shm transport existed have no ipc
+        # Runs recorded before the shared-memory plane existed have no ipc
         # section — first run seeds it.
-        cur = bench_doc(29000, 5.0)
+        cur = bench_doc(29000)
         del cur["scales"]["smoke"]["ipc"]
-        assert gate(bench_doc(30000, 5.0), cur) == 0
+        assert gate(bench_doc(30000), cur) == 0
 
 
 class TestServingFloorGate:
@@ -258,41 +198,41 @@ class TestServingFloorGate:
     of what the baseline recorded."""
 
     def test_over_floor_passes(self, gate):
-        assert gate(bench_doc(30000, 5.0),
-                    bench_doc(29000, 5.0, serving_ratio=0.2)) == 0
+        assert gate(bench_doc(30000),
+                    bench_doc(29000, serving_ratio=0.2)) == 0
 
     def test_under_floor_fails_even_cross_platform(self, gate):
-        base = bench_doc(30000, 5.0, cpu_count=1)
-        cur = bench_doc(29000, 5.0, cpu_count=4, serving_ratio=0.01)
+        base = bench_doc(30000, cpu_count=1)
+        cur = bench_doc(29000, cpu_count=4, serving_ratio=0.01)
         assert gate(base, cur) == 1
 
     def test_floor_is_absolute_not_baseline_relative(self, gate):
         # A degraded baseline must not excuse a degraded current run.
-        base = bench_doc(30000, 5.0, serving_ratio=0.02)
-        cur = bench_doc(29000, 5.0, serving_ratio=0.03)
+        base = bench_doc(30000, serving_ratio=0.02)
+        cur = bench_doc(29000, serving_ratio=0.03)
         assert gate(base, cur) == 1
 
     def test_floor_flag_overrides(self, gate):
-        base = bench_doc(30000, 5.0)
-        cur = bench_doc(29000, 5.0, serving_ratio=0.03)
+        base = bench_doc(30000)
+        cur = bench_doc(29000, serving_ratio=0.03)
         assert gate(base, cur, "--serving-floor", "0.02") == 0
         assert gate(base, cur, "--serving-floor", "0") == 0  # disabled
 
     def test_missing_entry_skips_check(self, gate):
         # Runs recorded before the serving layer existed have no serving
         # section — first run seeds it.
-        cur = bench_doc(29000, 5.0)
+        cur = bench_doc(29000)
         del cur["scales"]["smoke"]["serving"]
-        assert gate(bench_doc(30000, 5.0), cur) == 0
+        assert gate(bench_doc(30000), cur) == 0
 
 
 class TestInputs:
     def test_missing_baseline_scale_passes(self, gate):
-        assert gate({"scales": {}}, bench_doc(30000, 5.0)) == 0
+        assert gate({"scales": {}}, bench_doc(30000)) == 0
 
     def test_missing_current_scale_errors(self, gate):
-        assert gate(bench_doc(30000, 5.0), {"scales": {}}) == 2
+        assert gate(bench_doc(30000), {"scales": {}}) == 2
 
     def test_flat_pre_pr2_baseline_supported(self, gate):
-        flat = bench_doc(30000, 5.0)["scales"]["smoke"]
-        assert gate(flat, bench_doc(15000, 5.0)) == 1
+        flat = bench_doc(30000)["scales"]["smoke"]
+        assert gate(flat, bench_doc(15000)) == 1

@@ -43,25 +43,39 @@ class TestParser:
                                            "--workers", bad])
 
     def test_rollout_mode_defaults_to_locked(self):
+        """No flag names a collector: the default is synchronous
+        lock-step collection in this process (one worker, staleness 0)."""
         args = build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz"])
-        assert args.rollout_mode == "locked"
-        assert args.staleness == 0
+        assert (args.workers, args.staleness) == (1, 0)
         assert args.stale_mode == "drop"
         args = build_parser().parse_args(["study"])
-        assert args.rollout_mode == "locked"
-        assert args.staleness == 0
+        assert (args.workers, args.staleness) == (1, 0)
 
     def test_rollout_mode_flags(self):
+        """--workers / --staleness are what moves collection onto the
+        actors; the retired path selectors are gone from every command."""
         args = build_parser().parse_args([
-            "train", "Lublin-1", "-o", "m.npz", "--rollout-mode", "async",
+            "train", "Lublin-1", "-o", "m.npz", "--workers", "2",
             "--staleness", "2", "--stale-mode", "reweight",
         ])
-        assert args.rollout_mode == "async"
         assert args.staleness == 2
         assert args.stale_mode == "reweight"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz",
-                                       "--rollout-mode", "sync"])
+        for command, flag, value in [
+            ("train", "--rollout-mode", "async"),
+            ("train", "--update-path", "sparse"),
+            ("train", "--transport", "shm"),
+            ("study", "--rollout-mode", "async"),
+            ("study", "--transport", "shm"),
+            ("evaluate", "--transport", "shm"),
+            ("compare", "--transport", "shm"),
+        ]:
+            argv = [command, flag, value]
+            if command in ("train", "evaluate"):
+                argv[1:1] = ["Lublin-1"]
+            if command == "train":
+                argv += ["-o", "m.npz"]
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz",
                                        "--staleness", "-1"])
@@ -138,11 +152,32 @@ class TestCommands:
         code = main([
             "train", "Lublin-1", "--jobs", "600", "--epochs", "1",
             "--trajectories", "2", "--length", "16", "--obsv", "8",
-            "--update-path", "sparse", "--grad-workers", "2",
+            "--grad-workers", "2",
             "-o", str(model),
         ])
         assert code == 0
         assert model.exists()
+
+    @pytest.mark.parametrize("policy, path", [("kernel", "sparse"),
+                                              ("mlp_v2", "dense")])
+    def test_update_path_follows_the_policy(self, tmp_path, capsys,
+                                            policy, path):
+        """No flag picks the PPO update: the trace shows the kernel preset
+        took the sparse step and an MLP preset the dense one."""
+        from repro.telemetry.sink import validate_jsonl
+
+        trace = tmp_path / "t.jsonl"
+        code = main([
+            "train", "Lublin-1", "--jobs", "600", "--epochs", "1",
+            "--trajectories", "2", "--length", "16", "--obsv", "8",
+            "--policy", policy, "--telemetry", str(trace),
+            "-o", str(tmp_path / "m.npz"),
+        ])
+        assert code == 0
+        spans = validate_jsonl(str(trace))["snapshot"]["spans"]
+        ran = {name.rsplit(".", 1)[-1] for name in spans
+               if "update.policy_iter." in name}
+        assert ran == {path}
 
     def test_train_with_telemetry_writes_valid_trace(self, tmp_path, capsys):
         from repro.telemetry.sink import validate_jsonl

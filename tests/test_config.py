@@ -9,6 +9,7 @@ from repro.config import (
     EvalConfig,
     PPOConfig,
     RuntimeConfig,
+    StudyConfig,
     TrainConfig,
 )
 
@@ -50,9 +51,9 @@ class TestTrainConfig:
         assert cfg.epochs == 100
         assert cfg.trajectories_per_epoch == 100
         assert cfg.trajectory_length == 256
-        # async rollouts are opt-in; the default is the lock-step path
-        assert cfg.rollout_mode == "locked"
+        # the default collects synchronously, in this process
         assert cfg.staleness == 0
+        assert cfg.runtime.backend == "serial"
         assert cfg.stale_mode == "drop"
 
     def test_validation(self):
@@ -60,9 +61,16 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
 
     def test_rollout_mode_validation(self):
-        assert TrainConfig(rollout_mode="async", staleness=2).staleness == 2
-        with pytest.raises(ValueError):
-            TrainConfig(rollout_mode="sync")
+        """How rollouts are collected follows from ``runtime`` and
+        ``staleness``; the fields that used to select it are gone."""
+        assert TrainConfig(staleness=2).staleness == 2
+        for cls, field in [(TrainConfig, "rollout_mode"),
+                           (TrainConfig, "vectorized"),
+                           (StudyConfig, "rollout_mode"),
+                           (PPOConfig, "update_path"),
+                           (RuntimeConfig, "transport")]:
+            with pytest.raises(TypeError):
+                cls(**{field: None})
         with pytest.raises(ValueError):
             TrainConfig(staleness=-1)
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Golden equivalence tests for the vectorised rollout subsystem.
+"""Golden equivalence tests for the lock-step rollout subsystem.
 
 Three layers of guarantees, each pinned exactly (no tolerances):
 
@@ -6,8 +6,10 @@ Three layers of guarantees, each pinned exactly (no tolerances):
    bit-for-bit, with and without a :class:`FeatureCache`;
 2. :func:`discount_cumsum` matches the naive reversed Python recurrence
    bit-for-bit;
-3. a vectorised training epoch reproduces the sequential epoch exactly —
-   same rewards, same update statistics, same post-update weights.
+3. a training epoch collected in lock-step reproduces the sequential
+   epoch (one ``Trainer._rollout`` per trajectory, the reference kept
+   here) exactly — same rewards, same update statistics, same
+   post-update weights.
 """
 
 import numpy as np
@@ -122,8 +124,19 @@ def trace():
     return load_trace("Lublin-1", n_jobs=600, seed=5)
 
 
+class SequentialTrainer(Trainer):
+    """The sequential reference: one episode at a time through
+    ``Trainer._rollout``, in trajectory order."""
+
+    def _collect_in_parent(self, sequences, rngs, buffer):
+        return [
+            self._rollout(jobs, buffer, rngs[t], slot=t)
+            for t, jobs in enumerate(sequences)
+        ]
+
+
 def run_one_epoch(trace, vectorized, backfill=False, epochs=1):
-    t = Trainer(
+    t = (Trainer if vectorized else SequentialTrainer)(
         trace,
         env_config=EnvConfig(max_obsv_size=16, backfill=backfill),
         ppo_config=PPOConfig(train_pi_iters=8, train_v_iters=8),
@@ -132,7 +145,6 @@ def run_one_epoch(trace, vectorized, backfill=False, epochs=1):
             trajectories_per_epoch=6,
             trajectory_length=18,
             seed=0,
-            vectorized=vectorized,
             n_envs=4,  # 6 trajectories over 4 envs: exercises auto-reset
         ),
     )
@@ -186,7 +198,7 @@ class TestTrainerEquivalenceGolden:
             ppo_config=PPOConfig(train_pi_iters=8, train_v_iters=8),
             train_config=TrainConfig(
                 epochs=1, trajectories_per_epoch=6, trajectory_length=18,
-                seed=0, vectorized=True, n_envs=2,
+                seed=0, n_envs=2,
             ),
         )
         rec2 = [t8.run_epoch(0)]

@@ -38,6 +38,25 @@ class TestSGD:
             SGD([Parameter(np.zeros(1))], lr=0.1, momentum=1.0)
 
 
+class TestZeroGrad:
+    def test_optimizer_zero_grad_keeps_the_gradient_arrays(self):
+        """``opt.zero_grad()`` zeroes in place (an update loop re-uses one
+        array per parameter instead of freeing and re-allocating it every
+        iteration); a parameter that never had a gradient stays ``None``,
+        and the next backward accumulates to exactly the fresh values."""
+        a, b = Parameter(np.arange(4.0)), Parameter(np.ones(2))
+        opt = SGD([a, b], lr=0.1)
+        quadratic_loss(a).backward()
+        first = a.grad
+        expected = first.copy()
+        opt.zero_grad()
+        assert a.grad is first and not a.grad.any()
+        assert b.grad is None
+        quadratic_loss(a).backward()
+        assert a.grad is first
+        np.testing.assert_array_equal(a.grad, expected)
+
+
 class TestAdam:
     def test_descends(self):
         p = Parameter(np.zeros(4))

@@ -21,6 +21,8 @@ from repro.nn import (
 from repro.rl import PPOAgent, TrajectoryBuffer
 from repro.runtime import shard_bounds
 
+from .conftest import DenseOnly
+
 M, F = 8, 7
 
 
@@ -188,7 +190,7 @@ def reference_update(agent, data, n_shards=1):
 
     def policy_loss(shard):
         obs, masks = shard["obs"].astype(np.float64), shard["masks"]
-        if cfg.update_path == "sparse":
+        if hasattr(agent.policy, "score_rows_grad"):
             b_idx, s_idx, indptr = valid_rows(masks)
             scores = agent.policy.score_rows_grad(obs[b_idx, s_idx])
             log_probs = segment_log_softmax(scores, indptr)
@@ -234,9 +236,10 @@ class TestUpdatePlan:
                 KernelPolicy(F, hidden=(8, 8), seed=3) if policy == "kernel"
                 else MLPPolicy(16, F, hidden=(8, 8), seed=3)
             )
+            if update_path == "dense" and policy == "kernel":
+                net = DenseOnly(net)  # hide the row scorer: dense oracle
             cfg = PPOConfig(
-                update_path=update_path, train_pi_iters=6, train_v_iters=6,
-                entropy_coef=0.01, **ppo,
+                train_pi_iters=6, train_v_iters=6, entropy_coef=0.01, **ppo,
             )
             return PPOAgent(net, ValueMLP(16, F, hidden=(16, 8), seed=4),
                             cfg, seed=5, grad_runtime=runtime)

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from repro.config import EnvConfig, PPOConfig, RuntimeConfig, TrainConfig
-from repro.nn import KernelPolicy, MLPPolicy, Tensor, ValueMLP
+from repro.nn import KernelPolicy, MLPPolicy, Tensor, ValueMLP, make_policy
 from repro.rl import PPOAgent, Trainer
 from repro.rl.ppo import UpdateStats, _policy_plan, _policy_terms
 from repro.runtime import GradientReducer, shard_bounds
+from repro.telemetry import core as telemetry
 from repro.workloads import load_trace
+
+from .conftest import DenseOnly
 
 F = 7
 
@@ -30,26 +33,40 @@ def synthetic_data(n=48, m=16, seed=0):
 
 
 def make_agent(update_path="dense", m=16, grad_runtime=None, **ppo_kwargs):
+    """A kernel-policy agent; ``"dense"`` hides the row scorer so the
+    agent's own rule picks the dense oracle."""
     policy = KernelPolicy(F, hidden=(8, 8), seed=7)
+    if update_path == "dense":
+        policy = DenseOnly(policy)
     value = ValueMLP(m, F, hidden=(16, 16), seed=8)
-    cfg = PPOConfig(update_path=update_path, **ppo_kwargs)
+    cfg = PPOConfig(**ppo_kwargs)
     return PPOAgent(policy, value, cfg, seed=0, grad_runtime=grad_runtime)
 
 
 def policy_terms(policy, data, path):
-    return _policy_terms(policy, *_policy_plan(data, path, None), 0.2, path)
+    if path == "dense":
+        policy = DenseOnly(policy)
+    return _policy_terms(policy, *_policy_plan(data, path == "sparse", None), 0.2)
 
 
 class TestSparsePath:
     def test_sparse_requires_score_rows_grad(self):
-        policy = MLPPolicy(16, F, seed=0)
-        value = ValueMLP(16, F, seed=1)
-        with pytest.raises(TypeError, match="score_rows_grad"):
-            PPOAgent(policy, value, PPOConfig(update_path="sparse"))
+        """The update path follows the policy: a per-row scorer selects
+        the sparse step, a joint policy (or a hidden scorer) the dense."""
+        with telemetry.session() as reg:
+            for policy in (MLPPolicy(16, F, seed=0), KernelPolicy(F, seed=0),
+                           DenseOnly(KernelPolicy(F, seed=0))):
+                PPOAgent(policy, ValueMLP(16, F, seed=1),
+                         PPOConfig(train_pi_iters=1, train_v_iters=1)
+                         ).update(synthetic_data())
+            spans = reg.snapshot().spans
+        assert spans["update.policy_iter.dense"]["count"] == 2
+        assert spans["update.policy_iter.sparse"]["count"] == 1
 
     def test_config_rejects_unknown_path(self):
-        with pytest.raises(ValueError):
-            PPOConfig(update_path="blocked")
+        """The path is not configurable any more."""
+        with pytest.raises(TypeError):
+            PPOConfig(update_path="sparse")
 
     def test_forward_parity(self):
         data = synthetic_data()
@@ -219,8 +236,10 @@ class TestTrainerIntegration:
         t = Trainer(
             trace,
             env_config=EnvConfig(max_obsv_size=8),
-            ppo_config=PPOConfig(
-                update_path=update_path, train_pi_iters=5, train_v_iters=5
+            ppo_config=PPOConfig(train_pi_iters=5, train_v_iters=5),
+            policy=(
+                DenseOnly(make_policy("kernel", 8, F, seed=0))
+                if update_path == "dense" else None
             ),
             train_config=TrainConfig(
                 epochs=2, trajectories_per_epoch=2, trajectory_length=16,

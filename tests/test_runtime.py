@@ -6,6 +6,8 @@ error propagation, idempotent lifecycle — is exercised identically on
 cross-backend guarantees live in ``test_runtime_equivalence.py``.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,19 @@ from repro.runtime import (
 )
 
 class ShmProcessPoolBackend(ProcessPoolBackend):
-    """The process pool on the shared-memory array transport — the full
-    dispatch contract must hold identically on both transports."""
+    """The process pool, checked on both ends: the shared-memory pool must
+    come up (a silent inline fallback would pass every test below for the
+    wrong reason) and must leave no segment behind at close — whatever
+    failure the test provoked in between."""
 
-    def __init__(self, n_workers: int = 1):
-        super().__init__(n_workers, transport="shm")
+    def _start_impl(self):
+        super()._start_impl()
+        assert self._pool is not None
+        self._segments = [self._pool._ctl.name, self._pool._data.name]
+
+    def _close_impl(self):
+        super()._close_impl()
+        assert not [n for n in self._segments if Path("/dev/shm", n).exists()]
 
 
 BACKENDS = [SerialBackend, ProcessPoolBackend, ShmProcessPoolBackend]
@@ -116,14 +126,18 @@ class TestDispatch:
             backend.scatter(explode, [(1,), (3,), (5,)], workers=[0, 1, 2])
         assert backend.scatter(square, [(2,), (3,), (4,)]) == [4, 9, 16]
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_unpicklable_payload_keeps_pipes_in_sync(self, transport):
+    @pytest.mark.parametrize("arrays_via", ["pipe", "shm"])
+    def test_unpicklable_payload_keeps_pipes_in_sync(self, arrays_via, request):
         # A send-side pickling failure must drain already-posted tasks:
         # otherwise the next dispatch reads a stale reply (silent
         # corruption instead of an error).  Process backend only — the
-        # serial backend never pickles.  Both transports encode before
-        # writing, so the invariant is transport-independent.
-        with ProcessPoolBackend(2, transport=transport) as b:
+        # serial backend never pickles.  The codec encodes before writing
+        # with the pool ("shm") and on the inline fallback without it
+        # ("pipe"), so the invariant holds on both.
+        if arrays_via == "pipe":
+            request.getfixturevalue("no_shm_pool")
+        with ProcessPoolBackend(2) as b:
+            assert (b._pool is None) == (arrays_via == "pipe")
             with pytest.raises(WorkerError):
                 b.scatter(square, [(2,), (lambda: None,)], workers=[0, 1])
             assert b.scatter(square, [(5,), (6,)]) == [25, 36]
@@ -177,14 +191,15 @@ class TestMakeBackend:
             make_backend(workers=0)
 
     def test_transport_threads_through(self):
-        b = make_backend(RuntimeConfig(backend="process", workers=2,
-                                       transport="shm"))
-        assert isinstance(b, ProcessPoolBackend) and b.transport == "shm"
-        b.close()
-        with pytest.raises(ValueError):
-            RuntimeConfig(backend="process", transport="carrier-pigeon")
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(2, transport="carrier-pigeon")
+        """There is one transport and nothing left to thread: a configured
+        process backend comes up on the shared-memory plane by itself,
+        and neither the config nor the backend takes a transport."""
+        with make_backend(RuntimeConfig(backend="process", workers=2)) as b:
+            assert isinstance(b, ProcessPoolBackend) and b._pool is not None
+        with pytest.raises(TypeError):
+            RuntimeConfig(backend="process", transport="shm")
+        with pytest.raises(TypeError):
+            ProcessPoolBackend(2, transport="shm")
 
 
 class TestSeeding:

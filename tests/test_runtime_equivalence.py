@@ -5,12 +5,12 @@ seed, same trajectories, same update statistics, same evaluation scores —
 for any worker count.  No tolerances anywhere: the backend is a pure
 throughput knob, like ``n_envs`` in ``test_equivalence.py``.
 
-Three layers:
+Two layers:
 
-1. :class:`ShardedVecSchedGym` step-for-step against ``VecSchedGym``;
-2. a full training run (rollout + PPO update + validation + checkpoint
-   selection) across backends and worker counts;
-3. ``api.evaluate`` / ``api.compare`` per-sequence values across backends
+1. a full training run (rollout + PPO update + validation + checkpoint
+   selection) across backends and worker counts — in-parent collection on
+   the serial runtime, actor processes on the process runtime;
+2. ``api.evaluate`` / ``api.compare`` per-sequence values across backends
    and worker counts, heuristic and RL schedulers alike.
 """
 
@@ -26,11 +26,9 @@ from repro.config import (
     TrainConfig,
 )
 from repro.nn import KernelPolicy
-from repro.rl import Trainer, make_reward
-from repro.runtime import ShardedVecSchedGym
+from repro.rl import Trainer
 from repro.schedulers import FCFS, SJF, RLSchedulerPolicy
-from repro.sim import VecSchedGym
-from repro.workloads import SequenceSampler, load_trace
+from repro.workloads import load_trace
 
 SERIAL = RuntimeConfig()
 PROCESS_2 = RuntimeConfig(backend="process", workers=2)
@@ -40,86 +38,6 @@ PROCESS_3 = RuntimeConfig(backend="process", workers=3)
 @pytest.fixture(scope="module")
 def trace():
     return load_trace("Lublin-1", n_jobs=600, seed=5)
-
-
-def copy_sequences(sequences):
-    return [[j.copy() for j in seq] for seq in sequences]
-
-
-class TestShardedVecEnvGolden:
-    """ShardedVecSchedGym == VecSchedGym, step for step."""
-
-    N_ENVS = 3
-
-    def drive(self, vec, sequences):
-        """First-valid-slot walk through all sequences; full step log."""
-        n = min(vec.n_envs, len(sequences))
-        obs, masks = vec.reset(copy_sequences(sequences[:n]))
-        vec.queue_sequences(copy_sequences(sequences[n:]))
-        log = []
-        while vec.active.any():
-            actions = np.full(vec.n_envs, -1, dtype=np.int64)
-            for i in np.flatnonzero(vec.active):
-                actions[i] = int(np.argmax(masks[i]))
-            r = vec.step(actions)
-            log.append(
-                (r.observations, r.rewards, r.dones, r.action_masks,
-                 [bool(info.get("auto_reset")) for info in r.infos])
-            )
-            obs, masks = r.observations, r.action_masks
-        return log
-
-    @pytest.mark.parametrize("runtime", [SERIAL, PROCESS_2, PROCESS_3],
-                             ids=["serial", "process2", "process3"])
-    def test_matches_vec_env_bitwise(self, trace, runtime):
-        cfg = EnvConfig(max_obsv_size=8)
-        sequences = SequenceSampler(trace, 12, seed=0).sample_many(5)
-        ref = self.drive(
-            VecSchedGym(self.N_ENVS, trace.max_procs, make_reward("bsld"),
-                        config=cfg),
-            sequences,
-        )
-        with ShardedVecSchedGym(self.N_ENVS, trace.max_procs, "bsld",
-                                config=cfg, runtime=runtime) as vec:
-            got = self.drive(vec, sequences)
-        assert len(got) == len(ref)
-        for (o1, r1, d1, m1, a1), (o2, r2, d2, m2, a2) in zip(ref, got):
-            np.testing.assert_array_equal(o1, o2)
-            np.testing.assert_array_equal(r1, r2)
-            np.testing.assert_array_equal(d1, d2)
-            np.testing.assert_array_equal(m1, m2)
-            assert a1 == a2
-
-    def test_more_workers_than_envs(self, trace):
-        """Extra workers hold empty shards and stay out of the results."""
-        cfg = EnvConfig(max_obsv_size=8)
-        sequences = SequenceSampler(trace, 10, seed=3).sample_many(2)
-        ref = self.drive(
-            VecSchedGym(2, trace.max_procs, make_reward("bsld"), config=cfg),
-            sequences,
-        )
-        with ShardedVecSchedGym(2, trace.max_procs, "bsld", config=cfg,
-                                backend=None,
-                                runtime=RuntimeConfig(backend="process",
-                                                      workers=3)) as vec:
-            got = self.drive(vec, sequences)
-        for (o1, r1, *_), (o2, r2, *_) in zip(ref, got):
-            np.testing.assert_array_equal(o1, o2)
-            np.testing.assert_array_equal(r1, r2)
-
-    def test_contract_errors(self, trace):
-        cfg = EnvConfig(max_obsv_size=8)
-        sequences = SequenceSampler(trace, 10, seed=3).sample_many(3)
-        with ShardedVecSchedGym(2, trace.max_procs, "bsld", config=cfg) as vec:
-            with pytest.raises(ValueError):
-                vec.reset([])
-            with pytest.raises(ValueError):
-                vec.reset(copy_sequences(sequences))  # 3 sequences, 2 envs
-            vec.reset(copy_sequences(sequences[:1]))
-            with pytest.raises(ValueError):
-                vec.step(np.zeros(5, dtype=np.int64))
-        with pytest.raises(ValueError):
-            ShardedVecSchedGym(0, trace.max_procs, "bsld", config=cfg)
 
 
 def train_run(trace, runtime, epochs=2):
@@ -132,7 +50,6 @@ def train_run(trace, runtime, epochs=2):
             trajectories_per_epoch=6,
             trajectory_length=18,
             seed=0,
-            vectorized=True,
             n_envs=4,  # 6 trajectories over 4 envs: exercises auto-reset
             runtime=runtime,
         ),

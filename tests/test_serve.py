@@ -3,10 +3,12 @@ multi-tenant router, asyncio socket daemon, load generator, and graceful
 shutdown (the SIGTERM subprocess test mirrors ``TestNoLeakedWorkers``)."""
 
 import asyncio
+import json
 import logging
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -369,6 +371,27 @@ class TestLiveServer:
                 client.request("submit", v=99)  # overridden version field
             # same connection still serves good requests
             assert client.ping()["ok"]
+
+    def test_oversized_request_line_gets_a_typed_error(self, live_server, caplog):
+        """Regression: a line over asyncio's 64 KiB stream limit raised
+        ``ValueError`` out of ``readline`` — traceback in the log, empty
+        reply.  Now: one error response naming the limit, that connection
+        closed, the daemon and its other connections unharmed."""
+        host, port = live_server.address
+        line = encode({"v": PROTOCOL_VERSION, "op": "ping", "pad": "x" * 70_000})
+        with caplog.at_level(logging.WARNING), \
+                ServeClient(host, port) as other, \
+                socket.create_connection((host, port), timeout=10) as sock:
+            assert other.ping()["ok"]
+            sock.sendall(line)
+            reply = sock.makefile("rb").read()  # up to the daemon's hang-up
+            response = json.loads(reply)
+            assert response["ok"] is False
+            assert "65536" in response["error"]
+            assert other.ping()["ok"]  # the bystander keeps its connection
+        with ServeClient(host, port) as fresh:
+            assert fresh.ping()["ok"]
+        assert [r for r in caplog.records if r.exc_info] == []
 
     def test_submit_job_object(self, live_server, trace):
         host, port = live_server.address

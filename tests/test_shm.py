@@ -7,12 +7,14 @@ Three layers of pinning:
 * :class:`repro.runtime.ArrayCodec` — the protocol-5 wire format and its
   *lossless* fallbacks (small payloads, exhausted pool, non-contiguous
   arrays), plus the serialize-once shared/post_all channels;
-* transport equivalence — ``transport="shm"`` must be bit-identical to
-  the ``"pipe"`` reference through training, evaluation, and the async
-  actor path, and must never leak ``/dev/shm`` segments
-  (``TestNoLeakedSegments``, the sibling of ``TestNoLeakedWorkers``).
+* transport equivalence — where the arrays travel changes no result bit:
+  training and evaluation are identical on the pool, on the inline
+  fallback a host without ``/dev/shm`` gets, and on the serial runtime;
+  and no run ever leaks ``/dev/shm`` segments (``TestNoLeakedSegments``,
+  the sibling of ``TestNoLeakedWorkers``).
 """
 
+import logging
 import multiprocessing
 import os
 import subprocess
@@ -32,6 +34,7 @@ from repro.runtime import (
 )
 from repro.runtime import process_pool as process_pool_mod
 from repro.schedulers import SJF
+from repro.telemetry import core as telemetry
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +241,7 @@ class TestShmBackendFailureModes:
             process_pool_mod, "SharedArrayPool",
             lambda: SharedArrayPool(n_slots=2, slot_bytes=1024),
         )
-        with ProcessPoolBackend(2, transport="shm") as b:
+        with ProcessPoolBackend(2) as b:
             arrs = [np.arange(50_000, dtype=np.float64) for _ in range(2)]
             assert b.scatter(echo_sum, [(a,) for a in arrs]) == [
                 float(a.sum()) for a in arrs
@@ -248,14 +251,14 @@ class TestShmBackendFailureModes:
             assert b._pool.n_leases == 0
 
     def test_worker_crash_mid_lease_releases_segments(self):
-        with ProcessPoolBackend(2, transport="shm") as b:
+        with ProcessPoolBackend(2) as b:
             b.post(0, lease_then_die, 8192)
             with pytest.raises(WorkerError, match="died"):
                 b.next_result()
             assert b._pool.n_leases == 0  # crash reclaim freed the span
 
     def test_shared_scatter_serializes_once(self):
-        with ProcessPoolBackend(2, transport="shm") as b:
+        with ProcessPoolBackend(2) as b:
             w = np.arange(10_000, dtype=np.float64)
             before = b._pool._n_puts
             out = b.scatter(concat_shared, [(1,), (2,)], shared=(w,))
@@ -264,7 +267,7 @@ class TestShmBackendFailureModes:
             assert b._pool.n_leases == 0
 
     def test_post_all_encodes_once(self):
-        with ProcessPoolBackend(3, transport="shm") as b:
+        with ProcessPoolBackend(3) as b:
             w = np.arange(10_000, dtype=np.float64)
             before = b._pool._n_puts
             b.post_all(echo_sum, w)
@@ -273,10 +276,11 @@ class TestShmBackendFailureModes:
             assert b._pool._n_puts == before + 1
             assert b._pool.n_leases == 0
 
-    def test_post_all_single_dumps_on_pipe(self, monkeypatch):
-        # The serialize-once satellite holds on the pipe transport too:
+    def test_post_all_single_dumps_on_pipe(self, monkeypatch, no_shm_pool):
+        # The serialize-once satellite holds on the inline fallback too:
         # one dumps() call per post_all, not one per worker.
-        with ProcessPoolBackend(3, transport="pipe") as b:
+        with ProcessPoolBackend(3) as b:
+            assert b._pool is None
             calls = []
             real_dumps = b._codec.dumps
 
@@ -303,7 +307,7 @@ class TestNoLeakedSegments:
         return {n for n in os.listdir(shm_dir) if n.startswith("repro-")}
 
     def test_clean_close_removes_segments(self):
-        b = ProcessPoolBackend(2, transport="shm")
+        b = ProcessPoolBackend(2)
         b.start()
         names = {b._pool._ctl.name, b._pool._data.name}
         assert names <= self._live_segments()
@@ -314,8 +318,7 @@ class TestNoLeakedSegments:
         trace = load_trace("Lublin-1", n_jobs=400, seed=3)
         cfg = TrainConfig(
             epochs=2, trajectories_per_epoch=2, trajectory_length=16,
-            seed=0, vectorized=True, rollout_mode="async",
-            runtime=RuntimeConfig.from_workers(2, transport="shm"),
+            seed=0, runtime=RuntimeConfig.from_workers(2),
         )
         before = self._live_segments()
         with pytest.raises(RuntimeError, match="sentinel"):
@@ -359,45 +362,104 @@ class TestNoLeakedSegments:
 
 
 class TestTransportEquivalence:
-    """``transport="shm"`` is a pure bytes knob: training (locked and
-    async), evaluation, and the weights they produce are bit-identical
-    to the pipe reference."""
+    """Where the arrays travel is a pure bytes matter: training
+    (synchronous and prefetching), evaluation, and the weights they
+    produce are bit-identical on the shared-memory pool, on the inline
+    fallback of a host that cannot create one, and on the serial runtime."""
 
     @pytest.fixture(scope="class")
     def trace(self):
         return load_trace("Lublin-1", n_jobs=400, seed=3)
 
-    def _train(self, trace, transport, rollout_mode):
-        return train(
-            trace,
-            env_config=EnvConfig(max_obsv_size=8),
-            train_config=TrainConfig(
-                epochs=2, trajectories_per_epoch=2, trajectory_length=16,
-                seed=0, vectorized=True, rollout_mode=rollout_mode,
-                staleness=1 if rollout_mode == "async" else 0,
-                runtime=RuntimeConfig.from_workers(2, transport=transport),
-            ),
-        )
+    def _train(self, trace, workers, staleness):
+        """``(result, out-of-band bytes, segments left behind)``."""
+        before = TestNoLeakedSegments._live_segments()
+        with telemetry.session() as reg:
+            result = train(
+                trace,
+                env_config=EnvConfig(max_obsv_size=8),
+                train_config=TrainConfig(
+                    epochs=2, trajectories_per_epoch=2, trajectory_length=16,
+                    seed=0, staleness=staleness,
+                    runtime=RuntimeConfig.from_workers(workers),
+                ),
+            )
+            counters = reg.snapshot().aggregated().counters
+        leaked = TestNoLeakedSegments._live_segments() - before
+        return result, counters.get("runtime.ipc.bytes_shm", 0), leaked
 
-    @pytest.mark.parametrize("rollout_mode", ["locked", "async"])
-    def test_training_bit_identical(self, trace, rollout_mode):
-        pipe = self._train(trace, "pipe", rollout_mode)
-        shm = self._train(trace, "shm", rollout_mode)
-        np.testing.assert_array_equal(shm.metric_curve(), pipe.metric_curve())
-        for p_pipe, p_shm in zip(
-            pipe.policy.parameters(), shm.policy.parameters()
-        ):
-            np.testing.assert_array_equal(p_shm.data, p_pipe.data)
+    @pytest.mark.parametrize("staleness", [
+        pytest.param(0, id="locked"), pytest.param(1, id="async"),
+    ])
+    def test_training_bit_identical(self, trace, staleness, request):
+        serial, _, _ = self._train(trace, 1, staleness)
+        shm, shm_bytes, shm_leaked = self._train(trace, 2, staleness)
+        request.getfixturevalue("no_shm_pool")
+        pipe, pipe_bytes, pipe_leaked = self._train(trace, 2, staleness)
+        assert shm_bytes > 0 and pipe_bytes == 0
+        assert not shm_leaked and not pipe_leaked
+        for run in (shm, pipe):
+            np.testing.assert_array_equal(
+                run.metric_curve(), serial.metric_curve()
+            )
+            for net in ("policy", "value"):
+                for got, want in zip(getattr(run, net).parameters(),
+                                     getattr(serial, net).parameters()):
+                    np.testing.assert_array_equal(got.data, want.data)
 
-    def test_evaluation_bit_identical(self, trace):
-        def run(transport):
+    def test_evaluation_bit_identical(self, trace, request):
+        def run():
             return evaluate(
                 SJF(), trace,
                 config=EvalConfig(
                     n_sequences=2, sequence_length=24,
-                    runtime=RuntimeConfig.from_workers(2, transport=transport),
+                    runtime=RuntimeConfig.from_workers(2),
                 ),
             )
 
-        pipe, shm = run("pipe"), run("shm")
+        shm = run()
+        request.getfixturevalue("no_shm_pool")
+        pipe = run()
         np.testing.assert_array_equal(shm.values, pipe.values)
+
+
+class TestPoolUnavailable:
+    """A host that cannot create the pool still runs — inline, after one
+    warning — and a half-built pool leaves nothing behind."""
+
+    def test_backend_warns_once_and_runs_inline(self, no_shm_pool):
+        # a handler of our own, straight on the module's logger: "repro"
+        # stops propagating to the root (where caplog listens) once any
+        # test has run the CLI
+        records = []
+        handler = logging.Handler(level=logging.DEBUG)
+        handler.emit = records.append
+        log = logging.getLogger("repro.runtime.process_pool")
+        log.addHandler(handler)
+        try:
+            with ProcessPoolBackend(2) as b:
+                assert b._pool is None
+                arr = np.arange(50_000, dtype=np.float64)
+                assert b.scatter(echo_sum, [(arr,), (arr,)]) == [arr.sum()] * 2
+        finally:
+            log.removeHandler(handler)
+        warnings = [r for r in records if "pool unavailable" in r.getMessage()]
+        assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+
+    def test_half_built_pool_unlinks_its_control_segment(self, monkeypatch):
+        from repro.runtime import shm as shm_mod
+
+        real = shm_mod.shared_memory.SharedMemory
+
+        def data_segment_fails(*args, name=None, **kwargs):
+            if name and name.startswith("repro-dat-"):
+                raise OSError(28, "No space left on device")
+            return real(*args, name=name, **kwargs)
+
+        monkeypatch.setattr(
+            shm_mod.shared_memory, "SharedMemory", data_segment_fails
+        )
+        before = TestNoLeakedSegments._live_segments()
+        with pytest.raises(OSError):
+            SharedArrayPool()
+        assert TestNoLeakedSegments._live_segments() == before

@@ -5,6 +5,7 @@ checkpoint resume, the generalization-matrix artifact, serial/process
 bit-equality, and the JSON-strictness of the artifact.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -94,8 +95,6 @@ class TestTrainMatrix:
     def test_resume_with_drifted_config_warns(self, zoo):
         """Restoring a checkpoint trained under different settings must be
         reported — the checkpoint's own provenance stays authoritative."""
-        import dataclasses
-
         _, config, _ = zoo
         drifted = dataclasses.replace(config, epochs=5, seed=9)
         messages = []
@@ -106,6 +105,36 @@ class TestTrainMatrix:
         # the artifact reports how the checkpoint was trained, not the
         # drifted run config
         assert resumed["lublin-64"].result.train_meta["epochs"] == 1
+
+    def test_checkpoint_with_a_retired_key_restores_silently(self, zoo, tmp_path):
+        """Regression: the drift table was built from the current config's
+        keys only, so a checkpoint carrying a key the config no longer has
+        (every zoo file written before ``rollout_mode`` was retired) was
+        reported as trained "with different settings {}".  Drift is judged
+        on the keys both sides know."""
+        _, config, trained = zoo
+        result = trained["lublin-64"].result
+        old_zoo = tmp_path / "old-zoo"
+        old_zoo.mkdir()
+        saved_meta = result.train_meta
+        try:
+            result.train_meta = {**saved_meta, "rollout_mode": "locked"}
+            result.save(old_zoo / "lublin-64.npz")
+        finally:
+            result.train_meta = saved_meta
+        old = dataclasses.replace(
+            config, zoo_dir=str(old_zoo), scenarios=("lublin-64",)
+        )
+        messages = []
+        train_matrix(old, progress=messages.append)
+        assert [m for m in messages if "skipped" in m]
+        assert [m for m in messages if "different settings" in m] == []
+        # a real mismatch on a shared key still warns, and names only it
+        messages.clear()
+        train_matrix(dataclasses.replace(old, epochs=5),
+                     progress=messages.append)
+        (warning,) = [m for m in messages if "different settings" in m]
+        assert "'epochs': (1, 5)" in warning and "rollout_mode" not in warning
 
     def test_interrupted_save_leaves_no_partial_checkpoint(self, zoo,
                                                            monkeypatch,
@@ -175,8 +204,6 @@ class TestGeneralizationMatrix:
 
     def test_process_backend_bit_identical(self, zoo, doc):
         _, config, trained = zoo
-        import dataclasses
-
         parallel = dataclasses.replace(
             config, runtime=RuntimeConfig.from_workers(2))
         doc2 = generalization_matrix(parallel, trained=trained)
@@ -194,8 +221,6 @@ class TestGeneralizationMatrix:
         from repro.config import FeatureLayoutError
 
         _, config, trained = zoo
-        import dataclasses
-
         strict = dataclasses.replace(config, on_mismatch="fail")
         with pytest.raises(FeatureLayoutError):
             generalization_matrix(strict, trained=trained)

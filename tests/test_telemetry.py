@@ -522,7 +522,6 @@ class TestPerfBreakdownFromSpans:
 
         script = (Path(__file__).resolve().parents[1]
                   / "benchmarks" / "perf" / "run_perf.py")
-        monkeypatch.syspath_prepend(str(script.parent))  # its legacy sibling
         spec = importlib.util.spec_from_file_location("run_perf", script)
         run_perf = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(run_perf)

@@ -32,6 +32,7 @@ Layers
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -199,6 +200,15 @@ class WorkloadSpec:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _generated(
+    workload: WorkloadSpec, n_jobs: int, seed: int, mem_cap_total: float | None
+) -> SWFTrace:
+    """Memoised :meth:`WorkloadSpec.build` for generated workloads; bounded,
+    so a long-lived process holds at most a handful of traces."""
+    return workload.build(n_jobs, seed, mem_cap_total)
+
+
 @dataclass(frozen=True)
 class EvalProtocol:
     """The paper's test-time protocol for one scenario (§V-C2 defaults)."""
@@ -259,10 +269,22 @@ class Scenario:
     def build_trace(
         self, n_jobs: int | None = None, seed: int | None = None
     ) -> SWFTrace:
-        """The scenario's workload, memory demands clamped to its cluster."""
-        return self.workload.build(
-            n_jobs=n_jobs, seed=seed, mem_cap_total=self.cluster.memory
-        )
+        """The scenario's workload, memory demands clamped to its cluster.
+
+        The returned :class:`SWFTrace` is **read-only**: a generated
+        workload is a pure function of the frozen ``(WorkloadSpec, n_jobs,
+        seed, cluster.memory)``, so repeated calls share one memoised
+        trace (every consumer — the sequence sampler, the engines,
+        :func:`attach_memory_demands` — copies the jobs it touches).  A
+        real ``.swf`` replay (``swf_dir`` set) is re-read on every call,
+        because the file can change.
+        """
+        workload = self.workload
+        n = workload.n_jobs if n_jobs is None else n_jobs
+        s = workload.seed if seed is None else seed
+        if workload.swf_dir is not None:
+            return workload.build(n, s, self.cluster.memory)
+        return _generated(workload, n, s, self.cluster.memory)
 
     def env_config(self, base: EnvConfig | None = None) -> EnvConfig:
         """An :class:`EnvConfig` suited to this scenario.

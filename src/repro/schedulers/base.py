@@ -6,15 +6,26 @@ score is scheduled first (Table III convention; FCFS scores by submit
 time).  :meth:`Scheduler.select` is the generic argmin with deterministic
 job-id tie-breaking; RL policies override it to run the policy network on
 the whole queue at once.
+
+``select(pending, now, cluster)`` is the public contract — it takes any
+queue, in any order, and is what the serving daemon calls.
+:meth:`Scheduler.bind` is the episode hook the batch loop
+(:func:`repro.sim.run_scheduler`) uses instead: a scheduler bound to one
+engine may precompute whatever the episode's fixed job population allows
+(a priority order, per-job constants, a feature cache) and must pick
+exactly the job ``select`` would.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.sim.cluster import Cluster
 from repro.workloads.job import Job
+
+if TYPE_CHECKING:
+    from repro.sim.core import EngineCore
 
 __all__ = ["Scheduler"]
 
@@ -34,6 +45,19 @@ class Scheduler(abc.ABC):
         if not pending:
             raise ValueError("cannot select from an empty queue")
         return min(pending, key=lambda j: (self.score(j, now, cluster), j.job_id))
+
+    def bind(self, engine: "EngineCore") -> Callable[[], Job]:
+        """``pick()`` for one episode: the job :meth:`select` would choose
+        from ``engine``'s queue at the moment it is called.
+
+        The default closes over :meth:`select`.  Overrides may precompute
+        per-episode state from ``engine.jobs`` and read
+        ``engine.pending_rows`` instead of walking ``engine.pending``;
+        they fall back to this when ``engine.jobs`` is ``None`` (an
+        open-ended engine has no fixed population to precompute over).
+        """
+        select = self.select
+        return lambda: select(engine.pending, engine.now, engine.cluster)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -25,6 +25,19 @@ full resource vector (processors *and*, on memory-constrained scenario
 clusters, memory) fits the free capacity right now — it exercises
 :meth:`repro.sim.cluster.Cluster.can_allocate` and therefore reacts to
 memory pressure the Table III formulas cannot see.
+
+Bound picks
+-----------
+``select`` scores every waiting job through :meth:`Scheduler.score` on
+every decision.  Bound to a batch engine (:meth:`Scheduler.bind`), the
+heuristics stop re-deriving what an episode fixes: FCFS, SJF, F1, LJF and
+Smallest are *time-invariant* — their score reads only the job — so they
+rank the episode's jobs once and a pick is a C-level ``min`` over the
+waiting rows' ranks; WFP3 and UNICEP depend on ``now`` and keep their
+per-job constants in per-row lists, evaluating the same float operations
+in the same order as ``score``.  FirstFit reads the cluster and binds to
+``select`` like any other scheduler.  ``tests/test_property_sim.py`` pins
+every bound pick to ``select``'s ``(score, job_id)`` argmin.
 """
 
 from __future__ import annotations
@@ -51,7 +64,63 @@ __all__ = [
 ]
 
 
-class FCFS(Scheduler):
+class _Ranked(Scheduler):
+    """A time-invariant priority: ``score`` reads nothing but the job.
+
+    Bound to an episode, the whole population is ordered once by
+    ``(score, job_id)`` and each pick is the waiting row of least rank.
+    """
+
+    def bind(self, engine):
+        jobs = engine.jobs
+        if jobs is None:
+            return super().bind(engine)
+        cluster = engine.cluster
+        order = sorted(
+            range(len(jobs)),
+            key=lambda i: (self.score(jobs[i], 0.0, cluster), jobs[i].job_id),
+        )
+        rank = [0] * len(jobs)
+        for position, row in enumerate(order):
+            rank[row] = position
+        key = rank.__getitem__
+        return lambda: jobs[min(engine.pending_rows, key=key)]
+
+
+class _Waiting(Scheduler):
+    """A priority that moves with the time waited.
+
+    Bound to an episode, ``score``'s per-job constants live in per-row
+    lists (:meth:`_row_scores`) and a pick evaluates, over the waiting
+    rows only, the same float operations in the same order as ``score``
+    — except its ``max(wait, 0.0)``, the identity for a job that has
+    arrived.
+    """
+
+    def _row_scores(self, jobs: list[Job]):
+        """``scores(now, rows)``: the score of each waiting row."""
+        raise NotImplementedError
+
+    def bind(self, engine):
+        jobs = engine.jobs
+        if jobs is None:
+            return super().bind(engine)
+        scores = self._row_scores(jobs)
+
+        def pick() -> Job:
+            # least (score, job_id), as select's tuple argmin
+            rows = engine.pending_rows
+            values = scores(engine.now, rows)
+            best = min(values)
+            if values.count(best) == 1:
+                return jobs[rows[values.index(best)]]
+            tied = (jobs[row] for row, v in zip(rows, values) if v == best)
+            return min(tied, key=lambda job: job.job_id)
+
+        return pick
+
+
+class FCFS(_Ranked):
     """First Come First Served."""
 
     name = "FCFS"
@@ -60,7 +129,7 @@ class FCFS(Scheduler):
         return job.submit_time
 
 
-class SJF(Scheduler):
+class SJF(_Ranked):
     """Shortest Job First (by requested runtime — actual is invisible)."""
 
     name = "SJF"
@@ -69,7 +138,7 @@ class SJF(Scheduler):
         return job.requested_time
 
 
-class LJF(Scheduler):
+class LJF(_Ranked):
     """Longest Job First (ablation baseline)."""
 
     name = "LJF"
@@ -78,7 +147,7 @@ class LJF(Scheduler):
         return -job.requested_time
 
 
-class SmallestFirst(Scheduler):
+class SmallestFirst(_Ranked):
     """Smallest Job First — classic utilization-oriented policy (§II-A3)."""
 
     name = "Smallest"
@@ -109,7 +178,7 @@ class FirstFit(Scheduler):
         return job.submit_time + blocked
 
 
-class WFP3(Scheduler):
+class WFP3(_Waiting):
     """WFP3 (Tang et al. [3]): favours long-waiting, short, narrow jobs."""
 
     name = "WFP3"
@@ -119,8 +188,16 @@ class WFP3(Scheduler):
         r = max(job.requested_time, 1.0)
         return -((wait / r) ** 3) * job.requested_procs
 
+    def _row_scores(self, jobs):
+        submit = [j.submit_time for j in jobs]
+        r = [max(j.requested_time, 1.0) for j in jobs]
+        n = [j.requested_procs for j in jobs]
+        return lambda now, rows: [
+            -(((now - submit[i]) / r[i]) ** 3) * n[i] for i in rows
+        ]
 
-class UNICEP(Scheduler):
+
+class UNICEP(_Waiting):
     """UNICEP (Tang et al. [3]) — `UNICEF` in some texts."""
 
     name = "UNICEP"
@@ -131,8 +208,16 @@ class UNICEP(Scheduler):
         denom = math.log2(max(job.requested_procs, 2)) * r
         return -wait / denom
 
+    def _row_scores(self, jobs):
+        submit = [j.submit_time for j in jobs]
+        denom = [
+            math.log2(max(j.requested_procs, 2)) * max(j.requested_time, 1.0)
+            for j in jobs
+        ]
+        return lambda now, rows: [-(now - submit[i]) / denom[i] for i in rows]
 
-class F1(Scheduler):
+
+class F1(_Ranked):
     """F1 from Carastan-Santos & de Camargo [4] — the state-of-the-art
     regression-fit policy for minimising average bounded slowdown."""
 

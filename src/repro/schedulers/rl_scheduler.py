@@ -360,15 +360,19 @@ class RLSchedulerPolicy(Scheduler):
             )
         rows = self._cache.rows(visible)
 
-        score_rows = getattr(self.policy, "score_rows", None)
-        if score_rows is None:
+        if getattr(self.policy, "score_rows", None) is None:
             return self._select_dense(visible, rows, now, cluster)
+        return visible[self._best_row(self._cache, rows, now, cluster)]
 
-        # Sparse path: assemble only the k visible rows and score them
-        # directly.  The float32 round-trip matches the dense observation
-        # build, and log-softmax is monotone, so the argmax is the dense
-        # path's argmax (ties break on the first index either way).
-        cache = self._cache
+    def _best_row(self, cache, rows: np.ndarray, now: float, cluster) -> int:
+        """Sparse path: assemble only the ``k`` visible rows of ``cache``
+        and score them directly; returns the winner's position in ``rows``.
+
+        The float32 round-trip matches the dense observation build, and
+        log-softmax is monotone, so the argmax is the dense path's argmax
+        (ties break on the first index either way).
+        """
+        total_mem = getattr(cluster, "total_mem", math.inf)
         feats = fill_dynamic_features(
             cache.static[rows], cache.submit[rows], cache.procs[rows],
             now, cluster.free_procs, self.n_procs, self.env_config,
@@ -376,8 +380,30 @@ class RLSchedulerPolicy(Scheduler):
             total_mem=total_mem,
         )
         with no_grad():
-            scores = score_rows(feats.astype(np.float32))
-        return visible[int(np.argmax(scores))]
+            scores = self.policy.score_rows(feats.astype(np.float32))
+        return int(np.argmax(scores))
+
+    def bind(self, engine):
+        """Bound to a batch engine, observe exactly as :class:`SchedGym`
+        does: one :class:`FeatureCache` over the episode's jobs, indexed by
+        the engine's own ``pending_rows`` — no per-decision job-id lookups
+        and none of :meth:`DeployFeatureCache.rows`' re-validation, which
+        guards against a population that cannot change here."""
+        if engine.jobs is None or getattr(self.policy, "score_rows", None) is None:
+            return super().bind(engine)
+        cache = FeatureCache(
+            engine.jobs, self.n_procs, self.env_config,
+            total_mem=engine.cluster.total_mem,
+        )
+        m = self.env_config.max_obsv_size
+
+        def pick() -> Job:
+            rows = np.asarray(engine.pending_rows[:m], dtype=np.intp)
+            return engine.pending[
+                self._best_row(cache, rows, engine.now, engine.cluster)
+            ]
+
+        return pick
 
     def _select_dense(
         self, visible: list[Job], rows: np.ndarray, now: float, cluster: Cluster

@@ -136,7 +136,7 @@ class SchedulerService:
             "started": engine.n_started,
             "finished": self.n_finished,
             "pending": len(engine.pending),
-            "running": len(engine._running),
+            "running": len(engine.running_view),
             "free_procs": engine.cluster.free_procs,
             "now": engine.now,
             "decisions": self.n_decisions,
@@ -171,7 +171,7 @@ class SchedulerService:
 
     def _reconcile(self) -> None:
         """Sync job records with the engine; harvest + bound completions."""
-        for job in self.engine._running.values():
+        for job in self.engine.running_view:
             record = self._records.get(job.job_id)
             if record is not None and record["state"] != "running":
                 record["state"] = "running"

@@ -23,12 +23,24 @@ the earliest planned release instant at which the head job's processors
 resource.  On an unconstrained cluster every memory comparison is against
 ``inf``, so candidate selection is decision-for-decision identical to the
 original processor-only algorithm.
+
+Reference and engine
+--------------------
+:func:`backfill_candidates`, :func:`conservative_backfill_candidates` and
+:func:`shadow_state` are the *reference*: they accept the waiting and
+running jobs in any order and derive everything — FCFS order, planned
+releases — from scratch on each call.  The engine
+(:meth:`repro.sim.core.EngineCore._backfill_pass`) reaches the same
+candidates from state it already maintains (a sorted queue, releases
+recorded at each start) and shares only the release walk,
+:func:`planned_start`; the property tests use the functions here as its
+oracle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.workloads.job import Job
 
@@ -36,6 +48,7 @@ from .cluster import Cluster, mem_demand
 
 __all__ = [
     "shadow_state",
+    "planned_start",
     "shadow_time_and_extra",
     "backfill_candidates",
     "conservative_backfill_candidates",
@@ -55,6 +68,28 @@ def shadow_state(
     ``shadow`` after reserving the head job (``extra_mem`` is ``inf`` on
     an unconstrained cluster).
     """
+    # Planned release order by *requested* end time; a job that outlived
+    # its estimate is planned to release now.
+    releases = sorted(
+        (max(j.start_time + j.requested_time, now), j.requested_procs, mem_demand(j))
+        for j in running
+    )
+    return planned_start(head, releases, cluster, now)
+
+
+def planned_start(
+    head: Job,
+    releases: Iterable[tuple[float, int, float]],
+    cluster: Cluster,
+    now: float,
+) -> tuple[float, int, float]:
+    """:func:`shadow_state` over ready-made ``(planned_end, procs, mem)``
+    releases, in the order they are planned to happen.
+
+    The walk shared by the reference (which derives the releases from the
+    running jobs on every call) and the engine (which records each release
+    when the job starts).  A ``planned_end`` in the past counts as ``now``.
+    """
     head_mem = mem_demand(head)
     if cluster.can_allocate(head):
         return (
@@ -62,12 +97,6 @@ def shadow_state(
             cluster.free_procs - head.requested_procs,
             max(cluster.free_mem - head_mem, 0.0),
         )
-
-    # Planned release order by *requested* end time.
-    releases = sorted(
-        (max(j.start_time + j.requested_time, now), j.requested_procs, mem_demand(j))
-        for j in running
-    )
     free = cluster.free_procs
     free_mem = cluster.free_mem
     total_mem = cluster.total_mem
@@ -81,7 +110,7 @@ def shadow_state(
         free_mem = min(free_mem + mem, total_mem)
         if free >= head.requested_procs and free_mem + mem_tol >= head_mem:
             return (
-                planned_end,
+                max(planned_end, now),
                 free - head.requested_procs,
                 max(free_mem - head_mem, 0.0),
             )

@@ -21,21 +21,40 @@ wait loop *at the event-processing step* — exactly where it paused — so a
 stalled-and-resumed commit processes the identical event sequence the
 batch engine would, which is what makes online replay reproduce the batch
 decision log bit-for-bit.
+
+Queue invariant
+---------------
+``pending`` is sorted by ``(submit_time, job_id)`` and ``pending_rows``
+is parallel to it, after every event and every start, on both drivers.
+Everything on the decision path leans on it: observation building takes
+the first ``M`` rows, bound schedulers pick over ``pending_rows``
+(:meth:`repro.schedulers.Scheduler.bind`), and the backfill planner
+(:meth:`EngineCore._backfill_pass`) walks the queue as it stands.  The
+planner's references are the public functions of :mod:`repro.sim.backfill`
+— unsorted input, everything re-derived per call — and
+``tests/test_property_sim.py`` holds the two together on generated
+engine states.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import ValuesView
 
 from repro.telemetry import core as _telemetry
 from repro.workloads.job import Job
 
-from .backfill import backfill_candidates, conservative_backfill_candidates
+from .backfill import planned_start
 from .cluster import ClusterSpec, mem_demand
 from .events import EventKind, EventQueue
 
 __all__ = ["EngineCore", "OnlineSchedulingEngine"]
+
+
+def _fcfs_key(job: Job) -> tuple[float, int]:
+    return (job.submit_time, job.job_id)
 
 
 class EngineCore:
@@ -44,9 +63,14 @@ class EngineCore:
     Hot-path invariants (relied on by the vectorised rollout path):
 
     * ``pending`` is kept sorted by ``(submit_time, job_id)`` — FCFS order —
-      at all times, so observation building never re-sorts it.  Arrivals
-      pop off the event heap in exactly that order, so maintaining the
-      invariant is an O(1) append; removals locate the job by bisection.
+      at all times, so neither observation building nor the backfill
+      planner ever re-sorts it.  Arrivals pop off the event heap in
+      exactly that order, so maintaining the invariant is an O(1) append
+      that compares against the queue's tail.
+    * ``pending_rows`` is parallel to ``pending``: the feature row of each
+      waiting job.  Rows are unique per live job, so a start locates its
+      job with one C-level ``pending_rows.index(row)`` and deletes the two
+      list slots — there is no third key list to keep in step.
     * running jobs are tracked in an insertion-ordered id map, making the
       per-finish-event removal O(1) instead of an O(n) list scan with the
       full dataclass ``__eq__``.
@@ -54,6 +78,12 @@ class EngineCore:
 
     #: accepted backfilling modes (True is an alias for "easy")
     BACKFILL_MODES = (False, True, "easy", "conservative")
+
+    #: the episode's whole job population, indexed by ``pending_rows``,
+    #: when it is known up front (the batch driver sets it); ``None`` on an
+    #: open-ended engine.  Schedulers bound to an engine precompute per-job
+    #: columns over it (see :meth:`repro.schedulers.Scheduler.bind`).
+    jobs: list[Job] | None = None
 
     def __init__(self, cluster: int | ClusterSpec, backfill: bool | str = False):
         if backfill not in self.BACKFILL_MODES:
@@ -66,14 +96,17 @@ class EngineCore:
         self.now = 0.0
         #: waiting jobs, always sorted by (submit_time, job_id) — FCFS order
         self.pending: list[Job] = []
-        self._pending_keys: list[tuple[float, int]] = []  # parallel to pending
         #: feature row of each pending job (parallel to ``pending``);
-        #: observation builders gather precomputed per-job feature columns
-        #: by these rows without any per-step lookups
+        #: observation builders and bound schedulers gather precomputed
+        #: per-job columns by these rows without any per-step lookups
         self.pending_rows: list[int] = []
         self._row_of: dict[int, int] = {}
         self._next_row = 0
         self._running: dict[int, Job] = {}  # job_id -> Job, insertion-ordered
+        #: job_id -> (planned end by requested runtime, procs, memory) of
+        #: each running job, recorded at its start for the backfill planner
+        #: (kept only when backfilling is on)
+        self._planned: dict[int, tuple[float, int, float]] = {}
         self.completed: list[Job] = []
         self._events = EventQueue()
         #: events processed so far (arrivals + finishes); drives the
@@ -92,9 +125,15 @@ class EngineCore:
 
     # ------------------------------------------------------------------
     @property
+    def running_view(self) -> ValuesView[Job]:
+        """Currently executing jobs in start order: a live, read-only view
+        of the engine's own map (no copy; do not hold it across events)."""
+        return self._running.values()
+
+    @property
     def running(self) -> list[Job]:
-        """Currently executing jobs, in start order."""
-        return list(self._running.values())
+        """Currently executing jobs, in start order (a fresh list)."""
+        return list(self.running_view)
 
     def _validate_fits_cluster(self, job: Job) -> None:
         """Reject jobs that can never run on this cluster."""
@@ -111,16 +150,18 @@ class EngineCore:
 
     # ------------------------------------------------------------------
     def _pending_index(self, job: Job) -> int:
-        """Index of ``job`` in the sorted pending list, or -1."""
-        key = (job.submit_time, job.job_id)
-        i = bisect_left(self._pending_keys, key)
-        if i < len(self.pending):
-            found = self.pending[i]
-            # identity first: committed jobs are the engine's own objects,
-            # and the dataclass __eq__ compares all 19 fields
-            if found is job or found == job:
-                return i
-        return -1
+        """Index of ``job`` in the pending list, or -1."""
+        row = self._row_of.get(job.job_id)
+        if row is None:
+            return -1
+        try:
+            i = self.pending_rows.index(row)
+        except ValueError:
+            return -1
+        found = self.pending[i]
+        # identity first: committed jobs are the engine's own objects,
+        # and the dataclass __eq__ compares all 19 fields
+        return i if found is job or found == job else -1
 
     def _start(self, job: Job) -> None:
         """Allocate and launch ``job`` at the current time."""
@@ -130,9 +171,12 @@ class EngineCore:
         if i < 0:  # mirrors the old list.remove(job) contract
             raise ValueError(f"job {job.job_id} is not pending")
         del self.pending[i]
-        del self._pending_keys[i]
         del self.pending_rows[i]
         self._running[job.job_id] = job
+        if self.backfill:
+            self._planned[job.job_id] = (
+                self.now + job.requested_time, job.requested_procs, mem_demand(job)
+            )
         self._events.push(job.end_time, EventKind.FINISH, job)
 
     def _process_next_event(self) -> None:
@@ -144,21 +188,23 @@ class EngineCore:
         if kind == EventKind.FINISH:
             self.cluster.release(job)
             del self._running[job_id]
+            self._planned.pop(job_id, None)
             self.completed.append(job)
         else:
-            # Arrivals pop in (time, job_id) order, so appending preserves
-            # the FCFS sort; the bisect branch is a safety net for exotic
-            # callers that push out-of-order arrivals.
-            key = (time, job_id)
-            if not self._pending_keys or key >= self._pending_keys[-1]:
-                self.pending.append(job)
-                self._pending_keys.append(key)
-                self.pending_rows.append(self._row_of[job_id])
-            else:
-                i = bisect_left(self._pending_keys, key)
-                self.pending.insert(i, job)
-                self._pending_keys.insert(i, key)
-                self.pending_rows.insert(i, self._row_of[job_id])
+            # Arrivals pop in (time, job_id) order, so appending after a
+            # tail that sorts no later preserves the FCFS sort.  The bisect
+            # branch takes online submissions that tie the tail's
+            # timestamp (clamped to ``now``) with a smaller job id.
+            pending = self.pending
+            i = len(pending)
+            if i:
+                tail = pending[-1]
+                if time < tail.submit_time or (
+                    time == tail.submit_time and job_id < tail.job_id
+                ):
+                    i = bisect_left(pending, (time, job_id), key=_fcfs_key)
+            pending.insert(i, job)
+            self.pending_rows.insert(i, self._row_of[job_id])
 
     def advance_until_decision(self, until: float = math.inf) -> bool:
         """Run events (up to ``until``) until a scheduling decision is needed.
@@ -192,15 +238,17 @@ class EngineCore:
         # bit-identical to an uninterrupted batch commit.
         resumed = self._stall is job
         self._stall = None
+        fits = self.cluster.fits  # can_allocate(job), its demand taken once
+        procs, mem = job.requested_procs, mem_demand(job)
         while True:
             if not resumed:
-                if self.cluster.can_allocate(job):
+                if fits(procs, mem):
                     break
                 if self.backfill:
+                    # backfilled starts only take resources: the head
+                    # cannot have come to fit, so it is not asked again
                     for candidate in self._backfill_pass(job):
                         self._start(candidate)
-                    if self.cluster.can_allocate(job):
-                        break
             resumed = False
             next_time = self._events.next_time
             if next_time is None:
@@ -215,14 +263,57 @@ class EngineCore:
         return True
 
     def _backfill_pass(self, head: Job) -> list[Job]:
-        running = list(self._running.values())
-        if self.backfill == "conservative":
-            return conservative_backfill_candidates(
-                head, self.pending, running, self.cluster, self.now
-            )
-        return backfill_candidates(
-            head, self.pending, running, self.cluster, self.now
-        )
+        """Waiting jobs that may start now without delaying ``head``.
+
+        Decision-for-decision the public
+        :func:`~repro.sim.backfill.backfill_candidates` /
+        :func:`~repro.sim.backfill.conservative_backfill_candidates` (the
+        property-test oracles) applied to the engine's own state, minus
+        the work that state makes redundant: ``pending`` is walked as it
+        stands (FCFS-sorted by invariant), a job is dropped on the free
+        vector before anything else is looked at, and the head's shadow
+        time is planned only once some job passes that test.
+        """
+        free = self.cluster.free_procs
+        if not free:
+            return []
+        free_mem = self.cluster.free_mem
+        now = self.now
+        easy = self.backfill != "conservative"
+        shadow = None
+        chosen: list[Job] = []
+        for job in self.pending:
+            procs = job.requested_procs
+            if procs > free:
+                continue
+            need_mem = mem_demand(job)
+            if need_mem > free_mem or job.job_id == head.job_id:
+                continue
+            if shadow is None:
+                shadow, extra, extra_mem = self._shadow(head)
+            if not now + job.requested_time <= shadow:
+                # overruns the head's reservation: EASY admits it on the
+                # spare budget, conservative never
+                if not (easy and procs <= extra and need_mem <= extra_mem):
+                    continue
+                extra -= procs
+                extra_mem -= need_mem
+            chosen.append(job)
+            free -= procs
+            free_mem -= need_mem
+        return chosen
+
+    def _shadow(self, head: Job) -> tuple[float, int, float]:
+        """:func:`~repro.sim.backfill.shadow_state` of the running jobs,
+        from the releases recorded at their starts."""
+        now = self.now
+        releases = sorted(self._planned.values())
+        # shadow_state clamps an overrun job's release to ``now``, which
+        # re-orders the releases already due among themselves by demand
+        due = bisect_right(releases, (now, math.inf))
+        if due > 1:
+            releases[:due] = sorted(releases[:due], key=itemgetter(1, 2))
+        return planned_start(head, releases, self.cluster, now)
 
 
 class OnlineSchedulingEngine(EngineCore):

@@ -25,7 +25,7 @@ variant that accepts streaming submissions is
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.telemetry import core as _telemetry
 from repro.workloads.job import Job
@@ -86,6 +86,28 @@ class SchedulingEngine(EngineCore):
         return len(self.jobs)
 
 
+def _bind(scheduler, engine: EngineCore) -> Callable[[], Job]:
+    """``pick()`` for one episode of ``engine``, from any decision source.
+
+    A :class:`repro.schedulers.base.Scheduler` binds itself (its ``bind``
+    hook may precompute per-episode state); any other object with
+    ``select(pending, now, cluster)`` is called with the engine's live
+    queue; a bare priority function ``score(job, now, cluster)`` picks the
+    *lowest* score, ties broken by job id.
+    """
+    bind = getattr(scheduler, "bind", None)
+    if bind is not None:
+        return bind(engine)
+    select = getattr(scheduler, "select", None)
+    if select is not None:
+        return lambda: select(engine.pending, engine.now, engine.cluster)
+
+    def key(job: Job) -> tuple[float, int]:
+        return (scheduler(job, engine.now, engine.cluster), job.job_id)
+
+    return lambda: min(engine.pending, key=key)
+
+
 def run_scheduler(
     jobs: Sequence[Job],
     n_procs: int | ClusterSpec,
@@ -98,21 +120,16 @@ def run_scheduler(
     (any :class:`repro.schedulers.base.Scheduler`, including RL policies) or
     a bare priority function ``score(job, now, cluster)`` where the *lowest*
     score is selected first, matching Table III's convention.  Ties break by
-    job id for determinism.
+    job id for determinism.  Either way it is bound to the episode's engine
+    once (:meth:`repro.schedulers.base.Scheduler.bind` for schedulers) and
+    asked for one pick per decision.
     """
     engine = SchedulingEngine(jobs, n_procs, backfill=backfill)
-    select = getattr(scheduler, "select", None)
+    pick = _bind(scheduler, engine)
     reg = _telemetry.current()
     with reg.span("engine.episode"):
         while engine.advance_until_decision():
-            if select is not None:
-                best = select(engine.pending, engine.now, engine.cluster)
-            else:
-                best = min(
-                    engine.pending,
-                    key=lambda j: (scheduler(j, engine.now, engine.cluster), j.job_id),
-                )
-            engine.commit(best)
+            engine.commit(pick())
     assert engine.done, "engine stopped before completing all jobs"
     if reg.enabled:
         # events/s = engine.events / span total of engine.episode

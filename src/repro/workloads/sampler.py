@@ -20,7 +20,6 @@ sibling streams.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +35,15 @@ def rebase_jobs(jobs: list[Job]) -> list[Job]:
     if not jobs:
         return []
     t0 = min(j.submit_time for j in jobs)
-    return [replace(j.copy(), submit_time=j.submit_time - t0) for j in jobs]
+    rebased = []
+    for j in jobs:
+        # Job.copy() skips __init__; re-validating a job that already
+        # passed it is all that dataclasses.replace would add, and a shift
+        # by the minimum keeps submit_time non-negative
+        c = j.copy()
+        c.submit_time = j.submit_time - t0
+        rebased.append(c)
+    return rebased
 
 
 def sample_sequence(

@@ -1,12 +1,38 @@
 """Property-based tests on simulator + metrics invariants over random
-workloads and both backfilling modes."""
+workloads and both backfilling modes, plus the decision-loop equivalences
+the engine's incremental paths rest on: the engine's backfill planner
+against the public reference functions, every bound scheduler pick against
+``select``, online replay under arbitrary ``advance()`` chunking against
+the batch decision log, and the pending-queue invariants after every
+event."""
+
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schedulers import FCFS, SJF, UNICEP, WFP3
-from repro.sim import run_scheduler
+from repro.config import EnvConfig
+from repro.nn import KernelPolicy
+from repro.schedulers import (
+    ALL_HEURISTICS,
+    FCFS,
+    SJF,
+    UNICEP,
+    WFP3,
+    RLSchedulerPolicy,
+    Scheduler,
+    make_scheduler,
+)
+from repro.sim import (
+    ClusterSpec,
+    OnlineSchedulingEngine,
+    SchedulingEngine,
+    backfill_candidates,
+    conservative_backfill_candidates,
+    run_scheduler,
+)
 from repro.sim.metrics import (
     average_bounded_slowdown,
     average_slowdown,
@@ -127,3 +153,303 @@ def test_single_proc_jobs_with_idle_cluster_never_wait(jobs):
     # With 1s runtimes and <=10 jobs on 16 procs, waits are bounded by the
     # drain of at most 10 jobs: never more than 10 seconds.
     assert all(j.start_time - j.submit_time <= 10.0 for j in done)
+
+
+# ----------------------------------------------------------------------
+# the decision loop's incremental paths against their references
+# ----------------------------------------------------------------------
+TOTAL_MEM = 2.0 * N_PROCS
+BACKFILL_ON = (True, "easy", "conservative")
+FIXTURE_POLICY = (
+    Path(__file__).parents[1] / "benchmarks/e2e/data/policy_kernel_m128.npz"
+)
+
+
+def fcfs_key(job):
+    return (job.submit_time, job.job_id)
+
+
+def ids(jobs):
+    return [j.job_id for j in jobs]
+
+
+@st.composite
+def engine_cases(draw, max_jobs=16):
+    """A job stream and its cluster, built to collide: timestamps, runtime
+    requests and sizes come from small pools (tied scores, tied queue
+    keys), job ids are shuffled against arrival order, estimates may
+    undershoot the runtime (releases the planner clamps to ``now``), and
+    half the cases run on a memory-constrained cluster."""
+    memory = draw(st.booleans())
+    n = draw(st.integers(1, max_jobs))
+    job_ids = draw(st.permutations(range(1, n + 1)))
+    jobs, t = [], 0.0
+    for job_id in job_ids:
+        t += draw(st.sampled_from([0.0, 0.0, 1.0, 7.0, 40.0]))
+        run = draw(st.sampled_from([1.0, 5.0, 20.0, 90.0]))
+        jobs.append(
+            Job(
+                job_id=job_id,
+                submit_time=t,
+                run_time=run,
+                requested_procs=draw(st.sampled_from([1, 2, 4, 7, N_PROCS])),
+                requested_time=run * draw(st.sampled_from([0.25, 1.0, 3.0])),
+                # per-processor; 2.0 * N_PROCS is the whole cluster
+                requested_mem=(
+                    draw(st.sampled_from([-1.0, 0.3, 1.0, 2.0])) if memory else -1.0
+                ),
+                user_id=draw(st.integers(0, 3)),
+            )
+        )
+    return jobs, ClusterSpec(N_PROCS, memory=TOTAL_MEM if memory else None)
+
+
+class _Checked:
+    """Engine mixin: queue invariants after every event and start, and
+    every backfill pass compared with the public reference planner."""
+
+    def check_queue(self):
+        keys = [fcfs_key(j) for j in self.pending]
+        assert keys == sorted(keys), "pending left FCFS order"
+        assert self.pending_rows == [self._row_of[j.job_id] for j in self.pending]
+        if self.jobs is not None:
+            assert all(
+                self.jobs[row] is job
+                for row, job in zip(self.pending_rows, self.pending)
+            )
+
+    def _process_next_event(self):
+        super()._process_next_event()
+        self.check_queue()
+
+    def _start(self, job):
+        super()._start(job)
+        self.check_queue()
+
+    def _backfill_pass(self, head):
+        got = super()._backfill_pass(head)
+        reference = (
+            conservative_backfill_candidates
+            if self.backfill == "conservative"
+            else backfill_candidates
+        )
+        # the references take any order; hand them the reverse of ours
+        want = reference(
+            head, self.pending[::-1], self.running[::-1], self.cluster, self.now
+        )
+        assert ids(got) == ids(want)
+        return got
+
+
+class CheckedBatch(_Checked, SchedulingEngine):
+    pass
+
+
+class CheckedOnline(_Checked, OnlineSchedulingEngine):
+    pass
+
+
+def pick_arbitrary(engine, data):
+    """Any waiting job, so queues reach shapes no heuristic would leave."""
+    return engine.pending[data.draw(st.integers(0, len(engine.pending) - 1))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(engine_cases(), st.sampled_from(BACKFILL_ON), st.data())
+def test_engine_planner_matches_reference_backfill(case, backfill, data):
+    """(i) ``EngineCore._backfill_pass`` — sorted-queue walk, lazy shadow,
+    recorded releases — picks exactly what ``backfill_candidates`` /
+    ``conservative_backfill_candidates`` pick from the same state given
+    unsorted input, including for heads that already fit."""
+    jobs, spec = case
+    engine = CheckedBatch(jobs, spec, backfill=backfill)
+    while engine.advance_until_decision():
+        for head in engine.pending[:3]:  # the engine only plans blocked heads
+            engine._backfill_pass(head)
+        engine.commit(pick_arbitrary(engine, data))
+    assert engine.done
+
+
+def test_planner_reorders_releases_clamped_to_now():
+    """Two jobs outlive their estimates; clamped to ``now`` they release in
+    demand order (3 then 5 procs), not estimate order (5 then 3): the head
+    (6 procs) is planned after both, leaving 4 spare, and the 2-proc job
+    that overruns the shadow time backfills on them."""
+    jobs = [
+        Job(job_id=1, submit_time=0.0, run_time=100.0, requested_procs=5,
+            requested_time=10.0),
+        Job(job_id=2, submit_time=0.0, run_time=100.0, requested_procs=3,
+            requested_time=15.0),
+        Job(job_id=3, submit_time=1.0, run_time=10.0, requested_procs=6,
+            requested_time=10.0),
+        Job(job_id=4, submit_time=20.0, run_time=50.0, requested_procs=2,
+            requested_time=50.0),
+    ]
+    engine = CheckedBatch(jobs, 10, backfill="easy")
+    while engine.advance_until_decision():
+        engine.commit(engine.pending[0])
+    start = {j.job_id: j.start_time for j in engine.completed}
+    assert start[4] == 20.0 and start[3] == 100.0
+
+
+def bound_schedulers():
+    schedulers = [make_scheduler(name) for name in sorted(ALL_HEURISTICS)]
+    # a window smaller than the queues, so the FCFS cut-off binds
+    narrow = EnvConfig(max_obsv_size=4)
+    schedulers.append(
+        RLSchedulerPolicy(
+            KernelPolicy(narrow.job_features, seed=3), n_procs=N_PROCS,
+            env_config=narrow, name="RL-narrow",
+        )
+    )
+    wide = EnvConfig(max_obsv_size=8, job_features=9, memory_features=True)
+    schedulers.append(
+        RLSchedulerPolicy(
+            KernelPolicy(wide.job_features, seed=4), n_procs=N_PROCS,
+            env_config=wide, name="RL-mem",
+        )
+    )
+    if FIXTURE_POLICY.exists():
+        schedulers.append(RLSchedulerPolicy.load(FIXTURE_POLICY))
+    return schedulers
+
+
+@pytest.mark.parametrize("scheduler", bound_schedulers(), ids=lambda s: s.name)
+def test_bound_pick_is_select(scheduler):
+    """(ii) ``scheduler.bind(engine)()`` is the job ``select`` returns —
+    for the heuristics, the ``(score, job_id)`` argmin of the generic
+    ``Scheduler.select`` — at every decision of queues full of ties."""
+    heuristic = not isinstance(scheduler, RLSchedulerPolicy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(engine_cases(), st.sampled_from((False, "easy")), st.data())
+    def check(case, backfill, data):
+        jobs, spec = case
+        engine = SchedulingEngine(jobs, spec, backfill=backfill)
+        pick = scheduler.bind(engine)
+        while engine.advance_until_decision():
+            queue = engine.pending[::-1]  # select() sorts for itself
+            if heuristic:
+                want = Scheduler.select(scheduler, queue, engine.now, engine.cluster)
+            else:
+                want = scheduler.select(queue, engine.now, engine.cluster)
+            assert pick() is want
+            engine.commit(pick_arbitrary(engine, data))
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["WFP3", "UNICEP"])
+def test_bound_pick_breaks_a_tie_across_arrivals_by_job_id(name):
+    """Jobs 2 and 1 wait 2 s of a 2 s request and 1 s of a 1 s request: the
+    same score from different arrivals, where queue order (job 2 first)
+    and the job-id tie-break (job 1) disagree."""
+    jobs = [
+        Job(job_id=9, submit_time=0.0, run_time=3.0, requested_procs=1),
+        Job(job_id=3, submit_time=0.5, run_time=1.0, requested_procs=1),
+        Job(job_id=2, submit_time=1.0, run_time=1.0, requested_procs=1,
+            requested_time=2.0),
+        Job(job_id=1, submit_time=2.0, run_time=1.0, requested_procs=1,
+            requested_time=1.0),
+    ]
+    scheduler = make_scheduler(name)
+    engine = SchedulingEngine(jobs, 1)
+    pick = scheduler.bind(engine)
+    picks = []
+    while engine.advance_until_decision():
+        assert pick() is scheduler.select(engine.pending, engine.now, engine.cluster)
+        picks.append((pick().job_id, engine.now, len(engine.pending)))
+        engine.commit(pick())
+    assert picks[2] == (1, 3.0, 2)
+
+
+def test_bound_pick_falls_back_to_select_on_an_open_ended_engine():
+    engine = OnlineSchedulingEngine(N_PROCS)
+    for job_id, requested in ((1, 50.0), (2, 5.0)):
+        engine.submit(Job(job_id=job_id, submit_time=0.0, run_time=5.0,
+                          requested_procs=1, requested_time=requested))
+    assert engine.next_decision()
+    for scheduler in bound_schedulers():
+        want = scheduler.select(engine.pending, engine.now, engine.cluster)
+        assert scheduler.bind(engine)() is want
+
+
+def decision_log(engine, scheduler, log):
+    """Pump an online engine dry at its current horizon."""
+    while engine.next_decision():
+        best = scheduler.select(engine.pending, engine.now, engine.cluster)
+        log.append((best.job_id, engine.now))
+        if not engine.commit(best):
+            return
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    engine_cases(),
+    st.sampled_from(SchedulingEngine.BACKFILL_MODES),
+    st.sampled_from(["FCFS", "SJF", "WFP3", "F1", "FirstFit"]),
+    st.data(),
+)
+def test_advance_chunking_reproduces_batch_log(case, backfill, name, data):
+    """(iii) Feeding the stream to the online engine one submission at a
+    time, with external time ticking forward in arbitrary ``advance()``
+    chunks between arrivals, lands on the batch decision log — and (iv)
+    keeps the queue invariants through every stall and resume."""
+    jobs, spec = case
+    scheduler = make_scheduler(name)
+
+    batch = CheckedBatch(jobs, spec, backfill=backfill)
+    pick = scheduler.bind(batch)
+    want = []
+    while batch.advance_until_decision():
+        best = pick()
+        want.append((best.job_id, batch.now))
+        batch.commit(best)
+
+    online = CheckedOnline(spec, backfill=backfill)
+    stream = sorted(jobs, key=fcfs_key)
+    log = []
+    for job, following in zip(stream, stream[1:] + [None]):
+        online.submit(job)
+        decision_log(online, scheduler, log)
+        if following is None:
+            break
+        gap = following.submit_time - job.submit_time
+        for fraction in sorted(
+            data.draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+        ):
+            online.advance(job.submit_time + fraction * gap)
+            decision_log(online, scheduler, log)
+    online.drain()
+    decision_log(online, scheduler, log)
+    assert online.idle
+    assert log == want
+    assert sorted((j.job_id, j.start_time) for j in online.take_completed()) == (
+        sorted((j.job_id, j.start_time) for j in batch.completed)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    engine_cases(),
+    st.sampled_from(SchedulingEngine.BACKFILL_MODES),
+    st.data(),
+)
+def test_queue_invariants_under_unordered_online_submissions(case, backfill, data):
+    """(iv) Submissions in arbitrary order — late ones clamped to ``now``,
+    so timestamps tie with ids out of order — keep ``pending`` sorted by
+    ``(submit_time, job_id)`` with ``pending_rows`` parallel to it after
+    every event and every start (asserted inside the checked engine)."""
+    jobs, spec = case
+    engine = CheckedOnline(spec, backfill=backfill)
+    for job in data.draw(st.permutations(jobs)):
+        engine.submit(job)
+        if data.draw(st.booleans()):
+            while engine.next_decision():
+                if not engine.commit(pick_arbitrary(engine, data)):
+                    break
+    engine.drain()
+    while engine.next_decision():
+        engine.commit(pick_arbitrary(engine, data))
+    assert engine.idle
+    assert sorted(ids(engine.take_completed())) == sorted(ids(jobs))

@@ -300,6 +300,45 @@ class TestScenarioMatrix:
         with pytest.raises(ValueError, match="unique"):
             repro.scenario_matrix([FCFS()], ["lublin-256", "lublin-256"])
 
+    def test_repeated_matrices_build_each_trace_once(self, monkeypatch):
+        """Generated scenario traces are memoised: a second matrix over the
+        same scenarios generates nothing and returns equal results."""
+        from repro.scenarios import core
+
+        builds = []
+        real_build = WorkloadSpec.build
+
+        def counting_build(self, *args, **kwargs):
+            builds.append(self.trace)
+            return real_build(self, *args, **kwargs)
+
+        core._generated.cache_clear()
+        monkeypatch.setattr(WorkloadSpec, "build", counting_build)
+        first = self._small_matrix()
+        assert len(builds) == 2  # one per scenario
+        second = self._small_matrix()
+        assert len(builds) == 2
+        for name, row in first.items():
+            for sched, r in row.items():
+                assert list(r.values) == list(second[name][sched].values)
+        a = get_scenario("lublin-256").build_trace(n_jobs=300)
+        assert get_scenario("lublin-256").build_trace(n_jobs=300) is a
+
+    def test_swf_replays_are_never_memoised(self, tmp_path):
+        """A real .swf can change between calls, so it is re-read."""
+        from repro.workloads import write_swf
+
+        trace = load_trace("Lublin-1", n_jobs=40, seed=0)
+        write_swf(trace, tmp_path / "Lublin-1.swf")
+        scen = Scenario(
+            name="replay", description="",
+            workload=WorkloadSpec("Lublin-1", n_jobs=40, swf_dir=str(tmp_path)),
+            cluster=ClusterSpec(256),
+        )
+        assert len(scen.build_trace()) == 40
+        write_swf(trace[:25], tmp_path / "Lublin-1.swf")
+        assert len(scen.build_trace()) == 25
+
 
 class TestMemoryFeatures:
     def test_observation_columns(self):

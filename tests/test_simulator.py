@@ -7,6 +7,14 @@ from repro.sim import SchedulingEngine, run_scheduler
 from repro.sim.metrics import average_waiting_time
 from repro.workloads import Job
 
+from .test_engine_core import (  # noqa: F401  (workloads is a fixture)
+    GOLDENS,
+    _case_params,
+    _digest,
+    _resolve,
+    workloads,
+)
+
 
 def job(jid, submit, run, procs, req_time=None, user=0):
     return Job(
@@ -91,6 +99,20 @@ class TestRunScheduler:
         jobs = [job(1, 0, 10, 2), job(2, 0, 10, 2)]
         done = run_scheduler(jobs, 4, lambda j, now, c: -j.job_id)
         assert len(done) == 2
+
+    def test_one_loop_for_every_decision_source(self):
+        """A Scheduler, a duck-typed ``select`` object and a bare score
+        function with the same priority produce the same schedule."""
+
+        class Duck:
+            def select(self, pending, now, cluster):
+                return min(pending, key=lambda j: (j.requested_time, j.job_id))
+
+        jobs = [job(i, i // 3, 5 + (7 * i) % 11, 1 + i % 4) for i in range(1, 30)]
+        want = [(j.job_id, j.start_time) for j in run_scheduler(jobs, 4, SJF())]
+        for source in (Duck(), lambda j, now, c: j.requested_time):
+            done = run_scheduler(jobs, 4, source)
+            assert [(j.job_id, j.start_time) for j in done] == want
 
     def test_all_jobs_complete(self, lublin_trace):
         seq = [j.copy() for j in lublin_trace.jobs[:80]]
@@ -189,3 +211,28 @@ class TestHotPathInvariants:
         engine.advance_until_decision()
         engine.commit(next(j for j in engine.pending if j.job_id == 3))
         assert [j.job_id for j in engine.running] == [3]
+
+
+class TestRunningView:
+    def test_running_view_is_live_and_uncopied(self, tiny_jobs):
+        engine = SchedulingEngine(tiny_jobs, 4)
+        view = engine.running_view
+        assert len(view) == 0
+        engine.advance_until_decision()
+        engine.commit(engine.pending[0])
+        assert [j.job_id for j in view] == [1]  # same view, now one job
+        assert engine.running == list(view)
+        assert engine.running is not engine.running  # the list is a copy
+
+
+class TestBoundRunGoldens:
+    """``run_scheduler`` binds schedulers (ranked / hoisted picks) where the
+    engine goldens call ``select``: the completion schedules must agree."""
+
+    @pytest.mark.parametrize("case_key", _case_params())
+    def test_bound_run_reproduces_golden_schedule(self, case_key, workloads):
+        golden = GOLDENS["cases"][case_key]
+        seq, cluster, scheduler, backfill = _resolve(case_key, workloads)
+        done = run_scheduler(seq, cluster, scheduler, backfill=backfill)
+        completed = [(j.job_id, j.start_time) for j in done]
+        assert _digest(completed) == golden["completed_digest"]

@@ -81,6 +81,23 @@ class TestRebase:
     def test_rebase_empty(self):
         assert rebase_jobs([]) == []
 
+    def test_rebase_equals_validated_replace_field_for_field(self, lublin_trace):
+        """``rebase_jobs`` copies without re-running ``Job.__init__``; the
+        result must equal the validating ``dataclasses.replace`` form on
+        every field, bookkeeping included."""
+        import dataclasses
+
+        jobs = [j.copy() for j in lublin_trace.jobs[100:164]]
+        jobs[3].start_time = 42.0  # scheduled in a previous life
+        t0 = min(j.submit_time for j in jobs)
+        fields = [f.name for f in dataclasses.fields(jobs[0])]
+        for got, job in zip(rebase_jobs(jobs), jobs):
+            want = dataclasses.replace(job.copy(), submit_time=job.submit_time - t0)
+            for name in fields:
+                assert getattr(got, name) == getattr(want, name), name
+                assert type(getattr(got, name)) is type(getattr(want, name))
+            assert got is not job
+
 
 class TestSampleSequence:
     def test_length_and_rebasing(self, rng):

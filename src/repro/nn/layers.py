@@ -14,6 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .ragged import RaggedRows
 from .tensor import Parameter, Tensor
 
 __all__ = ["Module", "Dense", "Sequential", "conv2d", "max_pool2d", "Conv2d", "Flatten"]
@@ -91,8 +92,22 @@ _ACTIVATIONS = {
 }
 
 
+#: what the fused :class:`Dense` node runs, in the operation order of the
+#: Tensor ops above (its test oracle): ``act(z)`` -> output, ``dact(g, out)``
+#: scales a gradient in place by the derivative, read off the output
+_FUSED = {
+    "relu": (lambda z: np.maximum(z, 0.0, out=z),
+             lambda g, out: np.multiply(g, out > 0.0, out=g)),
+    "tanh": (lambda z: np.tanh(z, out=z),
+             lambda g, out: np.multiply(g, 1.0 - out**2, out=g)),
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)),
+                lambda g, out: np.multiply(np.multiply(g, out, out=g), 1.0 - out, out=g)),
+    "identity": (lambda z: z, lambda g, out: g),
+}
+
+
 class Dense(Module):
-    """Fully-connected layer, ``y = x @ W + b``."""
+    """Fully-connected layer, ``y = act(x @ W + b)``, as one tape node."""
 
     def __init__(
         self,
@@ -116,9 +131,35 @@ class Dense(Module):
         self.bias = Parameter(np.zeros(out_features))
         self.activation = activation
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight + self.bias
-        return _ACTIVATIONS[self.activation](out)
+    def forward(self, x: "Tensor | RaggedRows") -> Tensor:
+        """Product, bias and activation share one buffer; the one VJP scales
+        the gradient it owns in place and hands out ``db``, ``dW``, ``dx``."""
+        w, b = self.weight, self.bias
+        act, dact = _FUSED[self.activation]
+        ragged = isinstance(x, RaggedRows)
+        if ragged:
+            out = x.product(w.data)
+        else:
+            x = Tensor._lift(x)
+            if x.data.ndim != 2:
+                raise ValueError(f"Dense takes a 2-D input, got {x.shape}")
+            out = x.data @ w.data
+        out += b.data
+        out = act(out)
+
+        def backward(grad: np.ndarray) -> None:
+            dact(grad, out)
+            if b.requires_grad:
+                b._accumulate(grad.sum(axis=0))
+            if ragged:
+                x.add_weight_grad(grad, w)
+                return
+            if w.requires_grad:
+                w._accumulate(x.data.T @ grad)
+            if x.requires_grad:
+                x._accumulate(grad @ w.data.T)
+
+        return Tensor._from_op(out, (w, b) if ragged else (x, w, b), backward)
 
 
 class Sequential(Module):

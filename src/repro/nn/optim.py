@@ -101,19 +101,33 @@ class Adam(_Optimizer):
         self._scratch = [
             (np.empty_like(p.data), np.empty_like(p.data)) for p in self.params
         ]
+        # leading rows of a 2-D parameter that ever had a gradient (monotone)
+        self._rows = [0 if p.data.ndim == 2 else None for p in self.params]
         self._t = 0
 
     def step(self) -> None:
         """``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, evaluated in
         that operation order (bit-identical to the closed form) with every
-        intermediate written into the parameter's work arrays."""
+        intermediate written into the parameter's work arrays.  A 2-D
+        parameter is stepped down to the last row whose gradient was ever
+        non-zero — below it ``m = v = g = 0`` and the update is exactly
+        zero (most of the value net's ragged first layer); a dense
+        gradient covers every row at once and is never scanned again."""
         self._t += 1
         bc1 = 1.0 - self.b1**self._t
         bc2 = 1.0 - self.b2**self._t
-        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
-            g = p.grad
+        for i, (p, m, v, (a, b)) in enumerate(
+            zip(self.params, self._m, self._v, self._scratch)
+        ):
+            g, w = p.grad, p.data
             if g is None:
                 continue
+            hi = self._rows[i]
+            if hi is not None and hi < len(g):
+                if g[hi:].any():
+                    hi += int(np.flatnonzero(g[hi:].any(axis=1))[-1]) + 1
+                    self._rows[i] = hi
+                g, w, m, v, a, b = (x[:hi] for x in (g, w, m, v, a, b))
             m *= self.b1
             np.multiply(g, 1.0 - self.b1, out=a)
             m += a
@@ -127,4 +141,4 @@ class Adam(_Optimizer):
             np.sqrt(b, out=b)
             b += self.eps
             a /= b
-            p.data -= a
+            w -= a

@@ -92,32 +92,35 @@ class RaggedRows:
         product spends per output column (the dense product spends B · D)."""
         return sum(block.size for _, block in self.buckets)
 
+    def product(self, w: np.ndarray) -> np.ndarray:
+        """``x @ w``: each block times the matching leading rows of ``w``."""
+        if w.ndim != 2 or w.shape[0] != self.shape[1]:
+            raise ValueError(
+                f"ragged matmul needs a ({self.shape[1]}, H) weight, got {w.shape}"
+            )
+        out = np.zeros((self.shape[0], w.shape[1]))
+        for rows, block in self.buckets:
+            out[rows] = block @ w[: block.shape[1]]
+        return out
+
+    def add_weight_grad(self, grad: np.ndarray, w: Tensor) -> None:
+        """``w.grad += x.T @ grad``, bucket by bucket into the leading rows
+        of ``w.grad``; the rest of it stays exactly zero."""
+        if not w.requires_grad:
+            return
+        if w.grad is None:
+            w.grad = np.zeros_like(w.data)
+        for rows, block in self.buckets:
+            w.grad[: block.shape[1]] += block.T @ grad[rows]
+
     def __matmul__(self, w) -> Tensor:
         return ragged_matmul(self, w)
 
 
 def ragged_matmul(x: RaggedRows, w) -> Tensor:
     """``x @ w`` for ``w`` of shape ``(D, H)``; gradients flow to ``w``.
-
-    Forward multiplies each bucket's block with the matching leading rows
-    of ``w``; backward accumulates ``block.T @ grad[rows]`` into those
-    rows of ``w.grad``, the rest of which stays exactly zero.
-    """
+    :class:`~repro.nn.layers.Dense` fuses it with bias and activation."""
     w = Tensor._lift(w)
-    if w.data.ndim != 2 or w.data.shape[0] != x.shape[1]:
-        raise ValueError(
-            f"ragged matmul needs a ({x.shape[1]}, H) weight, got {w.shape}"
-        )
-    out_data = np.zeros((x.shape[0], w.data.shape[1]))
-    for rows, block in x.buckets:
-        out_data[rows] = block @ w.data[: block.shape[1]]
-
-    def backward(grad: np.ndarray) -> None:
-        if not w.requires_grad:
-            return
-        if w.grad is None:
-            w.grad = np.zeros_like(w.data)
-        for rows, block in x.buckets:
-            w.grad[: block.shape[1]] += block.T @ grad[rows]
-
-    return Tensor._from_op(out_data, (w,), backward)
+    return Tensor._from_op(
+        x.product(w.data), (w,), lambda grad: x.add_weight_grad(grad, w)
+    )

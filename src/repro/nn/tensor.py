@@ -13,6 +13,20 @@ Design notes (following the hpc-parallel guide idioms):
   contributions over broadcast axes so every binary op stays simple;
 * float64 throughout — the networks are tiny (<10k parameters), so
   numerical robustness is worth more than memory.
+
+Two rules keep the tape lean; every VJP is written against them.
+*Ownership: a VJP hands its result over; whoever passes an alias copies.*
+:meth:`Tensor._accumulate` keeps the array it is given (a strided one is
+laid out in C order first, so reductions downstream sum in one order), and
+nothing else may reach that array afterwards.  Only ``__add__`` (one
+gradient, two same-shaped parents), ``sum`` (a read-only ``broadcast_to``
+view) and ``backward`` (the caller's root gradient) pass an alias, and
+copy; in return a VJP owns the gradient it receives and may overwrite it.
+*Release: the graph is freed as it is consumed.*  Once a node's VJP has
+run, :meth:`Tensor.backward` drops its gradient, closure and parents
+(leaves keep their ``grad``): peak memory is the activations plus the
+gradients in flight, and a second ``backward()`` reaching a released node
+raises instead of re-propagating what the first left behind.
 """
 
 from __future__ import annotations
@@ -62,6 +76,12 @@ class no_grad:
     def __exit__(self, *exc):
         _GradMode.enabled = self._prev
         return False
+
+
+def _released(grad) -> None:
+    """The VJP of a node whose graph an earlier ``backward()`` consumed."""
+    raise RuntimeError("backward() reached a graph that an earlier backward() "
+                       "already consumed and released; build it again")
 
 
 class Tensor:
@@ -135,20 +155,26 @@ class Tensor:
     # gradient accumulation / backward pass
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad``, which the caller hands over (module docstring)."""
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
+        if self.grad is not None:
             self.grad += grad
+        elif grad.flags.c_contiguous:
+            self.grad = grad
+        else:
+            self.grad = grad.copy()
 
     def backward(self, grad: np.ndarray | float | None = None) -> None:
-        """Backpropagate from this node (defaults to d(self)/d(self) = 1)."""
+        """Backpropagate from this node (defaults to d(self)/d(self) = 1);
+        consumes the graph, so only leaves hold a ``grad`` afterwards."""
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that requires no grad")
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("backward() without grad requires a scalar")
             grad = np.ones_like(self.data)
+        else:
+            grad = np.array(grad, dtype=np.float64)  # the caller keeps theirs
 
         # Topological order via iterative DFS (recursion would overflow on
         # deep PPO graphs).
@@ -162,16 +188,23 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released:
+                _released(None)  # before anything is propagated
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(np.asarray(grad, dtype=np.float64))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        self._accumulate(grad)
+        while topo:
+            node = topo.pop()
+            vjp, grad = node._backward, node.grad
+            if vjp is None:
+                continue  # a leaf keeps its gradient
+            node.grad, node._backward, node._parents = None, _released, ()
+            if grad is not None:
+                vjp(grad)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -185,7 +218,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad)
+                # two same-shaped parents would both keep `grad` itself
+                shared = other.requires_grad and self.data.shape == other.data.shape
+                self._accumulate(grad.copy() if shared else grad)
             if other.requires_grad:
                 other._accumulate(grad)
 
@@ -313,7 +348,8 @@ class Tensor:
             g = np.asarray(grad)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape))
+            # broadcast_to is a read-only view of `grad`: materialise it
+            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
 
         return Tensor._from_op(out_data, (self,), backward)
 

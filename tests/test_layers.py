@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2d, Dense, Flatten, Module, Parameter, Sequential, Tensor
-from repro.nn.layers import conv2d, max_pool2d
+from repro.nn import (
+    Conv2d,
+    Dense,
+    Flatten,
+    Module,
+    Parameter,
+    RaggedRows,
+    Sequential,
+    Tensor,
+    no_grad,
+    ragged_matmul,
+)
+from repro.nn.layers import _ACTIVATIONS, conv2d, max_pool2d
 
 from .test_tensor import numerical_grad
 
@@ -39,6 +50,66 @@ class TestDense:
         layer(Tensor(np.ones((4, 3)))).sum().backward()
         assert layer.weight.grad is not None
         assert layer.bias.grad is not None
+
+
+class TestFusedDense:
+    """``Dense`` records one tape node; the public ops it replaced —
+    ``@`` / ``ragged_matmul``, broadcast ``+``, ``relu`` / ``tanh`` /
+    ``sigmoid`` — are the oracle, bit for bit."""
+
+    @staticmethod
+    def problem(ragged):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(64, 12))
+        if ragged:  # non-zero row prefixes of every width, some rows empty
+            for i, extent in enumerate(rng.integers(0, 13, size=64)):
+                x[i, extent:] = 0.0
+        return x, rng.normal(size=(64, 7))
+
+    @pytest.mark.parametrize("activation", sorted(_ACTIVATIONS))
+    @pytest.mark.parametrize("kind", ["constant", "requires-grad", "ragged"])
+    def test_equals_the_primitive_composition_bitwise(self, activation, kind):
+        x, upstream = self.problem(kind == "ragged")
+        layer = Dense(12, 7, activation=activation, rng=np.random.default_rng(1))
+        layer.bias.data = np.random.default_rng(2).normal(size=7)
+        w, b = Parameter(layer.weight.data.copy()), Parameter(layer.bias.data.copy())
+
+        def source():
+            if kind == "ragged":
+                return RaggedRows.from_dense(x)
+            return Tensor(x.copy(), requires_grad=kind == "requires-grad")
+
+        fused_in, oracle_in = source(), source()
+        fused = layer(fused_in)
+        product = (ragged_matmul(oracle_in, w) if kind == "ragged"
+                   else oracle_in @ w)
+        oracle = _ACTIVATIONS[activation](product + b)
+        assert fused.numpy().tobytes() == oracle.numpy().tobytes()
+
+        fused.backward(upstream)
+        oracle.backward(upstream)
+        assert layer.weight.grad.tobytes() == w.grad.tobytes()
+        assert layer.bias.grad.tobytes() == b.grad.tobytes()
+        if kind == "requires-grad":
+            assert fused_in.grad.tobytes() == oracle_in.grad.tobytes()
+        elif kind == "constant":
+            assert fused_in.grad is None
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_no_grad_forward_is_the_same_function_and_records_nothing(self, ragged):
+        x, _ = self.problem(ragged)
+        layer = Dense(12, 7, activation="tanh", rng=np.random.default_rng(1))
+        source = RaggedRows.from_dense(x) if ragged else Tensor(x)
+        recorded = layer(source)
+        with no_grad():
+            out = layer(source)
+        assert out.numpy().tobytes() == recorded.numpy().tobytes()
+        assert not out.requires_grad and out._parents == ()
+        assert out._backward is None
+
+    def test_rejects_non_matrix_input(self):
+        with pytest.raises(ValueError, match="2-D"):
+            Dense(3, 2)(Tensor(np.ones(3)))
 
 
 class TestModuleMechanics:

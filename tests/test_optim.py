@@ -78,18 +78,26 @@ class TestAdam:
     def test_step_is_bit_identical_to_the_closed_form(self):
         """The allocation-free step must keep the operation order of the
         textbook expression it replaced, bit for bit, over several steps
-        (bias corrections change every step) and parameter shapes."""
+        (bias corrections change every step) and parameter shapes.
+
+        The 2-D parameter's gradient is zero below a row that moves: the
+        step follows the highest row that *ever* had a gradient, so the
+        extent widens (step 3), and when it narrows again (steps 4-6) the
+        rows once touched keep decaying through their ``m`` and ``v``."""
         rng = np.random.default_rng(0)
-        shapes = [(37, 5), (5,), (1,)]
+        shapes = [(37, 5), (5,), (1,), ()]
+        extents = [10, 10, 25, 4, 0, 4, 37, 12]
         lr, b1, b2, eps = 3e-4, 0.9, 0.999, 1e-8
         params = [Parameter(rng.standard_normal(s)) for s in shapes]
         opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
         want = [p.data.copy() for p in params]
         ms = [np.zeros(s) for s in shapes]
         vs = [np.zeros(s) for s in shapes]
-        for t in range(1, 6):
+        for t, extent in enumerate(extents, start=1):
             grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)
                      for s in shapes]
+            grads[0][extent:] = 0.0
+            grads[0][-1, 0] = -0.0  # a signed zero is still no gradient
             for p, g in zip(params, grads):
                 p.grad = g.copy()
             opt.step()
@@ -100,6 +108,9 @@ class TestAdam:
                 want[i] = want[i] - lr * (ms[i] / bc1) / (np.sqrt(vs[i] / bc2) + eps)
                 np.testing.assert_array_equal(params[i].data, want[i])
                 np.testing.assert_array_equal(params[i].grad, g)  # untouched
+            # stepped exactly down to the high-water row, never below it
+            assert opt._rows[0] == max(extents[:t])
+            assert not opt._m[0][opt._rows[0]:].any()
 
     def test_rejects_empty_params(self):
         with pytest.raises(ValueError):

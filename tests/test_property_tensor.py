@@ -6,7 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.nn import Parameter, RaggedRows, Tensor, row_extents
+from repro.nn import (
+    Dense,
+    Parameter,
+    RaggedRows,
+    Tensor,
+    gather_rows,
+    row_extents,
+    scatter_rows,
+    segment_logsumexp,
+    segment_max,
+    segment_sum,
+)
+
+from .test_tensor import copy_always
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, width=64)
 small_arrays = arrays(
@@ -158,3 +171,169 @@ def test_ragged_matmul_equals_dense_forward_and_backward(problem):
     extents = row_extents(x)
     assert ragged.volume <= min(x.size, 2 * extents.sum())
     assert sum(len(rows) for rows, _ in ragged.buckets) == (extents > 0).sum()
+
+
+# ---------------------------------------------------------------------------
+# the hand-over contract: ``_accumulate`` keeps the array a VJP gives it
+# ---------------------------------------------------------------------------
+def _segments(draw, n_rows, allow_empty):
+    """A CSR ``indptr`` over ``n_rows`` rows."""
+    cuts = draw(st.lists(st.integers(0, n_rows), max_size=3))
+    indptr = np.array([0, *sorted(cuts), n_rows])
+    return indptr if allow_empty else np.unique(indptr)
+
+
+def _broadcasts_into(small, shape):
+    """``small`` is another shape that NumPy broadcasts up to ``shape``."""
+    try:
+        return small != shape and np.broadcast_shapes(small, shape) == shape
+    except ValueError:
+        return False
+
+
+def _draw_op(draw, pool):
+    """One more node over the shapes in ``pool``: ``(shape, build)`` where
+    ``build`` maps the list of tensors built so far to the new tensor.
+    Every choice is drawn here, so ``build`` replays identically on a
+    second graph."""
+    i = draw(st.integers(0, len(pool) - 1))
+    shape = pool[i]
+    same = [j for j, s in enumerate(pool) if s == shape]
+    smaller = [j for j, s in enumerate(pool) if _broadcasts_into(s, shape)]
+    kinds = ["unary", "self+self", "self*self", "same", "reshape", "transpose",
+             "sum"]
+    if smaller:
+        kinds.append("broadcast")
+    if shape:
+        kinds += ["segment", "gather", "scatter"]
+    if len(shape) == 2:
+        kinds.append("dense")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "unary":
+        name = draw(st.sampled_from(["tanh", "relu", "sigmoid", "exp", "neg",
+                                     "scale", "clip", "square"]))
+        fn = {
+            "tanh": lambda t: t.tanh(), "relu": lambda t: t.relu(),
+            "sigmoid": lambda t: t.sigmoid(),
+            "exp": lambda t: t.clip(-3.0, 3.0).exp(), "neg": lambda t: -t,
+            "scale": lambda t: t * 0.5, "clip": lambda t: t.clip(-0.5, 0.5),
+            "square": lambda t: t ** 2.0,
+        }[name]
+        return shape, lambda ts: fn(ts[i])
+    if kind == "self+self":
+        return shape, lambda ts: ts[i] + ts[i]
+    if kind == "self*self":
+        return shape, lambda ts: ts[i] * ts[i]
+    if kind == "same":
+        j = draw(st.sampled_from(same))
+        op = draw(st.sampled_from(["+", "*", "-", "min"]))
+        fn = {"+": lambda a, b: a + b, "*": lambda a, b: a * b,
+              "-": lambda a, b: a - b, "min": lambda a, b: a.minimum(b)}[op]
+        return shape, lambda ts: fn(ts[i], ts[j])
+    if kind == "broadcast":
+        j = draw(st.sampled_from(smaller))
+        if draw(st.booleans()):
+            return shape, lambda ts: ts[i] + ts[j]
+        return shape, lambda ts: ts[j] + ts[i]
+    if kind == "reshape":
+        size = int(np.prod(shape, dtype=int))
+        new = draw(st.sampled_from([(size,), (size, 1), (1, size),
+                                    tuple(reversed(shape))]))
+        return new, lambda ts: ts[i].reshape(new)
+    if kind == "transpose":
+        return tuple(reversed(shape)), lambda ts: ts[i].T
+    if kind == "sum":
+        axis = draw(st.sampled_from([None, *range(len(shape))]))
+        keepdims = draw(st.booleans())
+        new = np.sum(np.empty(shape), axis=axis, keepdims=keepdims).shape
+        return new, lambda ts: ts[i].sum(axis=axis, keepdims=keepdims)
+    if kind == "segment":
+        name = draw(st.sampled_from(["sum", "max", "logsumexp"]))
+        indptr = _segments(draw, shape[0], allow_empty=name == "sum")
+        fn = {"sum": segment_sum, "max": segment_max,
+              "logsumexp": segment_logsumexp}[name]
+        return (indptr.size - 1, *shape[1:]), lambda ts: fn(ts[i], indptr)
+    if kind == "gather":
+        index = np.array(draw(st.lists(st.integers(0, shape[0] - 1),
+                                       min_size=1, max_size=6)))
+        return (index.size, *shape[1:]), lambda ts: gather_rows(ts[i], index)
+    if kind == "scatter":
+        n_rows = draw(st.integers(1, 6))
+        index = np.array(draw(st.lists(st.integers(0, n_rows - 1),
+                                       min_size=shape[0], max_size=shape[0])))
+        return (n_rows, *shape[1:]), lambda ts: scatter_rows(ts[i], index, n_rows)
+    # the fused layer scales the gradient it owns in place: an alias handed
+    # to it by mistake would be corrupted for its other holder
+    width = draw(st.integers(1, 4))
+    layer = Dense(shape[1], width,
+                  activation=draw(st.sampled_from(["relu", "tanh", "identity"])),
+                  rng=np.random.default_rng(draw(st.integers(0, 2**31))))
+    return (shape[0], width), lambda ts: layer(ts[i])
+
+
+@st.composite
+def expression_dags(draw):
+    """``(leaves, build)``: leaf arrays and a function from fresh leaf
+    tensors to the root of a random DAG over the closed op set — shared
+    sub-expressions, ``x + x``, ``x * x``, same-shape and broadcast ``+``,
+    ``reshape`` / ``transpose`` views, ``sum`` with and without
+    ``keepdims``, the segment ops and the fused ``Dense`` node."""
+    # sides past 8 reach NumPy's pairwise summation, where the order of a
+    # reduction depends on the memory layout of what is reduced
+    sides = st.sampled_from([1, 2, 3, 5, 9, 17])
+    n, m = draw(sides), draw(sides)
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    pool = [(n, m), (n, m), (m,), (n, 1)]
+    leaves = [rng.uniform(-2.0, 2.0, size=s) for s in pool]
+    builds = []
+    for _ in range(draw(st.integers(1, 12))):
+        shape, build = _draw_op(draw, pool)
+        pool.append(shape)
+        builds.append(build)
+    # the root reads several nodes, so most of the DAG is live
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=4, unique=True))
+    weights = {k: rng.normal(size=pool[k]) for k in picks}
+    root_layer = Dense(1, 1, activation="tanh", rng=rng)
+
+    def build_root(tensors):
+        tensors = list(tensors)
+        for build in builds:
+            tensors.append(build(tensors))
+        terms = [(tensors[k] * Tensor(weights[k])).sum(keepdims=True)
+                 .reshape(1) for k in picks]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        # a non-scalar root, so the caller supplies its gradient, and one
+        # whose VJP works in place on what it is given
+        return root_layer(total * Tensor(np.ones((2, 1))))
+
+    return leaves, build_root
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_dags(), st.integers(0, 2**31))
+def test_handed_over_gradients_equal_copied_ones_bitwise(dag, seed):
+    leaves, build_root = dag
+    root_grad = np.random.default_rng(seed).normal(size=(2, 1))
+
+    def leaf_grads(accumulate):
+        params = [Parameter(x.copy()) for x in leaves]
+        supplied = root_grad.copy()
+        original = Tensor._accumulate
+        Tensor._accumulate = accumulate
+        try:
+            build_root(params).backward(supplied)
+        finally:
+            Tensor._accumulate = original
+        # the caller's root gradient is copied, never kept or written
+        assert supplied.tobytes() == root_grad.tobytes()
+        return [p.grad for p in params]
+
+    for got, want in zip(leaf_grads(Tensor._accumulate), leaf_grads(copy_always)):
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

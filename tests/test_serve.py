@@ -3,6 +3,7 @@ multi-tenant router, asyncio socket daemon, load generator, and graceful
 shutdown (the SIGTERM subprocess test mirrors ``TestNoLeakedWorkers``)."""
 
 import asyncio
+import contextlib
 import json
 import logging
 import os
@@ -505,38 +506,40 @@ class TestGracefulShutdown:
     """SIGTERM must finish in-flight work, drain every tenant, flush the
     telemetry sink, and exit 0."""
 
-    def start_daemon(self, tmp_path, *tenant_args):
+    @contextlib.contextmanager
+    def daemon(self, tmp_path, *tenant_args):
+        """``(proc, host, port)`` of a listening daemon; on exit the
+        process is gone and both its pipes are closed."""
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              *tenant_args, "--telemetry", str(tmp_path / "serve.jsonl")],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=env, text=True,
-        )
-        line = proc.stdout.readline()
-        match = re.match(r"repro-serve listening on (\S+):(\d+)", line)
-        assert match, f"no readiness line, got {line!r}"
-        return proc, match.group(1), int(match.group(2))
+        ) as proc:
+            try:
+                line = proc.stdout.readline()
+                match = re.match(r"repro-serve listening on (\S+):(\d+)", line)
+                assert match, f"no readiness line, got {line!r}"
+                yield proc, match.group(1), int(match.group(2))
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
 
     def test_sigterm_drains_flushes_and_exits_zero(self, tmp_path):
-        proc, host, port = self.start_daemon(
+        with self.daemon(
             tmp_path, "--tenant", "alpha:FCFS:16:easy", "--tenant",
             "beta:SJF:8",
-        )
-        try:
+        ) as (proc, host, port):
             with ServeClient(host, port) as client:
                 client.submit(wire_job(1, run=50.0, procs=16), tenant="alpha")
                 client.submit(wire_job(2, run=10.0, procs=8), tenant="alpha")
                 client.submit(wire_job(3, run=5.0, procs=8), tenant="beta")
             proc.send_signal(signal.SIGTERM)
             rc = proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
-        assert rc == 0, proc.stderr.read()
+            assert rc == 0, proc.stderr.read()
 
         # the sink was flushed and is schema-valid
         from repro.telemetry.sink import validate_jsonl
@@ -553,16 +556,12 @@ class TestGracefulShutdown:
         assert "serve.decision_latency_sec{tenant=alpha}" in snapshot["histograms"]
 
     def test_drain_stop_request_also_exits_zero(self, tmp_path):
-        proc, host, port = self.start_daemon(tmp_path, "--tenant",
-                                             "solo:FCFS:8")
-        try:
+        with self.daemon(tmp_path, "--tenant", "solo:FCFS:8") as (
+            proc, host, port,
+        ):
             with ServeClient(host, port) as client:
                 client.submit(wire_job(1, run=5.0), tenant="solo")
                 out = client.drain(tenant="solo", stop=True)
                 assert out["stop"] is True
             rc = proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
-        assert rc == 0, proc.stderr.read()
+            assert rc == 0, proc.stderr.read()

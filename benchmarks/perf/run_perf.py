@@ -6,9 +6,10 @@ Measures, in one run:
   :class:`VecSchedGym`: N environments in lock-step, one batched policy
   forward per step, value estimates deferred to one batched call per
   episode.
-* ``rollout.phase_breakdown`` — where in-parent rollout wall-time goes:
-  env stepping vs policy forwards vs buffer bookkeeping, read from the
-  ``rollout.*`` telemetry spans the training collector itself records.
+* ``rollout.phase_breakdown`` — where the training collector's lock-step
+  loop spends its wall-time: env stepping vs policy forwards vs episode
+  buffer bookkeeping, read from the ``rollout.*`` telemetry spans the
+  actors themselves record.
 * ``telemetry.enabled_over_disabled`` — paired alternating-rep probe of
   telemetry's rollout cost; the within-run throughput ratio is
   hardware-independent and gated in CI (floor 0.95).
@@ -34,8 +35,7 @@ Measures, in one run:
   ``serving.served_over_direct`` ratio is hardware-independent and
   gated in CI — it collapses only when the wire layer itself regresses.
 * ``runtime.*`` — worker scaling of the execution runtime: rollout
-  throughput of the in-parent collector (``rollout_steps_per_sec``) next
-  to the episode-granular :class:`repro.runtime.ActorRuntime`
+  throughput of the episode-granular :class:`repro.runtime.ActorRuntime`
   (``actor``: in-worker policy inference, one IPC transfer per episode)
   on the serial backend and at 1/2/4 process workers, and evaluation
   throughput through :func:`repro.api.evaluate`.  ``runtime.cpu_count``
@@ -140,41 +140,39 @@ def rollout_vectorized(agent, env_cfg, n_procs, sequences, n_envs, rng, buffer=N
     return steps, time.perf_counter() - start
 
 
-def _phase_trainer(env_cfg, trace, n_sequences, seq_len, n_envs):
-    """A serial-runtime Trainer sized to roll the bench sequences through
-    the *training* collector — the one instrumentation source for rollout
-    phase timing (``rollout.policy_forward`` / ``env_step`` / ``buffer``
-    spans)."""
-    return Trainer(
+def _phase_trainer(env_cfg, trace, sequences, n_envs):
+    """A serial-runtime Trainer that rolls the bench sequences — the same
+    ones every pass — through the *training* collector: the one
+    instrumentation source for rollout phase timing
+    (``rollout.policy_forward`` / ``env_step`` / ``buffer`` spans)."""
+    trainer = Trainer(
         trace,
         metric="bsld",
         env_config=env_cfg,
         train_config=TrainConfig(
-            trajectories_per_epoch=n_sequences,
-            trajectory_length=seq_len,
+            trajectories_per_epoch=len(sequences),
+            trajectory_length=len(sequences[0]),
             n_envs=n_envs,
             seed=0,
         ),
     )
+    trainer._sample_epoch_sequences = lambda epoch: (sequences, 0)
+    return trainer
 
 
-def rollout_phase_breakdown(env_cfg, trace, sequences, n_envs, rng):
-    """Per-phase wall-time split of an in-parent rollout.
+def rollout_phase_breakdown(env_cfg, trace, sequences, n_envs):
+    """Per-phase wall-time split of the collector's lock-step loop.
 
-    Drives the trainer's own ``_collect_in_parent`` under a telemetry
-    session and reads the split from the ``rollout.*`` spans the
-    collector records — the bench no longer hand-times a duplicate of the
-    collection loop, so these fractions are, by construction, the ones a
+    Drives the trainer's own ``_collect_from_actors`` under a telemetry
+    session and reads the split from the ``rollout.*`` spans the actors
+    record — the bench does not hand-time a duplicate of the collection
+    loop, so these fractions are, by construction, the ones a
     telemetry-enabled training run reports.
     """
-    trainer = _phase_trainer(
-        env_cfg, trace, len(sequences), len(sequences[0]), n_envs
-    )
+    trainer = _phase_trainer(env_cfg, trace, sequences, n_envs)
     try:
         with telemetry.session() as reg:
-            trainer._collect_in_parent(
-                sequences, list(rng.spawn(len(sequences))), TrajectoryBuffer()
-            )
+            trainer._collect_from_actors(0, TrajectoryBuffer())
             t_policy = reg.span_seconds("rollout.policy_forward")
             t_env = reg.span_seconds("rollout.env_step")
             t_buffer = reg.span_seconds("rollout.buffer")
@@ -210,15 +208,13 @@ def bench_telemetry_overhead(env_cfg, trace, sequences, n_envs, repeat=20):
     """
     reps_of = max(1, -(-32 // len(sequences)))
     sequences = list(sequences) * reps_of
-    trainer = _phase_trainer(
-        env_cfg, trace, len(sequences), len(sequences[0]), n_envs
-    )
+    trainer = _phase_trainer(env_cfg, trace, sequences, n_envs)
     reg = telemetry.Telemetry(enabled=True)
 
     def one_pass():
-        rngs = list(np.random.default_rng(5).spawn(len(sequences)))
+        # epoch 0 every pass: the same sequences on the same action streams
         start = time.perf_counter()
-        trainer._collect_in_parent(sequences, rngs, TrajectoryBuffer())
+        trainer._collect_from_actors(0, TrajectoryBuffer())
         return time.perf_counter() - start
 
     def enabled_pass():
@@ -257,41 +253,15 @@ def bench_telemetry_overhead(env_cfg, trace, sequences, n_envs, repeat=20):
         trainer.close()
 
 
-def rollout_in_parent(env_cfg, trace, sequences, n_envs, repeat=5):
-    """The in-parent training collector (``Trainer._collect_in_parent``):
-    per-step ``act_batch``, trajectory buffering, and the canonical
-    per-episode value/log-prob targets — the same work per episode as
-    the actor path, so the two are measured on identical work.
-    Median-of-``repeat`` passes: one pass is a few ms at smoke scale,
-    far inside scheduler noise on a loaded box, and the median (unlike
-    best-of) is not hijacked by a single lucky low-jitter window."""
-    trainer = _phase_trainer(
-        env_cfg, trace, len(sequences), len(sequences[0]), n_envs
-    )
-    try:
-        rng = np.random.default_rng(2)
-        steps = sum(len(jobs) for jobs in sequences)
-        times = []
-        for _ in range(repeat):
-            rngs = rng.spawn(len(sequences))
-            start = time.perf_counter()
-            trainer._collect_in_parent(sequences, rngs, TrajectoryBuffer())
-            times.append(time.perf_counter() - start)
-        if os.environ.get("PERF_DEBUG"):
-            print(f"[perf-debug] in-parent reps: {[f'{t*1e3:.1f}ms' for t in times]}")
-        return steps, float(np.median(times))
-    finally:
-        trainer.close()
-
-
 def rollout_actor(agent, env_cfg, n_procs, sequences, n_envs, runtime,
                   repeat=5):
     """Episode-granular actor rollout: envs *and* policy replicas live in
     the workers, so IPC is at most one trajectory transfer per episode
-    (the training path of every process-runtime run).  ``n_envs`` splits
-    across the actors so the pool's total lock-step width matches the
-    in-parent collector's.  Median-of-``repeat`` passes, like
-    :func:`rollout_in_parent`."""
+    (the training path of every run).  ``n_envs`` splits across the
+    actors, as the trainer splits it.  Median-of-``repeat`` passes: one
+    pass is a few ms at smoke scale, far inside scheduler noise on a
+    loaded box, and the median (unlike best-of) is not hijacked by a
+    single lucky low-jitter window."""
     workers = max(1, runtime.workers)
     width = max(1, -(-min(n_envs, len(sequences)) // workers))
     actors = ActorRuntime(n_procs, "bsld", config=env_cfg, runtime=runtime,
@@ -375,13 +345,10 @@ def bench_ipc(agent, env_cfg, n_procs, sequences, n_envs, epochs=3):
 
 def bench_runtime_scaling(agent, env_cfg, trace, sequences, n_envs,
                           eval_seqs, eval_len, workers_list=(1, 2, 4)):
-    """Rollout throughput of the two collectors — in-parent, and the
-    actor pool on the serial backend and over process workers — and
-    worker scaling of evaluation (``api.evaluate`` fan-out)."""
+    """Rollout throughput of the actor pool — on the serial backend and
+    over process workers — and worker scaling of evaluation
+    (``api.evaluate`` fan-out)."""
     report = {"workers": list(workers_list), "cpu_count": os.cpu_count()}
-
-    steps, elapsed = rollout_in_parent(env_cfg, trace, sequences, n_envs)
-    report["rollout_steps_per_sec"] = {"serial": steps / elapsed}
 
     actor = {"process": {}}
     steps, elapsed = rollout_actor(
@@ -656,9 +623,7 @@ def main(argv=None):
     print(f"[perf] vectorized: {vec_steps} steps in {vec_time:.2f}s "
           f"({vec_steps / vec_time:,.0f} steps/s, best of 3)")
 
-    phase_breakdown = rollout_phase_breakdown(
-        env_cfg, trace, sequences, n_envs, np.random.default_rng(1)
-    )
+    phase_breakdown = rollout_phase_breakdown(env_cfg, trace, sequences, n_envs)
     print(f"[perf] rollout phases: env {phase_breakdown['env_step_frac']:.0%}, "
           f"policy {phase_breakdown['policy_forward_frac']:.0%}, "
           f"buffer {phase_breakdown['buffer_frac']:.0%}")
@@ -697,10 +662,9 @@ def main(argv=None):
         agent, env_cfg, trace, sequences, n_envs,
         eval_seqs=n_seqs, eval_len=seq_len,
     )
-    rr, er = runtime_report["rollout_steps_per_sec"], runtime_report["eval_sequences_per_sec"]
+    er = runtime_report["eval_sequences_per_sec"]
     print(f"[perf] runtime scaling over {runtime_report['cpu_count']} cores "
           f"(workers {runtime_report['workers']}):")
-    print(f"[perf]   in-parent rollout {rr['serial']:,.0f} steps/s")
     ar = runtime_report["actor"]
     print(f"[perf]   actor serial {ar['serial']:,.0f} steps/s; process "
           + ", ".join(f"{w}w {v:,.0f}" for w, v in ar["process"].items()))

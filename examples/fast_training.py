@@ -3,19 +3,19 @@
 
 How an epoch executes follows from what the code can observe:
 
-* collector — the serial runtime steps ``n_envs`` environments in
-  lock-step in this process (one batched policy forward serves all of
-  them); ``RuntimeConfig(backend="process")`` moves whole episodes onto
-  actor processes that hold a policy replica.  Same trajectories either
-  way;
+* collector — whole episodes run on actors that hold env + policy
+  replicas and step ``n_envs`` environments in lock-step (one batched
+  policy forward serves all of an actor's).  On the serial runtime the
+  actors live in this process; ``RuntimeConfig(backend="process")`` puts
+  them on worker processes.  Same trajectories either way;
 * update — the kernel policy exposes a per-row scorer, so the agent takes
   the sparse PPO update (cost follows the valid job rows, not the padded
   ``MAX_OBSV_SIZE`` slots);
 * transport — the actors' arrays travel through shared memory.
 
-This script runs one identical epoch in-parent and on two actor processes,
-checks the two reproduce each other exactly, and reads from the telemetry
-trace which update ran and how many bytes went out of band.
+This script runs one identical epoch on serial actors and on two actor
+processes, checks the two reproduce each other exactly, and reads from
+the telemetry trace which update ran and how many bytes went out of band.
 
 Related: ``benchmarks/perf/run_perf.py`` measures the rollout/engine/PPO
 hot paths in isolation and records them in ``BENCH_perf.json``.
@@ -61,10 +61,10 @@ def one_epoch(workers):
 
 
 # ---------------------------------------------------------------------------
-# 1. One epoch collected in this process: no backend, no worker.
+# 1. One epoch with the actors in this process: no worker, no shared memory.
 # ---------------------------------------------------------------------------
 record, seconds, snap = one_epoch(workers=1)
-print(f"\nin-parent epoch: {seconds:5.1f}s  "
+print(f"\nserial epoch:    {seconds:5.1f}s  "
       f"mean bsld {record.mean_metric:.2f}  kl {record.stats.kl:.5f}")
 print("  policy iterations ran as:",
       sorted(name for name in snap.spans if "update.policy_iter" in name))
@@ -85,5 +85,5 @@ print(f"  {actor_snap.counters['runtime.ipc.bytes_shm']:,} bytes through "
 # ---------------------------------------------------------------------------
 assert actor_record.mean_reward == record.mean_reward
 assert actor_record.stats.kl == record.stats.kl
-print("\nthe actor epoch reproduced the in-parent epoch exactly "
+print("\nthe 2-process epoch reproduced the serial epoch exactly "
       "(same rewards, same update statistics).")

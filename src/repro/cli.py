@@ -224,15 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable trajectory filtering (recommended for PIK)")
     p.add_argument("--swf-dir", default=None)
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="collect rollouts on N actor processes (1 = in this "
+                   help="run the rollout actors on N processes (1 = in this "
                         "process; same trajectories either way)")
-    p.add_argument("--grad-workers", type=_positive_int, default=1,
-                   help="shard minibatch gradients over N worker processes "
-                        "(1 = in-process backward)")
     p.add_argument("--staleness", type=_nonnegative_int, default=0,
                    help="how many updates rollout collection may run ahead "
-                        "of learning (0 = fully synchronous; > 0 always "
-                        "collects on the actors)")
+                        "of learning (0 = fully synchronous)")
     p.add_argument("--stale-mode", choices=["drop", "reweight"],
                    default="drop",
                    help="episodes past the staleness bound: exclude from "
@@ -560,7 +556,6 @@ def _cmd_train(args) -> int:
             seed=args.seed,
             use_trajectory_filter=args.filter,
             runtime=RuntimeConfig.from_workers(args.workers),
-            grad_workers=args.grad_workers,
             staleness=args.staleness,
             stale_mode=args.stale_mode,
             telemetry=_telemetry_config(args),

@@ -215,6 +215,19 @@ class PPOConfig:
             raise ValueError("clip_ratio must be in (0, 1)")
         if not 0 <= self.gamma <= 1 or not 0 <= self.lam <= 1:
             raise ValueError("gamma and lam must be in [0, 1]")
+        # An update needs at least one iteration of each kind on a
+        # non-empty minibatch; rejecting here fails before the rollout
+        # instead of deep inside the update after it.
+        for name in ("train_pi_iters", "train_v_iters", "minibatch_size"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("pi_lr", "vf_lr", "max_grad_norm", "target_kl"):
+            value = getattr(self, name)
+            if not value > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if not self.entropy_coef >= 0:
+            raise ValueError(f"entropy_coef must be >= 0, got {self.entropy_coef}")
 
 
 @dataclass(frozen=True)
@@ -233,12 +246,12 @@ class TrainConfig:
     filter_probe_samples: int = 200   # SJF probes to build the Fig. 7 distribution
     filter_phase1_fraction: float = 0.6  # fraction of epochs in filtered phase
     n_envs: int = 16              # environments stepped in lock-step
-    #: where rollouts run: in the parent (serial), or whole episodes on
+    #: where the rollout actors live: in this process (serial), or on
     #: ``workers`` actor processes (``backend="process"``) — same results
     runtime: RuntimeConfig = RuntimeConfig()
     #: how many PPO updates collection may run ahead of the learner: 0 is
-    #: fully synchronous; K > 0 (always on the actors) prefetches up to K
-    #: future epochs of episodes against weights up to K updates old
+    #: fully synchronous; K > 0 prefetches up to K future epochs of
+    #: episodes against weights up to K updates old
     staleness: int = 0
     #: episodes staler than the bound when consumed: ``"drop"`` excludes
     #: them from the update batch, ``"reweight"`` keeps them and lets
@@ -246,11 +259,6 @@ class TrainConfig:
     #: do the off-policy correction.  Both are counted in the
     #: :class:`~repro.rl.trainer.EpochRecord`.
     stale_mode: str = "drop"
-    #: shard minibatch gradient computation over this many workers
-    #: (> 1 spawns a process pool holding policy/value replicas; gradients
-    #: are reduced in the parent before each optimizer step).  1 = the
-    #: plain in-process update.
-    grad_workers: int = 1
     #: train inside a named scenario (workload + cluster); None = caller
     #: supplies the trace and cluster explicitly
     scenario: ScenarioConfig | None = None
@@ -262,10 +270,6 @@ class TrainConfig:
             raise ValueError("training sizes must be positive")
         if self.n_envs <= 0:
             raise ValueError("n_envs must be positive")
-        if self.grad_workers < 1:
-            raise ValueError(
-                f"grad_workers must be >= 1, got {self.grad_workers}"
-            )
         if self.staleness < 0:
             raise ValueError(f"staleness must be >= 0, got {self.staleness}")
         if self.stale_mode not in self.STALE_MODES:

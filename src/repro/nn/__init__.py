@@ -19,7 +19,6 @@ from .functional import (
     greedy_action,
     log_prob_of,
     masked_log_softmax,
-    sample_action,
     sample_action_batch,
     segment_entropy,
     segment_log_prob_of,
@@ -66,7 +65,6 @@ __all__ = [
     "masked_log_softmax",
     "log_prob_of",
     "entropy",
-    "sample_action",
     "sample_action_batch",
     "greedy_action",
     "KernelPolicy",

@@ -21,7 +21,6 @@ __all__ = [
     "segment_entropy",
     "valid_rows",
     "flat_action_index",
-    "sample_action",
     "sample_action_batch",
     "greedy_action",
 ]
@@ -148,13 +147,6 @@ def segment_entropy(log_probs: Tensor, indptr: np.ndarray) -> Tensor:
     """
     per_row = -segment_sum(log_probs.exp() * log_probs, indptr)
     return per_row.mean()
-
-
-def sample_action(log_probs_row: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample one action from a single row of log-probabilities."""
-    p = np.exp(log_probs_row - log_probs_row.max())
-    p /= p.sum()
-    return int(rng.choice(len(p), p=p))
 
 
 def sample_action_batch(

@@ -13,12 +13,12 @@ peak memory stays bounded on full paper-scale batches (25,600 steps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
 
-from repro.config import PPOConfig, RuntimeConfig
+from repro.config import PPOConfig
 from repro.nn import (
     Adam,
     Module,
@@ -31,13 +31,11 @@ from repro.nn import (
     masked_log_softmax,
     no_grad,
     row_extents,
-    sample_action,
     sample_action_batch,
     segment_log_softmax,
     segment_sum,
     valid_rows,
 )
-from repro.runtime.grad import GradientReducer
 from repro.telemetry import core as _telemetry
 
 __all__ = ["PPOAgent", "UpdateStats"]
@@ -105,24 +103,13 @@ def _policy_plan(
     return inputs, _take(data["log_probs"], idx), _take(data["advantages"], idx)
 
 
-_POLICY_KEYS = ("obs", "masks", "actions", "log_probs", "advantages")
-
-
-def _raw_rows(
-    data: dict[str, np.ndarray], keys: tuple[str, ...], idx: np.ndarray | None
-) -> dict[str, np.ndarray]:
-    """Rows ``idx`` of the named batch arrays: a sharded step's plan (the
-    reducer splits row ranges, each worker plans its own shard)."""
-    return {k: _take(data[k], idx) for k in keys}
-
-
 def _value_plan(
     flat_obs: np.ndarray,
     extents: np.ndarray,
     returns: np.ndarray,
     idx: np.ndarray | None,
 ) -> tuple[RaggedRows, np.ndarray]:
-    """An in-process value step's plan: bucketed observation rows (float64
+    """A value step's plan: bucketed observation rows (float64
     prefixes only, no dense copy) and their regression targets."""
     ragged = RaggedRows.from_dense(flat_obs, rows=idx, extents=extents)
     return ragged, _take(returns, idx)
@@ -164,44 +151,12 @@ def _policy_terms(
     return surrogate, ent_rows, logp
 
 
-def _policy_shard_loss(
-    policy: Module,
-    shard: dict[str, np.ndarray],
-    clip_ratio: float = 0.2,
-    entropy_coef: float = 0.0,
-) -> tuple[Tensor, dict[str, float]]:
-    """Sum-reduced policy loss on one shard (GradientReducer contract)."""
-    plan = _policy_plan(shard, _row_scorer(policy) is not None, None)
-    surrogate, ent_rows, logp = _policy_terms(policy, *plan, clip_ratio)
-    loss_sum = -surrogate.sum()
-    ent_sum = ent_rows.sum()
-    if entropy_coef > 0:
-        loss_sum = loss_sum - entropy_coef * ent_sum
-    aux = {
-        "loss": float(loss_sum.item()),
-        "kl": float(np.sum(shard["log_probs"] - logp.numpy())),
-        "entropy": float(ent_sum.item()),
-    }
-    return loss_sum, aux
-
-
-def _value_shard_loss(
-    value: Module, shard: dict[str, np.ndarray]
-) -> tuple[Tensor, dict[str, float]]:
-    """Sum-reduced value-regression loss on one shard."""
-    values = value(shard["obs"])
-    loss_sum = ((values - Tensor(shard["returns"])) ** 2.0).sum()
-    return loss_sum, {"loss": float(loss_sum.item())}
-
-
 class PPOAgent:
     """Actor-critic agent with PPO-clip updates.
 
     The policy step is the segment-batched sparse update when the policy
     exposes ``score_rows_grad`` (:class:`KernelPolicy`) and the dense one
-    otherwise (:func:`_row_scorer`).  ``grad_runtime`` shards minibatch
-    gradients across runtime workers (data-parallel; ``None`` keeps the
-    classic in-process backward pass).
+    otherwise (:func:`_row_scorer`).
     """
 
     def __init__(
@@ -210,31 +165,22 @@ class PPOAgent:
         value: Module,
         config: PPOConfig | None = None,
         seed: int = 0,
-        grad_runtime: RuntimeConfig | None = None,
     ):
         self.policy = policy
         self.value = value
         self.config = config or PPOConfig()
         self.rng = np.random.default_rng(seed)
-        self.pi_optimizer = Adam(policy.parameters(), lr=self.config.pi_lr)
-        self.v_optimizer = Adam(value.parameters(), lr=self.config.vf_lr)
-        self._grad_runtime = grad_runtime
-        self._grad_reducer: GradientReducer | None = None
 
-    def _reducer(self) -> GradientReducer:
-        """Lazily build the gradient reducer and install module replicas."""
-        if self._grad_reducer is None:
-            self._grad_reducer = GradientReducer(self._grad_runtime)
-            self._grad_reducer.install(
-                {"policy": self.policy, "value": self.value}
-            )
-        return self._grad_reducer
+    # Optimizers are built on first use: an actor's replica only acts, and
+    # Adam state it allocated just to free at teardown put the next
+    # trainer's first update in a slower heap regime (CHANGES.md, PR 18).
+    @cached_property
+    def pi_optimizer(self) -> Adam:
+        return Adam(self.policy.parameters(), lr=self.config.pi_lr)
 
-    def close(self) -> None:
-        """Release the gradient-reduction workers (no-op when unsharded)."""
-        if self._grad_reducer is not None:
-            self._grad_reducer.close()
-            self._grad_reducer = None
+    @cached_property
+    def v_optimizer(self) -> Adam:
+        return Adam(self.value.parameters(), lr=self.config.vf_lr)
 
     # ------------------------------------------------------------------
     # weight snapshots (actor-runtime weight streaming)
@@ -259,29 +205,6 @@ class PPOAgent:
     # ------------------------------------------------------------------
     # acting
     # ------------------------------------------------------------------
-    def act(
-        self,
-        obs: np.ndarray,
-        mask: np.ndarray,
-        rng: np.random.Generator | None = None,
-    ) -> tuple[int, float, float]:
-        """Sample an action for one observation (batch-size-1 legacy path).
-
-        Returns ``(action, log_prob, value_estimate)`` — what the buffer
-        stores per step.  ``rng`` overrides the agent's sampling stream.
-        Note the trainer does NOT use this method: its rollouts go through
-        :meth:`act_batch`, whose inverse-CDF sampler consumes the
-        generator differently (one ``rng.random()`` per step vs
-        ``rng.choice``), so the two paths draw different actions from the
-        same stream.  This entry point serves simple scripted use.
-        """
-        with no_grad():
-            logits = self.policy(obs[None], mask[None])
-            log_probs = masked_log_softmax(logits, mask[None]).numpy()[0]
-            value = float(self.value(obs[None]).numpy()[0])
-        action = sample_action(log_probs, rng if rng is not None else self.rng)
-        return action, float(log_probs[action]), value
-
     def log_probs_batch(self, obs: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """Masked log-softmax over a batch, as a plain array (no grad).
 
@@ -346,13 +269,6 @@ class PPOAgent:
         with no_grad():
             return self.value(np.asarray(obs)).numpy().copy()
 
-    def act_greedy(self, obs: np.ndarray, mask: np.ndarray) -> int:
-        """Deterministic test-time action (highest probability)."""
-        with no_grad():
-            logits = self.policy(obs[None], mask[None])
-            log_probs = masked_log_softmax(logits, mask[None]).numpy()[0]
-        return int(np.argmax(log_probs))
-
     def act_greedy_batch(self, obs: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """Deterministic actions for a batch: argmax per row."""
         return np.argmax(self.log_probs_batch(np.asarray(obs), masks), axis=-1)
@@ -403,18 +319,12 @@ class PPOAgent:
         pi_span = f"update.policy_iter.{'sparse' if sparse else 'dense'}"
         kl_gauge = reg.gauge("update.kl")
 
-        sharded = self._grad_runtime is not None
-        if sharded:
-            build = partial(_raw_rows, data, _POLICY_KEYS)
-            step = self._policy_step_sharded
-        else:
-            build = partial(_policy_plan, data, sparse)
-            step = self._policy_step
+        build = partial(_policy_plan, data, sparse)
         pi_losses, kls, entropies = [], [], []
         early_stopped = False
         for plan in self._plans(n, cfg.train_pi_iters, build):
             with reg.span(pi_span):
-                loss_pi, kl, ent = step(plan)
+                loss_pi, kl, ent = self._policy_step(plan)
             kl_gauge.set(kl)
             pi_losses.append(loss_pi)
             kls.append(kl)
@@ -423,21 +333,16 @@ class PPOAgent:
                 early_stopped = True
                 break
 
-        if sharded:
-            build = partial(_raw_rows, data, ("obs", "returns"))
-            step = self._value_step_sharded
-        else:
-            # one pass over the stored batch finds every row's non-zero
-            # extent; each value plan buckets its rows by it
-            flat_obs = data["obs"].reshape(n, -1)
-            build = partial(
-                _value_plan, flat_obs, row_extents(flat_obs), data["returns"]
-            )
-            step = self._value_step
+        # one pass over the stored batch finds every row's non-zero
+        # extent; each value plan buckets its rows by it
+        flat_obs = data["obs"].reshape(n, -1)
+        build = partial(
+            _value_plan, flat_obs, row_extents(flat_obs), data["returns"]
+        )
         v_losses = []
         for plan in self._plans(n, cfg.train_v_iters, build):
             with reg.span("update.value_iter"):
-                v_losses.append(step(plan))
+                v_losses.append(self._value_step(plan))
 
         return UpdateStats(
             policy_loss=float(np.mean(pi_losses)),
@@ -492,28 +397,6 @@ class PPOAgent:
         kl = float(np.mean(old_log_probs - logp.numpy()))
         return float(loss.item()), kl, float(ent.item())
 
-    def _policy_step_sharded(
-        self, batch: dict[str, np.ndarray]
-    ) -> tuple[float, float, float]:
-        cfg = self.config
-        loss_fn = partial(
-            _policy_shard_loss,
-            clip_ratio=cfg.clip_ratio,
-            entropy_coef=cfg.entropy_coef,
-        )
-        grads, aux, n = self._reducer().grad_sums(
-            "policy", self.policy, loss_fn, batch
-        )
-        self._apply_grads(self.pi_optimizer, grads, n)
-        return aux["loss"] / n, aux["kl"] / n, aux["entropy"] / n
-
-    def _value_step_sharded(self, batch: dict[str, np.ndarray]) -> float:
-        grads, aux, n = self._reducer().grad_sums(
-            "value", self.value, _value_shard_loss, batch
-        )
-        self._apply_grads(self.v_optimizer, grads, n)
-        return aux["loss"] / n
-
     def _value_step(self, plan: tuple[RaggedRows, np.ndarray]) -> float:
         obs, returns = plan
         loss = ((self.value(obs) - Tensor(returns)) ** 2.0).mean()
@@ -522,10 +405,3 @@ class PPOAgent:
         clip_grad_norm(self.v_optimizer.params, self.config.max_grad_norm)
         self.v_optimizer.step()
         return float(loss.item())
-
-    def _apply_grads(self, optimizer: Adam, grads: list, n: int) -> None:
-        """Load mean-loss gradients into the params, clip, and step."""
-        for p, g in zip(optimizer.params, grads):
-            p.grad = g / n
-        clip_grad_norm(optimizer.params, self.config.max_grad_norm)
-        optimizer.step()

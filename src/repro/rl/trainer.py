@@ -15,21 +15,22 @@ How an epoch executes
 ---------------------
 Nothing is configured; each choice follows from what the code observes.
 
-*Collector.*  With the serial runtime and ``staleness=0`` (the default)
-the trainer rolls the epoch's trajectories itself: ``TrainConfig.n_envs``
-environments of one :class:`~repro.sim.vec_env.VecSchedGym` step in
-lock-step, one batched policy forward per step — no backend, no worker.
-With ``RuntimeConfig(backend="process")`` or ``staleness > 0`` the
-episodes run on :class:`~repro.runtime.ActorRuntime` workers, which hold
-env + policy replicas and stream finished trajectories back (one transfer
-per episode).  ``staleness`` bounds how far collection may run ahead of
-learning: epoch ``e + k`` (``k <= staleness``) is submitted while epoch
-``e`` still trains, so its episodes act on weights up to ``k`` updates
-old; over-stale episodes are importance-reweighted by PPO's own ratios
+*Collector.*  There is one: whole episodes run on the actors of an
+:class:`~repro.runtime.ActorRuntime`, which hold env + policy replicas,
+lock-step ``TrainConfig.n_envs`` environments between them (one batched
+policy forward per step) and stream finished trajectories back, one
+transfer per episode.  Where the actors live is the backend's business:
+on the serial backend (the default) they are state dicts in this process
+— no child process, no shared-memory segment — and on
+``RuntimeConfig(backend="process")`` they are worker processes.
+``staleness`` bounds how far collection may run ahead of learning: epoch
+``e + k`` (``k <= staleness``) is submitted while epoch ``e`` still
+trains, so its episodes act on weights up to ``k`` updates old;
+over-stale episodes are importance-reweighted by PPO's own ratios
 (``stale_mode="reweight"``) or dropped (``"drop"``), and counted in
 :class:`EpochRecord` either way.
 
-At ``staleness=0`` both collectors — and a loop of one-episode
+At ``staleness=0`` the actors — and a loop of one-episode
 :meth:`Trainer._rollout` calls, the tests' sequential reference — give
 **bit-identical** trajectories, advantages and update statistics for the
 same seed, on any backend and worker count (the golden tests), because
@@ -40,7 +41,8 @@ behaviour log-probs are computed once per finished episode on its own
 ``(T, M, F)`` batch.
 
 *Update.*  :class:`PPOAgent` takes the sparse policy step when the policy
-exposes ``score_rows_grad`` (the kernel preset), the dense one otherwise.
+exposes ``score_rows_grad`` (the kernel preset), the dense one otherwise;
+either way the gradient is computed in this process.
 
 *Transport.*  Process workers exchange arrays through the shared-memory
 plane of :mod:`repro.runtime.shm`, which falls back to inline pickles by
@@ -59,11 +61,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import EnvConfig, PPOConfig, RuntimeConfig, TrainConfig
+from repro.config import EnvConfig, PPOConfig, TrainConfig
 from repro.telemetry import core as _telemetry
 from repro.telemetry.sink import TelemetrySink, render_summary
 from repro.nn import Module, ValueMLP, make_policy
-from repro.runtime import ActorRuntime, EpisodeSlice, lockstep_rollout
+from repro.runtime import ActorRuntime, EpisodeSlice
 from repro.runtime.seeding import stream_rng
 from repro.schedulers.rl_scheduler import RLSchedulerPolicy
 from repro.sim.cluster import ClusterSpec
@@ -321,31 +323,16 @@ class Trainer:
         seed = self.train_config.seed
         self.policy = policy or make_policy(policy_preset, m, f, seed=seed)
         self.value = ValueMLP(m, f, seed=seed + 1)
-        # grad_workers > 1 shards minibatch gradients over a process pool;
-        # 1 keeps the classic in-process backward (grad_runtime=None).
-        grad_runtime = (
-            RuntimeConfig.from_workers(self.train_config.grad_workers)
-            if self.train_config.grad_workers > 1
-            else None
-        )
         self.agent = PPOAgent(
             self.policy,
             self.value,
             self.ppo_config,
             seed=seed,
-            grad_runtime=grad_runtime,
         )
         self.sampler = SequenceSampler(
             trace, self.train_config.trajectory_length, seed=seed
         )
-        # The collector rule: whole episodes run on the actors when
-        # they live in other processes or may run ahead of the learner;
-        # otherwise this process steps the envs itself and never builds
-        # a backend.  Both are created on first use.
-        cfg = self.train_config
-        self._use_actors = cfg.runtime.backend == "process" or cfg.staleness > 0
-        self._vec_env: VecSchedGym | None = None
-        self._actor_runtime: ActorRuntime | None = None
+        self._actor_runtime: ActorRuntime | None = None  # built on first use
         # Actor-collection state: the learner's update counter (= weight
         # version), the submitted-but-uncollected epochs as
         # ``(n_episodes, n_filter_rejections)``, and episodes that arrived
@@ -434,10 +421,6 @@ class Trainer:
                 # sample rather than spinning forever.
                 return jobs, rejected
 
-    def _lockstep_width(self) -> int:
-        cfg = self.train_config
-        return min(cfg.n_envs, cfg.trajectories_per_epoch)
-
     @property
     def actor_runtime(self) -> ActorRuntime:
         """The episode-granular actor pool, created on first use.
@@ -446,18 +429,18 @@ class Trainer:
         workers rebuild it locally instead of shipping a closure; the
         networks are replicated at install time and re-streamed as
         snapshots after every update.  The lock-step width splits across
-        the actors so the pool's total concurrent envs matches the
-        in-parent collector's.
+        the actors, so the pool steps ``n_envs`` environments in total
+        however many workers share them.
         """
         if self._actor_runtime is None:
             cfg = self.train_config
-            width = -(-self._lockstep_width() // cfg.runtime.workers)
+            width = min(cfg.n_envs, cfg.trajectories_per_epoch)
             self._actor_runtime = ActorRuntime(
                 self.cluster_spec,
                 self.metric,
                 config=self.env_config,
                 runtime=cfg.runtime,
-                n_envs=width,
+                n_envs=-(-width // cfg.runtime.workers),
                 seed=cfg.seed,
                 act_stream=self._ACT_STREAM,
             )
@@ -476,7 +459,7 @@ class Trainer:
         """One trajectory through SchedGym; returns the raw terminal reward.
 
         The reward-scale probe, and the tests' sequential reference: it
-        uses the same batched agent entry points as the collectors (with
+        uses the same batched agent entry points as the actors (with
         batch width 1) and the same per-episode targets, so a loop of
         ``_rollout`` calls fills the buffer exactly like they do.
         """
@@ -497,8 +480,8 @@ class Trainer:
         """Per-episode value estimates and canonical behaviour log-probs.
 
         Both run on one ``(T, M, F)`` batch of the finished episode, so the
-        numbers do not depend on which collector ran the episode or how
-        wide its waves were (BLAS results depend on batch shape;
+        numbers do not depend on who ran the episode or how wide its
+        lock-step waves were (BLAS results depend on batch shape;
         per-episode batches make the shape canonical)."""
         ep_obs = buffer.staged_obs(slot)
         ep_masks = buffer.staged_masks(slot)
@@ -507,36 +490,6 @@ class Trainer:
             "values": self.agent.value_batch(ep_obs),
             "log_probs": self.agent.episode_log_probs(ep_obs, ep_masks, ep_actions),
         }
-
-    def _collect_in_parent(
-        self,
-        sequences: list,
-        rngs: list[np.random.Generator],
-        buffer: TrajectoryBuffer,
-    ) -> list[float]:
-        """Roll all sequences through the in-parent vec env, straight into
-        ``buffer``; raw rewards by trajectory."""
-        rewards = [0.0] * len(sequences)
-        scale = self._reward_scale or 1.0
-
-        def record(trajs, obs, masks, actions, log_probs):
-            buffer.store_batch(obs, masks, actions, log_probs, slots=trajs)
-
-        def finish(traj, reward):
-            buffer.end_slot(
-                traj, reward / scale, **self._episode_targets(buffer, traj)
-            )
-            rewards[traj] = reward
-
-        if self._vec_env is None:  # first in-parent collection
-            self._vec_env = VecSchedGym(
-                self._lockstep_width(),
-                self.cluster_spec,
-                make_reward(self.metric),
-                config=self.env_config,
-            )
-        lockstep_rollout(self._vec_env, self.agent, sequences, rngs, record, finish)
-        return rewards
 
     # -- actor (episode-granular) collection ----------------------------
     def _epoch_filtered(self, epoch: int) -> bool:
@@ -548,9 +501,9 @@ class Trainer:
     def _sample_epoch_sequences(self, epoch: int) -> tuple[list, int]:
         """One epoch's training sequences and how many the filter rejected.
 
-        Called once per epoch, in strictly increasing epoch order, by
-        whichever collector runs — so the sampler's draw order (and with
-        it every trajectory) is the same on all of them.
+        Called once per epoch, in strictly increasing epoch order — so
+        the sampler's draw order (and with it every trajectory) does not
+        depend on how far ahead of the learner an epoch is submitted.
         """
         filtered = self._epoch_filtered(epoch)
         sequences, total_rejected = [], 0
@@ -650,19 +603,9 @@ class Trainer:
                 )
                 self._reward_scale = max(abs(probe_reward), 1e-6)
 
-            n_dropped = n_reweighted = 0
-            if self._use_actors:
-                rewards, n_dropped, n_reweighted, n_kept, total_rejected = (
-                    self._collect_from_actors(epoch, buffer)
-                )
-            else:
-                sequences, total_rejected = self._sample_epoch_sequences(epoch)
-                rngs = [
-                    stream_rng(cfg.seed, self._ACT_STREAM, epoch, t)
-                    for t in range(len(sequences))
-                ]
-                rewards = self._collect_in_parent(sequences, rngs, buffer)
-                n_kept = len(sequences)
+            rewards, n_dropped, n_reweighted, n_kept, total_rejected = (
+                self._collect_from_actors(epoch, buffer)
+            )
 
         with reg.span("epoch.update") as sp_update:
             if n_kept == 0:
@@ -677,7 +620,7 @@ class Trainer:
             else:
                 stats = self.agent.update(buffer.get())
         with reg.span("epoch.broadcast") as sp_broadcast:
-            if self._use_actors and n_kept > 0:
+            if n_kept > 0:
                 self._n_updates += 1
                 self.actor_runtime.push_weights(
                     self._n_updates, self.agent.export_weights()
@@ -732,26 +675,22 @@ class Trainer:
         return float(np.mean(rewards))
 
     def close(self) -> None:
-        """Release actor and gradient workers (no-op if never spawned).
+        """Release the actors (no-op if never built) and the telemetry.
 
-        Chained ``finally`` blocks: a teardown failure in one subsystem
-        must not leak the other's worker processes — this is what lets the
-        CLI paths guarantee no orphaned children on any exit path.
+        The ``finally`` block: a teardown failure in the actor pool must
+        not leave the trace file open or this trainer's registry active.
         """
         try:
             if self._actor_runtime is not None:
                 self._actor_runtime.close()
                 self._actor_runtime = None
         finally:
-            try:
-                self.agent.close()
-            finally:
-                if self._sink is not None:
-                    self._sink.close()
-                    self._sink = None
-                if self._owns_telemetry:
-                    _telemetry.set_active(self._tel_prev)
-                    self._owns_telemetry = False
+            if self._sink is not None:
+                self._sink.close()
+                self._sink = None
+            if self._owns_telemetry:
+                _telemetry.set_active(self._tel_prev)
+                self._owns_telemetry = False
 
     def __enter__(self) -> "Trainer":
         return self

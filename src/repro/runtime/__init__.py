@@ -21,7 +21,6 @@ keeps process-pool rollouts bit-identical to serial ones.
 
 from .actor import ActorRuntime, EpisodeSlice, lockstep_rollout
 from .backend import ExecutionBackend, WorkerError, make_backend
-from .grad import GradientReducer, shard_bounds
 from .process_pool import ProcessPoolBackend
 from .seeding import derive_streams, stream_rng, task_seed
 from .serial import SerialBackend
@@ -38,8 +37,6 @@ __all__ = [
     "ActorRuntime",
     "EpisodeSlice",
     "lockstep_rollout",
-    "GradientReducer",
-    "shard_bounds",
     "stream_rng",
     "derive_streams",
     "task_seed",

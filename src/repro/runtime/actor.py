@@ -17,12 +17,12 @@ content depends only on ``(seed, act_stream, epoch, traj)`` and the
 weight version it ran against.  Actors reuse the trainer's rollout
 invariants — per-trajectory RNG streams, episodes entering in trajectory
 order within a chunk, and one canonical ``(T, M, F)`` per-episode batch
-for value estimates and behaviour log-probs — so a worker-collected
-episode is bit-identical to a parent-collected one regardless of how the
-local envs interleave.  Weight pushes and episode submissions share each
-worker's FIFO queue, which is the staleness mechanism: a chunk runs
-against exactly the last version pushed before it was submitted, on
-every backend and any worker count.
+for value estimates and behaviour log-probs — so an actor's episode is
+bit-identical to one ``Trainer._rollout`` steps by itself, on whichever
+backend the actor lives and however its local envs interleave.  Weight
+pushes and episode submissions share each worker's FIFO queue, which is
+the staleness mechanism: a chunk runs against exactly the last version
+pushed before it was submitted, on every backend and any worker count.
 
 Staleness accounting: :meth:`ActorRuntime.drain` stamps each episode
 with ``staleness = current_version - episode.version`` (in learner
@@ -55,10 +55,11 @@ class EpisodeSlice:
 
     ``log_probs`` are the *canonical* per-episode behaviour log-probs
     (:meth:`PPOAgent.episode_log_probs`) and ``values`` the deferred
-    per-episode value estimates — exactly what ``Trainer`` would have
-    computed parent-side.  ``reward`` is the raw terminal reward; the
-    learner applies its own reward scale.  ``staleness`` is stamped by
-    :meth:`ActorRuntime.drain` (learner updates since collection).
+    per-episode value estimates — exactly what ``Trainer._rollout``
+    computes for an episode it steps itself.  ``reward`` is the raw
+    terminal reward; the learner applies its own reward scale.
+    ``staleness`` is stamped by :meth:`ActorRuntime.drain` (learner
+    updates since collection).
 
     In transit ``obs`` may be mask-compacted to its valid rows
     (:func:`_pack_obs`) and ``masks`` prefix-compressed to per-step
@@ -104,21 +105,33 @@ def _actor_load_weights(state, version, snapshot):
     state["version"] = version
 
 
-def lockstep_rollout(vec, agent, sequences, rngs, record, finish) -> None:
-    """The one rollout loop — the trainer runs it in the parent, every
-    actor in its worker.
+def lockstep_rollout(vec, agent, sequences, rngs) -> tuple[list, list[float]]:
+    """The one rollout loop: whole episodes, lock-stepped through ``vec``.
 
     Trajectory ``t`` is ``sequences[t]`` and samples its actions from
-    ``rngs[t]``; trajectories enter the envs in index order.  Every wave
-    calls ``record(trajs, obs, masks, actions, log_probs)`` (row ``j``
-    belongs to trajectory ``trajs[j]``), every finished episode
-    ``finish(traj, raw_terminal_reward)``.
+    ``rngs[t]``; trajectories enter the envs in index order.  Returns
+    ``(episodes, rewards)`` by trajectory: the ``(obs, masks, actions)``
+    of every decision the episode made — ``(T, M, F)`` float32, ``(T, M)``
+    bool, ``(T,)`` int64 — and its raw terminal reward.
 
     Phase timing (``rollout.policy_forward`` / ``env_step`` / ``buffer``)
     is accumulated locally and flushed to the registry once per call: the
     per-step cost is one boolean test with telemetry off, two clock reads
     per phase with it on.  The perf bench reads the same span names.
     """
+    m, f = vec.config.observation_shape
+    # Per-episode buffers, written in place per step: one decision per job
+    # is the common episode length, so sizing by the sequence length
+    # avoids a stack-copy pass over every episode.
+    bufs: list[tuple[np.ndarray, np.ndarray, list]] = [
+        (
+            np.empty((len(seq), m, f), dtype=np.float32),
+            np.empty((len(seq), m), dtype=bool),
+            [],
+        )
+        for seq in sequences
+    ]
+    rewards = [0.0] * len(sequences)
     n = min(vec.n_envs, len(sequences))
     obs, masks = vec.reset(sequences[:n])
     vec.queue_sequences(sequences[n:])
@@ -139,13 +152,22 @@ def lockstep_rollout(vec, agent, sequences, rngs, record, finish) -> None:
         a_masks = masks[active_idx]
         if timed:
             t0 = perf()
-        actions, log_probs = agent.act_batch(
+        actions, _ = agent.act_batch(
             a_obs, a_masks, [rngs[t] for t in trajs]
         )
         if timed:
             t1 = perf()
             t_policy += t1 - t0
-        record(trajs, a_obs, a_masks, actions, log_probs)
+        for j, k in enumerate(trajs):
+            ep_obs, ep_masks, ep_actions = bufs[k]
+            t = len(ep_actions)
+            if t == len(ep_obs):  # episode outran its sequence-length hint
+                ep_obs = np.concatenate([ep_obs, np.empty_like(ep_obs)])
+                ep_masks = np.concatenate([ep_masks, np.empty_like(ep_masks)])
+                bufs[k] = (ep_obs, ep_masks, ep_actions)
+            ep_obs[t] = a_obs[j]
+            ep_masks[t] = a_masks[j]
+            ep_actions.append(int(actions[j]))
         full_actions = np.full(vec.n_envs, -1, dtype=np.int64)
         full_actions[active_idx] = actions
         if timed:
@@ -160,7 +182,7 @@ def lockstep_rollout(vec, agent, sequences, rngs, record, finish) -> None:
         for i in active_idx:
             if not result.dones[i]:
                 continue
-            finish(traj_of_env[i], float(result.rewards[i]))
+            rewards[traj_of_env[i]] = float(result.rewards[i])
             if result.infos[i].get("auto_reset"):
                 traj_of_env[i] = next_traj
                 next_traj += 1
@@ -172,6 +194,11 @@ def lockstep_rollout(vec, agent, sequences, rngs, record, finish) -> None:
         reg.add_span_time("rollout.env_step", t_env, n_waves)
         reg.add_span_time("rollout.buffer", t_buffer, n_waves)
         reg.counter("rollout.env_steps").add(n_env_steps)
+    episodes = [
+        (ep_obs[: len(acts)], ep_masks[: len(acts)], np.array(acts, dtype=np.int64))
+        for ep_obs, ep_masks, acts in bufs
+    ]
+    return episodes, rewards
 
 
 def _actor_episodes(state, epoch, assignments):
@@ -195,41 +222,11 @@ def _actor_episodes(state, epoch, assignments):
         stream_rng(state["seed"], state["act_stream"], epoch, traj)
         for traj in trajs
     ]
-    m, f = vec.config.observation_shape
-    # Per-episode buffers (by position in the chunk), written in place per
-    # step: one decision per job is the common episode length, so sizing
-    # by the sequence length avoids a stack-copy pass over every episode.
-    bufs: list[tuple[np.ndarray, np.ndarray, list]] = [
-        (
-            np.empty((len(seq), m, f), dtype=np.float32),
-            np.empty((len(seq), m), dtype=bool),
-            [],
-        )
-        for seq in sequences
-    ]
-    rewards = [0.0] * len(sequences)
-
-    def record(ks, a_obs, a_masks, actions, _log_probs):
-        for j, k in enumerate(ks):
-            ep_obs, ep_masks, ep_actions = bufs[k]
-            t = len(ep_actions)
-            if t == len(ep_obs):  # episode outran its sequence-length hint
-                ep_obs = np.concatenate([ep_obs, np.empty_like(ep_obs)])
-                ep_masks = np.concatenate([ep_masks, np.empty_like(ep_masks)])
-                bufs[k] = (ep_obs, ep_masks, ep_actions)
-            ep_obs[t] = a_obs[j]
-            ep_masks[t] = a_masks[j]
-            ep_actions.append(int(actions[j]))
-
-    lockstep_rollout(vec, agent, sequences, rngs, record, rewards.__setitem__)
+    episodes, rewards = lockstep_rollout(vec, agent, sequences, rngs)
 
     slices = []
     pack_ok = False
-    for k, traj in enumerate(trajs):
-        t = len(bufs[k][2])
-        ep_obs = bufs[k][0][:t]
-        ep_masks = bufs[k][1][:t]
-        ep_actions = np.array(bufs[k][2], dtype=np.int64)
+    for k, (ep_obs, ep_masks, ep_actions) in enumerate(episodes):
         if k == 0:
             # The zero-padding invariant behind _pack_obs is structural
             # (the observation builder zeroes padded rows), so one guarded
@@ -240,7 +237,7 @@ def _actor_episodes(state, epoch, assignments):
             wire_obs = ep_obs[ep_masks] if pack_ok else ep_obs
         slices.append(EpisodeSlice(
             epoch=epoch,
-            traj=traj,
+            traj=trajs[k],
             version=state["version"],
             obs=wire_obs,
             masks=_pack_masks(ep_masks),
@@ -379,8 +376,7 @@ class ActorRuntime:
     episode sees.
 
     ``n_envs`` is the *per-worker* lock-step width: each actor batches
-    policy forwards across up to that many of its local episodes, like
-    the in-parent collector does.
+    policy forwards across up to that many of its local episodes.
     """
 
     def __init__(

@@ -2,25 +2,25 @@
 
 A backend owns ``n_workers`` logical workers.  Each worker has a private
 ``state`` dict that persists across calls; every task is a plain top-level
-function ``fn(state, *args)`` executed against one worker's state.  Three
-dispatch primitives cover every fan-out pattern in the repo:
+function ``fn(state, *args)`` executed against one worker's state.  Four
+dispatch primitives cover every fan-out pattern in the repo.  Two are
+synchronous:
 
 ``broadcast(fn, *args)``
-    run ``fn`` once on *every* worker (install schedulers, build actor
-    replicas, install gradient replicas);
-``scatter(fn, per_worker_args, workers=...)``
-    run ``fn`` once on each listed worker with that worker's own
-    arguments (one gradient shard per worker);
+    run ``fn`` once on *every* worker with the same arguments (install
+    schedulers, build actor replicas), results by worker id;
 ``map(fn, tasks, chunksize=...)``
     run ``fn(state, task)`` over an arbitrary task list, load-balanced in
     chunks across workers, results returned **in task order** (evaluate a
     scheduler over the paper's test sequences).
 
-A fourth, *asynchronous* primitive pair serves the episode-granular actor
-runtime (:mod:`repro.runtime.actor`):
+Two are *asynchronous* — the episode-granular actor runtime
+(:mod:`repro.runtime.actor`) is built on them, and they are how one
+worker is addressed:
 
-``post(worker, fn, *args)``
-    queue ``fn(state, *args)`` on one worker and return immediately;
+``post(worker, fn, *args)`` / ``post_all(fn, *args)``
+    queue ``fn(state, *args)`` on one worker (on every worker, encoded
+    once) and return immediately;
 ``next_result()``
     block until *some* posted task finishes and return
     ``(worker_id, result)``.
@@ -29,14 +29,14 @@ Posted tasks execute in per-worker FIFO order (the staleness mechanism:
 a weight push posted before an episode is guaranteed to apply first), but
 ``next_result`` returns completions in whatever order they arrive across
 workers.  ``post``/``next_result`` must be fully drained before the
-synchronous primitives run again — ``scatter``/``map`` refuse while
+synchronous primitives run again — ``broadcast``/``map`` refuse while
 results are pending so the two dispatch styles can never interleave on
 one pipe.
 
-Determinism contract: for the same task list, ``map``/``scatter`` return
-the same ordered results on every backend and any worker count.  Dispatch
-order may differ; observable results may not.  All the runtime golden
-tests pin exactly this.
+Determinism contract: for the same task list, ``map``/``broadcast``
+return the same ordered results on every backend and any worker count.
+Dispatch order may differ; observable results may not.  All the runtime
+golden tests pin exactly this.
 """
 
 from __future__ import annotations
@@ -113,43 +113,12 @@ class ExecutionBackend(abc.ABC):
     def broadcast(self, fn: TaskFn, *args) -> list:
         """Run ``fn(state, *args)`` on every worker; results by worker id.
 
-        The arguments ride the scatter ``shared`` channel, so process
-        backends serialize them once per call, not once per worker.
+        Process backends serialize the arguments (and spill them to
+        shared memory) once per call, not once per worker.
         """
-        return self.scatter(fn, [()] * self.n_workers, shared=args)
-
-    def scatter(
-        self,
-        fn: TaskFn,
-        per_worker_args: Sequence[tuple],
-        workers: Sequence[int] | None = None,
-        shared: tuple = (),
-    ) -> list:
-        """Run ``fn(state, *shared, *per_worker_args[i])`` on each listed
-        worker.
-
-        ``workers`` defaults to ``range(len(per_worker_args))``.  Results
-        come back ordered like ``workers``.  ``shared`` arguments are
-        identical for every worker and are serialized **once** per call
-        on process backends (and spilled to shared memory once) — put the big common payloads (weight
-        snapshots) there and the per-worker variation (shards) in
-        ``per_worker_args``.
-        """
-        if workers is None:
-            workers = range(len(per_worker_args))
-        workers = list(workers)
-        if len(workers) != len(per_worker_args):
-            raise ValueError(
-                f"{len(workers)} workers for {len(per_worker_args)} argument tuples"
-            )
-        for w in workers:
-            if not 0 <= w < self.n_workers:
-                raise ValueError(f"worker id {w} out of range [0, {self.n_workers})")
-        if len(set(workers)) != len(workers):
-            raise ValueError("worker ids must be unique per scatter call")
         self.start()
-        self._require_drained("scatter")
-        return self._scatter_impl(fn, per_worker_args, workers, tuple(shared))
+        self._require_drained("broadcast")
+        return self._broadcast_impl(fn, args)
 
     def map(
         self,
@@ -236,13 +205,7 @@ class ExecutionBackend(abc.ABC):
     def _close_impl(self) -> None: ...
 
     @abc.abstractmethod
-    def _scatter_impl(
-        self,
-        fn: TaskFn,
-        per_worker_args: Sequence[tuple],
-        workers: list[int],
-        shared: tuple,
-    ) -> list: ...
+    def _broadcast_impl(self, fn: TaskFn, args: tuple) -> list: ...
 
     @abc.abstractmethod
     def _map_impl(self, fn: TaskFn, tasks: list, chunksize: int) -> list: ...

@@ -58,7 +58,6 @@ import pickle
 import queue as queue_mod
 import time
 from multiprocessing.connection import Connection, wait
-from typing import Sequence
 
 from repro.telemetry import core as _telemetry
 
@@ -80,16 +79,13 @@ def _worker_main(
     telemetry_enabled: bool = False,
     pool: SharedArrayPool | None = None,
 ) -> None:
-    """Command loop: ``(fn, args, via_queue, shared_wire)`` in, results out.
+    """Command loop: ``(fn, args, via_queue)`` in, results out.
 
-    ``via_queue=False`` (scatter/map) answers on the pipe with
+    ``via_queue=False`` (broadcast/map) answers on the pipe with
     ``("ok", result, tel) | ("err", exc, tel)``; ``via_queue=True``
     (posted tasks) puts a pre-encoded ``(worker_id, status, payload,
-    tel)`` blob on the shared result queue instead.  ``shared_wire`` is
-    an optional codec-encoded tuple of arguments common to several
-    workers (scatter ``shared=``), prepended to ``args`` after decode.
-    ``tel`` is the worker's telemetry snapshot delta (or ``None`` when
-    disabled/empty).
+    tel)`` blob on the shared result queue instead.  ``tel`` is the
+    worker's telemetry snapshot delta (or ``None`` when disabled/empty).
     """
     codec = ArrayCodec(pool)
     state: dict = {}
@@ -135,10 +131,8 @@ def _worker_main(
             break
         if msg is _SHUTDOWN:
             break
-        fn, args, via_queue, shared_wire = msg
+        fn, args, via_queue = msg
         try:
-            if shared_wire is not None:
-                args = tuple(codec.loads(shared_wire)) + tuple(args)
             if reg is not None:
                 t0 = perf()
                 result = fn(state, *args)
@@ -280,18 +274,46 @@ class ProcessPoolBackend(ExecutionBackend):
         self._conns[worker].send_bytes(wire)
 
     def _send_msg(
-        self, worker: int, fn: TaskFn, args: tuple, via_queue: bool, shared_wire=None
+        self, worker: int, fn: TaskFn, args: tuple, via_queue: bool
     ) -> None:
         """Encode + write one message.  Encoding failures raise before
         anything is written (the worker saw nothing); a write failure
         refunds the message's own pool lease — the worker will never
         decode it."""
-        wire, lease = self._encode((fn, tuple(args), via_queue, shared_wire))
+        wire, lease = self._encode((fn, tuple(args), via_queue))
         try:
             self._send_wire(worker, wire)
         except BaseException:
             self._codec.discard(lease)
             raise
+
+    def _send_all(
+        self, fn: TaskFn, args: tuple, via_queue: bool
+    ) -> tuple[int, Exception | None]:
+        """One encode, ``n_workers`` writes of the same bytes: a payload
+        common to every worker (a weight snapshot, the actor replicas) is
+        serialized — and pool-spilled — once.  Returns how many workers
+        (ids ``0 .. sent - 1``) got the message and, if not all did, the
+        exception that stopped at worker ``sent``.  An encoding failure
+        reaches no worker (``dumps()`` runs before anything is written);
+        a write failure refunds the leases of the copies that were never
+        delivered (each delivered copy is consumed by its worker's
+        decode)."""
+        try:
+            wire, lease = self._encode(
+                (fn, tuple(args), via_queue), receivers=self.n_workers
+            )
+        except Exception as exc:
+            return 0, exc
+        sent = 0
+        try:
+            for worker in range(self.n_workers):
+                self._send_wire(worker, wire)
+                sent += 1
+        except Exception as exc:
+            self._codec.discard(lease, self.n_workers - sent)
+            return sent, exc
+        return sent, None
 
     # -- dispatch -------------------------------------------------------
     @staticmethod
@@ -320,46 +342,21 @@ class ProcessPoolBackend(ExecutionBackend):
             raise WorkerError(worker_id, payload) from payload
         return payload
 
-    def _scatter_impl(
-        self,
-        fn: TaskFn,
-        per_worker_args: Sequence[tuple],
-        workers: list[int],
-        shared: tuple,
-    ) -> list:
-        # Phase 1: post everything so workers run concurrently;
-        # phase 2: collect in the caller's worker order.  Every *posted*
-        # call is drained even on failure — in the send loop too — so the
-        # pipes stay in sync and the backend remains usable after a task
-        # error (a dead worker still surfaces as WorkerError).
-        shared_wire, shared_lease = None, None
-        if shared:
-            try:
-                shared_wire, shared_lease = self._encode(shared, len(workers))
-            except Exception as exc:
-                raise WorkerError(workers[0], exc) from exc
-        posted, first_err = [], None
-        for w, args in zip(workers, per_worker_args):
-            try:
-                self._send_msg(w, fn, args, False, shared_wire)
-            except Exception as exc:
-                # Broken pipe, but also encoding failures: dumps() runs
-                # before writing, so nothing reached the worker — stop
-                # posting and fall through to drain what already did.
-                first_err = WorkerError(w, exc)
-                break
-            posted.append(w)
-        # refund shared-payload leases for workers that never got the
-        # message (each delivered copy is consumed by the worker's decode)
-        if shared_lease is not None and len(posted) < len(workers):
-            self._codec.discard(shared_lease, len(workers) - len(posted))
-        results = []
-        for w in posted:
+    def _broadcast_impl(self, fn: TaskFn, args: tuple) -> list:
+        # Phase 1: write to every pipe so workers run concurrently;
+        # phase 2: collect in worker order.  Every *delivered* call is
+        # drained even on failure, so the pipes stay in sync and the
+        # backend remains usable after a task error (a dead worker still
+        # surfaces as WorkerError).
+        sent, send_exc = self._send_all(fn, args, False)
+        results, first_err = [], None
+        for w in range(sent):
             try:
                 results.append(self._recv(w))
             except WorkerError as err:
-                results.append(None)
                 first_err = first_err or err
+        if send_exc is not None:
+            raise WorkerError(sent, send_exc) from send_exc
         if first_err is not None:
             raise first_err
         return results
@@ -424,23 +421,11 @@ class ProcessPoolBackend(ExecutionBackend):
         self._posted_counts[worker] += 1
 
     def _post_all_impl(self, fn: TaskFn, args: tuple) -> None:
-        # One encode, n_workers writes of the same bytes: the snapshot in
-        # a weight re-broadcast is serialized (and pool-spilled) once.
-        try:
-            wire, lease = self._encode(
-                (fn, tuple(args), True, None), receivers=self.n_workers
-            )
-        except Exception as exc:
-            raise WorkerError(0, exc) from exc
-        sent = 0
-        try:
-            for worker in range(self.n_workers):
-                self._send_wire(worker, wire)
-                self._posted_counts[worker] += 1
-                sent += 1
-        except Exception as exc:
-            self._codec.discard(lease, self.n_workers - sent)
-            raise WorkerError(sent, exc) from exc
+        sent, send_exc = self._send_all(fn, args, True)
+        for worker in range(sent):
+            self._posted_counts[worker] += 1
+        if send_exc is not None:
+            raise WorkerError(sent, send_exc) from send_exc
 
     def _next_result_impl(self) -> tuple:
         while True:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
 
 from .backend import ExecutionBackend, TaskFn, WorkerError
 
@@ -42,17 +41,8 @@ class SerialBackend(ExecutionBackend):
         except Exception as exc:
             raise WorkerError(worker_id, exc) from exc
 
-    def _scatter_impl(
-        self,
-        fn: TaskFn,
-        per_worker_args: Sequence[tuple],
-        workers: list[int],
-        shared: tuple = (),
-    ) -> list:
-        return [
-            self._run(w, fn, shared + tuple(args))
-            for w, args in zip(workers, per_worker_args)
-        ]
+    def _broadcast_impl(self, fn: TaskFn, args: tuple) -> list:
+        return [self._run(w, fn, args) for w in range(self.n_workers)]
 
     def _post_impl(self, worker: int, fn: TaskFn, args: tuple) -> None:
         # No concurrency to defer to: run now, deliver via next_result().

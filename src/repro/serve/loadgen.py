@@ -18,6 +18,7 @@ from repro.workloads.job import Job
 from repro.workloads.sampler import SequenceSampler
 
 from .client import ServeClient
+from .service import _percentile
 
 __all__ = ["trace_jobs", "run_closed_loop"]
 
@@ -36,13 +37,6 @@ def trace_jobs(
         for job in sequence:
             job.requested_procs = min(job.requested_procs, max_procs)
     return sorted(sequence, key=lambda j: (j.submit_time, j.job_id))
-
-
-def _percentile(sorted_values: list[float], q: float):
-    if not sorted_values:
-        return None
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
 
 
 def run_closed_loop(

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.nn import Module
+from repro.rl import Trainer
+from repro.runtime import stream_rng
 from repro.workloads import Job, SWFHeader, SWFTrace, load_trace
 
 
@@ -71,3 +73,27 @@ class DenseOnly(Module):
 
     def forward(self, obs, masks):
         return self.policy(obs, masks)
+
+
+class SequentialTrainer(Trainer):
+    """The sequential reference the collector goldens compare against: one
+    episode at a time through ``Trainer._rollout``, in trajectory order,
+    in place of the actors.  ``n_sequential`` counts the episodes rolled
+    that way, so a golden can assert its reference side really took this
+    path (if the hook below is ever renamed away, the comparison would
+    otherwise silently become actors against actors).
+    """
+
+    n_sequential = 0
+
+    def _collect_from_actors(self, epoch, buffer):
+        sequences, n_rejected = self._sample_epoch_sequences(epoch)
+        seed = self.train_config.seed
+        rewards = [
+            self._rollout(
+                jobs, buffer, stream_rng(seed, self._ACT_STREAM, epoch, t), slot=t
+            )
+            for t, jobs in enumerate(sequences)
+        ]
+        self.n_sequential += len(rewards)
+        return rewards, 0, 0, len(rewards), n_rejected

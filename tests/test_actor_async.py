@@ -3,9 +3,9 @@
 Five layers:
 
 1. the golden property — collecting through the actor pool with
-   ``staleness=0`` trains *bit-identically* to the in-parent lock-step
-   loop, on the serial and process backends, for any worker count (no
-   tolerances anywhere);
+   ``staleness=0`` trains *bit-identically* to a loop of one-episode
+   ``Trainer._rollout`` calls, on the serial and process backends, for
+   any worker count (no tolerances anywhere);
 2. :class:`ActorRuntime` semantics — episode content is independent of
    the in-worker lock-step width / auto-reset backlog interleaving and
    of cross-worker arrival order; staleness stamping and the
@@ -14,11 +14,12 @@ Five layers:
    (FIFO order, error propagation, the drained-queue guard);
 4. the satellite bugfix — a mid-epoch exception inside a ``Trainer``
    context must not leak worker processes;
-5. the collector rule — which of the two a ``Trainer`` uses follows from
-   its runtime and staleness alone.
+5. the collector rule — there is one; where its actors live follows
+   from the runtime alone, and a serial one stays inside this process.
 """
 
 import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from repro.rl.trainer import EpochRecord
 from repro.nn import ValueMLP, make_policy
 from repro.runtime import ActorRuntime, WorkerError, make_backend
 from repro.workloads import SequenceSampler, load_trace
+
+from .conftest import SequentialTrainer
 
 SERIAL = RuntimeConfig()
 PROCESS_2 = RuntimeConfig(backend="process", workers=2)
@@ -47,12 +50,11 @@ def copy_sequences(sequences):
     return [[j.copy() for j in seq] for seq in sequences]
 
 
-def make_trainer(trace, runtime, actors=False, staleness=0,
+def make_trainer(trace, runtime, sequential=False, staleness=0,
                  stale_mode="drop", epochs=2):
-    """``actors=True`` forces the actor collector where the trainer's own
-    rule (process runtime or ``staleness > 0``) would collect in-parent —
-    the private hook the serial golden needs."""
-    trainer = Trainer(
+    """``sequential=True`` builds the reference: a loop of one-episode
+    ``Trainer._rollout`` calls in place of the actors."""
+    return (SequentialTrainer if sequential else Trainer)(
         trace,
         env_config=ENV_CFG,
         ppo_config=PPOConfig(train_pi_iters=8, train_v_iters=8),
@@ -67,14 +69,15 @@ def make_trainer(trace, runtime, actors=False, staleness=0,
             stale_mode=stale_mode,
         ),
     )
-    trainer._use_actors = trainer._use_actors or actors
-    return trainer
 
 
-def train_run(trace, runtime, actors=False, **kwargs):
+def train_run(trace, runtime, sequential=False, **kwargs):
     epochs = kwargs.setdefault("epochs", 2)
-    with make_trainer(trace, runtime, actors, **kwargs) as trainer:
+    with make_trainer(trace, runtime, sequential, **kwargs) as trainer:
         records = [trainer.run_epoch(e) for e in range(epochs)]
+        # each side took its own collector: the golden is not vacuous
+        taken = getattr(trainer, "n_sequential", 0)
+        assert taken == (6 * epochs if sequential else 0)
         weights = {k: v.copy() for k, v in trainer.policy.state_dict().items()}
         values = {k: v.copy() for k, v in trainer.value.state_dict().items()}
     return records, weights, values
@@ -96,20 +99,27 @@ def assert_records_equal(rec_a, rec_b):
         assert a.stats.pi_iters_run == b.stats.pi_iters_run
 
 
+def assert_runs_equal(run_a, run_b):
+    """Two ``train_run`` results agree bit for bit: records, policy
+    weights, value weights."""
+    (rec_a, w_a, v_a), (rec_b, w_b, v_b) = run_a, run_b
+    assert_records_equal(rec_a, rec_b)
+    for key in w_a:
+        np.testing.assert_array_equal(w_a[key], w_b[key])
+    for key in v_a:
+        np.testing.assert_array_equal(v_a[key], v_b[key])
+
+
 class TestAsyncGolden:
-    """The acceptance-criterion test: actor pool (staleness=0) == in-parent
-    lock-step loop."""
+    """The acceptance-criterion test: actor pool (staleness=0) == loop of
+    ``Trainer._rollout`` — on the serial backend and on 2 and 3 processes."""
 
     @pytest.mark.parametrize("runtime", [SERIAL, PROCESS_2, PROCESS_3],
                              ids=["serial", "process2", "process3"])
     def test_staleness_zero_identical_to_locked(self, trace, runtime):
-        rec_l, w_l, v_l = train_run(trace, SERIAL)
-        rec_a, w_a, v_a = train_run(trace, runtime, actors=True)
-        assert_records_equal(rec_l, rec_a)
-        for key in w_l:
-            np.testing.assert_array_equal(w_l[key], w_a[key])
-        for key in v_l:
-            np.testing.assert_array_equal(v_l[key], v_a[key])
+        assert_runs_equal(
+            train_run(trace, SERIAL, sequential=True), train_run(trace, runtime)
+        )
 
     def test_nonzero_staleness_trains(self, trace):
         """The prefetch window runs and every epoch stays well-formed."""
@@ -210,7 +220,7 @@ class TestTrainerStaleness:
     """Drop/reweight accounting surfaces in the training curve."""
 
     def force_stale_epoch(self, trace, stale_mode):
-        with make_trainer(trace, SERIAL, actors=True, staleness=0,
+        with make_trainer(trace, SERIAL, staleness=0,
                           stale_mode=stale_mode, epochs=1) as t:
             # Submit epoch 0 (episodes run at version 0), then advance the
             # learner two updates before collecting: every episode is now
@@ -323,11 +333,11 @@ class TestBackendAsyncPrimitives:
         with make_backend(PROCESS_2) as backend:
             backend.post(0, _remember, 1)
             with pytest.raises(RuntimeError, match="pending"):
-                backend.scatter(_recall, [(), ()])
+                backend.broadcast(_recall)
             with pytest.raises(RuntimeError, match="pending"):
                 backend.map(_recall, [()])
             backend.next_result()
-            assert backend.scatter(_recall, [(), ()]) is not None
+            assert backend.broadcast(_recall) == [[1], []]
 
     def test_unpicklable_result_is_a_worker_error(self):
         with make_backend(PROCESS_2) as backend:
@@ -352,23 +362,20 @@ class TestNoLeakedWorkers:
 
 
 class TestCollectorRule:
-    """The collector is derived, not configured: in-parent when collection
-    stays in this process, the actor pool otherwise."""
+    """There is one collector, the actor pool; the runtime only says where
+    its actors live."""
 
-    def test_serial_trainer_never_builds_a_backend(self, trace, monkeypatch):
-        import repro.runtime.actor as actor_mod
-        import repro.runtime.grad as grad_mod
-
-        def no_backend(*args, **kwargs):
-            raise AssertionError("a serial trainer built a backend")
-
-        monkeypatch.setattr(actor_mod, "make_backend", no_backend)
-        monkeypatch.setattr(grad_mod, "make_backend", no_backend)
+    def test_serial_trainer_starts_no_process_and_no_segment(self, trace):
+        shm = Path("/dev/shm")
+        before = set(shm.glob("repro-*")) if shm.is_dir() else set()
         with make_trainer(trace, SERIAL, epochs=1) as t:
             record = t.run_epoch(0)
             assert np.isfinite(record.mean_reward)
-            assert t._actor_runtime is None
-        assert multiprocessing.active_children() == []
+            assert isinstance(t._actor_runtime, ActorRuntime)
+            # checked while the actors are up, not after close()
+            assert multiprocessing.active_children() == []
+            if shm.is_dir():
+                assert set(shm.glob("repro-*")) == before
 
     @pytest.mark.parametrize("runtime,staleness", [(PROCESS_2, 0), (SERIAL, 1)],
                              ids=["process", "stale"])
@@ -379,4 +386,14 @@ class TestCollectorRule:
             t.run_epoch(0)
             assert isinstance(t._actor_runtime, ActorRuntime)
             assert t._actor_runtime.n_workers == runtime.workers
-            assert t._vec_env is None  # the in-parent envs were never built
+            assert len(multiprocessing.active_children()) == (
+                runtime.workers if runtime.backend == "process" else 0
+            )
+
+    def test_serial_worker_count_does_not_change_results(self, trace):
+        """On the serial backend ``workers`` only partitions the actors'
+        state: three of them train to the same bits as one."""
+        assert_runs_equal(
+            train_run(trace, SERIAL),
+            train_run(trace, RuntimeConfig(backend="serial", workers=3)),
+        )

@@ -63,6 +63,7 @@ class TestParser:
         for command, flag, value in [
             ("train", "--rollout-mode", "async"),
             ("train", "--update-path", "sparse"),
+            ("train", "--grad-workers", "2"),
             ("train", "--transport", "shm"),
             ("study", "--rollout-mode", "async"),
             ("study", "--transport", "shm"),
@@ -74,8 +75,9 @@ class TestParser:
                 argv[1:1] = ["Lublin-1"]
             if command == "train":
                 argv += ["-o", "m.npz"]
-            with pytest.raises(SystemExit):
+            with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
+            assert exit_info.value.code == 2  # argparse: unrecognized argument
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz",
                                        "--staleness", "-1"])
@@ -143,17 +145,6 @@ class TestCommands:
             "train", "Lublin-1", "--jobs", "600", "--epochs", "1",
             "--trajectories", "2", "--length", "16", "--obsv", "8",
             "--workers", "2", "-o", str(model),
-        ])
-        assert code == 0
-        assert model.exists()
-
-    def test_train_sparse_with_grad_workers(self, tmp_path, capsys):
-        model = tmp_path / "m.npz"
-        code = main([
-            "train", "Lublin-1", "--jobs", "600", "--epochs", "1",
-            "--trajectories", "2", "--length", "16", "--obsv", "8",
-            "--grad-workers", "2",
-            "-o", str(model),
         ])
         assert code == 0
         assert model.exists()

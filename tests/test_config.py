@@ -44,6 +44,21 @@ class TestPPOConfig:
         with pytest.raises(ValueError):
             PPOConfig(gamma=1.5)
 
+    @pytest.mark.parametrize("field, bad, smallest", [
+        ("train_pi_iters", 0, 1),  # was: IndexError on kls[-1] after the rollout
+        ("train_v_iters", 0, 1),   # was: value_loss=nan + RuntimeWarning
+        ("minibatch_size", 0, 1),  # was: ValueError from inside the sparse plan
+        ("pi_lr", 0.0, 1e-12),
+        ("vf_lr", -1e-3, 1e-12),
+        ("max_grad_norm", 0.0, 1e-12),
+        ("target_kl", float("nan"), 1e-12),
+        ("entropy_coef", -0.01, 0.0),
+    ])
+    def test_rejects_values_the_update_cannot_run_with(self, field, bad, smallest):
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got {bad}$"):
+            PPOConfig(**{field: bad})
+        assert getattr(PPOConfig(**{field: smallest}), field) == smallest
+
 
 class TestTrainConfig:
     def test_paper_defaults(self):
@@ -66,6 +81,7 @@ class TestTrainConfig:
         assert TrainConfig(staleness=2).staleness == 2
         for cls, field in [(TrainConfig, "rollout_mode"),
                            (TrainConfig, "vectorized"),
+                           (TrainConfig, "grad_workers"),
                            (StudyConfig, "rollout_mode"),
                            (PPOConfig, "update_path"),
                            (RuntimeConfig, "transport")]:

@@ -6,10 +6,11 @@ Three layers of guarantees, each pinned exactly (no tolerances):
    bit-for-bit, with and without a :class:`FeatureCache`;
 2. :func:`discount_cumsum` matches the naive reversed Python recurrence
    bit-for-bit;
-3. a training epoch collected in lock-step reproduces the sequential
-   epoch (one ``Trainer._rollout`` per trajectory, the reference kept
-   here) exactly — same rewards, same update statistics, same
-   post-update weights.
+3. a training epoch collected by the actors (on the serial backend
+   here; ``test_actor_async.py`` adds the process pools) reproduces the
+   sequential epoch (one ``Trainer._rollout`` per trajectory, the
+   reference kept in ``conftest.py``) exactly — same rewards, same update
+   statistics, same post-update weights.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from repro.rl import Trainer, discount_cumsum
 from repro.sim import FeatureCache, build_observation, build_observation_loop
 from repro.sim.env import stable_user_hash
 from repro.workloads import Job, load_trace
+
+from .conftest import SequentialTrainer
 
 
 def random_jobs(rng, n, n_procs=64):
@@ -124,17 +127,6 @@ def trace():
     return load_trace("Lublin-1", n_jobs=600, seed=5)
 
 
-class SequentialTrainer(Trainer):
-    """The sequential reference: one episode at a time through
-    ``Trainer._rollout``, in trajectory order."""
-
-    def _collect_in_parent(self, sequences, rngs, buffer):
-        return [
-            self._rollout(jobs, buffer, rngs[t], slot=t)
-            for t, jobs in enumerate(sequences)
-        ]
-
-
 def run_one_epoch(trace, vectorized, backfill=False, epochs=1):
     t = (Trainer if vectorized else SequentialTrainer)(
         trace,
@@ -149,6 +141,8 @@ def run_one_epoch(trace, vectorized, backfill=False, epochs=1):
         ),
     )
     records = [t.run_epoch(e) for e in range(epochs)]
+    # each side took its own collector: the comparison is not vacuous
+    assert getattr(t, "n_sequential", 0) == (0 if vectorized else 6 * epochs)
     return t, records
 
 

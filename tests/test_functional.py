@@ -10,7 +10,7 @@ from repro.nn import (
     greedy_action,
     log_prob_of,
     masked_log_softmax,
-    sample_action,
+    sample_action_batch,
 )
 
 
@@ -90,8 +90,8 @@ class TestEntropy:
 class TestSampling:
     def test_sample_respects_distribution(self):
         rng = np.random.default_rng(0)
-        log_p = np.log(np.array([0.9, 0.1]))
-        draws = [sample_action(log_p, rng) for _ in range(2000)]
+        log_p = np.tile(np.log(np.array([0.9, 0.1])), (2000, 1))
+        draws = sample_action_batch(log_p, rng.random(2000))
         assert np.mean(draws) == pytest.approx(0.1, abs=0.03)
 
     def test_greedy_is_argmax(self):
@@ -101,6 +101,6 @@ class TestSampling:
         rng = np.random.default_rng(1)
         lp = masked_log_softmax(
             Tensor(np.zeros((1, 4))), np.array([[True, False, True, False]])
-        ).numpy()[0]
-        draws = {sample_action(lp, rng) for _ in range(200)}
-        assert draws <= {0, 2}
+        ).numpy()
+        draws = sample_action_batch(np.tile(lp, (200, 1)), rng.random(200))
+        assert set(draws.tolist()) <= {0, 2}

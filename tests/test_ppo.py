@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import PPOConfig, RuntimeConfig
+from repro.config import PPOConfig
 from repro.nn import (
     KernelPolicy,
     MLPPolicy,
@@ -19,7 +19,6 @@ from repro.nn import (
     valid_rows,
 )
 from repro.rl import PPOAgent, TrajectoryBuffer
-from repro.runtime import shard_bounds
 
 from .conftest import DenseOnly
 
@@ -44,9 +43,13 @@ def synthetic_batch(agent, n_episodes=6, steps=5, seed=0):
             obs = rng.random((M, F)).astype(np.float32)
             mask = np.ones(M, bool)
             best = int(obs[:, 0].argmax())
-            action, logp, value = agent.act(obs, mask)
-            reward = 1.0 if action == best else -1.0
-            buf.store(obs, mask, action, logp, value, reward=reward)
+            actions, logps = agent.act_batch(obs[None], mask[None])
+            value = agent.value_batch(obs[None])
+            reward = 1.0 if actions[0] == best else -1.0
+            buf.store(
+                obs, mask, int(actions[0]), float(logps[0]), float(value[0]),
+                reward=reward,
+            )
         buf.end_episode(0.0)
     return buf.get()
 
@@ -54,32 +57,31 @@ def synthetic_batch(agent, n_episodes=6, steps=5, seed=0):
 class TestActing:
     def test_act_returns_valid_tuple(self):
         agent = make_agent()
-        obs = np.random.default_rng(0).random((M, F))
-        action, logp, value = agent.act(obs, np.ones(M, bool))
-        assert 0 <= action < M
-        assert logp <= 0.0
-        assert isinstance(value, float)
+        obs = np.random.default_rng(0).random((1, M, F))
+        actions, logps = agent.act_batch(obs, np.ones((1, M), bool))
+        assert 0 <= actions[0] < M
+        assert logps[0] <= 0.0
+        assert agent.value_batch(obs).shape == (1,)
 
     def test_act_respects_mask(self):
         agent = make_agent()
-        obs = np.random.default_rng(0).random((M, F))
-        mask = np.zeros(M, bool)
-        mask[3] = True
-        actions = {agent.act(obs, mask)[0] for _ in range(20)}
-        assert actions == {3}
+        obs = np.random.default_rng(0).random((20, M, F))
+        masks = np.zeros((20, M), bool)
+        masks[:, 3] = True
+        assert set(agent.act_batch(obs, masks)[0].tolist()) == {3}
 
     def test_act_greedy_deterministic(self):
         agent = make_agent()
-        obs = np.random.default_rng(0).random((M, F))
-        mask = np.ones(M, bool)
-        choices = {agent.act_greedy(obs, mask) for _ in range(5)}
+        obs = np.random.default_rng(0).random((1, M, F))
+        masks = np.ones((1, M), bool)
+        choices = {int(agent.act_greedy_batch(obs, masks)[0]) for _ in range(5)}
         assert len(choices) == 1
 
     def test_act_stochastic_explores(self):
         agent = make_agent()
-        obs = np.random.default_rng(0).random((M, F))
-        actions = {agent.act(obs, np.ones(M, bool))[0] for _ in range(60)}
-        assert len(actions) > 1
+        obs = np.tile(np.random.default_rng(0).random((M, F)), (60, 1, 1))
+        actions = agent.act_batch(obs, np.ones((60, M), bool))[0]
+        assert len(set(actions.tolist())) > 1
 
 
 class TestUpdate:
@@ -109,7 +111,8 @@ class TestUpdate:
         for _ in range(40):
             obs = rng.random((M, F))
             best = int(obs[:, 0].argmax())
-            hits.append(agent.act_greedy(obs, np.ones(M, bool)) == best)
+            action = agent.act_greedy_batch(obs[None], np.ones((1, M), bool))[0]
+            hits.append(action == best)
         assert np.mean(hits) > 0.4  # chance level is 1/16
 
     def test_kl_early_stopping(self):
@@ -155,14 +158,14 @@ def padded_batch(n, m=16, max_jobs=5, seed=0):
     }
 
 
-def reference_update(agent, data, n_shards=1):
+def reference_update(agent, data):
     """The update as it ran before plans and the ragged first layer, kept
     as the oracle: every iteration re-gathers ``data[k][idx]``, re-derives
     the valid rows, and the value network multiplies the dense padded
     float64 matrix through plain ``Tensor.__matmul__``.  Losses are
-    sum-reduced per contiguous shard and gradients divided by the row
-    count, which is GradientReducer's arithmetic (one shard: the mean
-    loss).  Returns ``(policy_losses, kls, value_losses)`` per iteration.
+    sum-reduced and gradients divided by the row count (the mean loss,
+    in another operation order).  Returns ``(policy_losses, kls,
+    value_losses)`` per iteration.
     """
     cfg = agent.config
     n = len(data["actions"])
@@ -174,42 +177,38 @@ def reference_update(agent, data, n_shards=1):
         idx = agent.rng.choice(n, size=size, replace=False)
         return {k: v[idx] for k, v in data.items()}
 
-    def step(optimizer, shard_loss, batch):
+    def step(optimizer, sum_loss, batch):
         optimizer.zero_grad()
-        total, kl = 0.0, 0.0
-        for lo, hi in shard_bounds(size, n_shards):
-            loss, shard_kl = shard_loss({k: v[lo:hi] for k, v in batch.items()})
-            loss.backward()
-            total += loss.item()
-            kl += shard_kl
+        loss, kl = sum_loss(batch)
+        loss.backward()
         for p in optimizer.params:
             p.grad = p.grad / size
         clip_grad_norm(optimizer.params, cfg.max_grad_norm)
         optimizer.step()
-        return total / size, kl / size
+        return loss.item() / size, kl / size
 
-    def policy_loss(shard):
-        obs, masks = shard["obs"].astype(np.float64), shard["masks"]
+    def policy_loss(batch):
+        obs, masks = batch["obs"].astype(np.float64), batch["masks"]
         if hasattr(agent.policy, "score_rows_grad"):
             b_idx, s_idx, indptr = valid_rows(masks)
             scores = agent.policy.score_rows_grad(obs[b_idx, s_idx])
             log_probs = segment_log_softmax(scores, indptr)
-            logp = segment_log_prob_of(log_probs, masks, shard["actions"], indptr)
+            logp = segment_log_prob_of(log_probs, masks, batch["actions"], indptr)
             ent = -segment_sum(log_probs.exp() * log_probs, indptr)
         else:
             log_probs = masked_log_softmax(agent.policy(obs, masks), masks)
-            logp = log_prob_of(log_probs, shard["actions"])
+            logp = log_prob_of(log_probs, batch["actions"])
             ent = -(log_probs.exp() * log_probs).sum(axis=-1)
-        ratio = (logp - Tensor(shard["log_probs"])).exp()
-        adv = Tensor(shard["advantages"])
+        ratio = (logp - Tensor(batch["log_probs"])).exp()
+        adv = Tensor(batch["advantages"])
         clipped = ratio.clip(1 - cfg.clip_ratio, 1 + cfg.clip_ratio) * adv
         loss = -(ratio * adv).minimum(clipped).sum() - cfg.entropy_coef * ent.sum()
-        return loss, float(np.sum(shard["log_probs"] - logp.numpy()))
+        return loss, float(np.sum(batch["log_probs"] - logp.numpy()))
 
-    def value_loss(shard):
-        flat = shard["obs"].reshape(len(shard["obs"]), -1).astype(np.float64)
+    def value_loss(batch):
+        flat = batch["obs"].reshape(len(batch["obs"]), -1).astype(np.float64)
         values = agent.value.mlp(Tensor(flat)).reshape(len(flat))
-        return ((values - Tensor(shard["returns"])) ** 2.0).sum(), 0.0
+        return ((values - Tensor(batch["returns"])) ** 2.0).sum(), 0.0
 
     pi_losses, kls = [], []
     for _ in range(cfg.train_pi_iters):
@@ -230,8 +229,8 @@ class TestUpdatePlan:
     minibatch covers the batch) and runs the value net on bucketed row
     prefixes; none of that may change what is computed."""
 
-    def agents(self, update_path, policy="kernel", grad_runtime=None, **ppo):
-        def build(runtime):
+    def agents(self, update_path, policy="kernel", **ppo):
+        def build():
             net = (
                 KernelPolicy(F, hidden=(8, 8), seed=3) if policy == "kernel"
                 else MLPPolicy(16, F, hidden=(8, 8), seed=3)
@@ -242,20 +241,17 @@ class TestUpdatePlan:
                 train_pi_iters=6, train_v_iters=6, entropy_coef=0.01, **ppo,
             )
             return PPOAgent(net, ValueMLP(16, F, hidden=(16, 8), seed=4),
-                            cfg, seed=5, grad_runtime=runtime)
+                            cfg, seed=5)
 
-        return build(grad_runtime), build(None)
+        return build(), build()
 
-    def assert_same_update(self, agent, oracle, data, n_shards=1):
+    def assert_same_update(self, agent, oracle, data):
         # behaviour log-probs of the initial policy: KL starts at zero
         data["log_probs"] = oracle.episode_log_probs(
             data["obs"], data["masks"], data["actions"]
         )
-        try:
-            stats = agent.update(data)
-        finally:
-            agent.close()
-        pi_losses, kls, v_losses = reference_update(oracle, data, n_shards)
+        stats = agent.update(data)
+        pi_losses, kls, v_losses = reference_update(oracle, data)
         assert stats.pi_iters_run == len(kls)
         assert stats.policy_loss == pytest.approx(np.mean(pi_losses), rel=1e-10)
         assert stats.kl == pytest.approx(np.mean(kls), rel=1e-10, abs=1e-14)
@@ -283,15 +279,6 @@ class TestUpdatePlan:
     def test_dense_path_with_a_joint_policy(self):
         agent, oracle = self.agents("dense", policy="mlp", minibatch_size=24)
         self.assert_same_update(agent, oracle, padded_batch(60, seed=1))
-
-    @pytest.mark.parametrize("update_path", ["dense", "sparse"])
-    @pytest.mark.parametrize("minibatch_size", [4096, 24])
-    def test_matches_through_gradient_sharding(self, update_path, minibatch_size):
-        runtime = RuntimeConfig(backend="serial", workers=3)
-        agent, oracle = self.agents(
-            update_path, grad_runtime=runtime, minibatch_size=minibatch_size
-        )
-        self.assert_same_update(agent, oracle, padded_batch(60, seed=2), 3)
 
     def test_early_stop_draws_no_further_minibatch(self):
         agent, oracle = self.agents(

@@ -1,5 +1,5 @@
-"""Segment-batched sparse PPO update and data-parallel gradient sharding:
-path equivalence, the gradient-reduction runtime, and the KL-reporting fix."""
+"""Segment-batched sparse PPO update: path equivalence with the dense
+oracle, and the KL-reporting fix."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.config import EnvConfig, PPOConfig, RuntimeConfig, TrainConfig
 from repro.nn import KernelPolicy, MLPPolicy, Tensor, ValueMLP, make_policy
 from repro.rl import PPOAgent, Trainer
 from repro.rl.ppo import UpdateStats, _policy_plan, _policy_terms
-from repro.runtime import GradientReducer, shard_bounds
 from repro.telemetry import core as telemetry
 from repro.workloads import load_trace
 
@@ -32,7 +31,7 @@ def synthetic_data(n=48, m=16, seed=0):
     }
 
 
-def make_agent(update_path="dense", m=16, grad_runtime=None, **ppo_kwargs):
+def make_agent(update_path="dense", m=16, **ppo_kwargs):
     """A kernel-policy agent; ``"dense"`` hides the row scorer so the
     agent's own rule picks the dense oracle."""
     policy = KernelPolicy(F, hidden=(8, 8), seed=7)
@@ -40,7 +39,7 @@ def make_agent(update_path="dense", m=16, grad_runtime=None, **ppo_kwargs):
         policy = DenseOnly(policy)
     value = ValueMLP(m, F, hidden=(16, 16), seed=8)
     cfg = PPOConfig(**ppo_kwargs)
-    return PPOAgent(policy, value, cfg, seed=0, grad_runtime=grad_runtime)
+    return PPOAgent(policy, value, cfg, seed=0)
 
 
 def policy_terms(policy, data, path):
@@ -64,9 +63,13 @@ class TestSparsePath:
         assert spans["update.policy_iter.sparse"]["count"] == 1
 
     def test_config_rejects_unknown_path(self):
-        """The path is not configurable any more."""
+        """The path is not configurable any more, and neither is where
+        its gradients are computed."""
         with pytest.raises(TypeError):
             PPOConfig(update_path="sparse")
+        with pytest.raises(TypeError):
+            PPOAgent(KernelPolicy(F, seed=0), ValueMLP(16, F, seed=1),
+                     grad_runtime=RuntimeConfig())
 
     def test_forward_parity(self):
         data = synthetic_data()
@@ -134,105 +137,12 @@ class TestKLReporting:
         assert np.isnan(stats.kl_last)
 
 
-class TestShardBounds:
-    def test_partition_covers_and_is_contiguous(self):
-        bounds = shard_bounds(10, 3)
-        assert bounds == [(0, 4), (4, 7), (7, 10)]
-
-    def test_never_more_shards_than_rows(self):
-        assert shard_bounds(2, 8) == [(0, 1), (1, 2)]
-
-    def test_even_split(self):
-        assert shard_bounds(8, 2) == [(0, 4), (4, 8)]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            shard_bounds(0, 2)
-
-
-def _sum_loss(module, shard):
-    out = module(shard["x"])
-    loss = (out ** 2.0).sum()
-    return loss, {"loss": float(loss.item())}
-
-
-class TestGradientReducer:
-    def test_requires_install(self):
-        reducer = GradientReducer(RuntimeConfig())
-        policy = KernelPolicy(F, seed=0)
-        with pytest.raises(RuntimeError, match="install"):
-            reducer.grad_sums("policy", policy, _sum_loss, {"x": np.ones(3)})
-
-    def test_rejects_mismatched_batch_lengths(self):
-        with GradientReducer(RuntimeConfig()) as reducer:
-            policy = KernelPolicy(F, seed=0)
-            reducer.install({"policy": policy})
-            with pytest.raises(ValueError, match="disagree"):
-                reducer.grad_sums(
-                    "policy", policy, _sum_loss,
-                    {"a": np.ones(3), "b": np.ones(4)},
-                )
-
-    def test_serial_matches_process_bitwise_at_fixed_workers(self):
-        """Same shard partition + same reduction order ⇒ the backend is
-        a pure throughput knob, like the rollout runtime."""
-        data = synthetic_data()
-        agents = [
-            make_agent("sparse", grad_runtime=RuntimeConfig(
-                backend=backend, workers=2))
-            for backend in ("serial", "process")
-        ]
-        try:
-            stats = [a.update(dict(data)) for a in agents]
-            assert stats[0] == stats[1]
-            for p1, p2 in zip(agents[0].policy.parameters(),
-                              agents[1].policy.parameters()):
-                np.testing.assert_array_equal(p1.data, p2.data)
-            for v1, v2 in zip(agents[0].value.parameters(),
-                              agents[1].value.parameters()):
-                np.testing.assert_array_equal(v1.data, v2.data)
-        finally:
-            for a in agents:
-                a.close()
-
-    def test_sharded_matches_unsharded(self):
-        data = synthetic_data()
-        plain = make_agent("sparse")
-        sharded = make_agent("sparse", grad_runtime=RuntimeConfig(
-            backend="serial", workers=3))
-        try:
-            s0 = plain.update(dict(data))
-            s1 = sharded.update(dict(data))
-            assert s0.policy_loss == pytest.approx(s1.policy_loss, abs=1e-10)
-            assert s0.value_loss == pytest.approx(s1.value_loss, abs=1e-10)
-            for p1, p2 in zip(plain.policy.parameters(),
-                              sharded.policy.parameters()):
-                np.testing.assert_allclose(p1.data, p2.data, atol=1e-8)
-        finally:
-            sharded.close()
-            plain.close()  # no-op: never had workers
-
-    def test_dense_path_shards_too(self):
-        data = synthetic_data()
-        plain = make_agent("dense")
-        sharded = make_agent("dense", grad_runtime=RuntimeConfig(
-            backend="serial", workers=2))
-        try:
-            plain.update(dict(data))
-            sharded.update(dict(data))
-            for p1, p2 in zip(plain.policy.parameters(),
-                              sharded.policy.parameters()):
-                np.testing.assert_allclose(p1.data, p2.data, atol=1e-8)
-        finally:
-            sharded.close()
-
-
 class TestTrainerIntegration:
     @pytest.fixture(scope="class")
     def trace(self):
         return load_trace("Lublin-1", n_jobs=400, seed=3)
 
-    def _run(self, trace, update_path, grad_workers):
+    def _run(self, trace, update_path):
         t = Trainer(
             trace,
             env_config=EnvConfig(max_obsv_size=8),
@@ -243,7 +153,7 @@ class TestTrainerIntegration:
             ),
             train_config=TrainConfig(
                 epochs=2, trajectories_per_epoch=2, trajectory_length=16,
-                seed=0, grad_workers=grad_workers,
+                seed=0,
             ),
         )
         try:
@@ -251,11 +161,7 @@ class TestTrainerIntegration:
         finally:
             t.close()
 
-    def test_sparse_sharded_matches_dense_serial(self, trace):
-        dense = self._run(trace, "dense", 1)
-        sparse = self._run(trace, "sparse", 2)
+    def test_sparse_matches_dense(self, trace):
+        dense = self._run(trace, "dense")
+        sparse = self._run(trace, "sparse")
         np.testing.assert_allclose(sparse, dense, rtol=1e-6)
-
-    def test_config_rejects_bad_grad_workers(self):
-        with pytest.raises(ValueError):
-            TrainConfig(grad_workers=0)

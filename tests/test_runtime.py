@@ -71,6 +71,31 @@ def explode(state, x):
     return x
 
 
+def explode_on_remembered(state):
+    return explode(state, state["value"])
+
+
+def scatter(backend, fn, per_worker_args, workers=None):
+    """Addressed dispatch out of the two primitives that remain for it:
+    ``post`` one call per listed worker, collect with ``next_result``;
+    results ordered like ``workers``.  Every posted call is drained before
+    the first failure is re-raised."""
+    if workers is None:
+        workers = range(len(per_worker_args))
+    for worker, args in zip(workers, per_worker_args):
+        backend.post(worker, fn, *args)
+    results, first_err = {}, None
+    while backend.n_pending:
+        try:
+            worker, result = backend.next_result()
+            results[worker] = result
+        except WorkerError as err:
+            first_err = first_err or err
+    if first_err is not None:
+        raise first_err
+    return [results[worker] for worker in workers]
+
+
 @pytest.fixture(params=BACKENDS, ids=lambda c: c.__name__)
 def backend(request):
     with request.param(3) as b:
@@ -89,21 +114,17 @@ class TestDispatch:
 
     def test_broadcast_reaches_every_worker(self, backend):
         backend.broadcast(remember, 42)
-        assert backend.scatter(recall, [()] * 3, workers=[0, 1, 2]) == [42] * 3
+        assert backend.broadcast(recall) == [42] * 3
 
     def test_scatter_targets_specific_workers(self, backend):
-        backend.scatter(remember, [(10,), (20,)], workers=[0, 2])
-        assert backend.scatter(recall, [(), (), ()], workers=[0, 1, 2]) == [
-            10, None, 20,
-        ]
+        scatter(backend, remember, [(10,), (20,)], workers=[0, 2])
+        assert backend.broadcast(recall) == [10, None, 20]
 
     def test_scatter_validates_worker_ids(self, backend):
-        with pytest.raises(ValueError):
-            backend.scatter(recall, [()], workers=[3])
-        with pytest.raises(ValueError):
-            backend.scatter(recall, [(), ()], workers=[1, 1])
-        with pytest.raises(ValueError):
-            backend.scatter(recall, [(), ()], workers=[0])
+        for worker in (3, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                backend.post(worker, recall)
+        assert backend.n_pending == 0
 
     def test_state_persists_across_map_calls(self, backend):
         # The same workers serve both calls, so counters keep counting:
@@ -112,8 +133,7 @@ class TestDispatch:
         backend.map(count_calls, range(6), chunksize=1)
         second = backend.map(count_calls, range(6), chunksize=1)
         assert max(second) >= 2  # at least one worker saw both calls
-        totals = backend.scatter(get_calls, [(), (), ()])
-        assert sum(totals) == 12
+        assert sum(backend.broadcast(get_calls)) == 12
 
     def test_task_error_raises_worker_error(self, backend):
         with pytest.raises(WorkerError, match="boom"):
@@ -123,24 +143,40 @@ class TestDispatch:
 
     def test_scatter_error_keeps_pipes_in_sync(self, backend):
         with pytest.raises(WorkerError, match="boom"):
-            backend.scatter(explode, [(1,), (3,), (5,)], workers=[0, 1, 2])
-        assert backend.scatter(square, [(2,), (3,), (4,)]) == [4, 9, 16]
+            scatter(backend, explode, [(1,), (3,), (5,)])
+        assert scatter(backend, square, [(2,), (3,), (4,)]) == [4, 9, 16]
+
+    def test_broadcast_error_keeps_pipes_in_sync(self, backend):
+        # One worker of three fails the same call: the other replies are
+        # still drained, so the next dispatch reads its own answers.
+        scatter(backend, remember, [(1,), (3,), (5,)])
+        with pytest.raises(WorkerError, match="boom") as err:
+            backend.broadcast(explode_on_remembered)
+        assert err.value.worker_id == 1
+        assert backend.broadcast(square, 7) == [49, 49, 49]
+        assert backend.broadcast(recall) == [1, 3, 5]
 
     @pytest.mark.parametrize("arrays_via", ["pipe", "shm"])
     def test_unpicklable_payload_keeps_pipes_in_sync(self, arrays_via, request):
-        # A send-side pickling failure must drain already-posted tasks:
-        # otherwise the next dispatch reads a stale reply (silent
-        # corruption instead of an error).  Process backend only — the
-        # serial backend never pickles.  The codec encodes before writing
-        # with the pool ("shm") and on the inline fallback without it
-        # ("pipe"), so the invariant holds on both.
+        # A send-side pickling failure must reach no worker and leave what
+        # was already posted intact: otherwise the next dispatch reads a
+        # stale reply (silent corruption instead of an error).  Process
+        # backend only — the serial backend never pickles.  The codec
+        # encodes before writing with the pool ("shm") and on the inline
+        # fallback without it ("pipe"), so the invariant holds on both.
         if arrays_via == "pipe":
             request.getfixturevalue("no_shm_pool")
         with ProcessPoolBackend(2) as b:
             assert (b._pool is None) == (arrays_via == "pipe")
             with pytest.raises(WorkerError):
-                b.scatter(square, [(2,), (lambda: None,)], workers=[0, 1])
-            assert b.scatter(square, [(5,), (6,)]) == [25, 36]
+                b.broadcast(square, lambda: None)
+            assert b.broadcast(square, 5) == [25, 25]
+            b.post(0, square, 2)
+            with pytest.raises(WorkerError):
+                b.post(1, square, lambda: None)
+            assert b.n_pending == 1  # the failed post never counted
+            assert b.next_result() == (0, 4)
+            assert b.broadcast(square, 6) == [36, 36]
             with pytest.raises(WorkerError):
                 b.map(square, [1, lambda: None, 3], chunksize=1)
             assert b.map(square, [2, 3]) == [4, 9]

@@ -6,7 +6,7 @@ Three layers of pinning:
   leases, owner-pid crash reclaim, and segment teardown;
 * :class:`repro.runtime.ArrayCodec` — the protocol-5 wire format and its
   *lossless* fallbacks (small payloads, exhausted pool, non-contiguous
-  arrays), plus the serialize-once shared/post_all channels;
+  arrays), plus the serialize-once broadcast/post_all channels;
 * transport equivalence — where the arrays travel changes no result bit:
   training and evaluation are identical on the pool, on the inline
   fallback a host without ``/dev/shm`` gets, and on the serial runtime;
@@ -243,8 +243,10 @@ class TestShmBackendFailureModes:
         )
         with ProcessPoolBackend(2) as b:
             arrs = [np.arange(50_000, dtype=np.float64) for _ in range(2)]
-            assert b.scatter(echo_sum, [(a,) for a in arrs]) == [
-                float(a.sum()) for a in arrs
+            for worker, a in enumerate(arrs):
+                b.post(worker, echo_sum, a)
+            assert sorted(b.next_result() for _ in arrs) == [
+                (worker, float(a.sum())) for worker, a in enumerate(arrs)
             ]
             got = b.map(make_array, [30_000, 40_000])
             np.testing.assert_array_equal(got[1], np.arange(40_000.0))
@@ -257,12 +259,34 @@ class TestShmBackendFailureModes:
                 b.next_result()
             assert b._pool.n_leases == 0  # crash reclaim freed the span
 
-    def test_shared_scatter_serializes_once(self):
+    def test_worker_crash_under_broadcast_is_a_worker_error(self):
+        with ProcessPoolBackend(2) as b:
+            with pytest.raises(WorkerError, match="died") as err:
+                b.broadcast(lease_then_die, 8192)
+            assert err.value.worker_id == 0  # the first in worker order
+            assert b._pool.n_leases == 0  # both workers' spans reclaimed
+
+    def test_broadcast_past_a_dead_worker_refunds_and_drains(self):
+        with ProcessPoolBackend(2) as b:
+            b.post(1, lease_then_die, 8192)
+            with pytest.raises(WorkerError, match="died"):
+                b.next_result()
+            w = np.arange(10_000, dtype=np.float64)
+            with pytest.raises(WorkerError) as err:
+                b.broadcast(echo_sum, w)
+            assert err.value.worker_id == 1
+            # worker 0 decoded its copy, worker 1's was refunded ...
+            assert b._pool.n_leases == 0
+            # ... and worker 0's reply was drained: its pipe is in sync
+            b.post(0, echo_sum, w)
+            assert b.next_result() == (0, float(w.sum()))
+
+    def test_broadcast_serializes_once(self):
         with ProcessPoolBackend(2) as b:
             w = np.arange(10_000, dtype=np.float64)
             before = b._pool._n_puts
-            out = b.scatter(concat_shared, [(1,), (2,)], shared=(w,))
-            assert out == [w.sum() + 1, w.sum() + 2]
+            out = b.broadcast(concat_shared, w, 1)
+            assert out == [w.sum() + 1] * 2
             assert b._pool._n_puts == before + 1  # one span, two workers
             assert b._pool.n_leases == 0
 
@@ -440,7 +464,7 @@ class TestPoolUnavailable:
             with ProcessPoolBackend(2) as b:
                 assert b._pool is None
                 arr = np.arange(50_000, dtype=np.float64)
-                assert b.scatter(echo_sum, [(arr,), (arr,)]) == [arr.sum()] * 2
+                assert b.broadcast(echo_sum, arr) == [arr.sum()] * 2
         finally:
             log.removeHandler(handler)
         warnings = [r for r in records if "pool unavailable" in r.getMessage()]

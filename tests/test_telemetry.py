@@ -526,11 +526,10 @@ class TestPerfBreakdownFromSpans:
         run_perf = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(run_perf)
 
-        rng = np.random.default_rng(0)
         sampler = run_perf.SequenceSampler(trace, 16, seed=0)
         sequences = sampler.sample_many(2)
         out = run_perf.rollout_phase_breakdown(
-            TINY_ENV, trace, sequences, n_envs=2, rng=rng
+            TINY_ENV, trace, sequences, n_envs=2
         )
         fracs = [out["policy_forward_frac"], out["env_step_frac"],
                  out["buffer_frac"]]

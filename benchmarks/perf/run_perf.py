@@ -2,10 +2,10 @@
 
 Measures, in one run:
 
-* ``rollout.vectorized_steps_per_sec`` — bench sequences through
-  :class:`VecSchedGym`: N environments in lock-step, one batched policy
-  forward per step, value estimates deferred to one batched call per
-  episode.
+* ``rollout.vectorized_steps_per_sec`` — bench sequences through the
+  collector's ``lockstep_rollout`` over a bare :class:`VecSchedGym`: N
+  environments in lock-step, one ragged observation wave and one batched
+  policy forward per step (per-episode targets are not in the timing).
 * ``rollout.phase_breakdown`` — where the training collector's lock-step
   loop spends its wall-time: env stepping vs policy forwards vs episode
   buffer bookkeeping, read from the ``rollout.*`` telemetry spans the
@@ -74,6 +74,7 @@ import os
 import platform
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +86,7 @@ from repro.rl import PPOAgent, TrajectoryBuffer, make_reward
 from repro.rl.ppo import _policy_plan
 from repro.rl.trainer import Trainer
 from repro.telemetry import core as telemetry
-from repro.runtime import ActorRuntime, process_pool
+from repro.runtime import ActorRuntime, lockstep_rollout, process_pool
 from repro.sim import VecSchedGym, run_scheduler
 from repro.schedulers import FCFS, SJF
 from repro.workloads import SequenceSampler, load_trace
@@ -101,43 +102,22 @@ SCALES = {
 }
 
 
-def rollout_vectorized(agent, env_cfg, n_procs, sequences, n_envs, rng, buffer=None):
-    """Vectorised rollout; optionally fills ``buffer`` for the update bench."""
+def rollout_vectorized(agent, env_cfg, n_procs, sequences, n_envs, seed, buffer=None):
+    """Time the collector's own lock-step loop over a bare ``VecSchedGym``;
+    optionally (untimed) fills ``buffer`` for the update bench."""
     vec = VecSchedGym(n_envs, n_procs, make_reward("bsld"), config=env_cfg)
-    n = min(n_envs, len(sequences))
-    steps = 0
+    rngs = [np.random.default_rng([seed, t]) for t in range(len(sequences))]
     start = time.perf_counter()
-    obs, masks = vec.reset(sequences[:n])  # engines copy jobs internally
-    vec.queue_sequences(sequences[n:])
-    slot_of_env = list(range(n))
-    next_slot = n
-    while True:
-        active_idx = np.flatnonzero(vec.active)
-        if not len(active_idx):
-            break
-        a_obs = obs[active_idx]
-        a_masks = masks[active_idx]
-        actions, log_probs = agent.act_batch(a_obs, a_masks, rng)
-        if buffer is not None:
-            buffer.store_batch(
-                a_obs, a_masks, actions, log_probs,
-                slots=[slot_of_env[i] for i in active_idx],
+    episodes, rewards = lockstep_rollout(vec, agent, sequences, rngs)
+    elapsed = time.perf_counter() - start
+    if buffer is not None:
+        for (rows, counts, actions), reward in zip(episodes, rewards):
+            buffer.add_episode(
+                rows, counts, actions,
+                agent.episode_log_probs(rows, counts, actions),
+                agent.value_batch(rows, counts), reward,
             )
-        full = np.full(vec.n_envs, -1, dtype=np.int64)
-        full[active_idx] = actions
-        result = vec.step(full)
-        steps += len(active_idx)
-        for i in active_idx:
-            if result.dones[i]:
-                slot = slot_of_env[i]
-                if buffer is not None:
-                    values = agent.value_batch(buffer.staged_obs(slot))
-                    buffer.end_slot(slot, result.rewards[i], values=values)
-                if result.infos[i].get("auto_reset"):
-                    slot_of_env[i] = next_slot
-                    next_slot += 1
-        obs, masks = result.observations, result.action_masks
-    return steps, time.perf_counter() - start
+    return sum(len(actions) for _, _, actions in episodes), elapsed
 
 
 def _phase_trainer(env_cfg, trace, sequences, n_envs):
@@ -560,10 +540,11 @@ def bench_ppo_update(agent, buffer, ppo_cfg, max_obsv, job_features):
             ppo_cfg,
             seed=0,
         )
-        path_agent._policy_step(_policy_plan(data, sparse, idx_lists[0]))  # warm-up
+        plan = partial(_policy_plan, data, sparse, max_obsv)
+        path_agent._policy_step(plan(idx_lists[0]))  # warm-up
         start = time.perf_counter()
         for idx in idx_lists:
-            path_agent._policy_step(_policy_plan(data, sparse, idx))
+            path_agent._policy_step(plan(idx))
         report[f"{path}_sec_per_iter"] = (
             (time.perf_counter() - start) / len(idx_lists)
         )
@@ -602,8 +583,7 @@ def main(argv=None):
     agent = PPOAgent(policy, value, ppo_cfg, seed=0)
 
     # Warm-up (first-call allocation noise), then measure.
-    rollout_vectorized(agent, env_cfg, trace.max_procs, sequences[:1], n_envs,
-                       np.random.default_rng(0))
+    rollout_vectorized(agent, env_cfg, trace.max_procs, sequences[:1], n_envs, 0)
 
     print(f"[perf] scale={args.scale}: {n_seqs} sequences x {seq_len} jobs, "
           f"M={max_obsv}, n_envs={n_envs}")
@@ -613,8 +593,7 @@ def main(argv=None):
     vec_steps, vec_time = min(
         (
             rollout_vectorized(
-                agent, env_cfg, trace.max_procs, sequences, n_envs,
-                np.random.default_rng(1),
+                agent, env_cfg, trace.max_procs, sequences, n_envs, 1
             )
             for _ in range(3)
         ),
@@ -645,8 +624,8 @@ def main(argv=None):
 
     # Untimed buffered collection feeds the PPO-update bench.
     buffer = TrajectoryBuffer(gamma=ppo_cfg.gamma, lam=ppo_cfg.lam)
-    rollout_vectorized(agent, env_cfg, trace.max_procs, sequences, n_envs,
-                       np.random.default_rng(1), buffer=buffer)
+    rollout_vectorized(agent, env_cfg, trace.max_procs, sequences, n_envs, 1,
+                       buffer=buffer)
 
     ppo_report = bench_ppo_update(
         agent, buffer, ppo_cfg, max_obsv, env_cfg.job_features
@@ -701,6 +680,7 @@ def main(argv=None):
             "vectorized_steps_per_sec": vec_steps / vec_time,
             "vectorized_steps": vec_steps,
             "phase_breakdown": phase_breakdown,
+            "cpu_count": os.cpu_count(),
         },
         "engine": {"events_per_sec": events_per_sec},
         "scenarios": scenario_report,

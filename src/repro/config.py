@@ -154,8 +154,11 @@ class EnvConfig:
     def __post_init__(self) -> None:
         if self.max_obsv_size <= 0:
             raise ValueError("max_obsv_size must be positive")
-        if self.job_features < 5:
-            raise ValueError("need at least the 5 core job features")
+        if self.job_features < 7:
+            raise ValueError(
+                "job_features must be >= 7 (the encoder writes columns 0-6), "
+                f"got {self.job_features}"
+            )
         if self.memory_features and self.job_features < 9:
             raise ValueError(
                 "memory_features needs job_features >= 9 (columns 7 and 8 "

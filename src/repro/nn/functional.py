@@ -19,8 +19,8 @@ __all__ = [
     "segment_log_softmax",
     "segment_log_prob_of",
     "segment_entropy",
-    "valid_rows",
     "flat_action_index",
+    "segment_rectangle",
     "sample_action_batch",
     "greedy_action",
 ]
@@ -75,21 +75,6 @@ def entropy(log_probs: Tensor) -> Tensor:
 # update-path counterpart of the deploy-side ``score_rows`` fast path.
 # Forward values agree with the dense helpers to float64 round-off (the
 # masked slots contribute exactly zero probability in both).
-
-
-def valid_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten a boolean ``(B, M)`` mask into its valid-slot coordinates.
-
-    Returns ``(batch_idx, slot_idx, indptr)``: the row/column of every
-    True entry in row-major order (so entries of one observation are
-    contiguous) plus the CSR segment splits (``indptr[b]:indptr[b+1]``
-    spans observation ``b``'s valid slots).
-    """
-    masks = np.asarray(masks, dtype=bool)
-    batch_idx, slot_idx = np.nonzero(masks)
-    counts = masks.sum(axis=-1)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return batch_idx, slot_idx, indptr
 
 
 def flat_action_index(
@@ -147,6 +132,35 @@ def segment_entropy(log_probs: Tensor, indptr: np.ndarray) -> Tensor:
     """
     per_row = -segment_sum(log_probs.exp() * log_probs, indptr)
     return per_row.mean()
+
+
+#: NumPy sums a contiguous run of up to this many elements as one block of
+#: eight interleaved partial sums (``pairwise_sum``'s leaf); a longer run
+#: is split in two first, and where it splits depends on its length
+_PAIRWISE_LEAF = 128
+
+
+def segment_rectangle(
+    scores: np.ndarray, counts: np.ndarray, full_width: int
+) -> np.ndarray:
+    """Flat per-segment scores as a masked ``(n, W)`` block of logits.
+
+    Segment ``i`` fills the leading ``counts[i]`` slots of row ``i``; the
+    rest hold the mask fill (probability exactly 0 after the softmax
+    shift).  ``W`` is the longest segment rounded up to a multiple of 8,
+    never past ``full_width``: trailing zeros then meet the same eight
+    partial sums in the same order as in the ``full_width``-wide row, so
+    a softmax, its cumulative sums and an argmax over the block equal the
+    full-width ones bit for bit at a fraction of the width.  A row too
+    long to be one summation leaf keeps its full width.
+    """
+    counts = np.asarray(counts)
+    width = full_width
+    if full_width <= _PAIRWISE_LEAF:
+        width = min(-(-int(counts.max()) // 8) * 8, full_width)
+    logits = np.full((len(counts), width), _MASK_FILL)
+    logits[np.arange(width) < counts[:, None]] = scores
+    return logits
 
 
 def sample_action_batch(

@@ -211,10 +211,12 @@ class ValueMLP(Module):
         ]
         layers.append(Dense(dims[-1], 1, activation="identity", rng=rng))
         self.mlp = Sequential(*layers)
+        self.max_obsv_size = max_obsv_size
 
     def forward(self, obs: "np.ndarray | RaggedRows") -> Tensor:
         """``(B, M, F)`` observations, or their flattened rows already
-        bucketed (the PPO update plans them once), to ``(B,)`` values."""
+        bucketed (acting and the PPO update bucket ragged observations
+        directly, :meth:`RaggedRows.from_csr`), to ``(B,)`` values."""
         if not isinstance(obs, RaggedRows):
             obs = np.asarray(obs)
             if obs.ndim == 2:

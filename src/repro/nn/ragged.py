@@ -1,8 +1,8 @@
 """Ragged-prefix matmul: ``x @ W`` at the cost of each row's non-zero prefix.
 
 The value network reads the flattened observation window — ``M`` job
-slots of ``F`` features, of which :func:`~repro.sim.env.build_observation`
-fills the first ``k`` (the waiting jobs) and leaves the rest exactly zero.
+slots of ``F`` features, of which the first ``k`` (the waiting jobs) are
+filled and the rest are exactly zero.
 A zero column contributes exactly 0 to ``x @ W`` and exactly 0 to
 ``x.T @ g``, so both products only need each row up to its last non-zero
 column.  :class:`RaggedRows` stores a matrix that way — rows sorted by
@@ -11,6 +11,12 @@ and :func:`ragged_matmul` multiplies bucket by bucket.  It is the same
 function of ``(x, W)`` as the dense product for every finite input (a
 full-width row simply lands in a full-width bucket); only the BLAS
 summation order, and so the last ulp, can differ.
+
+Training never builds the window: observations arrive ragged, as
+``(rows, counts)`` — the job rows of a batch of observations one after
+the other and how many each owns — and :meth:`RaggedRows.from_csr`
+buckets them directly, into the same members, widths and blocks
+:meth:`RaggedRows.from_dense` derives from the padded block.
 """
 
 from __future__ import annotations
@@ -19,7 +25,14 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["RaggedRows", "ragged_matmul", "row_extents"]
+__all__ = [
+    "RaggedRows",
+    "ragged_matmul",
+    "row_extents",
+    "window_extents",
+    "csr_indptr",
+    "csr_gather",
+]
 
 #: a bucket spans extents up to this multiple of its narrowest row, which
 #: bounds the stored volume by GROWTH x the non-zero prefix volume and the
@@ -32,6 +45,49 @@ def row_extents(x: np.ndarray) -> np.ndarray:
     nonzero = x != 0
     last = x.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
     return np.where(nonzero.any(axis=1), last, 0)
+
+
+def csr_indptr(counts: np.ndarray) -> np.ndarray:
+    """Segment pointers of per-segment ``counts``: segment ``s`` spans
+    ``indptr[s]:indptr[s + 1]`` of the flat row array."""
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def csr_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices ``starts[s], ..., starts[s] + counts[s] - 1``, segment
+    after segment: where a selection of segments lives in a flat array."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - (ends - counts), counts) + np.arange(total)
+
+
+def window_extents(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """:func:`row_extents` of the flattened, zero-padded windows of ragged
+    observations, read off the rows themselves: observation ``b`` owns the
+    next ``counts[b]`` of ``rows``, and its extent ends inside its last
+    row with a non-zero entry (a trailing zero column stays outside)."""
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    slot = np.arange(len(rows)) - np.repeat(starts, counts)
+    within = row_extents(rows)
+    ends = np.where(within > 0, slot * rows.shape[1] + within, 0)
+    extents = np.zeros(len(counts), dtype=np.int64)
+    filled = counts > 0
+    extents[filled] = np.maximum.reduceat(ends, starts[filled])
+    return extents
+
+
+def _buckets(extents: np.ndarray):
+    """Cut rows of the given extents into ``(members, width)`` buckets:
+    sorted by extent, each spanning at most a factor ``_GROWTH``; rows of
+    extent 0 are in none."""
+    order = np.argsort(extents, kind="stable")
+    widths = extents[order]
+    lo = int(np.searchsorted(widths, 0, side="right"))
+    while lo < order.size:
+        hi = int(np.searchsorted(widths, _GROWTH * widths[lo], side="right"))
+        yield order[lo:hi], int(widths[hi - 1])
+        lo = hi
 
 
 class RaggedRows:
@@ -53,38 +109,66 @@ class RaggedRows:
         self.buckets = buckets
 
     @classmethod
-    def from_dense(
-        cls,
-        x: np.ndarray,
-        rows: np.ndarray | None = None,
-        extents: np.ndarray | None = None,
-    ) -> "RaggedRows":
+    def from_dense(cls, x: np.ndarray, rows: np.ndarray | None = None) -> "RaggedRows":
         """Bucket ``x[rows]`` (every row when ``rows`` is None).
 
-        ``extents`` is ``row_extents(x)`` when the caller already has it
-        (one pass over a batch serves every minibatch drawn from it).
         The dense float64 ``x[rows]`` is never built: each bucket gathers
         its own prefix straight from ``x``, whatever its dtype.
         """
         x = np.asarray(x)
         if x.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {x.shape}")
-        if extents is None:
-            extents = row_extents(x)
+        extents = row_extents(x)
         if rows is not None:
             extents = extents[rows]
-        order = np.argsort(extents, kind="stable")
-        widths = extents[order]
+        buckets = [
+            (
+                members,
+                x[members if rows is None else rows[members], :width].astype(
+                    np.float64
+                ),
+            )
+            for members, width in _buckets(extents)
+        ]
+        return cls((len(extents), x.shape[1]), buckets)
+
+    @classmethod
+    def from_csr(
+        cls,
+        rows: np.ndarray,
+        counts: np.ndarray,
+        n_slots: int,
+        select: np.ndarray | None = None,
+        extents: np.ndarray | None = None,
+    ) -> "RaggedRows":
+        """Bucket the flattened ``n_slots``-job windows of ragged
+        observations — of the observations ``select`` (every one when
+        ``None``) — without padding them out.
+
+        ``extents`` is ``window_extents(rows, counts)`` when the caller
+        already has it.  Each bucket gathers the job rows that reach into
+        its width straight from ``rows``, whatever their dtype.
+        """
+        rows, counts = np.asarray(rows), np.asarray(counts)
+        f = rows.shape[1]
+        if extents is None:
+            extents = window_extents(rows, counts)
+        starts = np.cumsum(counts) - counts
+        if select is not None:
+            extents, starts, counts = extents[select], starts[select], counts[select]
         buckets = []
-        lo = int(np.searchsorted(widths, 0, side="right"))
-        while lo < order.size:
-            hi = int(np.searchsorted(widths, _GROWTH * widths[lo], side="right"))
-            members = order[lo:hi]
-            source = members if rows is None else rows[members]
-            block = x[source, : widths[hi - 1]].astype(np.float64)
+        for members, width in _buckets(extents):
+            slots = -(-width // f)  # job rows a window of this width holds
+            k = np.minimum(counts[members], slots)
+            block = np.zeros((len(members) * slots, f))
+            block[csr_gather(np.arange(len(members)) * slots, k)] = rows[
+                csr_gather(starts[members], k)
+            ]
+            block = block.reshape(len(members), slots * f)
+            if width < slots * f:
+                block = np.ascontiguousarray(block[:, :width])
             buckets.append((members, block))
-            lo = hi
-        return cls((order.size, x.shape[1]), buckets)
+        return cls((len(extents), n_slots * f), buckets)
 
     @property
     def volume(self) -> int:

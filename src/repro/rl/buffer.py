@@ -1,31 +1,25 @@
 """Trajectory storage with GAE-λ advantage estimation.
 
-PPO consumes fixed arrays of (observation, mask, action, log-prob, return,
+PPO consumes flat arrays of (observation, action, log-prob, return,
 advantage).  Episodes here are whole job sequences whose reward arrives
 only at the terminal step (paper §IV-A), so with γ=1 the return-to-go of
 every step equals the terminal reward; GAE still shapes per-step
 advantages through the value-network baseline ("we can use (r - expr) to
 train the policy").
 
-Two ingestion paths share the same finalisation code:
+Observations are stored the way the environments emit them — ragged, as
+``(rows, counts)``: the float32 feature rows of the waiting jobs of every
+step, one step after the other, and how many rows each step owns.  A
+finished episode is ingested by one :meth:`TrajectoryBuffer.add_episode`
+call carrying its columns whole (an actor's
+:class:`~repro.runtime.EpisodeSlice` is exactly those columns), and
+:meth:`TrajectoryBuffer.get` concatenates the episodes; nothing here is
+padded to the observation window.
 
-* the legacy scalar path — :meth:`TrajectoryBuffer.store` once per step,
-  then :meth:`TrajectoryBuffer.end_episode`;
-* the batched path used by the vectorised rollout engine —
-  :meth:`TrajectoryBuffer.store_batch` appends one step for each of K
-  concurrently-running episodes ("slots"), and
-  :meth:`TrajectoryBuffer.end_slot` closes a single slot when its episode
-  terminates.  Value estimates may be deferred to ``end_slot`` so the
-  value network runs once per episode on a ``(T, M, F)`` batch instead of
-  T batch-size-1 calls.
-
-Episodes are ordered deterministically in the PPO batch: slot-closed
-episodes sort by their slot id, scalar-path episodes by completion order.
-The vectorised trainer uses the trajectory index as the slot id, so its
-``get()`` arrays are identical to a sequential rollout's even when
-episodes finish out of order (e.g. ragged lengths under backfilling).
-Do not mix the scalar and slot paths in one buffer — their ordering keys
-are independent.
+Episodes are ordered deterministically in the PPO batch: by the
+``order`` key they were added under (the trainer passes the trajectory
+index), completion order otherwise — so ``get()`` arrays do not depend on
+which episode finished first (e.g. ragged lengths under backfilling).
 
 The discounted recurrences are evaluated by :func:`discount_cumsum` — a
 linear-filter formulation that matches the reversed Python loop
@@ -63,46 +57,11 @@ def discount_cumsum(x: np.ndarray, discount: float) -> np.ndarray:
     return out
 
 
-class _Stage:
-    """Per-step storage for one open (unfinalised) episode."""
-
-    __slots__ = ("obs", "masks", "actions", "log_probs", "values", "rewards")
-
-    def __init__(self) -> None:
-        self.obs: list[np.ndarray] = []
-        self.masks: list[np.ndarray] = []
-        self.actions: list[int] = []
-        self.log_probs: list[float] = []
-        self.values: list[float | None] = []
-        self.rewards: list[float] = []
-
-    def append(self, obs, mask, action, log_prob, value, reward) -> None:
-        self.obs.append(np.asarray(obs, dtype=np.float32))
-        self.masks.append(np.asarray(mask, dtype=bool))
-        self.actions.append(int(action))
-        self.log_probs.append(float(log_prob))
-        self.values.append(None if value is None else float(value))
-        self.rewards.append(float(reward))
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
 class TrajectoryBuffer:
-    """Append-only store for one epoch of interactions.
+    """Append-only store for one epoch of interactions::
 
-    Scalar usage::
-
-        buf.store(obs, mask, action, log_prob, value)   # per step
-        buf.end_episode(terminal_reward)                 # per sequence
+        buf.add_episode(rows, counts, actions, log_probs, values, reward)
         data = buf.get()                                 # once per epoch
-
-    Batched usage (one call per lock-step of N environments)::
-
-        buf.store_batch(obs_batch, mask_batch, actions, log_probs,
-                        slots=traj_ids)
-        ...
-        buf.end_slot(traj_id, terminal_reward, values=values_for_episode)
     """
 
     def __init__(self, gamma: float = 1.0, lam: float = 0.97):
@@ -110,196 +69,93 @@ class TrajectoryBuffer:
             raise ValueError("gamma and lam must be in [0, 1]")
         self.gamma = gamma
         self.lam = lam
-        self._reset_storage()
+        self.clear()
 
-    def _reset_storage(self) -> None:
-        self._open = _Stage()                  # legacy single-episode stage
-        self._slots: dict[int, _Stage] = {}    # batched per-slot stages
-        self._order: list[int] = []            # sort key per finalised episode
-        self._next_order = 0                   # key counter for the scalar path
-        self._obs: list[np.ndarray] = []       # finalised episodes, stacked
-        self._masks: list[np.ndarray] = []
-        self._actions: list[np.ndarray] = []
-        self._log_probs: list[np.ndarray] = []
-        self._advantages: list[np.ndarray] = []
-        self._returns: list[np.ndarray] = []
+    def clear(self) -> None:
+        """Drop all stored episodes (gamma/lam kept)."""
+        self._order: list[int] = []            # sort key per episode
+        self._episodes: list[tuple] = []       # get()'s columns, per episode
         self._episode_rewards: list[float] = []
 
-    # ------------------------------------------------------------------
-    # scalar path
-    # ------------------------------------------------------------------
-    def store(
+    def add_episode(
         self,
-        obs: np.ndarray,
-        mask: np.ndarray,
-        action: int,
-        log_prob: float,
-        value: float,
-        reward: float = 0.0,
-    ) -> None:
-        self._open.append(obs, mask, action, log_prob, value, reward)
-
-    def end_episode(self, terminal_reward: float = 0.0) -> None:
-        """Close the current episode, folding the terminal reward into the
-        last stored step and computing its advantages/returns."""
-        stage, self._open = self._open, _Stage()
-        self._finalize(stage, terminal_reward, values=None, order=self._next_order)
-        self._next_order += 1
-
-    # ------------------------------------------------------------------
-    # batched path
-    # ------------------------------------------------------------------
-    def store_batch(
-        self,
-        obs: np.ndarray,
-        masks: np.ndarray,
+        rows: np.ndarray,
+        counts: np.ndarray,
         actions: np.ndarray,
         log_probs: np.ndarray,
-        values: np.ndarray | None = None,
-        rewards: np.ndarray | None = None,
-        slots: "list[int] | np.ndarray | None" = None,
+        values: np.ndarray,
+        reward: "float | np.ndarray",
+        order: int | None = None,
     ) -> None:
-        """Append one step for each of K concurrent episodes.
+        """Store one finished episode of T steps and compute its
+        advantages and returns.
 
-        ``obs`` is ``(K, M, F)``, ``masks`` ``(K, M)``; the remaining
-        arrays are length K.  ``slots[k]`` names the episode row ``k``
-        belongs to (default ``k``).  ``values`` may be omitted entirely
-        and supplied once per episode to :meth:`end_slot` instead — the
-        deferred-value path that lets the value network run batched.
+        ``rows`` / ``counts`` are its ragged observations (``counts`` has
+        one entry per step and sums to ``len(rows)``); ``actions``,
+        ``log_probs`` and ``values`` have length T.  ``reward`` is the
+        terminal reward of the sequence, or one reward per step.
+        ``order`` places the episode in :meth:`get` (default: after those
+        already stored).
         """
-        k = len(actions)
-        if slots is None:
-            slots = range(k)
-        for j, slot in enumerate(slots):
-            stage = self._slots.get(slot)
-            if stage is None:
-                stage = self._slots[slot] = _Stage()
-            stage.append(
-                obs[j],
-                masks[j],
-                actions[j],
-                log_probs[j],
-                None if values is None else values[j],
-                0.0 if rewards is None else rewards[j],
+        actions = np.asarray(actions, dtype=np.int64)
+        n = len(actions)
+        if n == 0:
+            raise RuntimeError("an episode needs at least one step")
+        counts = np.asarray(counts)
+        log_probs = np.asarray(log_probs, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        for name, column in (("counts", counts), ("log_probs", log_probs),
+                             ("values", values)):
+            if column.shape != (n,):
+                raise ValueError(
+                    f"expected {n} {name} (one per step), got {column.shape}"
+                )
+        if counts.sum() != len(rows):
+            raise ValueError(
+                f"counts cover {counts.sum()} job rows, got {len(rows)}"
             )
-
-    def staged_obs(self, slot: int) -> np.ndarray:
-        """Observations of an open slot as one ``(T, M, F)`` array."""
-        stage = self._slots[slot]
-        return np.stack(stage.obs)
-
-    def staged_masks(self, slot: int) -> np.ndarray:
-        """Action masks of an open slot as one ``(T, M)`` array."""
-        stage = self._slots[slot]
-        return np.stack(stage.masks)
-
-    def staged_actions(self, slot: int) -> np.ndarray:
-        """Actions of an open slot as one ``(T,)`` array."""
-        stage = self._slots[slot]
-        return np.array(stage.actions, dtype=np.int64)
-
-    def end_slot(
-        self,
-        slot: int,
-        terminal_reward: float = 0.0,
-        values: np.ndarray | None = None,
-        log_probs: np.ndarray | None = None,
-    ) -> None:
-        """Close one batched episode.
-
-        ``values`` supplies deferred value estimates (length T) if they
-        were not stored per step; ``log_probs`` likewise replaces the
-        per-step log-probs with canonical per-episode ones (see
-        :meth:`PPOAgent.episode_log_probs`)."""
-        try:
-            stage = self._slots.pop(slot)
-        except KeyError:
-            raise RuntimeError(f"slot {slot!r} has no stored steps") from None
-        if log_probs is not None:
-            if len(log_probs) != len(stage):
-                raise ValueError(
-                    f"expected {len(stage)} log-probs, got {len(log_probs)}"
-                )
-            stage.log_probs = [float(lp) for lp in log_probs]
-        self._finalize(stage, terminal_reward, values=values, order=int(slot))
-
-    # ------------------------------------------------------------------
-    # finalisation
-    # ------------------------------------------------------------------
-    def _finalize(
-        self,
-        stage: _Stage,
-        terminal_reward: float,
-        values: np.ndarray | None,
-        order: int,
-    ) -> None:
-        if not len(stage):
-            raise RuntimeError("end_episode() with no stored steps")
-        if values is None:
-            if any(v is None for v in stage.values):
-                raise RuntimeError(
-                    "episode has deferred value estimates; pass values= when "
-                    "ending it"
-                )
-            values = np.array(stage.values, dtype=np.float64)
-        else:
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != (len(stage),):
-                raise ValueError(
-                    f"expected {len(stage)} value estimates, got {values.shape}"
-                )
-
-        rewards = np.array(stage.rewards, dtype=np.float64)
-        rewards[-1] += float(terminal_reward)
+        rewards = np.asarray(reward, dtype=np.float64)
+        if rewards.ndim == 0:
+            rewards = np.zeros(n)
+            rewards[-1] = reward
         next_values = np.append(values[1:], 0.0)  # terminal value is 0
 
         deltas = rewards + self.gamma * next_values - values
         adv = discount_cumsum(deltas, self.gamma * self.lam)
         rets = discount_cumsum(rewards, self.gamma)
 
-        self._order.append(order)
-        self._obs.append(np.stack(stage.obs))
-        self._masks.append(np.stack(stage.masks))
-        self._actions.append(np.array(stage.actions, dtype=np.int64))
-        self._log_probs.append(np.array(stage.log_probs, dtype=np.float64))
-        self._advantages.append(adv)
-        self._returns.append(rets)
+        self._order.append(len(self._order) if order is None else int(order))
+        self._episodes.append((rows, counts, actions, log_probs, adv, rets))
         self._episode_rewards.append(float(rewards.sum()))
 
     # ------------------------------------------------------------------
     @property
     def n_steps(self) -> int:
-        finalized = sum(len(a) for a in self._actions)
-        staged = len(self._open) + sum(len(s) for s in self._slots.values())
-        return finalized + staged
+        return sum(len(episode[2]) for episode in self._episodes)
 
     @property
     def n_episodes(self) -> int:
-        return len(self._episode_rewards)
+        return len(self._episodes)
 
     @property
     def episode_rewards(self) -> list[float]:
         return list(self._episode_rewards)
 
     def get(self, normalize_advantages: bool = True) -> dict[str, np.ndarray]:
-        """All completed-episode data, advantage-normalised for PPO."""
-        if len(self._open) or self._slots:
-            raise RuntimeError("an episode is still open; call end_episode()")
-        if not self._advantages:
+        """All stored episodes as flat columns, advantage-normalised for
+        PPO: the ragged observations ``rows`` / ``counts`` beside one
+        entry per step of ``actions``, ``log_probs``, ``advantages`` and
+        ``returns``."""
+        if not self._episodes:
             raise RuntimeError("buffer is empty")
         rank = sorted(range(len(self._order)), key=self._order.__getitem__)
-        adv = np.concatenate([self._advantages[i] for i in rank])
-        if normalize_advantages:
-            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        return {
-            "obs": np.concatenate([self._obs[i] for i in rank]),
-            "masks": np.concatenate([self._masks[i] for i in rank]),
-            "actions": np.concatenate([self._actions[i] for i in rank]),
-            "log_probs": np.concatenate([self._log_probs[i] for i in rank]),
-            "advantages": adv,
-            "returns": np.concatenate([self._returns[i] for i in rank]),
+        data = {
+            key: np.concatenate([self._episodes[i][k] for i in rank])
+            for k, key in enumerate(
+                ("rows", "counts", "actions", "log_probs", "advantages", "returns")
+            )
         }
-
-    def clear(self) -> None:
-        """Explicitly drop all stored steps and episodes (gamma/lam kept)."""
-        self._reset_storage()
+        if normalize_advantages:
+            adv = data["advantages"]
+            data["advantages"] = (adv - adv.mean()) / (adv.std() + 1e-8)
+        return data

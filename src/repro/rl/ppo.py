@@ -25,20 +25,34 @@ from repro.nn import (
     RaggedRows,
     Tensor,
     clip_grad_norm,
-    flat_action_index,
+    csr_gather,
+    csr_indptr,
     gather_rows,
     log_prob_of,
     masked_log_softmax,
     no_grad,
-    row_extents,
     sample_action_batch,
     segment_log_softmax,
+    segment_rectangle,
     segment_sum,
-    valid_rows,
+    window_extents,
 )
+from repro.sim.env import pad_observations
 from repro.telemetry import core as _telemetry
 
 __all__ = ["PPOAgent", "UpdateStats"]
+
+#: glibc serves a request from retained heap only below a threshold that
+#: ratchets up to the largest mmapped block it has seen *freed* (32 MiB
+#: at most), and trims idle heap beyond twice that.  An update iteration
+#: frees and re-allocates its activations and gradients (a few MB at 768
+#: steps, 17-34 MB at 8 192), so with nothing larger in the allocator's
+#: history every iteration page-faults its working set back in — and
+#: "larger" used to be whatever garbage came before (the padded
+#: observation blocks until PR 19; CHANGES.md has the faults and times).
+#: Freeing one block just under the cap sets the threshold to its maximum
+#: whatever the history; no page of the block is touched.
+_HEAP_KEEP_BYTES = 31 << 20
 
 
 @dataclass(frozen=True)
@@ -75,44 +89,52 @@ def _row_scorer(policy: Module):
 
 
 def _policy_plan(
-    data: dict[str, np.ndarray], sparse: bool, idx: np.ndarray | None
+    data: dict[str, np.ndarray],
+    sparse: bool,
+    max_obsv_size: int,
+    idx: np.ndarray | None,
 ) -> tuple:
-    """What one policy-loss evaluation reads of rows ``idx`` of ``data``:
+    """What one policy-loss evaluation reads of steps ``idx`` of ``data``:
     ``(inputs, old_log_probs, advantages)``, the arguments of
     :func:`_policy_terms` after the policy.
 
-    The dense update forwards the padded ``(obs, masks, actions)``
-    blocks.  The sparse one forwards the CSR gather ``(rows, indptr,
-    action_pos)``: the K valid job rows across the minibatch as float64,
-    the observation segment splits, and each chosen action's position in
-    the flat vector — gathered straight from the stored batch, so the
-    padded ``obs[idx]`` is never built.
+    The stored batch is ragged (``rows`` / ``counts``), which is what the
+    sparse update forwards: ``(rows, indptr, action_pos)`` — the job rows
+    of the minibatch as float64, the observation segment splits, and each
+    chosen action's position in the flat vector.  The dense update pads
+    the same rows to the ``max_obsv_size`` window at its input and
+    forwards ``(obs, masks, actions)``.
     """
-    masks = _take(data["masks"], idx)
+    counts = _take(data["counts"], idx)
     actions = _take(data["actions"], idx)
+    bad = np.flatnonzero((actions < 0) | (actions >= counts))
+    if len(bad):
+        raise ValueError(f"actions at rows {bad.tolist()} are masked out")
+    rows = data["rows"]
+    if idx is not None:
+        starts = np.cumsum(data["counts"]) - data["counts"]
+        rows = rows[csr_gather(starts[idx], counts)]
     if sparse:
-        b_idx, s_idx, indptr = valid_rows(masks)
-        rows = data["obs"][b_idx if idx is None else idx[b_idx], s_idx]
-        inputs = (
-            rows.astype(np.float64),
-            indptr,
-            flat_action_index(masks, actions, indptr),
-        )
+        indptr = csr_indptr(counts)
+        inputs = (rows.astype(np.float64), indptr, indptr[:-1] + actions)
     else:
-        inputs = (_take(data["obs"], idx), masks, actions)
+        inputs = (*pad_observations(rows, counts, max_obsv_size), actions)
     return inputs, _take(data["log_probs"], idx), _take(data["advantages"], idx)
 
 
 def _value_plan(
-    flat_obs: np.ndarray,
+    data: dict[str, np.ndarray],
+    max_obsv_size: int,
     extents: np.ndarray,
-    returns: np.ndarray,
     idx: np.ndarray | None,
 ) -> tuple[RaggedRows, np.ndarray]:
-    """A value step's plan: bucketed observation rows (float64
-    prefixes only, no dense copy) and their regression targets."""
-    ragged = RaggedRows.from_dense(flat_obs, rows=idx, extents=extents)
-    return ragged, _take(returns, idx)
+    """A value step's plan: the observation windows of steps ``idx``
+    bucketed straight from the ragged batch (float64 prefixes only, no
+    dense copy) and their regression targets."""
+    ragged = RaggedRows.from_csr(
+        data["rows"], data["counts"], max_obsv_size, select=idx, extents=extents
+    )
+    return ragged, _take(data["returns"], idx)
 
 
 def _policy_terms(
@@ -205,30 +227,32 @@ class PPOAgent:
     # ------------------------------------------------------------------
     # acting
     # ------------------------------------------------------------------
-    def log_probs_batch(self, obs: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Masked log-softmax over a batch, as a plain array (no grad).
+    def log_probs_batch(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Masked log-softmax over a wave of ragged observations, as a
+        plain ``(n, W)`` array (no grad); slots past an observation's
+        ``counts[i]`` jobs carry probability 0.
 
         Policies that score jobs independently (:class:`KernelPolicy`
-        exposes ``score_rows``) take a sparse path: only the K valid rows
-        across the batch go through the network instead of all N·M padded
-        slots.  The scattered logits match the dense forward row-for-row,
-        and the softmax arithmetic below mirrors
-        :func:`masked_log_softmax` operation-for-operation, so both paths
-        produce bit-identical log-probabilities.
+        exposes ``score_rows``) take the wave as it is: the job rows go
+        through the network, and the softmax runs on a block no wider
+        than the wave's longest queue (:func:`segment_rectangle`) with
+        the arithmetic of :func:`masked_log_softmax`
+        operation-for-operation, so the log-probabilities equal the
+        padded-window ones bit for bit.  Policies that read the whole
+        window (MLP / LeNet) get it padded here, at their input.
         """
-        masks = np.asarray(masks, dtype=bool)
-        if not masks.any(axis=-1).all():
+        counts = np.asarray(counts)
+        if not len(counts) or (counts <= 0).any():
             raise ValueError("every row must have at least one valid action")
         score_rows = getattr(self.policy, "score_rows", None)
         if score_rows is None:
+            obs, masks = pad_observations(rows, counts, self.value.max_obsv_size)
             with no_grad():
                 logits = self.policy(obs, masks)
                 return masked_log_softmax(logits, masks).numpy()
-        i_idx, m_idx = np.nonzero(masks)
         with no_grad():
-            scores = score_rows(obs[i_idx, m_idx])
-        logits = np.full(masks.shape, -1e9, dtype=np.float64)
-        logits[i_idx, m_idx] = scores
+            scores = score_rows(rows)
+        logits = segment_rectangle(scores, counts, self.value.max_obsv_size)
         shift = logits.max(axis=-1, keepdims=True)
         shifted = logits - shift
         log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -236,23 +260,24 @@ class PPOAgent:
 
     def act_batch(
         self,
-        obs: np.ndarray,
-        masks: np.ndarray,
+        rows: np.ndarray,
+        counts: np.ndarray,
         rngs: "Sequence[np.random.Generator] | np.random.Generator | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample actions for a batch of observations in one forward pass.
+        """Sample actions for a wave of observations in one forward pass.
 
-        ``obs`` is ``(N, M, F)``, ``masks`` ``(N, M)``.  ``rngs`` is either
-        one generator shared by all rows or a sequence of N per-row
-        generators (the collectors pass per-trajectory streams).
-        Returns ``(actions, log_probs)``, both length N.  Value estimates
-        are intentionally *not* computed here — fetch them once per
-        finished episode via :meth:`value_batch`, which is both faster and
-        numerically identical whatever the wave width.
+        ``rows`` / ``counts`` are N ragged observations (the visible job
+        rows one observation after the other, and how many each owns).
+        ``rngs`` is either one generator shared by all observations or a
+        sequence of N per-observation generators (the collectors pass
+        per-trajectory streams).  Returns ``(actions, log_probs)``, both
+        length N.  Value estimates are intentionally *not* computed here
+        — fetch them once per finished episode via :meth:`value_batch`,
+        which is both faster and numerically identical whatever the wave
+        width.
         """
-        obs = np.asarray(obs)
-        n = obs.shape[0]
-        log_probs = self.log_probs_batch(obs, masks)
+        log_probs = self.log_probs_batch(rows, counts)
+        n = len(log_probs)
         if rngs is None:
             rngs = self.rng
         if isinstance(rngs, np.random.Generator):
@@ -264,17 +289,18 @@ class PPOAgent:
         actions = sample_action_batch(log_probs, uniforms)
         return actions, log_probs[np.arange(n), actions]
 
-    def value_batch(self, obs: np.ndarray) -> np.ndarray:
-        """Value estimates for a batch of observations: ``(B, M, F) -> (B,)``."""
+    def value_batch(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Value estimates for B ragged observations: ``-> (B,)``."""
+        windows = RaggedRows.from_csr(rows, counts, self.value.max_obsv_size)
         with no_grad():
-            return self.value(np.asarray(obs)).numpy().copy()
+            return self.value(windows).numpy().copy()
 
-    def act_greedy_batch(self, obs: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Deterministic actions for a batch: argmax per row."""
-        return np.argmax(self.log_probs_batch(np.asarray(obs), masks), axis=-1)
+    def act_greedy_batch(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Deterministic actions for a wave: argmax per observation."""
+        return np.argmax(self.log_probs_batch(rows, counts), axis=-1)
 
     def episode_log_probs(
-        self, obs: np.ndarray, masks: np.ndarray, actions: np.ndarray
+        self, rows: np.ndarray, counts: np.ndarray, actions: np.ndarray
     ) -> np.ndarray:
         """Canonical behaviour log-probs for one finished episode.
 
@@ -283,12 +309,12 @@ class PPOAgent:
         same observation scored inside different batches can differ in the
         last ulp.  That never flips a sampled action, but it would leak
         batch-layout noise into the stored log-probs.  Re-deriving them
-        from one per-episode ``(T, M, F)`` batch (same shape and content
-        whether the episode was collected sequentially or vectorised)
-        makes the recorded trajectory data exactly
+        from the episode's own T observations in one batch (same rows in
+        the same order whether the episode was collected sequentially or
+        vectorised) makes the recorded trajectory data exactly
         collection-order-independent.
         """
-        log_probs = self.log_probs_batch(np.asarray(obs), masks)
+        log_probs = self.log_probs_batch(rows, counts)
         return log_probs[np.arange(len(actions)), np.asarray(actions)]
 
     # ------------------------------------------------------------------
@@ -309,6 +335,7 @@ class PPOAgent:
         n = len(data["actions"])
         if n == 0:
             raise ValueError("empty update batch")
+        np.empty(_HEAP_KEEP_BYTES, dtype=np.uint8)  # see _HEAP_KEEP_BYTES
 
         # Per-iteration spans carry the update path in the name so dense
         # and sparse timings stay distinguishable in one trace; KL rides
@@ -319,7 +346,8 @@ class PPOAgent:
         pi_span = f"update.policy_iter.{'sparse' if sparse else 'dense'}"
         kl_gauge = reg.gauge("update.kl")
 
-        build = partial(_policy_plan, data, sparse)
+        max_obsv_size = self.value.max_obsv_size
+        build = partial(_policy_plan, data, sparse, max_obsv_size)
         pi_losses, kls, entropies = [], [], []
         early_stopped = False
         for plan in self._plans(n, cfg.train_pi_iters, build):
@@ -333,11 +361,11 @@ class PPOAgent:
                 early_stopped = True
                 break
 
-        # one pass over the stored batch finds every row's non-zero
-        # extent; each value plan buckets its rows by it
-        flat_obs = data["obs"].reshape(n, -1)
+        # one pass over the stored rows finds every window's non-zero
+        # extent; each value plan buckets its observations by it
         build = partial(
-            _value_plan, flat_obs, row_extents(flat_obs), data["returns"]
+            _value_plan, data, max_obsv_size,
+            window_extents(data["rows"], data["counts"]),
         )
         v_losses = []
         for plan in self._plans(n, cfg.train_v_iters, build):

@@ -37,8 +37,14 @@ same seed, on any backend and worker count (the golden tests), because
 each trajectory samples actions from its own ``(seed, epoch, trajectory)``
 RNG stream, sequences are sampled (and filter-checked) and enter the
 :class:`TrajectoryBuffer` in trajectory order, and value estimates and
-behaviour log-probs are computed once per finished episode on its own
-``(T, M, F)`` batch.
+behaviour log-probs are computed once per finished episode on the batch
+of its own T observations.
+
+*Observations.*  Ragged all the way: environments emit ``(rows, counts)``
+waves, the actors score, regroup and ship them as they are, the buffer
+concatenates them and the update plans from them.  Only a network that
+reads the whole window (the MLP / LeNet baselines) sees it padded, at its
+own input.
 
 *Update.*  :class:`PPOAgent` takes the sparse policy step when the policy
 exposes ``score_rows_grad`` (the kernel preset), the dense one otherwise;
@@ -459,37 +465,36 @@ class Trainer:
         """One trajectory through SchedGym; returns the raw terminal reward.
 
         The reward-scale probe, and the tests' sequential reference: it
-        uses the same batched agent entry points as the actors (with
-        batch width 1) and the same per-episode targets, so a loop of
+        steps the gym protocol (padded observation and action mask, one
+        environment, one decision at a time), hands the masked rows to
+        the same batched agent entry points as the actors (with batch
+        width 1) and computes the same per-episode targets, so a loop of
         ``_rollout`` calls fills the buffer exactly like they do.
         """
+        steps, actions = [], []
         obs, mask = self.env.reset(jobs)
         while True:
-            actions, log_probs = self.agent.act_batch(obs[None], mask[None], [rng])
-            buffer.store_batch(obs[None], mask[None], actions, log_probs, slots=[slot])
-            result = self.env.step(int(actions[0]))
+            steps.append(obs[mask])
+            action, _ = self.agent.act_batch(steps[-1], [len(steps[-1])], [rng])
+            actions.append(action[0])
+            result = self.env.step(int(action[0]))
             if result.done:
-                scale = self._reward_scale or 1.0
-                buffer.end_slot(
-                    slot, result.reward / scale, **self._episode_targets(buffer, slot)
-                )
-                return result.reward
+                break
             obs, mask = result.observation, result.action_mask
-
-    def _episode_targets(self, buffer: TrajectoryBuffer, slot: int) -> dict:
-        """Per-episode value estimates and canonical behaviour log-probs.
-
-        Both run on one ``(T, M, F)`` batch of the finished episode, so the
-        numbers do not depend on who ran the episode or how wide its
-        lock-step waves were (BLAS results depend on batch shape;
-        per-episode batches make the shape canonical)."""
-        ep_obs = buffer.staged_obs(slot)
-        ep_masks = buffer.staged_masks(slot)
-        ep_actions = buffer.staged_actions(slot)
-        return {
-            "values": self.agent.value_batch(ep_obs),
-            "log_probs": self.agent.episode_log_probs(ep_obs, ep_masks, ep_actions),
-        }
+        rows = np.concatenate(steps)
+        counts = np.array([len(step) for step in steps])
+        # Both targets run on one batch of the finished episode's own T
+        # observations, so the numbers do not depend on who ran the
+        # episode or how wide its lock-step waves were (BLAS results
+        # depend on batch shape; per-episode batches make it canonical).
+        buffer.add_episode(
+            rows, counts, actions,
+            self.agent.episode_log_probs(rows, counts, actions),
+            self.agent.value_batch(rows, counts),
+            result.reward / (self._reward_scale or 1.0),
+            order=slot,
+        )
+        return result.reward
 
     # -- actor (episode-granular) collection ----------------------------
     def _epoch_filtered(self, epoch: int) -> bool:
@@ -572,12 +577,9 @@ class Trainer:
                     n_dropped += 1
                     continue
                 n_reweighted += 1
-            buffer.store_batch(
-                ep.obs, ep.masks, ep.actions, ep.log_probs,
-                slots=[ep.traj] * ep.steps,
-            )
-            buffer.end_slot(
-                ep.traj, ep.reward / scale, values=ep.values, log_probs=ep.log_probs
+            buffer.add_episode(
+                ep.rows, ep.counts, ep.actions, ep.log_probs, ep.values,
+                ep.reward / scale, order=ep.traj,
             )
             n_kept += 1
         return rewards, n_dropped, n_reweighted, n_kept, total_rejected
@@ -658,20 +660,15 @@ class Trainer:
         policy forward serves every sequence at once.
         """
         vec = self._val_env
-        obs, masks = vec.reset(
+        rows, counts = vec.reset(
             [[j.copy() for j in jobs] for jobs in self._val_sequences]
         )
         rewards = np.zeros(vec.n_envs)
-        while True:
-            active_idx = np.flatnonzero(vec.active)
-            if not len(active_idx):
-                break
-            actions = self.agent.act_greedy_batch(obs[active_idx], masks[active_idx])
-            full_actions = np.full(vec.n_envs, -1, dtype=np.int64)
-            full_actions[active_idx] = actions
-            result = vec.step(full_actions)
-            rewards[result.dones] = result.rewards[result.dones]
-            obs, masks = result.observations, result.action_masks
+        while len(counts):
+            episodes = vec.episodes
+            result = vec.step(self.agent.act_greedy_batch(rows, counts))
+            rewards[episodes[result.dones]] = result.rewards[result.dones]
+            rows, counts = result.rows, result.counts
         return float(np.mean(rewards))
 
     def close(self) -> None:

@@ -12,17 +12,26 @@ back — IPC drops from two transfers per env-step to at most one per
 episode (one per submitted chunk), and the parent's policy forward
 leaves the critical path entirely.
 
+Observations stay ragged from the environments to the learner: a
+lock-step wave is ``(rows, counts)`` (the visible job rows of every
+active environment, and how many each owns), :func:`lockstep_rollout`
+regroups the waves by episode without padding them, and an
+:class:`EpisodeSlice` carries an episode's ``(rows, counts)`` as they
+are — the wire format is the storage format, and nothing between the
+engine and the PPO update builds the ``(M, F)`` window.
+
 Determinism contract (pinned by the async golden tests): an episode's
 content depends only on ``(seed, act_stream, epoch, traj)`` and the
 weight version it ran against.  Actors reuse the trainer's rollout
 invariants — per-trajectory RNG streams, episodes entering in trajectory
-order within a chunk, and one canonical ``(T, M, F)`` per-episode batch
-for value estimates and behaviour log-probs — so an actor's episode is
-bit-identical to one ``Trainer._rollout`` steps by itself, on whichever
-backend the actor lives and however its local envs interleave.  Weight
-pushes and episode submissions share each worker's FIFO queue, which is
-the staleness mechanism: a chunk runs against exactly the last version
-pushed before it was submitted, on every backend and any worker count.
+order within a chunk, and one canonical per-episode batch (the episode's
+own T observations) for value estimates and behaviour log-probs — so an
+actor's episode is bit-identical to one ``Trainer._rollout`` steps by
+itself, on whichever backend the actor lives and however its local envs
+interleave.  Weight pushes and episode submissions share each worker's
+FIFO queue, which is the staleness mechanism: a chunk runs against
+exactly the last version pushed before it was submitted, on every
+backend and any worker count.
 
 Staleness accounting: :meth:`ActorRuntime.drain` stamps each episode
 with ``staleness = current_version - episode.version`` (in learner
@@ -41,6 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import EnvConfig, RuntimeConfig
+from repro.nn.ragged import csr_gather, csr_indptr
 from repro.telemetry import core as _telemetry
 
 from .backend import WorkerError, make_backend
@@ -51,27 +61,26 @@ __all__ = ["ActorRuntime", "EpisodeSlice", "lockstep_rollout"]
 
 @dataclass
 class EpisodeSlice:
-    """One finished episode, ready to drop into a :class:`TrajectoryBuffer`.
+    """One finished episode: the columns
+    :meth:`~repro.rl.buffer.TrajectoryBuffer.add_episode` takes, which is
+    also how it crosses a process boundary.
 
-    ``log_probs`` are the *canonical* per-episode behaviour log-probs
-    (:meth:`PPOAgent.episode_log_probs`) and ``values`` the deferred
-    per-episode value estimates — exactly what ``Trainer._rollout``
-    computes for an episode it steps itself.  ``reward`` is the raw
-    terminal reward; the learner applies its own reward scale.
-    ``staleness`` is stamped by :meth:`ActorRuntime.drain` (learner
-    updates since collection).
-
-    In transit ``obs`` may be mask-compacted to its valid rows
-    (:func:`_pack_obs`) and ``masks`` prefix-compressed to per-step
-    valid counts (:func:`_pack_masks`); :meth:`ActorRuntime.drain`
-    always yields the full ``(T, M, F)`` / ``(T, M)`` batches.
+    ``rows`` / ``counts`` are the ragged observations of its T decisions
+    (``counts[t]`` visible job rows at step ``t``, ``sum(counts)`` rows in
+    all).  ``log_probs`` are the *canonical* per-episode behaviour
+    log-probs (:meth:`PPOAgent.episode_log_probs`) and ``values`` the
+    deferred per-episode value estimates — exactly what
+    ``Trainer._rollout`` computes for an episode it steps itself.
+    ``reward`` is the raw terminal reward; the learner applies its own
+    reward scale.  ``staleness`` is stamped by :meth:`ActorRuntime.drain`
+    (learner updates since collection).
     """
 
     epoch: int
     traj: int
     version: int
-    obs: np.ndarray         # (T, M, F) float32
-    masks: np.ndarray       # (T, M)    bool
+    rows: np.ndarray        # (sum(counts), F) float32
+    counts: np.ndarray      # (T,)      int64
     actions: np.ndarray     # (T,)      int64
     log_probs: np.ndarray   # (T,)      float64
     values: np.ndarray      # (T,)      float64
@@ -110,94 +119,78 @@ def lockstep_rollout(vec, agent, sequences, rngs) -> tuple[list, list[float]]:
 
     Trajectory ``t`` is ``sequences[t]`` and samples its actions from
     ``rngs[t]``; trajectories enter the envs in index order.  Returns
-    ``(episodes, rewards)`` by trajectory: the ``(obs, masks, actions)``
-    of every decision the episode made — ``(T, M, F)`` float32, ``(T, M)``
-    bool, ``(T,)`` int64 — and its raw terminal reward.
+    ``(episodes, rewards)`` by trajectory: the ``(rows, counts, actions)``
+    of every decision the episode made — its ragged observations and the
+    ``(T,)`` int64 actions — and its raw terminal reward.
+
+    Waves are logged as they come and regrouped by trajectory once, at
+    the end: a stable sort of the logged decisions by trajectory keeps
+    each episode's steps in time order, and one gather moves the job rows.
 
     Phase timing (``rollout.policy_forward`` / ``env_step`` / ``buffer``)
     is accumulated locally and flushed to the registry once per call: the
     per-step cost is one boolean test with telemetry off, two clock reads
     per phase with it on.  The perf bench reads the same span names.
     """
-    m, f = vec.config.observation_shape
-    # Per-episode buffers, written in place per step: one decision per job
-    # is the common episode length, so sizing by the sequence length
-    # avoids a stack-copy pass over every episode.
-    bufs: list[tuple[np.ndarray, np.ndarray, list]] = [
-        (
-            np.empty((len(seq), m, f), dtype=np.float32),
-            np.empty((len(seq), m), dtype=bool),
-            [],
-        )
-        for seq in sequences
-    ]
     rewards = [0.0] * len(sequences)
     n = min(vec.n_envs, len(sequences))
-    obs, masks = vec.reset(sequences[:n])
+    rows, counts = vec.reset(sequences[:n])
     vec.queue_sequences(sequences[n:])
-    traj_of_env = list(range(n))
-    next_traj = n
+    log_rows, log_counts, log_trajs, log_actions = [], [], [], []
     reg = _telemetry.current()
     timed = reg.enabled
     perf = _time.perf_counter
     t_policy = t_env = t_buffer = 0.0
     n_waves = 0
-    n_env_steps = 0
-    while True:
-        active_idx = np.flatnonzero(vec.active)
-        if not len(active_idx):
-            break
-        trajs = [traj_of_env[i] for i in active_idx]
-        a_obs = obs[active_idx]
-        a_masks = masks[active_idx]
+    while len(counts):
+        trajs = vec.episodes
         if timed:
             t0 = perf()
         actions, _ = agent.act_batch(
-            a_obs, a_masks, [rngs[t] for t in trajs]
+            rows, counts, [rngs[t] for t in trajs.tolist()]
         )
         if timed:
             t1 = perf()
             t_policy += t1 - t0
-        for j, k in enumerate(trajs):
-            ep_obs, ep_masks, ep_actions = bufs[k]
-            t = len(ep_actions)
-            if t == len(ep_obs):  # episode outran its sequence-length hint
-                ep_obs = np.concatenate([ep_obs, np.empty_like(ep_obs)])
-                ep_masks = np.concatenate([ep_masks, np.empty_like(ep_masks)])
-                bufs[k] = (ep_obs, ep_masks, ep_actions)
-            ep_obs[t] = a_obs[j]
-            ep_masks[t] = a_masks[j]
-            ep_actions.append(int(actions[j]))
-        full_actions = np.full(vec.n_envs, -1, dtype=np.int64)
-        full_actions[active_idx] = actions
+        log_rows.append(rows)
+        log_counts.append(counts)
+        log_trajs.append(trajs)
+        log_actions.append(actions)
         if timed:
             t0 = perf()
             t_buffer += t0 - t1
-        result = vec.step(full_actions)
+        result = vec.step(actions)
         if timed:
             t1 = perf()
             t_env += t1 - t0
             n_waves += 1
-            n_env_steps += len(active_idx)
-        for i in active_idx:
-            if not result.dones[i]:
-                continue
-            rewards[traj_of_env[i]] = float(result.rewards[i])
-            if result.infos[i].get("auto_reset"):
-                traj_of_env[i] = next_traj
-                next_traj += 1
+        for k in np.flatnonzero(result.dones).tolist():
+            rewards[trajs[k]] = float(result.rewards[k])
+        rows, counts = result.rows, result.counts
         if timed:
             t_buffer += perf() - t1
-        obs, masks = result.observations, result.action_masks
+    if timed:
+        t0 = perf()
+    trajs = np.concatenate(log_trajs)
+    counts = np.concatenate(log_counts)
+    order = np.argsort(trajs, kind="stable")
+    starts = np.cumsum(counts) - counts
+    counts = counts[order]
+    rows = np.concatenate(log_rows)[csr_gather(starts[order], counts)]
+    actions = np.concatenate(log_actions)[order]
+    step_ptr = csr_indptr(np.bincount(trajs, minlength=len(sequences)))
+    row_ptr = csr_indptr(counts)[step_ptr]
+    episodes = [
+        (rows[r0:r1], counts[s0:s1], actions[s0:s1])
+        for s0, s1, r0, r1 in zip(
+            step_ptr[:-1], step_ptr[1:], row_ptr[:-1], row_ptr[1:]
+        )
+    ]
     if timed and n_waves:
         reg.add_span_time("rollout.policy_forward", t_policy, n_waves)
         reg.add_span_time("rollout.env_step", t_env, n_waves)
-        reg.add_span_time("rollout.buffer", t_buffer, n_waves)
-        reg.counter("rollout.env_steps").add(n_env_steps)
-    episodes = [
-        (ep_obs[: len(acts)], ep_masks[: len(acts)], np.array(acts, dtype=np.int64))
-        for ep_obs, ep_masks, acts in bufs
-    ]
+        reg.add_span_time("rollout.buffer", t_buffer + perf() - t0, n_waves)
+        reg.counter("rollout.env_steps").add(len(trajs))
     return episodes, rewards
 
 
@@ -223,31 +216,21 @@ def _actor_episodes(state, epoch, assignments):
         for traj in trajs
     ]
     episodes, rewards = lockstep_rollout(vec, agent, sequences, rngs)
-
-    slices = []
-    pack_ok = False
-    for k, (ep_obs, ep_masks, ep_actions) in enumerate(episodes):
-        if k == 0:
-            # The zero-padding invariant behind _pack_obs is structural
-            # (the observation builder zeroes padded rows), so one guarded
-            # pack per chunk decides for all of its episodes.
-            wire_obs = _pack_obs(ep_obs, ep_masks)
-            pack_ok = wire_obs.ndim == 2
-        else:
-            wire_obs = ep_obs[ep_masks] if pack_ok else ep_obs
-        slices.append(EpisodeSlice(
+    return [
+        EpisodeSlice(
             epoch=epoch,
-            traj=trajs[k],
+            traj=traj,
             version=state["version"],
-            obs=wire_obs,
-            masks=_pack_masks(ep_masks),
-            actions=ep_actions,
-            log_probs=agent.episode_log_probs(ep_obs, ep_masks, ep_actions),
-            values=agent.value_batch(ep_obs),
-            reward=rewards[k],
-            steps=len(ep_actions),
-        ))
-    return slices
+            rows=rows,
+            counts=counts,
+            actions=actions,
+            log_probs=agent.episode_log_probs(rows, counts, actions),
+            values=agent.value_batch(rows, counts),
+            reward=reward,
+            steps=len(actions),
+        )
+        for traj, (rows, counts, actions), reward in zip(trajs, episodes, rewards)
+    ]
 
 
 #: SWF fields shipped per job, in wire-column order (start_time is reset
@@ -318,49 +301,6 @@ def _decode_jobs(arr: np.ndarray) -> list:
         j.start_time = -1.0
         jobs.append(j)
     return jobs
-
-
-def _pack_obs(obs: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Mask-compact an episode's observations for the wire.
-
-    Padded observation rows are all-zero (only ``masks``-valid rows carry
-    features), so shipping the valid rows alone cuts the per-episode
-    payload by the padding fraction — substantial at large ``M`` — and
-    :func:`_unpack_obs` rebuilds the full ``(T, M, F)`` batch *exactly*.
-    If the zero-padding invariant ever breaks, fall back to the full
-    array rather than ship a lossy compaction.
-    """
-    packed = obs[masks]
-    if np.count_nonzero(obs) != np.count_nonzero(packed):
-        return obs
-    return packed
-
-
-def _unpack_obs(obs: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_pack_obs` (2-D wire format -> full 3-D batch)."""
-    if obs.ndim != 2:
-        return obs
-    full = np.zeros(masks.shape + (obs.shape[-1],), dtype=obs.dtype)
-    full[masks] = obs
-    return full
-
-
-def _pack_masks(masks: np.ndarray) -> np.ndarray:
-    """Mask wire format: visible jobs pack the leading observation slots,
-    so a step's mask is (in practice) a prefix of True — one valid-count
-    per step rebuilds it exactly.  Fall back to the full ``(T, M)`` array
-    whenever a mask isn't prefix-form."""
-    counts = masks.sum(axis=1, dtype=np.int32)
-    if np.array_equal(np.arange(masks.shape[1]) < counts[:, None], masks):
-        return counts
-    return masks
-
-
-def _unpack_masks(masks: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of :func:`_pack_masks` (1-D counts -> full bool masks)."""
-    if masks.ndim != 1:
-        return masks
-    return np.arange(m) < masks[:, None]
 
 
 # ----------------------------------------------------------------------
@@ -512,10 +452,6 @@ class ActorRuntime:
             self._n_episodes_pending -= count
             self._ready.extend((worker, ep) for ep in payload)
         worker, episode = self._ready.popleft()
-        episode.masks = _unpack_masks(
-            episode.masks, self.config.observation_shape[0]
-        )
-        episode.obs = _unpack_obs(episode.obs, episode.masks)
         episode.staleness = self._version - episode.version
         reg = _telemetry.current()
         if reg.enabled:

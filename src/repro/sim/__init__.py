@@ -16,8 +16,9 @@ from .env import (
     SchedGym,
     StepResult,
     build_observation,
-    build_observation_loop,
     fill_dynamic_features,
+    observation_rows,
+    pad_observations,
     stable_user_hash,
 )
 from .vec_env import VecSchedGym, VecStepResult
@@ -58,8 +59,9 @@ __all__ = [
     "SchedGym",
     "StepResult",
     "build_observation",
-    "build_observation_loop",
     "fill_dynamic_features",
+    "observation_rows",
+    "pad_observations",
     "stable_user_hash",
     "VecSchedGym",
     "VecStepResult",

@@ -5,7 +5,7 @@ dependency.  Each step presents up to ``MAX_OBSV_SIZE`` waiting jobs as a
 fixed-size observation matrix; the action is the index of the job to
 schedule next.
 
-Observation (one row per visible slot, ``JOB_FEATURES = 7`` columns):
+Observation (one row per visible job, ``JOB_FEATURES = 7`` columns):
 
 ====  =======================================================
 col   feature (all in [0, 1])
@@ -32,23 +32,30 @@ col   feature (all in [0, 1])
 The default 7-column layout is byte-identical with the flag off.
 
 Pending jobs are ordered FCFS and cut off at ``MAX_OBSV_SIZE`` (paper:
-"we simply leverage FCFS ... and select the top MAX_OBSV_SIZE jobs");
-missing slots are zero rows.  ``action_mask`` marks the real slots.
+"we simply leverage FCFS ... and select the top MAX_OBSV_SIZE jobs").
 
 Rewards are 0 on every step except the last, where the negative (for
 minimise-goals) or positive (utilization) sequence metric is returned —
 "we just return rewards 0 to each action and calculate the accurate reward
 for the entire sequence at the last action".
 
-Hot path
---------
-:func:`build_observation` assembles the matrix with NumPy column
-operations.  The static per-job columns (normalised runtime, processor
-fraction, user hash) never change within an episode, so :class:`SchedGym`
-precomputes them once per ``reset()`` into a :class:`FeatureCache` and each
-step reduces to a handful of vectorised gathers.  The original per-job
-Python loop survives as :func:`build_observation_loop`, the executable
-specification that the golden tests compare against bit-for-bit.
+Observation type
+----------------
+The observation of the training path is ragged: ``(rows, counts)`` — the
+float32 feature rows of the visible jobs of a batch of queues, one after
+the other, and how many belong to each queue.  The kernel network scores
+each job from its own row (§IV-B1), so nothing between the engine and the
+PPO update needs the zero-padded window.  :func:`observation_rows` is the
+one producer: static columns (normalised runtime, processor fraction,
+user hash) are gathered from a :class:`FeatureCache`-shaped table and
+:func:`fill_dynamic_features` overwrites the time- and state-dependent
+ones.  :func:`pad_observations` is the one place the ``(n, M, F)`` window
+and its ``(n, M)`` action mask are materialised; its callers are the
+networks that read the whole window (the MLP / LeNet baselines of §V-B)
+and the gym-protocol surface of this module — :class:`SchedGym`, the
+paper's single-environment API, and :func:`build_observation`.  The
+per-job loop the encoding was first written as lives on in
+``tests/reference.py`` as its executable specification.
 """
 
 from __future__ import annotations
@@ -71,8 +78,9 @@ __all__ = [
     "StepResult",
     "FeatureCache",
     "build_observation",
-    "build_observation_loop",
     "fill_dynamic_features",
+    "observation_rows",
+    "pad_observations",
     "stable_user_hash",
 ]
 
@@ -81,20 +89,24 @@ def fill_dynamic_features(
     feats: np.ndarray,
     submit: np.ndarray,
     procs: np.ndarray,
-    now: float,
-    free_procs: int,
+    now: "float | np.ndarray",
+    free_procs: "int | np.ndarray",
     n_procs: int,
     config: EnvConfig,
-    free_mem: float = math.inf,
+    free_mem: "float | np.ndarray" = math.inf,
     total_mem: float = math.inf,
 ) -> np.ndarray:
     """Overwrite the time/state-dependent columns (0, 3, 4) of ``feats``.
 
     The single definition of the dynamic half of the observation encoding
-    — shared by :func:`build_observation`'s cached branch and the
-    deployment hot path in
+    — shared by :func:`observation_rows` and the deployment hot path in
     :class:`repro.schedulers.rl_scheduler.RLSchedulerPolicy`, so the two
     can never drift apart.  Mutates and returns ``feats``.
+
+    ``now``, ``free_procs`` and ``free_mem`` are scalars when every row
+    belongs to one queue, or one value per row when the rows of several
+    queues are filled in a single call; the arithmetic per row is the
+    same either way.
 
     With ``config.memory_features`` on, the free-memory fraction column
     (8) is also dynamic; an unconstrained cluster reports 1.0 (all memory
@@ -190,6 +202,49 @@ class FeatureCache:
         )
 
 
+def observation_rows(
+    table,
+    idx: np.ndarray,
+    now: "float | np.ndarray",
+    free_procs: "int | np.ndarray",
+    n_procs: int,
+    config: EnvConfig,
+    free_mem: "float | np.ndarray" = math.inf,
+    total_mem: float = math.inf,
+) -> np.ndarray:
+    """Feature rows of the jobs at ``idx`` of ``table``: ``(K, F)`` float32.
+
+    ``table`` holds the per-job columns ``static``, ``submit`` and
+    ``procs`` (a :class:`FeatureCache`, the deploy-side cache, or the
+    per-environment slabs of :class:`~repro.sim.vec_env.VecSchedGym`).
+    The state arguments are those of :func:`fill_dynamic_features`.  The
+    rows are assembled in float64 and cast once, the bits every consumer
+    of the encoding has always seen.
+    """
+    feats = table.static[idx]  # fancy-index: fresh (K, F) rows
+    fill_dynamic_features(
+        feats, table.submit[idx], table.procs[idx],
+        now, free_procs, n_procs, config,
+        free_mem=free_mem, total_mem=total_mem,
+    )
+    return feats.astype(np.float32)
+
+
+def pad_observations(
+    rows: np.ndarray, counts: np.ndarray, max_obsv_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged observations as the fixed window: ``(n, M, F)``, ``(n, M)``.
+
+    Observation ``i`` owns the next ``counts[i]`` of ``rows``; they fill
+    its leading slots, the rest are zero rows, and the boolean action
+    mask marks the real ones.  The only place the padded window exists.
+    """
+    masks = np.arange(max_obsv_size) < np.asarray(counts)[:, None]
+    obs = np.zeros((*masks.shape, rows.shape[1]), dtype=rows.dtype)
+    obs[masks] = rows
+    return obs, masks
+
+
 def build_observation(
     pending: Sequence[Job],
     now: float,
@@ -210,8 +265,9 @@ def build_observation(
     is the job row ``i`` describes.
 
     ``cache`` supplies precomputed static columns (see
-    :class:`FeatureCache`); ``assume_sorted`` skips the FCFS sort when the
-    caller maintains ``pending`` in ``(submit_time, job_id)`` order, as
+    :class:`FeatureCache`; one is built over the visible jobs when none is
+    given); ``assume_sorted`` skips the FCFS sort when the caller
+    maintains ``pending`` in ``(submit_time, job_id)`` order, as
     :class:`~repro.sim.simulator.SchedulingEngine` does; ``rows`` supplies
     the visible jobs' cache row indices directly (the engine tracks them,
     sparing even the id lookups).
@@ -221,95 +277,17 @@ def build_observation(
     else:
         visible = sorted(pending, key=lambda j: (j.submit_time, j.job_id))
         visible = visible[: config.max_obsv_size]
-
-    obs = np.zeros(config.observation_shape, dtype=np.float32)
-    mask = np.zeros(config.max_obsv_size, dtype=bool)
-    k = len(visible)
-    if k:
-        if cache is not None:
-            if rows is None:
-                rows = cache.rows(visible)
-            feats = cache.static[rows]  # fancy-index: fresh (k, F) rows
-            fill_dynamic_features(
-                feats, cache.submit[rows], cache.procs[rows],
-                now, free_procs, n_procs, config,
-                free_mem=free_mem, total_mem=total_mem,
-            )
-            obs[:k] = feats
-        else:
-            log_cap = math.log(config.runtime_scale)
-            submit = np.array([j.submit_time for j in visible], dtype=np.float64)
-            log_runtime = np.array(
-                [
-                    min(math.log(max(j.requested_time, 1.0)) / log_cap, 1.0)
-                    for j in visible
-                ],
-                dtype=np.float64,
-            )
-            procs = np.array(
-                [j.requested_procs for j in visible], dtype=np.float64
-            )
-            user_hash = np.array(
-                [stable_user_hash(j.user_id) for j in visible], dtype=np.float64
-            )
-            wait = now - submit
-            obs[:k, 0] = wait / (wait + config.wait_scale)
-            obs[:k, 1] = log_runtime
-            obs[:k, 2] = procs / n_procs
-            obs[:k, 3] = free_procs / n_procs
-            obs[:k, 4] = procs <= free_procs
-            obs[:k, 5] = user_hash
-            obs[:k, 6] = 1.0
-            if config.memory_features:
-                mem = np.array([mem_demand(j) for j in visible], dtype=np.float64)
-                obs[:k, config.MEM_DEMAND_COL] = np.minimum(mem / total_mem, 1.0)
-                obs[:k, config.MEM_FREE_COL] = (
-                    1.0 if math.isinf(total_mem) else free_mem / total_mem
-                )
-        mask[:k] = True
-    return obs, mask, visible
-
-
-def build_observation_loop(
-    pending: Sequence[Job],
-    now: float,
-    free_procs: int,
-    n_procs: int,
-    config: EnvConfig,
-    free_mem: float = math.inf,
-    total_mem: float = math.inf,
-) -> tuple[np.ndarray, np.ndarray, list[Job]]:
-    """Reference per-job-loop observation builder.
-
-    The executable specification of the observation encoding: one Python
-    loop, one job per iteration, scalar math only.  The vectorised
-    :func:`build_observation` must match this bit-for-bit (golden
-    equivalence tests).
-    """
-    visible = sorted(pending, key=lambda j: (j.submit_time, j.job_id))
-    visible = visible[: config.max_obsv_size]
-
-    obs = np.zeros(config.observation_shape, dtype=np.float32)
-    free_frac = free_procs / n_procs
-    log_cap = math.log(config.runtime_scale)
-    for i, job in enumerate(visible):
-        wait = now - job.submit_time
-        obs[i, 0] = wait / (wait + config.wait_scale)
-        obs[i, 1] = min(math.log(max(job.requested_time, 1.0)) / log_cap, 1.0)
-        obs[i, 2] = job.requested_procs / n_procs
-        obs[i, 3] = free_frac
-        obs[i, 4] = 1.0 if job.requested_procs <= free_procs else 0.0
-        obs[i, 5] = stable_user_hash(job.user_id)
-        obs[i, 6] = 1.0
-        if config.memory_features:
-            obs[i, config.MEM_DEMAND_COL] = min(mem_demand(job) / total_mem, 1.0)
-            obs[i, config.MEM_FREE_COL] = (
-                1.0 if math.isinf(total_mem) else free_mem / total_mem
-            )
-
-    mask = np.zeros(config.max_obsv_size, dtype=bool)
-    mask[: len(visible)] = True
-    return obs, mask, visible
+    if cache is None:
+        cache = FeatureCache(visible, n_procs, config, total_mem=total_mem)
+        rows = np.arange(len(visible))
+    elif rows is None:
+        rows = cache.rows(visible)
+    feats = observation_rows(
+        cache, rows, now, free_procs, n_procs, config,
+        free_mem=free_mem, total_mem=total_mem,
+    )
+    obs, mask = pad_observations(feats, [len(visible)], config.max_obsv_size)
+    return obs[0], mask[0], visible
 
 
 @dataclass(frozen=True)
@@ -352,7 +330,6 @@ class SchedGym:
         self.config = config or EnvConfig()
         self._engine: SchedulingEngine | None = None
         self._cache: FeatureCache | None = None
-        self._visible: list[Job] = []
 
     # ------------------------------------------------------------------
     @property
@@ -369,9 +346,20 @@ class SchedGym:
             raise RuntimeError("call reset() before stepping the environment")
         return self._engine
 
+    @property
+    def visible(self) -> list[Job]:
+        """The jobs an action may pick, in slot order: the FCFS head of
+        the (sorted) pending queue."""
+        return self.engine.pending[: self.config.max_obsv_size]
+
     # ------------------------------------------------------------------
-    def reset(self, jobs: Sequence[Job]) -> tuple[np.ndarray, np.ndarray]:
-        """Start an episode over ``jobs``; returns (observation, action_mask)."""
+    # the episode itself, observation-free: what VecSchedGym drives
+    # ------------------------------------------------------------------
+    def begin(self, jobs: Sequence[Job]) -> FeatureCache:
+        """Start an episode over ``jobs`` and run to its first decision.
+
+        Returns the episode's static feature columns, indexed like
+        ``engine.pending_rows``."""
         self._engine = SchedulingEngine(
             jobs, self.cluster_spec, backfill=self.config.backfill
         )
@@ -381,43 +369,55 @@ class SchedGym:
         )
         has_decision = self._engine.advance_until_decision()
         assert has_decision, "a non-empty job sequence must yield a decision"
+        return self._cache
+
+    def schedule(self, action: int) -> float | None:
+        """Start the job in visible slot ``action`` and run to the next
+        decision.  Returns ``None`` while the episode goes on, and the
+        sequence reward once every job has completed."""
+        engine = self.engine
+        if engine.done:
+            raise RuntimeError("episode is over; call reset()")
+        m = self.config.max_obsv_size
+        if not 0 <= action < m:
+            raise ValueError(f"action {action} out of range [0, {m})")
+        n_visible = min(len(engine.pending), m)
+        if action >= n_visible:
+            raise ValueError(
+                f"action {action} points at a padded slot "
+                f"({n_visible} jobs visible); respect the action mask"
+            )
+        engine.commit(engine.pending[action])
+        if engine.advance_until_decision():
+            return None
+        assert engine.done
+        return float(self.reward_fn(engine.completed, self.n_procs))
+
+    # ------------------------------------------------------------------
+    # the gym protocol: the same episode behind padded observations
+    # ------------------------------------------------------------------
+    def reset(self, jobs: Sequence[Job]) -> tuple[np.ndarray, np.ndarray]:
+        """Start an episode over ``jobs``; returns (observation, action_mask)."""
+        self.begin(jobs)
         return self._observe()
 
     def step(self, action: int) -> StepResult:
         """Schedule the job in visible slot ``action``."""
+        reward = self.schedule(action)
         engine = self.engine
-        if engine.done:
-            raise RuntimeError("episode is over; call reset()")
-        if not 0 <= action < self.config.max_obsv_size:
-            raise ValueError(
-                f"action {action} out of range [0, {self.config.max_obsv_size})"
-            )
-        if action >= len(self._visible):
-            raise ValueError(
-                f"action {action} points at a padded slot "
-                f"({len(self._visible)} jobs visible); respect the action mask"
-            )
-        engine.commit(self._visible[action])
-
-        if engine.advance_until_decision():
-            obs, mask = self._observe()
+        # a finished episode has an empty queue: zero rows, all-False mask
+        obs, mask = self._observe()
+        if reward is None:
             return StepResult(obs, 0.0, False, mask, {"now": engine.now})
-
-        # Episode over: every job completed; emit the sequence reward.
-        assert engine.done
-        reward = float(self.reward_fn(engine.completed, self.n_procs))
-        obs = np.zeros(self.config.observation_shape, dtype=np.float32)
-        mask = np.zeros(self.config.max_obsv_size, dtype=bool)
         return StepResult(
             obs, reward, True, mask, {"now": engine.now, "completed": engine.completed}
         )
 
-    # ------------------------------------------------------------------
     def _observe(self) -> tuple[np.ndarray, np.ndarray]:
         """Build the fixed-size observation and its action mask."""
         engine = self.engine
         m = self.config.max_obsv_size
-        obs, mask, visible = build_observation(
+        obs, mask, _ = build_observation(
             engine.pending,
             engine.now,
             engine.cluster.free_procs,
@@ -429,5 +429,4 @@ class SchedGym:
             free_mem=engine.cluster.free_mem,
             total_mem=engine.cluster.total_mem,
         )
-        self._visible = visible
         return obs, mask

@@ -32,7 +32,7 @@ from repro.nn import ValueMLP, make_policy
 from repro.runtime import ActorRuntime, WorkerError, make_backend
 from repro.workloads import SequenceSampler, load_trace
 
-from .conftest import SequentialTrainer
+from .conftest import DenseOnly, SequentialTrainer
 
 SERIAL = RuntimeConfig()
 PROCESS_2 = RuntimeConfig(backend="process", workers=2)
@@ -51,13 +51,17 @@ def copy_sequences(sequences):
 
 
 def make_trainer(trace, runtime, sequential=False, staleness=0,
-                 stale_mode="drop", epochs=2):
+                 stale_mode="drop", epochs=2, backfill=False, dense=False):
     """``sequential=True`` builds the reference: a loop of one-episode
-    ``Trainer._rollout`` calls in place of the actors."""
+    ``Trainer._rollout`` calls in place of the actors.  ``dense=True``
+    hides the kernel policy's row scorers, so acting and the update pad
+    the ragged observations to the window at the policy's input."""
+    m, f = ENV_CFG.observation_shape
     return (SequentialTrainer if sequential else Trainer)(
         trace,
-        env_config=ENV_CFG,
+        env_config=EnvConfig(max_obsv_size=m, backfill=backfill),
         ppo_config=PPOConfig(train_pi_iters=8, train_v_iters=8),
+        policy=DenseOnly(make_policy("kernel", m, f, seed=0)) if dense else None,
         train_config=TrainConfig(
             epochs=epochs,
             trajectories_per_epoch=6,
@@ -121,6 +125,25 @@ class TestAsyncGolden:
             train_run(trace, SERIAL, sequential=True), train_run(trace, runtime)
         )
 
+    @pytest.mark.parametrize(
+        "backfill,dense", [(True, False), (False, True), (True, True)],
+        ids=["kernel-backfill", "dense", "dense-backfill"],
+    )
+    def test_identical_with_backfill_and_padding_policies(
+        self, trace, backfill, dense
+    ):
+        """The same golden where episodes are ragged in length
+        (backfilling) and where the policy reads the padded window
+        (``DenseOnly``): one sequential reference, every actor layout."""
+        reference = train_run(
+            trace, SERIAL, sequential=True, backfill=backfill, dense=dense
+        )
+        for runtime in (SERIAL, PROCESS_2, PROCESS_3):
+            assert_runs_equal(
+                reference,
+                train_run(trace, runtime, backfill=backfill, dense=dense),
+            )
+
     def test_nonzero_staleness_trains(self, trace):
         """The prefetch window runs and every epoch stays well-formed."""
         records, _, _ = train_run(trace, PROCESS_2, staleness=1, epochs=3)
@@ -168,8 +191,8 @@ class TestActorRuntime:
                                policy, value)
             assert sorted(got) == sorted(ref)
             for traj, ep in got.items():
-                np.testing.assert_array_equal(ep.obs, ref[traj].obs)
-                np.testing.assert_array_equal(ep.masks, ref[traj].masks)
+                np.testing.assert_array_equal(ep.rows, ref[traj].rows)
+                np.testing.assert_array_equal(ep.counts, ref[traj].counts)
                 np.testing.assert_array_equal(ep.actions, ref[traj].actions)
                 np.testing.assert_array_equal(ep.log_probs,
                                               ref[traj].log_probs)

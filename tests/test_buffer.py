@@ -5,14 +5,18 @@ import pytest
 
 from repro.rl import TrajectoryBuffer
 
-OBS_SHAPE = (4, 3)
+F = 3
 
 
-def fill_episode(buf, n_steps, values=None, terminal=10.0):
-    values = values if values is not None else [0.0] * n_steps
-    for t in range(n_steps):
-        buf.store(np.zeros(OBS_SHAPE), np.ones(4, bool), t % 4, -1.0, values[t])
-    buf.end_episode(terminal)
+def fill_episode(buf, n_steps, values=None, terminal=10.0, order=None):
+    """One episode of ``n_steps`` decisions, 1-4 waiting jobs each."""
+    counts = np.arange(n_steps) % 4 + 1
+    buf.add_episode(
+        np.zeros((counts.sum(), F), np.float32), counts,
+        np.arange(n_steps) % counts, -np.ones(n_steps),
+        np.zeros(n_steps) if values is None else values, terminal,
+        order=order,
+    )
 
 
 class TestMechanics:
@@ -21,14 +25,8 @@ class TestMechanics:
             TrajectoryBuffer(gamma=1.5)
 
     def test_end_episode_without_steps(self):
-        with pytest.raises(RuntimeError):
-            TrajectoryBuffer().end_episode(1.0)
-
-    def test_get_with_open_episode(self):
-        buf = TrajectoryBuffer()
-        buf.store(np.zeros(OBS_SHAPE), np.ones(4, bool), 0, -1.0, 0.0)
-        with pytest.raises(RuntimeError, match="still open"):
-            buf.get()
+        with pytest.raises(RuntimeError, match="at least one step"):
+            fill_episode(TrajectoryBuffer(), 0)
 
     def test_get_empty(self):
         with pytest.raises(RuntimeError, match="empty"):
@@ -95,78 +93,85 @@ class TestReturns:
         data = buf.get(normalize_advantages=False)
         np.testing.assert_allclose(data["returns"], [100, 100, -100, -100])
 
+    def test_per_step_rewards(self):
+        """An array reward is one reward per step (the terminal one
+        included), discounted like the sequence reward."""
+        buf = TrajectoryBuffer(gamma=0.5, lam=1.0)
+        buf.add_episode(
+            np.zeros((3, F), np.float32), [1, 1, 1], [0, 0, 0], -np.ones(3),
+            np.zeros(3), np.array([1.0, 2.0, 8.0]),
+        )
+        data = buf.get(normalize_advantages=False)
+        np.testing.assert_allclose(data["returns"], [4.0, 6.0, 8.0])
+        assert buf.episode_rewards == [11.0]
+
 
 class TestBatchedPath:
-    """store_batch/end_slot — the vectorised-rollout ingestion path."""
+    """add_episode — the one ingestion call: a finished episode's columns
+    as one batch."""
 
     def test_equals_scalar_path(self):
-        """The same steps through both paths produce identical arrays."""
-        scalar = TrajectoryBuffer(gamma=1.0, lam=0.97)
-        for _ in range(2):
-            fill_episode(scalar, 4, values=[1.0, 2.0, 3.0, 4.0], terminal=10.0)
-        batched = TrajectoryBuffer(gamma=1.0, lam=0.97)
-        vals = np.array([[1.0, 2.0, 3.0, 4.0]] * 2)
-        for t in range(4):
-            batched.store_batch(
-                np.zeros((2, *OBS_SHAPE), np.float32),
-                np.ones((2, 4), bool),
-                np.full(2, t % 4),
-                -np.ones(2),
-                slots=[0, 1],
+        """The vectorised recurrences equal the scalar path — GAE-λ and
+        the discounted return written out as one reversed Python loop over
+        the steps — bit for bit, per-step rewards included."""
+        rng = np.random.default_rng(0)
+        gamma, lam = 0.99, 0.97
+        buf = TrajectoryBuffer(gamma=gamma, lam=lam)
+        want_adv, want_ret = [], []
+        for steps, per_step in [(1, False), (7, False), (12, True)]:
+            values = rng.standard_normal(steps)
+            rewards = rng.standard_normal(steps) if per_step else np.zeros(steps)
+            if not per_step:
+                rewards[-1] = -3.5
+            buf.add_episode(
+                np.zeros((steps, F), np.float32), np.ones(steps, int),
+                np.zeros(steps, int), -np.ones(steps), values,
+                rewards if per_step else -3.5,
             )
-        for slot in range(2):
-            batched.end_slot(slot, 10.0, values=vals[slot])
-        a = scalar.get(normalize_advantages=False)
-        b = batched.get(normalize_advantages=False)
-        for key in a:
-            np.testing.assert_array_equal(a[key], b[key])
+            adv, ret = np.empty(steps), np.empty(steps)
+            next_value = next_adv = next_ret = 0.0
+            for t in range(steps - 1, -1, -1):
+                delta = rewards[t] + gamma * next_value - values[t]
+                adv[t] = next_adv = delta + gamma * lam * next_adv
+                ret[t] = next_ret = rewards[t] + gamma * next_ret
+                next_value = values[t]
+            want_adv.append(adv)
+            want_ret.append(ret)
+        data = buf.get(normalize_advantages=False)
+        np.testing.assert_array_equal(data["advantages"], np.concatenate(want_adv))
+        np.testing.assert_array_equal(data["returns"], np.concatenate(want_ret))
 
     def test_deferred_values_required_at_end(self):
+        """Every per-step column must cover the episode's steps."""
         buf = TrajectoryBuffer()
-        buf.store_batch(
-            np.zeros((1, *OBS_SHAPE), np.float32), np.ones((1, 4), bool),
-            [0], [-1.0], slots=[7],
-        )
-        with pytest.raises(RuntimeError, match="deferred value"):
-            buf.end_slot(7, 1.0)
+        with pytest.raises(ValueError, match="expected 4 values"):
+            fill_episode(buf, 4, values=[1.0, 2.0])
+        with pytest.raises(ValueError, match="expected 2 counts"):
+            buf.add_episode(np.zeros((3, F)), [1, 1, 1], [0, 0], [-1.0, -1.0],
+                            [0.0, 0.0], 1.0)
 
-    def test_end_unknown_slot(self):
-        with pytest.raises(RuntimeError, match="no stored steps"):
-            TrajectoryBuffer().end_slot(3, 0.0)
-
-    def test_staged_obs_shape(self):
-        buf = TrajectoryBuffer()
-        for _ in range(5):
-            buf.store_batch(
-                np.zeros((2, *OBS_SHAPE), np.float32), np.ones((2, 4), bool),
-                [0, 1], [-1.0, -1.0], slots=[0, 1],
+    def test_counts_must_cover_the_rows(self):
+        with pytest.raises(ValueError, match="cover 2 job rows, got 5"):
+            TrajectoryBuffer().add_episode(
+                np.zeros((5, F)), [1, 1], [0, 0], [-1.0, -1.0], [0.0, 0.0], 1.0
             )
-        assert buf.staged_obs(1).shape == (5, *OBS_SHAPE)
 
     def test_out_of_order_slots_sorted_in_get(self):
-        """Episodes closed out of slot order still concatenate by slot id."""
+        """Episodes added out of trajectory order still concatenate by
+        their order key, observations included."""
         buf = TrajectoryBuffer(gamma=1.0, lam=1.0)
-        for slot, steps in [(0, 2), (1, 3)]:
-            for _ in range(steps):
-                buf.store_batch(
-                    np.zeros((1, *OBS_SHAPE), np.float32),
-                    np.ones((1, 4), bool), [slot], [-1.0], slots=[slot],
-                )
-        buf.end_slot(1, terminal_reward=-1.0, values=np.zeros(3))
-        buf.end_slot(0, terminal_reward=1.0, values=np.zeros(2))
+        for order, steps, terminal in [(1, 3, -1.0), (0, 2, 1.0)]:
+            counts = np.full(steps, order + 1)
+            buf.add_episode(
+                np.full((counts.sum(), F), order, np.float32), counts,
+                np.full(steps, order), -np.ones(steps), np.zeros(steps),
+                terminal, order=order,
+            )
         data = buf.get(normalize_advantages=False)
         np.testing.assert_array_equal(data["actions"], [0, 0, 1, 1, 1])
         np.testing.assert_array_equal(data["returns"], [1, 1, -1, -1, -1])
-
-    def test_open_slot_blocks_get(self):
-        buf = TrajectoryBuffer()
-        fill_episode(buf, 2)
-        buf.store_batch(
-            np.zeros((1, *OBS_SHAPE), np.float32), np.ones((1, 4), bool),
-            [0], [-1.0], slots=[0],
-        )
-        with pytest.raises(RuntimeError, match="still open"):
-            buf.get()
+        np.testing.assert_array_equal(data["counts"], [1, 1, 2, 2, 2])
+        np.testing.assert_array_equal(data["rows"][:, 0], [0, 0] + [1] * 6)
 
 
 class TestGetArrays:
@@ -174,11 +179,13 @@ class TestGetArrays:
         buf = TrajectoryBuffer()
         fill_episode(buf, 5)
         data = buf.get()
-        assert data["obs"].shape == (5, *OBS_SHAPE)
-        assert data["masks"].shape == (5, 4)
-        assert data["masks"].dtype == bool
+        assert data["counts"].tolist() == [1, 2, 3, 4, 1]
+        assert data["rows"].shape == (11, F)
+        assert data["rows"].dtype == np.float32
         assert data["actions"].dtype == np.int64
         assert data["advantages"].shape == (5,)
+        assert set(data) == {"rows", "counts", "actions", "log_probs",
+                             "advantages", "returns"}
 
     def test_advantage_normalisation(self):
         buf = TrajectoryBuffer()

@@ -30,6 +30,13 @@ class TestEnvConfig:
         with pytest.raises(ValueError):
             EnvConfig(job_features=2)
 
+    @pytest.mark.parametrize("job_features", [5, 6])
+    def test_rejects_layouts_the_encoder_cannot_write(self, job_features):
+        """The encoder writes columns 0-6 unconditionally; 5 and 6 used to
+        pass here and die with an IndexError inside ``SchedGym.reset``."""
+        with pytest.raises(ValueError, match=f"job_features.*{job_features}"):
+            EnvConfig(job_features=job_features)
+
 
 class TestPPOConfig:
     def test_paper_defaults(self):

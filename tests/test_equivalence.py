@@ -18,11 +18,12 @@ import pytest
 
 from repro.config import EnvConfig, PPOConfig, TrainConfig
 from repro.rl import Trainer, discount_cumsum
-from repro.sim import FeatureCache, build_observation, build_observation_loop
+from repro.sim import FeatureCache, build_observation
 from repro.sim.env import stable_user_hash
 from repro.workloads import Job, load_trace
 
 from .conftest import SequentialTrainer
+from .reference import build_observation_loop
 
 
 def random_jobs(rng, n, n_procs=64):

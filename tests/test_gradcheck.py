@@ -8,6 +8,7 @@ import pytest
 from repro.nn import (
     RaggedRows,
     Tensor,
+    csr_indptr,
     gather_rows,
     gradcheck,
     numerical_gradient,
@@ -19,7 +20,6 @@ from repro.nn import (
     segment_logsumexp,
     segment_max,
     segment_sum,
-    valid_rows,
 )
 
 
@@ -205,7 +205,7 @@ class TestSparseFunctionalTwins:
         masks = rng.random((4, 6)) < 0.5
         masks[np.arange(4), rng.integers(0, 6, 4)] = True
         actions = np.array([rng.choice(np.flatnonzero(m)) for m in masks])
-        _, _, indptr = valid_rows(masks)
+        indptr = csr_indptr(masks.sum(axis=1))
         k = int(indptr[-1])
         return masks, actions, indptr, rand(k, seed=seed + 1)
 

@@ -81,7 +81,7 @@ class TestEnvAgainstReference:
         obs, mask = env.reset([j.copy() for j in seq])
         done = False
         while not done:
-            visible = env._visible
+            visible = env.visible
             action = min(range(len(visible)),
                          key=lambda i: (visible[i].requested_time,
                                         visible[i].job_id))

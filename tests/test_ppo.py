@@ -11,16 +11,18 @@ from repro.nn import (
     Tensor,
     ValueMLP,
     clip_grad_norm,
+    csr_indptr,
     log_prob_of,
     masked_log_softmax,
+    sample_action_batch,
     segment_log_prob_of,
     segment_log_softmax,
     segment_sum,
-    valid_rows,
 )
 from repro.rl import PPOAgent, TrajectoryBuffer
 
 from .conftest import DenseOnly
+from .reference import pad_window
 
 M, F = 8, 7
 
@@ -39,49 +41,121 @@ def synthetic_batch(agent, n_episodes=6, steps=5, seed=0):
     rng = np.random.default_rng(seed)
     buf = TrajectoryBuffer(gamma=1.0, lam=0.97)
     for _ in range(n_episodes):
-        for _ in range(steps):
-            obs = rng.random((M, F)).astype(np.float32)
-            mask = np.ones(M, bool)
-            best = int(obs[:, 0].argmax())
-            actions, logps = agent.act_batch(obs[None], mask[None])
-            value = agent.value_batch(obs[None])
-            reward = 1.0 if actions[0] == best else -1.0
-            buf.store(
-                obs, mask, int(actions[0]), float(logps[0]), float(value[0]),
-                reward=reward,
-            )
-        buf.end_episode(0.0)
+        rows = rng.random((steps * M, F)).astype(np.float32)
+        counts = np.full(steps, M)
+        best = rows[:, 0].reshape(steps, M).argmax(axis=1)
+        actions, logps = agent.act_batch(rows, counts)
+        buf.add_episode(
+            rows, counts, actions, logps, agent.value_batch(rows, counts),
+            np.where(actions == best, 1.0, -1.0),
+        )
     return buf.get()
+
+
+def full_queues(obs):
+    """``(N, M, F)`` windows with every slot a job, as ragged observations."""
+    return obs.reshape(-1, obs.shape[-1]), np.full(len(obs), obs.shape[1])
 
 
 class TestActing:
     def test_act_returns_valid_tuple(self):
         agent = make_agent()
-        obs = np.random.default_rng(0).random((1, M, F))
-        actions, logps = agent.act_batch(obs, np.ones((1, M), bool))
+        rows, counts = full_queues(np.random.default_rng(0).random((1, M, F)))
+        actions, logps = agent.act_batch(rows, counts)
         assert 0 <= actions[0] < M
         assert logps[0] <= 0.0
-        assert agent.value_batch(obs).shape == (1,)
+        assert agent.value_batch(rows, counts).shape == (1,)
 
     def test_act_respects_mask(self):
+        """Only an observation's own jobs can be chosen: slots past its
+        count are masked out of the distribution."""
         agent = make_agent()
-        obs = np.random.default_rng(0).random((20, M, F))
-        masks = np.zeros((20, M), bool)
-        masks[:, 3] = True
-        assert set(agent.act_batch(obs, masks)[0].tolist()) == {3}
+        counts = np.array([1, 3] * 10)
+        rows = np.random.default_rng(0).random((counts.sum(), F))
+        for _ in range(20):
+            actions, _ = agent.act_batch(rows, counts)
+            assert (actions < counts).all()
+        assert set(actions[counts == 1].tolist()) == {0}
+
+    def test_act_rejects_an_empty_queue(self):
+        agent = make_agent()
+        rows = np.random.default_rng(0).random((3, F))
+        with pytest.raises(ValueError, match="at least one valid action"):
+            agent.act_batch(rows, np.array([3, 0]))
 
     def test_act_greedy_deterministic(self):
         agent = make_agent()
-        obs = np.random.default_rng(0).random((1, M, F))
-        masks = np.ones((1, M), bool)
-        choices = {int(agent.act_greedy_batch(obs, masks)[0]) for _ in range(5)}
+        rows, counts = full_queues(np.random.default_rng(0).random((1, M, F)))
+        choices = {int(agent.act_greedy_batch(rows, counts)[0]) for _ in range(5)}
         assert len(choices) == 1
 
     def test_act_stochastic_explores(self):
         agent = make_agent()
         obs = np.tile(np.random.default_rng(0).random((M, F)), (60, 1, 1))
-        actions = agent.act_batch(obs, np.ones((60, M), bool))[0]
+        actions = agent.act_batch(*full_queues(obs))[0]
         assert len(set(actions.tolist())) > 1
+
+
+class ColumnScorer:
+    """A row-scoring policy whose scores are column 0 of the rows."""
+
+    def score_rows(self, rows):
+        return np.asarray(rows, dtype=np.float64)[:, 0]
+
+
+class TestWindowOracle:
+    """Acting softmaxes and samples on a block no wider than the wave's
+    longest queue; the paper's window is ``M`` wide.  Both must give the
+    same bits — log-probabilities, sampled actions, greedy actions — for
+    every longest-queue length, or training curves drift with a NumPy
+    summation change instead of failing here."""
+
+    @staticmethod
+    def wave(m, longest, rng, n=9):
+        """``n`` queues of 1..``longest`` jobs, one of them ``longest``
+        deep and one a single job, with scores spread over ±30."""
+        counts = rng.integers(1, longest + 1, size=n)
+        counts[rng.integers(n)] = longest
+        counts[(np.argmax(counts == longest) + 1) % n] = 1 if n > 1 else longest
+        counts[np.argmax(counts == longest)] = longest
+        scores = rng.standard_normal(counts.sum()) * rng.choice([0.1, 3.0, 30.0])
+        return scores[:, None], counts
+
+    @pytest.mark.parametrize("m", [5, 12, 16, 128, 200])
+    def test_block_equals_the_full_window_bit_for_bit(self, m):
+        agent = PPOAgent(ColumnScorer(), ValueMLP(m, 1, hidden=(4,)))
+        rng = np.random.default_rng(m)
+        for longest in range(1, m + 1):
+            for n in (1, 9):
+                rows, counts = self.wave(m, longest, rng, n)
+                _, masks = pad_window(rows, counts, m)
+                logits = np.full(masks.shape, -1e9)
+                logits[masks] = rows[:, 0]
+                want = masked_log_softmax(Tensor(logits), masks).numpy()
+                uniforms = rng.random(n)
+                want_actions = sample_action_batch(want, uniforms)
+
+                got = agent.log_probs_batch(rows, counts)
+                width = got.shape[1]
+                assert width <= m and (m > 128 or width < longest + 8)
+                assert got.tobytes() == want[:, :width].copy().tobytes()
+                assert (want[:, width:] < -1e8).all()
+
+                class Replay:  # hands act_batch the oracle's uniforms
+                    def __init__(self, u):
+                        self.random = lambda: u
+
+                actions, logps = agent.act_batch(
+                    rows, counts, [Replay(u) for u in uniforms]
+                )
+                np.testing.assert_array_equal(actions, want_actions)
+                assert (
+                    logps.tobytes()
+                    == want[np.arange(n), want_actions].tobytes()
+                )
+                np.testing.assert_array_equal(
+                    agent.act_greedy_batch(rows, counts), want.argmax(axis=-1)
+                )
 
 
 class TestUpdate:
@@ -111,7 +185,7 @@ class TestUpdate:
         for _ in range(40):
             obs = rng.random((M, F))
             best = int(obs[:, 0].argmax())
-            action = agent.act_greedy_batch(obs[None], np.ones((1, M), bool))[0]
+            action = agent.act_greedy_batch(obs, [M])[0]
             hits.append(action == best)
         assert np.mean(hits) > 0.4  # chance level is 1/16
 
@@ -141,16 +215,14 @@ class TestUpdate:
         assert any(not np.allclose(b, a.data) for b, a in zip(before, after))
 
 
-def padded_batch(n, m=16, max_jobs=5, seed=0):
-    """An update batch shaped like a rollout's: ``k`` waiting jobs packed
-    into the first ``k`` of ``m`` slots, float32, the rest exactly zero."""
+def ragged_batch(n, max_jobs=5, seed=0):
+    """An update batch shaped like a rollout's: the float32 rows of the
+    ``k`` waiting jobs of each of ``n`` steps, ``1 <= k <= max_jobs``."""
     rng = np.random.default_rng(seed)
     counts = rng.integers(1, max_jobs + 1, size=n)
-    masks = np.arange(m) < counts[:, None]
-    obs = rng.random((n, m, F)).astype(np.float32) * masks[:, :, None]
     return {
-        "obs": obs,
-        "masks": masks,
+        "rows": rng.random((counts.sum(), F)).astype(np.float32),
+        "counts": counts,
         "actions": rng.integers(0, counts),
         "log_probs": -np.abs(rng.standard_normal(n)) - 0.5,
         "advantages": rng.standard_normal(n),
@@ -159,17 +231,23 @@ def padded_batch(n, m=16, max_jobs=5, seed=0):
 
 
 def reference_update(agent, data):
-    """The update as it ran before plans and the ragged first layer, kept
-    as the oracle: every iteration re-gathers ``data[k][idx]``, re-derives
-    the valid rows, and the value network multiplies the dense padded
-    float64 matrix through plain ``Tensor.__matmul__``.  Losses are
-    sum-reduced and gradients divided by the row count (the mean loss,
-    in another operation order).  Returns ``(policy_losses, kls,
+    """The update as it ran before plans, the ragged first layer and
+    ragged observations, kept as the oracle: the batch is padded to the
+    observation window up front, every iteration re-gathers ``data[k][idx]``,
+    re-derives the valid rows, and the value network multiplies the dense
+    padded float64 matrix through plain ``Tensor.__matmul__``.  Losses
+    are sum-reduced and gradients divided by the row count (the mean
+    loss, in another operation order).  Returns ``(policy_losses, kls,
     value_losses)`` per iteration.
     """
     cfg = agent.config
     n = len(data["actions"])
     size = min(cfg.minibatch_size, n)
+    obs, masks = pad_window(
+        data["rows"], data["counts"], agent.value.max_obsv_size
+    )
+    data = {k: v for k, v in data.items() if k not in ("rows", "counts")}
+    data.update(obs=obs, masks=masks)
 
     def minibatch():
         if size >= n:
@@ -190,7 +268,8 @@ def reference_update(agent, data):
     def policy_loss(batch):
         obs, masks = batch["obs"].astype(np.float64), batch["masks"]
         if hasattr(agent.policy, "score_rows_grad"):
-            b_idx, s_idx, indptr = valid_rows(masks)
+            b_idx, s_idx = np.nonzero(masks)
+            indptr = csr_indptr(masks.sum(axis=1))
             scores = agent.policy.score_rows_grad(obs[b_idx, s_idx])
             log_probs = segment_log_softmax(scores, indptr)
             logp = segment_log_prob_of(log_probs, masks, batch["actions"], indptr)
@@ -248,7 +327,7 @@ class TestUpdatePlan:
     def assert_same_update(self, agent, oracle, data):
         # behaviour log-probs of the initial policy: KL starts at zero
         data["log_probs"] = oracle.episode_log_probs(
-            data["obs"], data["masks"], data["actions"]
+            data["rows"], data["counts"], data["actions"]
         )
         stats = agent.update(data)
         pi_losses, kls, v_losses = reference_update(oracle, data)
@@ -274,17 +353,17 @@ class TestUpdatePlan:
     @pytest.mark.parametrize("minibatch_size", [4096, 24])
     def test_matches_per_iteration_gather(self, update_path, minibatch_size):
         agent, oracle = self.agents(update_path, minibatch_size=minibatch_size)
-        self.assert_same_update(agent, oracle, padded_batch(60))
+        self.assert_same_update(agent, oracle, ragged_batch(60))
 
     def test_dense_path_with_a_joint_policy(self):
         agent, oracle = self.agents("dense", policy="mlp", minibatch_size=24)
-        self.assert_same_update(agent, oracle, padded_batch(60, seed=1))
+        self.assert_same_update(agent, oracle, ragged_batch(60, seed=1))
 
     def test_early_stop_draws_no_further_minibatch(self):
         agent, oracle = self.agents(
             "sparse", minibatch_size=24, target_kl=1e-4, pi_lr=1e-3
         )
-        stats = self.assert_same_update(agent, oracle, padded_batch(60, seed=4))
+        stats = self.assert_same_update(agent, oracle, ragged_batch(60, seed=4))
         assert stats.early_stopped and stats.pi_iters_run == 3
 
     def test_single_minibatch_is_planned_once(self, monkeypatch):
@@ -292,7 +371,7 @@ class TestUpdatePlan:
         the batch fits a minibatch, one per iteration when it does not."""
         import repro.rl.ppo as ppo
 
-        calls = {"valid_rows": 0, "from_dense": 0}
+        calls = {"policy_plan": 0, "from_csr": 0}
 
         def count(name, fn):
             def wrapped(*args, **kwargs):
@@ -300,25 +379,36 @@ class TestUpdatePlan:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(ppo, "valid_rows", count("valid_rows", valid_rows))
         monkeypatch.setattr(
-            RaggedRows, "from_dense",
-            count("from_dense", RaggedRows.from_dense),
+            ppo, "_policy_plan", count("policy_plan", ppo._policy_plan)
         )
-        data = padded_batch(60)
+        monkeypatch.setattr(
+            RaggedRows, "from_csr", count("from_csr", RaggedRows.from_csr)
+        )
+        data = ragged_batch(60)
         self.agents("sparse", target_kl=1e9)[0].update(data)
-        assert calls == {"valid_rows": 1, "from_dense": 1}
+        assert calls == {"policy_plan": 1, "from_csr": 1}
         self.agents("sparse", target_kl=1e9, minibatch_size=24)[0].update(data)
-        assert calls == {"valid_rows": 1 + 6, "from_dense": 1 + 6}
+        assert calls == {"policy_plan": 1 + 6, "from_csr": 1 + 6}
 
     def test_value_batch_matches_the_dense_forward(self):
         agent, _ = self.agents("sparse")
-        obs = padded_batch(40, seed=6)["obs"]
+        data = ragged_batch(40, seed=6)
+        obs, _ = pad_window(data["rows"], data["counts"], 16)
         dense = agent.value.mlp(Tensor(obs.reshape(40, -1).astype(np.float64)))
         np.testing.assert_allclose(
-            agent.value_batch(obs), dense.numpy().reshape(40),
-            rtol=1e-12, atol=1e-14,
+            agent.value_batch(data["rows"], data["counts"]),
+            dense.numpy().reshape(40), rtol=1e-12, atol=1e-14,
         )
+
+    def test_masked_out_action_is_rejected(self):
+        """The plan checks what ``flat_action_index`` used to: a stored
+        action must be one of its observation's jobs."""
+        agent, _ = self.agents("sparse")
+        data = ragged_batch(20)
+        data["actions"][7] = data["counts"][7]
+        with pytest.raises(ValueError, match=r"rows \[7\] are masked out"):
+            agent.update(data)
 
 
 def test_ragged_work_follows_fill_not_padding():
@@ -326,9 +416,8 @@ def test_ragged_work_follows_fill_not_padding():
     fill of the paper's 128-slot window the first layer's multiply-
     accumulate count is at most a quarter of the dense product's."""
     h = 128
-    obs = padded_batch(768, m=128, max_jobs=11, seed=7)["obs"]
-    flat = obs.reshape(768, -1)
-    fill = np.count_nonzero(obs.any(axis=2)) / (768 * 128)
+    data = ragged_batch(768, max_jobs=11, seed=7)
+    fill = data["counts"].sum() / (768 * 128)
     assert fill <= 0.05
-    ragged_macs = RaggedRows.from_dense(flat).volume * h
-    assert ragged_macs <= 0.25 * flat.size * h
+    ragged = RaggedRows.from_csr(data["rows"], data["counts"], 128)
+    assert ragged.volume * h <= 0.25 * 768 * 128 * F * h

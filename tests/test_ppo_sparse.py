@@ -17,14 +17,14 @@ F = 7
 
 
 def synthetic_data(n=48, m=16, seed=0):
-    """A PPO update batch with random (but internally consistent) masks."""
+    """A PPO update batch of ragged observations with random (but
+    internally consistent) queue lengths, 1..m jobs each."""
     rng = np.random.default_rng(seed)
-    masks = rng.random((n, m)) < 0.5
-    masks[np.arange(n), rng.integers(0, m, n)] = True
+    counts = rng.integers(1, m + 1, size=n)
     return {
-        "obs": rng.standard_normal((n, m, F)),
-        "masks": masks,
-        "actions": np.array([rng.choice(np.flatnonzero(mk)) for mk in masks]),
+        "rows": rng.standard_normal((counts.sum(), F)),
+        "counts": counts,
+        "actions": rng.integers(0, counts),
         "log_probs": -np.abs(rng.standard_normal(n)) - 0.5,
         "advantages": rng.standard_normal(n),
         "returns": rng.standard_normal(n),
@@ -42,10 +42,11 @@ def make_agent(update_path="dense", m=16, **ppo_kwargs):
     return PPOAgent(policy, value, cfg, seed=0)
 
 
-def policy_terms(policy, data, path):
+def policy_terms(policy, data, path, m=16):
     if path == "dense":
         policy = DenseOnly(policy)
-    return _policy_terms(policy, *_policy_plan(data, path == "sparse", None), 0.2)
+    plan = _policy_plan(data, path == "sparse", m, None)
+    return _policy_terms(policy, *plan, 0.2)
 
 
 class TestSparsePath:
@@ -87,7 +88,7 @@ class TestSparsePath:
 
         def grads(path):
             policy.zero_grad()
-            surrogate, ent_rows, _ = policy_terms(policy, data, path)
+            surrogate, ent_rows, _ = policy_terms(policy, data, path, m=128)
             (-surrogate.mean() - 0.01 * ent_rows.mean()).backward()
             return [p.grad.copy() for p in policy.parameters()]
 

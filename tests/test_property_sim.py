@@ -4,7 +4,9 @@ the engine's incremental paths rest on: the engine's backfill planner
 against the public reference functions, every bound scheduler pick against
 ``select``, online replay under arbitrary ``advance()`` chunking against
 the batch decision log, and the pending-queue invariants after every
-event."""
+event — and the ragged observation path against its padded oracle: every
+``VecSchedGym`` wave, padded out, against the per-job loop encoder, and a
+vec of any width against a loop of ``SchedGym`` episodes."""
 
 from pathlib import Path
 
@@ -28,9 +30,12 @@ from repro.schedulers import (
 from repro.sim import (
     ClusterSpec,
     OnlineSchedulingEngine,
+    SchedGym,
     SchedulingEngine,
+    VecSchedGym,
     backfill_candidates,
     conservative_backfill_candidates,
+    pad_observations,
     run_scheduler,
 )
 from repro.sim.metrics import (
@@ -41,6 +46,8 @@ from repro.sim.metrics import (
     resource_utilization,
 )
 from repro.workloads import Job
+
+from .reference import build_observation_loop, pad_window
 
 N_PROCS = 16
 
@@ -173,14 +180,11 @@ def ids(jobs):
     return [j.job_id for j in jobs]
 
 
-@st.composite
-def engine_cases(draw, max_jobs=16):
-    """A job stream and its cluster, built to collide: timestamps, runtime
-    requests and sizes come from small pools (tied scores, tied queue
-    keys), job ids are shuffled against arrival order, estimates may
-    undershoot the runtime (releases the planner clamps to ``now``), and
-    half the cases run on a memory-constrained cluster."""
-    memory = draw(st.booleans())
+def colliding_jobs(draw, memory, max_jobs):
+    """A job stream built to collide: timestamps, runtime requests and
+    sizes come from small pools (tied scores, tied queue keys), job ids
+    are shuffled against arrival order, and estimates may undershoot the
+    runtime (releases the planner clamps to ``now``)."""
     n = draw(st.integers(1, max_jobs))
     job_ids = draw(st.permutations(range(1, n + 1)))
     jobs, t = [], 0.0
@@ -201,7 +205,29 @@ def engine_cases(draw, max_jobs=16):
                 user_id=draw(st.integers(0, 3)),
             )
         )
+    return jobs
+
+
+@st.composite
+def engine_cases(draw, max_jobs=16):
+    """A colliding job stream and its cluster; half the cases run on a
+    memory-constrained one."""
+    memory = draw(st.booleans())
+    jobs = colliding_jobs(draw, memory, max_jobs)
     return jobs, ClusterSpec(N_PROCS, memory=TOTAL_MEM if memory else None)
+
+
+@st.composite
+def vec_cases(draw, max_sequences=5):
+    """Several colliding job streams for one cluster (half of them
+    memory-constrained) and the lock-step width to run them at."""
+    memory = draw(st.booleans())
+    sequences = [
+        colliding_jobs(draw, memory, 14)
+        for _ in range(draw(st.integers(1, max_sequences)))
+    ]
+    spec = ClusterSpec(N_PROCS, memory=TOTAL_MEM if memory else None)
+    return sequences, spec, draw(st.integers(1, 4))
 
 
 class _Checked:
@@ -453,3 +479,106 @@ def test_queue_invariants_under_unordered_online_submissions(case, backfill, dat
         engine.commit(pick_arbitrary(engine, data))
     assert engine.idle
     assert sorted(ids(engine.take_completed())) == sorted(ids(jobs))
+
+
+# ----------------------------------------------------------------------
+# ragged observations against the padded oracle
+# ----------------------------------------------------------------------
+def negative_bsld(jobs, n_procs):
+    return -average_bounded_slowdown(jobs)
+
+
+def assert_waves_equal_padded_oracle(sequences, spec, n_envs, backfill, choose):
+    """Run ``sequences`` through a ``VecSchedGym`` of width ``n_envs`` and,
+    beside it, each one through its own ``SchedGym`` with the same actions
+    (``choose(n_visible)`` picks them).  Every wave, padded out, must equal
+    the loop encoder's window of that episode's queue bit for bit, and
+    every episode must end on the single environment's reward.  Returns
+    the deepest queue met (window cut-off ignored) and whether a wave
+    ever ended on a zero last column."""
+    memory = spec.memory is not None
+    # a 4-slot window: most of these queues outgrow it, so the FCFS
+    # cut-off at MAX_OBSV_SIZE binds
+    config = EnvConfig(
+        max_obsv_size=4, backfill=backfill,
+        job_features=9 if memory else 7, memory_features=memory,
+    )
+
+    def copies(seq):
+        return [j.copy() for j in seq]
+
+    vec = VecSchedGym(n_envs, spec, negative_bsld, config)
+    rows, counts = vec.reset([copies(s) for s in sequences[:n_envs]])
+    vec.queue_sequences([copies(s) for s in sequences[n_envs:]])
+    refs = {}  # episode -> [its SchedGym, that env's latest (obs, mask)]
+    deepest, trailing_zero = 0, False
+    while len(counts):
+        episodes = vec.episodes.tolist()
+        trailing_zero |= bool((rows[np.cumsum(counts) - 1, -1] == 0).any())
+        obs, masks = pad_window(rows, counts, config.max_obsv_size)
+        for got, want in zip(
+            pad_observations(rows, counts, config.max_obsv_size), (obs, masks)
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        actions = []
+        for k, e in enumerate(episodes):
+            if e not in refs:
+                env = SchedGym(spec, negative_bsld, config)
+                refs[e] = [env, env.reset(copies(sequences[e]))]
+            env, (gym_obs, gym_mask) = refs[e]
+            engine = env.engine
+            deepest = max(deepest, len(engine.pending))
+            want_obs, want_mask, _ = build_observation_loop(
+                engine.pending[::-1], engine.now, engine.cluster.free_procs,
+                spec.n_procs, config, free_mem=engine.cluster.free_mem,
+                total_mem=engine.cluster.total_mem,
+            )
+            assert obs[k].tobytes() == want_obs.tobytes()
+            assert masks[k].tolist() == want_mask.tolist()
+            assert gym_obs.tobytes() == want_obs.tobytes()
+            assert gym_mask.tolist() == want_mask.tolist()
+            actions.append(choose(int(counts[k])))
+        result = vec.step(np.array(actions))
+        for k, e in enumerate(episodes):
+            ref_result = refs[e][0].step(actions[k])
+            assert result.rewards[k] == ref_result.reward
+            assert bool(result.dones[k]) == ref_result.done
+            refs[e][1] = (ref_result.observation, ref_result.action_mask)
+        rows, counts = result.rows, result.counts
+    assert sorted(refs) == list(range(len(sequences)))
+    return deepest, trailing_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(vec_cases(), st.sampled_from(SchedulingEngine.BACKFILL_MODES), st.data())
+def test_every_wave_equals_the_padded_loop_oracle(case, backfill, data):
+    """(v) Ragged from the env on: what ``VecSchedGym`` emits is, padded
+    out, the window the per-job loop encodes — procs-only and memory
+    clusters (with the memory columns), every backfill mode, queues past
+    the window — and a vec of any width is a loop of ``SchedGym``
+    episodes, auto-reset backlog included."""
+    sequences, spec, n_envs = case
+    assert_waves_equal_padded_oracle(
+        sequences, spec, n_envs, backfill,
+        lambda n_visible: data.draw(st.integers(0, n_visible - 1)),
+    )
+
+
+@pytest.mark.parametrize("memory", [False, True], ids=["procs", "memory"])
+def test_wave_oracle_covers_queues_past_the_window(memory):
+    """The property above is only as good as its queues are deep: a burst
+    of whole-cluster jobs queues up far behind a 4-slot window, and with
+    every byte of memory taken the free-memory column reads exactly 0 —
+    the trailing zero a ragged extent must not count."""
+    burst = [
+        Job(job_id=i + 1, submit_time=0.0, run_time=10.0 + i,
+            requested_procs=N_PROCS, requested_time=20.0 + i,
+            requested_mem=2.0 if memory else -1.0, user_id=i % 3)
+        for i in range(11)
+    ]
+    spec = ClusterSpec(N_PROCS, memory=TOTAL_MEM if memory else None)
+    deepest, trailing_zero = assert_waves_equal_padded_oracle(
+        [burst, burst[:3]], spec, 2, "easy", lambda n_visible: n_visible - 1
+    )
+    assert deepest > 2 * 4
+    assert trailing_zero == memory

@@ -17,8 +17,10 @@ from repro.nn import (
     segment_logsumexp,
     segment_max,
     segment_sum,
+    window_extents,
 )
 
+from .reference import pad_window
 from .test_tensor import copy_always
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, width=64)
@@ -171,6 +173,64 @@ def test_ragged_matmul_equals_dense_forward_and_backward(problem):
     extents = row_extents(x)
     assert ragged.volume <= min(x.size, 2 * extents.sum())
     assert sum(len(rows) for rows, _ in ragged.buckets) == (extents > 0).sum()
+
+
+@st.composite
+def ragged_observations(draw):
+    """Ragged observations ``(rows, counts, m)`` in the env's layouts: 7
+    columns; 8, whose column 7 the encoder never writes; 9 with the
+    memory columns, where demand and free-memory fraction may read
+    exactly 0.  Column 6 is the validity flag of real rows; empty queues
+    and, under ``wild``, all-zero rows go beyond what an env emits."""
+    f = draw(st.sampled_from([7, 8, 9]))
+    m = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 12))
+    wild = draw(st.booleans())
+    counts = np.array(
+        draw(st.lists(st.integers(0 if wild else 1, m), min_size=n, max_size=n))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    rows = rng.random((counts.sum(), f)).astype(np.float32)
+    rows[:, 6] = 1.0
+    rows[:, 7:8] = 0.0 if f == 8 else rows[:, 7:8]
+    if f == 9:
+        # the free-memory fraction is one value per observation
+        free = rng.choice([0.0, 0.0, 0.5, 1.0], size=n).astype(np.float32)
+        rows[:, 8] = np.repeat(free, counts)
+        rows[rng.random(len(rows)) < 0.4, 7] = 0.0
+    if wild:
+        rows[rng.random(len(rows)) < 0.3] = 0.0
+    select = None
+    if draw(st.booleans()):
+        select = rng.integers(0, n, size=draw(st.integers(0, 2 * n)))
+    return rows, counts, m, select
+
+
+@settings(max_examples=300, deadline=None)
+@given(ragged_observations())
+def test_csr_buckets_equal_the_padded_windows_buckets(problem):
+    """``RaggedRows.from_csr`` is ``from_dense`` of the padded windows —
+    same members, same widths, same float64 blocks — without the windows:
+    its extents come from the rows' content, so a trailing zero column is
+    outside a bucket exactly when the padded block says so."""
+    rows, counts, m, select = problem
+    f = rows.shape[1]
+    windows = pad_window(rows, counts, m)[0].reshape(len(counts), m * f)
+    np.testing.assert_array_equal(
+        window_extents(rows, counts), row_extents(windows)
+    )
+    want = RaggedRows.from_dense(windows, rows=select)
+    got = RaggedRows.from_csr(rows, counts, m, select=select)
+    assert got.shape == want.shape
+    assert len(got.buckets) == len(want.buckets)
+    for (got_rows, got_block), (want_rows, want_block) in zip(
+        got.buckets, want.buckets
+    ):
+        np.testing.assert_array_equal(got_rows, want_rows)
+        assert got_block.dtype == want_block.dtype == np.float64
+        assert got_block.shape == want_block.shape
+        assert got_block.flags.c_contiguous
+        assert got_block.tobytes() == want_block.tobytes()
 
 
 # ---------------------------------------------------------------------------

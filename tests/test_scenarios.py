@@ -362,7 +362,9 @@ class TestMemoryFeatures:
         assert np.all(obs_m[k:] == 0.0)             # padded rows stay zero
 
     def test_loop_builder_matches_vectorized(self):
-        from repro.sim import build_observation, build_observation_loop
+        from repro.sim import build_observation
+
+        from .reference import build_observation_loop
 
         scen = get_scenario("lublin-256-mem")
         trace = scen.build_trace(n_jobs=60)

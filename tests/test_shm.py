@@ -27,11 +27,13 @@ from repro import EnvConfig, TrainConfig, load_trace, train
 from repro.config import EvalConfig, RuntimeConfig
 from repro.api import evaluate
 from repro.runtime import (
+    ActorRuntime,
     ArrayCodec,
     ProcessPoolBackend,
     SharedArrayPool,
     WorkerError,
 )
+from repro.runtime import actor as actor_mod
 from repro.runtime import process_pool as process_pool_mod
 from repro.schedulers import SJF
 from repro.telemetry import core as telemetry
@@ -445,6 +447,94 @@ class TestTransportEquivalence:
         request.getfixturevalue("no_shm_pool")
         pipe = run()
         np.testing.assert_array_equal(shm.values, pipe.values)
+
+
+class TestEpisodeWire:
+    """An ``EpisodeSlice`` crosses the process boundary as it is stored:
+    its ragged ``rows`` are a view into the buffer a whole chunk of
+    episodes was regrouped in, and only the view may travel."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return load_trace("Lublin-1", n_jobs=400, seed=3)
+
+    @pytest.fixture(scope="class")
+    def sequences(self, trace):
+        from repro.workloads import SequenceSampler
+
+        return SequenceSampler(trace, 48, seed=2).sample_many(4)
+
+    def test_only_the_episodes_own_rows_are_leased_and_shipped(
+        self, trace, sequences
+    ):
+        from repro.nn import ValueMLP, make_policy
+
+        config = EnvConfig(max_obsv_size=32)
+        state = {}
+        actor_mod._actor_init(
+            state, trace.max_procs, "bsld", config, 2,
+            make_policy("kernel", 32, 7, seed=0), ValueMLP(32, 7, seed=1),
+            0, 7919, 0,
+        )
+        episodes = actor_mod._actor_episodes(state, 0, list(enumerate(sequences)))
+        episode = episodes[1]
+        shared = episode.rows.base
+        assert shared is not None and shared.nbytes > 3 * episode.rows.nbytes
+        assert all(ep.rows.base is shared for ep in episodes)
+
+        big_pool = SharedArrayPool(n_slots=256, slot_bytes=1024)
+        try:
+            codec = ArrayCodec(big_pool)
+            with telemetry.session() as reg:
+                wire, lease = codec.dumps(episode)
+                shipped = reg.snapshot().counters["runtime.ipc.bytes_shm"]
+            columns = (episode.rows, episode.counts, episode.actions,
+                       episode.log_probs, episode.values)
+            assert shipped == sum(
+                c.nbytes for c in columns if c.nbytes >= codec.min_buffer_bytes
+            )
+            assert episode.rows.nbytes <= shipped < shared.nbytes
+            assert lease is not None and wire[:1] == b"S"
+            leased = round(big_pool.occupancy * big_pool.n_slots)
+            assert leased == -(-shipped // big_pool.slot_bytes)
+            got = codec.loads(wire)
+            assert big_pool.n_leases == 0
+            for name in ("rows", "counts", "actions", "log_probs", "values"):
+                np.testing.assert_array_equal(
+                    getattr(got, name), getattr(episode, name)
+                )
+            assert got.rows.dtype == np.float32 and got.rows.base is not shared
+        finally:
+            big_pool.destroy()
+
+    def _pipe_bytes(self, trace, sequences):
+        """Bytes the actor training flow writes to the pipes of a
+        one-worker process backend (``run_perf.py::bench_ipc``, small)."""
+        from repro.nn import ValueMLP, make_policy
+
+        policy, value = make_policy("kernel", 32, 7, seed=0), ValueMLP(32, 7, seed=1)
+        with telemetry.session() as reg:
+            actors = ActorRuntime(
+                trace.max_procs, "bsld", config=EnvConfig(max_obsv_size=32),
+                runtime=RuntimeConfig(backend="process", workers=1), n_envs=4,
+            )
+            with actors:
+                actors.install(policy, value)
+                for epoch in range(2):
+                    actors.submit(epoch, list(enumerate(sequences)))
+                    for _ in sequences:
+                        actors.drain()
+            return reg.snapshot().aggregated().counters["runtime.ipc.bytes_inline"]
+
+    def test_pool_still_keeps_the_episodes_off_the_pipes(
+        self, trace, sequences, request
+    ):
+        """The CI gate's ratio, measured here on the ragged wire format:
+        pipe bytes with the pool over pipe bytes without it, <= 0.25."""
+        with_pool = self._pipe_bytes(trace, sequences)
+        request.getfixturevalue("no_shm_pool")
+        without_pool = self._pipe_bytes(trace, sequences)
+        assert with_pool / without_pool <= 0.25
 
 
 class TestPoolUnavailable:

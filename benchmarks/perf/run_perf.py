@@ -415,8 +415,8 @@ def bench_scenarios(n_jobs):
 def bench_serving(trace, n_jobs_each):
     """Closed-loop serving throughput over a live loopback daemon.
 
-    Two tenants (FCFS+easy backfill, SJF) run behind one asyncio daemon
-    on an ephemeral port; the load generator submits every job over the
+    Two tenants (FCFS+easy backfill, SJF) run behind one daemon on an
+    ephemeral port; the load generator submits every job over the
     real socket, closed loop.  The same streams are then pushed straight
     into an in-process :class:`SchedulerRouter` — identical decisions,
     no sockets, no JSON — giving a within-run overhead ratio:
@@ -426,7 +426,6 @@ def bench_serving(trace, n_jobs_each):
     (framing, dispatch, event loop) got expensive relative to the
     scheduling work it fronts, which no runner change can excuse.
     """
-    import asyncio
     import threading
 
     from repro.config import ServeConfig, TenantConfig
@@ -473,7 +472,7 @@ def bench_serving(trace, n_jobs_each):
     outcome = {}
 
     def _run():
-        outcome["rc"] = asyncio.run(daemon.run_async())
+        outcome["rc"] = daemon.run()
 
     thread = threading.Thread(target=_run, daemon=True)
     thread.start()
@@ -501,6 +500,7 @@ def bench_serving(trace, n_jobs_each):
         "decision_latency_sec": loadgen["decision_latency_sec"],
         "direct_requests_per_sec": direct_rps,
         "served_over_direct": loadgen["requests_per_sec"] / direct_rps,
+        "cpu_count": os.cpu_count(),
     }
 
 

@@ -22,8 +22,8 @@ Commands
     every policy on every scenario alongside the heuristics, and write
     the generalization-matrix JSON artifact.
 ``serve``
-    Run the scheduler-as-a-service daemon: an asyncio socket front end
-    multiplexing N logical clusters (tenants) over one process, each
+    Run the scheduler-as-a-service daemon: a selector-loop socket front
+    end multiplexing N logical clusters (tenants) over one process, each
     with its own policy (heuristic or saved RL model).
 ``submit``
     Client for a running daemon: submit a single job or replay an SWF
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="run the scheduler daemon (asyncio socket front end, "
+        help="run the scheduler daemon (selector-loop socket front end, "
              "multi-tenant)",
     )
     p.add_argument("--host", default="127.0.0.1")
@@ -677,7 +677,7 @@ def _parse_tenant(text: str) -> TenantConfig:
 
 
 def _cmd_serve(args) -> int:
-    from .serve import serve  # lazy: asyncio machinery only when serving
+    from .serve import serve  # lazy: the socket front end only when serving
 
     tenants = tuple(_parse_tenant(spec) for spec in (args.tenant or ()))
     config = ServeConfig(

@@ -359,7 +359,7 @@ class TenantConfig:
 class ServeConfig:
     """The scheduler-as-a-service daemon (see :mod:`repro.serve`).
 
-    One asyncio process listens on ``host:port`` speaking the versioned
+    One process (one thread) listens on ``host:port`` speaking the versioned
     JSON line protocol and multiplexes every configured tenant.  ``port``
     0 binds an ephemeral port (the daemon prints the bound address on
     stdout).  ``completed_history`` caps the finished-job records each

@@ -9,8 +9,8 @@ the open-ended :class:`~repro.sim.core.OnlineSchedulingEngine`:
 * :mod:`~repro.serve.service` — per-tenant policy inference
   (:class:`SchedulerService`) and the multi-tenant
   :class:`SchedulerRouter`;
-* :mod:`~repro.serve.server` — the asyncio socket front end with
-  graceful SIGTERM/``drain`` shutdown;
+* :mod:`~repro.serve.server` — the selector-loop socket front end
+  (one ``send`` per read) with graceful SIGTERM/``drain`` shutdown;
 * :mod:`~repro.serve.client` — the blocking client the ``repro submit``
   CLI and the load generator share;
 * :mod:`~repro.serve.loadgen` — the closed-loop load generator behind

@@ -40,7 +40,9 @@ class ServeClient:
     # ------------------------------------------------------------------
     def request(self, op: str, **fields) -> dict:
         message = {"v": PROTOCOL_VERSION, "op": op}
-        message.update((k, v) for k, v in fields.items() if v is not None)
+        for key, value in fields.items():
+            if value is not None:
+                message[key] = value
         try:
             self._sock.sendall(encode(message))
             line = self._reader.readline()

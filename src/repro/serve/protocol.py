@@ -36,6 +36,7 @@ generator both speak through them.
 from __future__ import annotations
 
 import json
+from math import isfinite
 
 from repro.workloads.job import Job
 
@@ -54,16 +55,16 @@ __all__ = [
 PROTOCOL_VERSION = 1
 OPS = ("submit", "status", "stats", "advance", "drain", "ping")
 
-#: wire job schema: (field, required, converter)
-_JOB_FIELDS = (
-    ("job_id", True, int),
-    ("run_time", True, float),
-    ("requested_procs", True, int),
-    ("submit_time", False, float),
-    ("requested_time", False, float),
-    ("requested_mem", False, float),
-    ("user_id", False, int),
-)
+#: wire job schema (``job_id``, ``run_time`` and ``requested_procs`` are
+#: required; :func:`job_from_wire` spells the converters out)
+_JOB_FIELDS = frozenset((
+    "job_id", "run_time", "requested_procs", "submit_time",
+    "requested_time", "requested_mem", "user_id",
+))
+
+#: the one encoder every frame goes through: ``json.dumps`` builds a new
+#: ``JSONEncoder`` per call whenever its separators are not the defaults
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class ProtocolError(ValueError):
@@ -72,15 +73,17 @@ class ProtocolError(ValueError):
 
 def encode(msg: dict) -> bytes:
     """One NDJSON frame (compact separators keep the hot path small)."""
-    return (json.dumps(msg, separators=(",", ":")) + "\n").encode()
+    return (_ENCODER.encode(msg) + "\n").encode()
 
 
 def decode(line: bytes | str) -> dict:
     """Parse and validate one request line."""
     try:
         msg = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"request is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProtocolError("request is not valid JSON: nested too deeply") from None
     if not isinstance(msg, dict):
         raise ProtocolError("request must be a JSON object")
     version = msg.get("v")
@@ -103,31 +106,45 @@ def error_response(message: str) -> dict:
     return {"v": PROTOCOL_VERSION, "ok": False, "error": message}
 
 
+def _finite(value) -> float:
+    """``float(value)``, refusing NaN (as a run time it would enter the
+    event heap) and the infinities (as a submit time, one would lift the
+    engine's horizon for good)."""
+    value = float(value)
+    if not isfinite(value):
+        raise ValueError(value)
+    return value
+
+
 def job_from_wire(payload) -> Job:
     """Build a :class:`Job` from its wire dict (shared client/server)."""
     if not isinstance(payload, dict):
         raise ProtocolError("job must be a JSON object")
-    kwargs = {}
-    for field, required, conv in _JOB_FIELDS:
-        if field in payload:
-            try:
-                kwargs[field] = conv(payload[field])
-            except (TypeError, ValueError):
-                raise ProtocolError(
-                    f"job field {field!r} must be numeric, "
-                    f"got {payload[field]!r}"
-                ) from None
-        elif required:
-            raise ProtocolError(f"job is missing required field {field!r}")
-    unknown = set(payload) - {f for f, _, _ in _JOB_FIELDS}
-    if unknown:
-        raise ProtocolError(f"unknown job fields: {sorted(unknown)}")
-    kwargs.setdefault("submit_time", 0.0)
-    # schedulers only ever see the requested runtime; default it to the
-    # actual one so minimal submissions still plan sensibly
-    kwargs.setdefault("requested_time", kwargs["run_time"])
+    get = payload.get
+    try:  # ``field`` names the one being converted, for the error message
+        job_id = int(payload[field := "job_id"])
+        run_time = _finite(payload[field := "run_time"])
+        requested_procs = int(payload[field := "requested_procs"])
+        submit_time = _finite(get(field := "submit_time", 0.0))
+        # schedulers only ever see the requested runtime; default it to
+        # the actual one so minimal submissions still plan sensibly
+        requested_time = _finite(get(field := "requested_time", run_time))
+        requested_mem = _finite(get(field := "requested_mem", -1.0))
+        user_id = int(get(field := "user_id", -1))
+    except KeyError:
+        raise ProtocolError(f"job is missing required field {field!r}") from None
+    except (TypeError, ValueError, OverflowError):  # int(1e400) overflows
+        raise ProtocolError(
+            f"job field {field!r} must be a finite number, "
+            f"got {payload[field]!r}"
+        ) from None
+    if not payload.keys() <= _JOB_FIELDS:
+        raise ProtocolError(
+            f"unknown job fields: {sorted(set(payload) - _JOB_FIELDS)}"
+        )
     try:
-        return Job(**kwargs)
+        return Job(job_id, submit_time, run_time, requested_procs,
+                   requested_time, requested_mem, user_id)
     except ValueError as exc:
         raise ProtocolError(f"invalid job: {exc}") from None
 

@@ -12,7 +12,7 @@ history kept for ``status`` queries is capped.
 :class:`SchedulerRouter` multiplexes N independent tenants — separate
 clusters, policies, clocks, and telemetry labels — behind the one wire
 protocol, mapping request dicts to responses.  Both classes are
-synchronous and single-threaded by design: the asyncio front end
+synchronous and single-threaded by design: the selector-loop front end
 (:mod:`repro.serve.server`) serialises requests, so no locking exists
 anywhere in the decision path.
 """
@@ -115,7 +115,7 @@ class SchedulerService:
     def status(self, job_id) -> dict:
         try:
             job_id = int(job_id)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # int(1e400) overflows
             raise ServiceError(f"status needs an integer job_id, got {job_id!r}") from None
         record = self._records.get(job_id) or self._finished.get(job_id)
         if record is None:
@@ -170,10 +170,11 @@ class SchedulerService:
         return made
 
     def _reconcile(self) -> None:
-        """Sync job records with the engine; harvest + bound completions."""
-        for job in self.engine.running_view:
+        """Sync job records with the engine's start and finish deltas;
+        bound the finished history."""
+        for job in self.engine.take_started():
             record = self._records.get(job.job_id)
-            if record is not None and record["state"] != "running":
+            if record is not None:
                 record["state"] = "running"
                 record["start_time"] = job.start_time
         finished = self.engine.take_completed()

@@ -325,6 +325,7 @@ class OnlineSchedulingEngine(EngineCore):
         engine.submit(job)                  # as requests arrive
         while engine.next_decision():       # pump after submit/advance
             engine.commit(<pick one of engine.pending>)
+        started = engine.take_started()     # committed + backfilled starts
         finished = engine.take_completed()  # harvest + free bookkeeping
         engine.drain()                      # shutdown: run to quiescence
 
@@ -344,6 +345,8 @@ class OnlineSchedulingEngine(EngineCore):
         super().__init__(cluster, backfill=backfill)
         self._horizon = 0.0
         self._inflight: Job | None = None
+        #: jobs started since the last :meth:`take_started`, in start order
+        self.started: list[Job] = []
         self.n_submitted = 0
         self.n_started = 0
 
@@ -427,6 +430,16 @@ class OnlineSchedulingEngine(EngineCore):
             return True
         self._inflight = job
         return False
+
+    def _start(self, job: Job) -> None:
+        super()._start(job)
+        self.started.append(job)
+
+    def take_started(self) -> list[Job]:
+        """Harvest the jobs started since the last call, committed and
+        backfilled alike: a driver need not walk the running set."""
+        started, self.started = self.started, []
+        return started
 
     def take_completed(self) -> list[Job]:
         """Harvest finished jobs and release their row bookkeeping."""

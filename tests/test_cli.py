@@ -513,7 +513,6 @@ class TestSubmitCommand:
 
     @pytest.fixture()
     def daemon(self):
-        import asyncio
         import threading
         import time as _time
 
@@ -524,9 +523,7 @@ class TestSubmitCommand:
             TenantConfig(name="solo", scheduler="FCFS", n_procs=16),
         ))
         d = ServeDaemon(config)
-        thread = threading.Thread(
-            target=lambda: asyncio.run(d.run_async()), daemon=True
-        )
+        thread = threading.Thread(target=d.run, daemon=True)
         thread.start()
         deadline = _time.monotonic() + 15
         while d.address is None and _time.monotonic() < deadline:

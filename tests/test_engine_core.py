@@ -243,6 +243,30 @@ class TestOnlineEngine:
         engine.submit(_job(1, engine.now))
         assert engine.next_decision()
 
+    def test_take_started_reports_every_start_once_in_start_order(self):
+        """Committed, backfilled and resumed-after-a-stall starts alike:
+        the harvested deltas add up to the engine's own start order."""
+        engine = OnlineSchedulingEngine(ClusterSpec(4), backfill="easy")
+        assert engine.take_started() == []
+        engine.submit(_job(1, 0.0, run=50.0, procs=3))
+        engine.submit(_job(2, 1.0, run=10.0, procs=4))  # head: must wait
+        engine.submit(_job(3, 2.0, run=5.0, procs=1))   # backfills beside 1
+        seen = []
+        while engine.next_decision():
+            if not engine.commit(engine.pending[0]):
+                break
+        seen.append([j.job_id for j in engine.take_started()])
+        assert seen == [[1, 3]]  # 2 stalled at the horizon, 3 backfilled
+        assert engine.take_started() == []
+        assert {j.job_id for j in engine.running_view} == {1, 3}
+        engine.drain()
+        while engine.next_decision():
+            engine.commit(engine.pending[0])
+        started = engine.take_started()
+        assert [j.job_id for j in started] == [2]  # the resumed commit
+        assert started[0].start_time == 50.0
+        assert engine.idle
+
     def test_counters(self):
         engine = OnlineSchedulingEngine(ClusterSpec(4))
         for i in range(3):

@@ -1,8 +1,7 @@
 """Tests for the serving layer: wire protocol, per-tenant service,
-multi-tenant router, asyncio socket daemon, load generator, and graceful
+multi-tenant router, selector-loop socket daemon, load generator, and graceful
 shutdown (the SIGTERM subprocess test mirrors ``TestNoLeakedWorkers``)."""
 
-import asyncio
 import contextlib
 import json
 import logging
@@ -10,6 +9,7 @@ import os
 import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -37,6 +37,7 @@ from repro.serve import (
     trace_jobs,
 )
 from repro.serve.protocol import decode, encode, error_response, ok_response
+from repro.serve.server import _MAX_LINE_BYTES as MAX_LINE
 from repro.workloads import Job, SWFTrace, load_trace, write_swf
 
 
@@ -119,6 +120,75 @@ class TestProtocol:
         job = Job(job_id=11, submit_time=5.0, run_time=30.0,
                   requested_procs=8, requested_time=40.0)
         assert job_from_wire(job_to_wire(job)) == job
+        full = Job(job_id=12, submit_time=0.0, run_time=1.0,
+                   requested_procs=1, requested_mem=2.5, user_id=4)
+        assert job_from_wire(job_to_wire(full)) == full
+
+    def test_decode_rejects_bytes_that_are_not_utf8(self):
+        """The parent let ``UnicodeDecodeError`` through to the daemon's
+        catch-all (traceback in the log, "internal server error")."""
+        with pytest.raises(ProtocolError, match="not valid JSON.*0xc3"):
+            decode(b'{"v":1,"op":"ping","x":"\xc3\x28"}\n')
+
+    def test_decode_rejects_bottomless_nesting(self):
+        """As above, for the ``RecursionError`` of the C scanner."""
+        with pytest.raises(ProtocolError, match="nested too deeply"):
+            decode(b"[" * 60_000 + b"\n")
+
+    @pytest.mark.parametrize("field", ["job_id", "requested_procs", "user_id"])
+    def test_job_from_wire_rejects_an_overflowing_integer(self, field):
+        """``1e400`` parses to ``inf``; the parent let ``int(inf)``'s
+        ``OverflowError`` through as an internal error."""
+        payload = wire_job(1)
+        payload[field] = json.loads("1e400")
+        with pytest.raises(ProtocolError, match=f"{field}.*finite.*inf"):
+            job_from_wire(payload)
+
+    @pytest.mark.parametrize("field", ["run_time", "submit_time",
+                                       "requested_time", "requested_mem"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_job_from_wire_rejects_non_finite_floats(self, field, literal):
+        """The parent admitted them: ``Job(run_time=nan)`` entered the
+        event heap, an infinite submit time lifted the horizon for good."""
+        payload = wire_job(1)
+        payload[field] = json.loads(literal)
+        with pytest.raises(ProtocolError) as info:
+            job_from_wire(payload)
+        assert field in str(info.value)
+        assert repr(payload[field]) in str(info.value)
+
+    def test_job_from_wire_reports_the_first_bad_field_in_schema_order(self):
+        with pytest.raises(ProtocolError, match="'run_time'.*'abc'"):
+            job_from_wire({"job_id": 1, "run_time": "abc", "user_id": None})
+
+    def test_encode_is_the_stdlib_compact_dump(self):
+        """One kept encoder, same bytes: ``json.dumps`` with compact
+        separators is the oracle, over every response shape the router
+        returns (and the float / unicode / nesting cases in them)."""
+        router = make_router(
+            TenantConfig(name="a", n_procs=8, backfill="easy"),
+            TenantConfig(name="b\u00e9", scheduler="SJF", n_procs=4),
+        )
+        shapes = [router.dispatch(m) for m in (
+            msg("ping"),
+            msg("stats"),
+            msg("submit", tenant="a", job=wire_job(1, run=1e-7, procs=8)),
+            msg("submit", tenant="a",
+                job=wire_job(2, run=2.5, procs=8, requested_mem=0.1,
+                             user_id=3, submit_time=1 / 3)),
+            msg("status", tenant="a", job_id=2),
+            msg("advance", tenant="a", until=1e22),
+            msg("status", tenant="a", job_id=2),
+            msg("stats", tenant="a"),
+            msg("drain", tenant="a"),
+            msg("drain", stop=True),
+        )]
+        shapes.append(error_response('unknown tenant \'zz\'; "quoted" \u2713'))
+        shapes.append({"nan": float("nan"), "inf": float("inf"), "none": None})
+        for shape in shapes:
+            assert encode(shape) == (
+                json.dumps(shape, separators=(",", ":")) + "\n"
+            ).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +229,35 @@ class TestSchedulerService:
         assert record["start_time"] == 10.0
         assert record["wait_time"] == pytest.approx(9.0)
 
+    def test_status_follows_starts_the_service_did_not_commit(self):
+        """Records are kept from the engine's start deltas: a backfilled
+        job and one started by a resumed commit read ``running`` with
+        their start time, as they did when every pump walked the
+        running set."""
+        svc = self.make(backfill="easy")
+        svc.submit(wire_job(1, run=50.0, procs=6))
+        assert svc.submit(wire_job(2, run=10.0, procs=8,
+                                   submit_time=1.0))["state"] == "pending"
+        out = svc.submit(wire_job(3, run=5.0, procs=2, submit_time=2.0))
+        assert out["state"] == "running"  # backfilled beside job 1
+        assert svc.status(3)["job"]["start_time"] == 2.0
+        assert svc.status(2)["job"]["state"] == "pending"
+        svc.advance(55.0)  # job 1 ends at 50: the stalled commit resumes
+        record = svc.status(2)["job"]
+        assert (record["state"], record["start_time"]) == ("running", 50.0)
+        assert list(svc.status(3)["job"]) == [
+            "job_id", "tenant", "state", "submit_time", "requested_procs",
+            "start_time", "finish_time", "wait_time",
+        ]
+
     def test_status_unknown_job(self):
         svc = self.make()
         with pytest.raises(ServiceError, match="unknown job 9"):
             svc.status(9)
         with pytest.raises(ServiceError, match="integer job_id"):
             svc.status("abc")
+        with pytest.raises(ServiceError, match="integer job_id.*inf"):
+            svc.status(float("inf"))  # "job_id": 1e400 on the wire
 
     def test_drain_reports_delta_not_cumulative(self):
         svc = self.make()
@@ -313,22 +406,20 @@ class TestSchedulerRouter:
 # ---------------------------------------------------------------------------
 # live socket daemon (in-process, ephemeral port)
 # ---------------------------------------------------------------------------
-@pytest.fixture()
-def live_server():
-    config = ServeConfig(port=0, tenants=(
-        TenantConfig(name="alpha", scheduler="FCFS", n_procs=64,
-                     backfill="easy"),
-        TenantConfig(name="beta", scheduler="SJF", n_procs=32),
-    ))
+TWO_TENANTS = ServeConfig(port=0, tenants=(
+    TenantConfig(name="alpha", scheduler="FCFS", n_procs=64, backfill="easy"),
+    TenantConfig(name="beta", scheduler="SJF", n_procs=32),
+))
+
+
+@contextlib.contextmanager
+def serving(config=TWO_TENANTS):
+    """A daemon on its own thread; on exit it has stopped and returned 0."""
     daemon = ServeDaemon(config)
     result = daemon.result = {}
 
-    async def serve():
-        daemon.loop = asyncio.get_running_loop()
-        return await daemon.run_async()
-
     def run():
-        result["rc"] = asyncio.run(serve())
+        result["rc"] = daemon.run()
 
     thread = daemon.thread = threading.Thread(target=run, daemon=True)
     thread.start()
@@ -338,16 +429,85 @@ def live_server():
             raise RuntimeError("daemon thread died before binding")
         time.sleep(0.01)
     assert daemon.address is not None, "daemon never bound"
-    yield daemon
-    if thread.is_alive():
-        try:
-            with ServeClient(*daemon.address) as client:
-                client.drain(stop=True)
-        except ServeError:
-            pass  # test already stopped it
-    thread.join(timeout=15)
+    try:
+        yield daemon
+    finally:
+        daemon.request_stop("test over")  # a no-op if the test stopped it
+        thread.join(timeout=15)
     assert not thread.is_alive()
     assert result.get("rc") == 0  # graceful exit
+
+
+@pytest.fixture()
+def live_server():
+    with serving() as daemon:
+        yield daemon
+
+
+@contextlib.contextmanager
+def quiet_logs():
+    """On exit, no record logged meanwhile may carry a traceback or be
+    a WARNING or worse."""
+    records = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            records.append(record)
+
+    collect = Collect(level=logging.DEBUG)
+    # "repro" stops propagating once any test has run the CLI
+    watched = [logging.getLogger(), logging.getLogger("repro")]
+    for log in watched:
+        log.addHandler(collect)
+    try:
+        yield
+    finally:
+        for log in watched:
+            log.removeHandler(collect)
+    assert [
+        r.getMessage() for r in records
+        if r.exc_info or r.levelno >= logging.WARNING
+    ] == []
+
+
+def connections(daemon):
+    """White box: the daemon's records of its live connections."""
+    keys = list(daemon._selector.get_map().values())
+    return [key.data for key in keys if key.data is not None]
+
+
+def raw_connection(address, rcvbuf=None):
+    """A bare client socket that sends each write as its own segment."""
+    sock = socket.socket()
+    sock.settimeout(15)
+    if rcvbuf is not None:  # before connect: it sizes the offered window
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.connect(address)
+    return sock
+
+
+def exchange(address, chunks):
+    """Send ``chunks`` one ``sendall`` each, half-close, and return every
+    byte the daemon sent back up to its hang-up."""
+    with raw_connection(address) as sock:
+        for chunk in chunks:
+            sock.sendall(chunk)
+        sock.shutdown(socket.SHUT_WR)
+        return sock.makefile("rb").read()
+
+
+def reference_answers(lines, config=TWO_TENANTS):
+    """What a fresh daemon must send back for ``lines``: the frames of
+    ``decode -> dispatch -> encode`` made in-process, no socket."""
+    router = SchedulerRouter(config)
+    frames = []
+    for line in lines:
+        try:
+            frames.append(encode(router.dispatch(decode(line))))
+        except (ProtocolError, ServiceError) as exc:
+            frames.append(encode(error_response(str(exc))))
+    return frames
 
 
 class TestLiveServer:
@@ -422,45 +582,302 @@ class TestLiveServer:
         self, live_server, how
     ):
         """Regression: a stop arriving while another client was still
-        connected left that connection's handler parked in ``readline``;
-        the loop's teardown cancelled it and asyncio logged the
-        ``CancelledError`` traceback."""
-        records = []
-
-        class Collect(logging.Handler):
-            def emit(self, record):
-                records.append(record)
-
-        collect = Collect(level=logging.DEBUG)
-        # "repro" stops propagating once any test has run the CLI
-        watched = [logging.getLogger(), logging.getLogger("repro")]
-        for log in watched:
-            log.addHandler(collect)
-        try:
+        connected left that connection's handler task parked in
+        ``readline``; the loop's teardown cancelled it and asyncio logged
+        the ``CancelledError`` traceback — and, once fixed, still did
+        about once in 25 runs under CPU contention, the stop racing the
+        idle handler.  The selector loop has no handler tasks: a stop has
+        nothing to cancel, it closes the sockets it owns."""
+        with quiet_logs():
             host, port = live_server.address
             with ServeClient(host, port) as idle, \
                     ServeClient(host, port) as active:
                 assert idle.ping()["ok"] and active.ping()["ok"]
                 if how == "drain-stop":
                     assert active.drain(stop=True)["stop"] is True
-                else:  # what the SIGTERM/SIGINT handler calls, on the loop
-                    live_server.loop.call_soon_threadsafe(
-                        live_server.request_stop, "SIGTERM"
-                    )
+                else:  # what the SIGTERM/SIGINT handler calls, from here
+                    live_server.request_stop("SIGTERM")
                 live_server.thread.join(timeout=15)
                 assert not live_server.thread.is_alive()
                 # the daemon hung up on the idle client, it did not vanish
                 with pytest.raises(ServeError):
                     idle.ping()
+
+    def test_stop_flushes_an_unsent_answer_before_the_hang_up(self):
+        """A stop with answers still waiting for a slow reader: they are
+        delivered in full (within ``_HANGUP_GRACE_SEC``), then the daemon
+        hangs up.  The parent's ``writer.close()`` flushed its transport
+        buffer the same way; kept.  64 tenants make one ``stats`` answer
+        ~14 KB, so a few hundred requests — one segment, one read — owe
+        the peer more than the kernel's socket buffers take."""
+        config = ServeConfig(port=0, tenants=tuple(
+            TenantConfig(name=f"t{i:02d}", n_procs=8) for i in range(64)
+        ))
+        n_requests = 512
+        with quiet_logs(), serving(config) as daemon, \
+                ServeClient(*daemon.address) as other, \
+                raw_connection(daemon.address, rcvbuf=4096) as peer:
+            peer.sendall(encode(msg("ping")))
+            assert json.loads(peer.recv(4096))["ok"]  # accepted and watched
+            peer.sendall(encode(msg("stats")) * n_requests)
+            # two round trips on another connection: the first is answered
+            # in the loop iteration that reads the peer's segment, or a
+            # later one; the second after that iteration has ended
+            assert other.ping()["ok"] and other.ping()["ok"]
+            owed = sum(len(c.outbuf) for c in connections(daemon))
+            assert owed > 0, "nothing was unsent: the case is not exercised"
+            daemon.request_stop("SIGTERM")
+            answers = peer.makefile("rb").read().splitlines()
+            assert len(answers) == n_requests
+            assert all(set(json.loads(a)["tenants"]) == set(
+                t.name for t in config.tenants) for a in answers)
+            daemon.thread.join(timeout=15)
+            assert not daemon.thread.is_alive()
+            with pytest.raises(ServeError):
+                other.ping()
+
+    def test_signal_on_the_main_thread_stops_a_blocked_loop(self):
+        """``select`` is retried after a Python signal handler returns, so
+        a handler that only set a flag would leave the loop asleep: the
+        handler ``run`` installs wakes it through its socketpair.  On
+        return the handlers it replaced are back."""
+        def previous(signum, frame):
+            raise AssertionError("the daemon's handler was not installed")
+
+        daemon = ServeDaemon(TWO_TENANTS)
+
+        def kill_when_listening():
+            while daemon.address is None:
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        before = signal.signal(signal.SIGTERM, previous)
+        try:
+            killer = threading.Thread(target=kill_when_listening, daemon=True)
+            killer.start()
+            with quiet_logs():
+                assert daemon.run() == 0
+            killer.join(timeout=15)
+            assert signal.getsignal(signal.SIGTERM) is previous
         finally:
-            for log in watched:
-                log.removeHandler(collect)
-        assert live_server.result.get("rc") == 0
-        noisy = [
-            r.getMessage() for r in records
-            if r.exc_info or r.levelno >= logging.WARNING
+            signal.signal(signal.SIGTERM, before)
+        assert daemon._stop_reason == "SIGTERM"
+
+    def test_hostile_bytes_and_numbers_get_typed_errors(self, live_server):
+        """Each of these reached the catch-all in the parent (logged
+        traceback, "internal server error") or was admitted; now: a typed
+        ``ok: false`` reply naming the field, nothing admitted, nothing
+        logged, and the connection keeps serving."""
+        def submit(**fields):
+            job = encode(wire_job(1, **fields))[:-1]
+            return (b'{"v":1,"op":"submit","tenant":"alpha","job":'
+                    + job + b"}\n")
+
+        cases = [
+            (b'{"v":1,"op":"ping","x":"\xc3\x28"}\n', "not valid JSON"),
+            (b"[" * 60_000 + b"\n", "nested too deeply"),
+            (submit(job_id=0).replace(b'"job_id":0', b'"job_id":1e400'),
+             "'job_id' must be a finite number, got inf"),
+            (submit(run=0).replace(b'"run_time":0', b'"run_time":NaN'),
+             "'run_time' must be a finite number, got nan"),
+            (submit(submit_time=0).replace(b'"submit_time":0',
+                                           b'"submit_time":Infinity'),
+             "'submit_time' must be a finite number, got inf"),
+            (b'{"v":1,"op":"status","tenant":"alpha","job_id":1e400}\n',
+             "status needs an integer job_id, got inf"),
         ]
-        assert noisy == []
+        with quiet_logs(), raw_connection(live_server.address) as sock:
+            replies = sock.makefile("rb")
+            for line, complaint in cases:
+                sock.sendall(line)
+                reply = json.loads(replies.readline())
+                assert reply["ok"] is False
+                assert complaint in reply["error"], reply
+            sock.sendall(encode(msg("stats", tenant="alpha")))
+            stats = json.loads(replies.readline())
+            assert stats["ok"] and stats["submitted"] == 0
+            sock.sendall(encode(msg("ping")))
+            assert json.loads(replies.readline())["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# framing, back-pressure and disconnects, over the live socket
+# ---------------------------------------------------------------------------
+#: one session of every kind of line, each answered from state the
+#: lines before it made (so order shows) and free of measured latencies
+SESSION = [
+    encode(msg("ping")),
+    encode(msg("stats")),
+    encode(msg("submit", tenant="alpha", job=wire_job(1, run=30.0, procs=64))),
+    encode(msg("submit", tenant="alpha",
+               job=wire_job(2, run=5.0, procs=8, submit_time=1.0))),
+    encode(msg("status", tenant="alpha", job_id=2)),
+    b"{nope\n",
+    b"\n",
+    b'  {"v": 1, "op": "advance",\r "tenant": "alpha", "until": 40} \r\n',
+    encode(msg("status", tenant="alpha", job_id=2)),
+    encode(msg("status", tenant="beta", job_id=2)),
+    encode(msg("submit", tenant="alpha", job=wire_job(2))),
+    encode(msg("stats", tenant="nope")),
+    encode({"v": 99, "op": "ping"}),
+    encode(msg("ping")),
+]
+
+
+class TestWire:
+    def test_pipelined_requests_are_answered_in_order(self, live_server):
+        """N requests in one segment -> N responses, in order, each the
+        frame ``decode -> dispatch -> encode`` makes in-process.  The
+        parent answered the same bytes, one ``write`` + ``drain`` per
+        line; here they leave in one ``send`` per read."""
+        expected = reference_answers(SESSION)
+        assert len(expected) == len(SESSION)
+        assert json.loads(expected[8])["job"]["state"] == "finished"
+        assert exchange(live_server.address, [b"".join(SESSION)]) \
+            == b"".join(expected)
+
+    def test_one_byte_per_send_gets_the_same_bytes_back(self, live_server):
+        """Framing is invisible: the same session cut into one-byte
+        segments (kept from the parent, where asyncio's stream buffer
+        did the reassembly)."""
+        stream = b"".join(SESSION)
+        chunks = [stream[i:i + 1] for i in range(len(stream))]
+        assert exchange(live_server.address, chunks) \
+            == b"".join(reference_answers(SESSION))
+
+    def test_unterminated_last_line_is_answered_at_end_of_stream(
+        self, live_server
+    ):
+        """``shutdown(SHUT_WR)`` after a line without its newline: the
+        line is answered as it stands, then the daemon hangs up (kept:
+        the parent served ``IncompleteReadError.partial``).  An empty
+        line gets the "not valid JSON" reply (kept)."""
+        unterminated = encode(msg("ping"))[:-1]
+        reply = exchange(live_server.address, [b"\n" + unterminated])
+        empty, ping = map(json.loads, reply.splitlines())
+        assert empty["ok"] is False and "not valid JSON" in empty["error"]
+        assert ping["ok"] is True and ping["tenants"] == ["alpha", "beta"]
+        # end of stream with nothing buffered: hung up, nothing sent
+        assert exchange(live_server.address, [encode(msg("ping"))]) \
+            == encode(ok_response(tenants=["alpha", "beta"]))
+        assert exchange(live_server.address, []) == b""
+
+    @staticmethod
+    def padded_ping(length):
+        """A ``ping`` line of exactly ``length`` bytes before its newline."""
+        bare = len(encode(msg("ping", pad=""))) - 1
+        line = encode(msg("ping", pad="x" * (length - bare)))
+        assert len(line) == length + 1
+        return line
+
+    def test_line_limit_boundary(self, live_server):
+        """``_MAX_LINE_BYTES`` bytes before the newline are accepted, one
+        more is refused — asyncio's ``readuntil`` limit, kept to the
+        byte — however the line is cut into segments."""
+        address = live_server.address
+        fits = self.padded_ping(MAX_LINE)
+        for cut in (len(fits), 1024):
+            chunks = [fits[i:i + cut] for i in range(0, len(fits), cut)]
+            reply = exchange(address, chunks + [encode(msg("ping"))])
+            assert [json.loads(r)["ok"] for r in reply.splitlines()] \
+                == [True, True]
+        over = self.padded_ping(MAX_LINE + 1)
+        for cut in (len(over), 1024):
+            chunks = [over[i:i + cut] for i in range(0, len(over), cut)]
+            reply = json.loads(exchange(address, chunks))
+            assert reply["ok"] is False and str(MAX_LINE) in reply["error"]
+
+    def test_requests_around_an_over_limit_line(self, live_server):
+        """Good requests before the over-limit line, in its very segment,
+        are answered first; the line is swallowed to its newline and
+        answered once; what follows it — here in the segment that ends
+        it — is dropped with the connection (the parent left it unread
+        in asyncio's stream buffer: kept).  A line that never ends is
+        refused at end of stream (kept).  Other connections and the
+        daemon are unharmed, nothing is logged."""
+        over = self.padded_ping(3 * MAX_LINE)
+        head, body, tail = over[:1000], over[1000:-1000], over[-1000:]
+        status = encode(msg("status", tenant="beta", job_id=1))
+        with quiet_logs(), ServeClient(*live_server.address) as other:
+            reply = exchange(live_server.address, [
+                encode(msg("ping")) + status + head,
+                *(body[i:i + 8192] for i in range(0, len(body), 8192)),
+                tail + encode(msg("ping")) + status,
+            ])
+            answers = [json.loads(r) for r in reply.splitlines()]
+            assert [a["ok"] for a in answers] == [True, False, False]
+            assert "unknown job 1" in answers[1]["error"]
+            assert str(MAX_LINE) in answers[2]["error"]
+            assert other.ping()["ok"]  # the bystander keeps its connection
+            endless = exchange(live_server.address, [over[:-1]])
+            assert str(MAX_LINE) in json.loads(endless)["error"]
+            assert other.ping()["ok"]
+
+    #: a request heavy enough that a few hundred fill the socket buffers
+    HEAVY = encode(msg("stats", pad="x" * 1000))
+
+    def pipeline_until_blocked(self, peer):
+        """Pipeline ``HEAVY`` without reading until a ``send`` makes no
+        progress for a second; returns the bytes that were taken."""
+        block = self.HEAVY * 64
+        sent = 0
+        peer.settimeout(1.0)
+        with contextlib.suppress(socket.timeout):
+            while sent < 64 * 2 ** 20:
+                sent += peer.send(block[sent % len(block):])
+        peer.settimeout(15)
+        assert sent < 64 * 2 ** 20, "the daemon never stopped reading"
+        return sent
+
+    def test_a_peer_that_stops_reading_is_not_read_from(self, live_server):
+        """Back-pressure: a peer that pipelines requests and never reads
+        is owed at most one read's worth of answers — the daemon stops
+        reading it, so its ``send`` eventually blocks — while a second
+        client is served; once it reads, it gets exactly one response
+        per request it sent.  (The parent's ``await writer.drain()``
+        parked that connection's handler task the same way; kept.)"""
+        with quiet_logs(), ServeClient(*live_server.address) as other, \
+                raw_connection(live_server.address, rcvbuf=4096) as peer:
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            answer = len(encode(other.request("stats", pad="")))
+            sent = self.pipeline_until_blocked(peer)
+            (conn,) = [c for c in connections(live_server) if c.outbuf]
+            assert len(conn.outbuf) <= answer * (MAX_LINE // len(self.HEAVY) + 2)
+            assert other.ping()["ok"] and other.stats()["ok"]
+            # start reading; meanwhile finish the line the block cut
+            answers = []
+            reader = threading.Thread(
+                target=lambda: answers.extend(peer.makefile("rb")), daemon=True
+            )
+            reader.start()
+            if sent % len(self.HEAVY):
+                peer.sendall(self.HEAVY[sent % len(self.HEAVY):])
+            peer.shutdown(socket.SHUT_WR)
+            reader.join(timeout=15)
+            assert not reader.is_alive()
+            assert len(answers) == -(-sent // len(self.HEAVY))
+            assert all(json.loads(a)["ok"] for a in answers)
+            assert other.ping()["ok"]
+
+    def test_a_reset_with_answers_unsent_is_silent(self, live_server):
+        """A peer that resets the connection (``SO_LINGER`` 0) while the
+        daemon still owes it answers: the connection is dropped, nothing
+        is logged at WARNING or above, the others are unharmed.  (The
+        parent swallowed ``ConnectionResetError`` / ``BrokenPipeError``
+        in the handler; kept.)"""
+        with quiet_logs(), ServeClient(*live_server.address) as other:
+            peer = raw_connection(live_server.address, rcvbuf=4096)
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            self.pipeline_until_blocked(peer)
+            assert any(c.outbuf for c in connections(live_server))
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            peer.close()  # RST, not FIN
+            deadline = time.monotonic() + 15
+            while len(connections(live_server)) > 1:
+                assert time.monotonic() < deadline, "reset connection kept"
+                assert other.ping()["ok"]
+            assert other.stats(tenant="alpha")["ok"]
 
 
 class TestLoadGenerator:

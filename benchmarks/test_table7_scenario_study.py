@@ -12,7 +12,7 @@ Paper claim under test: a learned RL-X model applied to setting Y "will
 be no worse than using an inappropriate heuristic scheduler".
 """
 
-from repro.config import StudyConfig
+from repro.config import StudyConfig, TrainConfig
 from repro.study import generalization_matrix
 
 from ._helpers import CACHE_DIR, S, SCALE, print_table
@@ -28,9 +28,11 @@ def test_table7_scenario_generalization_study(benchmark):
         scenarios=SCENARIOS,
         zoo_dir=str(CACHE_DIR / f"study_zoo_{SCALE}"),
         heuristics=HEURISTICS,
-        epochs=S.train_epochs,
-        trajectories_per_epoch=S.train_trajectories,
-        trajectory_length=S.train_length,
+        train=TrainConfig(
+            epochs=S.train_epochs,
+            trajectories_per_epoch=S.train_trajectories,
+            trajectory_length=S.train_length,
+        ),
         max_obsv_size=S.max_obsv_size,
         n_jobs=S.n_jobs,
         n_sequences=S.eval_sequences,

@@ -79,6 +79,7 @@ from . import (
     scenario_matrix,
     train,
 )
+from .nn import POLICY_PRESETS
 from .scenarios import available_scenarios, get_scenario
 from .schedulers import HEURISTICS, RLSchedulerPolicy, make_scheduler
 from .sim.metrics import METRICS, metric_by_name
@@ -211,32 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default=None,
                    help="registered scenario name to train inside")
     p.add_argument("--jobs", type=int, default=4000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--metric", choices=sorted(METRICS), default="bsld")
-    p.add_argument("--epochs", type=int, default=16)
-    p.add_argument("--trajectories", type=int, default=14)
-    p.add_argument("--length", type=int, default=64)
-    p.add_argument("--obsv", type=int, default=32,
-                   help="MAX_OBSV_SIZE (paper default 128)")
-    p.add_argument("--policy", choices=["kernel", "mlp_v1", "mlp_v2",
-                                        "mlp_v3", "lenet"], default="kernel")
-    p.add_argument("--filter", action="store_true",
-                   help="enable trajectory filtering (recommended for PIK)")
+    _add_train_flags(p)
     p.add_argument("--swf-dir", default=None)
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="run the rollout actors on N processes (1 = in this "
-                        "process; same trajectories either way)")
-    p.add_argument("--staleness", type=_nonnegative_int, default=0,
-                   help="how many updates rollout collection may run ahead "
-                        "of learning (0 = fully synchronous)")
     p.add_argument("--stale-mode", choices=["drop", "reweight"],
                    default="drop",
                    help="episodes past the staleness bound: exclude from "
                         "the update (drop) or keep and let PPO's importance "
                         "ratios reweight them")
-    p.add_argument("--telemetry", metavar="PATH", default=None,
-                   help="enable telemetry and write the repro/telemetry@1 "
-                        "JSONL trace to PATH")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser(
@@ -252,22 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "<name>.npz already exists skip training (resume)")
     p.add_argument("--heuristics", default="FCFS,SJF,WFP3,UNICEP,F1",
                    help="comma-separated heuristic baselines")
-    p.add_argument("--policy", choices=["kernel", "mlp_v1", "mlp_v2",
-                                        "mlp_v3", "lenet"], default="kernel")
     p.add_argument("--metric", choices=sorted(METRICS), default=None,
                    help="override every scenario's protocol metric")
-    p.add_argument("--seed", type=int, default=0,
-                   help="training seed (workloads keep scenario seeds)")
     p.add_argument("--jobs", type=int, default=None,
                    help="shrink every scenario workload to N jobs")
-    p.add_argument("--epochs", type=int, default=16)
-    p.add_argument("--trajectories", type=int, default=14)
-    p.add_argument("--length", type=int, default=64,
-                   help="training trajectory length (jobs per sequence)")
-    p.add_argument("--obsv", type=int, default=32,
-                   help="MAX_OBSV_SIZE (paper default 128)")
-    p.add_argument("--filter", action="store_true",
-                   help="enable trajectory filtering during training")
+    _add_train_flags(p)
     p.add_argument("--sequences", type=int, default=None,
                    help="evaluation sequences per scenario "
                         "(default: each scenario's protocol)")
@@ -278,15 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deploying a policy on a scenario with a different "
                         "feature layout: adapt (record the compat mode) or "
                         "fail loudly")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes for training rollouts and the "
-                        "evaluation fan-out (1 = serial)")
-    p.add_argument("--staleness", type=_nonnegative_int, default=0,
-                   help="staleness bound of every zoo policy's training "
-                        "(see train --staleness)")
-    p.add_argument("--telemetry", metavar="PATH", default=None,
-                   help="enable telemetry and write the repro/telemetry@1 "
-                        "JSONL trace to PATH")
     p.add_argument("-o", "--output", default=None,
                    help="write the generalization-matrix JSON artifact")
 
@@ -353,6 +316,49 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --drain: shut the daemon down afterwards")
 
     return parser
+
+
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """The flags ``train`` and ``study`` share (one Trainer, or one per
+    scenario); :func:`_train_config` reads them back."""
+    p.add_argument("--seed", type=int, default=0,
+                   help="training seed (train: the workload's too; study: "
+                        "workloads keep scenario seeds)")
+    p.add_argument("--epochs", type=int, default=16)
+    p.add_argument("--trajectories", type=int, default=14)
+    p.add_argument("--length", type=int, default=64,
+                   help="training trajectory length (jobs per sequence)")
+    p.add_argument("--obsv", type=int, default=32,
+                   help="MAX_OBSV_SIZE (paper default 128)")
+    p.add_argument("--policy", choices=list(POLICY_PRESETS), default="kernel")
+    p.add_argument("--filter", action="store_true",
+                   help="enable trajectory filtering (recommended for PIK)")
+    p.add_argument("--staleness", type=_nonnegative_int, default=0,
+                   help="how many updates rollout collection may run ahead "
+                        "of learning (0 = fully synchronous)")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="run the rollout actors (study: and the evaluation "
+                        "fan-out) on N processes; 1 = in this process, same "
+                        "results either way")
+    p.add_argument("--telemetry", metavar="PATH", default=None,
+                   help="enable telemetry and write the repro/telemetry@1 "
+                        "JSONL trace to PATH")
+
+
+def _train_config(args, **extra) -> TrainConfig:
+    """The :class:`TrainConfig` of ``train`` / ``study`` arguments
+    (``--workers`` places the rollout actors); ``extra`` adds the fields
+    only one of the two commands sets."""
+    return TrainConfig(
+        epochs=args.epochs,
+        trajectories_per_epoch=args.trajectories,
+        trajectory_length=args.length,
+        seed=args.seed,
+        use_trajectory_filter=args.filter,
+        runtime=RuntimeConfig.from_workers(args.workers),
+        staleness=args.staleness,
+        **extra,
+    )
 
 
 def _telemetry_config(args) -> TelemetryConfig | None:
@@ -549,14 +555,8 @@ def _cmd_train(args) -> int:
         metric=args.metric,
         policy_preset=args.policy,
         env_config=EnvConfig(max_obsv_size=args.obsv),
-        train_config=TrainConfig(
-            epochs=args.epochs,
-            trajectories_per_epoch=args.trajectories,
-            trajectory_length=args.length,
-            seed=args.seed,
-            use_trajectory_filter=args.filter,
-            runtime=RuntimeConfig.from_workers(args.workers),
-            staleness=args.staleness,
+        train_config=_train_config(
+            args,
             stale_mode=args.stale_mode,
             telemetry=_telemetry_config(args),
             scenario=scenario_cfg,
@@ -599,18 +599,13 @@ def _cmd_study(args) -> int:
         heuristics=tuple(n.strip() for n in args.heuristics.split(",")),
         policy_preset=args.policy,
         metric=args.metric,
-        seed=args.seed,
-        epochs=args.epochs,
-        trajectories_per_epoch=args.trajectories,
-        trajectory_length=args.length,
+        train=_train_config(args),
         max_obsv_size=args.obsv,
-        use_trajectory_filter=args.filter,
         n_jobs=args.jobs,
         n_sequences=args.sequences,
         sequence_length=args.eval_length,
         on_mismatch=args.on_mismatch,
         runtime=RuntimeConfig.from_workers(args.workers),
-        staleness=args.staleness,
         telemetry=_telemetry_config(args),
     )
     doc = generalization_matrix(config, progress=logger.info)

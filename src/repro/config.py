@@ -406,6 +406,12 @@ class StudyConfig:
     every trained policy is evaluated against every scenario alongside
     the heuristic baselines — see :mod:`repro.study`.
 
+    ``train`` is the protocol every per-scenario
+    :class:`~repro.rl.trainer.Trainer` runs (``train.scenario`` is filled
+    in per scenario; the default is the CLI's smoke size) — the study
+    declares no training knob of its own.  ``runtime`` is where the
+    evaluation cells execute, ``train.runtime`` where the actors live.
+
     ``None`` for the eval knobs (``n_sequences`` / ``sequence_length``)
     and for ``metric`` means each scenario's own protocol applies;
     ``n_jobs`` shrinks every scenario workload (smoke runs).
@@ -424,16 +430,11 @@ class StudyConfig:
     heuristics: tuple = ("FCFS", "SJF", "WFP3", "UNICEP", "F1")
     policy_preset: str = "kernel"
     metric: str | None = None     # override every scenario's protocol metric
-    seed: int = 0                 # training seed (workloads keep scenario seeds)
-    # -- training knobs (one Trainer per scenario) ----------------------
-    epochs: int = 16
-    trajectories_per_epoch: int = 14
-    trajectory_length: int = 64
+    #: one Trainer per scenario runs this (workloads keep scenario seeds)
+    train: TrainConfig = TrainConfig(
+        epochs=16, trajectories_per_epoch=14, trajectory_length=64
+    )
     max_obsv_size: int = 32
-    use_trajectory_filter: bool = False
-    #: staleness bound of every per-scenario Trainer (see
-    #: :class:`TrainConfig`)
-    staleness: int = 0
     # -- evaluation knobs (None = scenario protocol) --------------------
     n_jobs: int | None = None
     n_sequences: int | None = None
@@ -448,9 +449,10 @@ class StudyConfig:
         object.__setattr__(self, "heuristics", tuple(self.heuristics))
         if not self.zoo_dir:
             raise ValueError("zoo_dir must be non-empty")
-        if min(self.epochs, self.trajectories_per_epoch,
-               self.trajectory_length, self.max_obsv_size) <= 0:
-            raise ValueError("training sizes must be positive")
+        if not isinstance(self.train, TrainConfig):
+            raise TypeError("train must be a TrainConfig")
+        if self.max_obsv_size <= 0:
+            raise ValueError("max_obsv_size must be positive")
         for name, value in (("n_jobs", self.n_jobs),
                             ("n_sequences", self.n_sequences),
                             ("sequence_length", self.sequence_length)):
@@ -461,8 +463,6 @@ class StudyConfig:
                 f"on_mismatch must be one of {self.MISMATCH_MODES}, "
                 f"got {self.on_mismatch!r}"
             )
-        if self.staleness < 0:
-            raise ValueError(f"staleness must be >= 0, got {self.staleness}")
         if not isinstance(self.runtime, RuntimeConfig):
             raise TypeError("runtime must be a RuntimeConfig")
         if self.telemetry is not None and not isinstance(self.telemetry, TelemetryConfig):

@@ -21,19 +21,13 @@ Episodes are ordered deterministically in the PPO batch: by the
 index), completion order otherwise — so ``get()`` arrays do not depend on
 which episode finished first (e.g. ragged lengths under backfilling).
 
-The discounted recurrences are evaluated by :func:`discount_cumsum` — a
-linear-filter formulation that matches the reversed Python loop
-bit-for-bit while running in C.
+The discounted recurrences are evaluated by :func:`discount_cumsum`: one
+reversed loop over the episode's steps, a multiply and an add each.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:  # scipy is optional; the pure-Python fallback is exact but slower
-    from scipy.signal import lfilter as _lfilter
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _lfilter = None
 
 __all__ = ["TrajectoryBuffer", "discount_cumsum"]
 
@@ -41,20 +35,16 @@ __all__ = ["TrajectoryBuffer", "discount_cumsum"]
 def discount_cumsum(x: np.ndarray, discount: float) -> np.ndarray:
     """Reverse discounted cumulative sum: ``y[t] = x[t] + discount·y[t+1]``.
 
-    The SpinningUp formulation via a single-pole IIR filter.  ``lfilter``
-    evaluates exactly ``y[n] = x[n] + discount·y[n-1]`` in C, the same
-    multiply-then-add per element as the naive reversed loop, so results
-    are bit-identical to it.
+    A plain loop over Python floats: one multiply-then-add per element,
+    which is also what the single-pole IIR filter this recurrence is
+    usually handed to computes — same bits, a comparable cost at episode
+    length, and no signal-processing library in every process.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if _lfilter is not None:
-        return _lfilter([1.0], [1.0, -discount], x[::-1])[::-1]
-    out = np.empty_like(x)
+    out = np.asarray(x, dtype=np.float64).tolist()
     acc = 0.0
-    for t in range(len(x) - 1, -1, -1):
-        acc = x[t] + discount * acc
-        out[t] = acc
-    return out
+    for t in range(len(out) - 1, -1, -1):
+        out[t] = acc = out[t] + discount * acc
+    return np.array(out, dtype=np.float64)
 
 
 class TrajectoryBuffer:

@@ -8,15 +8,18 @@ the argmax job.
 
 Hot path
 --------
-``select`` is called once per scheduling decision, potentially millions of
-times over an evaluation campaign.  Two optimisations keep it cheap while
-staying argmax-equivalent to the reference dense forward (pinned by golden
+A decision is made once per scheduled job, potentially millions of times
+over an evaluation campaign.  Two things keep it cheap while staying
+argmax-equivalent to the reference dense forward (pinned by golden
 tests):
 
-* static per-job feature columns are computed once per job into a
-  persistent :class:`DeployFeatureCache` that grows as jobs arrive and
-  validates (and, on trace changes, rebuilds) itself — correctness never
-  depends on cache freshness;
+* the observation comes from the same table through the same function as
+  in training — a :class:`~repro.sim.env.FeatureCache` read by
+  :func:`~repro.sim.env.observation_rows`.  ``bind`` fills the table once
+  with the episode's jobs; ``select`` keeps one that grows as jobs
+  arrive, validates every lookup (and rebuilds itself when a trace reuses
+  job ids) and is pruned by ``forget_jobs`` — correctness never depends
+  on its freshness;
 * policies that score jobs independently (``score_rows``, e.g. the
   kernel policy) skip the padded ``(1, M, F)`` batch entirely: only the
   ``k`` visible rows go through the network, and the argmax is taken over
@@ -42,162 +45,17 @@ import numpy as np
 from repro.config import EnvConfig, FeatureLayoutError
 from repro.nn import Module, make_policy, masked_log_softmax, no_grad
 from repro.sim.cluster import Cluster, ClusterSpec
-from repro.sim.env import (
-    FeatureCache,
-    build_observation,
-    fill_dynamic_features,
-    stable_user_hash,
-)
+from repro.sim.env import FeatureCache, observation_rows, pad_observations
 from repro.workloads.job import Job
 
 from .base import Scheduler
 
-__all__ = ["RLSchedulerPolicy", "DeployFeatureCache", "FeatureLayoutError"]
+__all__ = ["RLSchedulerPolicy", "FeatureLayoutError"]
 
 
-class DeployFeatureCache:
-    """Growable static-feature cache for deployment-time observations.
-
-    Training's per-episode :class:`FeatureCache` knows the whole job
-    population at ``reset()``; a deployed scheduler discovers jobs as they
-    arrive.  This cache appends static rows on first sight (computed by
-    ``FeatureCache`` itself, so the maths — hence the bits — are
-    identical) with doubling capacity, and self-heals: every lookup
-    validates all feature-bearing attributes of the visible jobs (submit
-    time, processor/runtime/memory requests, user hash) against the
-    cached rows, and any mismatch (job ids reused across traces) clears
-    and rebuilds from the current queue.  Lookups are therefore always
-    correct; the cache only decides how much work they cost.
-    """
-
-    def __init__(
-        self, n_procs: int, config: EnvConfig, total_mem: float = math.inf
-    ):
-        self.n_procs = n_procs
-        self.config = config
-        self.total_mem = total_mem
-        self.clear()
-
-    def clear(self) -> None:
-        f = self.config.job_features
-        self.index: dict = {}
-        self.size = 0
-        self.static = np.zeros((0, f), dtype=np.float64)
-        self.submit = np.zeros(0, dtype=np.float64)
-        self.procs = np.zeros(0, dtype=np.float64)
-        self.reqtime = np.zeros(0, dtype=np.float64)
-        self.uhash = np.zeros(0, dtype=np.float64)
-        self.reqmem = np.zeros(0, dtype=np.float64)
-
-    def _grow(self, extra: int) -> None:
-        need = self.size + extra
-        cap = len(self.submit)
-        if need <= cap:
-            return
-        new_cap = max(64, 1 << (need - 1).bit_length())
-        f = self.config.job_features
-        static = np.zeros((new_cap, f), dtype=np.float64)
-        static[: self.size] = self.static[: self.size]
-        self.static = static
-        for attr in ("submit", "procs", "reqtime", "uhash", "reqmem"):
-            col = np.zeros(new_cap, dtype=np.float64)
-            col[: self.size] = getattr(self, attr)[: self.size]
-            setattr(self, attr, col)
-
-    def _add(self, jobs: Sequence[Job]) -> None:
-        fresh = FeatureCache(
-            jobs, self.n_procs, self.config, total_mem=self.total_mem
-        )
-        self._grow(len(jobs))
-        lo, hi = self.size, self.size + len(jobs)
-        self.static[lo:hi] = fresh.static
-        self.submit[lo:hi] = fresh.submit
-        self.procs[lo:hi] = fresh.procs
-        self.reqtime[lo:hi] = [j.requested_time for j in jobs]
-        self.uhash[lo:hi] = fresh.user_hash
-        self.reqmem[lo:hi] = [j.requested_mem for j in jobs]
-        for i, j in enumerate(jobs):
-            self.index[j.job_id] = lo + i
-        self.size = hi
-
-    def _identity(self, jobs: Sequence[Job]) -> tuple[np.ndarray, ...]:
-        n = len(jobs)
-        return (
-            np.fromiter((j.submit_time for j in jobs), np.float64, count=n),
-            np.fromiter((j.requested_procs for j in jobs), np.float64, count=n),
-            np.fromiter((j.requested_time for j in jobs), np.float64, count=n),
-            np.fromiter(
-                (stable_user_hash(j.user_id) for j in jobs), np.float64, count=n
-            ),
-            np.fromiter((j.requested_mem for j in jobs), np.float64, count=n),
-        )
-
-    def rows(self, jobs: Sequence[Job]) -> np.ndarray:
-        """Validated cache row per job, adding unseen jobs on the way.
-
-        Validation covers every feature-bearing attribute (submit time,
-        processor and runtime requests, user hash), so a cache hit can
-        never serve a row that differs from a fresh computation.
-        """
-        new = [j for j in jobs if j.job_id not in self.index]
-        if new:
-            self._add(new)
-        index = self.index
-        rows = np.fromiter(
-            (index[j.job_id] for j in jobs), dtype=np.intp, count=len(jobs)
-        )
-        submit, procs, reqtime, uhash, reqmem = self._identity(jobs)
-        if (
-            np.array_equal(self.submit[rows], submit)
-            and np.array_equal(self.procs[rows], procs)
-            and np.array_equal(self.reqtime[rows], reqtime)
-            and np.array_equal(self.uhash[rows], uhash)
-            and np.array_equal(self.reqmem[rows], reqmem)
-        ):
-            return rows
-        # Stale identity (a different trace reused these job ids): rebuild
-        # from this queue alone.  The fresh batch occupies rows 0..k-1 in
-        # queue order, which stays correct even if the queue itself holds
-        # conflicting duplicate ids (the index may then be ambiguous, but
-        # these positional rows are not — and the next call revalidates).
-        self.clear()
-        self._add(list(jobs))
-        return np.arange(len(jobs), dtype=np.intp)
-
-    def evict(self, job_ids) -> int:
-        """Drop cached rows for departed jobs; returns the count evicted.
-
-        The batch path never needs this — an episode's cache dies with the
-        episode — but a long-lived serving daemon sees an unbounded job
-        stream, and without eviction the cache grows forever.  Surviving
-        rows are compacted to the front and capacity shrinks back to the
-        doubling schedule, so held memory tracks the *live* job set.
-        """
-        drop = [self.index[jid] for jid in job_ids if jid in self.index]
-        if not drop:
-            return 0
-        keep_mask = np.ones(self.size, dtype=bool)
-        keep_mask[drop] = False
-        keep_rows = np.nonzero(keep_mask)[0]
-        new_size = len(keep_rows)
-        new_cap = max(64, 1 << (new_size - 1).bit_length()) if new_size else 64
-        f = self.config.job_features
-        static = np.zeros((new_cap, f), dtype=np.float64)
-        static[:new_size] = self.static[keep_rows]
-        self.static = static
-        for attr in ("submit", "procs", "reqtime", "uhash", "reqmem"):
-            col = np.zeros(new_cap, dtype=np.float64)
-            col[:new_size] = getattr(self, attr)[keep_rows]
-            setattr(self, attr, col)
-        remap = np.full(self.size, -1, dtype=np.intp)
-        remap[keep_rows] = np.arange(new_size)
-        self.index = {
-            jid: int(remap[row])
-            for jid, row in self.index.items()
-            if keep_mask[row]
-        }
-        self.size = new_size
-        return len(drop)
+#: the name ``benchmarks/e2e``'s frozen tracer wraps ``.rows`` under; drop
+#: it when the benchmark refresh retargets the tracer (see ROADMAP)
+DeployFeatureCache = FeatureCache
 
 
 class RLSchedulerPolicy(Scheduler):
@@ -242,7 +100,7 @@ class RLSchedulerPolicy(Scheduler):
                 f"slots but env_config.max_obsv_size is "
                 f"{self.env_config.max_obsv_size}"
             )
-        self._cache: DeployFeatureCache | None = None
+        self._cache: FeatureCache | None = None
         self.n_procs = n_procs  # checked property; also resets the cache
         if name is not None:
             self.name = name
@@ -330,14 +188,12 @@ class RLSchedulerPolicy(Scheduler):
 
     # ------------------------------------------------------------------
     def forget_jobs(self, job_ids) -> int:
-        """Evict departed jobs from the deploy feature cache.
+        """Evict departed jobs from ``select``'s job-feature table.
 
-        Serving daemons call this as jobs complete so the cache stays
+        Serving daemons call this as jobs complete so the table stays
         bounded by the live queue; returns how many rows were dropped.
         """
-        if self._cache is None:
-            return 0
-        return self._cache.evict(job_ids)
+        return 0 if self._cache is None else self._cache.evict(job_ids)
 
     # ------------------------------------------------------------------
     def score(self, job: Job, now: float, cluster: Cluster) -> float:
@@ -355,41 +211,47 @@ class RLSchedulerPolicy(Scheduler):
             # total_mem comparison: inf != inf is False, so unconstrained
             # clusters never trigger a rebuild; a retarget to a different
             # memory capacity rescales the static demand column.
-            self._cache = DeployFeatureCache(
-                self.n_procs, self.env_config, total_mem=total_mem
+            self._cache = FeatureCache(
+                (), self.n_procs, self.env_config, total_mem=total_mem
             )
         rows = self._cache.rows(visible)
-
-        if getattr(self.policy, "score_rows", None) is None:
-            return self._select_dense(visible, rows, now, cluster)
         return visible[self._best_row(self._cache, rows, now, cluster)]
 
-    def _best_row(self, cache, rows: np.ndarray, now: float, cluster) -> int:
-        """Sparse path: assemble only the ``k`` visible rows of ``cache``
-        and score them directly; returns the winner's position in ``rows``.
+    def _best_row(
+        self, cache: FeatureCache, rows: np.ndarray, now: float, cluster
+    ) -> int:
+        """Position in ``rows`` (rows of ``cache``: the visible jobs, FCFS)
+        of the job the policy picks.
 
-        The float32 round-trip matches the dense observation build, and
-        log-softmax is monotone, so the argmax is the dense path's argmax
-        (ties break on the first index either way).
+        A policy that scores jobs independently (``score_rows``) sees only
+        those ``k`` rows; log-softmax is monotone, so the argmax of the
+        raw scores is the argmax of the dense forward over the padded
+        window, which every other policy takes (ties break on the first
+        index either way).
         """
-        total_mem = getattr(cluster, "total_mem", math.inf)
-        feats = fill_dynamic_features(
-            cache.static[rows], cache.submit[rows], cache.procs[rows],
-            now, cluster.free_procs, self.n_procs, self.env_config,
+        feats = observation_rows(
+            cache, rows, now, cluster.free_procs, self.n_procs,
+            self.env_config,
             free_mem=getattr(cluster, "free_mem", math.inf),
-            total_mem=total_mem,
+            total_mem=getattr(cluster, "total_mem", math.inf),
         )
+        score_rows = getattr(self.policy, "score_rows", None)
         with no_grad():
-            scores = self.policy.score_rows(feats.astype(np.float32))
-        return int(np.argmax(scores))
+            if score_rows is not None:
+                return int(np.argmax(score_rows(feats)))
+            obs, mask = pad_observations(
+                feats, [len(rows)], self.env_config.max_obsv_size
+            )
+            logits = self.policy(obs, mask)
+            return int(np.argmax(masked_log_softmax(logits, mask).numpy()[0]))
 
     def bind(self, engine):
         """Bound to a batch engine, observe exactly as :class:`SchedGym`
-        does: one :class:`FeatureCache` over the episode's jobs, indexed by
-        the engine's own ``pending_rows`` — no per-decision job-id lookups
-        and none of :meth:`DeployFeatureCache.rows`' re-validation, which
+        does: one :class:`FeatureCache` filled with the episode's jobs,
+        read by the engine's own ``pending_rows`` — no per-decision job-id
+        lookups and none of :meth:`FeatureCache.rows`' validation, which
         guards against a population that cannot change here."""
-        if engine.jobs is None or getattr(self.policy, "score_rows", None) is None:
+        if engine.jobs is None:
             return super().bind(engine)
         cache = FeatureCache(
             engine.jobs, self.n_procs, self.env_config,
@@ -404,27 +266,6 @@ class RLSchedulerPolicy(Scheduler):
             ]
 
         return pick
-
-    def _select_dense(
-        self, visible: list[Job], rows: np.ndarray, now: float, cluster: Cluster
-    ) -> Job:
-        """Reference path for policies without independent row scoring."""
-        obs, mask, visible = build_observation(
-            visible,
-            now,
-            cluster.free_procs,
-            self.n_procs,
-            self.env_config,
-            cache=self._cache,
-            assume_sorted=True,
-            rows=rows,
-            free_mem=getattr(cluster, "free_mem", math.inf),
-            total_mem=getattr(cluster, "total_mem", math.inf),
-        )
-        with no_grad():
-            logits = self.policy(obs[None], mask[None])
-            log_probs = masked_log_softmax(logits, mask[None]).numpy()[0]
-        return visible[int(np.argmax(log_probs))]
 
     # ------------------------------------------------------------------
     def _meta(self) -> dict:

@@ -116,27 +116,40 @@ def _finite(value) -> float:
     return value
 
 
+def _integer(value) -> int:
+    """``value`` as the integer it denotes: an integer, or an integral
+    float (``4.0`` — JSON writers differ on which they emit).  Bare
+    ``int()`` also takes ``1.5`` for 1, ``true`` for 1 and ``"7"`` for 7:
+    a job id or a processor count nobody sent."""
+    number = int(value)  # raises for NaN, the infinities, null, containers
+    if number != value or isinstance(value, bool):  # "7" != 7
+        raise ValueError(value)
+    return number
+
+
 def job_from_wire(payload) -> Job:
     """Build a :class:`Job` from its wire dict (shared client/server)."""
     if not isinstance(payload, dict):
         raise ProtocolError("job must be a JSON object")
     get = payload.get
     try:  # ``field`` names the one being converted, for the error message
-        job_id = int(payload[field := "job_id"])
+        job_id = _integer(payload[field := "job_id"])
         run_time = _finite(payload[field := "run_time"])
-        requested_procs = int(payload[field := "requested_procs"])
+        requested_procs = _integer(payload[field := "requested_procs"])
         submit_time = _finite(get(field := "submit_time", 0.0))
         # schedulers only ever see the requested runtime; default it to
         # the actual one so minimal submissions still plan sensibly
         requested_time = _finite(get(field := "requested_time", run_time))
         requested_mem = _finite(get(field := "requested_mem", -1.0))
-        user_id = int(get(field := "user_id", -1))
+        user_id = _integer(get(field := "user_id", -1))
     except KeyError:
         raise ProtocolError(f"job is missing required field {field!r}") from None
     except (TypeError, ValueError, OverflowError):  # int(1e400) overflows
+        integer = field in ("job_id", "requested_procs", "user_id")
         raise ProtocolError(
             f"job field {field!r} must be a finite number, "
             f"got {payload[field]!r}"
+            + (" (an integer is required)" if integer else "")
         ) from None
     if not payload.keys() <= _JOB_FIELDS:
         raise ProtocolError(

@@ -3,11 +3,12 @@
 :class:`SchedulerService` owns one
 :class:`~repro.sim.core.OnlineSchedulingEngine` plus a decision policy
 (heuristic or loaded :class:`~repro.schedulers.RLSchedulerPolicy` through
-its sparse ``score_rows``/``DeployFeatureCache`` hot path) and turns
-submissions into scheduling decisions.  Memory is bounded by the *live*
-job set: completed jobs are harvested out of the engine, their rows are
-evicted from the policy's deploy feature cache, and the finished-record
-history kept for ``status`` queries is capped.
+its sparse ``score_rows`` hot path over a growing
+:class:`~repro.sim.FeatureCache`) and turns submissions into scheduling
+decisions.  Memory is bounded by the *live* job set: completed jobs are
+harvested out of the engine, their rows are evicted from the policy's
+job-feature table, and the finished-record history kept for ``status``
+queries is capped.
 
 :class:`SchedulerRouter` multiplexes N independent tenants — separate
 clusters, policies, clocks, and telemetry labels — behind the one wire
@@ -28,7 +29,13 @@ from repro.schedulers import RLSchedulerPolicy, make_scheduler
 from repro.sim import ClusterSpec, OnlineSchedulingEngine
 from repro.telemetry import core as _telemetry
 
-from .protocol import ProtocolError, job_from_wire, job_to_wire, ok_response
+from .protocol import (
+    ProtocolError,
+    _integer,
+    job_from_wire,
+    job_to_wire,
+    ok_response,
+)
 
 __all__ = ["ServiceError", "SchedulerService", "SchedulerRouter"]
 
@@ -114,7 +121,7 @@ class SchedulerService:
 
     def status(self, job_id) -> dict:
         try:
-            job_id = int(job_id)
+            job_id = _integer(job_id)
         except (TypeError, ValueError, OverflowError):  # int(1e400) overflows
             raise ServiceError(f"status needs an integer job_id, got {job_id!r}") from None
         record = self._records.get(job_id) or self._finished.get(job_id)
@@ -181,8 +188,8 @@ class SchedulerService:
         if not finished:
             return
         self.n_finished += len(finished)
-        # departed jobs leave the policy's deploy feature cache too —
-        # without this a long-lived daemon grows that cache forever
+        # departed jobs leave the policy's job-feature table too —
+        # without this a long-lived daemon grows that table forever
         forget = getattr(self.policy, "forget_jobs", None)
         if forget is not None:
             forget([job.job_id for job in finished])

@@ -46,8 +46,10 @@ float32 feature rows of the visible jobs of a batch of queues, one after
 the other, and how many belong to each queue.  The kernel network scores
 each job from its own row (§IV-B1), so nothing between the engine and the
 PPO update needs the zero-padded window.  :func:`observation_rows` is the
-one producer: static columns (normalised runtime, processor fraction,
-user hash) are gathered from a :class:`FeatureCache`-shaped table and
+one producer, in training and in deployment alike: static columns
+(normalised runtime, processor fraction, user hash) are gathered from a
+:class:`FeatureCache` — the one job-feature table, computed once per job,
+growable for a scheduler that meets its jobs as they arrive — and
 :func:`fill_dynamic_features` overwrites the time- and state-dependent
 ones.  :func:`pad_observations` is the one place the ``(n, M, F)`` window
 and its ``(n, M)`` action mask are materialised; its callers are the
@@ -98,10 +100,9 @@ def fill_dynamic_features(
 ) -> np.ndarray:
     """Overwrite the time/state-dependent columns (0, 3, 4) of ``feats``.
 
-    The single definition of the dynamic half of the observation encoding
-    — shared by :func:`observation_rows` and the deployment hot path in
-    :class:`repro.schedulers.rl_scheduler.RLSchedulerPolicy`, so the two
-    can never drift apart.  Mutates and returns ``feats``.
+    The single definition of the dynamic half of the observation
+    encoding; :func:`observation_rows` is its one caller.  Mutates and
+    returns ``feats``.
 
     ``now``, ``free_procs`` and ``free_mem`` are scalars when every row
     belongs to one queue, or one value per row when the rows of several
@@ -136,70 +137,158 @@ def stable_user_hash(user_id: int | str) -> float:
     return (zlib.crc32(str(user_id).encode("utf-8")) % 1024) / 1024.0
 
 
+def _capacity(n: int) -> int:
+    """Rows allocated to hold ``n`` jobs: doubling, from a 64-row floor."""
+    return max(64, 1 << (n - 1).bit_length())
+
+
 class FeatureCache:
-    """Precomputed static feature columns for a fixed job population.
+    """The job-feature table: one row of static observation columns per job.
 
-    Columns that do not depend on simulation time or cluster state are
-    computed once per job (``log``-normalised requested runtime, processor
-    fraction, user hash) and gathered per step by job index — the
-    per-step cost of :func:`build_observation` drops from a 7-feature
-    Python loop to a few NumPy slice assignments.
+    The columns that depend on neither simulation time nor cluster state
+    (``log``-normalised requested runtime, processor fraction, user hash,
+    memory-demand fraction) are computed once per job, here and nowhere
+    else — with :func:`math.log`, exactly as the loop of
+    ``tests/reference.py`` does, so table rows and loop rows are
+    bit-identical.  :func:`observation_rows` gathers them by row.
 
-    The logarithms are taken with :func:`math.log`, exactly as the
-    reference loop does, so cached and uncached observations are
-    bit-identical.
+    An episode knows its jobs up front: :meth:`SchedGym.begin` and a bound
+    :class:`~repro.schedulers.RLSchedulerPolicy` hand them to the
+    constructor and read rows by the engine's ``pending_rows``.  A
+    deployed scheduler meets jobs as they arrive: it starts from ``()``
+    and asks :meth:`rows`, which adds unseen jobs (capacity doubles from a
+    64-row floor) and *validates* — every attribute a feature is computed
+    from (the ``identity`` columns) is compared against the stored row,
+    and a mismatch (job ids reused across traces) rebuilds the table from
+    the queue at hand.  A lookup is therefore always correct; the table
+    only decides what it costs.  :meth:`evict` drops departed jobs, so a
+    long-lived daemon holds memory proportional to its live job set.
+
+    Only the first ``size`` rows of ``static``, ``submit`` and ``procs``
+    are filled; the rest is spare capacity (zeros).
     """
 
-    __slots__ = (
-        "index", "submit", "log_runtime", "procs", "procs_frac", "user_hash",
-        "mem", "static",
-    )
-
     def __init__(
-        self,
-        jobs: Sequence[Job],
-        n_procs: int,
-        config: EnvConfig,
+        self, jobs: Sequence[Job], n_procs: int, config: EnvConfig,
         total_mem: float = math.inf,
     ):
+        self.n_procs = n_procs
+        self.config = config
+        self.total_mem = total_mem
+        self.clear()
+        self._add(jobs)
+
+    def clear(self) -> None:
+        """Forget every job."""
+        self.index: dict = {}  # job id -> row
+        self.size = 0
+        self.static = np.zeros((0, self.config.job_features))
+        self.identity = self._identity(())
+        self._resize(slice(0), 0)  # binds the submit / procs views
+
+    def _resize(self, keep: "slice | np.ndarray", capacity: int) -> None:
+        """Re-house rows ``keep`` at the front of ``capacity``-row columns:
+        the one reallocation behind growth (``keep`` is the filled
+        prefix) and compaction (``keep`` is the surviving rows)."""
+        for name in ("static", "identity"):
+            kept = getattr(self, name)[keep]
+            column = np.zeros((capacity, kept.shape[1]))
+            column[: len(kept)] = kept
+            setattr(self, name, column)
+        # the two identity columns the dynamic features are computed from
+        self.submit = self.identity[:, 0]
+        self.procs = self.identity[:, 1]
+
+    @staticmethod
+    def _identity(jobs: Sequence[Job]) -> np.ndarray:
+        """Every attribute of ``jobs`` a feature is computed from, one row
+        per job: submit time, processors, requested runtime, user hash,
+        requested memory."""
+        return np.array([
+            [j.submit_time for j in jobs],
+            [j.requested_procs for j in jobs],
+            [j.requested_time for j in jobs],
+            [stable_user_hash(j.user_id) for j in jobs],
+            [j.requested_mem for j in jobs],
+        ], dtype=np.float64).T
+
+    def _add(self, jobs: Sequence[Job]) -> None:
+        """Append one row per job — the static-column maths."""
+        lo, hi = self.size, self.size + len(jobs)
+        if hi > len(self.identity):
+            self._resize(slice(lo), _capacity(hi))
+        config = self.config
+        identity = self.identity[lo:hi]
+        identity[:] = self._identity(jobs)
+        # rows past ``size`` are zeros, so the dynamic columns (0, 3, 4,
+        # 8) need no write here; observation_rows overwrites them anyway
+        static = self.static[lo:hi]
         log_cap = math.log(config.runtime_scale)
-        self.index = {j.job_id: i for i, j in enumerate(jobs)}
-        self.submit = np.array([j.submit_time for j in jobs], dtype=np.float64)
-        self.log_runtime = np.array(
-            [
-                min(math.log(max(j.requested_time, 1.0)) / log_cap, 1.0)
-                for j in jobs
-            ],
-            dtype=np.float64,
-        )
-        self.procs = np.array([j.requested_procs for j in jobs], dtype=np.float64)
-        self.procs_frac = self.procs / n_procs
-        self.user_hash = np.array(
-            [stable_user_hash(j.user_id) for j in jobs], dtype=np.float64
-        )
-        self.mem = np.array([mem_demand(j) for j in jobs], dtype=np.float64)
-        # Full feature rows with the static columns (1, 2, 5, 6 and, with
-        # memory features, 7) filled in; per-step assembly gathers whole
-        # rows and overwrites the dynamic columns (0, 3, 4, 8) — one
-        # fancy-index instead of one per column.
-        self.static = np.zeros((len(jobs), config.job_features), dtype=np.float64)
-        self.static[:, 1] = self.log_runtime
-        self.static[:, 2] = self.procs_frac
-        self.static[:, 5] = self.user_hash
-        self.static[:, 6] = 1.0
+        static[:, 1] = [
+            min(math.log(max(j.requested_time, 1.0)) / log_cap, 1.0)
+            for j in jobs
+        ]
+        static[:, 2] = identity[:, 1] / self.n_procs
+        static[:, 5] = identity[:, 3]
+        static[:, 6] = 1.0
         if config.memory_features:
             # demand / capacity, saturating at 1; x/inf == 0 covers the
             # unconstrained-cluster case with no branch
-            self.static[:, config.MEM_DEMAND_COL] = np.minimum(
-                self.mem / total_mem, 1.0
+            demand = np.array([mem_demand(j) for j in jobs], dtype=np.float64)
+            static[:, config.MEM_DEMAND_COL] = np.minimum(
+                demand / self.total_mem, 1.0
             )
+        index = self.index
+        for row, job in enumerate(jobs, lo):
+            index[job.job_id] = row
+        self.size = hi
 
     def rows(self, jobs: Sequence[Job]) -> np.ndarray:
-        """Cache row indices for ``jobs`` (all must be cached)."""
+        """Validated table row per job, adding unseen jobs on the way.
+
+        Validation covers every feature-bearing attribute (submit time,
+        processor, runtime and memory requests, user hash), so a hit can
+        never serve a row that differs from a fresh computation.
+        """
         index = self.index
-        return np.fromiter(
+        new = [j for j in jobs if j.job_id not in index]
+        if new:
+            self._add(new)
+        rows = np.fromiter(
             (index[j.job_id] for j in jobs), dtype=np.intp, count=len(jobs)
         )
+        if np.array_equal(self.identity[rows], self._identity(jobs)):
+            return rows
+        # Stale identity (a different trace reused these job ids): rebuild
+        # from this queue alone.  The fresh batch occupies rows 0..k-1 in
+        # queue order, which stays correct even if the queue itself holds
+        # conflicting duplicate ids (the index may then be ambiguous, but
+        # these positional rows are not — and the next call revalidates).
+        self.clear()
+        self._add(jobs)
+        return np.arange(len(jobs), dtype=np.intp)
+
+    def evict(self, job_ids) -> int:
+        """Drop the rows of departed jobs; returns the count evicted.
+
+        An episode never needs this — its table dies with it — but a
+        serving daemon sees an unbounded job stream.  Surviving rows are
+        compacted to the front and capacity shrinks back to the doubling
+        schedule, so held memory tracks the *live* job set.
+        """
+        index = self.index
+        drop = [index[jid] for jid in job_ids if jid in index]
+        if not drop:
+            return 0
+        keep = np.ones(self.size, dtype=bool)
+        keep[drop] = False
+        moved = np.cumsum(keep) - 1  # the new row of every surviving row
+        self.index = {
+            jid: int(moved[row]) for jid, row in index.items() if keep[row]
+        }
+        self.size = int(keep.sum())
+        self._resize(np.flatnonzero(keep), _capacity(self.size))
+        return len(drop)
 
 
 def observation_rows(
@@ -215,8 +304,8 @@ def observation_rows(
     """Feature rows of the jobs at ``idx`` of ``table``: ``(K, F)`` float32.
 
     ``table`` holds the per-job columns ``static``, ``submit`` and
-    ``procs`` (a :class:`FeatureCache`, the deploy-side cache, or the
-    per-environment slabs of :class:`~repro.sim.vec_env.VecSchedGym`).
+    ``procs``: a :class:`FeatureCache`, or the per-environment slabs
+    :class:`~repro.sim.vec_env.VecSchedGym` copies those columns into.
     The state arguments are those of :func:`fill_dynamic_features`.  The
     rows are assembled in float64 and cast once, the bits every consumer
     of the encoding has always seen.
@@ -253,24 +342,19 @@ def build_observation(
     config: EnvConfig,
     cache: FeatureCache | None = None,
     assume_sorted: bool = False,
-    rows: np.ndarray | None = None,
     free_mem: float = math.inf,
     total_mem: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray, list[Job]]:
-    """Fixed-size observation of a waiting queue.
-
-    Shared by :class:`SchedGym` and the trained-policy scheduler wrapper so
-    training and deployment see byte-identical features.  Returns
+    """Fixed-size observation of a waiting queue, any queue: the padded
+    window training and deployment both see the rows of.  Returns
     ``(observation, action_mask, visible_jobs)`` where ``visible_jobs[i]``
     is the job row ``i`` describes.
 
-    ``cache`` supplies precomputed static columns (see
-    :class:`FeatureCache`; one is built over the visible jobs when none is
+    ``cache`` is the job-feature table to look the jobs up in (see
+    :meth:`FeatureCache.rows`; an empty one is started when none is
     given); ``assume_sorted`` skips the FCFS sort when the caller
     maintains ``pending`` in ``(submit_time, job_id)`` order, as
-    :class:`~repro.sim.simulator.SchedulingEngine` does; ``rows`` supplies
-    the visible jobs' cache row indices directly (the engine tracks them,
-    sparing even the id lookups).
+    :class:`~repro.sim.simulator.SchedulingEngine` does.
     """
     if assume_sorted:
         visible = list(pending[: config.max_obsv_size])
@@ -278,12 +362,9 @@ def build_observation(
         visible = sorted(pending, key=lambda j: (j.submit_time, j.job_id))
         visible = visible[: config.max_obsv_size]
     if cache is None:
-        cache = FeatureCache(visible, n_procs, config, total_mem=total_mem)
-        rows = np.arange(len(visible))
-    elif rows is None:
-        rows = cache.rows(visible)
+        cache = FeatureCache((), n_procs, config, total_mem=total_mem)
     feats = observation_rows(
-        cache, rows, now, free_procs, n_procs, config,
+        cache, cache.rows(visible), now, free_procs, n_procs, config,
         free_mem=free_mem, total_mem=total_mem,
     )
     obs, mask = pad_observations(feats, [len(visible)], config.max_obsv_size)
@@ -358,7 +439,7 @@ class SchedGym:
     def begin(self, jobs: Sequence[Job]) -> FeatureCache:
         """Start an episode over ``jobs`` and run to its first decision.
 
-        Returns the episode's static feature columns, indexed like
+        Returns the episode's job-feature table, its rows indexed like
         ``engine.pending_rows``."""
         self._engine = SchedulingEngine(
             jobs, self.cluster_spec, backfill=self.config.backfill
@@ -414,19 +495,15 @@ class SchedGym:
         )
 
     def _observe(self) -> tuple[np.ndarray, np.ndarray]:
-        """Build the fixed-size observation and its action mask."""
+        """The padded window over the visible jobs, and its action mask."""
         engine = self.engine
         m = self.config.max_obsv_size
-        obs, mask, _ = build_observation(
-            engine.pending,
-            engine.now,
-            engine.cluster.free_procs,
-            self.n_procs,
-            self.config,
-            cache=self._cache,
-            assume_sorted=True,
-            rows=np.asarray(engine.pending_rows[:m], dtype=np.intp),
+        rows = np.asarray(engine.pending_rows[:m], dtype=np.intp)
+        feats = observation_rows(
+            self._cache, rows, engine.now, engine.cluster.free_procs,
+            self.n_procs, self.config,
             free_mem=engine.cluster.free_mem,
             total_mem=engine.cluster.total_mem,
         )
-        return obs, mask
+        obs, mask = pad_observations(feats, [len(rows)], m)
+        return obs[0], mask[0]

@@ -192,14 +192,14 @@ class VecSchedGym:
         """Begin the next episode on environment ``i`` and load its
         static columns into the environment's slab."""
         cache = self.envs[i].begin(jobs)
-        n = len(cache.submit)
+        n = cache.size
         if n > self._slab:
             self._grow(n)
         lo = i * self._slab
         table = self._table
-        table.static[lo : lo + n] = cache.static
-        table.submit[lo : lo + n] = cache.submit
-        table.procs[lo : lo + n] = cache.procs
+        table.static[lo : lo + n] = cache.static[:n]
+        table.submit[lo : lo + n] = cache.submit[:n]
+        table.procs[lo : lo + n] = cache.procs[:n]
         self._active[i] = True
         self._episode[i] = self._n_started
         self._n_started += 1

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.config import EnvConfig, ScenarioConfig, StudyConfig, TrainConfig
+from repro.config import EnvConfig, ScenarioConfig, StudyConfig
 from repro.rl.trainer import Trainer, TrainingResult
 from repro.scenarios import Scenario, available_scenarios, get_scenario
 from repro.schedulers import RLSchedulerPolicy, make_scheduler
@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 #: artifact format identifier (bump on incompatible layout changes)
-ARTIFACT_SCHEMA = "repro/generalization-matrix@1"
+ARTIFACT_SCHEMA = "repro/generalization-matrix@2"
 
 
 @dataclass
@@ -89,18 +89,20 @@ def _study_scenarios(config: StudyConfig) -> list[Scenario]:
 
 
 def _train_provenance(config: StudyConfig, metric: str) -> dict:
-    """The training knobs a zoo checkpoint records (resume drift check)."""
+    """The training knobs a zoo checkpoint records (resume drift check):
+    flat keys, whatever the config nests — every zoo file written so far
+    carries them that way."""
     return {
-        "seed": config.seed,
         "metric": metric,
         "policy_preset": config.policy_preset,
-        "epochs": config.epochs,
-        "trajectories_per_epoch": config.trajectories_per_epoch,
-        "trajectory_length": config.trajectory_length,
         "max_obsv_size": config.max_obsv_size,
-        "use_trajectory_filter": config.use_trajectory_filter,
         "n_jobs": config.n_jobs,
-        "staleness": config.staleness,
+        **{
+            knob: getattr(config.train, knob)
+            for knob in ("seed", "epochs", "trajectories_per_epoch",
+                         "trajectory_length", "use_trajectory_filter",
+                         "staleness")
+        },
     }
 
 
@@ -146,14 +148,8 @@ def train_matrix(
                      f"with different settings {drift} (checkpoint vs "
                      f"study config); delete {checkpoint} to retrain")
             continue
-        train_config = TrainConfig(
-            epochs=config.epochs,
-            trajectories_per_epoch=config.trajectories_per_epoch,
-            trajectory_length=config.trajectory_length,
-            seed=config.seed,
-            use_trajectory_filter=config.use_trajectory_filter,
-            runtime=config.runtime,
-            staleness=config.staleness,
+        train_config = dataclasses.replace(
+            config.train,
             # workload size/seed stay the scenario defaults unless the
             # study shrinks them (n_jobs) — the same trace the evaluation
             # cells sample from
@@ -173,7 +169,7 @@ def train_matrix(
         )
         _say(progress,
              f"{scenario.name}: trained {config.policy_preset} for {metric} "
-             f"({config.epochs} epochs) -> {checkpoint}")
+             f"({config.train.epochs} epochs) -> {checkpoint}")
     return out
 
 
@@ -205,8 +201,8 @@ def generalization_matrix(
     sequences.  Returns a JSON-serializable document::
 
         {
-          "schema": "repro/generalization-matrix@1",
-          "config": {... study config, including the runtime ...},
+          "schema": "repro/generalization-matrix@2",
+          "config": {... study config; "train" nests the TrainConfig ...},
           "scenarios": {name: scenario.to_dict()},
           "policies": {"RL-<scenario>": {checkpoint, curve, compat, ...}},
           "results": {scenario: {scheduler: {mean, std, n, values}}},

@@ -2,6 +2,8 @@
 
 import io
 import logging
+import os
+import subprocess
 import sys
 import threading
 
@@ -10,7 +12,40 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def test_no_process_imports_scipy():
+    """``scipy.signal`` cost every CLI command, the daemon and each pool
+    worker about a second and 70 MiB for one ``lfilter``; in a fresh
+    interpreter, nothing the package imports may bring it back."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli, repro.serve; "
+         "assert 'scipy' not in sys.modules"],
+        env=env, check=True,
+    )
+
+
 class TestParser:
+    def test_train_and_study_share_their_training_flags(self):
+        """One helper adds them: same flags, same defaults, and the
+        ``--policy`` choices are the registered presets."""
+        from repro.nn import POLICY_PRESETS
+
+        parser = build_parser()
+        train = vars(parser.parse_args(["train", "Lublin-1", "-o", "m.npz"]))
+        study = vars(parser.parse_args(["study"]))
+        shared = {"seed": 0, "epochs": 16, "trajectories": 14, "length": 64,
+                  "obsv": 32, "policy": "kernel", "filter": False,
+                  "staleness": 0, "workers": 1}
+        for flag, default in shared.items():
+            assert train[flag] == study[flag] == default, flag
+        for command in (["train", "Lublin-1", "-o", "m.npz"], ["study"]):
+            for preset in POLICY_PRESETS:
+                args = parser.parse_args(command + ["--policy", preset])
+                assert args.policy == preset
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

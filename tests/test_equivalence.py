@@ -122,6 +122,12 @@ class TestDiscountCumsumGolden:
             ref[t] = acc
         np.testing.assert_array_equal(out, ref)
 
+    def test_returns_float64_whatever_it_is_given(self):
+        for x in ([1, 2, 3], np.array([1.0, 2.0, 3.0], dtype=np.float32), []):
+            out = discount_cumsum(x, 1.0)
+            assert out.dtype == np.float64 and out.shape == (len(x),)
+        assert discount_cumsum([1, 2, 3], 0.5).tolist() == [2.75, 3.5, 3.0]
+
 
 @pytest.fixture(scope="module")
 def trace():

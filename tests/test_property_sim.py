@@ -8,15 +8,23 @@ event — and the ragged observation path against its padded oracle: every
 ``VecSchedGym`` wave, padded out, against the per-job loop encoder, and a
 vec of any width against a loop of ``SchedGym`` episodes."""
 
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.config import EnvConfig
-from repro.nn import KernelPolicy
+from repro.nn import KernelPolicy, make_policy
 from repro.schedulers import (
     ALL_HEURISTICS,
     FCFS,
@@ -29,12 +37,14 @@ from repro.schedulers import (
 )
 from repro.sim import (
     ClusterSpec,
+    FeatureCache,
     OnlineSchedulingEngine,
     SchedGym,
     SchedulingEngine,
     VecSchedGym,
     backfill_candidates,
     conservative_backfill_candidates,
+    observation_rows,
     pad_observations,
     run_scheduler,
 )
@@ -335,6 +345,15 @@ def bound_schedulers():
             env_config=wide, name="RL-mem",
         )
     )
+    # a policy that reads the whole padded window binds the same way
+    schedulers.append(
+        RLSchedulerPolicy(
+            make_policy("mlp_v2", narrow.max_obsv_size, narrow.job_features,
+                        seed=5),
+            n_procs=N_PROCS, env_config=narrow, preset="mlp_v2",
+            name="RL-mlp",
+        )
+    )
     if FIXTURE_POLICY.exists():
         schedulers.append(RLSchedulerPolicy.load(FIXTURE_POLICY))
     return schedulers
@@ -582,3 +601,136 @@ def test_wave_oracle_covers_queues_past_the_window(memory):
     )
     assert deepest > 2 * 4
     assert trailing_zero == memory
+
+
+# ----------------------------------------------------------------------
+# the job-feature table against the loop oracle, through its whole life
+# ----------------------------------------------------------------------
+def table_jobs(job_ids):
+    return st.builds(
+        Job,
+        job_id=job_ids,
+        submit_time=st.floats(0.0, 1e5),
+        run_time=st.just(10.0),
+        requested_procs=st.integers(1, N_PROCS),
+        requested_time=st.floats(1.0, 1e6),
+        requested_mem=st.sampled_from([-1.0, 0.5, 2.0, 64.0]),
+        user_id=st.integers(0, 5),
+    )
+
+
+class FeatureTableLife(RuleBasedStateMachine):
+    """(vi) One ``FeatureCache`` through what a deployed scheduler does to
+    it — jobs arrive, are looked up a queue at a time, depart, and a new
+    trace reuses their ids with other attributes — in any interleaving.
+    After every step ``observation_rows(table, table.rows(queue), …)`` is
+    bit for bit the loop encoder's rows of that queue, in both layouts,
+    with and without a memory capacity; and since a table that rebuilds
+    itself on every lookup would pass that too, it may only rebuild when
+    an attribute really changed under it."""
+
+    @initialize(memory_features=st.booleans(), finite_mem=st.booleans())
+    def layout(self, memory_features, finite_mem):
+        self.total_mem = 256.0 if finite_mem else math.inf
+        self.config = EnvConfig(
+            max_obsv_size=400,  # every id at once: a lookup sees all of live
+            memory_features=memory_features,
+            job_features=9 if memory_features else 7,
+        )
+        self.table = FeatureCache((), N_PROCS, self.config, self.total_mem)
+        self.live: dict[int, Job] = {}  # the truth the table must follow
+        self.stale = False              # may the table hold an outdated row?
+        self.rebuilds = 0
+        clear = self.table.clear
+
+        def counted_clear():
+            self.rebuilds += 1
+            clear()
+
+        self.table.clear = counted_clear
+
+    def look_up(self, queue):
+        """``table.rows(queue)``, which may rebuild only a stale table."""
+        before = self.rebuilds
+        rows = self.table.rows(queue)
+        assert self.stale or self.rebuilds == before
+        return rows
+
+    @rule(jobs=st.one_of(
+        st.lists(table_jobs(st.integers(1, 150)), max_size=40),
+        # a burst past the 64-row floor, so capacity has to double; ids of
+        # its own, so it rarely excuses a rebuild by reusing one
+        st.lists(table_jobs(st.integers(1000, 1200)), min_size=65,
+                 max_size=80, unique_by=lambda j: j.job_id),
+    ))
+    def arrive(self, jobs):
+        """New ids join; a known id arrives with (possibly) other
+        attributes — the trace changed under the table."""
+        for job in jobs:
+            self.stale |= self.live.get(job.job_id, job) != job
+            self.live[job.job_id] = job
+
+    @rule(data=st.data())
+    def look_up_part_of_the_queue(self, data):
+        if self.live:
+            part = data.draw(st.lists(st.sampled_from(sorted(self.live)),
+                                      unique=True))
+            self.look_up([self.live[i] for i in part])
+
+    @rule(data=st.data(), strangers=st.lists(st.integers(151, 160)))
+    def depart(self, data, strangers):
+        gone = data.draw(st.lists(st.sampled_from(sorted(self.live) or [0]),
+                                  unique=True))
+        known = [i for i in gone if i in self.table.index]
+        for i in gone:
+            self.live.pop(i, None)
+        assert self.table.evict(gone + strangers) == len(known)
+        if known:  # compacted: capacity is back on the doubling schedule
+            assert len(self.table.submit) == max(
+                64, 1 << (self.table.size - 1).bit_length()
+            )
+
+    @rule(data=st.data())
+    def one_attribute_changes(self, data):
+        """The narrowest reuse: same id, one feature-bearing field moved."""
+        if not self.live:
+            return
+        job = self.live[data.draw(st.sampled_from(sorted(self.live)))]
+        field, value = data.draw(st.sampled_from([
+            ("submit_time", job.submit_time + 1.0),
+            ("requested_procs", job.requested_procs % N_PROCS + 1),
+            ("requested_time", job.requested_time * 2.0),
+            ("requested_mem", 1.0 if job.requested_mem != 1.0 else 3.0),
+            ("user_id", job.user_id + 1),
+        ]))
+        self.live[job.job_id] = dataclasses.replace(job, **{field: value})
+        self.stale = True
+
+    @invariant()
+    def rows_equal_the_loop_oracle(self):
+        table, config = self.table, self.config
+        # the table is exactly its index: no orphan row, no spare slot used
+        assert sorted(table.index.values()) == list(range(table.size))
+        assert table.size <= len(table.submit) == len(table.static)
+        queue = list(self.live.values())
+        now = max((j.submit_time for j in queue), default=0.0) + 17.0
+        free_procs = len(queue) % (N_PROCS + 1)
+        free_mem = min(self.total_mem, 100.0) / 3
+        want, mask, visible = build_observation_loop(
+            queue, now, free_procs, N_PROCS, config,
+            free_mem=free_mem, total_mem=self.total_mem,
+        )
+        assert len(visible) == len(queue)
+        got = observation_rows(
+            table, self.look_up(visible), now, free_procs, N_PROCS, config,
+            free_mem=free_mem, total_mem=self.total_mem,
+        )
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want[mask].tobytes()
+        self.stale = False  # every live job was just validated
+
+
+FeatureTableLife.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)
+test_feature_table_life = FeatureTableLife.TestCase

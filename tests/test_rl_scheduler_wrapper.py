@@ -9,8 +9,7 @@ import pytest
 from repro.config import EnvConfig
 from repro.nn import KernelPolicy, make_policy, masked_log_softmax, no_grad
 from repro.schedulers import RLSchedulerPolicy
-from repro.schedulers.rl_scheduler import DeployFeatureCache
-from repro.sim import Cluster, build_observation, run_scheduler
+from repro.sim import Cluster, FeatureCache, build_observation, run_scheduler
 from repro.workloads import Job
 
 
@@ -84,7 +83,7 @@ def cluster_with_free(n_procs, free):
 
 
 class TestSparseSelectGolden:
-    """The deployment hot path (score_rows + persistent DeployFeatureCache)
+    """The deployment hot path (score_rows + persistent FeatureCache)
     must pick the same job as the reference dense batch-1 forward."""
 
     def dense_reference(self, policy, cfg, pending, now, cluster, n_procs):
@@ -218,7 +217,7 @@ class TestSparseSelectGolden:
 class TestDeployFeatureCache:
     def test_capacity_doubles(self):
         cfg = EnvConfig(max_obsv_size=8)
-        cache = DeployFeatureCache(64, cfg)
+        cache = FeatureCache((), 64, cfg)
         rng = np.random.default_rng(0)
         cache.rows(random_pending(rng, 70))
         assert cache.size == 70
@@ -227,7 +226,7 @@ class TestDeployFeatureCache:
 
     def test_evict_remaps_surviving_rows(self):
         cfg = EnvConfig(max_obsv_size=8)
-        cache = DeployFeatureCache(64, cfg)
+        cache = FeatureCache((), 64, cfg)
         rng = np.random.default_rng(3)
         jobs = random_pending(rng, 12)
         cache.rows(jobs)
@@ -250,9 +249,9 @@ class TestDeployFeatureCache:
         """Regression: a daemon's unbounded job stream must not grow the
         cache without bound once departed jobs are evicted."""
         cfg = EnvConfig(max_obsv_size=8)
-        cache = DeployFeatureCache(64, cfg)
+        cache = FeatureCache((), 64, cfg)
         rng = np.random.default_rng(5)
-        leaked = DeployFeatureCache(64, cfg)
+        leaked = FeatureCache((), 64, cfg)
         for _ in range(40):
             batch = random_pending(rng, 25)
             cache.rows(batch)
@@ -264,7 +263,7 @@ class TestDeployFeatureCache:
 
     def test_evict_all_then_reuse(self):
         cfg = EnvConfig(max_obsv_size=8)
-        cache = DeployFeatureCache(64, cfg)
+        cache = FeatureCache((), 64, cfg)
         rng = np.random.default_rng(8)
         jobs = random_pending(rng, 5)
         cache.rows(jobs)

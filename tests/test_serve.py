@@ -144,6 +144,24 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match=f"{field}.*finite.*inf"):
             job_from_wire(payload)
 
+    @pytest.mark.parametrize("field", ["job_id", "requested_procs", "user_id"])
+    @pytest.mark.parametrize("literal", ["1.5", "true", '"7"', "null", "[7]"])
+    def test_job_from_wire_rejects_what_is_not_an_integer(self, field, literal):
+        """Regression: ``int()`` ran over these fields, so ``1.5`` became
+        job 1, ``true`` job 1 and ``"7"`` job 7 — silently."""
+        payload = wire_job(1)
+        payload[field] = json.loads(literal)
+        with pytest.raises(ProtocolError, match=f"'{field}'.*integer") as info:
+            job_from_wire(payload)
+        assert repr(payload[field]) in str(info.value)
+
+    def test_job_from_wire_accepts_integral_floats(self):
+        job = job_from_wire({"job_id": 4.0, "run_time": 1,
+                             "requested_procs": 2.0, "user_id": 7.0})
+        assert (job.job_id, job.requested_procs, job.user_id) == (4, 2, 7)
+        assert all(type(v) is int
+                   for v in (job.job_id, job.requested_procs, job.user_id))
+
     @pytest.mark.parametrize("field", ["run_time", "submit_time",
                                        "requested_time", "requested_mem"])
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -258,6 +276,11 @@ class TestSchedulerService:
             svc.status("abc")
         with pytest.raises(ServiceError, match="integer job_id.*inf"):
             svc.status(float("inf"))  # "job_id": 1e400 on the wire
+        svc.submit(wire_job(1))
+        for not_job_1 in (1.5, True, "1"):  # int() read all three as job 1
+            with pytest.raises(ServiceError, match="integer job_id"):
+                svc.status(not_job_1)
+        assert svc.status(1.0)["job"]["job_id"] == 1
 
     def test_drain_reports_delta_not_cumulative(self):
         svc = self.make()

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.config import RuntimeConfig, StudyConfig
+from repro.config import RuntimeConfig, StudyConfig, TrainConfig
 from repro.study import ARTIFACT_SCHEMA, generalization_matrix, train_matrix
 
 SCENARIOS = ("lublin-64", "lublin-256-mem")
@@ -19,14 +19,15 @@ HEURISTICS = ("FCFS", "SJF")
 
 
 def tiny_study_config(zoo_dir, **kw):
+    """Keywords naming a training size go to the embedded TrainConfig."""
+    train = dict(seed=0, epochs=1, trajectories_per_epoch=2,
+                 trajectory_length=12)
+    train.update({k: kw.pop(k) for k in train.keys() & kw.keys()})
     base = dict(
         scenarios=SCENARIOS,
         zoo_dir=str(zoo_dir),
         heuristics=HEURISTICS,
-        seed=0,
-        epochs=1,
-        trajectories_per_epoch=2,
-        trajectory_length=12,
+        train=TrainConfig(**train),
         max_obsv_size=8,
         n_jobs=400,
         n_sequences=2,
@@ -34,6 +35,13 @@ def tiny_study_config(zoo_dir, **kw):
     )
     base.update(kw)
     return StudyConfig(**base)
+
+
+def retrained(config, **train):
+    """``config`` with fields of its embedded TrainConfig replaced."""
+    return dataclasses.replace(
+        config, train=dataclasses.replace(config.train, **train)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +91,8 @@ class TestTrainMatrix:
     def test_checkpoint_records_training_provenance(self, zoo):
         _, config, trained = zoo
         meta = trained["lublin-64"].result.train_meta
-        assert meta["seed"] == config.seed
-        assert meta["epochs"] == config.epochs
+        assert meta["seed"] == config.train.seed
+        assert meta["epochs"] == config.train.epochs
         assert meta["policy_preset"] == config.policy_preset
         # and it survives the npz round trip
         from repro.rl.trainer import TrainingResult
@@ -96,7 +104,7 @@ class TestTrainMatrix:
         """Restoring a checkpoint trained under different settings must be
         reported — the checkpoint's own provenance stays authoritative."""
         _, config, _ = zoo
-        drifted = dataclasses.replace(config, epochs=5, seed=9)
+        drifted = retrained(config, epochs=5, seed=9)
         messages = []
         resumed = train_matrix(drifted, progress=messages.append)
         warnings = [m for m in messages if "different settings" in m]
@@ -131,8 +139,7 @@ class TestTrainMatrix:
         assert [m for m in messages if "different settings" in m] == []
         # a real mismatch on a shared key still warns, and names only it
         messages.clear()
-        train_matrix(dataclasses.replace(old, epochs=5),
-                     progress=messages.append)
+        train_matrix(retrained(old, epochs=5), progress=messages.append)
         (warning,) = [m for m in messages if "different settings" in m]
         assert "'epochs': (1, 5)" in warning and "rollout_mode" not in warning
 
@@ -234,6 +241,8 @@ class TestStudyConfig:
     def test_validates_sizes(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_study_config(tmp_path, epochs=0)
+        with pytest.raises(TypeError, match="TrainConfig"):
+            tiny_study_config(tmp_path, train={"epochs": 1})
         with pytest.raises(ValueError):
             tiny_study_config(tmp_path, n_sequences=0)
 

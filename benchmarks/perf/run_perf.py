@@ -540,7 +540,7 @@ def bench_ppo_update(agent, buffer, ppo_cfg, max_obsv, job_features):
             ppo_cfg,
             seed=0,
         )
-        plan = partial(_policy_plan, data, sparse, max_obsv)
+        plan = partial(_policy_plan, data, sparse, max_obsv, policy.dtype)
         path_agent._policy_step(plan(idx_lists[0]))  # warm-up
         start = time.perf_counter()
         for idx in idx_lists:

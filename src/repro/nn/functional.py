@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, gather_rows, segment_logsumexp, segment_sum
+from .tensor import Tensor, as_floating, gather_rows, segment_logsumexp, segment_sum
 
 __all__ = [
     "masked_log_softmax",
@@ -37,7 +37,7 @@ def masked_log_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=-1).all():
         raise ValueError("every row must have at least one valid action")
-    masked = logits.where(mask, Tensor(np.full(logits.shape, _MASK_FILL)))
+    masked = logits.where(mask, _MASK_FILL)
     # Stability shift by a detached per-row max (constant w.r.t. gradients).
     shift = Tensor(masked.data.max(axis=-1, keepdims=True))
     shifted = masked - shift
@@ -59,7 +59,8 @@ def entropy(log_probs: Tensor) -> Tensor:
     """Mean categorical entropy, -Σ p·log p, ignoring masked slots.
 
     Masked slots have log p ≈ -1e9 and p ≈ 0; their p·log p contribution
-    underflows to exactly 0 in float64, so no re-masking is needed.
+    underflows to exactly 0 (in float32 as in float64: ``exp`` of the
+    shifted fill is 0), so no re-masking is needed.
     """
     p = log_probs.exp()
     per_row = -(p * log_probs).sum(axis=-1)
@@ -73,7 +74,7 @@ def entropy(log_probs: Tensor) -> Tensor:
 # masked slots carry ~-1e9.  The sparse twins operate on a *flat* vector of
 # only the valid slots, segmented per observation by a CSR ``indptr`` — the
 # update-path counterpart of the deploy-side ``score_rows`` fast path.
-# Forward values agree with the dense helpers to float64 round-off (the
+# Forward values agree with the dense helpers to round-off (the
 # masked slots contribute exactly zero probability in both).
 
 
@@ -147,18 +148,18 @@ def segment_rectangle(
 
     Segment ``i`` fills the leading ``counts[i]`` slots of row ``i``; the
     rest hold the mask fill (probability exactly 0 after the softmax
-    shift).  ``W`` is the longest segment rounded up to a multiple of 8,
+    shift); the block has the dtype of ``scores``.  ``W`` is the longest segment rounded up to a multiple of 8,
     never past ``full_width``: trailing zeros then meet the same eight
     partial sums in the same order as in the ``full_width``-wide row, so
     a softmax, its cumulative sums and an argmax over the block equal the
     full-width ones bit for bit at a fraction of the width.  A row too
     long to be one summation leaf keeps its full width.
     """
-    counts = np.asarray(counts)
+    scores, counts = as_floating(scores), np.asarray(counts)
     width = full_width
     if full_width <= _PAIRWISE_LEAF:
         width = min(-(-int(counts.max()) // 8) * 8, full_width)
-    logits = np.full((len(counts), width), _MASK_FILL)
+    logits = np.full((len(counts), width), _MASK_FILL, dtype=scores.dtype)
     logits[np.arange(width) < counts[:, None]] = scores
     return logits
 

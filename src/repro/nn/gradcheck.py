@@ -9,6 +9,12 @@ The check projects the (possibly non-scalar) op output onto a fixed
 random vector before differentiating — a plain ``sum()`` reduction can
 miss sign errors that cancel across output elements, a weighted
 projection cannot.
+
+Finite differences need float64 (an ``eps`` of 1e-6 is below float32
+resolution), so the check differentiates float64 inputs whatever the
+caller hands it.  The float32 the networks run in is covered by a twin:
+the same op on float32 copies of the inputs must give float32 gradients
+that agree with the float64 autodiff ones to float32 round-off.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ import numpy as np
 from .tensor import Parameter, Tensor
 
 __all__ = ["numerical_gradient", "gradcheck"]
+
+#: the float32 twin's tolerance: float32 resolves 6e-8; the checked ops
+#: chain a handful of O(1) operations and sum a few dozen terms
+FLOAT32_RTOL, FLOAT32_ATOL = 1e-4, 1e-5
 
 
 def numerical_gradient(
@@ -58,7 +68,8 @@ def gradcheck(
     ``op`` maps Tensor arguments to one Tensor; ``inputs`` are the float
     arrays to differentiate at.  ``check`` optionally marks which inputs
     to differentiate (default: all of them).  Raises ``AssertionError``
-    with the offending input's index on mismatch.
+    with the offending input's index on mismatch — from the float64
+    finite-difference check or from the float32 twin (module docstring).
     """
     inputs = tuple(np.asarray(x, dtype=np.float64) for x in inputs)
     if check is None:
@@ -71,6 +82,20 @@ def gradcheck(
     rng = np.random.default_rng(seed)
     weights = rng.normal(size=out.shape)
     (out * Tensor(weights)).sum().backward()
+
+    params32 = [type(p)(p.data.astype(np.float32)) for p in params]
+    out32 = op(*params32)
+    (out32 * Tensor(weights.astype(out32.data.dtype))).sum().backward()
+    for i, (p, p32) in enumerate(zip(params, params32)):
+        if not check[i]:
+            continue
+        assert p32.grad is not None and p32.grad.dtype == np.float32, (
+            f"input {i}: float32 input got a {getattr(p32.grad, 'dtype', None)} gradient"
+        )
+        np.testing.assert_allclose(
+            p32.grad, p.grad, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL,
+            err_msg=f"float32 gradient differs from float64 on input {i}",
+        )
 
     for i, (x, c) in enumerate(zip(inputs, check)):
         if not c:

@@ -19,6 +19,11 @@ from .tensor import Parameter, Tensor
 
 __all__ = ["Module", "Dense", "Sequential", "conv2d", "max_pool2d", "Conv2d", "Flatten"]
 
+#: The dtype networks are created in.  Weights are drawn in float64 as
+#: they always were and rounded, so a seed still names the same network;
+#: float64 networks come from :meth:`Module.astype`, not from a setting.
+_CREATE_DTYPE = np.float32
+
 
 class Module:
     """Base class with recursive parameter discovery and (de)serialisation."""
@@ -37,6 +42,22 @@ class Module:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype (they share one: created alike, cast
+        together by :meth:`astype`)."""
+        return self.parameters()[0].data.dtype
+
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter in place and return ``self`` — the way to
+        a float64 network.  Gradients are dropped; cast before building an
+        optimizer, whose state is allocated like the parameters it is
+        given."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype)
+            p.grad = None
+        return self
+
     # --- persistence ----------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
         return {f"p{i}": p.data.copy() for i, p in enumerate(self.parameters())}
@@ -48,12 +69,14 @@ class Module:
                 f"state has {len(state)} arrays but model has {len(params)} parameters"
             )
         for i, p in enumerate(params):
-            arr = np.asarray(state[f"p{i}"], dtype=np.float64)
+            arr = np.asarray(state[f"p{i}"])
             if arr.shape != p.data.shape:
                 raise ValueError(
                     f"parameter {i}: shape {arr.shape} != expected {p.data.shape}"
                 )
-            p.data = arr.copy()
+            # the parameter's dtype, not the file's: float64 checkpoints
+            # load into float32 networks (astype always copies)
+            p.data = arr.astype(p.data.dtype)
 
     def save(self, path) -> None:
         np.savez(path, **self.state_dict())
@@ -127,8 +150,10 @@ class Dense(Module):
             scale = np.sqrt(2.0 / in_features)
         else:  # Xavier/Glorot
             scale = np.sqrt(1.0 / in_features)
-        self.weight = Parameter(rng.normal(0.0, scale, size=(in_features, out_features)))
-        self.bias = Parameter(np.zeros(out_features))
+        self.weight = Parameter(
+            rng.normal(0.0, scale, size=(in_features, out_features)).astype(_CREATE_DTYPE)
+        )
+        self.bias = Parameter(np.zeros(out_features, dtype=_CREATE_DTYPE))
         self.activation = activation
 
     def forward(self, x: "Tensor | RaggedRows") -> Tensor:
@@ -140,7 +165,7 @@ class Dense(Module):
         if ragged:
             out = x.product(w.data)
         else:
-            x = Tensor._lift(x)
+            x = x if isinstance(x, Tensor) else Tensor(x)
             if x.data.ndim != 2:
                 raise ValueError(f"Dense takes a 2-D input, got {x.shape}")
             out = x.data @ w.data
@@ -200,7 +225,7 @@ def _col2im(
 ) -> np.ndarray:
     """Scatter-add gradient of im2col back to the (padded) input."""
     n, c, h, w = x_shape
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
     d = dcols.reshape(n, c, kh, kw, ho, wo)
     for i in range(kh):
         for j in range(kw):
@@ -276,9 +301,11 @@ class Conv2d(Module):
         fan_in = in_channels * kernel_size * kernel_size
         scale = np.sqrt(2.0 / fan_in)
         self.weight = Parameter(
-            rng.normal(0.0, scale, size=(out_channels, in_channels, kernel_size, kernel_size))
+            rng.normal(
+                0.0, scale, size=(out_channels, in_channels, kernel_size, kernel_size)
+            ).astype(_CREATE_DTYPE)
         )
-        self.bias = Parameter(np.zeros(out_channels))
+        self.bias = Parameter(np.zeros(out_channels, dtype=_CREATE_DTYPE))
         self.pad = pad
         self.activation = activation
 

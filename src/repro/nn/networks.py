@@ -71,7 +71,7 @@ class KernelPolicy(Module):
         self.job_features = job_features
 
     def forward(self, obs: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-        obs = np.asarray(obs, dtype=np.float64)
+        obs = np.asarray(obs)
         if obs.ndim == 2:  # single observation (M, F)
             obs = obs[None]
         b, m, f = obs.shape
@@ -89,7 +89,7 @@ class KernelPolicy(Module):
         K rows instead of B·M, and scatter back.  Row results are
         identical to :meth:`forward` on the padded batch.
         """
-        x = Tensor(np.asarray(rows, dtype=np.float64))
+        x = Tensor(rows)
         return self.kernel(x).numpy().reshape(-1)
 
     def score_rows_grad(self, rows: np.ndarray) -> Tensor:
@@ -100,7 +100,7 @@ class KernelPolicy(Module):
         through the returned graph — same arithmetic as :meth:`forward`
         on the padded batch, minus the padded rows.
         """
-        rows = np.asarray(rows, dtype=np.float64)
+        rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.job_features:
             raise ValueError(
                 f"expected (K, {self.job_features}) rows, got {rows.shape}"
@@ -135,7 +135,7 @@ class MLPPolicy(Module):
         self.job_features = job_features
 
     def forward(self, obs: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-        obs = np.asarray(obs, dtype=np.float64)
+        obs = np.asarray(obs)
         if obs.ndim == 2:
             obs = obs[None]
         b = obs.shape[0]
@@ -176,7 +176,7 @@ class LeNetPolicy(Module):
         self.job_features = job_features
 
     def forward(self, obs: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-        obs = np.asarray(obs, dtype=np.float64)
+        obs = np.asarray(obs)
         if obs.ndim == 2:
             obs = obs[None]
         b, m, f = obs.shape

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, as_floating
 
 __all__ = [
     "RaggedRows",
@@ -93,44 +93,42 @@ def _buckets(extents: np.ndarray):
 class RaggedRows:
     """A constant ``(B, D)`` matrix held as non-zero row prefixes.
 
-    ``buckets`` is a list of ``(rows, block)``: ``block`` is the float64
-    copy of ``x[rows, :width]`` and every column of those rows at or past
-    ``width`` is zero.  All-zero rows are in no bucket.
+    ``buckets`` is a list of ``(rows, block)``: ``block`` is a copy of
+    ``x[rows, :width]`` in the floating ``dtype`` of ``x`` and every
+    column of those rows at or past ``width`` is zero.  All-zero rows are
+    in no bucket.
     """
 
-    __slots__ = ("shape", "buckets")
+    __slots__ = ("shape", "dtype", "buckets")
 
     def __init__(
         self,
         shape: tuple[int, int],
+        dtype: np.dtype,
         buckets: list[tuple[np.ndarray, np.ndarray]],
     ):
         self.shape = shape
+        self.dtype = dtype
         self.buckets = buckets
 
     @classmethod
     def from_dense(cls, x: np.ndarray, rows: np.ndarray | None = None) -> "RaggedRows":
         """Bucket ``x[rows]`` (every row when ``rows`` is None).
 
-        The dense float64 ``x[rows]`` is never built: each bucket gathers
-        its own prefix straight from ``x``, whatever its dtype.
+        The dense ``x[rows]`` is never built: each bucket gathers its own
+        prefix straight from ``x``.
         """
-        x = np.asarray(x)
+        x = as_floating(x)
         if x.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {x.shape}")
         extents = row_extents(x)
         if rows is not None:
             extents = extents[rows]
         buckets = [
-            (
-                members,
-                x[members if rows is None else rows[members], :width].astype(
-                    np.float64
-                ),
-            )
+            (members, x[members if rows is None else rows[members], :width])
             for members, width in _buckets(extents)
         ]
-        return cls((len(extents), x.shape[1]), buckets)
+        return cls((len(extents), x.shape[1]), x.dtype, buckets)
 
     @classmethod
     def from_csr(
@@ -147,9 +145,9 @@ class RaggedRows:
 
         ``extents`` is ``window_extents(rows, counts)`` when the caller
         already has it.  Each bucket gathers the job rows that reach into
-        its width straight from ``rows``, whatever their dtype.
+        its width straight from ``rows``, in their dtype.
         """
-        rows, counts = np.asarray(rows), np.asarray(counts)
+        rows, counts = as_floating(rows), np.asarray(counts)
         f = rows.shape[1]
         if extents is None:
             extents = window_extents(rows, counts)
@@ -160,7 +158,7 @@ class RaggedRows:
         for members, width in _buckets(extents):
             slots = -(-width // f)  # job rows a window of this width holds
             k = np.minimum(counts[members], slots)
-            block = np.zeros((len(members) * slots, f))
+            block = np.zeros((len(members) * slots, f), dtype=rows.dtype)
             block[csr_gather(np.arange(len(members)) * slots, k)] = rows[
                 csr_gather(starts[members], k)
             ]
@@ -168,7 +166,7 @@ class RaggedRows:
             if width < slots * f:
                 block = np.ascontiguousarray(block[:, :width])
             buckets.append((members, block))
-        return cls((len(extents), n_slots * f), buckets)
+        return cls((len(extents), n_slots * f), rows.dtype, buckets)
 
     @property
     def volume(self) -> int:
@@ -182,7 +180,9 @@ class RaggedRows:
             raise ValueError(
                 f"ragged matmul needs a ({self.shape[1]}, H) weight, got {w.shape}"
             )
-        out = np.zeros((self.shape[0], w.shape[1]))
+        out = np.zeros(
+            (self.shape[0], w.shape[1]), dtype=np.result_type(self.dtype, w.dtype)
+        )
         for rows, block in self.buckets:
             out[rows] = block @ w[: block.shape[1]]
         return out
@@ -204,7 +204,7 @@ class RaggedRows:
 def ragged_matmul(x: RaggedRows, w) -> Tensor:
     """``x @ w`` for ``w`` of shape ``(D, H)``; gradients flow to ``w``.
     :class:`~repro.nn.layers.Dense` fuses it with bias and activation."""
-    w = Tensor._lift(w)
+    w = w if isinstance(w, Tensor) else Tensor(w)
     return Tensor._from_op(
         x.product(w.data), (w,), lambda grad: x.add_weight_grad(grad, w)
     )

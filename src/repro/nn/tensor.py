@@ -11,8 +11,14 @@ Design notes (following the hpc-parallel guide idioms):
 * all math is vectorised NumPy; the graph bookkeeping is thin Python;
 * broadcasting is handled once in :func:`_unbroadcast`, which sums gradient
   contributions over broadcast axes so every binary op stays simple;
-* float64 throughout — the networks are tiny (<10k parameters), so
-  numerical robustness is worth more than memory.
+* dtype belongs to the data, not to :class:`Tensor`: a tensor keeps the
+  floating dtype of the array it is given (:func:`as_floating`), an op's
+  result has the dtype NumPy gives its operands, a gradient has the dtype
+  of the tensor it is the gradient of, and a Python number or NumPy
+  scalar met by a tensor takes that tensor's dtype instead of promoting
+  it.  The networks are created float32 (:mod:`repro.nn.layers`), so
+  float32 observation rows run float32 end to end; float64 parameters
+  (``Module.astype``) make the same code a float64 learner.
 
 Two rules keep the tape lean; every VJP is written against them.
 *Ownership: a VJP hands its result over; whoever passes an alias copies.*
@@ -36,6 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "as_floating",
     "Tensor",
     "Parameter",
     "no_grad",
@@ -45,6 +52,13 @@ __all__ = [
     "segment_max",
     "segment_logsumexp",
 ]
+
+
+def as_floating(data) -> np.ndarray:
+    """``data`` as an array of the floating dtype it already has; Python
+    numbers, integers and booleans become float64, NumPy's own default."""
+    data = np.asarray(data)
+    return data if data.dtype.kind == "f" else data.astype(np.float64)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -84,6 +98,10 @@ def _released(grad) -> None:
                        "already consumed and released; build it again")
 
 
+def _as_tensor(x) -> "Tensor":
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
 class Tensor:
     """An array node in the autodiff graph."""
 
@@ -91,7 +109,7 @@ class Tensor:
     __array_priority__ = 100  # make np.ndarray defer to our __radd__ etc.
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = as_floating(data)
         self.requires_grad = requires_grad and _GradMode.enabled
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -100,9 +118,14 @@ class Tensor:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _lift(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
+    def _lift(self, other) -> "Tensor":
+        """``other`` as a tensor: an array keeps its dtype, anything else
+        (a Python number, a NumPy scalar, a list) has none worth keeping
+        and takes this tensor's, so a stray ``np.float64`` cannot promote
+        a float32 graph."""
+        if isinstance(other, (Tensor, np.ndarray)):
+            return _as_tensor(other)
+        return Tensor(np.asarray(other, dtype=self.data.dtype))
 
     @classmethod
     def _from_op(
@@ -156,7 +179,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad``, which the caller hands over (module docstring)."""
-        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is not None:
             self.grad += grad
         elif grad.flags.c_contiguous:
@@ -174,7 +197,7 @@ class Tensor:
                 raise RuntimeError("backward() without grad requires a scalar")
             grad = np.ones_like(self.data)
         else:
-            grad = np.array(grad, dtype=np.float64)  # the caller keeps theirs
+            grad = np.array(grad, dtype=self.data.dtype)  # the caller keeps theirs
 
         # Topological order via iterative DFS (recursion would overflow on
         # deep PPO graphs).
@@ -261,6 +284,7 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise TypeError("tensor exponents are not supported; use exp/log")
+        exponent = float(exponent)  # a NumPy scalar would promote the result
         out_data = self.data ** exponent
 
         def backward(grad: np.ndarray) -> None:
@@ -408,6 +432,7 @@ class Tensor:
     # clipping / selection (PPO objective needs these)
     # ------------------------------------------------------------------
     def clip(self, lo: float, hi: float) -> "Tensor":
+        lo, hi = float(lo), float(hi)  # NumPy scalars would promote the result
         out_data = np.clip(self.data, lo, hi)
 
         def backward(grad: np.ndarray) -> None:
@@ -507,7 +532,7 @@ def gather_rows(x: Tensor, index) -> Tensor:
     quantity (a normaliser, a shift) is broadcast back to its rows with
     gradients intact.
     """
-    x = Tensor._lift(x)
+    x = _as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
     out_data = x.data[index]
 
@@ -527,7 +552,7 @@ def scatter_rows(x: Tensor, index, n_rows: int) -> Tensor:
     written stay zero.  Duplicate indices sum.  The VJP is a gather — the
     exact adjoint pair of :func:`gather_rows`.
     """
-    x = Tensor._lift(x)
+    x = _as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
     if index.ndim != 1 or index.size != x.data.shape[0]:
         raise ValueError(
@@ -536,7 +561,7 @@ def scatter_rows(x: Tensor, index, n_rows: int) -> Tensor:
         )
     if index.size and (index.min() < 0 or index.max() >= n_rows):
         raise ValueError(f"index out of range [0, {n_rows})")
-    out_data = np.zeros((n_rows,) + x.data.shape[1:], dtype=np.float64)
+    out_data = np.zeros((n_rows,) + x.data.shape[1:], dtype=x.data.dtype)
     np.add.at(out_data, index, x.data)
 
     def backward(grad: np.ndarray) -> None:
@@ -552,7 +577,7 @@ def segment_sum(x: Tensor, indptr) -> Tensor:
     Empty segments sum to zero.  The VJP repeats each segment's gradient
     over that segment's rows.
     """
-    x = Tensor._lift(x)
+    x = _as_tensor(x)
     n = x.data.shape[0]
     indptr = _check_indptr(indptr, n)
     lengths = np.diff(indptr)
@@ -561,7 +586,7 @@ def segment_sum(x: Tensor, indptr) -> Tensor:
     # only (their starts are strictly increasing and share the boundaries
     # of the full indptr) and leave empty ones at the zero identity.
     nonempty = lengths > 0
-    out_data = np.zeros((lengths.size,) + x.data.shape[1:])
+    out_data = np.zeros((lengths.size,) + x.data.shape[1:], dtype=x.data.dtype)
     if nonempty.any():
         out_data[nonempty] = np.add.reduceat(
             x.data, indptr[:-1][nonempty], axis=0
@@ -581,12 +606,14 @@ def segment_max(x: Tensor, indptr) -> Tensor:
     maximum (ties share the full gradient, like :meth:`Tensor.where`
     against an equality condition).
     """
-    x = Tensor._lift(x)
+    x = _as_tensor(x)
     n = x.data.shape[0]
     indptr = _check_indptr(indptr, n)
     lengths = np.diff(indptr)
     nonempty = lengths > 0
-    out_data = np.full((lengths.size,) + x.data.shape[1:], -np.inf)
+    out_data = np.full(
+        (lengths.size,) + x.data.shape[1:], -np.inf, dtype=x.data.dtype
+    )
     if nonempty.any():
         out_data[nonempty] = np.maximum.reduceat(
             x.data, indptr[:-1][nonempty], axis=0
@@ -609,7 +636,7 @@ def segment_logsumexp(x: Tensor, indptr) -> Tensor:
     softmax: ``d out[s] / d x[k] = exp(x[k] - out[s])``.  Segments must
     be non-empty: an empty segment has no finite logsumexp.
     """
-    x = Tensor._lift(x)
+    x = _as_tensor(x)
     n = x.data.shape[0]
     indptr = _check_indptr(indptr, n)
     lengths = np.diff(indptr)

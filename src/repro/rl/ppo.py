@@ -8,6 +8,10 @@ Per epoch, ``train_pi_iters`` clipped-surrogate steps update the policy
 ``1.5 × target_kl``) and ``train_v_iters`` regression steps fit the value
 function — the SpinningUp procedure.  Updates run on random minibatches so
 peak memory stays bounded on full paper-scale batches (25,600 steps).
+
+The update has the dtype of the networks it is given (float32 as created,
+:mod:`repro.nn.layers`): observation rows arrive float32, the plans cast
+the buffer's float64 columns once, and nothing here names a dtype.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ __all__ = ["PPOAgent", "UpdateStats"]
 #: ratchets up to the largest mmapped block it has seen *freed* (32 MiB
 #: at most), and trims idle heap beyond twice that.  An update iteration
 #: frees and re-allocates its activations and gradients (a few MB at 768
-#: steps, 17-34 MB at 8 192), so with nothing larger in the allocator's
+#: steps, 17-34 MB at 8 192 in float64, half that in the float32 the
+#: networks are created in), so with nothing larger in the allocator's
 #: history every iteration page-faults its working set back in — and
 #: "larger" used to be whatever garbage came before (the padded
 #: observation blocks until PR 19; CHANGES.md has the faults and times).
@@ -92,6 +97,7 @@ def _policy_plan(
     data: dict[str, np.ndarray],
     sparse: bool,
     max_obsv_size: int,
+    dtype: np.dtype,
     idx: np.ndarray | None,
 ) -> tuple:
     """What one policy-loss evaluation reads of steps ``idx`` of ``data``:
@@ -100,10 +106,12 @@ def _policy_plan(
 
     The stored batch is ragged (``rows`` / ``counts``), which is what the
     sparse update forwards: ``(rows, indptr, action_pos)`` — the job rows
-    of the minibatch as float64, the observation segment splits, and each
+    of the minibatch as stored, the observation segment splits, and each
     chosen action's position in the flat vector.  The dense update pads
     the same rows to the ``max_obsv_size`` window at its input and
-    forwards ``(obs, masks, actions)``.
+    forwards ``(obs, masks, actions)``.  The buffer keeps its log-probs
+    and advantages float64; they are cast here, once, to the policy's
+    ``dtype``, so the loss has the dtype of the network.
     """
     counts = _take(data["counts"], idx)
     actions = _take(data["actions"], idx)
@@ -116,25 +124,31 @@ def _policy_plan(
         rows = rows[csr_gather(starts[idx], counts)]
     if sparse:
         indptr = csr_indptr(counts)
-        inputs = (rows.astype(np.float64), indptr, indptr[:-1] + actions)
+        inputs = (rows, indptr, indptr[:-1] + actions)
     else:
         inputs = (*pad_observations(rows, counts, max_obsv_size), actions)
-    return inputs, _take(data["log_probs"], idx), _take(data["advantages"], idx)
+    return (
+        inputs,
+        _take(data["log_probs"], idx).astype(dtype, copy=False),
+        _take(data["advantages"], idx).astype(dtype, copy=False),
+    )
 
 
 def _value_plan(
     data: dict[str, np.ndarray],
     max_obsv_size: int,
+    dtype: np.dtype,
     extents: np.ndarray,
     idx: np.ndarray | None,
 ) -> tuple[RaggedRows, np.ndarray]:
     """A value step's plan: the observation windows of steps ``idx``
-    bucketed straight from the ragged batch (float64 prefixes only, no
-    dense copy) and their regression targets."""
+    bucketed straight from the ragged batch (non-zero prefixes only, no
+    dense copy) and their regression targets, cast from the buffer's
+    float64 to the value network's ``dtype``."""
     ragged = RaggedRows.from_csr(
         data["rows"], data["counts"], max_obsv_size, select=idx, extents=extents
     )
-    return ragged, _take(data["returns"], idx)
+    return ragged, _take(data["returns"], idx).astype(dtype, copy=False)
 
 
 def _policy_terms(
@@ -151,7 +165,7 @@ def _policy_terms(
     padded ``(B, M)`` block and masks; sparse forwards only the valid
     rows through the policy's :func:`_row_scorer` and works on the flat
     vector with CSR segment ops — no ``-1e9`` padding anywhere.  Both
-    produce the same values to float64 round-off.
+    produce the same values to round-off.
     """
     scorer = _row_scorer(policy)
     if scorer is not None:
@@ -347,7 +361,9 @@ class PPOAgent:
         kl_gauge = reg.gauge("update.kl")
 
         max_obsv_size = self.value.max_obsv_size
-        build = partial(_policy_plan, data, sparse, max_obsv_size)
+        build = partial(
+            _policy_plan, data, sparse, max_obsv_size, self.policy.dtype
+        )
         pi_losses, kls, entropies = [], [], []
         early_stopped = False
         for plan in self._plans(n, cfg.train_pi_iters, build):
@@ -364,7 +380,7 @@ class PPOAgent:
         # one pass over the stored rows finds every window's non-zero
         # extent; each value plan buckets its observations by it
         build = partial(
-            _value_plan, data, max_obsv_size,
+            _value_plan, data, max_obsv_size, self.value.dtype,
             window_extents(data["rows"], data["counts"]),
         )
         v_losses = []

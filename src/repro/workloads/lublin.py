@@ -184,27 +184,32 @@ def _daily_rate(t: np.ndarray | float, strength: float) -> np.ndarray | float:
 def _sample_arrivals(
     params: LublinParams, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Gamma inter-arrivals thinned by the daily cycle."""
+    """Gamma inter-arrivals thinned by the daily cycle.
+
+    Candidates are drawn a chunk at a time and thinned with one mask per
+    chunk.  ``cumsum`` adds the gaps left to right from the running
+    time, as a loop over them would, so the arrivals (and the generator
+    state afterwards) are those of the per-candidate loop bit for bit
+    (``tests/reference.py::sample_arrivals_loop``).
+    """
     shape = params.interarrival_shape
     # The thinning below keeps a fraction ~ 1/(1+strength) of candidate
     # arrivals on average, so oversample the base process accordingly.
     base_mean = params.mean_interarrival / (1.0 + params.daily_cycle_strength)
     scale = base_mean / shape
-    arrivals = np.empty(n)
+    peak = 1.0 + params.daily_cycle_strength
+    chunks: list[np.ndarray] = []
     t = 0.0
     count = 0
-    peak = 1.0 + params.daily_cycle_strength
     while count < n:
         gaps = rng.gamma(shape, scale, size=max(64, n - count))
         accept = rng.random(len(gaps))
-        for gap, u in zip(gaps, accept):
-            t += gap
-            if u * peak <= _daily_rate(t, params.daily_cycle_strength):
-                arrivals[count] = t
-                count += 1
-                if count == n:
-                    break
-    return arrivals
+        times = np.cumsum(np.concatenate(([t], gaps)))[1:]
+        kept = times[accept * peak <= _daily_rate(times, params.daily_cycle_strength)]
+        chunks.append(kept[: n - count])
+        count += len(kept)
+        t = times[-1]
+    return np.concatenate(chunks)
 
 
 def _sample_estimates(
@@ -241,18 +246,24 @@ def generate_lublin_trace(
     user_weights /= user_weights.sum()
     users = rng.choice(n_users, size=n_jobs, p=user_weights)
 
+    # Columns as Python numbers in one pass each.  The executable id stays
+    # one scalar draw per job: an array draw consumes the stream differently.
     jobs = [
         Job(
-            job_id=i + 1,
-            submit_time=float(arrivals[i]),
-            run_time=float(runtimes[i]),
-            requested_procs=int(sizes[i]),
-            requested_time=float(estimates[i]),
-            user_id=int(users[i]),
-            group_id=int(users[i]) % 8,
+            job_id=job_id,
+            submit_time=submit,
+            run_time=run,
+            requested_procs=procs,
+            requested_time=estimate,
+            user_id=user,
+            group_id=user % 8,
             executable_id=int(rng.integers(1, 50)),
         )
-        for i in range(n_jobs)
+        for job_id, (submit, run, procs, estimate, user) in enumerate(
+            zip(arrivals.tolist(), runtimes.tolist(), sizes.tolist(),
+                estimates.tolist(), users.tolist()),
+            start=1,
+        )
     ]
     header = SWFHeader(max_procs=params.n_procs, max_nodes=params.n_procs)
     return SWFTrace(jobs=jobs, header=header, name=name)

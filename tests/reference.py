@@ -6,6 +6,9 @@ math only — and the padded window it returns is the oracle every ragged
 wave is checked against, bit for bit.  :func:`pad_window` builds that
 window from ragged observations an observation at a time: the padded
 side of every "ragged equals padded" comparison.
+:func:`sample_arrivals_loop` is the Lublin arrival process one candidate
+per iteration, as ``workloads/lublin.py`` generated it before it thinned
+a chunk at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from repro.config import EnvConfig
 from repro.sim.cluster import mem_demand
 from repro.sim.env import stable_user_hash
 from repro.workloads.job import Job
+from repro.workloads.lublin import LublinParams, _daily_rate
 
 
 def build_observation_loop(
@@ -72,3 +76,29 @@ def pad_window(
         masks[i, :k] = True
         lo += k
     return obs, masks
+
+
+def sample_arrivals_loop(
+    params: LublinParams, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Gamma inter-arrivals thinned by the daily cycle, candidate by
+    candidate: the arrivals, and the state ``rng`` is left in, that the
+    chunk-wise ``_sample_arrivals`` must reproduce bit for bit."""
+    shape = params.interarrival_shape
+    base_mean = params.mean_interarrival / (1.0 + params.daily_cycle_strength)
+    scale = base_mean / shape
+    arrivals = np.empty(n)
+    t = 0.0
+    count = 0
+    peak = 1.0 + params.daily_cycle_strength
+    while count < n:
+        gaps = rng.gamma(shape, scale, size=max(64, n - count))
+        accept = rng.random(len(gaps))
+        for gap, u in zip(gaps, accept):
+            t += gap
+            if u * peak <= _daily_rate(t, params.daily_cycle_strength):
+                arrivals[count] = t
+                count += 1
+                if count == n:
+                    break
+    return arrivals

@@ -147,6 +147,42 @@ class TestModuleMechanics:
         b.load(path)
         np.testing.assert_allclose(a.weight.data, b.weight.data)
 
+    def test_networks_are_created_float32_from_the_same_draws(self):
+        """A seed names the network it always did: the float64 draws,
+        rounded once."""
+        layer = Dense(5, 3, activation="relu", rng=np.random.default_rng(7))
+        draws = np.random.default_rng(7).normal(0.0, np.sqrt(2.0 / 5), size=(5, 3))
+        assert layer.dtype == layer.bias.data.dtype == np.float32
+        np.testing.assert_array_equal(layer.weight.data, draws.astype(np.float32))
+
+    def test_astype_casts_parameters_in_place(self):
+        net = Sequential(Dense(3, 4, activation="tanh"), Dense(4, 2))
+        net(Tensor(np.ones((1, 3)))).sum().backward()
+        params = net.parameters()
+        assert net.astype(np.float64) is net and net.dtype == np.float64
+        assert net.parameters() == params  # the same Parameter objects
+        assert all(p.data.dtype == np.float64 and p.grad is None for p in params)
+        out = net(Tensor(np.ones((1, 3), dtype=np.float32)))
+        assert out.data.dtype == np.float64
+
+    def test_load_state_dict_casts_to_the_parameter_dtype(self):
+        """What is loaded takes the dtype of the network it is loaded
+        into, in both directions, and never aliases the source."""
+        wide = Dense(3, 2, rng=np.random.default_rng(0)).astype(np.float64)
+        wide.weight.data += 1e-12
+        narrow = Dense(3, 2, rng=np.random.default_rng(1))
+        narrow.load_state_dict(wide.state_dict())
+        assert narrow.dtype == np.float32
+        np.testing.assert_array_equal(
+            narrow.weight.data, wide.weight.data.astype(np.float32)
+        )
+        state = narrow.state_dict()
+        wide.load_state_dict(state)
+        assert wide.dtype == np.float64
+        assert not np.shares_memory(wide.weight.data, state["p0"])
+        narrow.load_state_dict(state)
+        assert not np.shares_memory(narrow.weight.data, state["p0"])
+
     def test_shared_parameter_counted_once(self):
         class Tied(Module):
             def __init__(self):

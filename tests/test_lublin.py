@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.workloads import LUBLIN_1, LUBLIN_2, LublinParams, generate_lublin_trace
+from repro.workloads import lublin
 from repro.workloads.lublin import calibrate_mean
 from repro.workloads.stats import characterize
+
+from .reference import sample_arrivals_loop
 
 
 class TestParams:
@@ -107,3 +110,32 @@ class TestCalibrateMean:
     def test_rejects_target_above_cap(self):
         with pytest.raises(ValueError):
             calibrate_mean(np.ones(10), target=100.0, cap=50.0)
+
+
+class TestChunkwiseArrivals:
+    """Thinning a chunk of candidates with one mask must not change a
+    trace: same arrivals, same generator state afterwards (the
+    over-estimates, users and executable ids are drawn after them)."""
+
+    # 63/64/65 straddle the smallest chunk; 2048 and 10 000 are the sizes
+    # the benchmark workloads generate
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 2048, 10_000])
+    @pytest.mark.parametrize("params", [LUBLIN_1, LUBLIN_2], ids=["L1", "L2"])
+    def test_traces_equal_the_per_candidate_loop(self, params, n, monkeypatch):
+        for seed in (0, 7, 11, 123):
+            got = generate_lublin_trace(params, n_jobs=n, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(lublin, "_sample_arrivals", sample_arrivals_loop)
+                want = generate_lublin_trace(params, n_jobs=n, seed=seed)
+            assert [job_fields(j) for j in got] == [job_fields(j) for j in want]
+
+    def test_arrivals_and_generator_state(self):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        got = lublin._sample_arrivals(LUBLIN_2, 1000, a)
+        want = sample_arrivals_loop(LUBLIN_2, 1000, b)
+        assert got.tobytes() == want.tobytes()
+        assert a.random() == b.random()
+
+
+def job_fields(job):
+    return tuple(getattr(job, name) for name in job.__slots__)

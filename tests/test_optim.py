@@ -75,7 +75,7 @@ class TestAdam:
         np.testing.assert_allclose(b.data, 1.0)  # untouched
         assert a.data[0] != 0.0
 
-    def test_step_is_bit_identical_to_the_closed_form(self):
+    def test_step_is_bit_identical_to_the_closed_form(self, dtype=np.float64):
         """The allocation-free step must keep the operation order of the
         textbook expression it replaced, bit for bit, over several steps
         (bias corrections change every step) and parameter shapes.
@@ -88,14 +88,17 @@ class TestAdam:
         shapes = [(37, 5), (5,), (1,), ()]
         extents = [10, 10, 25, 4, 0, 4, 37, 12]
         lr, b1, b2, eps = 3e-4, 0.9, 0.999, 1e-8
-        params = [Parameter(rng.standard_normal(s)) for s in shapes]
+        params = [Parameter(rng.standard_normal(s).astype(dtype)) for s in shapes]
         opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
         want = [p.data.copy() for p in params]
-        ms = [np.zeros(s) for s in shapes]
-        vs = [np.zeros(s) for s in shapes]
+        ms = [np.zeros(s, dtype=dtype) for s in shapes]
+        vs = [np.zeros(s, dtype=dtype) for s in shapes]
         for t, extent in enumerate(extents, start=1):
-            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)
-                     for s in shapes]
+            grads = [
+                np.asarray(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3),
+                           dtype=dtype)
+                for s in shapes
+            ]
             grads[0][extent:] = 0.0
             grads[0][-1, 0] = -0.0  # a signed zero is still no gradient
             for p, g in zip(params, grads):
@@ -106,11 +109,21 @@ class TestAdam:
                 ms[i] = ms[i] * b1 + (1.0 - b1) * g
                 vs[i] = vs[i] * b2 + (1.0 - b2) * g * g
                 want[i] = want[i] - lr * (ms[i] / bc1) / (np.sqrt(vs[i] / bc2) + eps)
+                assert want[i].dtype == params[i].data.dtype == dtype
                 np.testing.assert_array_equal(params[i].data, want[i])
                 np.testing.assert_array_equal(params[i].grad, g)  # untouched
             # stepped exactly down to the high-water row, never below it
             assert opt._rows[0] == max(extents[:t])
             assert not opt._m[0][opt._rows[0]:].any()
+
+    def test_float32_step_is_bit_identical_to_the_closed_form(self):
+        """Moments, work arrays and the step itself stay float32 for
+        float32 parameters: no Python scalar in the step widens them."""
+        self.test_step_is_bit_identical_to_the_closed_form(np.float32)
+        p = Parameter(np.ones((3, 2), dtype=np.float32))
+        opt = Adam([p])
+        arrays = [*opt._m, *opt._v, *opt._scratch[0]]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
     def test_rejects_empty_params(self):
         with pytest.raises(ValueError):

@@ -100,7 +100,7 @@ class ColumnScorer:
     """A row-scoring policy whose scores are column 0 of the rows."""
 
     def score_rows(self, rows):
-        return np.asarray(rows, dtype=np.float64)[:, 0]
+        return np.asarray(rows)[:, 0]
 
 
 class TestWindowOracle:
@@ -108,7 +108,8 @@ class TestWindowOracle:
     longest queue; the paper's window is ``M`` wide.  Both must give the
     same bits — log-probabilities, sampled actions, greedy actions — for
     every longest-queue length, or training curves drift with a NumPy
-    summation change instead of failing here."""
+    summation change instead of failing here.  In float32, what training
+    runs, and in float64."""
 
     @staticmethod
     def wave(m, longest, rng, n=9):
@@ -122,16 +123,18 @@ class TestWindowOracle:
         return scores[:, None], counts
 
     @pytest.mark.parametrize("m", [5, 12, 16, 128, 200])
-    def test_block_equals_the_full_window_bit_for_bit(self, m):
+    def test_block_equals_the_full_window_bit_for_bit(self, m, dtype=np.float64):
         agent = PPOAgent(ColumnScorer(), ValueMLP(m, 1, hidden=(4,)))
         rng = np.random.default_rng(m)
         for longest in range(1, m + 1):
             for n in (1, 9):
                 rows, counts = self.wave(m, longest, rng, n)
+                rows = rows.astype(dtype)
                 _, masks = pad_window(rows, counts, m)
-                logits = np.full(masks.shape, -1e9)
+                logits = np.full(masks.shape, -1e9, dtype=dtype)
                 logits[masks] = rows[:, 0]
                 want = masked_log_softmax(Tensor(logits), masks).numpy()
+                assert want.dtype == dtype
                 uniforms = rng.random(n)
                 want_actions = sample_action_batch(want, uniforms)
 
@@ -156,6 +159,10 @@ class TestWindowOracle:
                 np.testing.assert_array_equal(
                     agent.act_greedy_batch(rows, counts), want.argmax(axis=-1)
                 )
+
+    @pytest.mark.parametrize("m", [5, 12, 16, 128, 200])
+    def test_float32_block_equals_the_full_window_bit_for_bit(self, m):
+        self.test_block_equals_the_full_window_bit_for_bit(m, np.float32)
 
 
 class TestUpdate:
@@ -215,6 +222,39 @@ class TestUpdate:
         assert any(not np.allclose(b, a.data) for b, a in zip(before, after))
 
 
+    def test_update_is_float32_from_loss_to_adam_state(self, monkeypatch):
+        """Nothing between the float32 rows and the weights widens: the
+        buffer's float64 columns are cast in the plans, so both losses,
+        every gradient and all of Adam's arrays have the networks' dtype."""
+        agent = make_agent(train_pi_iters=3, train_v_iters=3, entropy_coef=0.01)
+        data = synthetic_batch(agent)
+        assert data["rows"].dtype == np.float32
+        assert data["advantages"].dtype == data["returns"].dtype == np.float64
+        losses = []
+        backward = Tensor.backward
+        monkeypatch.setattr(
+            Tensor, "backward",
+            lambda self, *a: (losses.append(self.data.dtype), backward(self, *a))[1],
+        )
+        agent.update(data)
+        assert len(losses) == 6 and set(losses) == {np.dtype(np.float32)}
+        for opt in (agent.pi_optimizer, agent.v_optimizer):
+            arrays = [a for pair in opt._scratch for a in pair] + opt._m + opt._v
+            arrays += [p.data for p in opt.params] + [p.grad for p in opt.params]
+            assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+    def test_a_float64_cast_agent_updates_in_float64(self):
+        """The same code is a float64 learner when its parameters are:
+        there is no other switch."""
+        agent = make_agent(train_pi_iters=2, train_v_iters=2)
+        agent.policy.astype(np.float64), agent.value.astype(np.float64)
+        agent.update(synthetic_batch(agent))
+        for opt in (agent.pi_optimizer, agent.v_optimizer):
+            arrays = opt._m + opt._v + [p.data for p in opt.params]
+            arrays += [p.grad for p in opt.params]
+            assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+
+
 def ragged_batch(n, max_jobs=5, seed=0):
     """An update batch shaped like a rollout's: the float32 rows of the
     ``k`` waiting jobs of each of ``n`` steps, ``1 <= k <= max_jobs``."""
@@ -235,7 +275,7 @@ def reference_update(agent, data):
     ragged observations, kept as the oracle: the batch is padded to the
     observation window up front, every iteration re-gathers ``data[k][idx]``,
     re-derives the valid rows, and the value network multiplies the dense
-    padded float64 matrix through plain ``Tensor.__matmul__``.  Losses
+    padded matrix, cast to its dtype, through plain ``Tensor.__matmul__``.  Losses
     are sum-reduced and gradients divided by the row count (the mean
     loss, in another operation order).  Returns ``(policy_losses, kls,
     value_losses)`` per iteration.
@@ -266,7 +306,7 @@ def reference_update(agent, data):
         return loss.item() / size, kl / size
 
     def policy_loss(batch):
-        obs, masks = batch["obs"].astype(np.float64), batch["masks"]
+        obs, masks = batch["obs"].astype(agent.policy.dtype), batch["masks"]
         if hasattr(agent.policy, "score_rows_grad"):
             b_idx, s_idx = np.nonzero(masks)
             indptr = csr_indptr(masks.sum(axis=1))
@@ -285,7 +325,7 @@ def reference_update(agent, data):
         return loss, float(np.sum(batch["log_probs"] - logp.numpy()))
 
     def value_loss(batch):
-        flat = batch["obs"].reshape(len(batch["obs"]), -1).astype(np.float64)
+        flat = batch["obs"].reshape(len(batch["obs"]), -1).astype(agent.value.dtype)
         values = agent.value.mlp(Tensor(flat)).reshape(len(flat))
         return ((values - Tensor(batch["returns"])) ** 2.0).sum(), 0.0
 
@@ -306,9 +346,22 @@ def reference_update(agent, data):
 class TestUpdatePlan:
     """`update` gathers each minibatch once (once per epoch when a single
     minibatch covers the batch) and runs the value net on bucketed row
-    prefixes; none of that may change what is computed."""
+    prefixes; none of that may change what is computed.  The oracle runs
+    float64-cast networks at 1e-10; the float32 twins, the networks as
+    created, at :attr:`FLOAT32_TOL`."""
 
-    def agents(self, update_path, policy="kernel", **ppo):
+    #: float32 twins: losses agree to a few float32 ulps (6e-8 each,
+    #: over sums of <= 60 terms): 1e-5 relative.  KL is a mean of
+    #: differences of log-probs of magnitude ~1, so it carries their
+    #: absolute round-off whatever its own size: 1e-6.  Weights get an
+    #: absolute bound instead — Adam divides a gradient by its own
+    #: magnitude, so where the true gradient is ~0 (the policy's last
+    #: bias; units one side's round-off switches off) the two operation
+    #: orders take steps of up to ``lr`` in different directions: 6
+    #: iterations x lr 1e-3 at most, observed up to 2.1e-3.
+    FLOAT32_TOL = dict(rel=1e-5, kl_abs=1e-6, weights=6e-3)
+
+    def agents(self, update_path, policy="kernel", dtype=np.float64, **ppo):
         def build():
             net = (
                 KernelPolicy(F, hidden=(8, 8), seed=3) if policy == "kernel"
@@ -319,12 +372,14 @@ class TestUpdatePlan:
             cfg = PPOConfig(
                 train_pi_iters=6, train_v_iters=6, entropy_coef=0.01, **ppo,
             )
-            return PPOAgent(net, ValueMLP(16, F, hidden=(16, 8), seed=4),
-                            cfg, seed=5)
+            value = ValueMLP(16, F, hidden=(16, 8), seed=4)
+            return PPOAgent(net.astype(dtype), value.astype(dtype), cfg, seed=5)
 
         return build(), build()
 
-    def assert_same_update(self, agent, oracle, data):
+    def assert_same_update(
+        self, agent, oracle, data, rel=1e-10, kl_abs=1e-14, weights=1e-10
+    ):
         # behaviour log-probs of the initial policy: KL starts at zero
         data["log_probs"] = oracle.episode_log_probs(
             data["rows"], data["counts"], data["actions"]
@@ -332,10 +387,10 @@ class TestUpdatePlan:
         stats = agent.update(data)
         pi_losses, kls, v_losses = reference_update(oracle, data)
         assert stats.pi_iters_run == len(kls)
-        assert stats.policy_loss == pytest.approx(np.mean(pi_losses), rel=1e-10)
-        assert stats.kl == pytest.approx(np.mean(kls), rel=1e-10, abs=1e-14)
-        assert stats.kl_last == pytest.approx(kls[-1], rel=1e-10, abs=1e-14)
-        assert stats.value_loss == pytest.approx(np.mean(v_losses), rel=1e-10)
+        assert stats.policy_loss == pytest.approx(np.mean(pi_losses), rel=rel)
+        assert stats.kl == pytest.approx(np.mean(kls), rel=rel, abs=kl_abs)
+        assert stats.kl_last == pytest.approx(kls[-1], rel=rel, abs=kl_abs)
+        assert stats.value_loss == pytest.approx(np.mean(v_losses), rel=rel)
         for net in ("policy", "value"):
             for got, want in zip(getattr(agent, net).parameters(),
                                  getattr(oracle, net).parameters()):
@@ -343,7 +398,7 @@ class TestUpdatePlan:
                 # gradient (softmax shift invariance); Adam normalises its
                 # round-off noise into steps of ~1e-12
                 np.testing.assert_allclose(
-                    got.data, want.data, rtol=1e-10, atol=1e-10
+                    got.data, want.data, rtol=rel, atol=weights
                 )
         # both drew the same minibatches from their generators
         assert agent.rng.random() == oracle.rng.random()
@@ -354,6 +409,26 @@ class TestUpdatePlan:
     def test_matches_per_iteration_gather(self, update_path, minibatch_size):
         agent, oracle = self.agents(update_path, minibatch_size=minibatch_size)
         self.assert_same_update(agent, oracle, ragged_batch(60))
+
+    @pytest.mark.parametrize("update_path", ["dense", "sparse"])
+    @pytest.mark.parametrize("minibatch_size", [4096, 24])
+    def test_float32_matches_per_iteration_gather(self, update_path, minibatch_size):
+        agent, oracle = self.agents(
+            update_path, dtype=np.float32, minibatch_size=minibatch_size
+        )
+        self.assert_same_update(
+            agent, oracle, ragged_batch(60), **self.FLOAT32_TOL
+        )
+        for net in (agent.policy, agent.value):
+            assert all(p.data.dtype == np.float32 for p in net.parameters())
+
+    def test_float32_dense_path_with_a_joint_policy(self):
+        agent, oracle = self.agents(
+            "dense", policy="mlp", dtype=np.float32, minibatch_size=24
+        )
+        self.assert_same_update(
+            agent, oracle, ragged_batch(60, seed=1), **self.FLOAT32_TOL
+        )
 
     def test_dense_path_with_a_joint_policy(self):
         agent, oracle = self.agents("dense", policy="mlp", minibatch_size=24)
@@ -395,7 +470,7 @@ class TestUpdatePlan:
         agent, _ = self.agents("sparse")
         data = ragged_batch(40, seed=6)
         obs, _ = pad_window(data["rows"], data["counts"], 16)
-        dense = agent.value.mlp(Tensor(obs.reshape(40, -1).astype(np.float64)))
+        dense = agent.value.mlp(Tensor(obs.reshape(40, -1)))
         np.testing.assert_allclose(
             agent.value_batch(data["rows"], data["counts"]),
             dense.numpy().reshape(40), rtol=1e-12, atol=1e-14,

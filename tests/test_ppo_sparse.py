@@ -22,7 +22,7 @@ def synthetic_data(n=48, m=16, seed=0):
     rng = np.random.default_rng(seed)
     counts = rng.integers(1, m + 1, size=n)
     return {
-        "rows": rng.standard_normal((counts.sum(), F)),
+        "rows": rng.standard_normal((counts.sum(), F)).astype(np.float32),
         "counts": counts,
         "actions": rng.integers(0, counts),
         "log_probs": -np.abs(rng.standard_normal(n)) - 0.5,
@@ -45,7 +45,7 @@ def make_agent(update_path="dense", m=16, **ppo_kwargs):
 def policy_terms(policy, data, path, m=16):
     if path == "dense":
         policy = DenseOnly(policy)
-    plan = _policy_plan(data, path == "sparse", m, None)
+    plan = _policy_plan(data, path == "sparse", m, policy.dtype, None)
     return _policy_terms(policy, *plan, 0.2)
 
 
@@ -72,19 +72,20 @@ class TestSparsePath:
             PPOAgent(KernelPolicy(F, seed=0), ValueMLP(16, F, seed=1),
                      grad_runtime=RuntimeConfig())
 
-    def test_forward_parity(self):
+    def test_forward_parity(self, dtype=np.float64, atol=1e-10):
         data = synthetic_data()
-        policy = KernelPolicy(F, hidden=(8, 8), seed=7)
+        policy = KernelPolicy(F, hidden=(8, 8), seed=7).astype(dtype)
         dense = policy_terms(policy, data, "dense")
         sparse = policy_terms(policy, data, "sparse")
         for d, s in zip(dense, sparse):
-            np.testing.assert_allclose(d.numpy(), s.numpy(), atol=1e-10)
+            assert d.numpy().dtype == s.numpy().dtype == dtype
+            np.testing.assert_allclose(d.numpy(), s.numpy(), atol=atol)
 
-    def test_gradient_parity_kernel_preset_m128(self):
+    def test_gradient_parity_kernel_preset_m128(self, dtype=np.float64, atol=1e-8):
         """Acceptance pin: sparse gradients match dense within 1e-8 on the
         kernel preset at the paper's MAX_OBSV_SIZE=128."""
         data = synthetic_data(n=32, m=128, seed=3)
-        policy = KernelPolicy(F, hidden=(32, 16), seed=5)
+        policy = KernelPolicy(F, hidden=(32, 16), seed=5).astype(dtype)
 
         def grads(path):
             policy.zero_grad()
@@ -93,7 +94,15 @@ class TestSparsePath:
             return [p.grad.copy() for p in policy.parameters()]
 
         for gd, gs in zip(grads("dense"), grads("sparse")):
-            np.testing.assert_allclose(gd, gs, atol=1e-8)
+            assert gd.dtype == gs.dtype == dtype
+            np.testing.assert_allclose(gd, gs, atol=atol)
+
+    def test_parity_float32(self):
+        """The float32 twins: the same two paths on the networks as they
+        are created, against float32 rows.  Terms are O(1) and a float32
+        ulp is 6e-8, summed over at most 128 slots: 1e-5 absolute."""
+        self.test_forward_parity(np.float32, atol=1e-5)
+        self.test_gradient_parity_kernel_preset_m128(np.float32, atol=1e-5)
 
     def test_update_stats_parity(self):
         data = synthetic_data()

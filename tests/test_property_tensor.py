@@ -11,11 +11,17 @@ from repro.nn import (
     Parameter,
     RaggedRows,
     Tensor,
+    entropy,
     gather_rows,
+    log_prob_of,
+    masked_log_softmax,
     row_extents,
     scatter_rows,
+    segment_entropy,
+    segment_log_softmax,
     segment_logsumexp,
     segment_max,
+    segment_rectangle,
     segment_sum,
     window_extents,
 )
@@ -210,7 +216,7 @@ def ragged_observations(draw):
 @given(ragged_observations())
 def test_csr_buckets_equal_the_padded_windows_buckets(problem):
     """``RaggedRows.from_csr`` is ``from_dense`` of the padded windows —
-    same members, same widths, same float64 blocks — without the windows:
+    same members, same widths, same blocks in the rows' dtype — without the windows:
     its extents come from the rows' content, so a trailing zero column is
     outside a bucket exactly when the padded block says so."""
     rows, counts, m, select = problem
@@ -227,7 +233,7 @@ def test_csr_buckets_equal_the_padded_windows_buckets(problem):
         got.buckets, want.buckets
     ):
         np.testing.assert_array_equal(got_rows, want_rows)
-        assert got_block.dtype == want_block.dtype == np.float64
+        assert got_block.dtype == want_block.dtype == rows.dtype
         assert got_block.shape == want_block.shape
         assert got_block.flags.c_contiguous
         assert got_block.tobytes() == want_block.tobytes()
@@ -397,3 +403,104 @@ def test_handed_over_gradients_equal_copied_ones_bitwise(dag, seed):
         else:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# dtype belongs to the data: float32 in, float32 out; float64 in, float64 out
+# ---------------------------------------------------------------------------
+#: NumPy 2 promotes a float32 array that meets one of these (a Python
+#: float would not), which is how a float32 graph silently turns float64:
+#: every op that takes a number gets this one
+STRAY = np.float64(0.5)
+
+#: every public op, as a function of two same-shaped ``(n, m)`` tensors
+#: and a CSR split of their rows into non-empty segments
+DTYPE_OPS = {
+    "add": lambda a, b, ip: a + b,
+    "add_number": lambda a, b, ip: a + STRAY,
+    "radd_number": lambda a, b, ip: STRAY + a,
+    "sub": lambda a, b, ip: a - b,
+    "sub_number": lambda a, b, ip: a - STRAY,
+    "rsub_number": lambda a, b, ip: STRAY - a,
+    "mul": lambda a, b, ip: a * b,
+    "mul_number": lambda a, b, ip: a * STRAY,
+    "rmul_number": lambda a, b, ip: STRAY * a,
+    "neg": lambda a, b, ip: -a,
+    "div": lambda a, b, ip: a / (b * b + 1.0),
+    "div_number": lambda a, b, ip: a / STRAY,
+    "rdiv_number": lambda a, b, ip: STRAY / (a * a + 1.0),
+    "pow": lambda a, b, ip: (a * a + 1.0) ** np.float64(1.5),
+    "matmul": lambda a, b, ip: a @ b.T,
+    "exp": lambda a, b, ip: a.exp(),
+    "log": lambda a, b, ip: (a * a + 1.0).log(),
+    "tanh": lambda a, b, ip: a.tanh(),
+    "relu": lambda a, b, ip: a.relu(),
+    "sigmoid": lambda a, b, ip: a.sigmoid(),
+    "sum": lambda a, b, ip: a.sum(),
+    "sum_axis": lambda a, b, ip: a.sum(axis=1, keepdims=True),
+    "mean": lambda a, b, ip: a.mean(),
+    "mean_axis": lambda a, b, ip: a.mean(axis=0),
+    "reshape": lambda a, b, ip: a.reshape(-1),
+    "transpose": lambda a, b, ip: a.T,
+    "getitem": lambda a, b, ip: a[::2],
+    "clip": lambda a, b, ip: a.clip(-STRAY, STRAY),
+    "minimum": lambda a, b, ip: a.minimum(b),
+    "minimum_number": lambda a, b, ip: a.minimum(STRAY),
+    "maximum": lambda a, b, ip: a.maximum(b),
+    "where": lambda a, b, ip: a.where(b.data > 0, b),
+    "where_number": lambda a, b, ip: a.where(b.data > 0, STRAY),
+    "gather_rows": lambda a, b, ip: gather_rows(a, ip[:-1]),
+    "scatter_rows": lambda a, b, ip: scatter_rows(a, np.zeros(len(a), int), 2),
+    "segment_sum": lambda a, b, ip: segment_sum(a, ip),
+    "segment_max": lambda a, b, ip: segment_max(a, ip),
+    "segment_logsumexp": lambda a, b, ip: segment_logsumexp(a, ip),
+    "segment_log_softmax": lambda a, b, ip: segment_log_softmax(a[:, 0], ip),
+    "segment_entropy": lambda a, b, ip: segment_entropy(
+        segment_log_softmax(a[:, 0], ip), ip
+    ),
+    "masked_log_softmax": lambda a, b, ip: masked_log_softmax(
+        a, (b.data > 0) | (np.arange(a.shape[1]) == 0)
+    ),
+    "log_prob_of": lambda a, b, ip: log_prob_of(a, np.zeros(len(a), int)),
+    "entropy": lambda a, b, ip: entropy(
+        masked_log_softmax(a, np.ones(a.shape, bool))
+    ),
+    "ragged_matmul": lambda a, b, ip: RaggedRows.from_dense(b.data) @ a.T,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31),
+)
+def test_every_op_keeps_the_dtype_it_is_given(dtype, n, m, seed):
+    rng = np.random.default_rng(seed)
+    indptr = np.unique([0, rng.integers(0, n + 1), n])
+    for name, op in DTYPE_OPS.items():
+        a = Parameter(rng.uniform(-2.0, 2.0, size=(n, m)).astype(dtype))
+        b = Parameter(rng.uniform(-2.0, 2.0, size=(n, m)).astype(dtype))
+        out = op(a, b, indptr)
+        assert out.data.dtype == dtype, f"{name}: {dtype.__name__} in, {out.data.dtype} out"
+        # the root gradient arrives float64 whatever the graph is
+        out.backward(np.ones(out.shape))
+        assert a.grad.dtype == dtype, f"{name}: {a.grad.dtype} gradient"
+    # the two that are not Tensor ops: a bare array, and a fresh layer,
+    # float32 as created, cast to what it is fed
+    scores = rng.normal(size=n).astype(dtype)
+    assert segment_rectangle(scores, np.ones(n, int), 8).dtype == dtype
+    layer = Dense(m, 3, activation="tanh", rng=rng).astype(dtype)
+    out = layer(Tensor(a.data))
+    out.sum().backward()
+    assert out.data.dtype == layer.weight.grad.dtype == layer.bias.grad.dtype == dtype
+
+
+def test_a_tensor_keeps_floating_arrays_and_makes_the_rest_float64():
+    for dtype in (np.float16, np.float32, np.float64):
+        assert Tensor(np.ones(3, dtype=dtype)).data.dtype == dtype
+    for data in (1, 2.5, [1, 2], [1.0, 2.0], np.arange(3), np.ones(2, bool)):
+        assert Tensor(data).data.dtype == np.float64
+    # an array keeps its dtype when it meets a tensor; NumPy promotes the pair
+    f32 = Tensor(np.ones(3, dtype=np.float32))
+    assert (f32 + np.ones(3)).data.dtype == np.float64
+    assert (f32 + [1.0, 2.0, 3.0]).data.dtype == np.float32

@@ -10,7 +10,7 @@ from repro.config import EnvConfig
 from repro.nn import KernelPolicy, make_policy, masked_log_softmax, no_grad
 from repro.schedulers import RLSchedulerPolicy
 from repro.sim import Cluster, FeatureCache, build_observation, run_scheduler
-from repro.workloads import Job
+from repro.workloads import Job, load_trace
 
 
 @pytest.fixture()
@@ -354,6 +354,37 @@ class TestPersistence:
             policy_scheduler.policy.parameters(), loaded.policy.parameters()
         ):
             np.testing.assert_allclose(a.data, b.data)
+
+    def test_float64_model_file_loads_float32_and_decides_alike(self, tmp_path):
+        """Model files written before networks were float32 hold float64
+        weights: they load into the float32 network (the parameter's
+        dtype wins, not the file's), make the same greedy decisions on a
+        fixed sequence, and are float32 when saved again."""
+        env_config = EnvConfig(max_obsv_size=16)
+        policy = KernelPolicy(env_config.job_features, seed=3).astype(np.float64)
+        rng = np.random.default_rng(3)
+        for p in policy.parameters():  # weights float32 cannot hold exactly
+            p.data += rng.normal(scale=1e-3, size=p.data.shape)
+        trace = load_trace("Lublin-1", n_jobs=400, seed=5)
+        old = RLSchedulerPolicy(policy, trace.max_procs, env_config)
+        path = tmp_path / "float64.npz"
+        old.save(path)
+        with np.load(path) as data:
+            assert data["p0"].dtype == np.float64
+        loaded = RLSchedulerPolicy.load(path)
+        assert loaded.policy.dtype == np.float32
+        for got, want in zip(loaded.policy.parameters(), policy.parameters()):
+            np.testing.assert_array_equal(got.data, want.data.astype(np.float32))
+
+        def starts(scheduler):
+            done = run_scheduler(trace.jobs[:300], trace.max_procs, scheduler)
+            return sorted((j.start_time, j.job_id) for j in done)
+
+        assert starts(loaded) == starts(old)
+        loaded.save(tmp_path / "float32.npz")
+        with np.load(tmp_path / "float32.npz") as data:
+            assert data["p0"].dtype == np.float32
+        assert (tmp_path / "float32.npz").stat().st_size < path.stat().st_size
 
     def test_name_preserved(self, tmp_path):
         env_config = EnvConfig(max_obsv_size=16)

@@ -37,7 +37,7 @@ def copy_always(self, grad):
     """``Tensor._accumulate`` as it was before gradients were handed over:
     the oracle the hand-over tests (here and in ``test_property_tensor``)
     patch back in."""
-    grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+    grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
     if self.grad is None:
         self.grad = grad.copy()
     else:

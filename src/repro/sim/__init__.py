@@ -2,7 +2,6 @@
 backfilling, scheduling metrics, and the SchedGym RL environment."""
 
 from .cluster import Cluster, ClusterSpec, mem_demand
-from .events import Event, EventKind, EventQueue
 from .backfill import (
     backfill_candidates,
     conservative_backfill_candidates,
@@ -44,9 +43,6 @@ __all__ = [
     "Cluster",
     "ClusterSpec",
     "mem_demand",
-    "Event",
-    "EventKind",
-    "EventQueue",
     "backfill_candidates",
     "conservative_backfill_candidates",
     "shadow_state",

@@ -90,32 +90,31 @@ def planned_start(
     running jobs on every call) and the engine (which records each release
     when the job starts).  A ``planned_end`` in the past counts as ``now``.
     """
+    head_procs = head.requested_procs
     head_mem = mem_demand(head)
-    if cluster.can_allocate(head):
-        return (
-            now,
-            cluster.free_procs - head.requested_procs,
-            max(cluster.free_mem - head_mem, 0.0),
-        )
     free = cluster.free_procs
     free_mem = cluster.free_mem
+    if head_procs <= free and head_mem <= free_mem:  # cluster.fits
+        return now, free - head_procs, max(free_mem - head_mem, 0.0)
     total_mem = cluster.total_mem
     # Float demands reassemble the free pool in release order, which can
     # round a full-capacity plan an ulp below the capacity; cap the plan
     # at the physical total and give the fit test a relative tolerance so
     # a head job demanding exactly the cluster memory still plans a start.
-    mem_tol = 0.0 if math.isinf(total_mem) else 1e-9 * max(1.0, total_mem)
+    mem_tol = 0.0 if total_mem == math.inf else 1e-9 * max(1.0, total_mem)
     for planned_end, procs, mem in releases:
         free += procs
-        free_mem = min(free_mem + mem, total_mem)
-        if free >= head.requested_procs and free_mem + mem_tol >= head_mem:
+        free_mem += mem
+        if free_mem > total_mem:
+            free_mem = total_mem
+        if free >= head_procs and free_mem + mem_tol >= head_mem:
             return (
                 max(planned_end, now),
-                free - head.requested_procs,
+                free - head_procs,
                 max(free_mem - head_mem, 0.0),
             )
     raise RuntimeError(
-        f"head job {head.job_id} ({head.requested_procs} procs, "
+        f"head job {head.job_id} ({head_procs} procs, "
         f"{head_mem:g} mem) can never fit: running jobs release only "
         f"{free} procs / {free_mem:g} mem on a {cluster.n_procs}-proc "
         f"({total_mem:g}-mem) cluster"

@@ -125,8 +125,30 @@ class Cluster:
         """True if the job's full resource request fits right now."""
         return self.fits(job.requested_procs, mem_demand(job))
 
-    def allocate(self, job: Job) -> None:
+    def allocate(self, job: Job) -> float:
+        """Take ``job``'s request out of the free pool; returns the memory
+        units it now holds."""
+        procs = job.requested_procs
         need_mem = mem_demand(job)
+        # One test admits the request; total_mem is in it because free_mem
+        # may sit an ulp above the capacity (see _mem_bound).
+        if (
+            procs > self.free_procs
+            or need_mem > self.free_mem
+            or need_mem > self.total_mem
+            or job.job_id in self._allocations
+        ):
+            self._refuse(job, need_mem)
+        self.free_procs -= procs
+        self.free_mem -= need_mem
+        self._allocations[job.job_id] = (procs, need_mem)
+        self._check()
+        return need_mem
+
+    def _refuse(self, job: Job, need_mem: float) -> None:
+        """Raise for a request :meth:`allocate` cannot grant: one the
+        cluster could never hold, a double allocation, then a lack of free
+        resources, in that order."""
         if job.requested_procs > self.n_procs:
             raise ValueError(
                 f"job {job.job_id} requests {job.requested_procs} procs; "
@@ -139,16 +161,11 @@ class Cluster:
             )
         if job.job_id in self._allocations:
             raise RuntimeError(f"job {job.job_id} is already allocated")
-        if not self.can_allocate(job):
-            raise RuntimeError(
-                f"job {job.job_id} needs {job.requested_procs} procs "
-                f"(+{need_mem:g} mem); only {self.free_procs} free "
-                f"({self.free_mem:g} mem free)"
-            )
-        self.free_procs -= job.requested_procs
-        self.free_mem -= need_mem
-        self._allocations[job.job_id] = (job.requested_procs, need_mem)
-        self._check()
+        raise RuntimeError(
+            f"job {job.job_id} needs {job.requested_procs} procs "
+            f"(+{need_mem:g} mem); only {self.free_procs} free "
+            f"({self.free_mem:g} mem free)"
+        )
 
     def release(self, job: Job) -> None:
         held = self._allocations.pop(job.job_id, None)
@@ -157,9 +174,10 @@ class Cluster:
         procs, mem = held
         self.free_procs += procs
         self.free_mem += mem
-        if not self._allocations and not math.isinf(self.total_mem):
+        if not self._allocations:
             # Idle cluster: snap to capacity so float rounding from
-            # out-of-allocation-order releases cannot accumulate.
+            # out-of-allocation-order releases cannot accumulate (and an
+            # unconstrained pool is ``inf`` before and after).
             self.free_mem = self.total_mem
         self._check()
 

@@ -1,7 +1,7 @@
 """Event-driven engine core shared by the batch and online schedulers.
 
 :class:`EngineCore` owns the mechanics every engine variant needs — the
-event heap, the bisect-sorted FCFS pending queue, cluster admission,
+event order, the bisect-sorted FCFS pending queue, cluster admission,
 backfill shadow budgets, and completion handling — without assuming a
 pre-sampled job sequence.  Two drivers sit on top of it:
 
@@ -17,10 +17,30 @@ The horizon plumbing is the one semantic addition.  ``commit`` in the
 batch engine fast-forwards time until the chosen job fits; online, that
 fast-forward must pause at the horizon (a later submission might arrive
 before the next queued event) and resume later.  The resume re-enters the
-wait loop *at the event-processing step* — exactly where it paused — so a
+wait loop *at the event step* — exactly where it paused — so a
 stalled-and-resumed commit processes the identical event sequence the
 batch engine would, which is what makes online replay reproduce the batch
 decision log bit-for-bit.
+
+Event order
+-----------
+Events apply in ``(time, finish before arrival, job_id)`` order — a job
+arriving at ``t`` sees the resources freed at ``t`` — and no queue object
+holds them.  Arrivals not admitted yet are a list sorted by
+``(submit_time, job_id)`` read through a cursor: they are in order before
+the first event runs, so they never enter a heap (the batch driver's list
+is ``jobs`` itself).  Finishes alone live on a heap, as bare ``(end_time,
+job_id, job)`` tuples pushed at each start.  :meth:`EngineCore._step` is
+the two-way merge: it applies whichever of the heap's top and the job
+under the cursor is due first (the finish on a tie) unless that lies
+beyond ``until``, and says what it did; ``advance_until_decision`` and
+``commit``'s wait are loops over it.  Online, ``submit`` sorts the job
+into the arrivals past the cursor — at the end, unless it is earlier than
+a submission not admitted yet or ties its time with a smaller job id (a
+``submit_time`` in the simulated past is clamped to ``now`` first) — and
+drops the admitted prefix, so the list holds the live set only.
+``tests/test_property_sim.py`` holds the merge to a single ``(time, kind,
+job_id)`` heap of all events, step for step.
 
 Queue invariant
 ---------------
@@ -28,19 +48,21 @@ Queue invariant
 is parallel to it, after every event and every start, on both drivers.
 Everything on the decision path leans on it: observation building takes
 the first ``M`` rows, bound schedulers pick over ``pending_rows``
-(:meth:`repro.schedulers.Scheduler.bind`), and the backfill planner
-(:meth:`EngineCore._backfill_pass`) walks the queue as it stands.  The
-planner's references are the public functions of :mod:`repro.sim.backfill`
-— unsorted input, everything re-derived per call — and
-``tests/test_property_sim.py`` holds the two together on generated
-engine states.
+(:meth:`repro.schedulers.Scheduler.bind`), the backfill planner
+(:meth:`EngineCore._backfill_plan`) walks the queue as it stands, and
+``commit`` finds its job once and carries the index through the wait —
+every start deletes by index.  The planner's references are the public
+functions of :mod:`repro.sim.backfill` — unsorted input, everything
+re-derived per call — and ``tests/test_property_sim.py`` holds the two
+together on generated engine states.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from bisect import bisect_left, bisect_right, insort
+from heapq import heappop, heappush
+from operator import attrgetter, itemgetter
 from typing import ValuesView
 
 from repro.telemetry import core as _telemetry
@@ -48,29 +70,31 @@ from repro.workloads.job import Job
 
 from .backfill import planned_start
 from .cluster import ClusterSpec, mem_demand
-from .events import EventKind, EventQueue
 
 __all__ = ["EngineCore", "OnlineSchedulingEngine"]
 
+_fcfs_key = attrgetter("submit_time", "job_id")
 
-def _fcfs_key(job: Job) -> tuple[float, int]:
-    return (job.submit_time, job.job_id)
+#: what :meth:`EngineCore._step` did: applied a finish, applied an
+#: arrival, found no event left, or found the next one beyond ``until``
+_FINISH, _ARRIVAL, _EXHAUSTED, _BEYOND = range(4)
 
 
 class EngineCore:
-    """Event heap + pending queue + admission, independent of job source.
+    """Event merge + pending queue + admission, independent of job source.
 
     Hot-path invariants (relied on by the vectorised rollout path):
 
     * ``pending`` is kept sorted by ``(submit_time, job_id)`` — FCFS order —
       at all times, so neither observation building nor the backfill
-      planner ever re-sorts it.  Arrivals pop off the event heap in
-      exactly that order, so maintaining the invariant is an O(1) append
-      that compares against the queue's tail.
+      planner ever re-sorts it.  Arrivals are admitted in exactly that
+      order, so maintaining the invariant is an O(1) append that compares
+      against the queue's tail.
     * ``pending_rows`` is parallel to ``pending``: the feature row of each
-      waiting job.  Rows are unique per live job, so a start locates its
-      job with one C-level ``pending_rows.index(row)`` and deletes the two
-      list slots — there is no third key list to keep in step.
+      waiting job.  Rows are unique per live job, so a commit locates its
+      job with one C-level ``pending_rows.index(row)`` and every start
+      deletes the two list slots by index — there is no third key list to
+      keep in step.
     * running jobs are tracked in an insertion-ordered id map, making the
       per-finish-event removal O(1) instead of an O(n) list scan with the
       full dataclass ``__eq__``.
@@ -108,7 +132,12 @@ class EngineCore:
         #: (kept only when backfilling is on)
         self._planned: dict[int, tuple[float, int, float]] = {}
         self.completed: list[Job] = []
-        self._events = EventQueue()
+        #: arrivals sorted by (submit_time, job_id); those from ``_cursor``
+        #: on are not admitted yet (see "Event order" above)
+        self._arrivals: list[Job] = []
+        self._cursor = 0
+        #: min-heap of ``(end_time, job_id, job)``, one per running job
+        self._finishes: list[tuple[float, int, Job]] = []
         #: events processed so far (arrivals + finishes); drives the
         #: telemetry events/s rate without touching the per-event path
         self.n_events = 0
@@ -163,48 +192,73 @@ class EngineCore:
         # and the dataclass __eq__ compares all 19 fields
         return i if found is job or found == job else -1
 
-    def _start(self, job: Job) -> None:
-        """Allocate and launch ``job`` at the current time."""
-        self.cluster.allocate(job)
-        job.start_time = self.now
-        i = self._pending_index(job)
-        if i < 0:  # mirrors the old list.remove(job) contract
-            raise ValueError(f"job {job.job_id} is not pending")
+    def _start(self, i: int, job: Job) -> None:
+        """Allocate and launch ``job``, the waiting job at index ``i``, at
+        the current time."""
+        mem = self.cluster.allocate(job)
+        now = self.now
+        job.start_time = now
         del self.pending[i]
         del self.pending_rows[i]
-        self._running[job.job_id] = job
+        job_id = job.job_id
+        self._running[job_id] = job
         if self.backfill:
-            self._planned[job.job_id] = (
-                self.now + job.requested_time, job.requested_procs, mem_demand(job)
+            self._planned[job_id] = (
+                now + job.requested_time, job.requested_procs, mem
             )
-        self._events.push(job.end_time, EventKind.FINISH, job)
+        end = now + job.run_time  # job.end_time, without its two properties
+        if end < 0:
+            raise ValueError(f"event time must be non-negative, got {end}")
+        heappush(self._finishes, (end, job_id, job))
 
-    def _process_next_event(self) -> None:
-        """Advance the clock to the next event and apply it."""
-        time, kind, job_id, job = self._events.pop_raw()
-        assert time >= self.now, "event queue went backwards in time"
+    def _step(self, until: float) -> int:
+        """Apply the next event due by ``until`` and say what it was.
+
+        The next event is the earlier of the finish heap's top and the
+        arrival under the cursor; a finish wins an equal-time tie, so a
+        job arriving at ``t`` sees the resources freed at ``t``.
+        """
+        finishes = self._finishes
+        cursor = self._cursor
+        arrivals = self._arrivals
+        job = arrivals[cursor] if cursor < len(arrivals) else None
+        if finishes and (job is None or finishes[0][0] <= job.submit_time):
+            time = finishes[0][0]
+            finish = True
+        elif job is None:
+            return _EXHAUSTED
+        else:
+            time = job.submit_time
+            finish = False
+        if time > until:
+            return _BEYOND
+        assert time >= self.now, "event order went backwards in time"
         self.now = time
         self.n_events += 1
-        if kind == EventKind.FINISH:
+        if finish:
+            _, job_id, job = heappop(finishes)
             self.cluster.release(job)
             del self._running[job_id]
             self._planned.pop(job_id, None)
             self.completed.append(job)
-        else:
-            # Arrivals pop in (time, job_id) order, so appending after a
-            # tail that sorts no later preserves the FCFS sort.  The bisect
-            # branch takes online submissions that tie the tail's
-            # timestamp (clamped to ``now``) with a smaller job id.
-            pending = self.pending
-            i = len(pending)
-            if i:
-                tail = pending[-1]
-                if time < tail.submit_time or (
-                    time == tail.submit_time and job_id < tail.job_id
-                ):
-                    i = bisect_left(pending, (time, job_id), key=_fcfs_key)
-            pending.insert(i, job)
-            self.pending_rows.insert(i, self._row_of[job_id])
+            return _FINISH
+        self._cursor = cursor + 1
+        # Arrivals come in (time, job_id) order, so appending after a tail
+        # that sorts no later preserves the FCFS sort.  The bisect branch
+        # takes online submissions that tie the tail's timestamp (clamped
+        # to ``now``) with a smaller job id.
+        job_id = job.job_id
+        pending = self.pending
+        i = len(pending)
+        if i:
+            tail = pending[-1]
+            if time < tail.submit_time or (
+                time == tail.submit_time and job_id < tail.job_id
+            ):
+                i = bisect_left(pending, (time, job_id), key=_fcfs_key)
+        pending.insert(i, job)
+        self.pending_rows.insert(i, self._row_of[job_id])
+        return _ARRIVAL
 
     def advance_until_decision(self, until: float = math.inf) -> bool:
         """Run events (up to ``until``) until a scheduling decision is needed.
@@ -214,10 +268,8 @@ class EngineCore:
         or the horizon was hit (online).
         """
         while not self.pending:
-            next_time = self._events.next_time
-            if next_time is None or next_time > until:
+            if self._step(until) >= _EXHAUSTED:
                 return False
-            self._process_next_event()
         if self._tel_depth is not None:
             self._tel_depth.record(len(self.pending))
         return True
@@ -230,49 +282,66 @@ class EngineCore:
         it; calling again (with a later ``until``) resumes exactly where
         the wait left off.
         """
-        if self._pending_index(job) < 0:
+        i = self._pending_index(job)
+        if i < 0:
             raise ValueError(f"job {job.job_id} is not pending")
-        # Resume a stalled commit at the event-processing step it paused
-        # before, not from the top: a fresh backfill pass at the unchanged
-        # state would be a no-op, but skipping it keeps the control flow
-        # bit-identical to an uninterrupted batch commit.
+        # Resume a stalled commit at the event step it paused before, not
+        # from the top: a fresh backfill pass at the unchanged state would
+        # be a no-op, but skipping it keeps the control flow bit-identical
+        # to an uninterrupted batch commit.
         resumed = self._stall is job
         self._stall = None
-        fits = self.cluster.fits  # can_allocate(job), its demand taken once
+        cluster = self.cluster
+        rows = self.pending_rows
+        row = rows[i]
         procs, mem = job.requested_procs, mem_demand(job)
         while True:
             if not resumed:
-                if fits(procs, mem):
+                # cluster.fits(procs, mem), once per event of the wait
+                if procs <= cluster.free_procs and mem <= cluster.free_mem:
                     break
                 if self.backfill:
                     # backfilled starts only take resources: the head
                     # cannot have come to fit, so it is not asked again
-                    for candidate in self._backfill_pass(job):
-                        self._start(candidate)
+                    for started, (at, candidate) in enumerate(
+                        self._backfill_plan(job)
+                    ):
+                        at -= started  # every start closed a slot below it
+                        self._start(at, candidate)
+                        if at < i:
+                            i -= 1
             resumed = False
-            next_time = self._events.next_time
-            if next_time is None:
+            event = self._step(until)
+            if event == _ARRIVAL:
+                if rows[i] != row:  # a tying arrival sorted in ahead of it
+                    i = rows.index(row)
+            elif event == _EXHAUSTED:
                 raise RuntimeError(
                     f"deadlock: job {job.job_id} cannot fit and no events remain"
                 )
-            if next_time > until:
+            elif event == _BEYOND:
                 self._stall = job
                 return False
-            self._process_next_event()
-        self._start(job)
+        self._start(i, job)
         return True
 
     def _backfill_pass(self, head: Job) -> list[Job]:
-        """Waiting jobs that may start now without delaying ``head``.
+        """Waiting jobs that may start now without delaying ``head``, in
+        the order they are to be started."""
+        return [job for _, job in self._backfill_plan(head)]
+
+    def _backfill_plan(self, head: Job) -> list[tuple[int, Job]]:
+        """:meth:`_backfill_pass` with each job's index in ``pending``.
 
         Decision-for-decision the public
         :func:`~repro.sim.backfill.backfill_candidates` /
         :func:`~repro.sim.backfill.conservative_backfill_candidates` (the
         property-test oracles) applied to the engine's own state, minus
         the work that state makes redundant: ``pending`` is walked as it
-        stands (FCFS-sorted by invariant), a job is dropped on the free
-        vector before anything else is looked at, and the head's shadow
-        time is planned only once some job passes that test.
+        stands (FCFS-sorted by invariant) and only while a processor is
+        left, a job is dropped on the free vector before anything else is
+        looked at, and the head's shadow time is planned only once some
+        job passes that test.
         """
         free = self.cluster.free_procs
         if not free:
@@ -280,14 +349,15 @@ class EngineCore:
         free_mem = self.cluster.free_mem
         now = self.now
         easy = self.backfill != "conservative"
+        head_id = head.job_id
         shadow = None
-        chosen: list[Job] = []
-        for job in self.pending:
+        chosen: list[tuple[int, Job]] = []
+        for i, job in enumerate(self.pending):
             procs = job.requested_procs
             if procs > free:
                 continue
             need_mem = mem_demand(job)
-            if need_mem > free_mem or job.job_id == head.job_id:
+            if need_mem > free_mem or job.job_id == head_id:
                 continue
             if shadow is None:
                 shadow, extra, extra_mem = self._shadow(head)
@@ -298,8 +368,10 @@ class EngineCore:
                     continue
                 extra -= procs
                 extra_mem -= need_mem
-            chosen.append(job)
+            chosen.append((i, job))
             free -= procs
+            if not free:  # every job asks for at least one processor
+                break
             free_mem -= need_mem
         return chosen
 
@@ -363,12 +435,13 @@ class OnlineSchedulingEngine(EngineCore):
 
     @property
     def idle(self) -> bool:
-        """True when nothing is pending, running, stalled, or queued."""
+        """True when nothing is pending, running, stalled, or yet to be
+        admitted."""
         return (
             not self.pending
             and self._inflight is None
-            and not self._running
-            and not self._events
+            and not self._running  # one finish on the heap per running job
+            and self._cursor == len(self._arrivals)
         )
 
     # ------------------------------------------------------------------
@@ -388,7 +461,13 @@ class OnlineSchedulingEngine(EngineCore):
             job.submit_time = self.now
         self._row_of[job.job_id] = self._next_row
         self._next_row += 1
-        self._events.push(job.submit_time, EventKind.ARRIVAL, job)
+        arrivals = self._arrivals
+        if self._cursor:
+            # drop the admitted prefix: the buffer holds the live set only
+            del arrivals[: self._cursor]
+            self._cursor = 0
+        # at the end, unless it is out of order or ties with a smaller id
+        insort(arrivals, job, key=_fcfs_key)
         if job.submit_time > self._horizon:
             self._horizon = job.submit_time
         self.n_submitted += 1
@@ -431,8 +510,8 @@ class OnlineSchedulingEngine(EngineCore):
         self._inflight = job
         return False
 
-    def _start(self, job: Job) -> None:
-        super()._start(job)
+    def _start(self, i: int, job: Job) -> None:
+        super()._start(i, job)
         self.started.append(job)
 
     def take_started(self) -> list[Job]:

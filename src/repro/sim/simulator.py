@@ -30,9 +30,8 @@ from typing import Callable, Sequence
 from repro.telemetry import core as _telemetry
 from repro.workloads.job import Job
 
-from .cluster import ClusterSpec
-from .core import EngineCore
-from .events import EventKind
+from .cluster import ClusterSpec, mem_demand
+from .core import EngineCore, _fcfs_key
 
 __all__ = ["SchedulingEngine", "run_scheduler"]
 
@@ -50,9 +49,10 @@ class SchedulingEngine(EngineCore):
             engine.advance_until_decision()
         completed = engine.completed
 
-    All arrivals are pushed at construction; ``commit`` never pauses (the
-    default infinite horizon applies), so it behaves exactly as before the
-    core split.
+    All arrivals are known at construction — the sorted job list is the
+    core's arrival sequence — and ``commit`` never pauses (the default
+    infinite horizon applies), so it behaves exactly as before the core
+    split.
     """
 
     def __init__(
@@ -64,17 +64,27 @@ class SchedulingEngine(EngineCore):
         if not jobs:
             raise ValueError("cannot simulate an empty job sequence")
         super().__init__(n_procs, backfill=backfill)
-        self.jobs = [
-            j.copy() for j in sorted(jobs, key=lambda x: (x.submit_time, x.job_id))
+        #: the sequence in arrival order — and, read through the core's
+        #: cursor, the arrival events themselves
+        self.jobs = self._arrivals = [
+            j.copy() for j in sorted(jobs, key=_fcfs_key)
         ]
+        # _validate_fits_cluster's two tests, the call kept for the raise;
+        # no demand exceeds an unconstrained cluster's memory
+        max_procs, total_mem = self.spec.n_procs, self.spec.total_mem
+        bounded = self.spec.memory is not None
         for j in self.jobs:
-            self._validate_fits_cluster(j)
+            if j.requested_procs > max_procs or (
+                bounded and mem_demand(j) > total_mem
+            ):
+                self._validate_fits_cluster(j)
+        earliest = self.jobs[0].submit_time
+        if earliest < 0:  # sorted: no arrival is negative unless the first is
+            raise ValueError(f"event time must be non-negative, got {earliest}")
         #: row index of each job within ``self.jobs``; observation builders
         #: gather precomputed per-job feature columns by these rows
         self._row_of = {j.job_id: i for i, j in enumerate(self.jobs)}
         self._next_row = len(self.jobs)
-        for j in self.jobs:
-            self._events.push(j.submit_time, EventKind.ARRIVAL, j)
 
     # ------------------------------------------------------------------
     @property

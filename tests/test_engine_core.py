@@ -192,6 +192,77 @@ class TestOnlineEngine:
         assert engine.next_decision()
         assert engine.pending[0].job_id == 2
 
+    def test_late_and_tying_submissions_are_admitted_in_fcfs_order(self):
+        """A submission earlier than one not yet admitted, and one tying
+        its time with a smaller job id, are sorted in ahead of it: the
+        queue is the batch engine's, not the order of the calls."""
+        jobs = [_job(9, 10.0), _job(4, 5.0), _job(7, 10.0), _job(3, 10.0)]
+        engine = OnlineSchedulingEngine(ClusterSpec(1))
+        for job in jobs:  # 10 | 5 before it | 10 again | 10 with id 3 < 7 < 9
+            engine.submit(job)
+        assert engine.horizon == 10.0 and not engine.idle
+        log = []
+        while engine.next_decision():
+            log.append((engine.pending[0].job_id, engine.now))
+            if not engine.commit(engine.pending[0]):
+                break
+        # job 4 runs 5 -> 15; the commit of job 3 stalls on that finish
+        # with all of the t=10 arrivals admitted behind it, by id
+        assert log == [(4, 5.0), (3, 10.0)]
+        assert [j.job_id for j in engine.pending] == [3, 7, 9]
+        assert engine.pending_rows == [3, 2, 0]  # rows follow submissions
+        engine.drain()
+        while engine.next_decision():
+            log.append((engine.pending[0].job_id, engine.now))
+            engine.commit(engine.pending[0])
+        batch = SchedulingEngine(jobs, ClusterSpec(1))
+        want = []
+        while batch.advance_until_decision():
+            want.append((batch.pending[0].job_id, batch.now))
+            batch.commit(batch.pending[0])
+        # the stalled commit of job 3 is one decision, logged once
+        assert log == want == [(4, 5.0), (3, 10.0), (7, 15.0), (9, 25.0)]
+
+    def test_a_tying_arrival_may_displace_the_committed_job(self):
+        """The committed job's queue index is carried through the wait; an
+        arrival clamped to ``now`` with a smaller id sorts in ahead of it,
+        and the job that finally starts is still the committed one."""
+        engine = OnlineSchedulingEngine(ClusterSpec(4))
+        engine.submit(_job(1, 0.0, run=20.0, procs=4))
+        assert engine.next_decision() and engine.commit(engine.pending[0])
+        engine.submit(_job(8, 10.0, procs=4))
+        assert engine.next_decision()
+        assert not engine.commit(engine.pending[0])  # stalls at t=10
+        late = engine.submit(_job(5, 2.0, procs=4))  # clamped to now=10, id < 8
+        assert late.submit_time == 10.0
+        engine.drain()
+        assert engine.next_decision()  # job 8 started; job 5 awaits its turn
+        assert [j.job_id for j in engine.pending] == [5]
+        assert [(j.job_id, j.start_time) for j in engine.take_started()] == [
+            (1, 0.0), (8, 20.0),
+        ]
+
+    def test_arrival_buffer_holds_the_live_set_only(self):
+        """10 000 submit / pump / harvest cycles: what was admitted leaves
+        the arrival buffer at the next submission, so a long-lived daemon's
+        engine does not grow with the jobs it has served."""
+        engine = OnlineSchedulingEngine(ClusterSpec(4), backfill="easy")
+        deepest = 0
+        for i in range(10_000):
+            engine.submit(_job(i, float(i), run=2.5, procs=1 + i % 2))
+            while engine.next_decision():
+                if not engine.commit(engine.pending[0]):
+                    break
+            engine.take_started()
+            engine.take_completed()
+            deepest = max(deepest, len(engine._arrivals))
+        assert deepest <= 2
+        assert len(engine._row_of) <= 8 and len(engine._finishes) <= 4
+        engine.drain()
+        while engine.next_decision():
+            engine.commit(engine.pending[0])
+        assert engine.idle and engine.n_events == 20_000
+
     def test_commit_stalls_and_resumes_at_horizon(self):
         engine = OnlineSchedulingEngine(ClusterSpec(4))
         engine.submit(_job(1, 0.0, run=50.0, procs=4))

@@ -1,6 +1,9 @@
 """Unit tests for scheduling metrics (paper §II-A3 definitions)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.metrics import (
     BSLD_THRESHOLD,
@@ -80,6 +83,52 @@ class TestAverages:
     def test_slowdown_at_least_bsld(self):
         jobs = [done_job(1, 0, 100, run=2), done_job(2, 0, 5, run=50)]
         assert average_slowdown(jobs) >= average_bounded_slowdown(jobs)
+
+
+@st.composite
+def completed_jobs(draw):
+    """Completed-job lists with interactive (``run_time`` < 10), exactly
+    threshold-long and zero-runtime jobs among them."""
+    jobs = []
+    for i in range(draw(st.integers(1, 12))):
+        submit = draw(st.floats(0.0, 1e6))
+        wait = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e5)))
+        run = draw(st.one_of(
+            st.sampled_from([0.0, 1e-12, 0.5, 9.999, 10.0, 10.001]),
+            st.floats(0.0, 1e5),
+        ))
+        jobs.append(done_job(i, submit=submit, start=submit + wait, run=run))
+    return jobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(completed_jobs(), st.sampled_from([BSLD_THRESHOLD, 1.0, 60.0]))
+def test_averages_are_the_mean_of_the_per_job_functions(jobs, threshold):
+    """The averages spell the per-job quantities out in place; the
+    ``job_*`` functions are the definition.  Same float operations in the
+    same order, so ``==`` — not ``approx``."""
+    def mean(values):
+        return float(np.mean(values))
+
+    assert average_waiting_time(jobs) == mean([job_waiting_time(j) for j in jobs])
+    assert average_response_time(jobs) == mean(
+        [job_response_time(j) for j in jobs]
+    )
+    assert average_slowdown(jobs) == mean([job_slowdown(j) for j in jobs])
+    assert average_bounded_slowdown(jobs) == mean(
+        [job_bounded_slowdown(j) for j in jobs]
+    )
+    assert average_bounded_slowdown(jobs, threshold) == mean(
+        [job_bounded_slowdown(j, threshold) for j in jobs]
+    )
+
+
+def test_every_average_rejects_an_unscheduled_job_by_name():
+    jobs = [done_job(1), Job(job_id=2, submit_time=0, run_time=10, requested_procs=1)]
+    for average in (average_waiting_time, average_response_time,
+                    average_slowdown, average_bounded_slowdown):
+        with pytest.raises(ValueError, match="job 2 was never scheduled"):
+            average(jobs)
 
 
 class TestUtilization:

@@ -9,6 +9,7 @@ event — and the ragged observation path against its padded oracle: every
 vec of any width against a loop of ``SchedGym`` episodes."""
 
 import dataclasses
+import heapq
 import math
 from pathlib import Path
 
@@ -254,16 +255,20 @@ class _Checked:
                 for row, job in zip(self.pending_rows, self.pending)
             )
 
-    def _process_next_event(self):
-        super()._process_next_event()
+    def _step(self, until):
+        event = super()._step(until)
+        self.check_queue()
+        return event
+
+    def _start(self, i, job):
+        assert self.pending[i] is job
+        super()._start(i, job)
         self.check_queue()
 
-    def _start(self, job):
-        super()._start(job)
-        self.check_queue()
-
-    def _backfill_pass(self, head):
-        got = super()._backfill_pass(head)
+    def _backfill_plan(self, head):
+        plan = super()._backfill_plan(head)
+        assert all(self.pending[i] is job for i, job in plan)
+        got = [job for _, job in plan]
         reference = (
             conservative_backfill_candidates
             if self.backfill == "conservative"
@@ -274,7 +279,7 @@ class _Checked:
             head, self.pending[::-1], self.running[::-1], self.cluster, self.now
         )
         assert ids(got) == ids(want)
-        return got
+        return plan
 
 
 class CheckedBatch(_Checked, SchedulingEngine):
@@ -498,6 +503,128 @@ def test_queue_invariants_under_unordered_online_submissions(case, backfill, dat
         engine.commit(pick_arbitrary(engine, data))
     assert engine.idle
     assert sorted(ids(engine.take_completed())) == sorted(ids(jobs))
+
+
+# ----------------------------------------------------------------------
+# event order: sorted arrivals + a finish heap against one event heap
+# ----------------------------------------------------------------------
+FINISH, ARRIVAL = 0, 1  # a finish sorts first on a time tie
+
+
+class EventLoggedBatch(CheckedBatch):
+    """Every applied event, as ``(time, kind, job_id)``, is what one heap
+    of all events would have popped — arrivals on it from the start, each
+    finish from the moment its job starts."""
+
+    def __init__(self, jobs, cluster, backfill):
+        super().__init__(jobs, cluster, backfill=backfill)
+        self.log = []
+        self.heap = [(j.submit_time, ARRIVAL, j.job_id) for j in self.jobs]
+        heapq.heapify(self.heap)
+
+    def _start(self, i, job):
+        super()._start(i, job)
+        heapq.heappush(self.heap, (job.end_time, FINISH, job.job_id))
+
+    def _step(self, until):
+        finished, waiting = len(self.completed), set(ids(self.pending))
+        event = super()._step(until)
+        if len(self.completed) > finished:
+            applied = (self.now, FINISH, self.completed[-1].job_id)
+        elif len(self.pending) > len(waiting):
+            (newcomer,) = set(ids(self.pending)) - waiting
+            applied = (self.now, ARRIVAL, newcomer)
+        else:  # nothing applied: nothing was due
+            assert not self.heap or self.heap[0][0] > until
+            return event
+        assert applied == heapq.heappop(self.heap)
+        self.log.append(applied)
+        return event
+
+
+@st.composite
+def tying_jobs(draw, max_jobs=14):
+    """Jobs whose events collide: tied submit times, zero runtimes, and
+    runtimes that are sums of the arrival gaps, so finishes land on
+    arrivals and on each other."""
+    n = draw(st.integers(1, max_jobs))
+    jobs, t = [], 0.0
+    for job_id in draw(st.permutations(range(1, n + 1))):
+        t += draw(st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0]))
+        jobs.append(
+            Job(
+                job_id=job_id,
+                submit_time=t,
+                run_time=draw(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 5.0, 8.0])),
+                requested_procs=draw(st.sampled_from([1, 2, 4, N_PROCS])),
+                requested_time=draw(st.sampled_from([1.0, 4.0, 10.0])),
+            )
+        )
+    return jobs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tying_jobs(), st.sampled_from(SchedulingEngine.BACKFILL_MODES), st.data()
+)
+def test_event_order_is_the_sorted_event_list(jobs, backfill, data):
+    """The two-way merge of the sorted arrival sequence and the finish heap
+    applies events in ``(time, finish-before-arrival, job_id)`` order:
+    step for step what a single heap of all events pops (checked inside
+    the engine), and — when no zero runtime lets a finish be created at
+    the instant it is due, behind events of that instant already applied —
+    ``sorted`` over the episode's whole event list."""
+    engine = EventLoggedBatch(jobs, N_PROCS, backfill)
+    while engine.advance_until_decision():
+        engine.commit(pick_arbitrary(engine, data))
+    assert engine.done and not engine.heap
+    assert len(engine.log) == engine.n_events == 2 * len(jobs)
+    events = [(j.submit_time, ARRIVAL, j.job_id) for j in jobs] + [
+        (j.end_time, FINISH, j.job_id) for j in engine.completed
+    ]
+    assert sorted(engine.log) == sorted(events)
+    if all(j.run_time > 0 for j in jobs):
+        assert engine.log == sorted(events)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    engine_cases(),
+    st.sampled_from(SchedulingEngine.BACKFILL_MODES),
+    st.sampled_from(["FCFS", "SJF", "F1"]),
+    st.data(),
+)
+def test_out_of_order_submissions_reproduce_the_batch_log(
+    case, backfill, name, data
+):
+    """Submissions the engine has not admitted yet are kept sorted: handed
+    over in any order — earlier times after later ones, tying times with
+    smaller ids last — in bursts with pumps between, they are admitted as
+    the batch engine admits the sorted sequence, decision for decision."""
+    jobs, spec = case
+    scheduler = make_scheduler(name)
+    batch = CheckedBatch(jobs, spec, backfill=backfill)
+    want = []
+    while batch.advance_until_decision():
+        best = scheduler.select(batch.pending, batch.now, batch.cluster)
+        want.append((best.job_id, batch.now))
+        batch.commit(best)
+
+    online = CheckedOnline(spec, backfill=backfill)
+    log = []
+    stream = sorted(jobs, key=fcfs_key)
+    while stream:
+        # a burst of the next few arrivals, shuffled; nothing is pumped
+        # until all of it is in, so nothing is clamped to a later ``now``
+        burst = data.draw(st.integers(1, len(stream)))
+        for job in data.draw(st.permutations(stream[:burst])):
+            online.submit(job)
+        stream = stream[burst:]
+        decision_log(online, scheduler, log)
+    online.drain()
+    decision_log(online, scheduler, log)
+    assert online.idle
+    assert log == want
 
 
 # ----------------------------------------------------------------------

@@ -311,7 +311,7 @@ def _draw_op(draw, pool):
     if kind == "sum":
         axis = draw(st.sampled_from([None, *range(len(shape))]))
         keepdims = draw(st.booleans())
-        new = np.sum(np.empty(shape), axis=axis, keepdims=keepdims).shape
+        new = np.sum(np.zeros(shape), axis=axis, keepdims=keepdims).shape
         return new, lambda ts: ts[i].sum(axis=axis, keepdims=keepdims)
     if kind == "segment":
         name = draw(st.sampled_from(["sum", "max", "logsumexp"]))

@@ -236,8 +236,8 @@ def bench_telemetry_overhead(env_cfg, trace, sequences, n_envs, repeat=20):
 def rollout_actor(agent, env_cfg, n_procs, sequences, n_envs, runtime,
                   repeat=5):
     """Episode-granular actor rollout: envs *and* policy replicas live in
-    the workers, so IPC is at most one trajectory transfer per episode
-    (the training path of every run).  ``n_envs`` splits across the
+    the workers, so IPC is one transfer per worker per rollout (the
+    training path of every run).  ``n_envs`` splits across the
     actors, as the trainer splits it.  Median-of-``repeat`` passes: one
     pass is a few ms at smoke scale, far inside scheduler noise on a
     loaded box, and the median (unlike best-of) is not hijacked by a
@@ -250,12 +250,10 @@ def rollout_actor(agent, env_cfg, n_procs, sequences, n_envs, runtime,
         actors.install(agent.policy, agent.value)
         times = []
         for rep in range(repeat):
-            steps = 0
             start = time.perf_counter()
-            actors.submit(rep, list(enumerate(sequences)))
-            for _ in range(len(sequences)):
-                steps += actors.drain().steps
+            episodes = actors.rollout(rep, list(enumerate(sequences)))
             times.append(time.perf_counter() - start)
+            steps = sum(ep.steps for ep in episodes)
         if os.environ.get("PERF_DEBUG"):
             print(f"[perf-debug] actor reps: {[f'{t*1e3:.1f}ms' for t in times]}")
         return steps, float(np.median(times))
@@ -270,8 +268,8 @@ def _pool_withheld():
 def bench_ipc(agent, env_cfg, n_procs, sequences, n_envs, epochs=3):
     """Bytes-over-pipe with the shared-memory pool and without it.
 
-    Drives the identical actor training flow — install, per-epoch episode
-    submit/drain, weight re-broadcast — through a 1-worker process
+    Drives the identical actor training flow — install, per-epoch
+    rollout, weight re-broadcast — through a 1-worker process
     backend twice: as every run gets it (``"shm"``: large arrays spill to
     the pool) and with the pool withheld, the way a host without
     ``/dev/shm`` runs (``"pipe"``: every byte inline).  Telemetry counts
@@ -300,9 +298,7 @@ def bench_ipc(agent, env_cfg, n_procs, sequences, n_envs, epochs=3):
                 try:
                     actors.install(agent.policy, agent.value)
                     for epoch in range(epochs):
-                        actors.submit(epoch, list(enumerate(sequences)))
-                        for _ in range(len(sequences)):
-                            actors.drain()
+                        actors.rollout(epoch, list(enumerate(sequences)))
                         actors.push_weights(epoch + 1, agent.export_weights())
                 finally:
                     actors.close()

@@ -215,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=sorted(METRICS), default="bsld")
     _add_train_flags(p)
     p.add_argument("--swf-dir", default=None)
-    p.add_argument("--stale-mode", choices=["drop", "reweight"],
-                   default="drop",
-                   help="episodes past the staleness bound: exclude from "
-                        "the update (drop) or keep and let PPO's importance "
-                        "ratios reweight them")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser(
@@ -333,9 +328,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", choices=list(POLICY_PRESETS), default="kernel")
     p.add_argument("--filter", action="store_true",
                    help="enable trajectory filtering (recommended for PIK)")
-    p.add_argument("--staleness", type=_nonnegative_int, default=0,
-                   help="how many updates rollout collection may run ahead "
-                        "of learning (0 = fully synchronous)")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="run the rollout actors (study: and the evaluation "
                         "fan-out) on N processes; 1 = in this process, same "
@@ -356,7 +348,6 @@ def _train_config(args, **extra) -> TrainConfig:
         seed=args.seed,
         use_trajectory_filter=args.filter,
         runtime=RuntimeConfig.from_workers(args.workers),
-        staleness=args.staleness,
         **extra,
     )
 
@@ -557,7 +548,6 @@ def _cmd_train(args) -> int:
         env_config=EnvConfig(max_obsv_size=args.obsv),
         train_config=_train_config(
             args,
-            stale_mode=args.stale_mode,
             telemetry=_telemetry_config(args),
             scenario=scenario_cfg,
         ),

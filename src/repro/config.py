@@ -237,10 +237,6 @@ class PPOConfig:
 class TrainConfig:
     """Epoch-level training protocol (§V-A)."""
 
-    #: what happens to an episode whose weight snapshot is older than
-    #: ``staleness`` updates when it is consumed
-    STALE_MODES = ("drop", "reweight")
-
     epochs: int = 100
     trajectories_per_epoch: int = 100
     trajectory_length: int = 256  # jobs per training sequence
@@ -252,16 +248,6 @@ class TrainConfig:
     #: where the rollout actors live: in this process (serial), or on
     #: ``workers`` actor processes (``backend="process"``) — same results
     runtime: RuntimeConfig = RuntimeConfig()
-    #: how many PPO updates collection may run ahead of the learner: 0 is
-    #: fully synchronous; K > 0 prefetches up to K future epochs of
-    #: episodes against weights up to K updates old
-    staleness: int = 0
-    #: episodes staler than the bound when consumed: ``"drop"`` excludes
-    #: them from the update batch, ``"reweight"`` keeps them and lets
-    #: PPO's importance ratios (new-policy vs stored behaviour log-probs)
-    #: do the off-policy correction.  Both are counted in the
-    #: :class:`~repro.rl.trainer.EpochRecord`.
-    stale_mode: str = "drop"
     #: train inside a named scenario (workload + cluster); None = caller
     #: supplies the trace and cluster explicitly
     scenario: ScenarioConfig | None = None
@@ -273,13 +259,6 @@ class TrainConfig:
             raise ValueError("training sizes must be positive")
         if self.n_envs <= 0:
             raise ValueError("n_envs must be positive")
-        if self.staleness < 0:
-            raise ValueError(f"staleness must be >= 0, got {self.staleness}")
-        if self.stale_mode not in self.STALE_MODES:
-            raise ValueError(
-                f"stale_mode must be one of {self.STALE_MODES}, "
-                f"got {self.stale_mode!r}"
-            )
         if not isinstance(self.runtime, RuntimeConfig):
             raise TypeError("runtime must be a RuntimeConfig")
         if self.scenario is not None and not isinstance(self.scenario, ScenarioConfig):

@@ -18,20 +18,19 @@ Nothing is configured; each choice follows from what the code observes.
 *Collector.*  There is one: whole episodes run on the actors of an
 :class:`~repro.runtime.ActorRuntime`, which hold env + policy replicas,
 lock-step ``TrainConfig.n_envs`` environments between them (one batched
-policy forward per step) and stream finished trajectories back, one
-transfer per episode.  Where the actors live is the backend's business:
+policy forward per step) and send finished trajectories back, one
+transfer per worker per epoch.  Where the actors live is the backend's business:
 on the serial backend (the default) they are state dicts in this process
 — no child process, no shared-memory segment — and on
-``RuntimeConfig(backend="process")`` they are worker processes.
-``staleness`` bounds how far collection may run ahead of learning: epoch
-``e + k`` (``k <= staleness``) is submitted while epoch ``e`` still
-trains, so its episodes act on weights up to ``k`` updates old;
-over-stale episodes are importance-reweighted by PPO's own ratios
-(``stale_mode="reweight"``) or dropped (``"drop"``), and counted in
-:class:`EpochRecord` either way.
+``RuntimeConfig(backend="process")`` they are worker processes.  An
+epoch is synchronous, as on-policy PPO is: one
+:meth:`~repro.runtime.ActorRuntime.rollout` call collects it on the
+weights the previous update pushed, then the update runs and pushes the
+next ones.  An episode that ran on any other weights is a fault, and the
+trainer raises.
 
-At ``staleness=0`` the actors — and a loop of one-episode
-:meth:`Trainer._rollout` calls, the tests' sequential reference — give
+The actors — and a loop of one-episode :meth:`Trainer._rollout` calls,
+the tests' sequential reference — give
 **bit-identical** trajectories, advantages and update statistics for the
 same seed, on any backend and worker count (the golden tests), because
 each trajectory samples actions from its own ``(seed, epoch, trajectory)``
@@ -62,6 +61,7 @@ import dataclasses
 import json
 import logging
 import time
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,7 +71,7 @@ from repro.config import EnvConfig, PPOConfig, TrainConfig
 from repro.telemetry import core as _telemetry
 from repro.telemetry.sink import TelemetrySink, render_summary
 from repro.nn import Module, ValueMLP, make_policy
-from repro.runtime import ActorRuntime, EpisodeSlice
+from repro.runtime import ActorRuntime
 from repro.runtime.seeding import stream_rng
 from repro.schedulers.rl_scheduler import RLSchedulerPolicy
 from repro.sim.cluster import ClusterSpec
@@ -103,10 +103,6 @@ class EpochRecord:
     wall_time: float            # seconds spent in this epoch
     filtered_phase: bool
     val_reward: float = float("nan")  # greedy-policy reward on held-out seqs
-    #: ``staleness > 0`` only: episodes past the staleness bound that were
-    #: excluded from (dropped) or importance-reweighted into this update
-    n_stale_dropped: int = 0
-    n_stale_reweighted: int = 0
     #: telemetry runs only: per-phase wall seconds for this epoch
     #: (``rollout`` / ``update`` / ``broadcast`` / ``validate``), read
     #: from the epoch spans; ``None`` when telemetry is disabled.  Old
@@ -117,9 +113,13 @@ class EpochRecord:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    #: keys of retired fields that checkpoints written before their
+    #: removal still carry; loading ignores them
+    _RETIRED = frozenset({"n_stale_dropped", "n_stale_reweighted"})
+
     @classmethod
     def from_dict(cls, data: dict) -> "EpochRecord":
-        data = dict(data)
+        data = {k: v for k, v in data.items() if k not in cls._RETIRED}
         data["stats"] = UpdateStats(**data["stats"])
         return cls(**data)
 
@@ -233,19 +233,45 @@ class TrainingResult:
         np.savez(tmp, **state)
         tmp.replace(path)
 
+    #: metadata fields :meth:`load` cannot do without
+    _META_FIELDS = ("trace_name", "metric", "policy_preset", "n_procs",
+                    "best_epoch", "env_config", "curve")
+
     @classmethod
     def load(cls, path: str | Path) -> "TrainingResult":
-        """Rebuild a :meth:`save`d result (weights, curve, provenance)."""
+        """Rebuild a :meth:`save`d result (weights, curve, provenance).
+
+        A file that is not such a checkpoint — truncated, another
+        program's ``.npz``, metadata missing a field — raises
+        ``ValueError`` naming the path and what is missing.
+        """
+        # The file is opened here, not by np.load, which leaks its own
+        # handle when the archive fails to open.
+        try:
+            with open(path, "rb") as fh, np.load(fh) as data:
+                arrays = {key: data[key] for key in data.files}
+        except (zipfile.BadZipFile, EOFError) as exc:
+            raise ValueError(
+                f"{path}: not a readable .npz checkpoint ({exc})"
+            ) from exc
+        if "__meta__" not in arrays:
+            raise ValueError(
+                f"{path}: not a training checkpoint (no field '__meta__')"
+            )
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+        missing = [k for k in cls._META_FIELDS if k not in meta]
+        if missing:
+            raise ValueError(
+                f"{path}: checkpoint metadata lacks field(s) {', '.join(missing)}"
+            )
         groups: dict[str, dict[str, np.ndarray]] = {
             "policy": {}, "best": {}, "value": {}
         }
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["__meta__"]).decode())
-            for key in data.files:
-                if key == "__meta__":
-                    continue
-                group, _, name = key.partition("/")
-                groups[group][name] = data[key]
+        for key, array in arrays.items():
+            group, _, name = key.partition("/")
+            if group not in groups:
+                raise ValueError(f"{path}: unexpected checkpoint field {key!r}")
+            groups[group][name] = array
         env_config = (
             EnvConfig() if meta["env_config"] is None
             else EnvConfig(**meta["env_config"])
@@ -339,13 +365,7 @@ class Trainer:
             trace, self.train_config.trajectory_length, seed=seed
         )
         self._actor_runtime: ActorRuntime | None = None  # built on first use
-        # Actor-collection state: the learner's update counter (= weight
-        # version), the submitted-but-uncollected epochs as
-        # ``(n_episodes, n_filter_rejections)``, and episodes that arrived
-        # before their epoch was collected.
-        self._n_updates = 0
-        self._submitted: dict[int, tuple[int, int]] = {}
-        self._early_episodes: dict[int, list[EpisodeSlice]] = {}
+        self._n_updates = 0  # the learner's update counter = weight version
 
         # Terminal rewards span orders of magnitude across metrics (bsld in
         # the hundreds, util in [0,1]).  The value network regresses raw
@@ -393,7 +413,6 @@ class Trainer:
                         "trace": trace.name,
                         "metric": metric,
                         "epochs": self.train_config.epochs,
-                        "staleness": self.train_config.staleness,
                         "workers": self.train_config.runtime.workers,
                     },
                 )
@@ -504,12 +523,7 @@ class Trainer:
         return self.filter is not None and epoch < phase1_epochs
 
     def _sample_epoch_sequences(self, epoch: int) -> tuple[list, int]:
-        """One epoch's training sequences and how many the filter rejected.
-
-        Called once per epoch, in strictly increasing epoch order — so
-        the sampler's draw order (and with it every trajectory) does not
-        depend on how far ahead of the learner an epoch is submitted.
-        """
+        """One epoch's training sequences and how many the filter rejected."""
         filtered = self._epoch_filtered(epoch)
         sequences, total_rejected = [], 0
         for _ in range(self.train_config.trajectories_per_epoch):
@@ -518,71 +532,25 @@ class Trainer:
             sequences.append(jobs)
         return sequences, total_rejected
 
-    def _submit_epoch(self, epoch: int) -> None:
-        """Queue one epoch's episodes on the actors (idempotent until the
-        epoch is collected)."""
-        if epoch in self._submitted or epoch >= self.train_config.epochs:
-            return
-        sequences, total_rejected = self._sample_epoch_sequences(epoch)
-        self.actor_runtime.submit(epoch, list(enumerate(sequences)))
-        self._submitted[epoch] = (len(sequences), total_rejected)
-
     def _collect_from_actors(
         self, epoch: int, buffer: TrajectoryBuffer
-    ) -> tuple[list[float], int, int, int, int]:
-        """Collect one epoch's episodes from the actor pool.
-
-        Submits this epoch plus up to ``staleness`` future epochs (the
-        prefetch window that lets actors work ahead of the learner), then
-        drains until this epoch is complete — episodes of future epochs
-        arriving early are parked for their own collection pass.  Returns
-        ``(rewards, n_dropped, n_reweighted, n_kept, n_rejected)``.
-        """
-        cfg = self.train_config
-        self._submit_epoch(epoch)
-        for future in range(epoch + 1, min(epoch + 1 + cfg.staleness, cfg.epochs)):
-            self._submit_epoch(future)
-        n_episodes, total_rejected = self._submitted.pop(epoch)
-
-        episodes = self._early_episodes.pop(epoch, [])
-        while len(episodes) < n_episodes:
-            ep = self.actor_runtime.drain()
-            if ep.epoch == epoch:
-                episodes.append(ep)
-            else:
-                self._early_episodes.setdefault(ep.epoch, []).append(ep)
-        # Trajectory order: arrival order across workers is scheduling
-        # noise; the buffer contents must not depend on it.
-        episodes.sort(key=lambda e: e.traj)
-
+    ) -> tuple[list[float], int]:
+        """Roll one epoch's episodes on the actors into ``buffer``, in
+        trajectory order.  Returns ``(rewards, n_rejected)``."""
+        sequences, total_rejected = self._sample_epoch_sequences(epoch)
+        episodes = self.actor_runtime.rollout(epoch, list(enumerate(sequences)))
         scale = self._reward_scale or 1.0
-        rewards: list[float] = []
-        n_dropped = n_reweighted = n_kept = 0
-        reg = _telemetry.current()
-        tel_staleness = (
-            reg.histogram("rollout.staleness", bounds=_telemetry.INT_BOUNDS)
-            if reg.enabled
-            else None
-        )
         for ep in episodes:
-            rewards.append(ep.reward)
-            # Staleness at *consumption* time: updates run since the
-            # episode's weights were current (drain() stamps its own view,
-            # but early-arriving episodes age while parked).
-            staleness = self._n_updates - ep.version
-            if tel_staleness is not None:
-                tel_staleness.record(staleness)
-            if staleness > cfg.staleness:
-                if cfg.stale_mode == "drop":
-                    n_dropped += 1
-                    continue
-                n_reweighted += 1
+            if ep.version != self._n_updates:
+                raise RuntimeError(
+                    f"episode {ep.traj} of epoch {epoch} ran on weight "
+                    f"version {ep.version}, not the pushed {self._n_updates}"
+                )
             buffer.add_episode(
                 ep.rows, ep.counts, ep.actions, ep.log_probs, ep.values,
                 ep.reward / scale, order=ep.traj,
             )
-            n_kept += 1
-        return rewards, n_dropped, n_reweighted, n_kept, total_rejected
+        return [ep.reward for ep in episodes], total_rejected
 
     def run_epoch(self, epoch: int) -> EpochRecord:
         cfg = self.train_config
@@ -605,28 +573,15 @@ class Trainer:
                 )
                 self._reward_scale = max(abs(probe_reward), 1e-6)
 
-            rewards, n_dropped, n_reweighted, n_kept, total_rejected = (
-                self._collect_from_actors(epoch, buffer)
-            )
+            rewards, total_rejected = self._collect_from_actors(epoch, buffer)
 
         with reg.span("epoch.update") as sp_update:
-            if n_kept == 0:
-                # Every episode fell past the staleness bound in drop mode;
-                # there is nothing to update on.  Record a no-op epoch
-                # rather than crash — the weights (and version) stay put.
-                stats = UpdateStats(
-                    policy_loss=float("nan"), value_loss=float("nan"),
-                    kl=float("nan"), entropy=float("nan"),
-                    pi_iters_run=0, early_stopped=False,
-                )
-            else:
-                stats = self.agent.update(buffer.get())
+            stats = self.agent.update(buffer.get())
         with reg.span("epoch.broadcast") as sp_broadcast:
-            if n_kept > 0:
-                self._n_updates += 1
-                self.actor_runtime.push_weights(
-                    self._n_updates, self.agent.export_weights()
-                )
+            self._n_updates += 1
+            self.actor_runtime.push_weights(
+                self._n_updates, self.agent.export_weights()
+            )
         mean_reward = float(np.mean(rewards))
         sign = 1.0 if self._higher_is_better else -1.0
         with reg.span("epoch.validate") as sp_validate:
@@ -648,8 +603,6 @@ class Trainer:
             wall_time=time.perf_counter() - start,
             filtered_phase=filtered,
             val_reward=val_reward,
-            n_stale_dropped=n_dropped,
-            n_stale_reweighted=n_reweighted,
             phase_times=phase_times,
         )
 

@@ -8,9 +8,9 @@ rollout into the worker: each actor holds its own local vec of
 policy/value networks**, lock-steps its assigned episodes locally (env
 stepping, observation building, *batched* action sampling, per-episode
 value/log-prob targets), and ships finished :class:`EpisodeSlice` objects
-back — IPC drops from two transfers per env-step to at most one per
-episode (one per submitted chunk), and the parent's policy forward
-leaves the critical path entirely.
+back — IPC drops from two transfers per env-step to one per worker per
+epoch, and the parent's policy forward leaves the critical path
+entirely.
 
 Observations stay ragged from the environments to the learner: a
 lock-step wave is ``(rows, counts)`` (the visible job rows of every
@@ -20,30 +20,27 @@ regroups the waves by episode without padding them, and an
 are — the wire format is the storage format, and nothing between the
 engine and the PPO update builds the ``(M, F)`` window.
 
-Determinism contract (pinned by the async golden tests): an episode's
-content depends only on ``(seed, act_stream, epoch, traj)`` and the
-weight version it ran against.  Actors reuse the trainer's rollout
+An epoch is synchronous, as on-policy PPO wants it: weights go out with
+the backend's ``broadcast``, one epoch's episodes with its ``map`` (one
+chunk per worker), and both return only when every worker has answered,
+so every episode of a :meth:`ActorRuntime.rollout` runs on the weights
+last pushed.  Each episode still carries that weight ``version``, for the
+learner to check.
+
+Determinism contract (pinned by the collector golden tests): an
+episode's content depends only on ``(seed, act_stream, epoch, traj)`` and
+the weights it ran against.  Actors reuse the trainer's rollout
 invariants — per-trajectory RNG streams, episodes entering in trajectory
 order within a chunk, and one canonical per-episode batch (the episode's
 own T observations) for value estimates and behaviour log-probs — so an
 actor's episode is bit-identical to one ``Trainer._rollout`` steps by
 itself, on whichever backend the actor lives and however its local envs
-interleave.  Weight pushes and episode submissions share each worker's
-FIFO queue, which is the staleness mechanism: a chunk runs against
-exactly the last version pushed before it was submitted, on every
-backend and any worker count.
-
-Staleness accounting: :meth:`ActorRuntime.drain` stamps each episode
-with ``staleness = current_version - episode.version`` (in learner
-updates).  The learner decides what to do with stale episodes (drop or
-importance-reweight — PPO ratios already use the stored behaviour
-log-probs, so reweighting is automatic); the runtime only measures.
+interleave.
 """
 
 from __future__ import annotations
 
 import time as _time
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,7 +50,7 @@ from repro.config import EnvConfig, RuntimeConfig
 from repro.nn.ragged import csr_gather, csr_indptr
 from repro.telemetry import core as _telemetry
 
-from .backend import WorkerError, make_backend
+from .backend import make_backend
 from .seeding import stream_rng
 
 __all__ = ["ActorRuntime", "EpisodeSlice", "lockstep_rollout"]
@@ -72,8 +69,7 @@ class EpisodeSlice:
     deferred per-episode value estimates — exactly what
     ``Trainer._rollout`` computes for an episode it steps itself.
     ``reward`` is the raw terminal reward; the learner applies its own
-    reward scale.  ``staleness`` is stamped by :meth:`ActorRuntime.drain`
-    (learner updates since collection).
+    reward scale.  ``version`` is the weight version the episode ran on.
     """
 
     epoch: int
@@ -86,7 +82,6 @@ class EpisodeSlice:
     values: np.ndarray      # (T,)      float64
     reward: float
     steps: int
-    staleness: int = -1
 
 
 # ----------------------------------------------------------------------
@@ -194,16 +189,17 @@ def lockstep_rollout(vec, agent, sequences, rngs) -> tuple[list, list[float]]:
     return episodes, rewards
 
 
-def _actor_episodes(state, epoch, assignments):
+def _actor_episodes(state, task):
     """Run a chunk of complete episodes through the local vec env.
 
-    ``assignments`` is ``[(traj, jobs), ...]``; the chunk goes through
+    ``task`` is ``(epoch, [(traj, jobs), ...])``; the chunk goes through
     :func:`lockstep_rollout` on ``state["vec"]`` — each trajectory samples
     from its own ``(seed, act_stream, epoch, traj)`` stream and finishes
     with one canonical per-episode target batch — so episode content does
     not depend on local env count or interleaving.  Returns one
     :class:`EpisodeSlice` per assignment, in trajectory order.
     """
+    epoch, assignments = task
     agent, vec = state["agent"], state["vec"]
     trajs = [traj for traj, _ in assignments]
     with _telemetry.current().span("rollout.decode_jobs"):
@@ -305,15 +301,12 @@ def _decode_jobs(arr: np.ndarray) -> list:
 
 # ----------------------------------------------------------------------
 class ActorRuntime:
-    """A pool of episode-granular actors behind ``post``/``next_result``.
+    """A pool of episode-granular actors on the backend's two primitives.
 
     Lifecycle: :meth:`install` replicates the envs + networks into every
-    worker, :meth:`submit` queues a set of episodes (round-robin by
-    trajectory index, one chunk per worker), :meth:`drain` blocks for the
-    next finished episode, :meth:`push_weights` streams a new snapshot to
-    every actor.  Weight pushes ride the same per-worker FIFO as episode
-    chunks, so ordering — not locking — defines which version each
-    episode sees.
+    worker, :meth:`rollout` runs one epoch's episodes (one chunk per
+    worker) and returns them, :meth:`push_weights` sends a new snapshot to
+    every actor.  Each call returns when every worker has answered.
 
     ``n_envs`` is the *per-worker* lock-step width: each actor batches
     policy forwards across up to that many of its local episodes.
@@ -341,12 +334,6 @@ class ActorRuntime:
         self._act_stream = int(act_stream)
         self._version = -1
         self._installed = False
-        # Per-worker FIFO of what each posted task is: ("weights", 0)
-        # pushes complete with a None ack that drain() must skip;
-        # ("episodes", k) completions carry k EpisodeSlices.
-        self._kinds: list[deque] = [deque() for _ in range(self.backend.n_workers)]
-        self._ready: deque = deque()
-        self._n_episodes_pending = 0
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -373,16 +360,7 @@ class ActorRuntime:
         self._installed = True
 
     def close(self) -> None:
-        """Drain stragglers and release the backend."""
-        while self.backend.started and self.backend.n_pending:
-            try:
-                self.backend.next_result()
-            except WorkerError:
-                break  # a dead/failing worker: leave cleanup to close()
-        for kinds in self._kinds:
-            kinds.clear()
-        self._ready.clear()
-        self._n_episodes_pending = 0
+        """Release the backend."""
         self.backend.close()
 
     def __enter__(self) -> "ActorRuntime":
@@ -391,31 +369,27 @@ class ActorRuntime:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- episode streaming ----------------------------------------------
+    # -- one epoch ------------------------------------------------------
     def push_weights(self, version: int, snapshot: dict) -> None:
-        """Queue a weight snapshot on every actor (FIFO after prior work)."""
+        """Load a weight snapshot into every actor (encoded once)."""
         self._require_installed()
         version = int(version)
         if version < self._version:
             raise ValueError(
                 f"weight version must not decrease: {version} < {self._version}"
             )
-        # post_all encodes the snapshot once for all workers (one pool
-        # span) instead of n_workers pipe copies
-        self.backend.post_all(_actor_load_weights, version, snapshot)
-        for w in range(self.n_workers):
-            self._kinds[w].append(("weights", 0))
+        self.backend.broadcast(_actor_load_weights, version, snapshot)
         self._version = version
 
-    def submit(self, epoch: int, assignments: Sequence[tuple[int, Sequence]]) -> None:
-        """Queue episodes ``[(traj, jobs), ...]``, one chunk per worker.
+    def rollout(
+        self, epoch: int, assignments: Sequence[tuple[int, Sequence]]
+    ) -> list[EpisodeSlice]:
+        """Run episodes ``[(traj, jobs), ...]``; returns them by trajectory.
 
         Episodes fan round-robin by trajectory index (``traj %
-        n_workers``), so the worker owning a trajectory — hence its
-        weight version under FIFO ordering — is deterministic for any
-        submission pattern.  On process backends job sequences travel in
-        the columnar :func:`_encode_jobs` wire format (exact round trip,
-        ~2x cheaper than object pickling).
+        n_workers``), one chunk per worker.  On process backends job
+        sequences travel in the columnar :func:`_encode_jobs` wire format
+        (exact round trip, ~2x cheaper than object pickling).
         """
         self._require_installed()
         wire = self.backend.crosses_process_boundary
@@ -425,44 +399,15 @@ class ActorRuntime:
                 chunks.setdefault(int(traj) % self.n_workers, []).append(
                     (int(traj), _encode_jobs(jobs) if wire else jobs)
                 )
-        for w in sorted(chunks):
-            self.backend.post(w, _actor_episodes, int(epoch), chunks[w])
-            self._kinds[w].append(("episodes", len(chunks[w])))
-            self._n_episodes_pending += len(chunks[w])
-
-    def drain(self) -> EpisodeSlice:
-        """Block for the next finished episode (cross-worker arrival order),
-        stamped with its staleness in learner updates."""
-        while not self._ready:
-            if self._n_episodes_pending == 0:
-                raise RuntimeError("drain() with no episodes in flight")
-            try:
-                worker, payload = self.backend.next_result()
-            except WorkerError as err:
-                kinds = self._kinds[err.worker_id]
-                kind, count = kinds.popleft() if kinds else ("episodes", 0)
-                if kind == "episodes":
-                    self._n_episodes_pending -= min(
-                        count, self._n_episodes_pending
-                    )
-                raise
-            kind, count = self._kinds[worker].popleft()
-            if kind == "weights":
-                continue  # load-weights ack, nothing to deliver
-            self._n_episodes_pending -= count
-            self._ready.extend((worker, ep) for ep in payload)
-        worker, episode = self._ready.popleft()
-        episode.staleness = self._version - episode.version
-        reg = _telemetry.current()
-        if reg.enabled:
-            # Worker-labelled by hand (same name shape that absorb()
-            # produces) so per-actor staleness distributions land in the
-            # merged snapshot next to the piggybacked worker metrics.
-            reg.histogram(
-                f"runtime.actor.staleness{{worker={worker}}}",
-                bounds=_telemetry.INT_BOUNDS,
-            ).record(episode.staleness)
-        return episode
+        results = self.backend.map(
+            _actor_episodes,
+            [(int(epoch), chunks[w]) for w in sorted(chunks)],
+            chunksize=1,
+        )
+        return sorted(
+            (episode for chunk in results for episode in chunk),
+            key=lambda episode: episode.traj,
+        )
 
     def _require_installed(self) -> None:
         if not self._installed:

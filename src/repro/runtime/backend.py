@@ -2,36 +2,22 @@
 
 A backend owns ``n_workers`` logical workers.  Each worker has a private
 ``state`` dict that persists across calls; every task is a plain top-level
-function ``fn(state, *args)`` executed against one worker's state.  Four
-dispatch primitives cover every fan-out pattern in the repo.  Two are
-synchronous:
+function ``fn(state, *args)`` executed against one worker's state.  Two
+synchronous dispatch primitives cover every fan-out pattern in the repo:
 
 ``broadcast(fn, *args)``
     run ``fn`` once on *every* worker with the same arguments (install
-    schedulers, build actor replicas), results by worker id;
+    schedulers, build actor replicas, push weights), results by worker
+    id; process backends encode the arguments once for all workers;
 ``map(fn, tasks, chunksize=...)``
     run ``fn(state, task)`` over an arbitrary task list, load-balanced in
     chunks across workers, results returned **in task order** (evaluate a
-    scheduler over the paper's test sequences).
+    scheduler over the paper's test sequences, roll out one chunk of
+    episodes per actor).  The first round hands chunk ``i`` to worker
+    ``i``, so ``n_workers`` chunks of size one address every worker once.
 
-Two are *asynchronous* — the episode-granular actor runtime
-(:mod:`repro.runtime.actor`) is built on them, and they are how one
-worker is addressed:
-
-``post(worker, fn, *args)`` / ``post_all(fn, *args)``
-    queue ``fn(state, *args)`` on one worker (on every worker, encoded
-    once) and return immediately;
-``next_result()``
-    block until *some* posted task finishes and return
-    ``(worker_id, result)``.
-
-Posted tasks execute in per-worker FIFO order (the staleness mechanism:
-a weight push posted before an episode is guaranteed to apply first), but
-``next_result`` returns completions in whatever order they arrive across
-workers.  ``post``/``next_result`` must be fully drained before the
-synchronous primitives run again — ``broadcast``/``map`` refuse while
-results are pending so the two dispatch styles can never interleave on
-one pipe.
+Both return only when every dispatched call has answered, so a worker
+never holds more than one message at a time.
 
 Determinism contract: for the same task list, ``map``/``broadcast``
 return the same ordered results on every backend and any worker count.
@@ -117,7 +103,6 @@ class ExecutionBackend(abc.ABC):
         shared memory) once per call, not once per worker.
         """
         self.start()
-        self._require_drained("broadcast")
         return self._broadcast_impl(fn, args)
 
     def map(
@@ -141,61 +126,7 @@ class ExecutionBackend(abc.ABC):
         if chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.start()
-        self._require_drained("map")
         return self._map_impl(fn, tasks, chunksize)
-
-    # -- asynchronous dispatch ------------------------------------------
-    def post(self, worker: int, fn: TaskFn, *args) -> None:
-        """Queue ``fn(state, *args)`` on one worker without waiting.
-
-        Per-worker execution order is the post order (FIFO); collect
-        completions — in cross-worker arrival order — with
-        :meth:`next_result`.
-        """
-        if not 0 <= worker < self.n_workers:
-            raise ValueError(
-                f"worker id {worker} out of range [0, {self.n_workers})"
-            )
-        self.start()
-        self._post_impl(worker, fn, args)
-
-    def post_all(self, fn: TaskFn, *args) -> None:
-        """Post ``fn(state, *args)`` on *every* worker without waiting.
-
-        Semantically ``post(w, fn, *args)`` for each worker in id order
-        (same FIFO guarantees, one result per worker via
-        :meth:`next_result`), but process backends encode the message
-        **once** and write the same bytes to every pipe — the weight
-        re-broadcast after a PPO update ships one snapshot, not
-        ``n_workers`` pickled copies.
-        """
-        self.start()
-        self._post_all_impl(fn, args)
-
-    def next_result(self) -> tuple[int, Any]:
-        """Block for the next completed posted task: ``(worker, result)``.
-
-        Raises :class:`WorkerError` if that task failed (the failed task
-        still counts as drained).  Raises ``RuntimeError`` when nothing is
-        pending — a blocking wait could never return.
-        """
-        if self.n_pending == 0:
-            raise RuntimeError("next_result() with no posted tasks pending")
-        return self._next_result_impl()
-
-    @property
-    def n_pending(self) -> int:
-        """Posted tasks whose results have not been collected yet."""
-        if not self.started:
-            return 0
-        return self._n_pending_impl()
-
-    def _require_drained(self, what: str) -> None:
-        if self.n_pending:
-            raise RuntimeError(
-                f"cannot {what} while {self.n_pending} posted task(s) are "
-                "pending; drain them with next_result() first"
-            )
 
     # -- backend hooks --------------------------------------------------
     @abc.abstractmethod
@@ -209,26 +140,6 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def _map_impl(self, fn: TaskFn, tasks: list, chunksize: int) -> list: ...
-
-    # Async-dispatch hooks have defaults so minimal backends (tests,
-    # third-party) that only implement the synchronous contract keep
-    # working until they opt in.
-    def _post_impl(self, worker: int, fn: TaskFn, args: tuple) -> None:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement post()"
-        )
-
-    def _post_all_impl(self, fn: TaskFn, args: tuple) -> None:
-        for worker in range(self.n_workers):
-            self._post_impl(worker, fn, args)
-
-    def _next_result_impl(self) -> tuple[int, Any]:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement next_result()"
-        )
-
-    def _n_pending_impl(self) -> int:
-        return 0
 
 
 def make_backend(config=None, workers: int | None = None) -> ExecutionBackend:

@@ -11,17 +11,18 @@ worker returns first (:func:`multiprocessing.connection.wait`), and the
 chunk index travels with the result so the caller always sees results in
 task order — worker count and scheduling jitter are unobservable.
 
-Posted tasks (``post``/``next_result``) return their results through one
-shared ``multiprocessing.Queue`` instead of the per-worker pipes.  The
-queue's feeder thread makes the worker-side put non-blocking, which
-breaks the deadlock a pipe-only design invites: with pipes, a parent
-blocked in ``send`` (pushing weights) to a worker that is itself blocked
-in ``send`` (returning a large episode) would wedge both sides forever.
-Workers encode queue payloads eagerly so an unencodable result fails
-*synchronously* in the worker — shipped back as an error — rather than
-asynchronously wedging the queue's feeder thread.
+Every reply comes back on the pipe its request went out on, and nothing
+else carries results.  Both primitives are synchronous, so the parent
+writes to a worker only when that worker owes it no reply: a worker is
+either reading its one message or running it, never writing, while the
+parent writes.  A worker blocked writing a large reply waits for a parent
+that is at most finishing writes to *other*, reading workers before it
+collects replies — no wait cycle, so two blocked ``send`` calls cannot
+wedge each other.  A worker that dies mid-task closes its pipe, and the
+parent's read of that pipe raises ``EOFError``, which is how a death
+surfaces; nothing polls for liveness.
 
-Every message — pipe or queue, either direction — is encoded by an
+Every message, either direction, is encoded by an
 :class:`repro.runtime.shm.ArrayCodec` and moved with ``send_bytes``/
 ``recv_bytes``.  Large ndarray payloads spill out-of-band into a
 :class:`~repro.runtime.shm.SharedArrayPool` shared with the workers, so
@@ -39,9 +40,9 @@ pickled and re-raise in the parent as :class:`WorkerError`.
 
 Telemetry piggybacks on this protocol: when the parent's telemetry is
 enabled at spawn time, every worker activates its own registry and every
-reply — pipe or queue — carries the worker's snapshot *delta* as a third
+reply carries the worker's snapshot *delta* as a third
 element.  The parent absorbs deltas under worker-labelled metric names
-as replies drain, so per-worker telemetry (IPC queue wait, task and
+as replies arrive, so per-worker telemetry (IPC queue wait, task and
 encode time, plus whatever the task functions record) aggregates without
 any extra round trips.  Both sides count the bytes they actually write
 (``runtime.ipc.bytes_inline``) and time their encodes
@@ -55,7 +56,6 @@ from __future__ import annotations
 import logging
 import multiprocessing as mp
 import pickle
-import queue as queue_mod
 import time
 from multiprocessing.connection import Connection, wait
 
@@ -74,18 +74,12 @@ _SHUTDOWN = None
 
 def _worker_main(
     conn: Connection,
-    result_queue,
-    worker_id: int,
     telemetry_enabled: bool = False,
     pool: SharedArrayPool | None = None,
 ) -> None:
-    """Command loop: ``(fn, args, via_queue)`` in, results out.
-
-    ``via_queue=False`` (broadcast/map) answers on the pipe with
-    ``("ok", result, tel) | ("err", exc, tel)``; ``via_queue=True``
-    (posted tasks) puts a pre-encoded ``(worker_id, status, payload,
-    tel)`` blob on the shared result queue instead.  ``tel`` is the
-    worker's telemetry snapshot delta (or ``None`` when disabled/empty).
+    """Command loop: ``(fn, args)`` in, ``("ok", result, tel) | ("err",
+    exc, tel)`` out on the same pipe.  ``tel`` is the worker's telemetry
+    snapshot delta (or ``None`` when disabled/empty).
     """
     codec = ArrayCodec(pool)
     state: dict = {}
@@ -98,9 +92,9 @@ def _worker_main(
         _telemetry.set_active(reg)
     perf = time.perf_counter
 
-    def encode(payload, via_queue: bool) -> bytes:
+    def encode(payload) -> bytes:
         """Encode a reply; an unencodable *result* fails the task in
-        place (synchronously, keeping pipe/queue protocols in sync)."""
+        place, so the pipe still carries exactly one reply."""
         try:
             if reg is not None:
                 t0 = perf()
@@ -113,10 +107,7 @@ def _worker_main(
             return wire
         except Exception as exc:
             err = RuntimeError(f"unencodable result: {exc}")
-            fallback = (
-                (worker_id, "err", err, None) if via_queue else ("err", err, None)
-            )
-            wire, _lease = codec.dumps(fallback)
+            wire, _lease = codec.dumps(("err", err, None))
             return wire
 
     while True:
@@ -131,7 +122,7 @@ def _worker_main(
             break
         if msg is _SHUTDOWN:
             break
-        fn, args, via_queue = msg
+        fn, args = msg
         try:
             if reg is not None:
                 t0 = perf()
@@ -151,10 +142,7 @@ def _worker_main(
         tel = None
         if reg is not None and reg.has_data():
             tel = reg.drain()
-        if not via_queue:
-            conn.send_bytes(encode(reply + (tel,), via_queue=False))
-            continue
-        result_queue.put(encode((worker_id,) + reply + (tel,), via_queue=True))
+        conn.send_bytes(encode(reply + (tel,)))
     if pool is not None:
         pool.close()
 
@@ -176,16 +164,12 @@ class ProcessPoolBackend(ExecutionBackend):
         super().__init__(n_workers)
         self._procs: list[mp.Process] = []
         self._conns: list[Connection] = []
-        self._result_queue = None
-        self._posted_counts: list[int] = []
         self._pool: SharedArrayPool | None = None
         self._codec = ArrayCodec(None)
 
     # -- lifecycle ------------------------------------------------------
     def _start_impl(self) -> None:
         ctx = mp.get_context()
-        self._result_queue = ctx.Queue()
-        self._posted_counts = [0] * self.n_workers
         try:
             self._pool = SharedArrayPool()
         except OSError as exc:  # no /dev/shm, size limit: inline messages
@@ -197,17 +181,11 @@ class ProcessPoolBackend(ExecutionBackend):
         # Workers inherit the parent's telemetry enablement at spawn time;
         # enabling telemetry after the pool starts leaves workers dark.
         telemetry_enabled = _telemetry.enabled()
-        for worker_id in range(self.n_workers):
+        for _ in range(self.n_workers):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(
-                    child_conn,
-                    self._result_queue,
-                    worker_id,
-                    telemetry_enabled,
-                    self._pool,
-                ),
+                args=(child_conn, telemetry_enabled, self._pool),
                 daemon=True,
             )
             proc.start()
@@ -216,22 +194,6 @@ class ProcessPoolBackend(ExecutionBackend):
             self._conns.append(parent_conn)
 
     def _close_impl(self) -> None:
-        # Posted tasks may still be running; drain their results (bounded)
-        # so no worker is wedged mid-put when the shutdown sentinel lands.
-        deadline = time.monotonic() + self.JOIN_TIMEOUT
-        while sum(self._posted_counts):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                blob = self._result_queue.get(timeout=min(remaining, 1.0))
-            except queue_mod.Empty:
-                for w, proc in enumerate(self._procs):
-                    if self._posted_counts[w] and not proc.is_alive():
-                        self._posted_counts[w] = 0
-                continue
-            worker, _status, _payload, _tel = self._codec.loads(blob)
-            self._posted_counts[worker] -= 1
         for conn in self._conns:
             try:
                 conn.send_bytes(self._codec.dumps(_SHUTDOWN)[0])
@@ -244,12 +206,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 proc.join(timeout=self.JOIN_TIMEOUT)
         for conn in self._conns:
             conn.close()
-        if self._result_queue is not None:
-            self._result_queue.close()
-            self._result_queue.join_thread()
         self._procs, self._conns = [], []
-        self._result_queue = None
-        self._posted_counts = []
         if self._pool is not None:
             self._pool.destroy()
             self._pool = None
@@ -273,23 +230,19 @@ class ProcessPoolBackend(ExecutionBackend):
             reg.counter("runtime.ipc.bytes_inline").add(len(wire))
         self._conns[worker].send_bytes(wire)
 
-    def _send_msg(
-        self, worker: int, fn: TaskFn, args: tuple, via_queue: bool
-    ) -> None:
+    def _send_msg(self, worker: int, fn: TaskFn, args: tuple) -> None:
         """Encode + write one message.  Encoding failures raise before
         anything is written (the worker saw nothing); a write failure
         refunds the message's own pool lease — the worker will never
         decode it."""
-        wire, lease = self._encode((fn, tuple(args), via_queue))
+        wire, lease = self._encode((fn, tuple(args)))
         try:
             self._send_wire(worker, wire)
         except BaseException:
             self._codec.discard(lease)
             raise
 
-    def _send_all(
-        self, fn: TaskFn, args: tuple, via_queue: bool
-    ) -> tuple[int, Exception | None]:
+    def _send_all(self, fn: TaskFn, args: tuple) -> tuple[int, Exception | None]:
         """One encode, ``n_workers`` writes of the same bytes: a payload
         common to every worker (a weight snapshot, the actor replicas) is
         serialized — and pool-spilled — once.  Returns how many workers
@@ -300,9 +253,7 @@ class ProcessPoolBackend(ExecutionBackend):
         delivered (each delivered copy is consumed by its worker's
         decode)."""
         try:
-            wire, lease = self._encode(
-                (fn, tuple(args), via_queue), receivers=self.n_workers
-            )
+            wire, lease = self._encode((fn, tuple(args)), receivers=self.n_workers)
         except Exception as exc:
             return 0, exc
         sent = 0
@@ -348,7 +299,7 @@ class ProcessPoolBackend(ExecutionBackend):
         # drained even on failure, so the pipes stay in sync and the
         # backend remains usable after a task error (a dead worker still
         # surfaces as WorkerError).
-        sent, send_exc = self._send_all(fn, args, False)
+        sent, send_exc = self._send_all(fn, args)
         results, first_err = [], None
         for w in range(sent):
             try:
@@ -381,7 +332,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 return False
             start, chunk = entry
             try:
-                self._send_msg(worker_id, _map_chunk, (fn, chunk), False)
+                self._send_msg(worker_id, _map_chunk, (fn, chunk))
             except Exception as exc:
                 # Includes encoding failures: dumps() runs before
                 # writing, so the worker saw nothing — record the error
@@ -408,47 +359,3 @@ class ProcessPoolBackend(ExecutionBackend):
         if first_err is not None:
             raise first_err
         return results
-
-    # -- asynchronous dispatch ------------------------------------------
-    def _post_impl(self, worker: int, fn: TaskFn, args: tuple) -> None:
-        try:
-            self._send_msg(worker, fn, args, True)
-        except Exception as exc:
-            # Broken pipe or encoding failure: dumps() runs before
-            # writing, so the worker saw nothing — the task never counts
-            # as pending.
-            raise WorkerError(worker, exc) from exc
-        self._posted_counts[worker] += 1
-
-    def _post_all_impl(self, fn: TaskFn, args: tuple) -> None:
-        sent, send_exc = self._send_all(fn, args, True)
-        for worker in range(sent):
-            self._posted_counts[worker] += 1
-        if send_exc is not None:
-            raise WorkerError(sent, send_exc) from send_exc
-
-    def _next_result_impl(self) -> tuple:
-        while True:
-            try:
-                blob = self._result_queue.get(timeout=1.0)
-            except queue_mod.Empty:
-                # No result yet.  Either a task is still running (keep
-                # waiting) or a worker died mid-task — surface that as a
-                # WorkerError and write off everything posted to it.
-                for w, proc in enumerate(self._procs):
-                    if self._posted_counts[w] and not proc.is_alive():
-                        self._posted_counts[w] = 0
-                        self._reclaim_worker(w)
-                        raise WorkerError(
-                            w, RuntimeError("worker died with posted task(s) pending")
-                        ) from None
-                continue
-            worker, status, payload, tel = self._codec.loads(blob)
-            self._posted_counts[worker] -= 1
-            self._absorb_telemetry(worker, tel)
-            if status == "err":
-                raise WorkerError(worker, payload) from payload
-            return worker, payload
-
-    def _n_pending_impl(self) -> int:
-        return sum(self._posted_counts)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 from .backend import ExecutionBackend, TaskFn, WorkerError
 
 __all__ = ["SerialBackend"]
@@ -14,24 +12,18 @@ class SerialBackend(ExecutionBackend):
 
     ``n_workers`` only partitions state (e.g. env shards); execution is
     strictly sequential in dispatch order, which *is* the determinism
-    contract the process pool reproduces.  Posted tasks execute eagerly
-    at :meth:`post` time (there is no concurrency to defer to); their
-    results — and errors — are queued and delivered by
-    :meth:`next_result` in post order.
+    contract the process pool reproduces.
     """
 
     def __init__(self, n_workers: int = 1):
         super().__init__(n_workers)
         self._states: list[dict] = []
-        self._posted: deque = deque()  # (worker, "ok"|"err", payload)
 
     def _start_impl(self) -> None:
         self._states = [{} for _ in range(self.n_workers)]
-        self._posted.clear()
 
     def _close_impl(self) -> None:
         self._states = []
-        self._posted.clear()
 
     def _run(self, worker_id: int, fn: TaskFn, args: tuple):
         try:
@@ -43,22 +35,6 @@ class SerialBackend(ExecutionBackend):
 
     def _broadcast_impl(self, fn: TaskFn, args: tuple) -> list:
         return [self._run(w, fn, args) for w in range(self.n_workers)]
-
-    def _post_impl(self, worker: int, fn: TaskFn, args: tuple) -> None:
-        # No concurrency to defer to: run now, deliver via next_result().
-        try:
-            self._posted.append((worker, "ok", self._run(worker, fn, args)))
-        except WorkerError as err:
-            self._posted.append((worker, "err", err))
-
-    def _next_result_impl(self) -> tuple:
-        worker, status, payload = self._posted.popleft()
-        if status == "err":
-            raise payload
-        return worker, payload
-
-    def _n_pending_impl(self) -> int:
-        return len(self._posted)
 
     def _map_impl(self, fn: TaskFn, tasks: list, chunksize: int) -> list:
         # Chunking is a no-op serially, but walking chunk-by-chunk keeps the

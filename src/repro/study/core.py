@@ -100,8 +100,7 @@ def _train_provenance(config: StudyConfig, metric: str) -> dict:
         **{
             knob: getattr(config.train, knob)
             for knob in ("seed", "epochs", "trajectories_per_epoch",
-                         "trajectory_length", "use_trajectory_filter",
-                         "staleness")
+                         "trajectory_length", "use_trajectory_filter")
         },
     }
 

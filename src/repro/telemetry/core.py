@@ -57,7 +57,7 @@ DURATION_BOUNDS_SEC: tuple[float, ...] = tuple(
     m * 10.0**e for e in range(-6, 3) for m in (1.0, 2.5, 5.0)
 )
 
-#: small-integer buckets for queue depths / staleness / chunk sizes.
+#: small-integer buckets for queue depths / chunk sizes.
 INT_BOUNDS: tuple[float, ...] = (
     0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384,
     512, 768, 1024,

@@ -96,4 +96,4 @@ class SequentialTrainer(Trainer):
             for t, jobs in enumerate(sequences)
         ]
         self.n_sequential += len(rewards)
-        return rewards, 0, 0, len(rewards), n_rejected
+        return rewards, n_rejected

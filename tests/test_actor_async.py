@@ -1,17 +1,17 @@
-"""Contract tests for episode-granular actor rollouts (PR-7 acceptance).
+"""Contract tests for episode-granular actor rollouts.
 
 Five layers:
 
-1. the golden property — collecting through the actor pool with
-   ``staleness=0`` trains *bit-identically* to a loop of one-episode
-   ``Trainer._rollout`` calls, on the serial and process backends, for
-   any worker count (no tolerances anywhere);
+1. the golden property — collecting through the actor pool trains
+   *bit-identically* to a loop of one-episode ``Trainer._rollout``
+   calls, on the serial and process backends, for any worker count (no
+   tolerances anywhere);
 2. :class:`ActorRuntime` semantics — episode content is independent of
    the in-worker lock-step width / auto-reset backlog interleaving and
-   of cross-worker arrival order; staleness stamping and the
-   drop/reweight accounting that surfaces in :class:`EpochRecord`;
-3. the backend ``post``/``next_result`` primitives the runtime rides on
-   (FIFO order, error propagation, the drained-queue guard);
+   of the worker count; every episode carries the weight version it ran
+   on; :class:`EpochRecord` still loads the fields it retired;
+3. faults — an actor SIGKILLed mid-rollout is a ``WorkerError`` naming
+   it, with no leaked process or shared-memory lease;
 4. the satellite bugfix — a mid-epoch exception inside a ``Trainer``
    context must not leak worker processes;
 5. the collector rule — there is one; where its actors live follows
@@ -19,6 +19,8 @@ Five layers:
 """
 
 import multiprocessing
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +29,11 @@ import pytest
 from repro.config import EnvConfig, PPOConfig, RuntimeConfig, TrainConfig
 from repro.rl import Trainer
 from repro.rl.buffer import TrajectoryBuffer
+from repro.rl.ppo import UpdateStats
 from repro.rl.trainer import EpochRecord
 from repro.nn import ValueMLP, make_policy
 from repro.runtime import ActorRuntime, WorkerError, make_backend
+from repro.runtime import actor as actor_mod
 from repro.workloads import SequenceSampler, load_trace
 
 from .conftest import DenseOnly, SequentialTrainer
@@ -50,8 +54,8 @@ def copy_sequences(sequences):
     return [[j.copy() for j in seq] for seq in sequences]
 
 
-def make_trainer(trace, runtime, sequential=False, staleness=0,
-                 stale_mode="drop", epochs=2, backfill=False, dense=False):
+def make_trainer(trace, runtime, sequential=False, epochs=2, backfill=False,
+                 dense=False):
     """``sequential=True`` builds the reference: a loop of one-episode
     ``Trainer._rollout`` calls in place of the actors.  ``dense=True``
     hides the kernel policy's row scorers, so acting and the update pad
@@ -69,8 +73,6 @@ def make_trainer(trace, runtime, sequential=False, staleness=0,
             seed=0,
             n_envs=4,  # 6 trajectories over 4 envs: exercises auto-reset
             runtime=runtime,
-            staleness=staleness,
-            stale_mode=stale_mode,
         ),
     )
 
@@ -94,8 +96,6 @@ def assert_records_equal(rec_a, rec_b):
         assert a.mean_metric == b.mean_metric
         assert a.n_rejected == b.n_rejected
         assert a.val_reward == b.val_reward
-        assert a.n_stale_dropped == b.n_stale_dropped
-        assert a.n_stale_reweighted == b.n_stale_reweighted
         assert a.stats.policy_loss == b.stats.policy_loss
         assert a.stats.value_loss == b.stats.value_loss
         assert a.stats.kl == b.stats.kl
@@ -115,7 +115,7 @@ def assert_runs_equal(run_a, run_b):
 
 
 class TestAsyncGolden:
-    """The acceptance-criterion test: actor pool (staleness=0) == loop of
+    """The acceptance-criterion test: actor pool == loop of
     ``Trainer._rollout`` — on the serial backend and on 2 and 3 processes."""
 
     @pytest.mark.parametrize("runtime", [SERIAL, PROCESS_2, PROCESS_3],
@@ -144,15 +144,6 @@ class TestAsyncGolden:
                 train_run(trace, runtime, backfill=backfill, dense=dense),
             )
 
-    def test_nonzero_staleness_trains(self, trace):
-        """The prefetch window runs and every epoch stays well-formed."""
-        records, _, _ = train_run(trace, PROCESS_2, staleness=1, epochs=3)
-        for r in records:
-            assert np.isfinite(r.mean_reward)
-            assert np.isfinite(r.val_reward)
-            assert r.n_stale_dropped == 0  # within the declared bound
-            assert r.stats.pi_iters_run > 0
-
 
 class TestActorRuntime:
     """Direct driving of the actor pool, no trainer in the loop."""
@@ -165,8 +156,10 @@ class TestActorRuntime:
         )
         with actors:
             actors.install(policy, value)
-            actors.submit(epoch, list(enumerate(copy_sequences(sequences))))
-            episodes = [actors.drain() for _ in range(len(sequences))]
+            episodes = actors.rollout(
+                epoch, list(enumerate(copy_sequences(sequences)))
+            )
+        assert [ep.traj for ep in episodes] == list(range(len(sequences)))
         return {ep.traj: ep for ep in episodes}
 
     @pytest.fixture(scope="class")
@@ -181,7 +174,7 @@ class TestActorRuntime:
     def test_width_and_arrival_order_invariance(self, trace, sequences,
                                                 networks):
         """Six episodes through width-1, width-4 (auto-reset backlog), and
-        a two-worker pool (out-of-order cross-worker arrival) are
+        two- and three-worker pools (chunks split across processes) are
         bit-identical episode for episode."""
         policy, value = networks
         ref = self.collect(trace, sequences, SERIAL, 1, policy, value)
@@ -200,25 +193,21 @@ class TestActorRuntime:
                 assert ep.reward == ref[traj].reward
                 assert ep.steps == ref[traj].steps
 
-    def test_staleness_stamped_at_drain(self, trace, sequences, networks):
-        """Episodes submitted before weight pushes run at the old version
-        (per-worker FIFO) and drain with the version gap stamped."""
+    def test_episodes_carry_the_pushed_version(self, trace, sequences,
+                                               networks):
+        """A rollout runs on the weights last pushed, and says so."""
         policy, value = networks
         actors = ActorRuntime(trace.max_procs, "bsld", config=ENV_CFG,
                               runtime=PROCESS_2, n_envs=2, seed=0)
         with actors:
             actors.install(policy, value, version=0)
-            actors.submit(0, list(enumerate(copy_sequences(sequences[:2]))))
+            assigned = list(enumerate(copy_sequences(sequences[:3])))
+            assert {ep.version for ep in actors.rollout(0, assigned)} == {0}
             snapshot = {"policy": policy.state_dict(),
                         "value": value.state_dict()}
-            actors.push_weights(1, snapshot)
             actors.push_weights(2, snapshot)
-            stale = [actors.drain() for _ in range(2)]
-            # same weights re-pushed: content identical, version stamp old
-            assert all(ep.version == 0 and ep.staleness == 2 for ep in stale)
-            actors.submit(1, list(enumerate(copy_sequences(sequences[:1]))))
-            fresh = actors.drain()
-            assert fresh.version == 2 and fresh.staleness == 0
+            assigned = list(enumerate(copy_sequences(sequences[:3])))
+            assert {ep.version for ep in actors.rollout(1, assigned)} == {2}
 
     def test_contract_errors(self, trace, sequences, networks):
         policy, value = networks
@@ -228,145 +217,87 @@ class TestActorRuntime:
                               n_envs=2)
         with actors:
             with pytest.raises(RuntimeError, match="install"):
-                actors.submit(0, list(enumerate(sequences[:1])))
+                actors.rollout(0, list(enumerate(sequences[:1])))
             actors.install(policy, value, version=3)
             with pytest.raises(RuntimeError, match="installed"):
                 actors.install(policy, value)
             with pytest.raises(ValueError, match="decrease"):
                 actors.push_weights(2, {"policy": policy.state_dict(),
                                         "value": value.state_dict()})
-            with pytest.raises(RuntimeError, match="in flight"):
-                actors.drain()
 
 
-class TestTrainerStaleness:
-    """Drop/reweight accounting surfaces in the training curve."""
+def _record(**extra):
+    return EpochRecord(
+        epoch=0, mean_metric=1.0, mean_reward=-1.0,
+        stats=UpdateStats(policy_loss=0.1, value_loss=0.2, kl=0.0,
+                          entropy=1.0, pi_iters_run=8, early_stopped=False),
+        n_rejected=0, wall_time=0.5, filtered_phase=False, val_reward=-2.0,
+        **extra,
+    )
 
-    def force_stale_epoch(self, trace, stale_mode):
-        with make_trainer(trace, SERIAL, staleness=0,
-                          stale_mode=stale_mode, epochs=1) as t:
-            # Submit epoch 0 (episodes run at version 0), then advance the
-            # learner two updates before collecting: every episode is now
-            # 2 stale, past the staleness=0 bound.
-            t._submit_epoch(0)
-            t._n_updates = 2
-            t.actor_runtime.push_weights(2, t.agent.export_weights())
-            return t.run_epoch(0), t._n_updates
 
-    def test_drop_mode_records_and_skips_update(self, trace):
-        record, n_updates = self.force_stale_epoch(trace, "drop")
-        assert record.n_stale_dropped == 6
-        assert record.n_stale_reweighted == 0
-        # nothing left to update on: a no-op epoch, version stays put
-        assert record.stats.pi_iters_run == 0
-        assert np.isnan(record.stats.policy_loss)
-        assert n_updates == 2
-        # the mean rollout reward is still reported for the curve
-        assert np.isfinite(record.mean_reward)
+class TestEpochRecordCompat:
+    def test_roundtrip(self):
+        rec = _record(phase_times={"rollout": 0.1, "update": 0.2})
+        assert EpochRecord.from_dict(rec.to_dict()) == rec
 
-    def test_reweight_mode_keeps_episodes(self, trace):
-        record, n_updates = self.force_stale_epoch(trace, "reweight")
-        assert record.n_stale_reweighted == 6
-        assert record.n_stale_dropped == 0
-        assert record.stats.pi_iters_run > 0
-        assert np.isfinite(record.stats.policy_loss)
-        assert n_updates == 3  # the update ran, weights were re-pushed
-
-    def test_epoch_record_roundtrip_with_staleness_fields(self):
-        rec = EpochRecord(
-            epoch=0, mean_metric=1.0, mean_reward=-1.0,
-            stats=__import__("repro.rl.ppo", fromlist=["UpdateStats"])
-            .UpdateStats(policy_loss=0.1, value_loss=0.2, kl=0.0,
-                         entropy=1.0, pi_iters_run=8, early_stopped=False),
-            n_rejected=0, wall_time=0.5, filtered_phase=False,
-            val_reward=-2.0, n_stale_dropped=3, n_stale_reweighted=1,
-        )
-        got = EpochRecord.from_dict(rec.to_dict())
-        assert got == rec
-
-    def test_epoch_record_loads_pre_async_dicts(self):
-        """Checkpoints written before the staleness fields existed load
-        with zero counts."""
-        rec = EpochRecord(
-            epoch=0, mean_metric=1.0, mean_reward=-1.0,
-            stats=__import__("repro.rl.ppo", fromlist=["UpdateStats"])
-            .UpdateStats(policy_loss=0.1, value_loss=0.2, kl=0.0,
-                         entropy=1.0, pi_iters_run=8, early_stopped=False),
-            n_rejected=0, wall_time=0.5, filtered_phase=False,
-        )
-        data = rec.to_dict()
-        del data["n_stale_dropped"], data["n_stale_reweighted"]
+    def test_loads_records_with_retired_staleness_fields(self):
+        """Zoo checkpoints written while the trainer could run ahead of
+        the learner carry two counters that no longer exist; they load,
+        and the counters are dropped."""
+        data = _record().to_dict()
+        data.update(n_stale_dropped=3, n_stale_reweighted=1)
         got = EpochRecord.from_dict(data)
-        assert got.n_stale_dropped == 0 and got.n_stale_reweighted == 0
+        assert got == _record()
+        assert not hasattr(got, "n_stale_dropped")
 
 
 # ----------------------------------------------------------------------
-# backend post/next_result primitives
+# faults
 # ----------------------------------------------------------------------
-def _remember(state, value):
-    state.setdefault("log", []).append(value)
-    return value
+def _episodes_or_die(state, task):
+    """The actor task, except that the actor holding the odd trajectories
+    leases a shared-memory span and is SIGKILLed mid-task."""
+    _, assignments = task
+    if any(traj % 2 for traj, _ in assignments):
+        assert state["_shm_pool"].put([b"x" * 8192]) is not None
+        os.kill(os.getpid(), signal.SIGKILL)
+    return actor_mod._actor_episodes(state, task)
 
 
-def _recall(state):
-    return list(state.get("log", []))
+class TestActorDeath:
+    def test_sigkill_mid_rollout_is_a_worker_error(self, trace, monkeypatch):
+        with make_trainer(trace, PROCESS_2, epochs=2) as t:
+            t.run_epoch(0)  # a healthy epoch first: the pool is up
+            backend = t.actor_runtime.backend
+            pool = backend._pool
+            procs = list(backend._procs)
+            monkeypatch.setattr(actor_mod, "_actor_episodes", _episodes_or_die)
+            with pytest.raises(WorkerError, match="worker 1") as err:
+                t.run_epoch(1)
+            assert err.value.worker_id == 1
+            assert not procs[1].is_alive()
+            assert pool.n_leases == 0  # the dead actor's span was reclaimed
+        assert not any(p.is_alive() for p in procs)
+        assert multiprocessing.active_children() == []
 
 
-def _boom(state):
-    raise ValueError("boom")
-
-
-def _unpicklable(state):
+def _unpicklable(state, _task):
     return lambda: None
 
 
 class TestBackendAsyncPrimitives:
-    @pytest.mark.parametrize("runtime", [SERIAL, PROCESS_2],
-                             ids=["serial", "process2"])
-    def test_fifo_per_worker(self, runtime):
-        with make_backend(runtime) as backend:
-            for i in range(3):
-                for w in range(backend.n_workers):
-                    backend.post(w, _remember, (w, i))
-            assert backend.n_pending == 3 * backend.n_workers
-            seen = {w: [] for w in range(backend.n_workers)}
-            while backend.n_pending:
-                worker, result = backend.next_result()
-                seen[worker].append(result)
-            for w, results in seen.items():
-                assert results == [(w, i) for i in range(3)]
-            # posted work mutated persistent worker state, and the sync
-            # dispatch path is usable again once the queue is drained
-            logs = backend.broadcast(_recall)
-            assert logs == [[(w, i) for i in range(3)]
-                            for w in range(backend.n_workers)]
-
-    @pytest.mark.parametrize("runtime", [SERIAL, PROCESS_2],
-                             ids=["serial", "process2"])
-    def test_error_propagates_with_worker_id(self, runtime):
-        with make_backend(runtime) as backend:
-            backend.post(backend.n_workers - 1, _boom)
-            with pytest.raises(WorkerError, match="boom") as err:
-                # serial backends surface the error at post time already —
-                # both paths funnel through next_result
-                backend.next_result()
-            assert err.value.worker_id == backend.n_workers - 1
-
-    def test_sync_dispatch_refused_while_pending(self):
-        with make_backend(PROCESS_2) as backend:
-            backend.post(0, _remember, 1)
-            with pytest.raises(RuntimeError, match="pending"):
-                backend.broadcast(_recall)
-            with pytest.raises(RuntimeError, match="pending"):
-                backend.map(_recall, [()])
-            backend.next_result()
-            assert backend.broadcast(_recall) == [[1], []]
-
     def test_unpicklable_result_is_a_worker_error(self):
         with make_backend(PROCESS_2) as backend:
-            backend.post(1, _unpicklable)
-            with pytest.raises(WorkerError, match="unpicklable"):
-                backend.next_result()
+            with pytest.raises(WorkerError, match="unencodable") as err:
+                backend.map(_unpicklable, [0, 1], chunksize=1)
+            assert err.value.worker_id in (0, 1)
+            # the failed reply was the pipe's only one: the pool still works
+            assert backend.map(_recall_none, [0, 1], chunksize=1) == [None, None]
+
+
+def _recall_none(state, _task):
+    return None
 
 
 class TestNoLeakedWorkers:
@@ -400,18 +331,28 @@ class TestCollectorRule:
             if shm.is_dir():
                 assert set(shm.glob("repro-*")) == before
 
-    @pytest.mark.parametrize("runtime,staleness", [(PROCESS_2, 0), (SERIAL, 1)],
-                             ids=["process", "stale"])
-    def test_process_or_stale_trainer_collects_through_actors(
-        self, trace, runtime, staleness
-    ):
-        with make_trainer(trace, runtime, staleness=staleness, epochs=1) as t:
+    def test_process_trainer_collects_through_actors(self, trace):
+        with make_trainer(trace, PROCESS_2, epochs=1) as t:
             t.run_epoch(0)
             assert isinstance(t._actor_runtime, ActorRuntime)
-            assert t._actor_runtime.n_workers == runtime.workers
-            assert len(multiprocessing.active_children()) == (
-                runtime.workers if runtime.backend == "process" else 0
-            )
+            assert t._actor_runtime.n_workers == 2
+            assert len(multiprocessing.active_children()) == 2
+
+    def test_episode_on_other_weights_is_a_fault(self, trace, monkeypatch):
+        """The trainer checks that every episode ran on the weights it
+        pushed; an actor that answers with another version fails the
+        epoch instead of training on it."""
+        with make_trainer(trace, SERIAL, epochs=1) as t:
+            real = t.actor_runtime.rollout
+
+            def rollout(epoch, assignments):
+                episodes = real(epoch, assignments)
+                episodes[2].version -= 1
+                return episodes
+
+            monkeypatch.setattr(t.actor_runtime, "rollout", rollout)
+            with pytest.raises(RuntimeError, match="weight version"):
+                t.run_epoch(0)
 
     def test_serial_worker_count_does_not_change_results(self, trace):
         """On the serial backend ``workers`` only partitions the actors'

@@ -38,7 +38,7 @@ class TestParser:
         study = vars(parser.parse_args(["study"]))
         shared = {"seed": 0, "epochs": 16, "trajectories": 14, "length": 64,
                   "obsv": 32, "policy": "kernel", "filter": False,
-                  "staleness": 0, "workers": 1}
+                  "workers": 1}
         for flag, default in shared.items():
             assert train[flag] == study[flag] == default, flag
         for command in (["train", "Lublin-1", "-o", "m.npz"], ["study"]):
@@ -79,23 +79,24 @@ class TestParser:
 
     def test_rollout_mode_defaults_to_locked(self):
         """No flag names a collector: the default is synchronous
-        lock-step collection in this process (one worker, staleness 0)."""
-        args = build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz"])
-        assert (args.workers, args.staleness) == (1, 0)
-        assert args.stale_mode == "drop"
-        args = build_parser().parse_args(["study"])
-        assert (args.workers, args.staleness) == (1, 0)
+        lock-step collection in this process (one worker)."""
+        for argv in (["train", "Lublin-1", "-o", "m.npz"], ["study"]):
+            args = build_parser().parse_args(argv)
+            assert args.workers == 1
+            assert not hasattr(args, "staleness")
 
     def test_rollout_mode_flags(self):
-        """--workers / --staleness are what moves collection onto the
-        actors; the retired path selectors are gone from every command."""
+        """--workers is what moves the actors onto processes; the retired
+        path selectors and the staleness knobs are gone from every
+        command."""
         args = build_parser().parse_args([
             "train", "Lublin-1", "-o", "m.npz", "--workers", "2",
-            "--staleness", "2", "--stale-mode", "reweight",
         ])
-        assert args.staleness == 2
-        assert args.stale_mode == "reweight"
+        assert args.workers == 2
         for command, flag, value in [
+            ("train", "--staleness", "1"),
+            ("train", "--stale-mode", "reweight"),
+            ("study", "--staleness", "1"),
             ("train", "--rollout-mode", "async"),
             ("train", "--update-path", "sparse"),
             ("train", "--grad-workers", "2"),
@@ -113,11 +114,6 @@ class TestParser:
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
             assert exit_info.value.code == 2  # argparse: unrecognized argument
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz",
-                                       "--staleness", "-1"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["study", "--staleness", "-1"])
 
     def test_verbosity_flags_are_global(self):
         args = build_parser().parse_args(["-v", "evaluate", "Lublin-1"])

@@ -73,31 +73,26 @@ class TestTrainConfig:
         assert cfg.epochs == 100
         assert cfg.trajectories_per_epoch == 100
         assert cfg.trajectory_length == 256
-        # the default collects synchronously, in this process
-        assert cfg.staleness == 0
+        # the default collects in this process
         assert cfg.runtime.backend == "serial"
-        assert cfg.stale_mode == "drop"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
     def test_rollout_mode_validation(self):
-        """How rollouts are collected follows from ``runtime`` and
-        ``staleness``; the fields that used to select it are gone."""
-        assert TrainConfig(staleness=2).staleness == 2
+        """How rollouts are collected follows from ``runtime`` alone; the
+        fields that used to select or loosen it are gone."""
         for cls, field in [(TrainConfig, "rollout_mode"),
                            (TrainConfig, "vectorized"),
                            (TrainConfig, "grad_workers"),
+                           (TrainConfig, "staleness"),
+                           (TrainConfig, "stale_mode"),
                            (StudyConfig, "rollout_mode"),
                            (PPOConfig, "update_path"),
                            (RuntimeConfig, "transport")]:
             with pytest.raises(TypeError):
                 cls(**{field: None})
-        with pytest.raises(ValueError):
-            TrainConfig(staleness=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(stale_mode="discard")
 
 
 class TestEvalConfig:

@@ -75,25 +75,8 @@ def explode_on_remembered(state):
     return explode(state, state["value"])
 
 
-def scatter(backend, fn, per_worker_args, workers=None):
-    """Addressed dispatch out of the two primitives that remain for it:
-    ``post`` one call per listed worker, collect with ``next_result``;
-    results ordered like ``workers``.  Every posted call is drained before
-    the first failure is re-raised."""
-    if workers is None:
-        workers = range(len(per_worker_args))
-    for worker, args in zip(workers, per_worker_args):
-        backend.post(worker, fn, *args)
-    results, first_err = {}, None
-    while backend.n_pending:
-        try:
-            worker, result = backend.next_result()
-            results[worker] = result
-        except WorkerError as err:
-            first_err = first_err or err
-    if first_err is not None:
-        raise first_err
-    return [results[worker] for worker in workers]
+def unpicklable_result(state, _task):
+    return lambda: None
 
 
 @pytest.fixture(params=BACKENDS, ids=lambda c: c.__name__)
@@ -116,15 +99,11 @@ class TestDispatch:
         backend.broadcast(remember, 42)
         assert backend.broadcast(recall) == [42] * 3
 
-    def test_scatter_targets_specific_workers(self, backend):
-        scatter(backend, remember, [(10,), (20,)], workers=[0, 2])
-        assert backend.broadcast(recall) == [10, None, 20]
-
-    def test_scatter_validates_worker_ids(self, backend):
-        for worker in (3, -1):
-            with pytest.raises(ValueError, match="out of range"):
-                backend.post(worker, recall)
-        assert backend.n_pending == 0
+    def test_first_map_round_gives_worker_i_chunk_i(self, backend):
+        """The actor runtime's one-chunk-per-worker rollout rests on this:
+        ``n_workers`` chunks of size one reach every worker once."""
+        backend.map(remember, [10, 20, 30], chunksize=1)
+        assert backend.broadcast(recall) == [10, 20, 30]
 
     def test_state_persists_across_map_calls(self, backend):
         # The same workers serve both calls, so counters keep counting:
@@ -141,15 +120,10 @@ class TestDispatch:
         # the backend stays usable after a failed task
         assert backend.map(square, [2, 3]) == [4, 9]
 
-    def test_scatter_error_keeps_pipes_in_sync(self, backend):
-        with pytest.raises(WorkerError, match="boom"):
-            scatter(backend, explode, [(1,), (3,), (5,)])
-        assert scatter(backend, square, [(2,), (3,), (4,)]) == [4, 9, 16]
-
     def test_broadcast_error_keeps_pipes_in_sync(self, backend):
         # One worker of three fails the same call: the other replies are
         # still drained, so the next dispatch reads its own answers.
-        scatter(backend, remember, [(1,), (3,), (5,)])
+        backend.map(remember, [1, 3, 5], chunksize=1)
         with pytest.raises(WorkerError, match="boom") as err:
             backend.broadcast(explode_on_remembered)
         assert err.value.worker_id == 1
@@ -158,12 +132,13 @@ class TestDispatch:
 
     @pytest.mark.parametrize("arrays_via", ["pipe", "shm"])
     def test_unpicklable_payload_keeps_pipes_in_sync(self, arrays_via, request):
-        # A send-side pickling failure must reach no worker and leave what
-        # was already posted intact: otherwise the next dispatch reads a
-        # stale reply (silent corruption instead of an error).  Process
-        # backend only — the serial backend never pickles.  The codec
-        # encodes before writing with the pool ("shm") and on the inline
-        # fallback without it ("pipe"), so the invariant holds on both.
+        # A pickling failure on either side must leave every pipe holding
+        # exactly the replies its dispatch expects: otherwise the next
+        # dispatch reads a stale reply (silent corruption instead of an
+        # error).  Process backend only — the serial backend never
+        # pickles.  The codec encodes before writing with the pool
+        # ("shm") and on the inline fallback without it ("pipe"), so the
+        # invariant holds on both.
         if arrays_via == "pipe":
             request.getfixturevalue("no_shm_pool")
         with ProcessPoolBackend(2) as b:
@@ -171,11 +146,9 @@ class TestDispatch:
             with pytest.raises(WorkerError):
                 b.broadcast(square, lambda: None)
             assert b.broadcast(square, 5) == [25, 25]
-            b.post(0, square, 2)
-            with pytest.raises(WorkerError):
-                b.post(1, square, lambda: None)
-            assert b.n_pending == 1  # the failed post never counted
-            assert b.next_result() == (0, 4)
+            # a worker's unencodable result comes back as its error
+            with pytest.raises(WorkerError, match="unencodable"):
+                b.map(unpicklable_result, [0, 1], chunksize=1)
             assert b.broadcast(square, 6) == [36, 36]
             with pytest.raises(WorkerError):
                 b.map(square, [1, lambda: None, 3], chunksize=1)

@@ -6,7 +6,7 @@ Three layers of pinning:
   leases, owner-pid crash reclaim, and segment teardown;
 * :class:`repro.runtime.ArrayCodec` — the protocol-5 wire format and its
   *lossless* fallbacks (small payloads, exhausted pool, non-contiguous
-  arrays), plus the serialize-once broadcast/post_all channels;
+  arrays), plus the serialize-once broadcast channel;
 * transport equivalence — where the arrays travel changes no result bit:
   training and evaluation are identical on the pool, on the inline
   fallback a host without ``/dev/shm`` gets, and on the serial runtime;
@@ -60,6 +60,8 @@ def mutate_result(state, n):
 
 
 def lease_then_die(state, nbytes):
+    if not nbytes:  # this worker survives
+        return None
     pool = state["_shm_pool"]
     start = pool.put([b"x" * nbytes], refcount=1)
     assert start is not None
@@ -245,10 +247,8 @@ class TestShmBackendFailureModes:
         )
         with ProcessPoolBackend(2) as b:
             arrs = [np.arange(50_000, dtype=np.float64) for _ in range(2)]
-            for worker, a in enumerate(arrs):
-                b.post(worker, echo_sum, a)
-            assert sorted(b.next_result() for _ in arrs) == [
-                (worker, float(a.sum())) for worker, a in enumerate(arrs)
+            assert b.map(echo_sum, arrs, chunksize=1) == [
+                float(a.sum()) for a in arrs
             ]
             got = b.map(make_array, [30_000, 40_000])
             np.testing.assert_array_equal(got[1], np.arange(40_000.0))
@@ -256,9 +256,9 @@ class TestShmBackendFailureModes:
 
     def test_worker_crash_mid_lease_releases_segments(self):
         with ProcessPoolBackend(2) as b:
-            b.post(0, lease_then_die, 8192)
-            with pytest.raises(WorkerError, match="died"):
-                b.next_result()
+            with pytest.raises(WorkerError, match="died") as err:
+                b.map(lease_then_die, [8192, 0], chunksize=1)
+            assert err.value.worker_id == 0
             assert b._pool.n_leases == 0  # crash reclaim freed the span
 
     def test_worker_crash_under_broadcast_is_a_worker_error(self):
@@ -270,9 +270,8 @@ class TestShmBackendFailureModes:
 
     def test_broadcast_past_a_dead_worker_refunds_and_drains(self):
         with ProcessPoolBackend(2) as b:
-            b.post(1, lease_then_die, 8192)
             with pytest.raises(WorkerError, match="died"):
-                b.next_result()
+                b.map(lease_then_die, [0, 8192], chunksize=1)
             w = np.arange(10_000, dtype=np.float64)
             with pytest.raises(WorkerError) as err:
                 b.broadcast(echo_sum, w)
@@ -280,8 +279,7 @@ class TestShmBackendFailureModes:
             # worker 0 decoded its copy, worker 1's was refunded ...
             assert b._pool.n_leases == 0
             # ... and worker 0's reply was drained: its pipe is in sync
-            b.post(0, echo_sum, w)
-            assert b.next_result() == (0, float(w.sum()))
+            assert b.map(echo_sum, [w], chunksize=1) == [float(w.sum())]
 
     def test_broadcast_serializes_once(self):
         with ProcessPoolBackend(2) as b:
@@ -292,19 +290,9 @@ class TestShmBackendFailureModes:
             assert b._pool._n_puts == before + 1  # one span, two workers
             assert b._pool.n_leases == 0
 
-    def test_post_all_encodes_once(self):
-        with ProcessPoolBackend(3) as b:
-            w = np.arange(10_000, dtype=np.float64)
-            before = b._pool._n_puts
-            b.post_all(echo_sum, w)
-            results = sorted(b.next_result()[1] for _ in range(3))
-            assert results == [float(w.sum())] * 3
-            assert b._pool._n_puts == before + 1
-            assert b._pool.n_leases == 0
-
-    def test_post_all_single_dumps_on_pipe(self, monkeypatch, no_shm_pool):
-        # The serialize-once satellite holds on the inline fallback too:
-        # one dumps() call per post_all, not one per worker.
+    def test_broadcast_single_dumps_on_pipe(self, monkeypatch, no_shm_pool):
+        # Serialize-once holds on the inline fallback too: one dumps()
+        # call per broadcast, not one per worker.
         with ProcessPoolBackend(3) as b:
             assert b._pool is None
             calls = []
@@ -315,10 +303,8 @@ class TestShmBackendFailureModes:
                 return real_dumps(obj, receivers)
 
             monkeypatch.setattr(b._codec, "dumps", counting_dumps)
-            b.post_all(make_array, 5)
+            assert len(b.broadcast(make_array, 5)) == 3
             assert calls == [3]
-            for _ in range(3):
-                b.next_result()
 
 
 class TestNoLeakedSegments:
@@ -388,8 +374,8 @@ class TestNoLeakedSegments:
 
 
 class TestTransportEquivalence:
-    """Where the arrays travel is a pure bytes matter: training
-    (synchronous and prefetching), evaluation, and the weights they
+    """Where the arrays travel is a pure bytes matter: training,
+    evaluation, and the weights they
     produce are bit-identical on the shared-memory pool, on the inline
     fallback of a host that cannot create one, and on the serial runtime."""
 
@@ -397,7 +383,7 @@ class TestTransportEquivalence:
     def trace(self):
         return load_trace("Lublin-1", n_jobs=400, seed=3)
 
-    def _train(self, trace, workers, staleness):
+    def _train(self, trace, workers):
         """``(result, out-of-band bytes, segments left behind)``."""
         before = TestNoLeakedSegments._live_segments()
         with telemetry.session() as reg:
@@ -406,7 +392,7 @@ class TestTransportEquivalence:
                 env_config=EnvConfig(max_obsv_size=8),
                 train_config=TrainConfig(
                     epochs=2, trajectories_per_epoch=2, trajectory_length=16,
-                    seed=0, staleness=staleness,
+                    seed=0,
                     runtime=RuntimeConfig.from_workers(workers),
                 ),
             )
@@ -414,14 +400,11 @@ class TestTransportEquivalence:
         leaked = TestNoLeakedSegments._live_segments() - before
         return result, counters.get("runtime.ipc.bytes_shm", 0), leaked
 
-    @pytest.mark.parametrize("staleness", [
-        pytest.param(0, id="locked"), pytest.param(1, id="async"),
-    ])
-    def test_training_bit_identical(self, trace, staleness, request):
-        serial, _, _ = self._train(trace, 1, staleness)
-        shm, shm_bytes, shm_leaked = self._train(trace, 2, staleness)
+    def test_training_bit_identical(self, trace, request):
+        serial, _, _ = self._train(trace, 1)
+        shm, shm_bytes, shm_leaked = self._train(trace, 2)
         request.getfixturevalue("no_shm_pool")
-        pipe, pipe_bytes, pipe_leaked = self._train(trace, 2, staleness)
+        pipe, pipe_bytes, pipe_leaked = self._train(trace, 2)
         assert shm_bytes > 0 and pipe_bytes == 0
         assert not shm_leaked and not pipe_leaked
         for run in (shm, pipe):
@@ -476,7 +459,7 @@ class TestEpisodeWire:
             make_policy("kernel", 32, 7, seed=0), ValueMLP(32, 7, seed=1),
             0, 7919, 0,
         )
-        episodes = actor_mod._actor_episodes(state, 0, list(enumerate(sequences)))
+        episodes = actor_mod._actor_episodes(state, (0, list(enumerate(sequences))))
         episode = episodes[1]
         shared = episode.rows.base
         assert shared is not None and shared.nbytes > 3 * episode.rows.nbytes
@@ -521,9 +504,7 @@ class TestEpisodeWire:
             with actors:
                 actors.install(policy, value)
                 for epoch in range(2):
-                    actors.submit(epoch, list(enumerate(sequences)))
-                    for _ in sequences:
-                        actors.drain()
+                    actors.rollout(epoch, list(enumerate(sequences)))
             return reg.snapshot().aggregated().counters["runtime.ipc.bytes_inline"]
 
     def test_pool_still_keeps_the_episodes_off_the_pipes(

@@ -166,6 +166,79 @@ class TestTrainMatrix:
         # path — a resumed study retrains instead of crashing on garbage
         assert not target.exists()
 
+    def test_checkpoint_with_staleness_provenance_restores_silently(
+        self, zoo, tmp_path
+    ):
+        """Zoo files written while ``staleness`` was a training knob
+        record it; the provenance no longer has it, so it is not drift."""
+        _, config, trained = zoo
+        result = trained["lublin-64"].result
+        assert "staleness" not in result.train_meta
+        saved_meta = result.train_meta
+        try:
+            result.train_meta = {**saved_meta, "staleness": 0}
+            result.save(tmp_path / "lublin-64.npz")
+        finally:
+            result.train_meta = saved_meta
+        old = dataclasses.replace(
+            config, zoo_dir=str(tmp_path), scenarios=("lublin-64",)
+        )
+        messages = []
+        train_matrix(old, progress=messages.append)
+        assert [m for m in messages if "skipped" in m]
+        assert [m for m in messages if "different settings" in m] == []
+
+
+class TestCheckpointLoad:
+    """``TrainingResult.load`` on a file that is not a checkpoint raises a
+    ``ValueError`` naming the file and what is missing — the study's
+    resume path hands that to the user instead of a zip traceback."""
+
+    @pytest.fixture
+    def saved(self, zoo, tmp_path):
+        _, _, trained = zoo
+        path = tmp_path / "ckpt.npz"
+        trained["lublin-64"].result.save(path)
+        return path
+
+    def test_truncated_file(self, saved, zoo, tmp_path):
+        from repro.rl.trainer import TrainingResult
+
+        data = saved.read_bytes()
+        saved.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ValueError, match="ckpt.npz.*not a readable"):
+            TrainingResult.load(saved)
+        # the same error, with the file named, from the study's resume
+        _, config, _ = zoo
+        zoo_dir = tmp_path / "zoo"
+        zoo_dir.mkdir()
+        saved.rename(zoo_dir / "lublin-64.npz")
+        resume = dataclasses.replace(
+            config, zoo_dir=str(zoo_dir), scenarios=("lublin-64",)
+        )
+        with pytest.raises(ValueError, match="lublin-64.npz"):
+            train_matrix(resume)
+
+    def test_foreign_npz(self, tmp_path):
+        from repro.rl.trainer import TrainingResult
+
+        path = tmp_path / "foreign.npz"
+        np.savez(path, weights=np.zeros(3))
+        with pytest.raises(ValueError, match="foreign.npz.*'__meta__'"):
+            TrainingResult.load(path)
+
+    def test_metadata_missing_a_field(self, saved):
+        from repro.rl.trainer import TrainingResult
+
+        with np.load(saved) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        del meta["policy_preset"]
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        np.savez(saved, **arrays)
+        with pytest.raises(ValueError, match="ckpt.npz.*policy_preset"):
+            TrainingResult.load(saved)
+
 
 class TestGeneralizationMatrix:
     @pytest.fixture(scope="class")

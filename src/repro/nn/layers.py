@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .ragged import RaggedRows
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, Tensor, row_sum
 
 __all__ = ["Module", "Dense", "Sequential", "conv2d", "max_pool2d", "Conv2d", "Flatten"]
 
@@ -49,11 +49,17 @@ class Module:
         return self.parameters()[0].data.dtype
 
     def astype(self, dtype) -> "Module":
-        """Cast every parameter in place and return ``self`` — the way to
-        a float64 network.  Gradients are dropped; cast before building an
-        optimizer, whose state is allocated like the parameters it is
-        given."""
-        for p in self.parameters():
+        """Cast every parameter and return ``self`` — the way to a float64
+        network.  Gradients are dropped.  Cast before building an
+        optimizer: once its arena holds the parameters (their ``data`` is
+        a view), a cast would leave the optimizer stepping the old
+        weights, so it raises instead."""
+        params = self.parameters()
+        if any(p.data.base is not None for p in params):
+            raise ValueError(
+                "cannot cast parameters an optimizer holds; cast before building it"
+            )
+        for p in params:
             p.data = p.data.astype(dtype)
             p.grad = None
         return self
@@ -74,9 +80,10 @@ class Module:
                 raise ValueError(
                     f"parameter {i}: shape {arr.shape} != expected {p.data.shape}"
                 )
-            # the parameter's dtype, not the file's: float64 checkpoints
-            # load into float32 networks (astype always copies)
-            p.data = arr.astype(p.data.dtype)
+            # in place, in the parameter's dtype, not the file's: float64
+            # checkpoints load into float32 networks, and a parameter an
+            # optimizer holds stays a view of its arena
+            p.data[...] = arr
 
     def save(self, path) -> None:
         np.savez(path, **self.state_dict())
@@ -175,14 +182,17 @@ class Dense(Module):
         def backward(grad: np.ndarray) -> None:
             dact(grad, out)
             if b.requires_grad:
-                b._accumulate(grad.sum(axis=0))
+                b._accumulate(row_sum(grad))
             if ragged:
                 x.add_weight_grad(grad, w)
                 return
             if w.requires_grad:
                 w._accumulate(x.data.T @ grad)
             if x.requires_grad:
-                x._accumulate(grad @ w.data.T)
+                # one output column: the product is a broadcast multiply
+                x._accumulate(
+                    grad * w.data.T if w.data.shape[1] == 1 else grad @ w.data.T
+                )
 
         return Tensor._from_op(out, (w, b) if ragged else (x, w, b), backward)
 

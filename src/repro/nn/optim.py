@@ -1,7 +1,14 @@
-"""Optimizers: Adam (used for both PPO networks, as in SpinningUp) and SGD.
+"""Adam (both PPO networks, as in SpinningUp) and global-norm gradient
+clipping, which keeps the rare huge-advantage updates of high-variance
+traces (PIK-IPLEX) from destroying the policy.
 
-Includes global-norm gradient clipping, which keeps the rare huge-advantage
-updates of high-variance traces (PIK-IPLEX) from destroying the policy.
+An :class:`Adam` packs its parameters into one *arena* — flat weight,
+gradient, ``m``, ``v`` and two work arrays — and each ``.data`` / ``.grad``
+becomes a view into it, so zeroing, clipping and stepping are one pass
+each.  The largest 2-D parameter is packed last: below the last row its
+gradient ever reached ``m = v = g = 0`` and the update is exactly zero,
+so only the arena's *live prefix*, ending at that high-water row, is
+worked on (≈ 200 of the value net's 896 first-layer rows).
 """
 
 from __future__ import annotations
@@ -13,75 +20,38 @@ import numpy as np
 
 from .tensor import Parameter
 
-__all__ = ["Adam", "SGD", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: Sequence[Parameter], max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is <= max_norm.
-
-    Returns the pre-clip norm (useful for training diagnostics).
-    """
+    """Scale gradients in place so their global L2 norm, accumulated in
+    float64, is <= max_norm; an :class:`Adam`'s own ``params`` are read
+    as one slice, its arena's live prefix.  Returns the pre-clip norm
+    (useful for training diagnostics)."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = math.sqrt(total)
+    optimizer = getattr(params, "optimizer", None)
+    if optimizer is not None:
+        grads = [optimizer._grad[: optimizer._live()]]
+    else:
+        grads = [p.grad for p in params if p.grad is not None]
+    wide = [g.ravel().astype(np.float64, copy=False) for g in grads]
+    norm = math.sqrt(sum(float(np.dot(w, w)) for w in wide))
     if norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+        for g in grads:
+            g *= max_norm / (norm + 1e-12)
     return norm
 
 
-class _Optimizer:
-    def __init__(self, params: Sequence[Parameter], lr: float):
-        params = list(params)
-        if not params:
-            raise ValueError("optimizer got an empty parameter list")
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.params = params
-        self.lr = lr
+class _ArenaParams(tuple):
+    """An :class:`Adam`'s parameters, in the order it was given them;
+    ``optimizer`` lets :func:`clip_grad_norm` reach the arena."""
 
-    def zero_grad(self) -> None:
-        """Zero the gradients in place, keeping their arrays: dropping
-        them made every update iteration free and re-allocate each
-        weight-sized gradient, which glibc could turn into a trim +
-        re-fault of megabytes per iteration (ROADMAP "Spend the budget").
-        ``0 + g`` accumulates to the same values as a fresh copy of ``g``.
-        """
-        for p in self.params:
-            if p.grad is not None:
-                p.grad.fill(0.0)
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    optimizer: "Adam"
 
 
-class SGD(_Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: Sequence[Parameter], lr: float, momentum: float = 0.0):
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            v *= self.momentum
-            v -= self.lr * p.grad
-            p.data += v
-
-
-class Adam(_Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
+class Adam:
+    """Adam (Kingma & Ba) with bias correction, over one arena."""
 
     def __init__(
         self,
@@ -90,55 +60,92 @@ class Adam(_Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):
-        super().__init__(params, lr)
+        params = list(params)
+        if not params:
+            raise ValueError("optimizer got an empty parameter list")
+        if len({id(p) for p in params}) != len(params):
+            raise ValueError("optimizer got a parameter twice")
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
         b1, b2 = betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ValueError("betas must be in [0, 1)")
-        self.b1, self.b2, self.eps = b1, b2, eps
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        # two work arrays per parameter: a step allocates nothing
-        self._scratch = [
-            (np.empty_like(p.data), np.empty_like(p.data)) for p in self.params
-        ]
-        # leading rows of a 2-D parameter that ever had a gradient (monotone)
-        self._rows = [0 if p.data.ndim == 2 else None for p in self.params]
+        dtypes = {p.data.dtype for p in params}
+        if len(dtypes) != 1:
+            raise ValueError(f"parameters of one optimizer share a dtype, got {dtypes}")
+        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
         self._t = 0
+
+        wide = [p for p in params if p.data.ndim == 2]
+        tail = max(wide, key=lambda p: p.data.size) if wide else None
+        layout = [p for p in params if p is not tail] + ([tail] if wide else [])
+        size = sum(p.data.size for p in params)
+        dtype = dtypes.pop()
+        self._data, self._a, self._b = (np.empty(size, dtype) for _ in range(3))
+        self._grad, self._m, self._v = (np.zeros(size, dtype) for _ in range(3))
+        start = 0
+        for p in layout:
+            end = start + p.data.size
+            data = self._data[start:end].reshape(p.data.shape)
+            grad = self._grad[start:end].reshape(p.data.shape)
+            data[...] = p.data
+            if p.grad is not None:
+                grad[...] = p.grad
+            p.data, p.grad = data, grad
+            start = end
+        self.params = _ArenaParams(params)
+        self.params.optimizer = self
+        self._grads = [p.grad for p in params]
+        # the live prefix ends after the first ``_hi`` rows of the last
+        # parameter's gradient; without a 2-D parameter it is everything
+        self._tail = tail.grad if wide else None
+        self._hi = 0
+
+    def _live(self) -> int:
+        """Adopt gradients assigned from outside the arena (``None`` is a
+        zero gradient), move the high-water row, and return the length of
+        the live prefix: past it every gradient, ``m`` and ``v`` is zero."""
+        for p, grad in zip(self.params, self._grads):
+            if p.grad is not grad:
+                grad[...] = 0.0 if p.grad is None else p.grad
+                p.grad = grad
+        tail, hi = self._tail, self._hi
+        if tail is None:
+            return self._grad.size
+        if hi < len(tail) and tail[hi:].any():
+            self._hi = hi + int(np.flatnonzero(tail[hi:].any(axis=1))[-1]) + 1
+        return self._grad.size - (len(tail) - self._hi) * tail.shape[1]
+
+    def zero_grad(self) -> None:
+        """Zero every gradient in place, pointing each ``.grad`` assigned
+        from outside back at its arena view."""
+        for p, grad in zip(self.params, self._grads):
+            p.grad = grad
+        self._grad.fill(0.0)
 
     def step(self) -> None:
         """``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, evaluated in
         that operation order (bit-identical to the closed form) with every
-        intermediate written into the parameter's work arrays.  A 2-D
-        parameter is stepped down to the last row whose gradient was ever
-        non-zero — below it ``m = v = g = 0`` and the update is exactly
-        zero (most of the value net's ragged first layer); a dense
-        gradient covers every row at once and is never scanned again."""
+        intermediate written into the work arrays, once over the live
+        prefix."""
+        live = self._live()
         self._t += 1
         bc1 = 1.0 - self.b1**self._t
         bc2 = 1.0 - self.b2**self._t
-        for i, (p, m, v, (a, b)) in enumerate(
-            zip(self.params, self._m, self._v, self._scratch)
-        ):
-            g, w = p.grad, p.data
-            if g is None:
-                continue
-            hi = self._rows[i]
-            if hi is not None and hi < len(g):
-                if g[hi:].any():
-                    hi += int(np.flatnonzero(g[hi:].any(axis=1))[-1]) + 1
-                    self._rows[i] = hi
-                g, w, m, v, a, b = (x[:hi] for x in (g, w, m, v, a, b))
-            m *= self.b1
-            np.multiply(g, 1.0 - self.b1, out=a)
-            m += a
-            v *= self.b2
-            np.multiply(g, 1.0 - self.b2, out=a)
-            a *= g
-            v += a
-            np.divide(m, bc1, out=a)
-            a *= self.lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            w -= a
+        g, w, m, v, a, b = (
+            x[:live] for x in (self._grad, self._data, self._m, self._v, self._a, self._b)
+        )
+        m *= self.b1
+        np.multiply(g, 1.0 - self.b1, out=a)
+        m += a
+        v *= self.b2
+        np.multiply(g, 1.0 - self.b2, out=a)
+        a *= g
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        w -= a

@@ -239,7 +239,7 @@ class TestUpdate:
         agent.update(data)
         assert len(losses) == 6 and set(losses) == {np.dtype(np.float32)}
         for opt in (agent.pi_optimizer, agent.v_optimizer):
-            arrays = [a for pair in opt._scratch for a in pair] + opt._m + opt._v
+            arrays = [opt._data, opt._grad, opt._m, opt._v, opt._a, opt._b]
             arrays += [p.data for p in opt.params] + [p.grad for p in opt.params]
             assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
@@ -250,8 +250,8 @@ class TestUpdate:
         agent.policy.astype(np.float64), agent.value.astype(np.float64)
         agent.update(synthetic_batch(agent))
         for opt in (agent.pi_optimizer, agent.v_optimizer):
-            arrays = opt._m + opt._v + [p.data for p in opt.params]
-            arrays += [p.grad for p in opt.params]
+            arrays = [opt._data, opt._grad, opt._m, opt._v, opt._a, opt._b]
+            arrays += [p.data for p in opt.params] + [p.grad for p in opt.params]
             assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
 
 

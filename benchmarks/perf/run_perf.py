@@ -9,7 +9,7 @@ Measures, in one run:
 * ``rollout.phase_breakdown`` — where the training collector's lock-step
   loop spends its wall-time: env stepping vs policy forwards vs episode
   buffer bookkeeping, read from the ``rollout.*`` telemetry spans the
-  actors themselves record.
+  trainer's own rollout records.
 * ``telemetry.enabled_over_disabled`` — paired alternating-rep probe of
   telemetry's rollout cost; the within-run throughput ratio is
   hardware-independent and gated in CI (floor 0.95).
@@ -34,18 +34,11 @@ Measures, in one run:
   direct in-process pass over the same streams.  The within-run
   ``serving.served_over_direct`` ratio is hardware-independent and
   gated in CI — it collapses only when the wire layer itself regresses.
-* ``runtime.*`` — worker scaling of the execution runtime: rollout
-  throughput of the episode-granular :class:`repro.runtime.ActorRuntime`
-  (``actor``: in-worker policy inference, one IPC transfer per episode)
-  on the serial backend and at 1/2/4 process workers, and evaluation
-  throughput through :func:`repro.api.evaluate`.  ``runtime.cpu_count``
-  records how many cores the numbers had to share — on a 1-core box
-  process workers can only time-slice, so read scaling figures against
-  it.
-* ``ipc.*`` — bytes the actor training flow writes to the worker pipes
-  with the shared-memory pool and with the pool withheld (the inline
-  fallback); ``bytes_shm_over_inline`` is an exact byte ratio, gated in
-  CI (ceiling 0.25).
+* ``runtime.*`` — worker scaling of the execution runtime: evaluation
+  throughput through :func:`repro.api.evaluate` on the serial backend
+  and at 1/2/4 process workers.  ``runtime.cpu_count`` records how many
+  cores the numbers had to share — on a 1-core box process workers can
+  only time-slice, so read scaling figures against it.
 
 Results are merged into ``BENCH_perf.json`` (``--out`` overrides) under
 ``scales.<scale>``, one entry per scale preset, so successive PRs have a
@@ -69,7 +62,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import platform
 import sys
@@ -84,9 +76,8 @@ from repro.config import EnvConfig, EvalConfig, PPOConfig, RuntimeConfig, TrainC
 from repro.nn import ValueMLP, make_policy
 from repro.rl import PPOAgent, TrajectoryBuffer, make_reward
 from repro.rl.ppo import _policy_plan
-from repro.rl.trainer import Trainer
+from repro.rl.trainer import Trainer, lockstep_rollout
 from repro.telemetry import core as telemetry
-from repro.runtime import ActorRuntime, lockstep_rollout, process_pool
 from repro.sim import VecSchedGym, run_scheduler
 from repro.schedulers import FCFS, SJF
 from repro.workloads import SequenceSampler, load_trace
@@ -121,8 +112,8 @@ def rollout_vectorized(agent, env_cfg, n_procs, sequences, n_envs, seed, buffer=
 
 
 def _phase_trainer(env_cfg, trace, sequences, n_envs):
-    """A serial-runtime Trainer that rolls the bench sequences — the same
-    ones every pass — through the *training* collector: the one
+    """A Trainer that rolls the bench sequences — the same ones every
+    pass — through the *training* rollout: the one
     instrumentation source for rollout phase timing
     (``rollout.policy_forward`` / ``env_step`` / ``buffer`` spans)."""
     trainer = Trainer(
@@ -143,16 +134,15 @@ def _phase_trainer(env_cfg, trace, sequences, n_envs):
 def rollout_phase_breakdown(env_cfg, trace, sequences, n_envs):
     """Per-phase wall-time split of the collector's lock-step loop.
 
-    Drives the trainer's own ``_collect_from_actors`` under a telemetry
-    session and reads the split from the ``rollout.*`` spans the actors
-    record — the bench does not hand-time a duplicate of the collection
+    Drives the trainer's own ``_collect`` under a telemetry session and
+    reads the split from the ``rollout.*`` spans it records — the bench does not hand-time a duplicate of the collection
     loop, so these fractions are, by construction, the ones a
     telemetry-enabled training run reports.
     """
     trainer = _phase_trainer(env_cfg, trace, sequences, n_envs)
     try:
         with telemetry.session() as reg:
-            trainer._collect_from_actors(0, TrajectoryBuffer())
+            trainer._collect(0, TrajectoryBuffer())
             t_policy = reg.span_seconds("rollout.policy_forward")
             t_env = reg.span_seconds("rollout.env_step")
             t_buffer = reg.span_seconds("rollout.buffer")
@@ -194,7 +184,7 @@ def bench_telemetry_overhead(env_cfg, trace, sequences, n_envs, repeat=20):
     def one_pass():
         # epoch 0 every pass: the same sequences on the same action streams
         start = time.perf_counter()
-        trainer._collect_from_actors(0, TrajectoryBuffer())
+        trainer._collect(0, TrajectoryBuffer())
         return time.perf_counter() - start
 
     def enabled_pass():
@@ -233,111 +223,9 @@ def bench_telemetry_overhead(env_cfg, trace, sequences, n_envs, repeat=20):
         trainer.close()
 
 
-def rollout_actor(agent, env_cfg, n_procs, sequences, n_envs, runtime,
-                  repeat=5):
-    """Episode-granular actor rollout: envs *and* policy replicas live in
-    the workers, so IPC is one transfer per worker per rollout (the
-    training path of every run).  ``n_envs`` splits across the
-    actors, as the trainer splits it.  Median-of-``repeat`` passes: one
-    pass is a few ms at smoke scale, far inside scheduler noise on a
-    loaded box, and the median (unlike best-of) is not hijacked by a
-    single lucky low-jitter window."""
-    workers = max(1, runtime.workers)
-    width = max(1, -(-min(n_envs, len(sequences)) // workers))
-    actors = ActorRuntime(n_procs, "bsld", config=env_cfg, runtime=runtime,
-                          n_envs=width, seed=2)
-    try:
-        actors.install(agent.policy, agent.value)
-        times = []
-        for rep in range(repeat):
-            start = time.perf_counter()
-            episodes = actors.rollout(rep, list(enumerate(sequences)))
-            times.append(time.perf_counter() - start)
-            steps = sum(ep.steps for ep in episodes)
-        if os.environ.get("PERF_DEBUG"):
-            print(f"[perf-debug] actor reps: {[f'{t*1e3:.1f}ms' for t in times]}")
-        return steps, float(np.median(times))
-    finally:
-        actors.close()
-
-
-def _pool_withheld():
-    raise OSError("shared-memory pool withheld by the ipc bench")
-
-
-def bench_ipc(agent, env_cfg, n_procs, sequences, n_envs, epochs=3):
-    """Bytes-over-pipe with the shared-memory pool and without it.
-
-    Drives the identical actor training flow — install, per-epoch
-    rollout, weight re-broadcast — through a 1-worker process
-    backend twice: as every run gets it (``"shm"``: large arrays spill to
-    the pool) and with the pool withheld, the way a host without
-    ``/dev/shm`` runs (``"pipe"``: every byte inline).  Telemetry counts
-    the bytes each side actually writes (``runtime.ipc.bytes_inline``)
-    and the bytes the codec moved out-of-band instead
-    (``runtime.ipc.bytes_shm``).  ``bytes_shm_over_inline`` — pipe bytes
-    with the pool over pipe bytes without — is a pure byte-count ratio,
-    hardware-independent, and gated in ``check_regression.py`` (ceiling
-    0.25, i.e. the pool must keep at least 4x of the array traffic off
-    the pipes).  Encode seconds come from the ``runtime.ipc.encode`` span
-    both sides record around ``ArrayCodec.dumps``.
-    """
-    width = max(1, min(n_envs, len(sequences)))
-    runtime = RuntimeConfig(backend="process", workers=1)
-    pool_log = logging.getLogger("repro.runtime.process_pool")
-    out = {}
-    for mode in ("pipe", "shm"):
-        real_pool, log_level = process_pool.SharedArrayPool, pool_log.level
-        if mode == "pipe":
-            process_pool.SharedArrayPool = _pool_withheld
-            pool_log.setLevel(logging.ERROR)  # the fallback warning is the point
-        try:
-            with telemetry.session() as reg:
-                actors = ActorRuntime(n_procs, "bsld", config=env_cfg,
-                                      runtime=runtime, n_envs=width, seed=2)
-                try:
-                    actors.install(agent.policy, agent.value)
-                    for epoch in range(epochs):
-                        actors.rollout(epoch, list(enumerate(sequences)))
-                        actors.push_weights(epoch + 1, agent.export_weights())
-                finally:
-                    actors.close()
-                snap = reg.snapshot().aggregated()
-        finally:
-            process_pool.SharedArrayPool = real_pool
-            pool_log.setLevel(log_level)
-        out[mode] = {
-            "bytes_inline": int(snap.counters.get("runtime.ipc.bytes_inline", 0)),
-            "bytes_shm": int(snap.counters.get("runtime.ipc.bytes_shm", 0)),
-            "encode_sec_per_epoch": (
-                snap.spans.get("runtime.ipc.encode", {}).get("sum", 0.0) / epochs
-            ),
-        }
-    out["bytes_shm_over_inline"] = (
-        out["shm"]["bytes_inline"] / out["pipe"]["bytes_inline"]
-    )
-    return out
-
-
-def bench_runtime_scaling(agent, env_cfg, trace, sequences, n_envs,
-                          eval_seqs, eval_len, workers_list=(1, 2, 4)):
-    """Rollout throughput of the actor pool — on the serial backend and
-    over process workers — and worker scaling of evaluation
-    (``api.evaluate`` fan-out)."""
+def bench_runtime_scaling(trace, eval_seqs, eval_len, workers_list=(1, 2, 4)):
+    """Worker scaling of evaluation (``api.evaluate`` fan-out)."""
     report = {"workers": list(workers_list), "cpu_count": os.cpu_count()}
-
-    actor = {"process": {}}
-    steps, elapsed = rollout_actor(
-        agent, env_cfg, trace.max_procs, sequences, n_envs, RuntimeConfig()
-    )
-    actor["serial"] = steps / elapsed
-    for w in workers_list:
-        steps, elapsed = rollout_actor(
-            agent, env_cfg, trace.max_procs, sequences, n_envs,
-            RuntimeConfig(backend="process", workers=w),
-        )
-        actor["process"][str(w)] = steps / elapsed
-    report["actor"] = actor
 
     def eval_once(runtime):
         cfg = EvalConfig(n_sequences=eval_seqs, sequence_length=eval_len,
@@ -634,26 +522,14 @@ def main(argv=None):
           f"({ppo_report['sparse_speedup']:.2f}x)")
 
     runtime_report = bench_runtime_scaling(
-        agent, env_cfg, trace, sequences, n_envs,
-        eval_seqs=n_seqs, eval_len=seq_len,
+        trace, eval_seqs=n_seqs, eval_len=seq_len,
     )
     er = runtime_report["eval_sequences_per_sec"]
     print(f"[perf] runtime scaling over {runtime_report['cpu_count']} cores "
           f"(workers {runtime_report['workers']}):")
-    ar = runtime_report["actor"]
-    print(f"[perf]   actor serial {ar['serial']:,.0f} steps/s; process "
-          + ", ".join(f"{w}w {v:,.0f}" for w, v in ar["process"].items()))
     print(f"[perf]   evaluate serial {er['serial']:,.1f} seqs/s; process "
           + ", ".join(f"{w}w {v:,.1f}" for w, v in er["process"].items())
           + f" ({er['speedup_at_max_workers']:.2f}x at max workers)")
-
-    ipc_report = bench_ipc(
-        agent, env_cfg, trace.max_procs, sequences[:min(4, n_seqs)], n_envs,
-    )
-    print(f"[perf] ipc: pipe bytes {ipc_report['pipe']['bytes_inline']:,}; "
-          f"shm pipe bytes {ipc_report['shm']['bytes_inline']:,} "
-          f"+ {ipc_report['shm']['bytes_shm']:,} out-of-band "
-          f"({ipc_report['bytes_shm_over_inline']:.3f}x of inline)")
 
     serving_report = bench_serving(trace, max(100, min(500, n_jobs // 4)))
     print(f"[perf] serving: {serving_report['requests_per_sec']:,.0f} req/s "
@@ -683,7 +559,6 @@ def main(argv=None):
         "ppo_update": ppo_report,
         "telemetry": telemetry_report,
         "runtime": runtime_report,
-        "ipc": ipc_report,
         "serving": serving_report,
         "platform": {
             "python": platform.python_version(),

@@ -3,19 +3,17 @@
 
 How an epoch executes follows from what the code can observe:
 
-* collector — whole episodes run on actors that hold env + policy
-  replicas and step ``n_envs`` environments in lock-step (one batched
-  policy forward serves all of an actor's).  On the serial runtime the
-  actors live in this process; ``RuntimeConfig(backend="process")`` puts
-  them on worker processes.  Same trajectories either way;
+* rollout — whole episodes run in the trainer's own process, ``n_envs``
+  environments in lock-step (one batched policy forward serves all of
+  them); the width is a pure throughput knob, the trajectories are the
+  same at any width;
 * update — the kernel policy exposes a per-row scorer, so the agent takes
   the sparse PPO update (cost follows the valid job rows, not the padded
-  ``MAX_OBSV_SIZE`` slots);
-* transport — the actors' arrays travel through shared memory.
+  ``MAX_OBSV_SIZE`` slots).
 
-This script runs one identical epoch on serial actors and on two actor
-processes, checks the two reproduce each other exactly, and reads from
-the telemetry trace which update ran and how many bytes went out of band.
+This script runs one identical epoch at two lock-step widths, checks the
+two reproduce each other exactly, and reads from the telemetry trace
+which update ran and where the epoch's time went.
 
 Related: ``benchmarks/perf/run_perf.py`` measures the rollout/engine/PPO
 hot paths in isolation and records them in ``BENCH_perf.json``.
@@ -33,8 +31,8 @@ trace = repro.load_trace("Lublin-1", n_jobs=3000, seed=0)
 print(f"Loaded {trace.name}: {len(trace)} jobs on {trace.max_procs} processors")
 
 
-def one_epoch(workers):
-    """(record, seconds, telemetry snapshot) of one epoch on ``workers``."""
+def one_epoch(n_envs):
+    """(record, seconds, telemetry snapshot) of one epoch at ``n_envs``."""
     with telemetry.session() as reg:
         trainer = Trainer(
             trace,
@@ -49,8 +47,7 @@ def one_epoch(workers):
                 trajectories_per_epoch=48,
                 trajectory_length=64,
                 seed=0,
-                n_envs=32,
-                runtime=repro.RuntimeConfig.from_workers(workers),
+                n_envs=n_envs,
             ),
         )
         with trainer:
@@ -61,29 +58,28 @@ def one_epoch(workers):
 
 
 # ---------------------------------------------------------------------------
-# 1. One epoch with the actors in this process: no worker, no shared memory.
+# 1. One epoch, 32 environments in lock-step.
 # ---------------------------------------------------------------------------
-record, seconds, snap = one_epoch(workers=1)
-print(f"\nserial epoch:    {seconds:5.1f}s  "
+record, seconds, snap = one_epoch(n_envs=32)
+print(f"\n32-wide epoch:  {seconds:5.1f}s  "
       f"mean bsld {record.mean_metric:.2f}  kl {record.stats.kl:.5f}")
 print("  policy iterations ran as:",
       sorted(name for name in snap.spans if "update.policy_iter" in name))
+print("  phases:", ", ".join(f"{k} {v:.2f}s"
+                             for k, v in record.phase_times.items()))
 
 # ---------------------------------------------------------------------------
-# 2. The same epoch with the episodes on two actor processes.
+# 2. The same epoch, 4 environments in lock-step.
 # ---------------------------------------------------------------------------
-actor_record, actor_seconds, actor_snap = one_epoch(workers=2)
-print(f"2-actor epoch:   {actor_seconds:5.1f}s  "
-      f"mean bsld {actor_record.mean_metric:.2f}  "
-      f"kl {actor_record.stats.kl:.5f}")
-print(f"  {actor_snap.counters['runtime.ipc.bytes_shm']:,} bytes through "
-      f"shared memory, {actor_snap.counters['runtime.ipc.bytes_inline']:,} "
-      "on the pipes")
+narrow_record, narrow_seconds, _ = one_epoch(n_envs=4)
+print(f"4-wide epoch:   {narrow_seconds:5.1f}s  "
+      f"mean bsld {narrow_record.mean_metric:.2f}  "
+      f"kl {narrow_record.stats.kl:.5f}")
 
 # ---------------------------------------------------------------------------
 # 3. Same seed => exactly the same training step, to the last bit.
 # ---------------------------------------------------------------------------
-assert actor_record.mean_reward == record.mean_reward
-assert actor_record.stats.kl == record.stats.kl
-print("\nthe 2-process epoch reproduced the serial epoch exactly "
+assert narrow_record.mean_reward == record.mean_reward
+assert narrow_record.stats.kl == record.stats.kl
+print("\nthe 4-wide epoch reproduced the 32-wide epoch exactly "
       "(same rewards, same update statistics).")

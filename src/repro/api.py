@@ -188,19 +188,13 @@ def _run_cells(
     with make_backend(runtime) as backend:
         backend.broadcast(_install_matrix_state, list(schedulers), cells)
         if heartbeat is None:
-            values = backend.map(
-                _matrix_task, tasks, chunksize=runtime.chunksize
-            )
+            values = backend.map(_matrix_task, tasks)
         else:
             values = []
             for ci in range(len(cells)):
                 cell_tasks = [t for t in tasks if t[0] == ci]
                 t0 = time.perf_counter()
-                values.extend(
-                    backend.map(
-                        _matrix_task, cell_tasks, chunksize=runtime.chunksize
-                    )
-                )
+                values.extend(backend.map(_matrix_task, cell_tasks))
                 heartbeat(ci, time.perf_counter() - t0)
     out: list[list[np.ndarray]] = []
     cursor = 0

@@ -235,6 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="shrink every scenario workload to N jobs")
     _add_train_flags(p)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="fan the evaluation cells over N worker processes "
+                        "(1 = serial, same results either way); training "
+                        "runs in this process")
     p.add_argument("--sequences", type=int, default=None,
                    help="evaluation sequences per scenario "
                         "(default: each scenario's protocol)")
@@ -328,26 +332,20 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", choices=list(POLICY_PRESETS), default="kernel")
     p.add_argument("--filter", action="store_true",
                    help="enable trajectory filtering (recommended for PIK)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="run the rollout actors (study: and the evaluation "
-                        "fan-out) on N processes; 1 = in this process, same "
-                        "results either way")
     p.add_argument("--telemetry", metavar="PATH", default=None,
                    help="enable telemetry and write the repro/telemetry@1 "
                         "JSONL trace to PATH")
 
 
 def _train_config(args, **extra) -> TrainConfig:
-    """The :class:`TrainConfig` of ``train`` / ``study`` arguments
-    (``--workers`` places the rollout actors); ``extra`` adds the fields
-    only one of the two commands sets."""
+    """The :class:`TrainConfig` of ``train`` / ``study`` arguments;
+    ``extra`` adds the fields only one of the two commands sets."""
     return TrainConfig(
         epochs=args.epochs,
         trajectories_per_epoch=args.trajectories,
         trajectory_length=args.length,
         seed=args.seed,
         use_trajectory_filter=args.filter,
-        runtime=RuntimeConfig.from_workers(args.workers),
         **extra,
     )
 

@@ -71,12 +71,11 @@ class RuntimeConfig:
     """Where independent simulations execute (see :mod:`repro.runtime`).
 
     ``backend="serial"`` runs everything in-process; ``"process"`` fans
-    out over ``workers`` persistent ``multiprocessing`` workers.  Both
-    produce bit-identical results for the same seeds — the backend is a
-    pure throughput knob, pinned by the runtime golden tests.  Process
-    workers exchange large arrays through the shared-memory plane of
-    :mod:`repro.runtime.shm`, which falls back losslessly to inline
-    pickles by itself (small payload, exhausted or unavailable pool).
+    evaluation cells out over ``workers`` persistent ``multiprocessing``
+    workers, which exchange pickles over pipes.  Both produce
+    bit-identical results for the same seeds — the backend is a pure
+    throughput knob, pinned by the runtime golden tests.  Training does
+    not take one: it rolls out in the trainer's own process.
     """
 
     #: accepted execution backends
@@ -84,8 +83,6 @@ class RuntimeConfig:
 
     backend: str = "serial"
     workers: int = 1
-    #: tasks per map dispatch; None picks ~4 chunks per worker
-    chunksize: int | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in self.BACKENDS:
@@ -94,19 +91,15 @@ class RuntimeConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.chunksize is not None and self.chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {self.chunksize}")
 
     @classmethod
-    def from_workers(
-        cls, workers: int, chunksize: int | None = None
-    ) -> "RuntimeConfig":
+    def from_workers(cls, workers: int) -> "RuntimeConfig":
         """The CLI convention: ``--workers N`` means a process pool for
         N > 1 and the serial backend for N == 1."""
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         backend = "process" if workers > 1 else "serial"
-        return cls(backend=backend, workers=workers, chunksize=chunksize)
+        return cls(backend=backend, workers=workers)
 
 
 @dataclass(frozen=True)
@@ -245,9 +238,6 @@ class TrainConfig:
     filter_probe_samples: int = 200   # SJF probes to build the Fig. 7 distribution
     filter_phase1_fraction: float = 0.6  # fraction of epochs in filtered phase
     n_envs: int = 16              # environments stepped in lock-step
-    #: where the rollout actors live: in this process (serial), or on
-    #: ``workers`` actor processes (``backend="process"``) — same results
-    runtime: RuntimeConfig = RuntimeConfig()
     #: train inside a named scenario (workload + cluster); None = caller
     #: supplies the trace and cluster explicitly
     scenario: ScenarioConfig | None = None
@@ -259,8 +249,6 @@ class TrainConfig:
             raise ValueError("training sizes must be positive")
         if self.n_envs <= 0:
             raise ValueError("n_envs must be positive")
-        if not isinstance(self.runtime, RuntimeConfig):
-            raise TypeError("runtime must be a RuntimeConfig")
         if self.scenario is not None and not isinstance(self.scenario, ScenarioConfig):
             raise TypeError("scenario must be a ScenarioConfig (or None)")
         if self.telemetry is not None and not isinstance(self.telemetry, TelemetryConfig):
@@ -389,7 +377,7 @@ class StudyConfig:
     :class:`~repro.rl.trainer.Trainer` runs (``train.scenario`` is filled
     in per scenario; the default is the CLI's smoke size) — the study
     declares no training knob of its own.  ``runtime`` is where the
-    evaluation cells execute, ``train.runtime`` where the actors live.
+    evaluation cells execute; training runs in this process.
 
     ``None`` for the eval knobs (``n_sequences`` / ``sequence_length``)
     and for ``metric`` means each scenario's own protocol applies;

@@ -11,8 +11,8 @@ Observations are stored the way the environments emit them — ragged, as
 ``(rows, counts)``: the float32 feature rows of the waiting jobs of every
 step, one step after the other, and how many rows each step owns.  A
 finished episode is ingested by one :meth:`TrajectoryBuffer.add_episode`
-call carrying its columns whole (an actor's
-:class:`~repro.runtime.EpisodeSlice` is exactly those columns), and
+call carrying its columns whole (an episode of
+:func:`~repro.rl.trainer.lockstep_rollout` plus its per-episode targets), and
 :meth:`TrajectoryBuffer.get` concatenates the episodes; nothing here is
 padded to the observation window.
 

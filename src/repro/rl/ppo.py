@@ -207,9 +207,9 @@ class PPOAgent:
         self.config = config or PPOConfig()
         self.rng = np.random.default_rng(seed)
 
-    # Optimizers are built on first use: an actor's replica only acts, and
-    # Adam state it allocated just to free at teardown put the next
-    # trainer's first update in a slower heap regime (CHANGES.md, PR 18).
+    # Optimizers are built on first use: an agent that only acts never
+    # allocates Adam state, which allocated just to free at teardown put
+    # the next trainer's first update in a slower heap regime.
     @cached_property
     def pi_optimizer(self) -> Adam:
         return Adam(self.policy.parameters(), lr=self.config.pi_lr)
@@ -217,26 +217,6 @@ class PPOAgent:
     @cached_property
     def v_optimizer(self) -> Adam:
         return Adam(self.value.parameters(), lr=self.config.vf_lr)
-
-    # ------------------------------------------------------------------
-    # weight snapshots (actor-runtime weight streaming)
-    # ------------------------------------------------------------------
-    def export_weights(self) -> dict[str, dict[str, np.ndarray]]:
-        """Picklable snapshot of both networks' parameters.
-
-        ``state_dict`` copies each array, so the snapshot is immune to the
-        optimizers' in-place parameter updates — an actor replica loading
-        it later sees exactly the weights at export time.
-        """
-        return {
-            "policy": self.policy.state_dict(),
-            "value": self.value.state_dict(),
-        }
-
-    def load_weights(self, snapshot: dict[str, dict[str, np.ndarray]]) -> None:
-        """Install an :meth:`export_weights` snapshot into both networks."""
-        self.policy.load_state_dict(snapshot["policy"])
-        self.value.load_state_dict(snapshot["value"])
 
     # ------------------------------------------------------------------
     # acting

@@ -15,43 +15,31 @@ How an epoch executes
 ---------------------
 Nothing is configured; each choice follows from what the code observes.
 
-*Collector.*  There is one: whole episodes run on the actors of an
-:class:`~repro.runtime.ActorRuntime`, which hold env + policy replicas,
-lock-step ``TrainConfig.n_envs`` environments between them (one batched
-policy forward per step) and send finished trajectories back, one
-transfer per worker per epoch.  Where the actors live is the backend's business:
-on the serial backend (the default) they are state dicts in this process
-— no child process, no shared-memory segment — and on
-``RuntimeConfig(backend="process")`` they are worker processes.  An
-epoch is synchronous, as on-policy PPO is: one
-:meth:`~repro.runtime.ActorRuntime.rollout` call collects it on the
-weights the previous update pushed, then the update runs and pushes the
-next ones.  An episode that ran on any other weights is a fault, and the
-trainer raises.
+*Rollout.*  In this process, on the trainer's own networks: one
+:func:`lockstep_rollout` steps whole episodes through the trainer's
+:class:`VecSchedGym` (``min(n_envs, trajectories_per_epoch)``
+environments, one batched policy forward per step).  An epoch is
+synchronous, as on-policy PPO is: the rollout runs on the weights the
+previous update left, then the update runs.
 
-The actors — and a loop of one-episode :meth:`Trainer._rollout` calls,
-the tests' sequential reference — give
-**bit-identical** trajectories, advantages and update statistics for the
-same seed, on any backend and worker count (the golden tests), because
-each trajectory samples actions from its own ``(seed, epoch, trajectory)``
-RNG stream, sequences are sampled (and filter-checked) and enter the
-:class:`TrajectoryBuffer` in trajectory order, and value estimates and
-behaviour log-probs are computed once per finished episode on the batch
-of its own T observations.
+The lock-step rollout and a loop of one-episode :meth:`Trainer._rollout`
+calls, the tests' sequential reference, give **bit-identical**
+trajectories, advantages and update statistics for the same seed, at any
+lock-step width (the golden tests), because each trajectory samples
+actions from its own ``(seed, epoch, trajectory)`` RNG stream, sequences
+are sampled (and filter-checked) and enter the :class:`TrajectoryBuffer`
+in trajectory order, and value estimates and behaviour log-probs are
+computed once per finished episode on the batch of its own T
+observations.
 
 *Observations.*  Ragged all the way: environments emit ``(rows, counts)``
-waves, the actors score, regroup and ship them as they are, the buffer
+waves, the rollout scores and regroups them as they are, the buffer
 concatenates them and the update plans from them.  Only a network that
 reads the whole window (the MLP / LeNet baselines) sees it padded, at its
 own input.
 
 *Update.*  :class:`PPOAgent` takes the sparse policy step when the policy
-exposes ``score_rows_grad`` (the kernel preset), the dense one otherwise;
-either way the gradient is computed in this process.
-
-*Transport.*  Process workers exchange arrays through the shared-memory
-plane of :mod:`repro.runtime.shm`, which falls back to inline pickles by
-itself.
+exposes ``score_rows_grad`` (the kernel preset), the dense one otherwise.
 """
 
 from __future__ import annotations
@@ -71,7 +59,7 @@ from repro.config import EnvConfig, PPOConfig, TrainConfig
 from repro.telemetry import core as _telemetry
 from repro.telemetry.sink import TelemetrySink, render_summary
 from repro.nn import Module, ValueMLP, make_policy
-from repro.runtime import ActorRuntime
+from repro.nn.ragged import csr_gather, csr_indptr
 from repro.runtime.seeding import stream_rng
 from repro.schedulers.rl_scheduler import RLSchedulerPolicy
 from repro.sim.cluster import ClusterSpec
@@ -86,7 +74,9 @@ from .filtering import TrajectoryFilter
 from .ppo import PPOAgent, UpdateStats
 from .reward import make_reward
 
-__all__ = ["EpochRecord", "TrainingResult", "Trainer", "train"]
+__all__ = [
+    "EpochRecord", "TrainingResult", "Trainer", "lockstep_rollout", "train",
+]
 
 logger = logging.getLogger("repro.rl.trainer")
 
@@ -104,7 +94,7 @@ class EpochRecord:
     filtered_phase: bool
     val_reward: float = float("nan")  # greedy-policy reward on held-out seqs
     #: telemetry runs only: per-phase wall seconds for this epoch
-    #: (``rollout`` / ``update`` / ``broadcast`` / ``validate``), read
+    #: (``rollout`` / ``update`` / ``validate``), read
     #: from the epoch spans; ``None`` when telemetry is disabled.  Old
     #: records without the field load with the default (the ``kl_last``
     #: compat pattern).
@@ -298,6 +288,86 @@ class TrainingResult:
         )
 
 
+def lockstep_rollout(vec, agent, sequences, rngs) -> tuple[list, list[float]]:
+    """The one rollout loop: whole episodes, lock-stepped through ``vec``.
+
+    Trajectory ``t`` is ``sequences[t]`` and samples its actions from
+    ``rngs[t]``; trajectories enter the envs in index order.  Returns
+    ``(episodes, rewards)`` by trajectory: the ``(rows, counts, actions)``
+    of every decision the episode made — its ragged observations and the
+    ``(T,)`` int64 actions — and its raw terminal reward.
+
+    Waves are logged as they come and regrouped by trajectory once, at
+    the end: a stable sort of the logged decisions by trajectory keeps
+    each episode's steps in time order, and one gather moves the job rows.
+
+    Phase timing (``rollout.policy_forward`` / ``env_step`` / ``buffer``)
+    is accumulated locally and flushed to the registry once per call: the
+    per-step cost is one boolean test with telemetry off, two clock reads
+    per phase with it on.  The perf bench reads the same span names.
+    """
+    rewards = [0.0] * len(sequences)
+    n = min(vec.n_envs, len(sequences))
+    rows, counts = vec.reset(sequences[:n])
+    vec.queue_sequences(sequences[n:])
+    log_rows, log_counts, log_trajs, log_actions = [], [], [], []
+    reg = _telemetry.current()
+    timed = reg.enabled
+    perf = time.perf_counter
+    t_policy = t_env = t_buffer = 0.0
+    n_waves = 0
+    while len(counts):
+        trajs = vec.episodes
+        if timed:
+            t0 = perf()
+        actions, _ = agent.act_batch(
+            rows, counts, [rngs[t] for t in trajs.tolist()]
+        )
+        if timed:
+            t1 = perf()
+            t_policy += t1 - t0
+        log_rows.append(rows)
+        log_counts.append(counts)
+        log_trajs.append(trajs)
+        log_actions.append(actions)
+        if timed:
+            t0 = perf()
+            t_buffer += t0 - t1
+        result = vec.step(actions)
+        if timed:
+            t1 = perf()
+            t_env += t1 - t0
+            n_waves += 1
+        for k in np.flatnonzero(result.dones).tolist():
+            rewards[trajs[k]] = float(result.rewards[k])
+        rows, counts = result.rows, result.counts
+        if timed:
+            t_buffer += perf() - t1
+    if timed:
+        t0 = perf()
+    trajs = np.concatenate(log_trajs)
+    counts = np.concatenate(log_counts)
+    order = np.argsort(trajs, kind="stable")
+    starts = np.cumsum(counts) - counts
+    counts = counts[order]
+    rows = np.concatenate(log_rows)[csr_gather(starts[order], counts)]
+    actions = np.concatenate(log_actions)[order]
+    step_ptr = csr_indptr(np.bincount(trajs, minlength=len(sequences)))
+    row_ptr = csr_indptr(counts)[step_ptr]
+    episodes = [
+        (rows[r0:r1], counts[s0:s1], actions[s0:s1])
+        for s0, s1, r0, r1 in zip(
+            step_ptr[:-1], step_ptr[1:], row_ptr[:-1], row_ptr[1:]
+        )
+    ]
+    if timed and n_waves:
+        reg.add_span_time("rollout.policy_forward", t_policy, n_waves)
+        reg.add_span_time("rollout.env_step", t_env, n_waves)
+        reg.add_span_time("rollout.buffer", t_buffer + perf() - t0, n_waves)
+        reg.counter("rollout.env_steps").add(len(trajs))
+    return episodes, rewards
+
+
 class Trainer:
     """Drives PPO training of a scheduling policy on one trace."""
 
@@ -305,8 +375,9 @@ class Trainer:
     MAX_FILTER_TRIES = 64
 
     #: RNG-stream tags: each trajectory samples actions from
-    #: default_rng([seed, tag, ...]) so every collector draws identical
-    #: action sequences regardless of interleaving.
+    #: default_rng([seed, tag, ...]) so the lock-step rollout and the
+    #: sequential reference draw identical action sequences regardless of
+    #: interleaving.
     _ACT_STREAM = 7919
     _PROBE_STREAM = 104_729
 
@@ -351,6 +422,13 @@ class Trainer:
         self.env = SchedGym(
             self.cluster_spec, make_reward(metric), config=self.env_config
         )
+        cfg = self.train_config
+        self.vec = VecSchedGym(
+            min(cfg.n_envs, cfg.trajectories_per_epoch),
+            self.cluster_spec,
+            make_reward(metric),
+            config=self.env_config,
+        )
         m, f = self.env_config.max_obsv_size, self.env_config.job_features
         seed = self.train_config.seed
         self.policy = policy or make_policy(policy_preset, m, f, seed=seed)
@@ -364,8 +442,6 @@ class Trainer:
         self.sampler = SequenceSampler(
             trace, self.train_config.trajectory_length, seed=seed
         )
-        self._actor_runtime: ActorRuntime | None = None  # built on first use
-        self._n_updates = 0  # the learner's update counter = weight version
 
         # Terminal rewards span orders of magnitude across metrics (bsld in
         # the hundreds, util in [0,1]).  The value network regresses raw
@@ -393,8 +469,7 @@ class Trainer:
         # Telemetry ownership: a TrainConfig that asks for telemetry
         # activates the process-wide registry unless an enclosing run
         # (study, bench session) already owns one — in that case this
-        # trainer just records into it.  Activation happens here, before
-        # any backend starts, so pool workers inherit the enabled flag.
+        # trainer just records into it.
         tcfg = self.train_config.telemetry
         self._owns_telemetry = False
         self._tel_prev: _telemetry.Telemetry | None = None
@@ -413,7 +488,6 @@ class Trainer:
                         "trace": trace.name,
                         "metric": metric,
                         "epochs": self.train_config.epochs,
-                        "workers": self.train_config.runtime.workers,
                     },
                 )
 
@@ -446,34 +520,6 @@ class Trainer:
                 # sample rather than spinning forever.
                 return jobs, rejected
 
-    @property
-    def actor_runtime(self) -> ActorRuntime:
-        """The episode-granular actor pool, created on first use.
-
-        Passing the metric *name* keeps the reward picklable, so process
-        workers rebuild it locally instead of shipping a closure; the
-        networks are replicated at install time and re-streamed as
-        snapshots after every update.  The lock-step width splits across
-        the actors, so the pool steps ``n_envs`` environments in total
-        however many workers share them.
-        """
-        if self._actor_runtime is None:
-            cfg = self.train_config
-            width = min(cfg.n_envs, cfg.trajectories_per_epoch)
-            self._actor_runtime = ActorRuntime(
-                self.cluster_spec,
-                self.metric,
-                config=self.env_config,
-                runtime=cfg.runtime,
-                n_envs=-(-width // cfg.runtime.workers),
-                seed=cfg.seed,
-                act_stream=self._ACT_STREAM,
-            )
-            self._actor_runtime.install(
-                self.policy, self.value, version=self._n_updates
-            )
-        return self._actor_runtime
-
     def _rollout(
         self,
         jobs,
@@ -486,9 +532,10 @@ class Trainer:
         The reward-scale probe, and the tests' sequential reference: it
         steps the gym protocol (padded observation and action mask, one
         environment, one decision at a time), hands the masked rows to
-        the same batched agent entry points as the actors (with batch
-        width 1) and computes the same per-episode targets, so a loop of
-        ``_rollout`` calls fills the buffer exactly like they do.
+        the same batched agent entry points as :func:`lockstep_rollout`
+        (with batch width 1) and computes the same per-episode targets, so
+        a loop of ``_rollout`` calls fills the buffer exactly like
+        :meth:`_collect` does.
         """
         steps, actions = [], []
         obs, mask = self.env.reset(jobs)
@@ -515,7 +562,7 @@ class Trainer:
         )
         return result.reward
 
-    # -- actor (episode-granular) collection ----------------------------
+    # -- lock-step collection -------------------------------------------
     def _epoch_filtered(self, epoch: int) -> bool:
         """Whether the trajectory filter applies to this epoch (phase 1)."""
         cfg = self.train_config
@@ -532,25 +579,29 @@ class Trainer:
             sequences.append(jobs)
         return sequences, total_rejected
 
-    def _collect_from_actors(
+    def _collect(
         self, epoch: int, buffer: TrajectoryBuffer
     ) -> tuple[list[float], int]:
-        """Roll one epoch's episodes on the actors into ``buffer``, in
-        trajectory order.  Returns ``(rewards, n_rejected)``."""
+        """Roll one epoch's episodes through :attr:`vec` into ``buffer``,
+        in trajectory order.  Returns ``(rewards, n_rejected)``."""
         sequences, total_rejected = self._sample_epoch_sequences(epoch)
-        episodes = self.actor_runtime.rollout(epoch, list(enumerate(sequences)))
+        seed = self.train_config.seed
+        rngs = [
+            stream_rng(seed, self._ACT_STREAM, epoch, traj)
+            for traj in range(len(sequences))
+        ]
+        episodes, rewards = lockstep_rollout(self.vec, self.agent, sequences, rngs)
         scale = self._reward_scale or 1.0
-        for ep in episodes:
-            if ep.version != self._n_updates:
-                raise RuntimeError(
-                    f"episode {ep.traj} of epoch {epoch} ran on weight "
-                    f"version {ep.version}, not the pushed {self._n_updates}"
-                )
+        for traj, ((rows, counts, actions), reward) in enumerate(
+            zip(episodes, rewards)
+        ):
             buffer.add_episode(
-                ep.rows, ep.counts, ep.actions, ep.log_probs, ep.values,
-                ep.reward / scale, order=ep.traj,
+                rows, counts, actions,
+                self.agent.episode_log_probs(rows, counts, actions),
+                self.agent.value_batch(rows, counts),
+                reward / scale, order=traj,
             )
-        return [ep.reward for ep in episodes], total_rejected
+        return rewards, total_rejected
 
     def run_epoch(self, epoch: int) -> EpochRecord:
         cfg = self.train_config
@@ -573,15 +624,10 @@ class Trainer:
                 )
                 self._reward_scale = max(abs(probe_reward), 1e-6)
 
-            rewards, total_rejected = self._collect_from_actors(epoch, buffer)
+            rewards, total_rejected = self._collect(epoch, buffer)
 
         with reg.span("epoch.update") as sp_update:
             stats = self.agent.update(buffer.get())
-        with reg.span("epoch.broadcast") as sp_broadcast:
-            self._n_updates += 1
-            self.actor_runtime.push_weights(
-                self._n_updates, self.agent.export_weights()
-            )
         mean_reward = float(np.mean(rewards))
         sign = 1.0 if self._higher_is_better else -1.0
         with reg.span("epoch.validate") as sp_validate:
@@ -591,7 +637,6 @@ class Trainer:
             phase_times = {
                 "rollout": sp_rollout.elapsed,
                 "update": sp_update.elapsed,
-                "broadcast": sp_broadcast.elapsed,
                 "validate": sp_validate.elapsed,
             }
         return EpochRecord(
@@ -625,22 +670,14 @@ class Trainer:
         return float(np.mean(rewards))
 
     def close(self) -> None:
-        """Release the actors (no-op if never built) and the telemetry.
-
-        The ``finally`` block: a teardown failure in the actor pool must
-        not leave the trace file open or this trainer's registry active.
-        """
-        try:
-            if self._actor_runtime is not None:
-                self._actor_runtime.close()
-                self._actor_runtime = None
-        finally:
-            if self._sink is not None:
-                self._sink.close()
-                self._sink = None
-            if self._owns_telemetry:
-                _telemetry.set_active(self._tel_prev)
-                self._owns_telemetry = False
+        """Close the telemetry sink and restore the registry this trainer
+        replaced (no-op when it owns neither)."""
+        if self._sink is not None:
+            self._sink.close()
+            self._sink = None
+        if self._owns_telemetry:
+            _telemetry.set_active(self._tel_prev)
+            self._owns_telemetry = False
 
     def __enter__(self) -> "Trainer":
         return self
@@ -677,10 +714,10 @@ class Trainer:
             if record.phase_times is not None:
                 pt = record.phase_times
                 logger.info(
-                    "epoch %3d  rollout %.2fs  update %.2fs  broadcast %.2fs  "
-                    "validate %.2fs  kl %.4f",
-                    epoch, pt["rollout"], pt["update"], pt["broadcast"],
-                    pt["validate"], record.stats.kl,
+                    "epoch %3d  rollout %.2fs  update %.2fs  validate %.2fs  "
+                    "kl %.4f",
+                    epoch, pt["rollout"], pt["update"], pt["validate"],
+                    record.stats.kl,
                 )
             if self._sink is not None:
                 self._sink.write_event(

@@ -7,14 +7,14 @@ synchronous dispatch primitives cover every fan-out pattern in the repo:
 
 ``broadcast(fn, *args)``
     run ``fn`` once on *every* worker with the same arguments (install
-    schedulers, build actor replicas, push weights), results by worker
-    id; process backends encode the arguments once for all workers;
+    schedulers and the sequences they score), results by worker id;
+    process backends encode the arguments once for all workers;
 ``map(fn, tasks, chunksize=...)``
     run ``fn(state, task)`` over an arbitrary task list, load-balanced in
     chunks across workers, results returned **in task order** (evaluate a
-    scheduler over the paper's test sequences, roll out one chunk of
-    episodes per actor).  The first round hands chunk ``i`` to worker
-    ``i``, so ``n_workers`` chunks of size one address every worker once.
+    scheduler over the paper's test sequences).  The first round hands
+    chunk ``i`` to worker ``i``, so ``n_workers`` chunks of size one
+    address every worker once.
 
 Both return only when every dispatched call has answered, so a worker
 never holds more than one message at a time.
@@ -47,10 +47,6 @@ class WorkerError(RuntimeError):
 
 class ExecutionBackend(abc.ABC):
     """Lifecycle + dispatch over a fixed set of stateful workers."""
-
-    #: True when tasks/results cross a process boundary (are pickled);
-    #: callers may use wire-compact encodings only when this is set.
-    crosses_process_boundary = False
 
     def __init__(self, n_workers: int = 1):
         if n_workers < 1:
@@ -99,8 +95,8 @@ class ExecutionBackend(abc.ABC):
     def broadcast(self, fn: TaskFn, *args) -> list:
         """Run ``fn(state, *args)`` on every worker; results by worker id.
 
-        Process backends serialize the arguments (and spill them to
-        shared memory) once per call, not once per worker.
+        Process backends serialize the arguments once per call, not once
+        per worker.
         """
         self.start()
         return self._broadcast_impl(fn, args)

@@ -42,18 +42,6 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(0)
 
 
-@pytest.fixture()
-def no_shm_pool(monkeypatch):
-    """A host that cannot create shared-memory segments (no ``/dev/shm``,
-    size limit): every process pool started under this fixture falls back
-    to carrying its messages inline."""
-
-    def refuse(*args, **kwargs):
-        raise FileNotFoundError("[Errno 2] No such file or directory: '/dev/shm'")
-
-    monkeypatch.setattr("repro.runtime.process_pool.SharedArrayPool", refuse)
-
-
 def make_trace(jobs: list[Job], n_procs: int, name: str = "test") -> SWFTrace:
     """Helper to wrap hand-built jobs into a trace."""
     return SWFTrace(jobs=jobs, header=SWFHeader(max_procs=n_procs), name=name)
@@ -76,17 +64,18 @@ class DenseOnly(Module):
 
 
 class SequentialTrainer(Trainer):
-    """The sequential reference the collector goldens compare against: one
+    """The sequential reference the rollout goldens compare against: one
     episode at a time through ``Trainer._rollout``, in trajectory order,
-    in place of the actors.  ``n_sequential`` counts the episodes rolled
-    that way, so a golden can assert its reference side really took this
-    path (if the hook below is ever renamed away, the comparison would
-    otherwise silently become actors against actors).
+    in place of the lock-step rollout.  ``n_sequential`` counts the
+    episodes rolled that way, so a golden can assert its reference side
+    really took this path (if the hook below is ever renamed away, the
+    comparison would otherwise silently become lock-step against
+    lock-step).
     """
 
     n_sequential = 0
 
-    def _collect_from_actors(self, epoch, buffer):
+    def _collect(self, epoch, buffer):
         sequences, n_rejected = self._sample_epoch_sequences(epoch)
         seed = self.train_config.seed
         rewards = [

@@ -37,8 +37,7 @@ class TestParser:
         train = vars(parser.parse_args(["train", "Lublin-1", "-o", "m.npz"]))
         study = vars(parser.parse_args(["study"]))
         shared = {"seed": 0, "epochs": 16, "trajectories": 14, "length": 64,
-                  "obsv": 32, "policy": "kernel", "filter": False,
-                  "workers": 1}
+                  "obsv": 32, "policy": "kernel", "filter": False}
         for flag, default in shared.items():
             assert train[flag] == study[flag] == default, flag
         for command in (["train", "Lublin-1", "-o", "m.npz"], ["study"]):
@@ -63,37 +62,34 @@ class TestParser:
             build_parser().parse_args(["evaluate", "Lublin-1", "--metric", "xyz"])
 
     def test_workers_defaults_to_one(self):
-        args = build_parser().parse_args(["evaluate", "Lublin-1"])
-        assert args.workers == 1
-        args = build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz"])
-        assert args.workers == 1
+        for argv in (["evaluate", "Lublin-1"], ["compare"], ["study"]):
+            assert build_parser().parse_args(argv).workers == 1
 
     def test_workers_rejects_nonpositive(self):
         for bad in ("0", "-2"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["evaluate", "Lublin-1",
-                                           "--workers", bad])
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz",
-                                           "--workers", bad])
+            for argv in (["evaluate", "Lublin-1"], ["study"]):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(argv + ["--workers", bad])
 
     def test_rollout_mode_defaults_to_locked(self):
-        """No flag names a collector: the default is synchronous
-        lock-step collection in this process (one worker)."""
+        """No flag names a collector: training always rolls out lock-step
+        in this process."""
         for argv in (["train", "Lublin-1", "-o", "m.npz"], ["study"]):
             args = build_parser().parse_args(argv)
-            assert args.workers == 1
             assert not hasattr(args, "staleness")
+        assert not hasattr(
+            build_parser().parse_args(["train", "Lublin-1", "-o", "m.npz"]),
+            "workers",
+        )
 
     def test_rollout_mode_flags(self):
-        """--workers is what moves the actors onto processes; the retired
-        path selectors and the staleness knobs are gone from every
-        command."""
-        args = build_parser().parse_args([
-            "train", "Lublin-1", "-o", "m.npz", "--workers", "2",
-        ])
+        """The retired path selectors, the staleness knobs and ``train
+        --workers`` (there are no rollout actors to place) are gone;
+        ``study --workers`` fans out its evaluation cells only."""
+        args = build_parser().parse_args(["study", "--workers", "2"])
         assert args.workers == 2
         for command, flag, value in [
+            ("train", "--workers", "2"),
             ("train", "--staleness", "1"),
             ("train", "--stale-mode", "reweight"),
             ("study", "--staleness", "1"),
@@ -171,14 +167,18 @@ class TestCommands:
         assert serial_out.splitlines()[1:] == workers_out.splitlines()[1:]
 
     def test_train_with_workers(self, tmp_path, capsys):
+        """``repro train --workers 2`` is a usage error (exit 2) and trains
+        nothing: the rollout runs in the trainer's own process."""
         model = tmp_path / "m.npz"
-        code = main([
-            "train", "Lublin-1", "--jobs", "600", "--epochs", "1",
-            "--trajectories", "2", "--length", "16", "--obsv", "8",
-            "--workers", "2", "-o", str(model),
-        ])
-        assert code == 0
-        assert model.exists()
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "train", "Lublin-1", "--jobs", "600", "--epochs", "1",
+                "--trajectories", "2", "--length", "16", "--obsv", "8",
+                "--workers", "2", "-o", str(model),
+            ])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize("policy, path", [("kernel", "sparse"),
                                               ("mlp_v2", "dense")])

@@ -73,16 +73,14 @@ class TestTrainConfig:
         assert cfg.epochs == 100
         assert cfg.trajectories_per_epoch == 100
         assert cfg.trajectory_length == 256
-        # the default collects in this process
-        assert cfg.runtime.backend == "serial"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
     def test_rollout_mode_validation(self):
-        """How rollouts are collected follows from ``runtime`` alone; the
-        fields that used to select or loosen it are gone."""
+        """How rollouts are collected is not configurable; the fields that
+        used to select or loosen it are gone."""
         for cls, field in [(TrainConfig, "rollout_mode"),
                            (TrainConfig, "vectorized"),
                            (TrainConfig, "grad_workers"),
@@ -116,15 +114,12 @@ class TestRuntimeConfig:
         cfg = RuntimeConfig()
         assert cfg.backend == "serial"
         assert cfg.workers == 1
-        assert cfg.chunksize is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RuntimeConfig(backend="threads")
         with pytest.raises(ValueError):
             RuntimeConfig(workers=0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(chunksize=0)
 
     def test_from_workers_cli_convention(self):
         assert RuntimeConfig.from_workers(1) == RuntimeConfig()
@@ -133,11 +128,14 @@ class TestRuntimeConfig:
         with pytest.raises(ValueError):
             RuntimeConfig.from_workers(0)
 
-    def test_threads_through_train_config(self):
-        cfg = TrainConfig(runtime=RuntimeConfig.from_workers(2))
-        assert cfg.runtime.backend == "process"
+    def test_train_config_takes_no_runtime(self):
+        """Training rolls out in the trainer's own process: there is no
+        runtime to pass it, and neither a map chunk size to configure."""
         with pytest.raises(TypeError):
-            TrainConfig(runtime=2)
+            TrainConfig(runtime=RuntimeConfig.from_workers(2))
+        with pytest.raises(TypeError):
+            RuntimeConfig(chunksize=4)
+        assert "runtime" not in {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 class TestFeatureCompat:

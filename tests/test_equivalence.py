@@ -6,11 +6,11 @@ Three layers of guarantees, each pinned exactly (no tolerances):
    bit-for-bit, with and without a :class:`FeatureCache`;
 2. :func:`discount_cumsum` matches the naive reversed Python recurrence
    bit-for-bit;
-3. a training epoch collected by the actors (on the serial backend
-   here; ``test_actor_async.py`` adds the process pools) reproduces the
+3. a training epoch collected by the lock-step rollout reproduces the
    sequential epoch (one ``Trainer._rollout`` per trajectory, the
    reference kept in ``conftest.py``) exactly — same rewards, same update
-   statistics, same post-update weights.
+   statistics, same post-update weights (``test_trainer.py`` adds the
+   dense-policy cases).
 """
 
 import numpy as np

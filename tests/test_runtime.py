@@ -4,14 +4,20 @@ The backend contract — ordered results, persistent per-worker state,
 error propagation, idempotent lifecycle — is exercised identically on
 :class:`SerialBackend` and :class:`ProcessPoolBackend`; the golden
 cross-backend guarantees live in ``test_runtime_equivalence.py``.
+``TestWorkerFailures`` pins what a dead or failing process worker does:
+a typed :class:`WorkerError` naming it, pipes left in sync, no live child.
 """
 
+import multiprocessing
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.config import RuntimeConfig
+from repro import api
+from repro.config import EvalConfig, RuntimeConfig
 from repro.runtime import (
     ProcessPoolBackend,
     SerialBackend,
@@ -21,24 +27,10 @@ from repro.runtime import (
     stream_rng,
     task_seed,
 )
+from repro.schedulers import FCFS, SJF
+from repro.workloads import load_trace
 
-class ShmProcessPoolBackend(ProcessPoolBackend):
-    """The process pool, checked on both ends: the shared-memory pool must
-    come up (a silent inline fallback would pass every test below for the
-    wrong reason) and must leave no segment behind at close — whatever
-    failure the test provoked in between."""
-
-    def _start_impl(self):
-        super()._start_impl()
-        assert self._pool is not None
-        self._segments = [self._pool._ctl.name, self._pool._data.name]
-
-    def _close_impl(self):
-        super()._close_impl()
-        assert not [n for n in self._segments if Path("/dev/shm", n).exists()]
-
-
-BACKENDS = [SerialBackend, ProcessPoolBackend, ShmProcessPoolBackend]
+BACKENDS = [SerialBackend, ProcessPoolBackend]
 
 
 # ----------------------------------------------------------------------
@@ -100,8 +92,8 @@ class TestDispatch:
         assert backend.broadcast(recall) == [42] * 3
 
     def test_first_map_round_gives_worker_i_chunk_i(self, backend):
-        """The actor runtime's one-chunk-per-worker rollout rests on this:
-        ``n_workers`` chunks of size one reach every worker once."""
+        """``n_workers`` chunks of size one reach every worker once (the
+        worker-failure tests below aim at a worker through this)."""
         backend.map(remember, [10, 20, 30], chunksize=1)
         assert backend.broadcast(recall) == [10, 20, 30]
 
@@ -130,19 +122,13 @@ class TestDispatch:
         assert backend.broadcast(square, 7) == [49, 49, 49]
         assert backend.broadcast(recall) == [1, 3, 5]
 
-    @pytest.mark.parametrize("arrays_via", ["pipe", "shm"])
-    def test_unpicklable_payload_keeps_pipes_in_sync(self, arrays_via, request):
+    def test_unpicklable_payload_keeps_pipes_in_sync(self):
         # A pickling failure on either side must leave every pipe holding
         # exactly the replies its dispatch expects: otherwise the next
         # dispatch reads a stale reply (silent corruption instead of an
         # error).  Process backend only — the serial backend never
-        # pickles.  The codec encodes before writing with the pool
-        # ("shm") and on the inline fallback without it ("pipe"), so the
-        # invariant holds on both.
-        if arrays_via == "pipe":
-            request.getfixturevalue("no_shm_pool")
+        # pickles.  Messages are pickled before anything is written.
         with ProcessPoolBackend(2) as b:
-            assert (b._pool is None) == (arrays_via == "pipe")
             with pytest.raises(WorkerError):
                 b.broadcast(square, lambda: None)
             assert b.broadcast(square, 5) == [25, 25]
@@ -153,8 +139,6 @@ class TestDispatch:
             with pytest.raises(WorkerError):
                 b.map(square, [1, lambda: None, 3], chunksize=1)
             assert b.map(square, [2, 3]) == [4, 9]
-            if b._pool is not None:  # no span left leased by the failure
-                assert b._pool.n_leases == 0
 
 
 class TestLifecycle:
@@ -200,15 +184,117 @@ class TestMakeBackend:
             make_backend(workers=0)
 
     def test_transport_threads_through(self):
-        """There is one transport and nothing left to thread: a configured
-        process backend comes up on the shared-memory plane by itself,
-        and neither the config nor the backend takes a transport."""
+        """There is one transport and nothing left to thread: a process
+        backend pickles over its pipes, creates no shared-memory segment,
+        and neither the config nor the backend takes a transport or a
+        chunk size."""
+        shm = Path("/dev/shm")
+        before = set(shm.iterdir()) if shm.is_dir() else set()
         with make_backend(RuntimeConfig(backend="process", workers=2)) as b:
-            assert isinstance(b, ProcessPoolBackend) and b._pool is not None
-        with pytest.raises(TypeError):
-            RuntimeConfig(backend="process", transport="shm")
+            assert isinstance(b, ProcessPoolBackend)
+            assert b.map(square, range(8)) == [x * x for x in range(8)]
+            if shm.is_dir():
+                assert set(shm.iterdir()) == before
+        for kwargs in ({"transport": "shm"}, {"chunksize": 4}):
+            with pytest.raises(TypeError):
+                RuntimeConfig(backend="process", **kwargs)
         with pytest.raises(TypeError):
             ProcessPoolBackend(2, transport="shm")
+        with pytest.raises(TypeError):
+            RuntimeConfig.from_workers(2, chunksize=4)
+
+
+# ----------------------------------------------------------------------
+# worker failures (process backend only: the serial one has no process)
+# ----------------------------------------------------------------------
+def die(state, code):
+    """Exit the worker abruptly when ``code`` is non-zero."""
+    if code:
+        os._exit(code)
+
+
+def make_array(state, n):
+    return np.arange(n, dtype=np.float64)
+
+
+def echo_sum(state, arr):
+    return float(np.asarray(arr).sum())
+
+
+#: the task ``(cell, scheduler, sequence)`` that the first map round of a
+#: two-worker ``compare`` hands to worker 1 (chunks of one task)
+_DOOMED = (0, 0, 1)
+_matrix_task = api._matrix_task
+
+
+def _matrix_task_or_die(state, task):
+    if tuple(task) == _DOOMED:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _matrix_task(state, task)
+
+
+class TestWorkerFailures:
+    def test_crash_under_map_is_a_worker_error(self):
+        with ProcessPoolBackend(2) as b:
+            with pytest.raises(WorkerError, match="died") as err:
+                b.map(die, [17, 0], chunksize=1)
+            assert err.value.worker_id == 0
+            assert not b._procs[0].is_alive()
+
+    def test_crash_under_broadcast_is_a_worker_error(self):
+        with ProcessPoolBackend(2) as b:
+            with pytest.raises(WorkerError, match="died") as err:
+                b.broadcast(die, 17)
+            assert err.value.worker_id == 0  # the first in worker order
+
+    def test_broadcast_past_a_dead_worker_drains(self):
+        with ProcessPoolBackend(2) as b:
+            with pytest.raises(WorkerError, match="died"):
+                b.map(die, [0, 17], chunksize=1)
+            w = np.arange(10_000, dtype=np.float64)
+            with pytest.raises(WorkerError) as err:
+                b.broadcast(echo_sum, w)
+            assert err.value.worker_id == 1
+            # worker 0's reply was drained: its pipe is in sync
+            assert b.map(echo_sum, [w], chunksize=1) == [float(w.sum())]
+
+    def test_broadcast_encodes_once(self, monkeypatch):
+        with ProcessPoolBackend(3) as b:
+            calls = []
+            real_encode = b._encode
+
+            def counting_encode(msg):
+                calls.append(msg)
+                return real_encode(msg)
+
+            monkeypatch.setattr(b, "_encode", counting_encode)
+            out = b.broadcast(make_array, 5)
+            assert len(out) == 3 and len(calls) == 1
+            for got in out:
+                np.testing.assert_array_equal(got, np.arange(5.0))
+
+    def test_unpicklable_result_is_a_worker_error(self):
+        with ProcessPoolBackend(2) as b:
+            with pytest.raises(WorkerError, match="unencodable") as err:
+                b.map(unpicklable_result, [0, 1], chunksize=1)
+            assert err.value.worker_id in (0, 1)
+            # the failed reply was the pipe's only one: the pool still works
+            assert b.map(square, [2, 3], chunksize=1) == [4, 9]
+
+    def test_sigkill_mid_evaluation_is_a_worker_error(self, monkeypatch):
+        """A worker killed mid-``map`` of an evaluation fan-out surfaces as
+        a ``WorkerError`` naming it, and the pool leaves no live child."""
+        trace = load_trace("Lublin-1", n_jobs=400, seed=3)
+        config = EvalConfig(n_sequences=4, sequence_length=24,
+                            runtime=RuntimeConfig(backend="process", workers=2))
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(api, "_matrix_task", _matrix_task_or_die)
+        with pytest.raises(WorkerError, match="worker 1") as err:
+            api.compare([FCFS(), SJF()], trace, config=config)
+        assert err.value.worker_id == 1
+        for proc in multiprocessing.active_children():
+            proc.join(timeout=10)
+        assert multiprocessing.active_children() == []
 
 
 class TestSeeding:

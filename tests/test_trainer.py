@@ -1,11 +1,27 @@
-"""Integration tests for the training loop (small scale, seeded)."""
+"""Integration tests for the training loop (small scale, seeded).
+
+Besides the mechanics, the goldens of the in-process rollout: an epoch of
+:func:`lockstep_rollout` trains *bit-identically* to a loop of
+one-episode ``Trainer._rollout`` calls, and an episode does not depend on
+the lock-step width it ran at (no tolerances anywhere).
+"""
+
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.config import EnvConfig, PPOConfig, TrainConfig
-from repro.rl import Trainer, train
-from repro.workloads import load_trace
+from repro.nn import ValueMLP, make_policy
+from repro.rl import PPOAgent, Trainer, make_reward, train
+from repro.rl.ppo import UpdateStats
+from repro.rl.trainer import EpochRecord, lockstep_rollout
+from repro.runtime import stream_rng
+from repro.sim import VecSchedGym
+from repro.workloads import SequenceSampler, load_trace
+
+from .conftest import DenseOnly, SequentialTrainer
 
 
 TINY_ENV = EnvConfig(max_obsv_size=16)
@@ -172,3 +188,155 @@ class TestLearningSignal:
                     train_config=cfg)
         curve = t.train().metric_curve()
         assert min(curve[2:]) < curve[0]
+
+
+# ----------------------------------------------------------------------
+# goldens of the in-process rollout
+# ----------------------------------------------------------------------
+GOLDEN_ENV = EnvConfig(max_obsv_size=16)
+
+
+@pytest.fixture(scope="module")
+def golden_trace():
+    return load_trace("Lublin-1", n_jobs=600, seed=5)
+
+
+def copy_sequences(sequences):
+    return [[j.copy() for j in seq] for seq in sequences]
+
+
+def make_trainer(trace, sequential=False, epochs=2, backfill=False, dense=False):
+    """``sequential=True`` builds the reference: a loop of one-episode
+    ``Trainer._rollout`` calls in place of the lock-step rollout.
+    ``dense=True`` hides the kernel policy's row scorers, so acting and
+    the update pad the ragged observations to the window at the policy's
+    input."""
+    m, f = GOLDEN_ENV.observation_shape
+    return (SequentialTrainer if sequential else Trainer)(
+        trace,
+        env_config=EnvConfig(max_obsv_size=m, backfill=backfill),
+        ppo_config=PPOConfig(train_pi_iters=8, train_v_iters=8),
+        policy=DenseOnly(make_policy("kernel", m, f, seed=0)) if dense else None,
+        train_config=TrainConfig(
+            epochs=epochs,
+            trajectories_per_epoch=6,
+            trajectory_length=18,
+            seed=0,
+            n_envs=4,  # 6 trajectories over 4 envs: exercises auto-reset
+        ),
+    )
+
+
+def train_run(trace, sequential=False, **kwargs):
+    epochs = kwargs.setdefault("epochs", 2)
+    with make_trainer(trace, sequential, **kwargs) as trainer:
+        records = [trainer.run_epoch(e) for e in range(epochs)]
+        # each side took its own rollout: the golden is not vacuous
+        assert getattr(trainer, "n_sequential", 0) == (6 * epochs if sequential else 0)
+        weights = {k: v.copy() for k, v in trainer.policy.state_dict().items()}
+        values = {k: v.copy() for k, v in trainer.value.state_dict().items()}
+    return records, weights, values
+
+
+def assert_runs_equal(run_a, run_b):
+    """Two ``train_run`` results agree bit for bit: records, policy
+    weights, value weights."""
+    (rec_a, w_a, v_a), (rec_b, w_b, v_b) = run_a, run_b
+    for a, b in zip(rec_a, rec_b):
+        assert a.epoch == b.epoch
+        assert a.mean_reward == b.mean_reward
+        assert a.mean_metric == b.mean_metric
+        assert a.n_rejected == b.n_rejected
+        assert a.val_reward == b.val_reward
+        assert a.stats == b.stats
+    for key in w_a:
+        np.testing.assert_array_equal(w_a[key], w_b[key])
+    for key in v_a:
+        np.testing.assert_array_equal(v_a[key], v_b[key])
+
+
+class TestEpochGolden:
+    """The lock-step epoch == a loop of ``Trainer._rollout`` where episodes
+    are ragged in length (backfilling) and where the policy reads the
+    padded window (``DenseOnly``); ``test_equivalence.py`` pins the plain
+    kernel epoch."""
+
+    @pytest.mark.parametrize(
+        "backfill,dense", [(True, False), (False, True), (True, True)],
+        ids=["kernel-backfill", "dense", "dense-backfill"],
+    )
+    def test_epoch_identical_to_a_loop_of_rollouts(
+        self, golden_trace, backfill, dense
+    ):
+        assert_runs_equal(
+            train_run(golden_trace, sequential=True, backfill=backfill, dense=dense),
+            train_run(golden_trace, backfill=backfill, dense=dense),
+        )
+
+    def test_trainer_starts_no_process_and_no_segment(self, golden_trace):
+        shm = Path("/dev/shm")
+        before = set(shm.iterdir()) if shm.is_dir() else set()
+        with make_trainer(golden_trace, epochs=1) as t:
+            assert np.isfinite(t.run_epoch(0).mean_reward)
+            assert multiprocessing.active_children() == []
+            if shm.is_dir():
+                assert set(shm.iterdir()) == before
+
+
+class TestLockstepRollout:
+    def test_width_and_arrival_order_invariance(self, golden_trace):
+        """Six episodes through widths 1, 2, 4 (auto-reset backlog) and 6
+        are bit-identical episode for episode, per-episode targets
+        included."""
+        m, f = GOLDEN_ENV.observation_shape
+        agent = PPOAgent(make_policy("kernel", m, f, seed=0), ValueMLP(m, f, seed=1))
+        sequences = SequenceSampler(golden_trace, 18, seed=3).sample_many(6)
+
+        def collect(width):
+            vec = VecSchedGym(width, golden_trace.max_procs, make_reward("bsld"),
+                              config=GOLDEN_ENV)
+            rngs = [stream_rng(0, Trainer._ACT_STREAM, 0, t) for t in range(6)]
+            episodes, rewards = lockstep_rollout(
+                vec, agent, copy_sequences(sequences), rngs
+            )
+            return [
+                (rows, counts, actions,
+                 agent.episode_log_probs(rows, counts, actions),
+                 agent.value_batch(rows, counts), reward)
+                for (rows, counts, actions), reward in zip(episodes, rewards)
+            ]
+
+        reference = collect(1)
+        assert len(reference) == 6
+        for width in (2, 4, 6):
+            got = collect(width)
+            assert len(got) == len(reference)
+            for episode, want in zip(got, reference):
+                for column, expected in zip(episode, want):
+                    np.testing.assert_array_equal(column, expected)
+
+
+def _record(**extra):
+    return EpochRecord(
+        epoch=0, mean_metric=1.0, mean_reward=-1.0,
+        stats=UpdateStats(policy_loss=0.1, value_loss=0.2, kl=0.0,
+                          entropy=1.0, pi_iters_run=8, early_stopped=False),
+        n_rejected=0, wall_time=0.5, filtered_phase=False, val_reward=-2.0,
+        **extra,
+    )
+
+
+class TestEpochRecordCompat:
+    def test_roundtrip(self):
+        rec = _record(phase_times={"rollout": 0.1, "update": 0.2})
+        assert EpochRecord.from_dict(rec.to_dict()) == rec
+
+    def test_loads_records_with_retired_staleness_fields(self):
+        """Zoo checkpoints written while the trainer could run ahead of
+        the learner carry two counters that no longer exist; they load,
+        and the counters are dropped."""
+        data = _record().to_dict()
+        data.update(n_stale_dropped=3, n_stale_reweighted=1)
+        got = EpochRecord.from_dict(data)
+        assert got == _record()
+        assert not hasattr(got, "n_stale_dropped")

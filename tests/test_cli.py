@@ -560,6 +560,11 @@ class TestSubmitCommand:
         while d.address is None and _time.monotonic() < deadline:
             _time.sleep(0.01)
         assert d.address is not None
+        # the address is set just before the daemon prints its listening
+        # line; a ping is answered only from the loop, after that print,
+        # so the line cannot land in a test's captured stdout
+        with ServeClient(*d.address) as client:
+            client.ping()
         yield d
         if thread.is_alive():
             try:

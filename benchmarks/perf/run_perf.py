@@ -105,8 +105,7 @@ def rollout_vectorized(agent, env_cfg, n_procs, sequences, n_envs, seed, buffer=
         for (rows, counts, actions), reward in zip(episodes, rewards):
             buffer.add_episode(
                 rows, counts, actions,
-                agent.episode_log_probs(rows, counts, actions),
-                agent.value_batch(rows, counts), reward,
+                agent.episode_log_probs(rows, counts, actions), reward,
             )
     return sum(len(actions) for _, _, actions in episodes), elapsed
 
@@ -398,7 +397,8 @@ def bench_ppo_update(agent, buffer, ppo_cfg, max_obsv, job_features):
     update arithmetic (padded dense logits vs segment-batched sparse
     autograd) is the only thing that differs between the two timings.
     """
-    data = buffer.get()
+    # the trainer's epoch value pass: one forward over the batch's windows
+    data = buffer.get(agent.value_batch, max_obsv)
     start = time.perf_counter()
     stats = agent.update(data)
     elapsed = time.perf_counter() - start

@@ -1,8 +1,9 @@
 """Neural-network building blocks over the autodiff tensor.
 
 ``Dense`` covers the kernel network, the MLP policies and the value
-network; ``conv2d`` / ``max_pool2d`` exist for the LeNet baseline of the
-Fig. 8 network-architecture comparison (Table IV row 4).  Convolution is
+network, each a :class:`DenseStack` that runs as one tiled tape node;
+``conv2d`` / ``max_pool2d`` exist for the LeNet baseline of the Fig. 8
+network-architecture comparison (Table IV row 4).  Convolution is
 implemented with im2col so the inner loop is a single matmul, per the
 vectorise-first guide idiom; its backward scatters through the same window
 geometry.
@@ -10,14 +11,17 @@ geometry.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .ragged import RaggedRows
-from .tensor import Parameter, Tensor, row_sum
+from .tensor import Parameter, Tensor, _GradMode, row_sum
 
-__all__ = ["Module", "Dense", "Sequential", "conv2d", "max_pool2d", "Conv2d", "Flatten"]
+__all__ = [
+    "Module", "Dense", "Sequential", "DenseStack", "dense_stack",
+    "conv2d", "max_pool2d", "Conv2d", "Flatten",
+]
 
 #: The dtype networks are created in.  Weights are drawn in float64 as
 #: they always were and rounded, so a seed still names the same network;
@@ -122,18 +126,101 @@ _ACTIVATIONS = {
 }
 
 
+def _sigmoid_(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` written over ``z``, operation for operation."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
 #: what the fused :class:`Dense` node runs, in the operation order of the
-#: Tensor ops above (its test oracle): ``act(z)`` -> output, ``dact(g, out)``
-#: scales a gradient in place by the derivative, read off the output
+#: Tensor ops above (its test oracle): ``act(z)`` overwrites ``z`` with the
+#: output, ``dact(g, out)`` scales a gradient in place by the derivative,
+#: read off the output
 _FUSED = {
     "relu": (lambda z: np.maximum(z, 0.0, out=z),
              lambda g, out: np.multiply(g, out > 0.0, out=g)),
     "tanh": (lambda z: np.tanh(z, out=z),
              lambda g, out: np.multiply(g, 1.0 - out**2, out=g)),
-    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)),
+    "sigmoid": (_sigmoid_,
                 lambda g, out: np.multiply(np.multiply(g, out, out=g), 1.0 - out, out=g)),
     "identity": (lambda z: z, lambda g, out: g),
 }
+
+#: a row tile of :func:`dense_stack` holds at most this many bytes of one
+#: layer's output: small enough that a tile's activations and gradients
+#: stay in L2 from one layer to the next (1 024-4 096 kernel rows measured
+#: alike), large enough that every product stays a GEMM
+_TILE_BYTES = 512 << 10
+
+
+def dense_stack(layers: "Sequence[Dense]", x, widest: int) -> Tensor:
+    """``layers`` applied in order to the rows of ``x``, as one tape node.
+
+    ``widest`` is the largest output width of ``layers``: a tile is as
+    many rows as fit ``_TILE_BYTES`` of that output.  The forward walks
+    the rows tile by tile: each layer multiplies straight into its
+    output's slice, then adds its bias and applies its activation there,
+    in place.  The backward walks the same tiles in reverse and sums each
+    ``dW`` / ``db`` over them.
+
+    A batch of at most one tile (acting, serving, evaluation) runs the
+    per-:class:`Dense` arithmetic bit for bit.  Past one tile every output
+    row is still its own product; only the weight and bias gradients are
+    summed in another order.  Without a tape (:class:`no_grad`) the hidden
+    activations live in one tile's worth of scratch.
+    """
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    if x.data.ndim != 2:
+        raise ValueError(f"Dense takes a 2-D input, got {x.shape}")
+    n = len(x.data)
+    dtype = np.result_type(x.data, layers[0].weight.data)
+    tile = max(1, _TILE_BYTES // (widest * dtype.itemsize))
+    tiles = [(r0, min(r0 + tile, n)) for r0 in range(0, n, tile)] or [(0, 0)]
+    last = len(layers) - 1
+    whole = _GradMode.enabled  # the backward reads every layer's output
+    outs = [
+        np.empty((n if whole or i == last else min(n, tile),
+                  layer.weight.data.shape[1]), dtype)
+        for i, layer in enumerate(layers)
+    ]
+    for r0, r1 in tiles:
+        h = x.data[r0:r1]
+        for i, layer in enumerate(layers):
+            z = outs[i][r0:r1] if len(outs[i]) == n else outs[i][: r1 - r0]
+            np.matmul(h, layer.weight.data, out=z)
+            z += layer.bias.data
+            h = _FUSED[layer.activation][0](z)
+
+    def backward(grad: np.ndarray) -> None:
+        dws, dbs = [None] * len(layers), [None] * len(layers)
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        for r0, r1 in reversed(tiles):
+            g = grad[r0:r1]
+            for i in range(last, -1, -1):
+                w = layers[i].weight.data
+                _FUSED[layers[i].activation][1](g, outs[i][r0:r1])
+                h = outs[i - 1][r0:r1] if i else x.data[r0:r1]
+                db, dw = row_sum(g), h.T @ g
+                if dws[i] is None:
+                    dbs[i], dws[i] = db, dw
+                else:
+                    dbs[i] += db
+                    dws[i] += dw
+                if i or dx is not None:
+                    # one output column: the product is a broadcast multiply
+                    g = g * w.T if w.shape[1] == 1 else g @ w.T
+            if dx is not None:
+                dx[r0:r1] = g
+        for layer, dw, db in zip(layers, dws, dbs):
+            layer.bias._accumulate(db)
+            layer.weight._accumulate(dw)
+        if dx is not None:
+            x._accumulate(dx)
+
+    params = [p for layer in layers for p in (layer.weight, layer.bias)]
+    return Tensor._from_op(outs[last], (x, *params), backward)
 
 
 class Dense(Module):
@@ -165,36 +252,22 @@ class Dense(Module):
 
     def forward(self, x: "Tensor | RaggedRows") -> Tensor:
         """Product, bias and activation share one buffer; the one VJP scales
-        the gradient it owns in place and hands out ``db``, ``dW``, ``dx``."""
+        the gradient it owns in place and hands out ``db``, ``dW``, ``dx``.
+        A plain input is a one-layer :func:`dense_stack`."""
+        if not isinstance(x, RaggedRows):
+            return dense_stack((self,), x, self.weight.data.shape[1])
         w, b = self.weight, self.bias
         act, dact = _FUSED[self.activation]
-        ragged = isinstance(x, RaggedRows)
-        if ragged:
-            out = x.product(w.data)
-        else:
-            x = x if isinstance(x, Tensor) else Tensor(x)
-            if x.data.ndim != 2:
-                raise ValueError(f"Dense takes a 2-D input, got {x.shape}")
-            out = x.data @ w.data
+        out = x.product(w.data)
         out += b.data
         out = act(out)
 
         def backward(grad: np.ndarray) -> None:
             dact(grad, out)
-            if b.requires_grad:
-                b._accumulate(row_sum(grad))
-            if ragged:
-                x.add_weight_grad(grad, w)
-                return
-            if w.requires_grad:
-                w._accumulate(x.data.T @ grad)
-            if x.requires_grad:
-                # one output column: the product is a broadcast multiply
-                x._accumulate(
-                    grad * w.data.T if w.data.shape[1] == 1 else grad @ w.data.T
-                )
+            b._accumulate(row_sum(grad))
+            x.add_weight_grad(grad, w)
 
-        return Tensor._from_op(out, (w, b) if ragged else (x, w, b), backward)
+        return Tensor._from_op(out, (w, b), backward)
 
 
 class Sequential(Module):
@@ -207,6 +280,23 @@ class Sequential(Module):
         for module in self.modules:
             x = module(x)
         return x
+
+
+class DenseStack(Sequential):
+    """:class:`Dense` layers applied in order.  Fed a plain tensor, the
+    stack is one tiled tape node (:func:`dense_stack`); a
+    :class:`RaggedRows` input passes the first layer's own node first."""
+
+    def __init__(self, *layers: Dense):
+        super().__init__(*layers)
+        #: sizes the row tiles, worked out once per network
+        self.widest = max(layer.weight.data.shape[1] for layer in layers)
+
+    def forward(self, x: "Tensor | RaggedRows") -> Tensor:
+        layers = self.modules
+        if isinstance(x, RaggedRows):
+            x, layers = layers[0](x), layers[1:]
+        return dense_stack(layers, x, self.widest) if layers else x
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import Conv2d, Dense, Flatten, Module, Sequential, max_pool2d
+from .layers import Conv2d, Dense, DenseStack, Flatten, Module, max_pool2d
 from .ragged import RaggedRows
 from .tensor import Tensor
 
@@ -67,7 +67,7 @@ class KernelPolicy(Module):
             for i in range(len(hidden))
         ]
         layers.append(Dense(dims[-1], 1, activation="identity", rng=rng))
-        self.kernel = Sequential(*layers)
+        self.kernel = DenseStack(*layers)
         self.job_features = job_features
 
     def forward(self, obs: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
@@ -98,7 +98,9 @@ class KernelPolicy(Module):
         The segment-batched PPO update forwards only the valid job rows
         of a minibatch through this entry point and backpropagates
         through the returned graph — same arithmetic as :meth:`forward`
-        on the padded batch, minus the padded rows.
+        on the padded batch, minus the padded rows.  The kernel is one
+        tape node that walks the rows in L2-sized tiles
+        (:func:`~repro.nn.layers.dense_stack`).
         """
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.job_features:
@@ -130,7 +132,7 @@ class MLPPolicy(Module):
             for i in range(len(hidden))
         ]
         layers.append(Dense(dims[-1], max_obsv_size, activation="identity", rng=rng))
-        self.mlp = Sequential(*layers)
+        self.mlp = DenseStack(*layers)
         self.max_obsv_size = max_obsv_size
         self.job_features = job_features
 
@@ -193,7 +195,8 @@ class ValueMLP(Module):
 
     The first layer multiplies through :class:`RaggedRows`, so a forward
     or backward pass costs what the waiting jobs fill of the window, not
-    its padded ``max_obsv_size * job_features`` width.
+    its padded ``max_obsv_size * job_features`` width; it is its own tape
+    node, and the dense tail behind it one more (:class:`DenseStack`).
     """
 
     def __init__(
@@ -210,7 +213,7 @@ class ValueMLP(Module):
             for i in range(len(hidden))
         ]
         layers.append(Dense(dims[-1], 1, activation="identity", rng=rng))
-        self.mlp = Sequential(*layers)
+        self.mlp = DenseStack(*layers)
         self.max_obsv_size = max_obsv_size
 
     def forward(self, obs: "np.ndarray | RaggedRows") -> Tensor:

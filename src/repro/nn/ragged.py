@@ -16,7 +16,9 @@ Training never builds the window: observations arrive ragged, as
 ``(rows, counts)`` — the job rows of a batch of observations one after
 the other and how many each owns — and :meth:`RaggedRows.from_csr`
 buckets them directly, into the same members, widths and blocks
-:meth:`RaggedRows.from_dense` derives from the padded block.
+:meth:`RaggedRows.from_dense` derives from the padded block, and
+:meth:`RaggedRows.take` selects rows of a bucketed matrix without
+bucketing them again.
 """
 
 from __future__ import annotations
@@ -97,6 +99,11 @@ class RaggedRows:
     ``x[rows, :width]`` in the floating ``dtype`` of ``x`` and every
     column of those rows at or past ``width`` is zero.  All-zero rows are
     in no bucket.
+
+    A training epoch buckets its observation windows once
+    (:meth:`from_csr` over the whole batch): they feed the epoch's one
+    value forward and are the full-batch value plan, and a minibatch plan
+    is :meth:`take` of its steps.
     """
 
     __slots__ = ("shape", "dtype", "buckets")
@@ -137,20 +144,17 @@ class RaggedRows:
         counts: np.ndarray,
         n_slots: int,
         select: np.ndarray | None = None,
-        extents: np.ndarray | None = None,
     ) -> "RaggedRows":
         """Bucket the flattened ``n_slots``-job windows of ragged
         observations — of the observations ``select`` (every one when
         ``None``) — without padding them out.
 
-        ``extents`` is ``window_extents(rows, counts)`` when the caller
-        already has it.  Each bucket gathers the job rows that reach into
-        its width straight from ``rows``, in their dtype.
+        Each bucket gathers the job rows that reach into its width
+        straight from ``rows``, in their dtype.
         """
         rows, counts = as_floating(rows), np.asarray(counts)
         f = rows.shape[1]
-        if extents is None:
-            extents = window_extents(rows, counts)
+        extents = window_extents(rows, counts)
         starts = np.cumsum(counts) - counts
         if select is not None:
             extents, starts, counts = extents[select], starts[select], counts[select]
@@ -167,6 +171,24 @@ class RaggedRows:
                 block = np.ascontiguousarray(block[:, :width])
             buckets.append((members, block))
         return cls((len(extents), n_slots * f), rows.dtype, buckets)
+
+    def take(self, idx: np.ndarray) -> "RaggedRows":
+        """Rows ``idx`` (distinct) of this matrix, in that order.
+
+        Each bucket keeps its width and gathers the members it holds of
+        ``idx``: no extents pass, no re-bucketing.  The stored volume stays
+        within ``_GROWTH`` x the prefix volume, because each member's
+        extent still spans at least ``1 / _GROWTH`` of its bucket's width.
+        """
+        at = np.full(self.shape[0], -1, dtype=np.int64)
+        at[idx] = np.arange(len(idx))
+        buckets = []
+        for rows, block in self.buckets:
+            where = at[rows]
+            keep = np.flatnonzero(where >= 0)
+            if len(keep):
+                buckets.append((where[keep], block[keep]))
+        return RaggedRows((len(idx), self.shape[1]), self.dtype, buckets)
 
     @property
     def volume(self) -> int:

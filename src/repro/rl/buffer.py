@@ -12,9 +12,15 @@ Observations are stored the way the environments emit them — ragged, as
 step, one step after the other, and how many rows each step owns.  A
 finished episode is ingested by one :meth:`TrajectoryBuffer.add_episode`
 call carrying its columns whole (an episode of
-:func:`~repro.rl.trainer.lockstep_rollout` plus its per-episode targets), and
-:meth:`TrajectoryBuffer.get` concatenates the episodes; nothing here is
-padded to the observation window.
+:func:`~repro.rl.trainer.lockstep_rollout` plus its behaviour log-probs),
+and :meth:`TrajectoryBuffer.get` concatenates the episodes; nothing here
+is padded to the observation window.
+
+Value estimates are an epoch's, not an episode's: :meth:`get` buckets the
+whole batch's observation windows once (:meth:`RaggedRows.from_csr`),
+values them with one call of the critic it is given, computes each
+episode's advantages from its slice of those values, and hands the
+windows on in the batch, where the PPO value step plans from them.
 
 Episodes are ordered deterministically in the PPO batch: by the
 ``order`` key they were added under (the trainer passes the trajectory
@@ -27,7 +33,11 @@ reversed loop over the episode's steps, a multiply and an add each.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
+
+from repro.nn import RaggedRows, csr_indptr
 
 __all__ = ["TrajectoryBuffer", "discount_cumsum"]
 
@@ -50,8 +60,8 @@ def discount_cumsum(x: np.ndarray, discount: float) -> np.ndarray:
 class TrajectoryBuffer:
     """Append-only store for one epoch of interactions::
 
-        buf.add_episode(rows, counts, actions, log_probs, values, reward)
-        data = buf.get()                                 # once per epoch
+        buf.add_episode(rows, counts, actions, log_probs, reward)  # per episode
+        data = buf.get(agent.value_batch, max_obsv_size)          # once per epoch
     """
 
     def __init__(self, gamma: float = 1.0, lam: float = 0.97):
@@ -73,19 +83,16 @@ class TrajectoryBuffer:
         counts: np.ndarray,
         actions: np.ndarray,
         log_probs: np.ndarray,
-        values: np.ndarray,
         reward: "float | np.ndarray",
         order: int | None = None,
     ) -> None:
-        """Store one finished episode of T steps and compute its
-        advantages and returns.
+        """Store one finished episode of T steps and compute its returns.
 
         ``rows`` / ``counts`` are its ragged observations (``counts`` has
-        one entry per step and sums to ``len(rows)``); ``actions``,
-        ``log_probs`` and ``values`` have length T.  ``reward`` is the
-        terminal reward of the sequence, or one reward per step.
-        ``order`` places the episode in :meth:`get` (default: after those
-        already stored).
+        one entry per step and sums to ``len(rows)``); ``actions`` and
+        ``log_probs`` have length T.  ``reward`` is the terminal reward of
+        the sequence, or one reward per step.  ``order`` places the
+        episode in :meth:`get` (default: after those already stored).
         """
         actions = np.asarray(actions, dtype=np.int64)
         n = len(actions)
@@ -93,9 +100,7 @@ class TrajectoryBuffer:
             raise RuntimeError("an episode needs at least one step")
         counts = np.asarray(counts)
         log_probs = np.asarray(log_probs, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        for name, column in (("counts", counts), ("log_probs", log_probs),
-                             ("values", values)):
+        for name, column in (("counts", counts), ("log_probs", log_probs)):
             if column.shape != (n,):
                 raise ValueError(
                     f"expected {n} {name} (one per step), got {column.shape}"
@@ -108,14 +113,10 @@ class TrajectoryBuffer:
         if rewards.ndim == 0:
             rewards = np.zeros(n)
             rewards[-1] = reward
-        next_values = np.append(values[1:], 0.0)  # terminal value is 0
-
-        deltas = rewards + self.gamma * next_values - values
-        adv = discount_cumsum(deltas, self.gamma * self.lam)
         rets = discount_cumsum(rewards, self.gamma)
 
         self._order.append(len(self._order) if order is None else int(order))
-        self._episodes.append((rows, counts, actions, log_probs, adv, rets))
+        self._episodes.append((rows, counts, actions, log_probs, rewards, rets))
         self._episode_rewards.append(float(rewards.sum()))
 
     # ------------------------------------------------------------------
@@ -131,21 +132,53 @@ class TrajectoryBuffer:
     def episode_rewards(self) -> list[float]:
         return list(self._episode_rewards)
 
-    def get(self, normalize_advantages: bool = True) -> dict[str, np.ndarray]:
+    def get(
+        self,
+        value_batch: "Callable[[RaggedRows], np.ndarray] | None" = None,
+        n_slots: int | None = None,
+        normalize_advantages: bool = True,
+    ) -> dict:
         """All stored episodes as flat columns, advantage-normalised for
         PPO: the ragged observations ``rows`` / ``counts`` beside one
         entry per step of ``actions``, ``log_probs``, ``advantages`` and
-        ``returns``."""
+        ``returns``.
+
+        ``value_batch`` is the critic (:meth:`PPOAgent.value_batch`): the
+        batch's flattened ``n_slots``-job observation windows are bucketed
+        once, in batch order, valued by one ``value_batch(windows)`` call,
+        and handed on as ``windows``.  Without one every value estimate is
+        0 and the batch carries no windows.
+        """
         if not self._episodes:
             raise RuntimeError("buffer is empty")
         rank = sorted(range(len(self._order)), key=self._order.__getitem__)
         data = {
             key: np.concatenate([self._episodes[i][k] for i in rank])
             for k, key in enumerate(
-                ("rows", "counts", "actions", "log_probs", "advantages", "returns")
+                ("rows", "counts", "actions", "log_probs", "rewards", "returns")
             )
         }
+        rewards = data.pop("rewards")
+        if value_batch is None:
+            values = np.zeros(len(rewards))
+        else:
+            data["windows"] = RaggedRows.from_csr(
+                data["rows"], data["counts"], n_slots
+            )
+            values = np.asarray(value_batch(data["windows"]), dtype=np.float64)
+            if values.shape != rewards.shape:
+                raise ValueError(
+                    f"expected {len(rewards)} values (one per step), "
+                    f"got {values.shape}"
+                )
+        adv = np.empty(len(rewards))
+        step_ptr = csr_indptr([len(self._episodes[i][2]) for i in rank])
+        for s0, s1 in zip(step_ptr[:-1], step_ptr[1:]):
+            v = values[s0:s1]
+            next_v = np.append(v[1:], 0.0)  # terminal value is 0
+            deltas = rewards[s0:s1] + self.gamma * next_v - v
+            adv[s0:s1] = discount_cumsum(deltas, self.gamma * self.lam)
         if normalize_advantages:
-            adv = data["advantages"]
-            data["advantages"] = (adv - adv.mean()) / (adv.std() + 1e-8)
+            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        data["advantages"] = adv
         return data

@@ -39,7 +39,6 @@ from repro.nn import (
     segment_log_softmax,
     segment_rectangle,
     segment_sum,
-    window_extents,
 )
 from repro.sim.env import pad_observations
 from repro.telemetry import core as _telemetry
@@ -135,20 +134,20 @@ def _policy_plan(
 
 
 def _value_plan(
-    data: dict[str, np.ndarray],
-    max_obsv_size: int,
+    windows: RaggedRows,
+    returns: np.ndarray,
     dtype: np.dtype,
-    extents: np.ndarray,
     idx: np.ndarray | None,
 ) -> tuple[RaggedRows, np.ndarray]:
-    """A value step's plan: the observation windows of steps ``idx``
-    bucketed straight from the ragged batch (non-zero prefixes only, no
-    dense copy) and their regression targets, cast from the buffer's
-    float64 to the value network's ``dtype``."""
-    ragged = RaggedRows.from_csr(
-        data["rows"], data["counts"], max_obsv_size, select=idx, extents=extents
+    """A value step's plan: the observation windows of steps ``idx`` —
+    the epoch's ``windows`` themselves for every step, each bucket's
+    drawn members otherwise (:meth:`RaggedRows.take`) — and their
+    regression targets, cast from the buffer's float64 to the value
+    network's ``dtype``."""
+    return (
+        windows if idx is None else windows.take(idx),
+        _take(returns, idx).astype(dtype, copy=False),
     )
-    return ragged, _take(data["returns"], idx).astype(dtype, copy=False)
 
 
 def _policy_terms(
@@ -265,10 +264,10 @@ class PPOAgent:
         ``rngs`` is either one generator shared by all observations or a
         sequence of N per-observation generators (the collectors pass
         per-trajectory streams).  Returns ``(actions, log_probs)``, both
-        length N.  Value estimates are intentionally *not* computed here
-        — fetch them once per finished episode via :meth:`value_batch`,
-        which is both faster and numerically identical whatever the wave
-        width.
+        length N.  Value estimates are intentionally *not* computed here:
+        an epoch fetches them once, for all its steps, via
+        :meth:`value_batch`, which is both faster and numerically
+        identical whatever the wave width.
         """
         log_probs = self.log_probs_batch(rows, counts)
         n = len(log_probs)
@@ -283,9 +282,15 @@ class PPOAgent:
         actions = sample_action_batch(log_probs, uniforms)
         return actions, log_probs[np.arange(n), actions]
 
-    def value_batch(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Value estimates for B ragged observations: ``-> (B,)``."""
-        windows = RaggedRows.from_csr(rows, counts, self.value.max_obsv_size)
+    def value_batch(self, windows: RaggedRows) -> np.ndarray:
+        """Value estimates for B observations already windowed
+        (:meth:`RaggedRows.from_csr` of their ragged rows): ``-> (B,)``.
+
+        The trainer calls it once per epoch, on the windows of the whole
+        batch in trajectory order (:meth:`TrajectoryBuffer.get`): one
+        forward, whoever collected the episodes and however wide their
+        lock-step waves were.
+        """
         with no_grad():
             return self.value(windows).numpy().copy()
 
@@ -306,7 +311,8 @@ class PPOAgent:
         from the episode's own T observations in one batch (same rows in
         the same order whether the episode was collected sequentially or
         vectorised) makes the recorded trajectory data exactly
-        collection-order-independent.
+        collection-order-independent.  They stay per episode: one tiled
+        pass over the whole epoch measured no faster and held more memory.
         """
         log_probs = self.log_probs_batch(rows, counts)
         return log_probs[np.arange(len(actions)), np.asarray(actions)]
@@ -314,8 +320,9 @@ class PPOAgent:
     # ------------------------------------------------------------------
     # learning
     # ------------------------------------------------------------------
-    def update(self, data: dict[str, np.ndarray]) -> UpdateStats:
-        """One epoch of PPO updates from a :class:`TrajectoryBuffer` dump.
+    def update(self, data: dict) -> UpdateStats:
+        """One epoch of PPO updates from a :class:`TrajectoryBuffer` dump
+        valued by this agent (``buffer.get(agent.value_batch, M)``).
 
         Each iteration steps on a minibatch *plan* — what the step reads
         of its rows, gathered and cast ahead of the forward pass
@@ -323,7 +330,9 @@ class PPOAgent:
         covers the batch every iteration reads the same rows, so the plan
         is built once and reused; otherwise each iteration builds its own
         from the stored batch and a fresh random index vector.  Plans live
-        only inside this call.
+        only inside this call.  The value plans come from the batch's
+        ``windows`` (the epoch's observations bucketed once, which
+        :meth:`TrajectoryBuffer.get` adds), never from a fresh bucketing.
         """
         cfg = self.config
         n = len(data["actions"])
@@ -340,9 +349,9 @@ class PPOAgent:
         pi_span = f"update.policy_iter.{'sparse' if sparse else 'dense'}"
         kl_gauge = reg.gauge("update.kl")
 
-        max_obsv_size = self.value.max_obsv_size
         build = partial(
-            _policy_plan, data, sparse, max_obsv_size, self.policy.dtype
+            _policy_plan, data, sparse, self.value.max_obsv_size,
+            self.policy.dtype,
         )
         pi_losses, kls, entropies = [], [], []
         early_stopped = False
@@ -357,11 +366,8 @@ class PPOAgent:
                 early_stopped = True
                 break
 
-        # one pass over the stored rows finds every window's non-zero
-        # extent; each value plan buckets its observations by it
         build = partial(
-            _value_plan, data, max_obsv_size, self.value.dtype,
-            window_extents(data["rows"], data["counts"]),
+            _value_plan, data["windows"], data["returns"], self.value.dtype
         )
         v_losses = []
         for plan in self._plans(n, cfg.train_v_iters, build):

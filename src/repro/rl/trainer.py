@@ -28,9 +28,11 @@ trajectories, advantages and update statistics for the same seed, at any
 lock-step width (the golden tests), because each trajectory samples
 actions from its own ``(seed, epoch, trajectory)`` RNG stream, sequences
 are sampled (and filter-checked) and enter the :class:`TrajectoryBuffer`
-in trajectory order, and value estimates and behaviour log-probs are
-computed once per finished episode on the batch of its own T
-observations.
+in trajectory order, behaviour log-probs are computed once per finished
+episode on the batch of its own T observations, and value estimates once
+per epoch, by one forward over the windows of the whole batch in
+trajectory order (:meth:`Trainer._epoch_batch`), which the update then
+plans its value steps from.
 
 *Observations.*  Ragged all the way: environments emit ``(rows, counts)``
 waves, the rollout scores and regroups them as they are, the buffer
@@ -549,14 +551,14 @@ class Trainer:
             obs, mask = result.observation, result.action_mask
         rows = np.concatenate(steps)
         counts = np.array([len(step) for step in steps])
-        # Both targets run on one batch of the finished episode's own T
-        # observations, so the numbers do not depend on who ran the
-        # episode or how wide its lock-step waves were (BLAS results
-        # depend on batch shape; per-episode batches make it canonical).
+        # The log-probs run on one batch of the finished episode's own T
+        # observations, so they do not depend on who ran the episode or
+        # how wide its lock-step waves were (BLAS results depend on batch
+        # shape; per-episode batches make it canonical); the values come
+        # from the epoch's one pass (:meth:`_epoch_batch`).
         buffer.add_episode(
             rows, counts, actions,
             self.agent.episode_log_probs(rows, counts, actions),
-            self.agent.value_batch(rows, counts),
             result.reward / (self._reward_scale or 1.0),
             order=slot,
         )
@@ -598,10 +600,25 @@ class Trainer:
             buffer.add_episode(
                 rows, counts, actions,
                 self.agent.episode_log_probs(rows, counts, actions),
-                self.agent.value_batch(rows, counts),
                 reward / scale, order=traj,
             )
         return rewards, total_rejected
+
+    def _epoch_batch(self, buffer: TrajectoryBuffer) -> dict:
+        """The update's batch: ``buffer``'s episodes in trajectory order,
+        valued by one :meth:`PPOAgent.value_batch` forward over the
+        epoch's observation windows, which the batch carries on to the
+        update.  Whichever loop filled ``buffer`` (:meth:`_collect` or a
+        loop of :meth:`_rollout`), this is the one value pass; it is timed
+        as the ``rollout.targets`` span."""
+        m = self.env_config.max_obsv_size
+        reg = _telemetry.current()
+        if not reg.enabled:
+            return buffer.get(self.agent.value_batch, m)
+        t0 = time.perf_counter()
+        data = buffer.get(self.agent.value_batch, m)
+        reg.add_span_time("rollout.targets", time.perf_counter() - t0)
+        return data
 
     def run_epoch(self, epoch: int) -> EpochRecord:
         cfg = self.train_config
@@ -625,9 +642,10 @@ class Trainer:
                 self._reward_scale = max(abs(probe_reward), 1e-6)
 
             rewards, total_rejected = self._collect(epoch, buffer)
+            data = self._epoch_batch(buffer)
 
         with reg.span("epoch.update") as sp_update:
-            stats = self.agent.update(buffer.get())
+            stats = self.agent.update(data)
         mean_reward = float(np.mean(rewards))
         sign = 1.0 if self._higher_is_better else -1.0
         with reg.span("epoch.validate") as sp_validate:
@@ -658,9 +676,8 @@ class Trainer:
         policy forward serves every sequence at once.
         """
         vec = self._val_env
-        rows, counts = vec.reset(
-            [[j.copy() for j in jobs] for jobs in self._val_sequences]
-        )
+        # the engines copy the jobs they run (SchedulingEngine.__init__)
+        rows, counts = vec.reset(self._val_sequences)
         rewards = np.zeros(vec.n_envs)
         while len(counts):
             episodes = vec.episodes

@@ -3,20 +3,26 @@
 import numpy as np
 import pytest
 
+from repro.nn import RaggedRows
 from repro.rl import TrajectoryBuffer
 
 F = 3
 
 
-def fill_episode(buf, n_steps, values=None, terminal=10.0, order=None):
+def fill_episode(buf, n_steps, terminal=10.0, order=None):
     """One episode of ``n_steps`` decisions, 1-4 waiting jobs each."""
     counts = np.arange(n_steps) % 4 + 1
     buf.add_episode(
         np.zeros((counts.sum(), F), np.float32), counts,
-        np.arange(n_steps) % counts, -np.ones(n_steps),
-        np.zeros(n_steps) if values is None else values, terminal,
+        np.arange(n_steps) % counts, -np.ones(n_steps), terminal,
         order=order,
     )
+
+
+def valued(values):
+    """A critic that reads ``values`` (one per step of the batch), and
+    the window size of :func:`fill_episode`'s observations."""
+    return (lambda windows: np.asarray(values, dtype=np.float64)), 4
 
 
 class TestMechanics:
@@ -74,15 +80,15 @@ class TestReturns:
 
     def test_gae_with_zero_values_equals_returns(self):
         buf = TrajectoryBuffer(gamma=1.0, lam=1.0)
-        fill_episode(buf, 4, values=[0.0] * 4, terminal=6.0)
-        data = buf.get(normalize_advantages=False)
+        fill_episode(buf, 4, terminal=6.0)
+        data = buf.get(*valued([0.0] * 4), normalize_advantages=False)
         np.testing.assert_allclose(data["advantages"], data["returns"])
 
     def test_gae_baseline_reduces_advantage(self):
         """A value baseline equal to the reward zeroes the advantage."""
         buf = TrajectoryBuffer(gamma=1.0, lam=1.0)
-        fill_episode(buf, 3, values=[6.0, 6.0, 6.0], terminal=6.0)
-        data = buf.get(normalize_advantages=False)
+        fill_episode(buf, 3, terminal=6.0)
+        data = buf.get(*valued([6.0, 6.0, 6.0]), normalize_advantages=False)
         np.testing.assert_allclose(data["advantages"], 0.0, atol=1e-12)
 
     def test_episodes_isolated(self):
@@ -99,7 +105,7 @@ class TestReturns:
         buf = TrajectoryBuffer(gamma=0.5, lam=1.0)
         buf.add_episode(
             np.zeros((3, F), np.float32), [1, 1, 1], [0, 0, 0], -np.ones(3),
-            np.zeros(3), np.array([1.0, 2.0, 8.0]),
+            np.array([1.0, 2.0, 8.0]),
         )
         data = buf.get(normalize_advantages=False)
         np.testing.assert_allclose(data["returns"], [4.0, 6.0, 8.0])
@@ -117,15 +123,16 @@ class TestBatchedPath:
         rng = np.random.default_rng(0)
         gamma, lam = 0.99, 0.97
         buf = TrajectoryBuffer(gamma=gamma, lam=lam)
-        want_adv, want_ret = [], []
+        want_adv, want_ret, all_values = [], [], []
         for steps, per_step in [(1, False), (7, False), (12, True)]:
             values = rng.standard_normal(steps)
+            all_values.append(values)
             rewards = rng.standard_normal(steps) if per_step else np.zeros(steps)
             if not per_step:
                 rewards[-1] = -3.5
             buf.add_episode(
                 np.zeros((steps, F), np.float32), np.ones(steps, int),
-                np.zeros(steps, int), -np.ones(steps), values,
+                np.zeros(steps, int), -np.ones(steps),
                 rewards if per_step else -3.5,
             )
             adv, ret = np.empty(steps), np.empty(steps)
@@ -137,23 +144,30 @@ class TestBatchedPath:
                 next_value = values[t]
             want_adv.append(adv)
             want_ret.append(ret)
-        data = buf.get(normalize_advantages=False)
+        data = buf.get(
+            lambda windows: np.concatenate(all_values), 1,
+            normalize_advantages=False,
+        )
         np.testing.assert_array_equal(data["advantages"], np.concatenate(want_adv))
         np.testing.assert_array_equal(data["returns"], np.concatenate(want_ret))
 
     def test_deferred_values_required_at_end(self):
-        """Every per-step column must cover the episode's steps."""
+        """Every per-step column must cover the episode's steps, and the
+        values, deferred to ``get``, every step of the batch."""
         buf = TrajectoryBuffer()
+        fill_episode(buf, 4)
         with pytest.raises(ValueError, match="expected 4 values"):
-            fill_episode(buf, 4, values=[1.0, 2.0])
+            buf.get(*valued([1.0, 2.0]))
+        with pytest.raises(ValueError, match="expected 2 log_probs"):
+            buf.add_episode(np.zeros((2, F)), [1, 1], [0, 0], [-1.0], 1.0)
         with pytest.raises(ValueError, match="expected 2 counts"):
             buf.add_episode(np.zeros((3, F)), [1, 1, 1], [0, 0], [-1.0, -1.0],
-                            [0.0, 0.0], 1.0)
+                            1.0)
 
     def test_counts_must_cover_the_rows(self):
         with pytest.raises(ValueError, match="cover 2 job rows, got 5"):
             TrajectoryBuffer().add_episode(
-                np.zeros((5, F)), [1, 1], [0, 0], [-1.0, -1.0], [0.0, 0.0], 1.0
+                np.zeros((5, F)), [1, 1], [0, 0], [-1.0, -1.0], 1.0
             )
 
     def test_out_of_order_slots_sorted_in_get(self):
@@ -164,8 +178,7 @@ class TestBatchedPath:
             counts = np.full(steps, order + 1)
             buf.add_episode(
                 np.full((counts.sum(), F), order, np.float32), counts,
-                np.full(steps, order), -np.ones(steps), np.zeros(steps),
-                terminal, order=order,
+                np.full(steps, order), -np.ones(steps), terminal, order=order,
             )
         data = buf.get(normalize_advantages=False)
         np.testing.assert_array_equal(data["actions"], [0, 0, 1, 1, 1])
@@ -189,7 +202,42 @@ class TestGetArrays:
 
     def test_advantage_normalisation(self):
         buf = TrajectoryBuffer()
-        fill_episode(buf, 4, values=[1.0, 2.0, 3.0, 4.0], terminal=5.0)
-        adv = buf.get(normalize_advantages=True)["advantages"]
+        fill_episode(buf, 4, terminal=5.0)
+        adv = buf.get(*valued([1.0, 2.0, 3.0, 4.0]))["advantages"]
         assert adv.mean() == pytest.approx(0.0, abs=1e-9)
         assert adv.std() == pytest.approx(1.0, rel=1e-6)
+
+
+class TestEpochValuePass:
+    """With a critic, ``get`` windows the whole batch once, in batch
+    order, values it with one call and hands the windows on."""
+
+    def test_one_critic_call_over_the_batch_windows(self):
+        rng = np.random.default_rng(3)
+        buf = TrajectoryBuffer(gamma=1.0, lam=1.0)
+        for order, steps in [(1, 3), (0, 5)]:
+            counts = rng.integers(1, 5, size=steps)
+            buf.add_episode(
+                rng.random((counts.sum(), F)).astype(np.float32), counts,
+                np.zeros(steps, int), -np.ones(steps), 2.0, order=order,
+            )
+        seen = []
+
+        def critic(windows):
+            seen.append(windows)
+            return np.arange(windows.shape[0], dtype=np.float32)
+
+        data = buf.get(critic, 4, normalize_advantages=False)
+        assert len(seen) == 1 and data["windows"] is seen[0]
+        want = RaggedRows.from_csr(data["rows"], data["counts"], 4)
+        w = rng.standard_normal((4 * F, 2)).astype(np.float32)
+        assert seen[0].shape == (8, 4 * F)
+        assert seen[0].product(w).tobytes() == want.product(w).tobytes()
+        # the critic's values are the baseline, per episode in batch order
+        values = np.arange(8.0)
+        next_values = np.array([1, 2, 3, 4, 0, 6, 7, 0.0])
+        np.testing.assert_array_equal(
+            data["advantages"],
+            [sum((np.r_[0, 0, 0, 0, 2.0, 0, 0, 2.0] + next_values - values)[t:end])
+             for t, end in zip(range(8), [5] * 5 + [8] * 3)],
+        )

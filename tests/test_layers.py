@@ -15,7 +15,9 @@ from repro.nn import (
     no_grad,
     ragged_matmul,
 )
-from repro.nn.layers import _ACTIVATIONS, conv2d, max_pool2d
+from repro.nn import KernelPolicy, MLPPolicy, gradcheck
+from repro.nn import layers
+from repro.nn.layers import _ACTIVATIONS, _TILE_BYTES, conv2d, dense_stack, max_pool2d
 
 from .test_tensor import numerical_grad
 
@@ -110,6 +112,109 @@ class TestFusedDense:
     def test_rejects_non_matrix_input(self):
         with pytest.raises(ValueError, match="2-D"):
             Dense(3, 2)(Tensor(np.ones(3)))
+
+
+def per_dense_oracle(dense_layers, x):
+    """The stack as the public ops compose it, layer by layer: ``act(h @
+    W + b)`` on copies of the weights.  Returns ``(out, params)``."""
+    params = [(Parameter(d.weight.data.copy()), Parameter(d.bias.data.copy()))
+              for d in dense_layers]
+    h = x
+    for layer, (w, b) in zip(dense_layers, params):
+        h = _ACTIVATIONS[layer.activation](h @ w + b)
+    return h, [p for pair in params for p in pair]
+
+
+def stack_params(dense_layers):
+    return [p for d in dense_layers for p in (d.weight, d.bias)]
+
+
+class TestDenseStack:
+    """A :class:`DenseStack` fed a plain tensor is one tape node that
+    walks its rows in tiles.  Inside one tile it is the per-``Dense``
+    composition bit for bit; across tiles, the same function to
+    round-off; without a tape, no node at all."""
+
+    @staticmethod
+    def stack(name):
+        if name == "kernel":
+            return KernelPolicy(7, seed=3).kernel, 7
+        return MLPPolicy(16, 7, hidden=(128, 128, 128), seed=3).mlp, 16 * 7
+
+    @pytest.mark.parametrize("name", ["kernel", "mlp_v1"])
+    def test_one_tile_is_the_per_dense_composition_bitwise(self, name):
+        stack, d = self.stack(name)
+        rng = np.random.default_rng(0)
+        n = _TILE_BYTES // (stack.widest * 4)  # exactly one float32 tile
+        x = rng.normal(size=(n, d)).astype(np.float32)
+        fused_in = Tensor(x.copy(), requires_grad=True)
+        oracle_in = Tensor(x.copy(), requires_grad=True)
+        fused = stack(fused_in)
+        oracle, params = per_dense_oracle(stack.modules, oracle_in)
+        assert fused._parents[1:] == tuple(stack_params(stack.modules))
+        assert fused.numpy().tobytes() == oracle.numpy().tobytes()
+
+        upstream = rng.normal(size=fused.shape).astype(np.float32)
+        fused.backward(upstream)
+        oracle.backward(upstream)
+        for got, want in zip(stack_params(stack.modules), params):
+            assert got.grad.tobytes() == want.grad.tobytes()
+        assert fused_in.grad.tobytes() == oracle_in.grad.tobytes()
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "2T+3"])
+    def test_tiles_are_the_untiled_function(self, extra, monkeypatch):
+        stack, d = self.stack("kernel")
+        tile = 16
+        monkeypatch.setattr(layers, "_TILE_BYTES", tile * stack.widest * 4)
+        n = 2 * tile + 3 if extra == "2T+3" else tile + extra
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(n, d)).astype(np.float32)
+        fused_in = Tensor(x.copy(), requires_grad=True)
+        oracle_in = Tensor(x.copy(), requires_grad=True)
+        fused = stack(fused_in)
+        oracle, params = per_dense_oracle(stack.modules, oracle_in)
+        np.testing.assert_allclose(fused.numpy(), oracle.numpy(),
+                                   rtol=1e-5, atol=1e-6)
+
+        upstream = rng.normal(size=fused.shape).astype(np.float32)
+        fused.backward(upstream)
+        oracle.backward(upstream)
+        for got, want in zip(stack_params(stack.modules), params):
+            assert got.grad.dtype == np.float32
+            np.testing.assert_allclose(got.grad, want.grad, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(fused_in.grad, oracle_in.grad,
+                                   rtol=1e-5, atol=1e-6)
+
+    def test_gradcheck_across_a_tile_boundary(self, monkeypatch):
+        shapes = [(6, 5, "tanh"), (5, 3, "relu"), (3, 1, "sigmoid")]
+        widest = 5
+        # 4 float64 rows per tile (8 float32 rows for the float32 twin)
+        monkeypatch.setattr(layers, "_TILE_BYTES", 4 * widest * 8)
+        rng = np.random.default_rng(2)
+        built = [Dense(i, o, activation=a, rng=rng) for i, o, a in shapes]
+
+        def op(x, *params):
+            for layer, w, b in zip(built, params[::2], params[1::2]):
+                layer.weight, layer.bias = w, b
+            return dense_stack(built, x, widest)
+
+        arrays = [rng.normal(size=(11, 6))]
+        for layer in built:
+            arrays += [layer.weight.data.astype(np.float64),
+                       rng.normal(size=layer.bias.data.shape) * 0.1]
+        gradcheck(op, *arrays)
+
+    @pytest.mark.parametrize("name", ["kernel", "mlp_v1"])
+    def test_no_grad_keeps_no_tape_node(self, name, monkeypatch):
+        stack, d = self.stack(name)
+        monkeypatch.setattr(layers, "_TILE_BYTES", 8 * stack.widest * 4)
+        x = np.random.default_rng(3).normal(size=(21, d)).astype(np.float32)
+        recorded = stack(Tensor(x))
+        with no_grad():
+            out = stack(Tensor(x))
+        assert out.numpy().tobytes() == recorded.numpy().tobytes()
+        assert not out.requires_grad and out._parents == ()
+        assert out._backward is None
 
 
 class TestModuleMechanics:

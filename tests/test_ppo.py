@@ -7,6 +7,7 @@ from repro.config import PPOConfig
 from repro.nn import (
     KernelPolicy,
     MLPPolicy,
+    Parameter,
     RaggedRows,
     Tensor,
     ValueMLP,
@@ -18,6 +19,7 @@ from repro.nn import (
     segment_log_prob_of,
     segment_log_softmax,
     segment_sum,
+    window_extents,
 )
 from repro.rl import PPOAgent, TrajectoryBuffer
 
@@ -46,10 +48,9 @@ def synthetic_batch(agent, n_episodes=6, steps=5, seed=0):
         best = rows[:, 0].reshape(steps, M).argmax(axis=1)
         actions, logps = agent.act_batch(rows, counts)
         buf.add_episode(
-            rows, counts, actions, logps, agent.value_batch(rows, counts),
-            np.where(actions == best, 1.0, -1.0),
+            rows, counts, actions, logps, np.where(actions == best, 1.0, -1.0),
         )
-    return buf.get()
+    return buf.get(agent.value_batch, M)
 
 
 def full_queues(obs):
@@ -64,7 +65,7 @@ class TestActing:
         actions, logps = agent.act_batch(rows, counts)
         assert 0 <= actions[0] < M
         assert logps[0] <= 0.0
-        assert agent.value_batch(rows, counts).shape == (1,)
+        assert agent.value_batch(RaggedRows.from_csr(rows, counts, M)).shape == (1,)
 
     def test_act_respects_mask(self):
         """Only an observation's own jobs can be chosen: slots past its
@@ -255,14 +256,17 @@ class TestUpdate:
             assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
 
 
-def ragged_batch(n, max_jobs=5, seed=0):
+def ragged_batch(n, max_jobs=5, seed=0, m=16):
     """An update batch shaped like a rollout's: the float32 rows of the
-    ``k`` waiting jobs of each of ``n`` steps, ``1 <= k <= max_jobs``."""
+    ``k`` waiting jobs of each of ``n`` steps, ``1 <= k <= max_jobs``, and
+    their ``m``-slot windows."""
     rng = np.random.default_rng(seed)
     counts = rng.integers(1, max_jobs + 1, size=n)
+    rows = rng.random((counts.sum(), F)).astype(np.float32)
     return {
-        "rows": rng.random((counts.sum(), F)).astype(np.float32),
+        "rows": rows,
         "counts": counts,
+        "windows": RaggedRows.from_csr(rows, counts, m),
         "actions": rng.integers(0, counts),
         "log_probs": -np.abs(rng.standard_normal(n)) - 0.5,
         "advantages": rng.standard_normal(n),
@@ -286,7 +290,8 @@ def reference_update(agent, data):
     obs, masks = pad_window(
         data["rows"], data["counts"], agent.value.max_obsv_size
     )
-    data = {k: v for k, v in data.items() if k not in ("rows", "counts")}
+    data = {k: v for k, v in data.items()
+            if k not in ("rows", "counts", "windows")}
     data.update(obs=obs, masks=masks)
 
     def minibatch():
@@ -442,10 +447,12 @@ class TestUpdatePlan:
         assert stats.early_stopped and stats.pi_iters_run == 3
 
     def test_single_minibatch_is_planned_once(self, monkeypatch):
-        """The hoist itself: one gather and one bucketing per epoch when
-        the batch fits a minibatch, one per iteration when it does not."""
+        """The hoist itself: one policy gather per epoch when the batch
+        fits a minibatch, one per iteration when it does not; the value
+        plans gather from the batch's windows and bucket nothing."""
         import repro.rl.ppo as ppo
 
+        data = ragged_batch(60)
         calls = {"policy_plan": 0, "from_csr": 0}
 
         def count(name, fn):
@@ -460,11 +467,44 @@ class TestUpdatePlan:
         monkeypatch.setattr(
             RaggedRows, "from_csr", count("from_csr", RaggedRows.from_csr)
         )
-        data = ragged_batch(60)
         self.agents("sparse", target_kl=1e9)[0].update(data)
-        assert calls == {"policy_plan": 1, "from_csr": 1}
+        assert calls == {"policy_plan": 1, "from_csr": 0}
         self.agents("sparse", target_kl=1e9, minibatch_size=24)[0].update(data)
-        assert calls == {"policy_plan": 1 + 6, "from_csr": 1 + 6}
+        assert calls == {"policy_plan": 1 + 6, "from_csr": 0}
+
+    def test_value_plans_are_the_epoch_windows(self):
+        """The full-batch value plan is the batch's windows object; a
+        minibatch's is each bucket's drawn members — the same matrix as
+        bucketing the minibatch afresh, to round-off, at no more than
+        twice its prefix volume."""
+        import repro.rl.ppo as ppo
+
+        data = ragged_batch(60, max_jobs=16, seed=8)
+        windows = data["windows"]
+        plan, returns = ppo._value_plan(windows, data["returns"], np.float32, None)
+        assert plan is windows and returns.dtype == np.float32
+        extents = window_extents(data["rows"], data["counts"])
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal((16 * F, 5)).astype(np.float32)
+        for size in (1, 24, 59, 60):
+            idx = rng.choice(60, size=size, replace=False)
+            plan, returns = ppo._value_plan(
+                windows, data["returns"], np.float32, idx
+            )
+            np.testing.assert_array_equal(returns, data["returns"][idx].astype(np.float32))
+            fresh = RaggedRows.from_csr(
+                data["rows"], data["counts"], 16, select=idx
+            )
+            assert plan.shape == fresh.shape == (size, 16 * F)
+            np.testing.assert_allclose(
+                plan.product(w), fresh.product(w), rtol=1e-5, atol=1e-6
+            )
+            grad = rng.standard_normal((size, 5)).astype(np.float32)
+            got, want = Parameter(w.copy()), Parameter(w.copy())
+            plan.add_weight_grad(grad, got)
+            fresh.add_weight_grad(grad, want)
+            np.testing.assert_allclose(got.grad, want.grad, rtol=1e-5, atol=1e-5)
+            assert plan.volume <= 2 * extents[idx].sum()
 
     def test_value_batch_matches_the_dense_forward(self):
         agent, _ = self.agents("sparse")
@@ -472,7 +512,7 @@ class TestUpdatePlan:
         obs, _ = pad_window(data["rows"], data["counts"], 16)
         dense = agent.value.mlp(Tensor(obs.reshape(40, -1)))
         np.testing.assert_allclose(
-            agent.value_batch(data["rows"], data["counts"]),
+            agent.value_batch(data["windows"]),
             dense.numpy().reshape(40), rtol=1e-12, atol=1e-14,
         )
 
@@ -491,8 +531,8 @@ def test_ragged_work_follows_fill_not_padding():
     fill of the paper's 128-slot window the first layer's multiply-
     accumulate count is at most a quarter of the dense product's."""
     h = 128
-    data = ragged_batch(768, max_jobs=11, seed=7)
+    data = ragged_batch(768, max_jobs=11, seed=7, m=128)
     fill = data["counts"].sum() / (768 * 128)
     assert fill <= 0.05
-    ragged = RaggedRows.from_csr(data["rows"], data["counts"], 128)
+    ragged = data["windows"]
     assert ragged.volume * h <= 0.25 * 768 * 128 * F * h

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from repro.config import EnvConfig, PPOConfig, RuntimeConfig, TrainConfig
-from repro.nn import KernelPolicy, MLPPolicy, Tensor, ValueMLP, make_policy
+from repro.nn import (
+    KernelPolicy, MLPPolicy, RaggedRows, Tensor, ValueMLP, make_policy,
+)
 from repro.rl import PPOAgent, Trainer
 from repro.rl.ppo import UpdateStats, _policy_plan, _policy_terms
 from repro.telemetry import core as telemetry
@@ -21,9 +23,11 @@ def synthetic_data(n=48, m=16, seed=0):
     internally consistent) queue lengths, 1..m jobs each."""
     rng = np.random.default_rng(seed)
     counts = rng.integers(1, m + 1, size=n)
+    rows = rng.standard_normal((counts.sum(), F)).astype(np.float32)
     return {
-        "rows": rng.standard_normal((counts.sum(), F)).astype(np.float32),
+        "rows": rows,
         "counts": counts,
+        "windows": RaggedRows.from_csr(rows, counts, m),
         "actions": rng.integers(0, counts),
         "log_probs": -np.abs(rng.standard_normal(n)) - 0.5,
         "advantages": rng.standard_normal(n),

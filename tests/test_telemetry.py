@@ -509,6 +509,14 @@ class TestEpochRecordPhaseTimes:
             assert set(rec.phase_times) == {"rollout", "update", "validate"}
             assert all(v >= 0 for v in rec.phase_times.values())
 
+    def test_epoch_value_pass_is_one_span_per_epoch(self, trace, tmp_path):
+        _tiny_train(trace, path=str(tmp_path / "t.jsonl"))
+        snap = TelemetrySnapshot.from_dict(
+            validate_jsonl(str(tmp_path / "t.jsonl"))["snapshot"]
+        )
+        targets = snap.spans["rollout.targets"]
+        assert targets["count"] == 2 and targets["sum"] > 0
+
 
 class TestPerfBreakdownFromSpans:
     """Satellite 2: the bench phase breakdown is the telemetry spans."""

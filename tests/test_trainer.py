@@ -6,6 +6,7 @@ one-episode ``Trainer._rollout`` calls, and an episode does not depend on
 the lock-step width it ran at (no tolerances anywhere).
 """
 
+import dataclasses
 import multiprocessing
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 
 from repro.config import EnvConfig, PPOConfig, TrainConfig
 from repro.nn import ValueMLP, make_policy
-from repro.rl import PPOAgent, Trainer, make_reward, train
+from repro.rl import PPOAgent, Trainer, TrajectoryBuffer, make_reward, train
 from repro.rl.ppo import UpdateStats
 from repro.rl.trainer import EpochRecord, lockstep_rollout
 from repro.runtime import stream_rng
@@ -153,6 +154,20 @@ class TestTrainerMechanics:
         result = t.train()
         assert result.policy_preset == "mlp_v2"
 
+    def test_validation_never_mutates_its_sequences(self, trace):
+        """``_validate`` hands the held-out sequences to the engines, which
+        copy the jobs they run: epochs leave them as they were sampled,
+        so every epoch validates on the same jobs."""
+        t = Trainer(trace, env_config=TINY_ENV, ppo_config=TINY_PPO,
+                    train_config=tiny_train_config())
+        sequences = t._val_sequences
+        before = [[dataclasses.astuple(j) for j in jobs] for jobs in sequences]
+        first = t._validate()
+        assert np.isfinite(first) and t._validate() == first
+        t.train()
+        assert t._val_sequences is sequences
+        assert [[dataclasses.astuple(j) for j in jobs] for jobs in sequences] == before
+
     def test_train_function_entry_point(self, trace):
         result = train(trace, env_config=TINY_ENV, ppo_config=TINY_PPO,
                        train_config=tiny_train_config(epochs=1))
@@ -286,8 +301,8 @@ class TestEpochGolden:
 class TestLockstepRollout:
     def test_width_and_arrival_order_invariance(self, golden_trace):
         """Six episodes through widths 1, 2, 4 (auto-reset backlog) and 6
-        are bit-identical episode for episode, per-episode targets
-        included."""
+        are bit-identical episode for episode, per-episode log-probs
+        included, and so is the epoch batch valued by one forward."""
         m, f = GOLDEN_ENV.observation_shape
         agent = PPOAgent(make_policy("kernel", m, f, seed=0), ValueMLP(m, f, seed=1))
         sequences = SequenceSampler(golden_trace, 18, seed=3).sample_many(6)
@@ -299,21 +314,30 @@ class TestLockstepRollout:
             episodes, rewards = lockstep_rollout(
                 vec, agent, copy_sequences(sequences), rngs
             )
-            return [
-                (rows, counts, actions,
-                 agent.episode_log_probs(rows, counts, actions),
-                 agent.value_batch(rows, counts), reward)
-                for (rows, counts, actions), reward in zip(episodes, rewards)
-            ]
+            buffer = TrajectoryBuffer()
+            for t, ((rows, counts, actions), reward) in enumerate(
+                zip(episodes, rewards)
+            ):
+                buffer.add_episode(
+                    rows, counts, actions,
+                    agent.episode_log_probs(rows, counts, actions), reward,
+                    order=t,
+                )
+            batch = buffer.get(agent.value_batch, m)
+            del batch["windows"]
+            return [(*episode, reward) for episode, reward in zip(episodes, rewards)], batch
 
-        reference = collect(1)
+        reference, reference_batch = collect(1)
         assert len(reference) == 6
         for width in (2, 4, 6):
-            got = collect(width)
+            got, batch = collect(width)
             assert len(got) == len(reference)
             for episode, want in zip(got, reference):
                 for column, expected in zip(episode, want):
                     np.testing.assert_array_equal(column, expected)
+            assert batch.keys() == reference_batch.keys()
+            for key, column in batch.items():
+                np.testing.assert_array_equal(column, reference_batch[key])
 
 
 def _record(**extra):

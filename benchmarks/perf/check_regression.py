@@ -6,8 +6,9 @@ rollout performance regressed.  Two baseline-relative checks run,
 covering the two ways a regression can hide:
 
 * **absolute throughput** (``rollout.vectorized_steps_per_sec``): gates
-  when the baseline was recorded on comparable hardware (same machine /
-  core count / python major.minor); on different hardware a drop is
+  when the baseline was recorded on comparable hardware under the same
+  run conditions (same machine / core count / python major.minor / CPU
+  affinity / ``OPENBLAS_NUM_THREADS``); otherwise a drop is
   reported as advisory instead of failing — unless ``--strict`` forces
   the gate.  Absolute steps/s across differently-sized CI runners would
   otherwise be a standing false alarm.
@@ -79,7 +80,9 @@ def load_scale(path: Path, scale: str) -> dict | None:
 def describe(report: dict) -> str:
     plat = report.get("platform", {})
     return (f"python {plat.get('python', '?')}, numpy {plat.get('numpy', '?')}, "
-            f"{plat.get('machine', '?')}, {plat.get('cpu_count', '?')} cores")
+            f"{plat.get('machine', '?')}, {plat.get('cpu_count', '?')} cores, "
+            f"{plat.get('affinity_cpus', '?')} usable, "
+            f"OPENBLAS_NUM_THREADS={plat.get('blas_threads')}")
 
 
 def _python_series(version) -> str:
@@ -91,7 +94,10 @@ def same_platform(a: dict, b: dict) -> bool:
     pa, pb = a.get("platform", {}), b.get("platform", {})
     if _python_series(pa.get("python")) != _python_series(pb.get("python")):
         return False
-    return all(pa.get(k) == pb.get(k) for k in ("machine", "cpu_count"))
+    return all(
+        pa.get(k) == pb.get(k)
+        for k in ("machine", "cpu_count", "affinity_cpus", "blas_threads")
+    )
 
 
 def main(argv=None) -> int:

@@ -398,7 +398,7 @@ def bench_ppo_update(agent, buffer, ppo_cfg, max_obsv, job_features):
     autograd) is the only thing that differs between the two timings.
     """
     # the trainer's epoch value pass: one forward over the batch's windows
-    data = buffer.get(agent.value_batch, max_obsv)
+    data = buffer.get(agent)
     start = time.perf_counter()
     stats = agent.update(data)
     elapsed = time.perf_counter() - start
@@ -565,6 +565,10 @@ def main(argv=None):
             "numpy": np.__version__,
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
+            # the run conditions: cores this process may use and the BLAS
+            # thread count asked for, both part of what a baseline measured
+            "affinity_cpus": len(os.sched_getaffinity(0)),
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
     }
     merged = merge_report(args.out, args.scale, report)

@@ -155,11 +155,11 @@ _FUSED = {
 _TILE_BYTES = 512 << 10
 
 
-def dense_stack(layers: "Sequence[Dense]", x, widest: int) -> Tensor:
+def dense_stack(layers: "Sequence[Dense]", x) -> Tensor:
     """``layers`` applied in order to the rows of ``x``, as one tape node.
 
-    ``widest`` is the largest output width of ``layers``: a tile is as
-    many rows as fit ``_TILE_BYTES`` of that output.  The forward walks
+    A tile is as many rows as fit ``_TILE_BYTES`` of the widest layer
+    output.  The forward walks
     the rows tile by tile: each layer multiplies straight into its
     output's slice, then adds its bias and applies its activation there,
     in place.  The backward walks the same tiles in reverse and sums each
@@ -176,6 +176,7 @@ def dense_stack(layers: "Sequence[Dense]", x, widest: int) -> Tensor:
         raise ValueError(f"Dense takes a 2-D input, got {x.shape}")
     n = len(x.data)
     dtype = np.result_type(x.data, layers[0].weight.data)
+    widest = max(layer.weight.data.shape[1] for layer in layers)
     tile = max(1, _TILE_BYTES // (widest * dtype.itemsize))
     tiles = [(r0, min(r0 + tile, n)) for r0 in range(0, n, tile)] or [(0, 0)]
     last = len(layers) - 1
@@ -255,7 +256,7 @@ class Dense(Module):
         the gradient it owns in place and hands out ``db``, ``dW``, ``dx``.
         A plain input is a one-layer :func:`dense_stack`."""
         if not isinstance(x, RaggedRows):
-            return dense_stack((self,), x, self.weight.data.shape[1])
+            return dense_stack((self,), x)
         w, b = self.weight, self.bias
         act, dact = _FUSED[self.activation]
         out = x.product(w.data)
@@ -287,16 +288,11 @@ class DenseStack(Sequential):
     stack is one tiled tape node (:func:`dense_stack`); a
     :class:`RaggedRows` input passes the first layer's own node first."""
 
-    def __init__(self, *layers: Dense):
-        super().__init__(*layers)
-        #: sizes the row tiles, worked out once per network
-        self.widest = max(layer.weight.data.shape[1] for layer in layers)
-
     def forward(self, x: "Tensor | RaggedRows") -> Tensor:
         layers = self.modules
         if isinstance(x, RaggedRows):
             x, layers = layers[0](x), layers[1:]
-        return dense_stack(layers, x, self.widest) if layers else x
+        return dense_stack(layers, x) if layers else x
 
 
 # ---------------------------------------------------------------------------

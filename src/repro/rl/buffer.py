@@ -18,7 +18,7 @@ is padded to the observation window.
 
 Value estimates are an epoch's, not an episode's: :meth:`get` buckets the
 whole batch's observation windows once (:meth:`RaggedRows.from_csr`),
-values them with one call of the critic it is given, computes each
+values them with one call of the agent's critic, computes each
 episode's advantages from its slice of those values, and hands the
 windows on in the batch, where the PPO value step plans from them.
 
@@ -33,11 +33,14 @@ reversed loop over the episode's steps, a multiply and an add each.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.nn import RaggedRows, csr_indptr
+
+if TYPE_CHECKING:
+    from repro.rl.ppo import PPOAgent
 
 __all__ = ["TrajectoryBuffer", "discount_cumsum"]
 
@@ -61,7 +64,7 @@ class TrajectoryBuffer:
     """Append-only store for one epoch of interactions::
 
         buf.add_episode(rows, counts, actions, log_probs, reward)  # per episode
-        data = buf.get(agent.value_batch, max_obsv_size)          # once per epoch
+        data = buf.get(agent)                                   # once per epoch
     """
 
     def __init__(self, gamma: float = 1.0, lam: float = 0.97):
@@ -132,22 +135,16 @@ class TrajectoryBuffer:
     def episode_rewards(self) -> list[float]:
         return list(self._episode_rewards)
 
-    def get(
-        self,
-        value_batch: "Callable[[RaggedRows], np.ndarray] | None" = None,
-        n_slots: int | None = None,
-        normalize_advantages: bool = True,
-    ) -> dict:
+    def get(self, agent: "PPOAgent", normalize_advantages: bool = True) -> dict:
         """All stored episodes as flat columns, advantage-normalised for
-        PPO: the ragged observations ``rows`` / ``counts`` beside one
-        entry per step of ``actions``, ``log_probs``, ``advantages`` and
-        ``returns``.
+        PPO: the ragged observations ``rows`` / ``counts`` and their
+        ``windows`` beside one entry per step of ``actions``,
+        ``log_probs``, ``advantages`` and ``returns``.
 
-        ``value_batch`` is the critic (:meth:`PPOAgent.value_batch`): the
-        batch's flattened ``n_slots``-job observation windows are bucketed
-        once, in batch order, valued by one ``value_batch(windows)`` call,
-        and handed on as ``windows``.  Without one every value estimate is
-        0 and the batch carries no windows.
+        ``agent`` owns the critic: the batch's observations are bucketed
+        once, in batch order, into windows of its value network's
+        ``max_obsv_size`` jobs, valued by one ``agent.value_batch(windows)``
+        call, and handed on as ``windows``.
         """
         if not self._episodes:
             raise RuntimeError("buffer is empty")
@@ -159,18 +156,15 @@ class TrajectoryBuffer:
             )
         }
         rewards = data.pop("rewards")
-        if value_batch is None:
-            values = np.zeros(len(rewards))
-        else:
-            data["windows"] = RaggedRows.from_csr(
-                data["rows"], data["counts"], n_slots
+        data["windows"] = RaggedRows.from_csr(
+            data["rows"], data["counts"], agent.value.max_obsv_size
+        )
+        values = np.asarray(agent.value_batch(data["windows"]), dtype=np.float64)
+        if values.shape != rewards.shape:
+            raise ValueError(
+                f"expected {len(rewards)} values (one per step), "
+                f"got {values.shape}"
             )
-            values = np.asarray(value_batch(data["windows"]), dtype=np.float64)
-            if values.shape != rewards.shape:
-                raise ValueError(
-                    f"expected {len(rewards)} values (one per step), "
-                    f"got {values.shape}"
-                )
         adv = np.empty(len(rewards))
         step_ptr = csr_indptr([len(self._episodes[i][2]) for i in rank])
         for s0, s1 in zip(step_ptr[:-1], step_ptr[1:]):

@@ -322,7 +322,7 @@ class PPOAgent:
     # ------------------------------------------------------------------
     def update(self, data: dict) -> UpdateStats:
         """One epoch of PPO updates from a :class:`TrajectoryBuffer` dump
-        valued by this agent (``buffer.get(agent.value_batch, M)``).
+        valued by this agent (``buffer.get(agent)``).
 
         Each iteration steps on a minibatch *plan* — what the step reads
         of its rows, gathered and cast ahead of the forward pass

@@ -611,12 +611,11 @@ class Trainer:
         update.  Whichever loop filled ``buffer`` (:meth:`_collect` or a
         loop of :meth:`_rollout`), this is the one value pass; it is timed
         as the ``rollout.targets`` span."""
-        m = self.env_config.max_obsv_size
         reg = _telemetry.current()
         if not reg.enabled:
-            return buffer.get(self.agent.value_batch, m)
+            return buffer.get(self.agent)
         t0 = time.perf_counter()
-        data = buffer.get(self.agent.value_batch, m)
+        data = buffer.get(self.agent)
         reg.add_span_time("rollout.targets", time.perf_counter() - t0)
         return data
 

@@ -23,7 +23,8 @@ _spec.loader.exec_module(check_regression)
 
 def bench_doc(steps_per_sec, python="3.11.7", cpu_count=4,
               machine="x86_64", sparse_speedup=3.0,
-              telemetry_ratio=0.99, serving_ratio=0.2):
+              telemetry_ratio=0.99, serving_ratio=0.2,
+              affinity_cpus=4, blas_threads=None):
     return {
         "scales": {
             "smoke": {
@@ -46,6 +47,8 @@ def bench_doc(steps_per_sec, python="3.11.7", cpu_count=4,
                     "numpy": "2.4.6",
                     "machine": machine,
                     "cpu_count": cpu_count,
+                    "affinity_cpus": affinity_cpus,
+                    "blas_threads": blas_threads,
                 },
             }
         }
@@ -89,6 +92,15 @@ class TestThroughputGate:
         cur = bench_doc(15000, cpu_count=4)
         assert gate(base, cur) == 0
         assert gate(base, cur, "--strict") == 1
+
+    def test_other_run_conditions_are_cross_platform(self, gate):
+        # a baseline taken on one pinned core with one BLAS thread says
+        # nothing about an unpinned run on the same box, and vice versa
+        pinned = bench_doc(30000, affinity_cpus=1, blas_threads="1")
+        assert gate(pinned, bench_doc(15000)) == 0
+        assert gate(pinned, bench_doc(15000, affinity_cpus=1)) == 0
+        assert gate(pinned, bench_doc(15000, affinity_cpus=1,
+                                      blas_threads="1")) == 1
 
     def test_python_minor_change_is_cross_platform(self, gate):
         base = bench_doc(30000, python="3.11.7")

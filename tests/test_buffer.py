@@ -1,5 +1,7 @@
 """Unit tests for the GAE trajectory buffer."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,23 @@ def fill_episode(buf, n_steps, terminal=10.0, order=None):
     )
 
 
+def critic(value_batch, n_slots=4):
+    """An agent stand-in for :meth:`TrajectoryBuffer.get`: its critic is
+    ``value_batch`` over windows of ``n_slots`` jobs (by default the
+    widest observation of :func:`fill_episode`)."""
+    return SimpleNamespace(
+        value=SimpleNamespace(max_obsv_size=n_slots), value_batch=value_batch
+    )
+
+
 def valued(values):
-    """A critic that reads ``values`` (one per step of the batch), and
-    the window size of :func:`fill_episode`'s observations."""
-    return (lambda windows: np.asarray(values, dtype=np.float64)), 4
+    """An agent whose critic reads ``values`` (one per step of the batch)."""
+    return critic(lambda windows: np.asarray(values, dtype=np.float64))
+
+
+def unvalued(buf):
+    """An agent whose critic values every step of ``buf`` at 0."""
+    return valued([0.0] * buf.n_steps)
 
 
 class TestMechanics:
@@ -36,7 +51,7 @@ class TestMechanics:
 
     def test_get_empty(self):
         with pytest.raises(RuntimeError, match="empty"):
-            TrajectoryBuffer().get()
+            TrajectoryBuffer().get(valued([]))
 
     def test_counts(self):
         buf = TrajectoryBuffer()
@@ -58,9 +73,8 @@ class TestMechanics:
         buf.clear()
         assert buf.gamma == 0.5 and buf.n_episodes == 0
         fill_episode(buf, 3, terminal=8.0)
-        np.testing.assert_allclose(
-            buf.get(normalize_advantages=False)["returns"], [2.0, 4.0, 8.0]
-        )
+        data = buf.get(unvalued(buf), normalize_advantages=False)
+        np.testing.assert_allclose(data["returns"], [2.0, 4.0, 8.0])
 
 
 class TestReturns:
@@ -69,26 +83,26 @@ class TestReturns:
         gamma=1 — every step's return equals the terminal reward."""
         buf = TrajectoryBuffer(gamma=1.0, lam=0.95)
         fill_episode(buf, 4, terminal=-42.0)
-        data = buf.get(normalize_advantages=False)
+        data = buf.get(unvalued(buf), normalize_advantages=False)
         np.testing.assert_allclose(data["returns"], [-42.0] * 4)
 
     def test_discounted_returns(self):
         buf = TrajectoryBuffer(gamma=0.5, lam=1.0)
         fill_episode(buf, 3, terminal=8.0)
-        data = buf.get(normalize_advantages=False)
+        data = buf.get(unvalued(buf), normalize_advantages=False)
         np.testing.assert_allclose(data["returns"], [2.0, 4.0, 8.0])
 
     def test_gae_with_zero_values_equals_returns(self):
         buf = TrajectoryBuffer(gamma=1.0, lam=1.0)
         fill_episode(buf, 4, terminal=6.0)
-        data = buf.get(*valued([0.0] * 4), normalize_advantages=False)
+        data = buf.get(valued([0.0] * 4), normalize_advantages=False)
         np.testing.assert_allclose(data["advantages"], data["returns"])
 
     def test_gae_baseline_reduces_advantage(self):
         """A value baseline equal to the reward zeroes the advantage."""
         buf = TrajectoryBuffer(gamma=1.0, lam=1.0)
         fill_episode(buf, 3, terminal=6.0)
-        data = buf.get(*valued([6.0, 6.0, 6.0]), normalize_advantages=False)
+        data = buf.get(valued([6.0, 6.0, 6.0]), normalize_advantages=False)
         np.testing.assert_allclose(data["advantages"], 0.0, atol=1e-12)
 
     def test_episodes_isolated(self):
@@ -96,7 +110,7 @@ class TestReturns:
         buf = TrajectoryBuffer(gamma=1.0, lam=1.0)
         fill_episode(buf, 2, terminal=100.0)
         fill_episode(buf, 2, terminal=-100.0)
-        data = buf.get(normalize_advantages=False)
+        data = buf.get(unvalued(buf), normalize_advantages=False)
         np.testing.assert_allclose(data["returns"], [100, 100, -100, -100])
 
     def test_per_step_rewards(self):
@@ -107,7 +121,7 @@ class TestReturns:
             np.zeros((3, F), np.float32), [1, 1, 1], [0, 0, 0], -np.ones(3),
             np.array([1.0, 2.0, 8.0]),
         )
-        data = buf.get(normalize_advantages=False)
+        data = buf.get(unvalued(buf), normalize_advantages=False)
         np.testing.assert_allclose(data["returns"], [4.0, 6.0, 8.0])
         assert buf.episode_rewards == [11.0]
 
@@ -145,7 +159,7 @@ class TestBatchedPath:
             want_adv.append(adv)
             want_ret.append(ret)
         data = buf.get(
-            lambda windows: np.concatenate(all_values), 1,
+            critic(lambda windows: np.concatenate(all_values), 1),
             normalize_advantages=False,
         )
         np.testing.assert_array_equal(data["advantages"], np.concatenate(want_adv))
@@ -157,7 +171,7 @@ class TestBatchedPath:
         buf = TrajectoryBuffer()
         fill_episode(buf, 4)
         with pytest.raises(ValueError, match="expected 4 values"):
-            buf.get(*valued([1.0, 2.0]))
+            buf.get(valued([1.0, 2.0]))
         with pytest.raises(ValueError, match="expected 2 log_probs"):
             buf.add_episode(np.zeros((2, F)), [1, 1], [0, 0], [-1.0], 1.0)
         with pytest.raises(ValueError, match="expected 2 counts"):
@@ -180,7 +194,7 @@ class TestBatchedPath:
                 np.full((counts.sum(), F), order, np.float32), counts,
                 np.full(steps, order), -np.ones(steps), terminal, order=order,
             )
-        data = buf.get(normalize_advantages=False)
+        data = buf.get(unvalued(buf), normalize_advantages=False)
         np.testing.assert_array_equal(data["actions"], [0, 0, 1, 1, 1])
         np.testing.assert_array_equal(data["returns"], [1, 1, -1, -1, -1])
         np.testing.assert_array_equal(data["counts"], [1, 1, 2, 2, 2])
@@ -191,26 +205,26 @@ class TestGetArrays:
     def test_shapes_and_dtypes(self):
         buf = TrajectoryBuffer()
         fill_episode(buf, 5)
-        data = buf.get()
+        data = buf.get(unvalued(buf))
         assert data["counts"].tolist() == [1, 2, 3, 4, 1]
         assert data["rows"].shape == (11, F)
         assert data["rows"].dtype == np.float32
         assert data["actions"].dtype == np.int64
         assert data["advantages"].shape == (5,)
         assert set(data) == {"rows", "counts", "actions", "log_probs",
-                             "advantages", "returns"}
+                             "advantages", "returns", "windows"}
 
     def test_advantage_normalisation(self):
         buf = TrajectoryBuffer()
         fill_episode(buf, 4, terminal=5.0)
-        adv = buf.get(*valued([1.0, 2.0, 3.0, 4.0]))["advantages"]
+        adv = buf.get(valued([1.0, 2.0, 3.0, 4.0]))["advantages"]
         assert adv.mean() == pytest.approx(0.0, abs=1e-9)
         assert adv.std() == pytest.approx(1.0, rel=1e-6)
 
 
 class TestEpochValuePass:
-    """With a critic, ``get`` windows the whole batch once, in batch
-    order, values it with one call and hands the windows on."""
+    """``get`` windows the whole batch once, in batch order, values it
+    with one call of the agent's critic and hands the windows on."""
 
     def test_one_critic_call_over_the_batch_windows(self):
         rng = np.random.default_rng(3)
@@ -223,11 +237,11 @@ class TestEpochValuePass:
             )
         seen = []
 
-        def critic(windows):
+        def value_batch(windows):
             seen.append(windows)
             return np.arange(windows.shape[0], dtype=np.float32)
 
-        data = buf.get(critic, 4, normalize_advantages=False)
+        data = buf.get(critic(value_batch), normalize_advantages=False)
         assert len(seen) == 1 and data["windows"] is seen[0]
         want = RaggedRows.from_csr(data["rows"], data["counts"], 4)
         w = rng.standard_normal((4 * F, 2)).astype(np.float32)

@@ -137,15 +137,16 @@ class TestDenseStack:
 
     @staticmethod
     def stack(name):
+        """A preset's stack, its input width and its widest layer output."""
         if name == "kernel":
-            return KernelPolicy(7, seed=3).kernel, 7
-        return MLPPolicy(16, 7, hidden=(128, 128, 128), seed=3).mlp, 16 * 7
+            return KernelPolicy(7, seed=3).kernel, 7, 32
+        return MLPPolicy(16, 7, hidden=(128, 128, 128), seed=3).mlp, 16 * 7, 128
 
     @pytest.mark.parametrize("name", ["kernel", "mlp_v1"])
     def test_one_tile_is_the_per_dense_composition_bitwise(self, name):
-        stack, d = self.stack(name)
+        stack, d, widest = self.stack(name)
         rng = np.random.default_rng(0)
-        n = _TILE_BYTES // (stack.widest * 4)  # exactly one float32 tile
+        n = _TILE_BYTES // (widest * 4)  # exactly one float32 tile
         x = rng.normal(size=(n, d)).astype(np.float32)
         fused_in = Tensor(x.copy(), requires_grad=True)
         oracle_in = Tensor(x.copy(), requires_grad=True)
@@ -163,9 +164,9 @@ class TestDenseStack:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, "2T+3"])
     def test_tiles_are_the_untiled_function(self, extra, monkeypatch):
-        stack, d = self.stack("kernel")
+        stack, d, widest = self.stack("kernel")
         tile = 16
-        monkeypatch.setattr(layers, "_TILE_BYTES", tile * stack.widest * 4)
+        monkeypatch.setattr(layers, "_TILE_BYTES", tile * widest * 4)
         n = 2 * tile + 3 if extra == "2T+3" else tile + extra
         rng = np.random.default_rng(1)
         x = rng.normal(size=(n, d)).astype(np.float32)
@@ -196,7 +197,7 @@ class TestDenseStack:
         def op(x, *params):
             for layer, w, b in zip(built, params[::2], params[1::2]):
                 layer.weight, layer.bias = w, b
-            return dense_stack(built, x, widest)
+            return dense_stack(built, x)
 
         arrays = [rng.normal(size=(11, 6))]
         for layer in built:
@@ -206,8 +207,8 @@ class TestDenseStack:
 
     @pytest.mark.parametrize("name", ["kernel", "mlp_v1"])
     def test_no_grad_keeps_no_tape_node(self, name, monkeypatch):
-        stack, d = self.stack(name)
-        monkeypatch.setattr(layers, "_TILE_BYTES", 8 * stack.widest * 4)
+        stack, d, widest = self.stack(name)
+        monkeypatch.setattr(layers, "_TILE_BYTES", 8 * widest * 4)
         x = np.random.default_rng(3).normal(size=(21, d)).astype(np.float32)
         recorded = stack(Tensor(x))
         with no_grad():

@@ -50,7 +50,7 @@ def synthetic_batch(agent, n_episodes=6, steps=5, seed=0):
         buf.add_episode(
             rows, counts, actions, logps, np.where(actions == best, 1.0, -1.0),
         )
-    return buf.get(agent.value_batch, M)
+    return buf.get(agent)
 
 
 def full_queues(obs):

@@ -239,6 +239,9 @@ class TestWorkerFailures:
             with pytest.raises(WorkerError, match="died") as err:
                 b.map(die, [17, 0], chunksize=1)
             assert err.value.worker_id == 0
+            # the pipe closes while the worker is still exiting: reap it
+            # before asking, or is_alive() can race the exit
+            b._procs[0].join(timeout=5)
             assert not b._procs[0].is_alive()
 
     def test_crash_under_broadcast_is_a_worker_error(self):

@@ -323,7 +323,7 @@ class TestLockstepRollout:
                     agent.episode_log_probs(rows, counts, actions), reward,
                     order=t,
                 )
-            batch = buffer.get(agent.value_batch, m)
+            batch = buffer.get(agent)
             del batch["windows"]
             return [(*episode, reward) for episode, reward in zip(episodes, rewards)], batch
 

@@ -1,6 +1,7 @@
-"""Micro-benchmark harness for the hot paths (see run_perf.py).
+"""Telemetry's rollout cost (``telemetry_floor.py``).
 
 Not collected by pytest — run explicitly::
 
-    PYTHONPATH=src python benchmarks/perf/run_perf.py [--scale tiny|paper|smoke]
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src taskset -c 0 \\
+        python benchmarks/perf/telemetry_floor.py
 """

@@ -15,8 +15,8 @@ This script runs one identical epoch at two lock-step widths, checks the
 two reproduce each other exactly, and reads from the telemetry trace
 which update ran and where the epoch's time went.
 
-Related: ``benchmarks/perf/run_perf.py`` measures the rollout/engine/PPO
-hot paths in isolation and records them in ``BENCH_perf.json``.
+Related: ``benchmarks/e2e`` measures training epochs end to end
+(``train-rollout-bound``, ``train-update-bound``).
 
 Run:  PYTHONPATH=src python examples/fast_training.py
 """

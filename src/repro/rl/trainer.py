@@ -52,6 +52,7 @@ import json
 import logging
 import time
 import zipfile
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,7 +60,7 @@ import numpy as np
 
 from repro.config import EnvConfig, PPOConfig, TrainConfig
 from repro.telemetry import core as _telemetry
-from repro.telemetry.sink import TelemetrySink, render_summary
+from repro.telemetry.sink import TelemetrySink, telemetry_run
 from repro.nn import Module, ValueMLP, make_policy
 from repro.nn.ragged import csr_gather, csr_indptr
 from repro.runtime.seeding import stream_rng
@@ -306,7 +307,7 @@ def lockstep_rollout(vec, agent, sequences, rngs) -> tuple[list, list[float]]:
     Phase timing (``rollout.policy_forward`` / ``env_step`` / ``buffer``)
     is accumulated locally and flushed to the registry once per call: the
     per-step cost is one boolean test with telemetry off, two clock reads
-    per phase with it on.  The perf bench reads the same span names.
+    per phase with it on.
     """
     rewards = [0.0] * len(sequences)
     n = min(vec.n_envs, len(sequences))
@@ -468,30 +469,21 @@ class Trainer:
             config=self.env_config,
         )
 
-        # Telemetry ownership: a TrainConfig that asks for telemetry
-        # activates the process-wide registry unless an enclosing run
-        # (study, bench session) already owns one — in that case this
-        # trainer just records into it.
-        tcfg = self.train_config.telemetry
-        self._owns_telemetry = False
-        self._tel_prev: _telemetry.Telemetry | None = None
-        self._sink: TelemetrySink | None = None
-        if tcfg is not None and tcfg.enabled:
-            if not _telemetry.enabled():
-                self._tel_prev = _telemetry.set_active(
-                    _telemetry.Telemetry(enabled=True)
-                )
-                self._owns_telemetry = True
-            if tcfg.path:
-                self._sink = TelemetrySink(
-                    tcfg.path,
-                    meta={
-                        "command": "train",
-                        "trace": trace.name,
-                        "metric": metric,
-                        "epochs": self.train_config.epochs,
-                    },
-                )
+        # A TrainConfig that asks for telemetry owns the run's registry and
+        # sink unless an enclosing run (a study, a session) already owns
+        # one; then this trainer records into it.  close() unwinds it.
+        self._exit = ExitStack()
+        self._sink: TelemetrySink | None = self._exit.enter_context(
+            telemetry_run(
+                self.train_config.telemetry,
+                meta={
+                    "command": "train",
+                    "trace": trace.name,
+                    "metric": metric,
+                    "epochs": self.train_config.epochs,
+                },
+            )
+        )
 
         self.filter: TrajectoryFilter | None = None
         if self.train_config.use_trajectory_filter:
@@ -686,14 +678,10 @@ class Trainer:
         return float(np.mean(rewards))
 
     def close(self) -> None:
-        """Close the telemetry sink and restore the registry this trainer
-        replaced (no-op when it owns neither)."""
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
-        if self._owns_telemetry:
-            _telemetry.set_active(self._tel_prev)
-            self._owns_telemetry = False
+        """End the telemetry run this trainer owns: write the final
+        snapshot, close the sink, restore the registry it replaced."""
+        self._sink = None
+        self._exit.close()
 
     def __enter__(self) -> "Trainer":
         return self
@@ -746,13 +734,6 @@ class Trainer:
                     wall_time=record.wall_time,
                     phases=record.phase_times,
                 )
-        tcfg = self.train_config.telemetry
-        if tcfg is not None and tcfg.enabled:
-            snap = _telemetry.current().snapshot()
-            if self._sink is not None:
-                self._sink.write_snapshot(snap)
-            if tcfg.summary and not snap.empty:
-                logger.info(render_summary(snap))
         return result
 
 

@@ -2,7 +2,7 @@
 
 Every layer of the reproduction that fans out independent simulations —
 the paper's 10-sequence evaluation protocol, the scenario matrix and the
-generalization study's cells, perf benchmarks — dispatches through one
+generalization study's cells — dispatches through one
 :class:`ExecutionBackend`:
 
 * :class:`SerialBackend` runs everything in-process (the default, and the

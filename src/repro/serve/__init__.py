@@ -13,8 +13,8 @@ the open-ended :class:`~repro.sim.core.OnlineSchedulingEngine`:
   (one ``send`` per read) with graceful SIGTERM/``drain`` shutdown;
 * :mod:`~repro.serve.client` — the blocking client the ``repro submit``
   CLI and the load generator share;
-* :mod:`~repro.serve.loadgen` — the closed-loop load generator behind
-  the ``serving`` section of ``BENCH_perf.json``.
+* :mod:`~repro.serve.loadgen` — the closed-loop load generator the CI
+  serve smoke and the tests drive the daemon with.
 
 Configuration enters through :class:`repro.config.ServeConfig` /
 :class:`repro.config.TenantConfig` (CLI: ``python -m repro serve``).

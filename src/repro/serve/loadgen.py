@@ -6,8 +6,7 @@ for its response before the next is sent (closed loop — the offered
 load adapts to service capacity instead of overrunning it).  Measures
 client-observed request latency and end-to-end requests/sec, then
 drains every tenant and folds in the service-side decision-latency
-percentiles, producing the ``serving`` section recorded in
-``BENCH_perf.json`` by ``benchmarks/perf/run_perf.py``.
+percentiles.  The CI serve smoke and the tests drive the daemon with it.
 """
 
 from __future__ import annotations

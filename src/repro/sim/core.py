@@ -492,7 +492,6 @@ class OnlineSchedulingEngine(EngineCore):
         if self._inflight is not None:
             if not super().commit(self._inflight, self._horizon):
                 return False
-            self.n_started += 1
             self._inflight = None
         return self.advance_until_decision(self._horizon)
 
@@ -505,7 +504,6 @@ class OnlineSchedulingEngine(EngineCore):
             )
         self._inflight = None
         if super().commit(job, self._horizon if until is None else until):
-            self.n_started += 1
             return True
         self._inflight = job
         return False
@@ -513,6 +511,7 @@ class OnlineSchedulingEngine(EngineCore):
     def _start(self, i: int, job: Job) -> None:
         super()._start(i, job)
         self.started.append(job)
+        self.n_started += 1
 
     def take_started(self) -> list[Job]:
         """Harvest the jobs started since the last call, committed and

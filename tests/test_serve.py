@@ -292,6 +292,17 @@ class TestSchedulerService:
         assert svc.stats()["decisions"] == 3   # cumulative
         assert svc.engine.idle
 
+    def test_drained_tenant_counts_backfilled_starts(self):
+        """``started`` counts every start, backfilled ones included: a
+        drained tenant has started and finished all it was sent."""
+        trace = load_trace("Lublin-1", n_jobs=800, seed=3)
+        svc = self.make(n_procs=trace.max_procs, backfill="easy")
+        for job in trace_jobs(trace, 600, seed=1, max_procs=trace.max_procs):
+            svc.submit(job_to_wire(job))
+        svc.drain()
+        stats = svc.stats()
+        assert stats["submitted"] == stats["started"] == stats["finished"] == 600
+
     def test_advance_validates_until(self):
         svc = self.make()
         with pytest.raises(ServiceError, match="numeric"):
@@ -598,6 +609,10 @@ class TestLiveServer:
                 break  # listener gone
         else:
             pytest.fail("daemon kept listening after drain stop")
+        # the daemon logs its tenant drains after closing the listener:
+        # join here, while this test's output is still captured
+        live_server.thread.join(timeout=15)
+        assert not live_server.thread.is_alive()
 
 
     @pytest.mark.parametrize("how", ["drain-stop", "signal"])

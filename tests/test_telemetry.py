@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.config import EnvConfig, EvalConfig, PPOConfig, TelemetryConfig, TrainConfig
-from repro.rl import Trainer
+from repro.rl import TrajectoryBuffer, Trainer
 from repro.rl.trainer import EpochRecord, UpdateStats
 from repro.telemetry import core
 from repro.telemetry.core import (
@@ -518,28 +518,27 @@ class TestEpochRecordPhaseTimes:
         assert targets["count"] == 2 and targets["sum"] > 0
 
 
-class TestPerfBreakdownFromSpans:
-    """Satellite 2: the bench phase breakdown is the telemetry spans."""
+class TestRolloutPhaseSpans:
+    def test_collect_records_each_phase(self, trace):
+        cfg = TrainConfig(trajectories_per_epoch=2, trajectory_length=16,
+                          n_envs=2, seed=0)
+        with Trainer(trace, env_config=TINY_ENV, train_config=cfg) as t:
+            with core.session() as reg:
+                t._collect(0, TrajectoryBuffer())
+            for phase in ("policy_forward", "env_step", "buffer"):
+                assert reg.span_seconds(f"rollout.{phase}") > 0, phase
+        assert not core.enabled()  # the session restored the registry
 
-    def test_fractions_sum_to_one(self, trace, monkeypatch):
-        import importlib.util
-        from pathlib import Path
 
-        script = (Path(__file__).resolve().parents[1]
-                  / "benchmarks" / "perf" / "run_perf.py")
-        spec = importlib.util.spec_from_file_location("run_perf", script)
-        run_perf = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run_perf)
-
-        sampler = run_perf.SequenceSampler(trace, 16, seed=0)
-        sequences = sampler.sample_many(2)
-        out = run_perf.rollout_phase_breakdown(
-            TINY_ENV, trace, sequences, n_envs=2
-        )
-        fracs = [out["policy_forward_frac"], out["env_step_frac"],
-                 out["buffer_frac"]]
-        assert sum(fracs) == pytest.approx(1.0)
-        assert all(0.0 <= f <= 1.0 for f in fracs)
-        assert out["policy_forward_sec"] > 0
-        assert out["env_step_sec"] > 0
-        assert not core.enabled()  # bench session restored the registry
+class TestTrainerTelemetryOwnership:
+    def test_nested_trainer_records_into_the_outer_run(self, trace, tmp_path):
+        # an enclosing run owns the registry: the trainer's own config
+        # opens no second sink and records into the outer registry
+        outer = TelemetryConfig(enabled=True, summary=False)
+        with telemetry_run(outer):
+            outer_reg = core.current()
+            _tiny_train(trace, path=str(tmp_path / "inner.jsonl"))
+            assert core.current() is outer_reg
+        assert not (tmp_path / "inner.jsonl").exists()
+        assert outer_reg.span_seconds("rollout.targets") > 0
+        assert not core.enabled()

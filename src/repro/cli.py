@@ -79,6 +79,7 @@ from . import (
     scenario_matrix,
     train,
 )
+from .checkpoint import CheckpointError
 from .nn import POLICY_PRESETS
 from .scenarios import available_scenarios, get_scenario
 from .schedulers import HEURISTICS, RLSchedulerPolicy, make_scheduler
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=256)
     p.add_argument("--swf-dir", default=None)
     p.add_argument("--model", default=None,
-                   help="path to a saved RL policy (.npz) to include")
+                   help="policy checkpoint (.npz) to include")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="fan sequences over N worker processes (1 = serial)")
     p.add_argument("--telemetry", metavar="PATH", default=None,
@@ -550,8 +551,7 @@ def _cmd_train(args) -> int:
             scenario=scenario_cfg,
         ),
     )
-    sched = result.as_scheduler()
-    sched.save(args.output)
+    result.save(args.output)
     print(f"trained {args.policy} on {trace_label} for {args.metric}: "
           + _train_summary(result))
     logger.info("saved to %s", args.output)
@@ -670,8 +670,6 @@ def _cmd_serve(args) -> int:
         completed_history=args.history,
         telemetry=_telemetry_config(args),
     )
-    names = ", ".join(t.name for t in config.tenants)
-    logger.info("starting scheduler daemon with tenant(s): %s", names)
     return serve(config)
 
 
@@ -752,7 +750,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     setup_logging(verbose=args.verbose, quiet=args.quiet)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except CheckpointError as exc:  # a policy file named on the command line
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

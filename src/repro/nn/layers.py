@@ -89,13 +89,6 @@ class Module:
             # optimizer holds stays a view of its arena
             p.data[...] = arr
 
-    def save(self, path) -> None:
-        np.savez(path, **self.state_dict())
-
-    def load(self, path) -> None:
-        with np.load(path) as data:
-            self.load_state_dict({k: data[k] for k in data.files})
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 

@@ -529,11 +529,6 @@ def _check_indptr(indptr, n_rows: int) -> np.ndarray:
     return indptr
 
 
-def _segment_ids(indptr: np.ndarray) -> np.ndarray:
-    """Row -> segment index, ``(K,)`` (empty segments contribute no rows)."""
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-
-
 def gather_rows(x: Tensor, index) -> Tensor:
     """Select rows along axis 0: ``out[k] = x[index[k]]``.
 

@@ -5,7 +5,8 @@ from .reward import RewardFn, combine_rewards, make_reward, reward_names
 from .buffer import TrajectoryBuffer, discount_cumsum
 from .ppo import PPOAgent, UpdateStats
 from .filtering import FilterRange, TrajectoryFilter, probe_distribution
-from .trainer import EpochRecord, Trainer, TrainingResult, train
+from .result import EpochRecord, TrainingResult
+from .trainer import Trainer, train
 
 __all__ = [
     "RewardFn",

@@ -46,15 +46,9 @@ exposes ``score_rows_grad`` (the kernel preset), the dense one otherwise.
 
 from __future__ import annotations
 
-import copy
-import dataclasses
-import json
 import logging
 import time
-import zipfile
 from contextlib import ExitStack
-from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -64,7 +58,6 @@ from repro.telemetry.sink import TelemetrySink, telemetry_run
 from repro.nn import Module, ValueMLP, make_policy
 from repro.nn.ragged import csr_gather, csr_indptr
 from repro.runtime.seeding import stream_rng
-from repro.schedulers.rl_scheduler import RLSchedulerPolicy
 from repro.sim.cluster import ClusterSpec
 from repro.sim.env import SchedGym
 from repro.sim.metrics import metric_by_name
@@ -74,221 +67,13 @@ from repro.workloads.swf import SWFTrace
 
 from .buffer import TrajectoryBuffer
 from .filtering import TrajectoryFilter
-from .ppo import PPOAgent, UpdateStats
+from .ppo import PPOAgent
+from .result import EpochRecord, TrainingResult
 from .reward import make_reward
 
-__all__ = [
-    "EpochRecord", "TrainingResult", "Trainer", "lockstep_rollout", "train",
-]
+__all__ = ["Trainer", "lockstep_rollout", "train"]
 
 logger = logging.getLogger("repro.rl.trainer")
-
-
-@dataclass(frozen=True)
-class EpochRecord:
-    """One point of a training curve."""
-
-    epoch: int
-    mean_metric: float          # raw metric (e.g. average bounded slowdown)
-    mean_reward: float          # signed reward the agent maximises
-    stats: UpdateStats
-    n_rejected: int             # sequences rejected by the trajectory filter
-    wall_time: float            # seconds spent in this epoch
-    filtered_phase: bool
-    val_reward: float = float("nan")  # greedy-policy reward on held-out seqs
-    #: telemetry runs only: per-phase wall seconds for this epoch
-    #: (``rollout`` / ``update`` / ``validate``), read
-    #: from the epoch spans; ``None`` when telemetry is disabled.  Old
-    #: records without the field load with the default (the ``kl_last``
-    #: compat pattern).
-    phase_times: dict | None = None
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    #: keys of retired fields that checkpoints written before their
-    #: removal still carry; loading ignores them
-    _RETIRED = frozenset({"n_stale_dropped", "n_stale_reweighted"})
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EpochRecord":
-        data = {k: v for k, v in data.items() if k not in cls._RETIRED}
-        data["stats"] = UpdateStats(**data["stats"])
-        return cls(**data)
-
-
-@dataclass
-class TrainingResult:
-    """Everything a training run produced."""
-
-    trace_name: str
-    metric: str
-    policy_preset: str
-    curve: list[EpochRecord] = field(default_factory=list)
-    policy: Module | None = None
-    value: Module | None = None
-    n_procs: int = 0
-    env_config: EnvConfig | None = None
-    best_policy_state: dict | None = None  # snapshot of the best epoch
-    best_epoch: int = -1
-    #: free-form training provenance (seed, epoch budget, ...) carried
-    #: through save/load — callers that checkpoint results (the study
-    #: zoo) record how a checkpoint was produced so a restore can detect
-    #: config drift instead of silently reporting the current run's
-    #: settings as the checkpoint's
-    train_meta: dict | None = None
-
-    def metric_curve(self) -> np.ndarray:
-        """Per-epoch mean metric values (the Fig. 10-13 y-axis)."""
-        return np.array([r.mean_metric for r in self.curve])
-
-    def reward_curve(self) -> np.ndarray:
-        """Per-epoch mean rewards (the Fig. 8 y-axis, −bsld)."""
-        return np.array([r.mean_reward for r in self.curve])
-
-    def as_scheduler(
-        self, name: str | None = None, use_best: bool = True
-    ) -> RLSchedulerPolicy:
-        """Wrap the trained policy for greedy deployment (Table V-XI).
-
-        ``use_best`` restores the snapshot from the best training epoch
-        (by held-out greedy validation reward); per-epoch stochasticity
-        means the *final* epoch is not necessarily the strongest policy.
-        The snapshot is loaded into a fresh copy of the policy module —
-        ``self.policy`` keeps the final-epoch weights, so resumed
-        training and a later ``as_scheduler(use_best=False)`` are
-        unaffected.
-        """
-        if self.policy is None:
-            raise RuntimeError("training has not run yet")
-        policy = self.policy
-        if use_best and self.best_policy_state is not None:
-            policy = copy.deepcopy(self.policy)
-            policy.load_state_dict(self.best_policy_state)
-        return RLSchedulerPolicy(
-            policy,
-            n_procs=self.n_procs,
-            env_config=self.env_config,
-            preset=self.policy_preset,
-            name=name or f"RL-{self.trace_name}",
-        )
-
-    # -- checkpointing ---------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Persist the complete result as one ``.npz`` checkpoint.
-
-        Stores the final policy weights, the best-epoch snapshot, the
-        value-network weights, and a JSON metadata blob holding the
-        training curve and provenance (trace name, metric, preset,
-        cluster size, the full :class:`EnvConfig`).  :meth:`load`
-        round-trips everything, so a restored checkpoint deploys and
-        reports identically to the in-memory result — the resume
-        contract of the generalization study's policy zoo.
-
-        Requires a preset-buildable policy (``policy_preset`` must name a
-        registered preset so :meth:`load` can rebuild the network).
-        """
-        if self.policy is None:
-            raise RuntimeError("training has not run yet")
-        state: dict[str, np.ndarray] = {
-            f"policy/{k}": v for k, v in self.policy.state_dict().items()
-        }
-        if self.best_policy_state is not None:
-            state.update(
-                (f"best/{k}", np.asarray(v))
-                for k, v in self.best_policy_state.items()
-            )
-        if self.value is not None:
-            state.update(
-                (f"value/{k}", v) for k, v in self.value.state_dict().items()
-            )
-        meta = {
-            "trace_name": self.trace_name,
-            "metric": self.metric,
-            "policy_preset": self.policy_preset,
-            "n_procs": self.n_procs,
-            "best_epoch": self.best_epoch,
-            "env_config": (
-                None if self.env_config is None
-                else dataclasses.asdict(self.env_config)
-            ),
-            "train_meta": self.train_meta,
-            "curve": [r.to_dict() for r in self.curve],
-        }
-        state["__meta__"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8
-        )
-        # Write-then-rename so an interrupted save never leaves a
-        # truncated .npz behind — a half-written checkpoint would satisfy
-        # the zoo's exists() resume check and crash the restore.
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp.npz")
-        np.savez(tmp, **state)
-        tmp.replace(path)
-
-    #: metadata fields :meth:`load` cannot do without
-    _META_FIELDS = ("trace_name", "metric", "policy_preset", "n_procs",
-                    "best_epoch", "env_config", "curve")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TrainingResult":
-        """Rebuild a :meth:`save`d result (weights, curve, provenance).
-
-        A file that is not such a checkpoint — truncated, another
-        program's ``.npz``, metadata missing a field — raises
-        ``ValueError`` naming the path and what is missing.
-        """
-        # The file is opened here, not by np.load, which leaks its own
-        # handle when the archive fails to open.
-        try:
-            with open(path, "rb") as fh, np.load(fh) as data:
-                arrays = {key: data[key] for key in data.files}
-        except (zipfile.BadZipFile, EOFError) as exc:
-            raise ValueError(
-                f"{path}: not a readable .npz checkpoint ({exc})"
-            ) from exc
-        if "__meta__" not in arrays:
-            raise ValueError(
-                f"{path}: not a training checkpoint (no field '__meta__')"
-            )
-        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
-        missing = [k for k in cls._META_FIELDS if k not in meta]
-        if missing:
-            raise ValueError(
-                f"{path}: checkpoint metadata lacks field(s) {', '.join(missing)}"
-            )
-        groups: dict[str, dict[str, np.ndarray]] = {
-            "policy": {}, "best": {}, "value": {}
-        }
-        for key, array in arrays.items():
-            group, _, name = key.partition("/")
-            if group not in groups:
-                raise ValueError(f"{path}: unexpected checkpoint field {key!r}")
-            groups[group][name] = array
-        env_config = (
-            EnvConfig() if meta["env_config"] is None
-            else EnvConfig(**meta["env_config"])
-        )
-        m, f = env_config.max_obsv_size, env_config.job_features
-        policy = make_policy(meta["policy_preset"], m, f)
-        policy.load_state_dict(groups["policy"])
-        value = None
-        if groups["value"]:
-            value = ValueMLP(m, f)
-            value.load_state_dict(groups["value"])
-        return cls(
-            trace_name=meta["trace_name"],
-            metric=meta["metric"],
-            policy_preset=meta["policy_preset"],
-            curve=[EpochRecord.from_dict(r) for r in meta["curve"]],
-            policy=policy,
-            value=value,
-            n_procs=meta["n_procs"],
-            env_config=env_config,
-            best_policy_state=groups["best"] or None,
-            best_epoch=meta["best_epoch"],
-            train_meta=meta.get("train_meta"),
-        )
 
 
 def lockstep_rollout(vec, agent, sequences, rngs) -> tuple[list, list[float]]:

@@ -25,23 +25,20 @@ tests):
   ``k`` visible rows go through the network, and the argmax is taken over
   raw scores (log-softmax is monotone, so the winner is identical).
 
-Models persist as a single ``.npz``: the network weights plus the metadata
-needed to rebuild the network (preset name, observation shape), so
-``RLSchedulerPolicy.load(path)`` round-trips without external config.
-Pickling round-trips the same way (weights + metadata, cache dropped), so
-policies broadcast cleanly to :mod:`repro.runtime` process workers.
+Models persist in the one checkpoint layout (:mod:`repro.checkpoint`),
+and pickling ships the same :class:`~repro.checkpoint.Checkpoint` (cache
+dropped), so policies broadcast cleanly to :mod:`repro.runtime` workers.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from repro import checkpoint
 from repro.config import EnvConfig, FeatureLayoutError
 from repro.nn import Module, make_policy, masked_log_softmax, no_grad
 from repro.sim.cluster import Cluster, ClusterSpec
@@ -160,8 +157,7 @@ class RLSchedulerPolicy(Scheduler):
                 f"{'memory-constrained' if compat == 'memory-blind' else 'unconstrained'} "
                 f"({compat}); pass on_mismatch='adapt' to deploy anyway"
             )
-        clone = RLSchedulerPolicy.__new__(RLSchedulerPolicy)
-        clone.__setstate__(self.__getstate__())
+        clone = self.from_checkpoint(self.to_checkpoint())
         clone.n_procs = cluster.n_procs  # checked setter, rebinds the cache
         clone.compat = compat
         if name is not None:
@@ -267,69 +263,30 @@ class RLSchedulerPolicy(Scheduler):
 
         return pick
 
-    # ------------------------------------------------------------------
-    def _meta(self) -> dict:
-        return {
-            "preset": self.preset,
-            "n_procs": self.n_procs,
-            # The complete EnvConfig: every field shapes the features the
-            # policy sees, so a partial record would rebuild a scheduler
-            # that makes different decisions (e.g. a non-default
-            # wait_scale) after save/load or a worker broadcast.
-            "env_config": dataclasses.asdict(self.env_config),
-            # legacy keys, kept so older readers of the .npz still work
-            "max_obsv_size": self.env_config.max_obsv_size,
-            "job_features": self.env_config.job_features,
-            "name": self.name,
-        }
+    # -- persistence: the one checkpoint layout (repro.checkpoint) -------
+    def to_checkpoint(self) -> checkpoint.Checkpoint:
+        return checkpoint.Checkpoint(self.preset, self.n_procs,
+                                     self.env_config,
+                                     self.policy.state_dict(), self.name)
 
     @classmethod
-    def _from_meta_and_weights(
-        cls, meta: dict, weights: dict
-    ) -> "RLSchedulerPolicy":
-        if "env_config" in meta:
-            env_config = EnvConfig(**meta["env_config"])
-        else:  # pre-PR-2 model file: only the observation shape was stored
-            env_config = EnvConfig(
-                max_obsv_size=meta["max_obsv_size"],
-                job_features=meta["job_features"],
-            )
-        policy = make_policy(
-            meta["preset"], env_config.max_obsv_size, env_config.job_features
-        )
-        policy.load_state_dict(weights)
-        return cls(
-            policy,
-            n_procs=meta["n_procs"],
-            env_config=env_config,
-            preset=meta["preset"],
-            name=meta.get("name"),
-        )
+    def from_checkpoint(cls, ckpt: checkpoint.Checkpoint):
+        env = ckpt.env_config
+        policy = make_policy(ckpt.preset, env.max_obsv_size, env.job_features)
+        policy.load_state_dict(ckpt.weights)
+        return cls(policy, ckpt.n_procs, env, ckpt.preset, ckpt.name)
 
     def save(self, path: str | Path) -> None:
-        state = self.policy.state_dict()
-        state["__meta__"] = np.frombuffer(
-            json.dumps(self._meta()).encode(), dtype=np.uint8
-        )
-        np.savez(path, **state)
+        checkpoint.write(path, self.to_checkpoint())
 
     @classmethod
     def load(cls, path: str | Path) -> "RLSchedulerPolicy":
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["__meta__"]).decode())
-            weights = {k: data[k] for k in data.files if k != "__meta__"}
-        return cls._from_meta_and_weights(meta, weights)
+        """Deploy any checkpoint: a saved policy, ``repro train -o``'s
+        output or a study-zoo file (its best-epoch weights)."""
+        return checkpoint.read(path, cls.from_checkpoint)
 
-    # -- pickling: ship weights + metadata, rebuild the network ----------
-    def __getstate__(self) -> dict:
-        return {
-            "meta": self._meta(),
-            "weights": {
-                k: np.asarray(v).copy()
-                for k, v in self.policy.state_dict().items()
-            },
-        }
+    # -- pickling: ship the checkpoint, rebuild the network --------------
+    __getstate__ = to_checkpoint
 
-    def __setstate__(self, state: dict) -> None:
-        rebuilt = self._from_meta_and_weights(state["meta"], state["weights"])
-        self.__dict__.update(rebuilt.__dict__)
+    def __setstate__(self, state: checkpoint.Checkpoint) -> None:
+        self.__dict__.update(self.from_checkpoint(state).__dict__)

@@ -4,20 +4,22 @@ Drives a running daemon over its real socket front end: one connection
 per tenant, submissions interleaved round-robin, each request waiting
 for its response before the next is sent (closed loop — the offered
 load adapts to service capacity instead of overrunning it).  Measures
-client-observed request latency and end-to-end requests/sec, then
-drains every tenant and folds in the service-side decision-latency
-percentiles.  The CI serve smoke and the tests drive the daemon with it.
+client-observed request latency (into a telemetry histogram, as the
+service does) and end-to-end requests/sec, then drains every tenant and
+folds in the service-side decision-latency percentiles.  The CI serve
+smoke and the tests drive the daemon with it.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
 
+from repro.telemetry.core import Histogram
 from repro.workloads.job import Job
 from repro.workloads.sampler import SequenceSampler
 
 from .client import ServeClient
-from .service import _percentile
+from .service import latency_summary
 
 __all__ = ["trace_jobs", "run_closed_loop"]
 
@@ -55,7 +57,7 @@ def run_closed_loop(
     }
     try:
         streams = {tenant: iter(jobs) for tenant, jobs in jobs_by_tenant.items()}
-        latencies: list[float] = []
+        latencies = Histogram()
         per_tenant = {tenant: {"requests": 0, "decisions": 0}
                       for tenant in jobs_by_tenant}
         requests = decisions = 0
@@ -68,7 +70,7 @@ def run_closed_loop(
                     continue
                 t0 = perf_counter()
                 response = clients[tenant].submit(job, tenant=tenant)
-                latencies.append(perf_counter() - t0)
+                latencies.record(perf_counter() - t0)
                 requests += 1
                 decisions += response["decisions"]
                 per_tenant[tenant]["requests"] += 1
@@ -80,12 +82,7 @@ def run_closed_loop(
             "requests_per_sec": requests / wall if wall > 0 else None,
             "decisions": decisions,
         }
-        latencies.sort()
-        report["request_latency_sec"] = {
-            "p50": _percentile(latencies, 0.50),
-            "p99": _percentile(latencies, 0.99),
-            "mean": sum(latencies) / len(latencies) if latencies else None,
-        }
+        report["request_latency_sec"] = latency_summary(latencies)
         if drain:
             stats = {}
             for tenant, client in clients.items():
@@ -97,20 +94,13 @@ def run_closed_loop(
                 }
             report["decisions"] = decisions
             report["tenants"] = stats
-            # service-side decision latency, aggregated over tenants by
-            # total order statistics would need raw samples; report the
-            # worst tenant's percentiles — the conservative gate input
-            decision_p50 = [
-                s["decision_latency_sec"]["p50"] for s in stats.values()
-                if s["decision_latency_sec"]["p50"] is not None
-            ]
-            decision_p99 = [
-                s["decision_latency_sec"]["p99"] for s in stats.values()
-                if s["decision_latency_sec"]["p99"] is not None
-            ]
+            # service-side decision latency: the worst tenant's
+            # percentiles, the conservative gate input
             report["decision_latency_sec"] = {
-                "p50": max(decision_p50) if decision_p50 else None,
-                "p99": max(decision_p99) if decision_p99 else None,
+                q: max((s["decision_latency_sec"][q] for s in stats.values()
+                        if s["decision_latency_sec"][q] is not None),
+                       default=None)
+                for q in ("p50", "p99")
             }
         report["per_tenant"] = per_tenant
         return report

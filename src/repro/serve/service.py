@@ -21,13 +21,14 @@ anywhere in the decision path.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from time import perf_counter
 
 from repro.config import ServeConfig, TenantConfig
 from repro.schedulers import RLSchedulerPolicy, make_scheduler
 from repro.sim import ClusterSpec, OnlineSchedulingEngine
 from repro.telemetry import core as _telemetry
+from repro.telemetry.core import Histogram, histogram_quantile
 
 from .protocol import (
     ProtocolError,
@@ -38,9 +39,6 @@ from .protocol import (
 )
 
 __all__ = ["ServiceError", "SchedulerService", "SchedulerRouter"]
-
-#: client-visible decision latencies kept for exact percentiles (stats)
-_LATENCY_WINDOW = 65_536
 
 
 class ServiceError(ValueError):
@@ -65,20 +63,19 @@ class SchedulerService:
         self._completed_history = completed_history
         self._records: dict[int, dict] = {}  # live jobs (pending/running)
         self._finished: OrderedDict[int, dict] = OrderedDict()
-        self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self.n_decisions = 0
         self.n_finished = 0
-        # per-tenant labelled instruments, resolved once (no-op when off)
+        # Every decision's latency is recorded once, into one histogram:
+        # the registry's per-tenant instrument when telemetry is on, a
+        # private one otherwise; stats() reads its quantiles.
         reg = _telemetry.current()
         suffix = f"{{tenant={tenant.name}}}"
-        self._tel_decision = (
+        self._latency = (
             reg.histogram(f"serve.decision_latency_sec{suffix}")
             if reg.enabled
-            else None
+            else Histogram()
         )
-        self._tel_decisions = (
-            reg.counter(f"serve.decisions{suffix}") if reg.enabled else None
-        )
+        self._tel_decisions = reg.counter(f"serve.decisions{suffix}")
 
     # ------------------------------------------------------------------
     def submit(self, payload: dict) -> dict:
@@ -133,7 +130,6 @@ class SchedulerService:
         return {"job": dict(record)}
 
     def stats(self) -> dict:
-        latencies = sorted(self._latencies)
         engine = self.engine
         return {
             "tenant": self.tenant.name,
@@ -147,12 +143,7 @@ class SchedulerService:
             "free_procs": engine.cluster.free_procs,
             "now": engine.now,
             "decisions": self.n_decisions,
-            "decision_latency_sec": {
-                "count": len(latencies),
-                "p50": _percentile(latencies, 0.50),
-                "p99": _percentile(latencies, 0.99),
-                "mean": sum(latencies) / len(latencies) if latencies else None,
-            },
+            "decision_latency_sec": latency_summary(self._latency),
         }
 
     # ------------------------------------------------------------------
@@ -164,11 +155,8 @@ class SchedulerService:
             t0 = perf_counter()
             best = self.policy.select(engine.pending, engine.now, engine.cluster)
             started = engine.commit(best)
-            elapsed = perf_counter() - t0
-            self._latencies.append(elapsed)
-            if self._tel_decision is not None:
-                self._tel_decision.record(elapsed)
-                self._tel_decisions.add()
+            self._latency.record(perf_counter() - t0)
+            self._tel_decisions.add()
             self.n_decisions += 1
             made += 1
             if not started:
@@ -215,11 +203,18 @@ class SchedulerService:
         return record["state"] if record else "unknown"
 
 
-def _percentile(sorted_values: list[float], q: float):
-    if not sorted_values:
-        return None
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
+def latency_summary(hist: Histogram) -> dict:
+    """``count`` / ``p50`` / ``p99`` / ``mean`` of a latency histogram
+    (bucket-interpolated quantiles; ``None`` while it is empty)."""
+    if hist.count == 0:
+        return {"count": 0, "p50": None, "p99": None, "mean": None}
+    entry = hist.to_dict()
+    return {
+        "count": hist.count,
+        "p50": histogram_quantile(entry, 0.50),
+        "p99": histogram_quantile(entry, 0.99),
+        "mean": hist.sum / hist.count,
+    }
 
 
 class SchedulerRouter:

@@ -418,10 +418,6 @@ class SchedGym:
         return self.config.observation_shape
 
     @property
-    def n_actions(self) -> int:
-        return self.config.max_obsv_size
-
-    @property
     def engine(self) -> SchedulingEngine:
         if self._engine is None:
             raise RuntimeError("call reset() before stepping the environment")

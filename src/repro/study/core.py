@@ -5,9 +5,9 @@ policy trained on one workload × cluster setting perform on every other
 setting?  This module orchestrates the answer end to end:
 
 :func:`train_matrix`
-    one :class:`~repro.rl.trainer.Trainer` run per scenario, each
+    one :class:`~repro.rl.Trainer` run per scenario, each
     checkpointed into a *policy zoo* directory as ``<scenario>.npz``
-    (:meth:`~repro.rl.trainer.TrainingResult.save` — weights, best-epoch
+    (:meth:`~repro.rl.TrainingResult.save` — weights, best-epoch
     snapshot, training curve, provenance).  The zoo makes the study
     resumable: scenarios whose checkpoint already exists skip training
     and restore the saved result instead, which deploys and evaluates
@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from repro.config import EnvConfig, ScenarioConfig, StudyConfig
-from repro.rl.trainer import Trainer, TrainingResult
+from repro.rl import Trainer, TrainingResult
 from repro.scenarios import Scenario, available_scenarios, get_scenario
 from repro.schedulers import RLSchedulerPolicy, make_scheduler
 from repro.sim.metrics import metric_by_name

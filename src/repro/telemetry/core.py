@@ -133,10 +133,11 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    def _bucket(self, value: float) -> int:
-        # upper-inclusive edges: the first bound >= value owns the value,
-        # anything past the last edge lands in the overflow bucket
-        return bisect_left(self.bounds, value)
+    def to_dict(self) -> dict:
+        """The entry snapshots carry and :func:`histogram_quantile` reads."""
+        return {"bounds": list(self.bounds), "counts": list(self.counts),
+                "count": self.count, "sum": self.sum, "min": self.min,
+                "max": self.max}
 
 
 def histogram_quantile(hist: dict, q: float) -> float:
@@ -448,11 +449,7 @@ class Telemetry:
                     "min": g.min, "max": g.max}
                 for k, g in self._gauges.items()
             },
-            histograms={
-                k: {"bounds": list(h.bounds), "counts": list(h.counts),
-                    "count": h.count, "sum": h.sum, "min": h.min, "max": h.max}
-                for k, h in self._histograms.items()
-            },
+            histograms={k: h.to_dict() for k, h in self._histograms.items()},
             spans={k: dict(v) for k, v in self._spans.items()},
         )
 

@@ -422,7 +422,7 @@ class TestTrainSummary:
     @staticmethod
     def result_with_curve(metric, values, best_epoch):
         from repro.rl.ppo import UpdateStats
-        from repro.rl.trainer import EpochRecord, TrainingResult
+        from repro.rl import EpochRecord, TrainingResult
 
         stats = UpdateStats(policy_loss=0.0, value_loss=0.0, kl=0.0,
                             entropy=0.0, pi_iters_run=1, early_stopped=False)
@@ -462,6 +462,57 @@ class TestTrainSummary:
         summary = _train_summary(
             self.result_with_curve("bsld", [40.0, 19.0], best_epoch=-1))
         assert "final 19.00" in summary
+
+
+class TestPolicyFiles:
+    """What ``train -o`` writes is the whole training checkpoint; a policy
+    file that is missing, truncated or foreign stops ``serve`` and
+    ``evaluate`` with one line naming it and exit 2, no traceback."""
+
+    def test_train_output_is_a_training_checkpoint(self, tmp_path, capsys):
+        from repro.rl import TrainingResult
+        from repro.schedulers import RLSchedulerPolicy
+
+        model = tmp_path / "m.npz"
+        assert main([
+            "train", "Lublin-1", "--jobs", "600", "--epochs", "2",
+            "--trajectories", "2", "--length", "16", "--obsv", "8",
+            "-o", str(model),
+        ]) == 0
+        result = TrainingResult.load(model)
+        assert len(result.curve) == 2 and result.value is not None
+        deployed = RLSchedulerPolicy.load(model)
+        assert deployed.name == result.as_scheduler().name == "RL-Lublin-1"
+
+    @pytest.fixture(params=["missing", "truncated", "foreign"])
+    def bad_file(self, request, tmp_path):
+        import numpy as np
+        from repro.nn import KernelPolicy
+        from repro.schedulers import RLSchedulerPolicy
+
+        path = tmp_path / f"{request.param}.npz"
+        if request.param == "truncated":
+            RLSchedulerPolicy(KernelPolicy(7, seed=0), 64).save(path)
+            path.write_bytes(path.read_bytes()[:100])
+        elif request.param == "foreign":
+            np.savez(path, weights=np.zeros(3))
+        return path
+
+    @pytest.mark.parametrize("command", ["serve", "evaluate"])
+    def test_bad_policy_file_fails_in_one_line(self, command, bad_file,
+                                               capsys):
+        argv = (
+            ["serve", "--port", "0", "--tenant", f"t:{bad_file}:64"]
+            if command == "serve" else
+            ["evaluate", "Lublin-1", "--jobs", "400", "--sequences", "1",
+             "--length", "16", "--model", str(bad_file)]
+        )
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"{command}: {bad_file}: ")
+        assert "Traceback" not in captured.err
 
 
 class TestServeParser:

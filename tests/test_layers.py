@@ -245,14 +245,6 @@ class TestModuleMechanics:
         with pytest.raises(ValueError):
             b.load_state_dict(a.state_dict())
 
-    def test_save_load_file(self, tmp_path):
-        a = Dense(3, 2, rng=np.random.default_rng(0))
-        path = tmp_path / "w.npz"
-        a.save(path)
-        b = Dense(3, 2, rng=np.random.default_rng(5))
-        b.load(path)
-        np.testing.assert_allclose(a.weight.data, b.weight.data)
-
     def test_networks_are_created_float32_from_the_same_draws(self):
         """A seed names the network it always did: the float64 draws,
         rounded once."""

@@ -95,7 +95,7 @@ class TestTrainMatrix:
         assert meta["epochs"] == config.train.epochs
         assert meta["policy_preset"] == config.policy_preset
         # and it survives the npz round trip
-        from repro.rl.trainer import TrainingResult
+        from repro.rl import TrainingResult
 
         restored = TrainingResult.load(trained["lublin-64"].checkpoint)
         assert restored.train_meta == meta
@@ -202,7 +202,7 @@ class TestCheckpointLoad:
         return path
 
     def test_truncated_file(self, saved, zoo, tmp_path):
-        from repro.rl.trainer import TrainingResult
+        from repro.rl import TrainingResult
 
         data = saved.read_bytes()
         saved.write_bytes(data[: len(data) // 2])
@@ -220,7 +220,7 @@ class TestCheckpointLoad:
             train_matrix(resume)
 
     def test_foreign_npz(self, tmp_path):
-        from repro.rl.trainer import TrainingResult
+        from repro.rl import TrainingResult
 
         path = tmp_path / "foreign.npz"
         np.savez(path, weights=np.zeros(3))
@@ -228,15 +228,15 @@ class TestCheckpointLoad:
             TrainingResult.load(path)
 
     def test_metadata_missing_a_field(self, saved):
-        from repro.rl.trainer import TrainingResult
+        from repro.rl import TrainingResult
 
         with np.load(saved) as data:
             arrays = {key: data[key] for key in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        del meta["policy_preset"]
+        del meta["preset"]
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
         np.savez(saved, **arrays)
-        with pytest.raises(ValueError, match="ckpt.npz.*policy_preset"):
+        with pytest.raises(ValueError, match="ckpt.npz.*lacks field.*preset"):
             TrainingResult.load(saved)
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.config import EnvConfig, EvalConfig, PPOConfig, TelemetryConfig, TrainConfig
 from repro.rl import TrajectoryBuffer, Trainer
-from repro.rl.trainer import EpochRecord, UpdateStats
+from repro.rl import EpochRecord, UpdateStats
 from repro.telemetry import core
 from repro.telemetry.core import (
     INT_BOUNDS,

@@ -17,7 +17,8 @@ from repro.config import EnvConfig, PPOConfig, TrainConfig
 from repro.nn import ValueMLP, make_policy
 from repro.rl import PPOAgent, Trainer, TrajectoryBuffer, make_reward, train
 from repro.rl.ppo import UpdateStats
-from repro.rl.trainer import EpochRecord, lockstep_rollout
+from repro.rl import EpochRecord
+from repro.rl.trainer import lockstep_rollout
 from repro.runtime import stream_rng
 from repro.sim import VecSchedGym
 from repro.workloads import SequenceSampler, load_trace
@@ -77,7 +78,7 @@ class TestTrainerMechanics:
         assert len(run_scheduler(seq, trace.max_procs, sched)) == 30
 
     def test_as_scheduler_before_train_raises(self, trace):
-        from repro.rl.trainer import TrainingResult
+        from repro.rl import TrainingResult
 
         result = TrainingResult(trace_name="x", metric="bsld", policy_preset="kernel")
         with pytest.raises(RuntimeError):
@@ -133,7 +134,7 @@ class TestTrainerMechanics:
             loaded.metric_curve(), result.metric_curve())
 
     def test_save_before_train_raises(self, tmp_path):
-        from repro.rl.trainer import TrainingResult
+        from repro.rl import TrainingResult
 
         result = TrainingResult(trace_name="x", metric="bsld",
                                 policy_preset="kernel")

@@ -49,7 +49,6 @@ from .config import (
     EvalConfig,
     FeatureLayoutError,
     PPOConfig,
-    RuntimeConfig,
     ScenarioConfig,
     ServeConfig,
     StudyConfig,
@@ -88,7 +87,6 @@ __all__ = [
     "PPOConfig",
     "TrainConfig",
     "EvalConfig",
-    "RuntimeConfig",
     "ScenarioConfig",
     "ServeConfig",
     "TenantConfig",

@@ -30,15 +30,15 @@ arguments override.  ``EvalConfig.scenario`` selects one from config
 alone (``evaluate(SJF(), config=EvalConfig(scenario=ScenarioConfig(
 name="hpc2n")))``).
 
-Execution runtime
------------------
-Sequences are independent simulations, so all calls fan them out through
-:mod:`repro.runtime`: ``EvalConfig.runtime`` selects the backend
-(``RuntimeConfig(backend="process", workers=N)`` for a process pool).
+Worker processes
+----------------
+Sequences are independent simulations.  ``EvalConfig.workers`` (1 by
+default) runs them in a loop in this process; ``workers=N`` fans them
+over a :class:`repro.runtime.ProcessPoolBackend` of N processes.
 Sequences are pre-sampled in the parent and dispatched by index, and
 per-sequence values are reassembled in sampling order — scores are
-bit-identical for any backend and worker count.  Schedulers and sequences
-are broadcast to workers once per call (for RL policies this is the
+bit-identical for any worker count.  Schedulers and sequences are
+broadcast to workers once per call (for RL policies this is the
 policy-weight broadcast), so each task ships a few integers; the
 scenario matrix broadcasts every scenario's sequences once and ships
 ``(scenario, scheduler, sequence)`` index triples.
@@ -46,6 +46,8 @@ scenario matrix broadcasts every scenario's sequences once and ships
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import time
 from typing import Mapping, Sequence
 
@@ -55,7 +57,7 @@ from .config import EvalConfig
 from .rl.trainer import train as _train
 from .telemetry import core as _telemetry
 from .telemetry.sink import telemetry_run
-from .runtime import make_backend
+from .runtime import ProcessPoolBackend
 from .scenarios import Scenario, get_scenario, resolve_scenario_config
 from .schedulers.base import Scheduler
 from .sim.cluster import ClusterSpec
@@ -118,7 +120,7 @@ class EvalResult(float):
 # worker-side task functions (top-level: picklable by reference)
 # ----------------------------------------------------------------------
 def _install_matrix_state(state, schedulers, cells):
-    """One-shot broadcast of everything a worker needs: ``cells[ci]``
+    """One-shot install of everything a worker needs: ``cells[ci]``
     holds one evaluation setting's pre-sampled sequences, cluster spec,
     backfill mode and metric name.  evaluate/compare are the one-cell
     special case of the scenario matrix, so this is the single worker
@@ -139,7 +141,7 @@ def _matrix_task(state, task):
     """Score scheduler ``si`` on sequence ``qi`` of cell ``ci``.
 
     Records the full simulate+score latency into the
-    ``eval.cell_latency_sec`` histogram; on a process backend the sample
+    ``eval.cell_latency_sec`` histogram; in a pool worker the sample
     piggybacks back to the parent worker-labelled.
     """
     ci, si, qi = task
@@ -159,11 +161,13 @@ def _matrix_task(state, task):
 
 
 def _run_cells(
-    schedulers, cells, runtime, cell_schedulers=None, heartbeat=None
+    schedulers, cells, workers, cell_schedulers=None, heartbeat=None
 ) -> list[list[np.ndarray]]:
-    """Fan every (cell, scheduler, sequence) task over ``runtime`` and
-    reassemble ``values[ci][si]`` in dispatch order (bit-identical for
-    any backend and worker count).
+    """Run every (cell, scheduler, sequence) task and reassemble
+    ``values[ci][si]`` in task order.  One worker runs the tasks in a loop
+    in this process; more fan them over a pool of ``workers`` processes.
+    Both run the same tasks in the same global order, so the values are
+    bit-identical for any worker count.
 
     ``cell_schedulers`` optionally restricts each cell to a subset of the
     global scheduler list: one list of scheduler indices per cell (the
@@ -175,7 +179,7 @@ def _run_cells(
     ``heartbeat(ci, seconds)``, when given, is called in the parent after
     each cell's tasks finish (study progress reporting).  Tasks are then
     dispatched cell-by-cell — still in the exact global task order, so
-    results stay bit-identical with the single-map path.
+    results stay bit-identical with the single-batch path.
     """
     if cell_schedulers is None:
         cell_schedulers = [list(range(len(schedulers)))] * len(cells)
@@ -185,16 +189,25 @@ def _run_cells(
         for si in cell_schedulers[ci]
         for qi in range(len(cells[ci][0]))
     ]
-    with make_backend(runtime) as backend:
-        backend.broadcast(_install_matrix_state, list(schedulers), cells)
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            state: dict = {}
+            _install_matrix_state(state, list(schedulers), cells)
+
+            def run(batch):
+                return [_matrix_task(state, t) for t in batch]
+        else:
+            pool = stack.enter_context(ProcessPoolBackend(workers))
+            pool.broadcast(_install_matrix_state, list(schedulers), cells)
+            run = functools.partial(pool.map, _matrix_task)
         if heartbeat is None:
-            values = backend.map(_matrix_task, tasks)
+            values = run(tasks)
         else:
             values = []
             for ci in range(len(cells)):
                 cell_tasks = [t for t in tasks if t[0] == ci]
                 t0 = time.perf_counter()
-                values.extend(backend.map(_matrix_task, cell_tasks))
+                values.extend(run(cell_tasks))
                 heartbeat(ci, time.perf_counter() - t0)
     out: list[list[np.ndarray]] = []
     cursor = 0
@@ -264,17 +277,17 @@ def _evaluate_matrix(
     config: EvalConfig,
     cluster: ClusterSpec | None = None,
 ) -> np.ndarray:
-    """Per-(scheduler, sequence) metric values, ``(S, Q)``, on the
-    configured runtime — the one-cell case of :func:`_run_cells`.  Every
+    """Per-(scheduler, sequence) metric values, ``(S, Q)``, over
+    ``config.workers`` — the one-cell case of :func:`_run_cells`.  Every
     scheduler sees the identical pre-sampled sequence list, and results
-    are assembled in (scheduler, sequence) order regardless of backend or
-    worker count."""
+    are assembled in (scheduler, sequence) order regardless of worker
+    count."""
     metric_by_name(metric)  # fail fast in the parent on unknown metrics
     cluster = cluster or ClusterSpec(trace.max_procs)
     sampler = SequenceSampler(trace, config.sequence_length, seed=config.seed)
     sequences = sampler.sample_many(config.n_sequences)
     cells = [(sequences, cluster, backfill, metric)]
-    values = _run_cells(schedulers, cells, config.runtime)
+    values = _run_cells(schedulers, cells, config.workers)
     return np.stack(values[0])
 
 
@@ -354,14 +367,14 @@ def scenario_matrix(
     """The scenario × scheduler evaluation matrix.
 
     Every (scenario, scheduler, sequence) simulation is an independent
-    task fanned over ``config.runtime`` (the PR-2 execution backend), so
-    the whole matrix parallelises across workers with one broadcast.
-    Per scenario, all schedulers see identical pre-sampled sequences.
+    task fanned over ``config.workers`` processes, so the whole matrix
+    parallelises across workers with one broadcast.  Per scenario, all
+    schedulers see identical pre-sampled sequences.
 
     ``metric`` / ``backfill`` override every scenario's protocol when
     given; ``config`` (if given) pins the sequence count/length/seed and
-    the runtime for the whole matrix, otherwise each scenario evaluates
-    under its own protocol on the serial backend.  ``n_jobs`` shrinks
+    the worker count for the whole matrix, otherwise each scenario
+    evaluates under its own protocol in this process.  ``n_jobs`` shrinks
     every scenario's workload (smoke runs).
 
     Returns ``{scenario name: {scheduler name: EvalResult}}`` in input
@@ -397,7 +410,7 @@ def scenario_matrix(
         eval_config.telemetry,
         meta={"command": "scenario_matrix", "scenarios": len(resolved)},
     ):
-        values = _run_cells([s for _, s in items], cells, eval_config.runtime)
+        values = _run_cells([s for _, s in items], cells, eval_config.workers)
     return {
         scen.name: {
             name: EvalResult(values[ci][si])

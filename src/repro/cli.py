@@ -66,7 +66,6 @@ import sys
 from . import (
     EvalConfig,
     EnvConfig,
-    RuntimeConfig,
     ScenarioConfig,
     ServeConfig,
     StudyConfig,
@@ -82,7 +81,12 @@ from . import (
 from .checkpoint import CheckpointError
 from .nn import POLICY_PRESETS
 from .scenarios import available_scenarios, get_scenario
-from .schedulers import HEURISTICS, RLSchedulerPolicy, make_scheduler
+from .schedulers import (
+    ALL_HEURISTICS,
+    HEURISTICS,
+    RLSchedulerPolicy,
+    make_scheduler,
+)
 from .sim.metrics import METRICS, metric_by_name
 from .workloads import available_traces, characterize, write_swf
 
@@ -140,9 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="warnings and errors only on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario_names = available_scenarios()
+    scenario_list = _name_list("scenario", scenario_names)
+    scheduler_list = _name_list("scheduler", ALL_HEURISTICS)
 
     p = sub.add_parser("traces", help="list workloads and their statistics")
-    p.add_argument("--jobs", type=int, default=2000)
+    p.add_argument("--jobs", type=_positive_int, default=2000)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scenarios", help="list registered scenarios")
@@ -150,17 +157,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic workload to SWF")
     p.add_argument("name", choices=available_traces())
-    p.add_argument("--jobs", type=int, default=10_000)
+    p.add_argument("--jobs", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("evaluate", help="compare schedulers on a workload")
     p.add_argument("name", nargs="?", default=None,
                    help="trace name (omit when using --scenario)")
-    p.add_argument("--scenario", default=None,
+    p.add_argument("--scenario", default=None, choices=scenario_names,
+                   metavar="SCENARIO",
                    help="registered scenario name (workload + cluster + "
                         "protocol defaults)")
-    p.add_argument("--jobs", type=int, default=4000)
+    p.add_argument("--jobs", type=_positive_int, default=4000)
     p.add_argument("--seed", type=int, default=None,
                    help="workload-generation seed; with --scenario it also "
                         "overrides the protocol's sequence-sampling seed "
@@ -172,13 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="force backfilling on (--backfill) or off "
                         "(--no-backfill); default: the scenario protocol, "
                         "off for plain traces")
-    p.add_argument("--sequences", type=int, default=4)
-    p.add_argument("--length", type=int, default=256)
+    p.add_argument("--sequences", type=_positive_int, default=4)
+    p.add_argument("--length", type=_positive_int, default=256)
     p.add_argument("--swf-dir", default=None)
     p.add_argument("--model", default=None,
                    help="policy checkpoint (.npz) to include")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="fan sequences over N worker processes (1 = serial)")
+                   help="fan sequences over N worker processes "
+                        "(1 = in-process)")
     p.add_argument("--telemetry", metavar="PATH", default=None,
                    help="enable telemetry and write the repro/telemetry@1 "
                         "JSONL trace to PATH")
@@ -186,10 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "compare", help="scenario × scheduler evaluation matrix"
     )
-    p.add_argument("--scenarios", default=None,
+    p.add_argument("--scenarios", type=scenario_list, default=None,
                    help="comma-separated scenario names (default: all "
                         "registered)")
-    p.add_argument("--schedulers", default="FCFS,SJF,WFP3,UNICEP,F1",
+    p.add_argument("--schedulers", type=scheduler_list,
+                   default="FCFS,SJF,WFP3,UNICEP,F1",
                    help="comma-separated scheduler names")
     p.add_argument("--metric", choices=sorted(METRICS), default=None,
                    help="override every scenario's protocol metric")
@@ -197,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="force backfilling on/off for every scenario "
                         "(default: each scenario's protocol)")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="shrink every scenario workload to N jobs")
-    p.add_argument("--sequences", type=int, default=4)
-    p.add_argument("--length", type=int, default=128)
+    p.add_argument("--sequences", type=_positive_int, default=4)
+    p.add_argument("--length", type=_positive_int, default=128)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="fan matrix cells over N worker processes")
@@ -210,9 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an RL policy and save it")
     p.add_argument("name", nargs="?", default=None,
                    help="trace name (omit when using --scenario)")
-    p.add_argument("--scenario", default=None,
+    p.add_argument("--scenario", default=None, choices=scenario_names,
+                   metavar="SCENARIO",
                    help="registered scenario name to train inside")
-    p.add_argument("--jobs", type=int, default=4000)
+    p.add_argument("--jobs", type=_positive_int, default=4000)
     p.add_argument("--metric", choices=sorted(METRICS), default="bsld")
     _add_train_flags(p)
     p.add_argument("--swf-dir", default=None)
@@ -223,27 +234,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-scenario generalization study (Table VII): train one "
              "policy per scenario, evaluate every policy on every scenario",
     )
-    p.add_argument("--scenarios", default=None,
+    p.add_argument("--scenarios", type=scenario_list, default=None,
                    help="comma-separated scenario names (default: all "
                         "registered)")
     p.add_argument("--zoo-dir", default="zoo",
                    help="policy-checkpoint directory; scenarios whose "
                         "<name>.npz already exists skip training (resume)")
-    p.add_argument("--heuristics", default="FCFS,SJF,WFP3,UNICEP,F1",
+    p.add_argument("--heuristics", type=scheduler_list,
+                   default="FCFS,SJF,WFP3,UNICEP,F1",
                    help="comma-separated heuristic baselines")
     p.add_argument("--metric", choices=sorted(METRICS), default=None,
                    help="override every scenario's protocol metric")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="shrink every scenario workload to N jobs")
     _add_train_flags(p)
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="fan the evaluation cells over N worker processes "
-                        "(1 = serial, same results either way); training "
-                        "runs in this process")
-    p.add_argument("--sequences", type=int, default=None,
+                        "(1 = in-process, same results either way); "
+                        "training runs in this process")
+    p.add_argument("--sequences", type=_positive_int, default=None,
                    help="evaluation sequences per scenario "
                         "(default: each scenario's protocol)")
-    p.add_argument("--eval-length", type=int, default=None,
+    p.add_argument("--eval-length", type=_positive_int, default=None,
                    help="evaluation sequence length (default: protocol)")
     p.add_argument("--on-mismatch", choices=["adapt", "fail"],
                    default="adapt",
@@ -259,10 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
              "multi-tenant)",
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7653,
+    p.add_argument("--port", type=_port, default=7653,
                    help="TCP port (0 = ephemeral; the daemon prints the "
                         "bound address on stdout)")
-    p.add_argument("--tenant", action="append", default=None,
+    p.add_argument("--tenant", action="append", type=_parse_tenant,
+                   default=None,
                    metavar="NAME:SCHED:PROCS[:BACKFILL[:MEMORY]]",
                    help="add a logical cluster: SCHED is a heuristic name "
                         "or a saved policy .npz path; BACKFILL is "
@@ -281,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="client for a running daemon: submit jobs, query, drain",
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7653)
+    p.add_argument("--port", type=_port, default=7653)
     p.add_argument("--tenant", default=None,
                    help="tenant name (optional for single-tenant daemons)")
     p.add_argument("--swf", default=None, metavar="FILE",
@@ -324,11 +337,11 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="training seed (train: the workload's too; study: "
                         "workloads keep scenario seeds)")
-    p.add_argument("--epochs", type=int, default=16)
-    p.add_argument("--trajectories", type=int, default=14)
-    p.add_argument("--length", type=int, default=64,
+    p.add_argument("--epochs", type=_positive_int, default=16)
+    p.add_argument("--trajectories", type=_positive_int, default=14)
+    p.add_argument("--length", type=_positive_int, default=64,
                    help="training trajectory length (jobs per sequence)")
-    p.add_argument("--obsv", type=int, default=32,
+    p.add_argument("--obsv", type=_positive_int, default=32,
                    help="MAX_OBSV_SIZE (paper default 128)")
     p.add_argument("--policy", choices=list(POLICY_PRESETS), default="kernel")
     p.add_argument("--filter", action="store_true",
@@ -356,7 +369,7 @@ def _telemetry_config(args) -> TelemetryConfig | None:
     path = getattr(args, "telemetry", None)
     if path is None:
         return None
-    return TelemetryConfig(enabled=True, path=path)
+    return TelemetryConfig(path=path)
 
 
 def _positive_int(text: str) -> int:
@@ -371,6 +384,27 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0..65535, got {value}")
+    return value
+
+
+def _name_list(kind: str, known):
+    """A ``type=`` for a comma-separated list of names, each in ``known``."""
+    def parse(text: str) -> list[str]:
+        names = [n.strip() for n in text.split(",")]
+        unknown = [n for n in names if n not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} {', '.join(map(repr, unknown))}; "
+                f"known: {', '.join(sorted(known))}"
+            )
+        return names
+    return parse
 
 
 def _cmd_traces(args) -> int:
@@ -409,17 +443,16 @@ def _cmd_evaluate(args) -> int:
         print("evaluate: pass a trace name or --scenario (not both)",
               file=sys.stderr)
         return 2
-    runtime = RuntimeConfig.from_workers(args.workers)
     schedulers = [cls() for cls in HEURISTICS.values()]
     if args.scenario:
-        scen = get_scenario(args.scenario)  # fail fast on unknown names
+        scen = get_scenario(args.scenario)
         # Seed precedence: --seed overrides BOTH the workload-generation
         # seed and the protocol's sequence-sampling seed; without it the
         # scenario defaults apply to both.
         eval_seed = scen.protocol.seed if args.seed is None else args.seed
         config = EvalConfig(
             n_sequences=args.sequences, sequence_length=args.length,
-            seed=eval_seed, runtime=runtime,
+            seed=eval_seed, workers=args.workers,
             telemetry=_telemetry_config(args),
             scenario=ScenarioConfig(name=args.scenario, n_jobs=args.jobs,
                                     seed=args.seed),
@@ -436,7 +469,7 @@ def _cmd_evaluate(args) -> int:
                                swf_dir=args.swf_dir)
         config = EvalConfig(n_sequences=args.sequences,
                             sequence_length=args.length, seed=42,
-                            runtime=runtime,
+                            workers=args.workers,
                             telemetry=_telemetry_config(args))
         n_procs = trace_arg.max_procs
         metric = args.metric or "bsld"
@@ -471,13 +504,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    names = ([n.strip() for n in args.scenarios.split(",")] if args.scenarios
-             else available_scenarios())
-    scheds = [make_scheduler(n.strip()) for n in args.schedulers.split(",")]
+    names = args.scenarios or available_scenarios()
+    scheds = [make_scheduler(n) for n in args.schedulers]
     config = EvalConfig(
         n_sequences=args.sequences, sequence_length=args.length,
-        seed=args.seed,
-        runtime=RuntimeConfig.from_workers(args.workers),
+        seed=args.seed, workers=args.workers,
     )
     matrix = scenario_matrix(
         scheds, names, metric=args.metric,
@@ -532,7 +563,6 @@ def _cmd_train(args) -> int:
     scenario_cfg = None
     trace = None
     if args.scenario:
-        get_scenario(args.scenario)  # fail fast on unknown names
         scenario_cfg = ScenarioConfig(name=args.scenario, n_jobs=args.jobs,
                                       seed=args.seed)
         trace_label = f"scenario {args.scenario}"
@@ -581,10 +611,9 @@ def _train_summary(result) -> str:
 
 def _cmd_study(args) -> int:
     config = StudyConfig(
-        scenarios=tuple(n.strip() for n in args.scenarios.split(","))
-        if args.scenarios else (),
+        scenarios=tuple(args.scenarios or ()),
         zoo_dir=args.zoo_dir,
-        heuristics=tuple(n.strip() for n in args.heuristics.split(",")),
+        heuristics=tuple(args.heuristics),
         policy_preset=args.policy,
         metric=args.metric,
         train=_train_config(args),
@@ -593,7 +622,7 @@ def _cmd_study(args) -> int:
         n_sequences=args.sequences,
         sequence_length=args.eval_length,
         on_mismatch=args.on_mismatch,
-        runtime=RuntimeConfig.from_workers(args.workers),
+        workers=args.workers,
         telemetry=_telemetry_config(args),
     )
     doc = generalization_matrix(config, progress=logger.info)
@@ -635,17 +664,27 @@ def _parse_tenant(text: str) -> TenantConfig:
             f"got {text!r}"
         )
     name, sched, procs = parts[0], parts[1], parts[2]
+    is_policy = "/" in sched or sched.endswith(".npz")
+    if not is_policy and sched not in ALL_HEURISTICS:
+        raise argparse.ArgumentTypeError(
+            f"tenant {name!r}: unknown scheduler {sched!r}; known: "
+            f"{', '.join(sorted(ALL_HEURISTICS))}"
+        )
     backfill: bool | str = False
     if len(parts) >= 4 and parts[3] and parts[3] != "none":
         backfill = True if parts[3] == "true" else parts[3]
-    memory = float(parts[4]) if len(parts) == 5 and parts[4] else None
     try:
         n_procs = int(procs)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"tenant {name!r}: PROCS must be an integer, got {procs!r}"
         ) from None
-    is_policy = "/" in sched or sched.endswith(".npz")
+    try:
+        memory = float(parts[4]) if len(parts) == 5 and parts[4] else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"tenant {name!r}: MEMORY must be a number, got {parts[4]!r}"
+        ) from None
     try:
         return TenantConfig(
             name=name,
@@ -662,7 +701,7 @@ def _parse_tenant(text: str) -> TenantConfig:
 def _cmd_serve(args) -> int:
     from .serve import serve  # lazy: the socket front end only when serving
 
-    tenants = tuple(_parse_tenant(spec) for spec in (args.tenant or ()))
+    tenants = tuple(args.tenant or ())
     config = ServeConfig(
         host=args.host,
         port=args.port,

@@ -18,7 +18,6 @@ __all__ = [
     "PPOConfig",
     "TrainConfig",
     "EvalConfig",
-    "RuntimeConfig",
     "ScenarioConfig",
     "StudyConfig",
     "TelemetryConfig",
@@ -50,7 +49,7 @@ class ScenarioConfig:
     workload size/seed.  Resolution happens in :mod:`repro.scenarios`
     (``get_scenario(config.name)``) — the config itself is plain data so
     it can live inside the frozen train/eval configs and pickle cleanly
-    to runtime workers.
+    to pool workers.
     """
 
     name: str = "lublin-256"
@@ -67,59 +66,21 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class RuntimeConfig:
-    """Where independent simulations execute (see :mod:`repro.runtime`).
-
-    ``backend="serial"`` runs everything in-process; ``"process"`` fans
-    evaluation cells out over ``workers`` persistent ``multiprocessing``
-    workers, which exchange pickles over pipes.  Both produce
-    bit-identical results for the same seeds — the backend is a pure
-    throughput knob, pinned by the runtime golden tests.  Training does
-    not take one: it rolls out in the trainer's own process.
-    """
-
-    #: accepted execution backends
-    BACKENDS = ("serial", "process")
-
-    backend: str = "serial"
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.backend not in self.BACKENDS:
-            raise ValueError(
-                f"backend must be one of {self.BACKENDS}, got {self.backend!r}"
-            )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-    @classmethod
-    def from_workers(cls, workers: int) -> "RuntimeConfig":
-        """The CLI convention: ``--workers N`` means a process pool for
-        N > 1 and the serial backend for N == 1."""
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        backend = "process" if workers > 1 else "serial"
-        return cls(backend=backend, workers=workers)
-
-
-@dataclass(frozen=True)
 class TelemetryConfig:
-    """Observability knobs shared by train / evaluate / study runs.
+    """Observability for train / evaluate / study / serve runs.
 
-    Telemetry is purely observational: enabling it changes no result bit
-    (pinned by golden tests).  ``path`` selects the ``repro/telemetry@1``
-    JSONL sink (see :mod:`repro.telemetry.sink`); ``summary`` logs the
-    end-of-run summary tree through the ``repro.telemetry`` logger.
-    Enable telemetry *before* runtime backends start — pool workers
-    inherit the enabled flag at spawn, which the config-driven entry
-    points (CLI ``--telemetry``) guarantee by construction.
+    A config's ``telemetry`` field holds one of these to turn telemetry
+    on, and ``None`` to leave it off.  Telemetry is purely observational:
+    enabling it changes no result bit (pinned by golden tests).  ``path``
+    selects the ``repro/telemetry@1`` JSONL sink (see
+    :mod:`repro.telemetry.sink`); the end-of-run summary tree is logged
+    at INFO through the ``repro.telemetry`` logger.  Pool workers inherit
+    the enabled flag at spawn, and the config-driven entry points enable
+    telemetry before their pool starts.
     """
 
-    enabled: bool = False
     #: JSONL sink path (None = record in memory only)
     path: str | None = None
-    #: log the end-of-run summary tree
-    summary: bool = True
 
     def __post_init__(self) -> None:
         if self.path is not None and not self.path:
@@ -262,7 +223,8 @@ class EvalConfig:
     n_sequences: int = 10
     sequence_length: int = 1024
     seed: int = 42
-    runtime: RuntimeConfig = RuntimeConfig()  # where sequence runs execute
+    #: sequence runs fan over this many worker processes (1 = in-process)
+    workers: int = 1
     #: evaluate inside a named scenario (workload + cluster + protocol);
     #: None = caller supplies the trace explicitly
     scenario: ScenarioConfig | None = None
@@ -272,8 +234,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.n_sequences <= 0 or self.sequence_length <= 0:
             raise ValueError("n_sequences and sequence_length must be positive")
-        if not isinstance(self.runtime, RuntimeConfig):
-            raise TypeError("runtime must be a RuntimeConfig")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.scenario is not None and not isinstance(self.scenario, ScenarioConfig):
             raise TypeError("scenario must be a ScenarioConfig (or None)")
         if self.telemetry is not None and not isinstance(self.telemetry, TelemetryConfig):
@@ -376,8 +338,9 @@ class StudyConfig:
     ``train`` is the protocol every per-scenario
     :class:`~repro.rl.trainer.Trainer` runs (``train.scenario`` is filled
     in per scenario; the default is the CLI's smoke size) — the study
-    declares no training knob of its own.  ``runtime`` is where the
-    evaluation cells execute; training runs in this process.
+    declares no training knob of its own.  ``workers`` is how many
+    processes the evaluation cells fan over (1 = in-process); training
+    runs in this process.
 
     ``None`` for the eval knobs (``n_sequences`` / ``sequence_length``)
     and for ``metric`` means each scenario's own protocol applies;
@@ -407,7 +370,7 @@ class StudyConfig:
     n_sequences: int | None = None
     sequence_length: int | None = None
     on_mismatch: str = "adapt"
-    runtime: RuntimeConfig = RuntimeConfig()
+    workers: int = 1
     #: observability (spans/metrics + optional JSONL sink); None = off
     telemetry: TelemetryConfig | None = None
 
@@ -430,7 +393,7 @@ class StudyConfig:
                 f"on_mismatch must be one of {self.MISMATCH_MODES}, "
                 f"got {self.on_mismatch!r}"
             )
-        if not isinstance(self.runtime, RuntimeConfig):
-            raise TypeError("runtime must be a RuntimeConfig")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.telemetry is not None and not isinstance(self.telemetry, TelemetryConfig):
             raise TypeError("telemetry must be a TelemetryConfig (or None)")

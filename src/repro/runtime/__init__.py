@@ -1,37 +1,24 @@
-"""Unified execution runtime: where independent simulations run.
+"""Where independent simulations run: a process pool and the seeding rules.
 
-Every layer of the reproduction that fans out independent simulations —
-the paper's 10-sequence evaluation protocol, the scenario matrix and the
-generalization study's cells — dispatches through one
-:class:`ExecutionBackend`:
-
-* :class:`SerialBackend` runs everything in-process (the default, and the
-  reference semantics);
-* :class:`ProcessPoolBackend` runs the same task functions on persistent
-  ``multiprocessing`` workers with chunked dispatch and one-shot state
-  broadcast (schedulers, policy weights, pre-sampled sequences).
-
-Both backends execute tasks against per-worker *state* dicts that persist
-across calls, so a one-shot install (``api.evaluate``'s schedulers and
-sequences) and the fan-out that reads it share one dispatch layer.
-Backends are interchangeable by contract: the same tasks in the same
-order produce the same ordered results, which is what keeps process-pool
-evaluation bit-identical to serial.  Training rolls out in the trainer's
-own process (:func:`repro.rl.trainer.lockstep_rollout`) and uses only the
-seeding helpers here.
+The paper's 10-sequence evaluation protocol, the scenario matrix and the
+generalization study's cells are independent simulations.
+:func:`repro.api._run_cells` runs them in a loop in the calling process
+(one worker) or fans them over a :class:`ProcessPoolBackend` (more than
+one): persistent ``multiprocessing`` workers with chunked dispatch and
+one-shot state broadcast (schedulers, policy weights, pre-sampled
+sequences).  Both paths run the same task functions against a per-worker
+*state* dict in the same global task order, so scores are bit-identical
+for any worker count.  Training rolls out in the trainer's own process
+(:func:`repro.rl.trainer.lockstep_rollout`) and uses only the seeding
+helpers here.
 """
 
-from .backend import ExecutionBackend, WorkerError, make_backend
-from .process_pool import ProcessPoolBackend
+from .process_pool import ProcessPoolBackend, WorkerError
 from .seeding import derive_streams, stream_rng, task_seed
-from .serial import SerialBackend
 
 __all__ = [
-    "ExecutionBackend",
-    "WorkerError",
-    "make_backend",
-    "SerialBackend",
     "ProcessPoolBackend",
+    "WorkerError",
     "stream_rng",
     "derive_streams",
     "task_seed",

@@ -1,11 +1,28 @@
-"""Process-pool backend: persistent multiprocessing workers over pipes.
+"""Process pool: persistent multiprocessing workers over pipes.
 
 Workers are long-lived ``multiprocessing.Process`` children, one duplex
 pipe each.  Each worker runs a command loop against its private ``state``
-dict, so expensive setup (schedulers, policy weights, pre-sampled
-sequences) is paid once per run via ``broadcast`` and every subsequent
-dispatch ships only the small per-call payload (a few task indices in,
-one score out).
+dict that persists across calls; every task is a plain top-level function
+``fn(state, *args)``.  Two synchronous dispatch primitives cover every
+fan-out in the repo:
+
+``broadcast(fn, *args)``
+    run ``fn`` once on *every* worker with the same arguments (install
+    schedulers and the sequences they score), results by worker id; the
+    arguments are pickled once for all workers;
+``map(fn, tasks, chunksize=...)``
+    run ``fn(state, task)`` over a task list, load-balanced in chunks
+    across workers, results returned **in task order**.  The first round
+    hands chunk ``i`` to worker ``i``, so ``n_workers`` chunks of size
+    one address every worker once.
+
+So expensive setup (schedulers, policy weights, pre-sampled sequences)
+is paid once per run via ``broadcast`` and every subsequent dispatch
+ships only the small per-call payload (a few task indices in, one score
+out).  For the same task list, ``map`` / ``broadcast`` return the same
+ordered results for any worker count, which is what keeps pooled
+evaluation bit-identical to the in-process loop of
+:func:`repro.api._run_cells`.
 
 ``map`` is chunked and load-balanced: chunks are handed to whichever
 worker returns first (:func:`multiprocessing.connection.wait`), and the
@@ -49,15 +66,26 @@ import multiprocessing as mp
 import pickle
 import time
 from multiprocessing.connection import Connection, wait
+from typing import Any, Callable, Sequence
 
 from repro.telemetry import core as _telemetry
 
-from .backend import ExecutionBackend, TaskFn, WorkerError
+__all__ = ["ProcessPoolBackend", "WorkerError"]
 
-__all__ = ["ProcessPoolBackend"]
+#: worker-task signature: fn(state, *args) -> result
+TaskFn = Callable[..., Any]
 
 #: wire sentinel: decoded message is None -> worker exits its loop
 _SHUTDOWN = None
+
+
+class WorkerError(RuntimeError):
+    """A task raised inside a worker; carries the worker id and cause."""
+
+    def __init__(self, worker_id: int, cause: BaseException):
+        super().__init__(f"task failed on worker {worker_id}: {cause!r}")
+        self.worker_id = worker_id
+        self.cause = cause
 
 
 def _dumps(obj) -> bytes:
@@ -131,19 +159,29 @@ def _map_chunk(state: dict, fn: TaskFn, tasks: list) -> list:
     return [fn(state, task) for task in tasks]
 
 
-class ProcessPoolBackend(ExecutionBackend):
-    """Persistent ``multiprocessing`` workers behind the backend contract."""
+class ProcessPoolBackend:
+    """``n_workers`` persistent ``multiprocessing`` workers, each with a
+    private state dict; use as a context manager (or ``start`` /
+    ``close``)."""
 
     #: seconds to wait for a worker to exit cleanly before terminating it
     JOIN_TIMEOUT = 5.0
 
     def __init__(self, n_workers: int = 1):
-        super().__init__(n_workers)
+        if n_workers < 1:
+            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        self.n_workers = int(n_workers)
         self._procs: list[mp.Process] = []
         self._conns: list[Connection] = []
+        self._closed = False
 
     # -- lifecycle ------------------------------------------------------
-    def _start_impl(self) -> None:
+    def start(self) -> "ProcessPoolBackend":
+        """Spawn the workers (idempotent); returns self for chaining."""
+        if self._closed:
+            raise RuntimeError("pool has been closed; create a new one")
+        if self._procs:
+            return self
         ctx = mp.get_context()
         # Workers inherit the parent's telemetry enablement at spawn time;
         # enabling telemetry after the pool starts leaves workers dark.
@@ -159,8 +197,11 @@ class ProcessPoolBackend(ExecutionBackend):
             child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
+        return self
 
-    def _close_impl(self) -> None:
+    def close(self) -> None:
+        """Shut the workers down (idempotent and final)."""
+        self._closed = True
         for conn in self._conns:
             try:
                 conn.send_bytes(_dumps(_SHUTDOWN))
@@ -174,6 +215,12 @@ class ProcessPoolBackend(ExecutionBackend):
         for conn in self._conns:
             conn.close()
         self._procs, self._conns = [], []
+
+    def __enter__(self) -> "ProcessPoolBackend":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- wire helpers ---------------------------------------------------
     def _encode(self, msg) -> bytes:
@@ -227,11 +274,16 @@ class ProcessPoolBackend(ExecutionBackend):
             raise WorkerError(worker_id, payload) from payload
         return payload
 
-    def _broadcast_impl(self, fn: TaskFn, args: tuple) -> list:
+    def broadcast(self, fn: TaskFn, *args) -> list:
+        """Run ``fn(state, *args)`` on every worker; results by worker id.
+
+        The arguments are pickled once per call, not once per worker.
+        """
+        self.start()
         # Phase 1: write to every pipe so workers run concurrently;
         # phase 2: collect in worker order.  Every *delivered* call is
         # drained even on failure, so the pipes stay in sync and the
-        # backend remains usable after a task error (a dead worker still
+        # pool remains usable after a task error (a dead worker still
         # surfaces as WorkerError).
         sent, send_exc = self._send_all(fn, args)
         results, first_err = [], None
@@ -246,7 +298,24 @@ class ProcessPoolBackend(ExecutionBackend):
             raise first_err
         return results
 
-    def _map_impl(self, fn: TaskFn, tasks: list, chunksize: int) -> list:
+    def map(
+        self, fn: TaskFn, tasks: Sequence, chunksize: int | None = None
+    ) -> list:
+        """Run ``fn(state, task)`` for every task; results in task order.
+
+        Tasks are dispatched in chunks of ``chunksize`` (default: enough
+        chunks for ~4 rounds of load balancing per worker) so per-dispatch
+        overhead amortises over many small tasks while stragglers still
+        rebalance.
+        """
+        tasks = list(tasks)
+        if not tasks:
+            return []
+        if chunksize is None:
+            chunksize = max(1, -(-len(tasks) // (self.n_workers * 4)))
+        if chunksize < 1:
+            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
+        self.start()
         chunks = [
             (start, tasks[start : start + chunksize])
             for start in range(0, len(tasks), chunksize)

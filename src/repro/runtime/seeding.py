@@ -1,6 +1,6 @@
 """Per-task RNG stream derivation — the repo-wide seeding convention.
 
-Reproducibility across backends hinges on one rule: **a task's randomness
+Reproducibility across processes hinges on one rule: **a task's randomness
 depends only on its key path, never on which worker runs it or in what
 order**.  Streams are derived by seeding :func:`numpy.random.default_rng`
 with the full integer key path ``[root, stream_tag, *indices]`` (NumPy

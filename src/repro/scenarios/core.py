@@ -5,7 +5,7 @@ the paper's protocol — which workload to generate (or replay), which
 cluster to run it on, and how to score schedulers on it — behind a single
 registered name, following the environment-variant-registry pattern of
 gym-style suites.  Scenarios are plain frozen dataclasses of plain data:
-they pickle to runtime workers, serialize to JSON (``to_dict`` /
+they pickle to pool workers, serialize to JSON (``to_dict`` /
 ``from_dict``) for artifacts, and compose with the seeding convention of
 :mod:`repro.runtime.seeding` so every derived random stream is keyed by
 ``(seed, stream tag, index)``.
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.config import EnvConfig, EvalConfig, RuntimeConfig, ScenarioConfig
+from repro.config import EnvConfig, EvalConfig, ScenarioConfig
 from repro.runtime.seeding import stream_rng
 from repro.sim.cluster import ClusterSpec
 from repro.workloads.archive import TRACE_SPECS, generate_archive_trace, load_trace
@@ -223,18 +223,12 @@ class EvalProtocol:
         if self.n_sequences <= 0 or self.sequence_length <= 0:
             raise ValueError("n_sequences and sequence_length must be positive")
 
-    def eval_config(
-        self,
-        runtime: RuntimeConfig | None = None,
-        n_sequences: int | None = None,
-        sequence_length: int | None = None,
-    ) -> EvalConfig:
+    def eval_config(self) -> EvalConfig:
         """Materialise the protocol as an :class:`repro.config.EvalConfig`."""
         return EvalConfig(
-            n_sequences=n_sequences or self.n_sequences,
-            sequence_length=sequence_length or self.sequence_length,
+            n_sequences=self.n_sequences,
+            sequence_length=self.sequence_length,
             seed=self.seed,
-            runtime=runtime or RuntimeConfig(),
         )
 
     def to_dict(self) -> dict:

@@ -19,11 +19,10 @@ setting?  This module orchestrates the answer end to end:
     ``n_procs`` rebind + explicit feature-layout adapt-or-fail
     semantics), evaluated alongside the heuristic baselines on each
     scenario's own protocol sequences.  All (scenario, scheduler,
-    sequence) simulations fan over the execution runtime via the same
-    cell dispatch as :func:`repro.api.scenario_matrix` — per-cell
-    scheduler subsets carry the per-scenario retargeted policy
-    instances — so results are bit-identical for any backend and worker
-    count.
+    sequence) simulations run through the same cell dispatch as
+    :func:`repro.api.scenario_matrix` — per-cell scheduler subsets carry
+    the per-scenario retargeted policy instances — so results are
+    bit-identical for any worker count.
 
 The returned artifact is one JSON-serializable document: per-cell
 mean/std/per-sequence values, per-policy training curves and
@@ -57,7 +56,7 @@ __all__ = [
 ]
 
 #: artifact format identifier (bump on incompatible layout changes)
-ARTIFACT_SCHEMA = "repro/generalization-matrix@2"
+ARTIFACT_SCHEMA = "repro/generalization-matrix@3"
 
 
 @dataclass
@@ -200,16 +199,17 @@ def generalization_matrix(
     sequences.  Returns a JSON-serializable document::
 
         {
-          "schema": "repro/generalization-matrix@2",
-          "config": {... study config; "train" nests the TrainConfig ...},
+          "schema": "repro/generalization-matrix@3",
+          "config": {... study config; "train" nests the TrainConfig,
+                     "workers" is the evaluation's process count ...},
           "scenarios": {name: scenario.to_dict()},
           "policies": {"RL-<scenario>": {checkpoint, curve, compat, ...}},
           "results": {scenario: {scheduler: {mean, std, n, values}}},
         }
 
-    Results are bit-identical for any runtime backend and worker count
-    (sequences are pre-sampled in the parent and reassembled in dispatch
-    order), so serial and multi-worker runs produce the same artifact.
+    Results are bit-identical for any worker count (sequences are
+    pre-sampled in the parent and reassembled in dispatch order), so
+    in-process and multi-worker runs produce the same artifact.
     """
     config = config or StudyConfig()
     scenarios = _study_scenarios(config)
@@ -267,7 +267,7 @@ def generalization_matrix(
             cell_schedulers.append(sched_idx)
         _say(progress,
              f"evaluating {len(names)} schedulers x {len(scenarios)} "
-             f"scenarios on the {config.runtime.backend} backend")
+             f"scenarios on {config.workers} worker(s)")
 
         def _heartbeat(ci: int, seconds: float) -> None:
             """Per-cell progress: _say line + sink heartbeat event."""
@@ -287,7 +287,7 @@ def generalization_matrix(
         # single-map path and the heartbeat path are bit-identical.
         wants_heartbeat = progress is not None or sink is not None
         values = _run_cells(
-            schedulers, cells, config.runtime, cell_schedulers,
+            schedulers, cells, config.workers, cell_schedulers,
             heartbeat=_heartbeat if wants_heartbeat else None,
         )
     results = {

@@ -252,14 +252,14 @@ def render_summary(snap: TelemetrySnapshot) -> str:
 def telemetry_run(config, meta: dict | None = None):
     """Honour a :class:`repro.config.TelemetryConfig` around one entry point.
 
-    Disabled config (or ``None``) yields ``None`` and costs nothing.  If
-    a registry is already active (an enclosing run owns telemetry), this
+    ``None`` (telemetry off) yields ``None`` and costs nothing.  If a
+    registry is already active (an enclosing run owns telemetry), this
     records into it and does not open a second sink.  Otherwise it
     activates a fresh registry, opens the JSONL sink when a path is
     configured, and on exit writes the final merged snapshot and logs the
-    summary tree.
+    summary tree at INFO.
     """
-    if config is None or not config.enabled or core.enabled():
+    if config is None or core.enabled():
         yield None
         return
     with core.session() as reg:
@@ -271,5 +271,5 @@ def telemetry_run(config, meta: dict | None = None):
             if sink is not None:
                 sink.write_snapshot(snap)
                 sink.close()
-            if config.summary and not snap.empty:
+            if not snap.empty:
                 logger.info(render_summary(snap))

@@ -71,6 +71,54 @@ class TestParser:
                 with pytest.raises(SystemExit):
                     build_parser().parse_args(argv + ["--workers", bad])
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--tenant", "a:FCFS:xx"],
+        ["serve", "--tenant", "a:FCFS"],
+        ["serve", "--tenant", "a:FCFS:-4"],
+        ["serve", "--tenant", "a:FCFS:256:bogus"],
+        ["serve", "--tenant", "a:FCFS:256:easy:abc"],
+        ["serve", "--tenant", "a:NOPE:256"],
+        ["compare", "--schedulers", "NOPE"],
+        ["study", "--heuristics", "FCFS,NOPE"],
+        ["evaluate", "--scenario", "nope"],
+        ["train", "--scenario", "nope", "-o", "m.npz"],
+        ["compare", "--scenarios", "nope"],
+        ["study", "--scenarios", "lublin-64,nope"],
+        ["evaluate", "Lublin-1", "--jobs", "0"],
+        ["evaluate", "Lublin-1", "--sequences", "0"],
+        ["evaluate", "Lublin-1", "--length", "0"],
+        ["compare", "--jobs", "0"],
+        ["train", "Lublin-1", "-o", "m.npz", "--epochs", "0"],
+        ["train", "Lublin-1", "-o", "m.npz", "--trajectories", "0"],
+        ["train", "Lublin-1", "-o", "m.npz", "--obsv", "0"],
+        ["study", "--eval-length", "0"],
+        ["generate", "Lublin-1", "-o", "x.swf", "--jobs", "0"],
+        ["serve", "--port", "70000"],
+        ["submit", "--port", "-1", "--stats"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_input_is_a_usage_error(self, argv, capsys):
+        """Bad command-line input stops in argparse: exit 2 and one
+        ``error:`` line, never a traceback from deep inside a command."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("error:") == 1
+
+    def test_name_lists_parse_to_lists(self):
+        args = build_parser().parse_args(
+            ["compare", "--scenarios", "lublin-256, lublin-64"])
+        assert args.scenarios == ["lublin-256", "lublin-64"]
+        assert args.schedulers == ["FCFS", "SJF", "WFP3", "UNICEP", "F1"]
+        args = build_parser().parse_args(["study"])
+        assert args.scenarios is None and args.jobs is None
+        assert args.sequences is None and args.eval_length is None
+        tenant = build_parser().parse_args(
+            ["serve", "--tenant", "a:SJF:32:easy"]).tenant[0]
+        assert (tenant.name, tenant.scheduler, tenant.backfill) == (
+            "a", "SJF", "easy")
+
     def test_rollout_mode_defaults_to_locked(self):
         """No flag names a collector: training always rolls out lock-step
         in this process."""
@@ -307,9 +355,11 @@ class TestScenarioCommands:
         assert main(["evaluate"]) == 2
         assert main(["evaluate", "Lublin-1", "--scenario", "lublin-64"]) == 2
 
-    def test_evaluate_unknown_scenario_fails_loudly(self):
-        with pytest.raises(KeyError, match="unknown scenario"):
+    def test_evaluate_unknown_scenario_fails_loudly(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["evaluate", "--scenario", "nope", "--jobs", "300"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_compare_strips_whitespace_in_scenario_list(self, capsys):
         code = main([

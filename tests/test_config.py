@@ -8,8 +8,8 @@ from repro.config import (
     EnvConfig,
     EvalConfig,
     PPOConfig,
-    RuntimeConfig,
     StudyConfig,
+    TelemetryConfig,
     TrainConfig,
 )
 
@@ -87,10 +87,17 @@ class TestTrainConfig:
                            (TrainConfig, "staleness"),
                            (TrainConfig, "stale_mode"),
                            (StudyConfig, "rollout_mode"),
-                           (PPOConfig, "update_path"),
-                           (RuntimeConfig, "transport")]:
+                           (PPOConfig, "update_path")]:
             with pytest.raises(TypeError):
                 cls(**{field: None})
+
+    def test_takes_no_runtime(self):
+        """Training rolls out in the trainer's own process: there is no
+        runtime or worker count to pass it."""
+        for field in ("runtime", "workers"):
+            with pytest.raises(TypeError):
+                TrainConfig(**{field: 2})
+            assert field not in {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 class TestEvalConfig:
@@ -98,7 +105,7 @@ class TestEvalConfig:
         cfg = EvalConfig()
         assert cfg.n_sequences == 10       # "repeated 10 times"
         assert cfg.sequence_length == 1024  # "1,024 continuous jobs"
-        assert cfg.runtime == RuntimeConfig()  # serial unless asked
+        assert cfg.workers == 1  # in-process unless asked
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,34 +115,23 @@ class TestEvalConfig:
         with pytest.raises(TypeError):
             EvalConfig(runtime="process")
 
+    def test_workers_validation(self):
+        """Evaluation fans out on one worker count, validated >= 1; the
+        backend object it replaced, and telemetry's on/off and summary
+        switches (``None`` is off, the summary always logs), are gone."""
+        for cls in (EvalConfig, StudyConfig):
+            assert cls(workers=3).workers == 3
+            for bad in (0, -1):
+                with pytest.raises(ValueError, match="workers must be >= 1"):
+                    cls(workers=bad)
+            with pytest.raises(TypeError):
+                cls(runtime=None)
+        for field in ("enabled", "summary"):
+            with pytest.raises(TypeError):
+                TelemetryConfig(**{field: True})
+        assert TelemetryConfig(path="t.jsonl").path == "t.jsonl"
 
-class TestRuntimeConfig:
-    def test_defaults_are_serial(self):
-        cfg = RuntimeConfig()
-        assert cfg.backend == "serial"
-        assert cfg.workers == 1
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(backend="threads")
-        with pytest.raises(ValueError):
-            RuntimeConfig(workers=0)
-
-    def test_from_workers_cli_convention(self):
-        assert RuntimeConfig.from_workers(1) == RuntimeConfig()
-        multi = RuntimeConfig.from_workers(4)
-        assert multi.backend == "process" and multi.workers == 4
-        with pytest.raises(ValueError):
-            RuntimeConfig.from_workers(0)
-
-    def test_train_config_takes_no_runtime(self):
-        """Training rolls out in the trainer's own process: there is no
-        runtime to pass it, and neither a map chunk size to configure."""
-        with pytest.raises(TypeError):
-            TrainConfig(runtime=RuntimeConfig.from_workers(2))
-        with pytest.raises(TypeError):
-            RuntimeConfig(chunksize=4)
-        assert "runtime" not in {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 class TestFeatureCompat:

@@ -4,7 +4,7 @@ oracle, and the KL-reporting fix."""
 import numpy as np
 import pytest
 
-from repro.config import EnvConfig, PPOConfig, RuntimeConfig, TrainConfig
+from repro.config import EnvConfig, PPOConfig, TrainConfig
 from repro.nn import (
     KernelPolicy, MLPPolicy, RaggedRows, Tensor, ValueMLP, make_policy,
 )
@@ -74,7 +74,7 @@ class TestSparsePath:
             PPOConfig(update_path="sparse")
         with pytest.raises(TypeError):
             PPOAgent(KernelPolicy(F, seed=0), ValueMLP(16, F, seed=1),
-                     grad_runtime=RuntimeConfig())
+                     grad_runtime=None)
 
     def test_forward_parity(self, dtype=np.float64, atol=1e-10):
         data = synthetic_data()

@@ -1,11 +1,12 @@
-"""Unit tests for the execution runtime (backends, seeding, lifecycle).
+"""Unit tests for the execution runtime (process pool, seeding, lifecycle).
 
-The backend contract — ordered results, persistent per-worker state,
-error propagation, idempotent lifecycle — is exercised identically on
-:class:`SerialBackend` and :class:`ProcessPoolBackend`; the golden
-cross-backend guarantees live in ``test_runtime_equivalence.py``.
-``TestWorkerFailures`` pins what a dead or failing process worker does:
-a typed :class:`WorkerError` naming it, pipes left in sync, no live child.
+The pool's contract — ordered results, persistent per-worker state,
+error propagation, idempotent lifecycle — is exercised on
+:class:`ProcessPoolBackend`; the golden in-process ≡ pool guarantees live
+in ``test_runtime_equivalence.py``.  ``TestWorkerFailures`` pins what a
+dead or failing process worker does: a typed :class:`WorkerError` naming
+it, pipes left in sync, no live child.  ``TestInProcess`` pins that the
+one-worker loop raises a task's own exception.
 """
 
 import multiprocessing
@@ -17,20 +18,19 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.config import EvalConfig, RuntimeConfig
+from repro.config import EvalConfig
 from repro.runtime import (
     ProcessPoolBackend,
-    SerialBackend,
     WorkerError,
     derive_streams,
-    make_backend,
     stream_rng,
     task_seed,
 )
 from repro.schedulers import FCFS, SJF
 from repro.workloads import load_trace
 
-BACKENDS = [SerialBackend, ProcessPoolBackend]
+#: parametrized (on the one pool class) so test ids name the pool
+BACKENDS = [ProcessPoolBackend]
 
 
 # ----------------------------------------------------------------------
@@ -126,8 +126,7 @@ class TestDispatch:
         # A pickling failure on either side must leave every pipe holding
         # exactly the replies its dispatch expects: otherwise the next
         # dispatch reads a stale reply (silent corruption instead of an
-        # error).  Process backend only — the serial backend never
-        # pickles.  Messages are pickled before anything is written.
+        # error).  Messages are pickled before anything is written.
         with ProcessPoolBackend(2) as b:
             with pytest.raises(WorkerError):
                 b.broadcast(square, lambda: None)
@@ -164,48 +163,21 @@ class TestLifecycle:
         b.close()
         assert not any(p.is_alive() for p in procs)
 
-
-class TestMakeBackend:
-    def test_serial_by_default(self):
-        b = make_backend()
-        assert isinstance(b, SerialBackend) and b.n_workers == 1
-        b.close()
-
-    def test_process_config(self):
-        b = make_backend(RuntimeConfig(backend="process", workers=2))
-        assert isinstance(b, ProcessPoolBackend) and b.n_workers == 2
-        b.close()
-
-    def test_workers_override(self):
-        b = make_backend(RuntimeConfig(backend="serial", workers=4), workers=2)
-        assert b.n_workers == 2
-        b.close()
-        with pytest.raises(ValueError):
-            make_backend(workers=0)
-
-    def test_transport_threads_through(self):
-        """There is one transport and nothing left to thread: a process
-        backend pickles over its pipes, creates no shared-memory segment,
-        and neither the config nor the backend takes a transport or a
-        chunk size."""
+    def test_pickles_over_pipes_without_shm(self):
+        """There is one transport: the pool pickles over its pipes,
+        creates no shared-memory segment, and takes no transport."""
         shm = Path("/dev/shm")
         before = set(shm.iterdir()) if shm.is_dir() else set()
-        with make_backend(RuntimeConfig(backend="process", workers=2)) as b:
-            assert isinstance(b, ProcessPoolBackend)
+        with ProcessPoolBackend(2) as b:
             assert b.map(square, range(8)) == [x * x for x in range(8)]
             if shm.is_dir():
                 assert set(shm.iterdir()) == before
-        for kwargs in ({"transport": "shm"}, {"chunksize": 4}):
-            with pytest.raises(TypeError):
-                RuntimeConfig(backend="process", **kwargs)
         with pytest.raises(TypeError):
             ProcessPoolBackend(2, transport="shm")
-        with pytest.raises(TypeError):
-            RuntimeConfig.from_workers(2, chunksize=4)
 
 
 # ----------------------------------------------------------------------
-# worker failures (process backend only: the serial one has no process)
+# worker failures
 # ----------------------------------------------------------------------
 def die(state, code):
     """Exit the worker abruptly when ``code`` is non-zero."""
@@ -288,8 +260,7 @@ class TestWorkerFailures:
         """A worker killed mid-``map`` of an evaluation fan-out surfaces as
         a ``WorkerError`` naming it, and the pool leaves no live child."""
         trace = load_trace("Lublin-1", n_jobs=400, seed=3)
-        config = EvalConfig(n_sequences=4, sequence_length=24,
-                            runtime=RuntimeConfig(backend="process", workers=2))
+        config = EvalConfig(n_sequences=4, sequence_length=24, workers=2)
         assert multiprocessing.active_children() == []
         monkeypatch.setattr(api, "_matrix_task", _matrix_task_or_die)
         with pytest.raises(WorkerError, match="worker 1") as err:
@@ -297,6 +268,27 @@ class TestWorkerFailures:
         assert err.value.worker_id == 1
         for proc in multiprocessing.active_children():
             proc.join(timeout=10)
+        assert multiprocessing.active_children() == []
+
+
+class _TaskFailure(Exception):
+    pass
+
+
+def _matrix_task_raises(state, task):
+    raise _TaskFailure(f"task {task}")
+
+
+class TestInProcess:
+    def test_task_error_keeps_its_type(self, monkeypatch):
+        """One worker runs the tasks in this process: a failing task's
+        own exception reaches the caller, unwrapped, and no child
+        process is started."""
+        trace = load_trace("Lublin-1", n_jobs=400, seed=3)
+        config = EvalConfig(n_sequences=2, sequence_length=24)
+        monkeypatch.setattr(api, "_matrix_task", _matrix_task_raises)
+        with pytest.raises(_TaskFailure, match=r"task \(0, 0, 0\)"):
+            api.compare([FCFS(), SJF()], trace, config=config)
         assert multiprocessing.active_children() == []
 
 

@@ -1,25 +1,21 @@
-"""Golden equivalence tests for the execution runtime (PR-2 acceptance).
+"""Golden equivalence tests for evaluation fan-out.
 
-Process-pool evaluation must be *bit-identical* to serial evaluation:
-``api.evaluate`` / ``api.compare`` per-sequence values are the same across
-backends and worker counts, heuristic and RL schedulers alike — a kernel
-policy and an MLP preset, whose weights are the largest payload a
-broadcast carries.  No tolerances anywhere: the backend is a pure
-throughput knob, like ``n_envs`` in ``test_equivalence.py``.
+Process-pool evaluation must be *bit-identical* to the in-process loop:
+``api.evaluate`` / ``api.compare`` per-sequence values are the same for
+1, 2 and 3 workers, heuristic and RL schedulers alike — a kernel policy
+and an MLP preset, whose weights are the largest payload a broadcast
+carries.  No tolerances anywhere: the worker count is a pure throughput
+knob, like ``n_envs`` in ``test_equivalence.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import compare, evaluate
-from repro.config import EnvConfig, EvalConfig, RuntimeConfig
+from repro.config import EnvConfig, EvalConfig
 from repro.nn import KernelPolicy, make_policy
 from repro.schedulers import FCFS, SJF, RLSchedulerPolicy
 from repro.workloads import load_trace
-
-SERIAL = RuntimeConfig()
-PROCESS_2 = RuntimeConfig(backend="process", workers=2)
-PROCESS_3 = RuntimeConfig(backend="process", workers=3)
 
 
 @pytest.fixture(scope="module")
@@ -28,25 +24,25 @@ def trace():
 
 
 class TestEvaluationGolden:
-    """Evaluation scores are backend- and worker-count-independent."""
+    """Evaluation scores are worker-count-independent."""
 
     CFG = dict(n_sequences=5, sequence_length=24)
 
-    @pytest.mark.parametrize("runtime", [PROCESS_2, PROCESS_3],
+    @pytest.mark.parametrize("workers", [2, 3],
                              ids=["process2", "process3"])
-    def test_evaluate_identical_values(self, trace, runtime):
+    def test_evaluate_identical_values(self, trace, workers):
         serial = evaluate(SJF(), trace,
-                          config=EvalConfig(**self.CFG, runtime=SERIAL))
+                          config=EvalConfig(**self.CFG))
         pooled = evaluate(SJF(), trace,
-                          config=EvalConfig(**self.CFG, runtime=runtime))
+                          config=EvalConfig(**self.CFG, workers=workers))
         assert serial == pooled  # float equality of the means
         np.testing.assert_array_equal(serial.values, pooled.values)
 
     def test_compare_identical_values(self, trace):
         serial = compare([FCFS(), SJF()], trace,
-                         config=EvalConfig(**self.CFG, runtime=SERIAL))
+                         config=EvalConfig(**self.CFG))
         pooled = compare([FCFS(), SJF()], trace,
-                         config=EvalConfig(**self.CFG, runtime=PROCESS_3))
+                         config=EvalConfig(**self.CFG, workers=3))
         assert list(serial) == list(pooled)
         for name in serial:
             np.testing.assert_array_equal(
@@ -61,9 +57,9 @@ class TestEvaluationGolden:
         sched = RLSchedulerPolicy(policy, n_procs=trace.max_procs,
                                   env_config=cfg)
         serial = evaluate(sched, trace,
-                          config=EvalConfig(**self.CFG, runtime=SERIAL))
+                          config=EvalConfig(**self.CFG))
         pooled = evaluate(sched, trace,
-                          config=EvalConfig(**self.CFG, runtime=PROCESS_2))
+                          config=EvalConfig(**self.CFG, workers=2))
         np.testing.assert_array_equal(serial.values, pooled.values)
 
     def test_mlp_policy_broadcasts_to_workers(self, trace):
@@ -77,14 +73,14 @@ class TestEvaluationGolden:
         sched = RLSchedulerPolicy(policy, n_procs=trace.max_procs,
                                   env_config=cfg, preset="mlp_v1")
         serial = evaluate(sched, trace,
-                          config=EvalConfig(**self.CFG, runtime=SERIAL))
+                          config=EvalConfig(**self.CFG))
         pooled = evaluate(sched, trace,
-                          config=EvalConfig(**self.CFG, runtime=PROCESS_2))
+                          config=EvalConfig(**self.CFG, workers=2))
         np.testing.assert_array_equal(serial.values, pooled.values)
 
     def test_eval_result_shape(self, trace):
         result = evaluate(FCFS(), trace,
-                          config=EvalConfig(**self.CFG, runtime=SERIAL))
+                          config=EvalConfig(**self.CFG))
         assert isinstance(result, float)
         assert result.n == self.CFG["n_sequences"]
         assert result.values.shape == (self.CFG["n_sequences"],)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.config import EnvConfig, EvalConfig, RuntimeConfig, ScenarioConfig
+from repro.config import EnvConfig, EvalConfig, ScenarioConfig
 from repro.rl import make_reward
 from repro.scenarios import (
     DEFAULT_SCENARIO,
@@ -258,9 +258,9 @@ class TestScenarioEvaluation:
 
 
 class TestScenarioMatrix:
-    def _small_matrix(self, runtime=None):
+    def _small_matrix(self, workers=1):
         cfg = EvalConfig(n_sequences=2, sequence_length=24, seed=3,
-                         runtime=runtime or RuntimeConfig())
+                         workers=workers)
         return repro.scenario_matrix(
             [FCFS(), SJF()],
             ["lublin-256", "lublin-256-mem"],
@@ -289,9 +289,7 @@ class TestScenarioMatrix:
 
     def test_process_backend_bit_identical(self):
         serial = self._small_matrix()
-        process = self._small_matrix(
-            runtime=RuntimeConfig(backend="process", workers=2)
-        )
+        process = self._small_matrix(workers=2)
         for name, row in serial.items():
             for sched, r in row.items():
                 assert list(r.values) == list(process[name][sched].values)

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.config import RuntimeConfig, StudyConfig, TrainConfig
+from repro.config import StudyConfig, TrainConfig
 from repro.study import ARTIFACT_SCHEMA, generalization_matrix, train_matrix
 
 SCENARIOS = ("lublin-64", "lublin-256-mem")
@@ -284,8 +284,7 @@ class TestGeneralizationMatrix:
 
     def test_process_backend_bit_identical(self, zoo, doc):
         _, config, trained = zoo
-        parallel = dataclasses.replace(
-            config, runtime=RuntimeConfig.from_workers(2))
+        parallel = dataclasses.replace(config, workers=2)
         doc2 = generalization_matrix(parallel, trained=trained)
         assert doc2["results"] == doc["results"]
 

@@ -383,13 +383,11 @@ class TestTelemetryRun:
     def test_disabled_config_yields_none(self):
         with telemetry_run(None) as sink:
             assert sink is None
-        with telemetry_run(TelemetryConfig(enabled=False)) as sink:
-            assert sink is None
         assert not core.enabled()
 
     def test_enabled_config_activates_and_restores(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        cfg = TelemetryConfig(enabled=True, path=str(path), summary=False)
+        cfg = TelemetryConfig(path=str(path))
         with telemetry_run(cfg, meta={"command": "test"}) as sink:
             assert sink is not None
             assert core.enabled()
@@ -401,10 +399,8 @@ class TestTelemetryRun:
     def test_nested_run_is_noop(self, tmp_path):
         # A study owns the registry; a trainer's own telemetry_run inside
         # it must record into the study's registry, not open a second sink.
-        outer = TelemetryConfig(enabled=True, summary=False)
-        inner = TelemetryConfig(
-            enabled=True, path=str(tmp_path / "inner.jsonl"), summary=False
-        )
+        outer = TelemetryConfig()
+        inner = TelemetryConfig(path=str(tmp_path / "inner.jsonl"))
         with telemetry_run(outer):
             outer_reg = core.current()
             with telemetry_run(inner) as sink:
@@ -421,7 +417,7 @@ def _tiny_train(trace, telemetry=None, path=None):
     cfg = TrainConfig(
         epochs=2, trajectories_per_epoch=2, trajectory_length=16, seed=0,
         telemetry=telemetry if telemetry is not None else (
-            TelemetryConfig(enabled=True, path=path, summary=False)
+            TelemetryConfig(path=path)
             if path is not None else None
         ),
     )
@@ -460,9 +456,7 @@ class TestGoldenBitIdentity:
             )
 
         off = run(None)
-        on = run(TelemetryConfig(
-            enabled=True, path=str(tmp_path / "e.jsonl"), summary=False
-        ))
+        on = run(TelemetryConfig(path=str(tmp_path / "e.jsonl")))
         np.testing.assert_array_equal(on.values, off.values)
         snap = TelemetrySnapshot.from_dict(
             validate_jsonl(str(tmp_path / "e.jsonl"))["snapshot"]
@@ -503,8 +497,7 @@ class TestEpochRecordPhaseTimes:
     def test_phase_times_populated_only_when_enabled(self, trace):
         off = _tiny_train(trace)
         assert all(rec.phase_times is None for rec in off.curve)
-        on = _tiny_train(trace, telemetry=TelemetryConfig(enabled=True,
-                                                          summary=False))
+        on = _tiny_train(trace, telemetry=TelemetryConfig())
         for rec in on.curve:
             assert set(rec.phase_times) == {"rollout", "update", "validate"}
             assert all(v >= 0 for v in rec.phase_times.values())
@@ -534,7 +527,7 @@ class TestTrainerTelemetryOwnership:
     def test_nested_trainer_records_into_the_outer_run(self, trace, tmp_path):
         # an enclosing run owns the registry: the trainer's own config
         # opens no second sink and records into the outer registry
-        outer = TelemetryConfig(enabled=True, summary=False)
+        outer = TelemetryConfig()
         with telemetry_run(outer):
             outer_reg = core.current()
             _tiny_train(trace, path=str(tmp_path / "inner.jsonl"))

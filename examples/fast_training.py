@@ -54,7 +54,7 @@ def one_epoch(n_envs):
             start = time.perf_counter()
             record = trainer.run_epoch(0)
             elapsed = time.perf_counter() - start
-        return record, elapsed, reg.snapshot().aggregated()
+        return record, elapsed, reg.snapshot()
 
 
 # ---------------------------------------------------------------------------

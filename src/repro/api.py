@@ -34,21 +34,20 @@ Worker processes
 ----------------
 Sequences are independent simulations.  ``EvalConfig.workers`` (1 by
 default) runs them in a loop in this process; ``workers=N`` fans them
-over a :class:`repro.runtime.ProcessPoolBackend` of N processes.
+over a :class:`concurrent.futures.ProcessPoolExecutor` of N processes.
 Sequences are pre-sampled in the parent and dispatched by index, and
 per-sequence values are reassembled in sampling order — scores are
-bit-identical for any worker count.  Schedulers and sequences are
-broadcast to workers once per call (for RL policies this is the
-policy-weight broadcast), so each task ships a few integers; the
-scenario matrix broadcasts every scenario's sequences once and ships
+bit-identical for any worker count.  Schedulers and sequences reach each
+worker once per call, through the pool's initializer (for RL policies
+this is the policy weights), so each task ships a few integers; the
+scenario matrix hands over every scenario's sequences once and ships
 ``(scenario, scheduler, sequence)`` index triples.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -57,7 +56,6 @@ from .config import EvalConfig
 from .rl.trainer import train as _train
 from .telemetry import core as _telemetry
 from .telemetry.sink import telemetry_run
-from .runtime import ProcessPoolBackend
 from .scenarios import Scenario, get_scenario, resolve_scenario_config
 from .schedulers.base import Scheduler
 from .sim.cluster import ClusterSpec
@@ -117,24 +115,26 @@ class EvalResult(float):
 
 
 # ----------------------------------------------------------------------
-# worker-side task functions (top-level: picklable by reference)
+# task functions (top-level: picklable by reference)
 # ----------------------------------------------------------------------
-def _install_matrix_state(state, schedulers, cells):
-    """One-shot install of everything a worker needs: ``cells[ci]``
-    holds one evaluation setting's pre-sampled sequences, cluster spec,
+def _install_matrix_state(schedulers, cells):
+    """Everything a task needs, built once per call: ``cells[ci]`` holds
+    one evaluation setting's pre-sampled sequences, cluster spec,
     backfill mode and metric name.  evaluate/compare are the one-cell
-    special case of the scenario matrix, so this is the single worker
-    protocol for all of them."""
-    state["schedulers"] = schedulers
-    state["cells"] = [
-        {
-            "sequences": sequences,
-            "cluster": cluster,
-            "backfill": backfill,
-            "metric_fn": metric_by_name(metric)[0],
-        }
-        for sequences, cluster, backfill, metric in cells
-    ]
+    special case of the scenario matrix, so this is the single state
+    for all of them."""
+    return {
+        "schedulers": schedulers,
+        "cells": [
+            {
+                "sequences": sequences,
+                "cluster": cluster,
+                "backfill": backfill,
+                "metric_fn": metric_by_name(metric)[0],
+            }
+            for sequences, cluster, backfill, metric in cells
+        ],
+    }
 
 
 def _matrix_task(state, task):
@@ -142,7 +142,7 @@ def _matrix_task(state, task):
 
     Records the full simulate+score latency into the
     ``eval.cell_latency_sec`` histogram; in a pool worker the sample
-    piggybacks back to the parent worker-labelled.
+    travels back to the parent with the task's value.
     """
     ci, si, qi = task
     cell = state["cells"][ci]
@@ -160,14 +160,39 @@ def _matrix_task(state, task):
     return value
 
 
+#: a pool worker's matrix state, set once by :func:`_pool_init`
+_pool_state: dict = {}
+
+
+def _pool_init(state, telemetry_enabled):
+    """Pool-worker initializer: keep the matrix state, and record into a
+    fresh registry when the parent's telemetry is on.  A forked worker
+    inherits a copy of the parent's registry; shipping that copy back
+    would count the parent's samples twice."""
+    global _pool_state
+    _pool_state = state
+    _telemetry.set_active(_telemetry.Telemetry() if telemetry_enabled else None)
+
+
+def _pool_task(task):
+    """One task in a pool worker: its value and the telemetry it recorded
+    (``None`` when there is none)."""
+    value = _matrix_task(_pool_state, task)
+    reg = _telemetry.current()
+    return value, reg.drain() if reg.has_data() else None
+
+
 def _run_cells(
     schedulers, cells, workers, cell_schedulers=None, heartbeat=None
 ) -> list[list[np.ndarray]]:
     """Run every (cell, scheduler, sequence) task and reassemble
     ``values[ci][si]`` in task order.  One worker runs the tasks in a loop
-    in this process; more fan them over a pool of ``workers`` processes.
-    Both run the same tasks in the same global order, so the values are
-    bit-identical for any worker count.
+    in this process; more map them over a :class:`ProcessPoolExecutor`
+    of ``workers`` processes, each started with the same state.  Both run
+    the same tasks in the same global order, so the values are
+    bit-identical for any worker count.  A failing task raises its own
+    exception either way; a worker that dies raises
+    :class:`concurrent.futures.process.BrokenProcessPool`.
 
     ``cell_schedulers`` optionally restricts each cell to a subset of the
     global scheduler list: one list of scheduler indices per cell (the
@@ -189,26 +214,35 @@ def _run_cells(
         for si in cell_schedulers[ci]
         for qi in range(len(cells[ci][0]))
     ]
-    with contextlib.ExitStack() as stack:
-        if workers == 1:
-            state: dict = {}
-            _install_matrix_state(state, list(schedulers), cells)
-
-            def run(batch):
-                return [_matrix_task(state, t) for t in batch]
-        else:
-            pool = stack.enter_context(ProcessPoolBackend(workers))
-            pool.broadcast(_install_matrix_state, list(schedulers), cells)
-            run = functools.partial(pool.map, _matrix_task)
-        if heartbeat is None:
-            values = run(tasks)
-        else:
-            values = []
-            for ci in range(len(cells)):
-                cell_tasks = [t for t in tasks if t[0] == ci]
-                t0 = time.perf_counter()
-                values.extend(run(cell_tasks))
+    batches = (
+        [tasks] if heartbeat is None
+        else [[t for t in tasks if t[0] == ci] for ci in range(len(cells))]
+    )
+    state = _install_matrix_state(list(schedulers), cells)
+    values: list[float] = []
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(
+            workers, initializer=_pool_init,
+            initargs=(state, _telemetry.enabled()),
+        )
+    try:
+        for ci, batch in enumerate(batches):
+            t0 = time.perf_counter()
+            if pool is None:
+                values.extend(_matrix_task(state, t) for t in batch)
+            else:
+                reg = _telemetry.current()
+                chunksize = max(1, -(-len(batch) // (4 * workers)))
+                for value, delta in pool.map(_pool_task, batch,
+                                             chunksize=chunksize):
+                    reg.absorb(delta)
+                    values.append(value)
+            if heartbeat is not None:
                 heartbeat(ci, time.perf_counter() - t0)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     out: list[list[np.ndarray]] = []
     cursor = 0
     for (sequences, *_), sched_idx in zip(cells, cell_schedulers):
@@ -368,8 +402,8 @@ def scenario_matrix(
 
     Every (scenario, scheduler, sequence) simulation is an independent
     task fanned over ``config.workers`` processes, so the whole matrix
-    parallelises across workers with one broadcast.  Per scenario, all
-    schedulers see identical pre-sampled sequences.
+    parallelises across workers, each handed the state once.  Per
+    scenario, all schedulers see identical pre-sampled sequences.
 
     ``metric`` / ``backfill`` override every scenario's protocol when
     given; ``config`` (if given) pins the sequence count/length/seed and

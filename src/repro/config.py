@@ -75,8 +75,8 @@ class TelemetryConfig:
     selects the ``repro/telemetry@1`` JSONL sink (see
     :mod:`repro.telemetry.sink`); the end-of-run summary tree is logged
     at INFO through the ``repro.telemetry`` logger.  Pool workers inherit
-    the enabled flag at spawn, and the config-driven entry points enable
-    telemetry before their pool starts.
+    the enabled flag and record into a fresh registry of their own; the
+    config-driven entry points enable telemetry before their pool starts.
     """
 
     #: JSONL sink path (None = record in memory only)

@@ -1,24 +1,16 @@
-"""Where independent simulations run: a process pool and the seeding rules.
+"""Seeding rules for independent simulations.
 
-The paper's 10-sequence evaluation protocol, the scenario matrix and the
-generalization study's cells are independent simulations.
-:func:`repro.api._run_cells` runs them in a loop in the calling process
-(one worker) or fans them over a :class:`ProcessPoolBackend` (more than
-one): persistent ``multiprocessing`` workers with chunked dispatch and
-one-shot state broadcast (schedulers, policy weights, pre-sampled
-sequences).  Both paths run the same task functions against a per-worker
-*state* dict in the same global task order, so scores are bit-identical
-for any worker count.  Training rolls out in the trainer's own process
-(:func:`repro.rl.trainer.lockstep_rollout`) and uses only the seeding
-helpers here.
+Every random stream in the repo is ``default_rng([key path])``
+(:func:`stream_rng`); :func:`derive_streams` and :func:`task_seed` derive
+per-task streams and seeds from the same convention.  Evaluation fans its
+independent simulations over a standard-library process pool in
+:func:`repro.api._run_cells`; training rolls out in the trainer's own
+process (:func:`repro.rl.trainer.lockstep_rollout`).
 """
 
-from .process_pool import ProcessPoolBackend, WorkerError
 from .seeding import derive_streams, stream_rng, task_seed
 
 __all__ = [
-    "ProcessPoolBackend",
-    "WorkerError",
     "stream_rng",
     "derive_streams",
     "task_seed",

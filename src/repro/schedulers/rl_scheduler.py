@@ -27,7 +27,7 @@ tests):
 
 Models persist in the one checkpoint layout (:mod:`repro.checkpoint`),
 and pickling ships the same :class:`~repro.checkpoint.Checkpoint` (cache
-dropped), so policies broadcast cleanly to :mod:`repro.runtime` workers.
+dropped), so policies reach evaluation pool workers cleanly.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Low-overhead, mergeable telemetry for the training/serving stack.
+"""Low-overhead telemetry for the training/serving stack.
 
 See :mod:`repro.telemetry.core` for the instrument model and
 :mod:`repro.telemetry.sink` for the ``repro/telemetry@1`` JSONL format.
@@ -27,7 +27,6 @@ from .core import (  # noqa: F401
     histogram_quantile,
     session,
     set_active,
-    strip_labels,
 )
 from .sink import (  # noqa: F401
     SCHEMA,
@@ -50,7 +49,6 @@ __all__ = [
     "histogram_quantile",
     "session",
     "set_active",
-    "strip_labels",
     "SCHEMA",
     "TelemetrySink",
     "render_summary",

@@ -1,4 +1,4 @@
-"""Telemetry core: counters, gauges, histograms, spans, mergeable snapshots.
+"""Telemetry core: counters, gauges, histograms, spans, snapshots.
 
 One :class:`Telemetry` registry holds every instrument recorded by a
 process.  Instruments are cheap plain-Python accumulators — no threads,
@@ -12,17 +12,12 @@ Design rules that everything else builds on:
 * **Monotonic clocks only.**  Spans time with ``time.perf_counter``;
   wall-clock timestamps exist only in the JSONL sink (:mod:`.sink`),
   never inside instruments, so telemetry can never perturb results.
-* **Snapshots merge associatively and commutatively.**  Counters add,
-  histogram buckets add, span/gauge stats combine by (count, sum, min,
-  max).  A gauge's ``last`` value survives a merge only when it is
-  unambiguous — otherwise it degrades to ``None`` rather than inventing
-  an ordering between workers.  This is what lets worker snapshots ride
-  result messages in any arrival order and still aggregate exactly.
-* **Worker labels are part of the name.**  ``snapshot.labelled(worker=1)``
-  rewrites ``runtime.ipc.queue_wait_sec`` to
-  ``runtime.ipc.queue_wait_sec{worker=1}``; ``aggregated()`` strips the
-  labels back off and merges.  Labelled entries are per-worker *views* of
-  the same measurements, not additional measurements.
+* **Deltas fold into one registry.**  A pool worker records into a
+  fresh registry and ships each task's :meth:`Telemetry.drain` delta
+  back with the task's value; :meth:`Telemetry.absorb` folds the deltas
+  into the parent's registry in task order.  Counters add, histogram
+  buckets add, span/gauge stats combine by (count, sum, min, max), and a
+  gauge's ``last`` is the last absorbed.
 
 The module-level active registry (:func:`current`, :func:`session`,
 :func:`set_active`) is process-global and single-threaded by design —
@@ -213,58 +208,9 @@ _NULL_SPAN = _NullSpan()
 
 
 # -- snapshots ----------------------------------------------------------
-def _merge_stats(a: dict, b: dict) -> dict:
-    out = {
-        "count": a["count"] + b["count"],
-        "sum": a["sum"] + b["sum"],
-        "min": min(a["min"], b["min"]),
-        "max": max(a["max"], b["max"]),
-    }
-    if "last" in a or "last" in b:
-        if a["count"] == 0:
-            out["last"] = b.get("last")
-        elif b["count"] == 0:
-            out["last"] = a.get("last")
-        elif a.get("last") == b.get("last"):
-            out["last"] = a.get("last")
-        else:  # no cross-worker ordering exists; refuse to invent one
-            out["last"] = None
-    return out
-
-
-def _merge_table(a: dict, b: dict, merge_one) -> dict:
-    out = {k: dict(v) if isinstance(v, dict) else v for k, v in a.items()}
-    for k, v in b.items():
-        if k in out:
-            out[k] = merge_one(out[k], v)
-        else:
-            out[k] = dict(v) if isinstance(v, dict) else v
-    return out
-
-
-def _merge_hist(a: dict, b: dict) -> dict:
-    if tuple(a["bounds"]) != tuple(b["bounds"]):
-        raise ValueError("cannot merge histograms with different bounds")
-    out = _merge_stats(a, b)
-    out["bounds"] = list(a["bounds"])
-    out["counts"] = [x + y for x, y in zip(a["counts"], b["counts"])]
-    return out
-
-
-def _label_suffix(labels: dict) -> str:
-    inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-    return "{" + inner + "}"
-
-
-def strip_labels(name: str) -> str:
-    """``"a.b{worker=1}"`` -> ``"a.b"``."""
-    i = name.find("{")
-    return name if i < 0 else name[:i]
-
-
 @dataclass
 class TelemetrySnapshot:
-    """A picklable, JSON-safe, mergeable view of one registry's state."""
+    """A picklable, JSON-safe view of one registry's state."""
 
     counters: dict = field(default_factory=dict)
     gauges: dict = field(default_factory=dict)
@@ -274,50 +220,6 @@ class TelemetrySnapshot:
     @property
     def empty(self) -> bool:
         return not (self.counters or self.gauges or self.histograms or self.spans)
-
-    def merge(self, other: "TelemetrySnapshot") -> "TelemetrySnapshot":
-        """Associative + commutative combine; returns a new snapshot."""
-        return TelemetrySnapshot(
-            counters=_merge_table(
-                self.counters, other.counters, lambda a, b: a + b
-            ),
-            gauges=_merge_table(self.gauges, other.gauges, _merge_stats),
-            histograms=_merge_table(self.histograms, other.histograms, _merge_hist),
-            spans=_merge_table(self.spans, other.spans, _merge_stats),
-        )
-
-    def labelled(self, **labels) -> "TelemetrySnapshot":
-        """Rewrite every metric name with a ``{k=v,...}`` label suffix."""
-        suffix = _label_suffix({k: str(v) for k, v in labels.items()})
-
-        def tag(table: dict) -> dict:
-            return {name + suffix: dict(v) if isinstance(v, dict) else v
-                    for name, v in table.items()}
-
-        return TelemetrySnapshot(
-            counters=tag(self.counters),
-            gauges=tag(self.gauges),
-            histograms=tag(self.histograms),
-            spans=tag(self.spans),
-        )
-
-    def aggregated(self) -> "TelemetrySnapshot":
-        """Strip labels and merge: the cross-worker totals view."""
-        out = TelemetrySnapshot()
-        for table_name in ("counters", "gauges", "histograms", "spans"):
-            table = getattr(self, table_name)
-            merge_one = {
-                "counters": lambda a, b: a + b,
-                "gauges": _merge_stats,
-                "histograms": _merge_hist,
-                "spans": _merge_stats,
-            }[table_name]
-            dest = getattr(out, table_name)
-            for name, v in table.items():
-                base = strip_labels(name)
-                v = dict(v) if isinstance(v, dict) else v
-                dest[base] = merge_one(dest[base], v) if base in dest else v
-        return out
 
     def to_dict(self) -> dict:
         return {
@@ -454,21 +356,15 @@ class Telemetry:
         )
 
     def drain(self) -> TelemetrySnapshot:
-        """Snapshot then reset — the per-message delta workers piggyback."""
+        """Snapshot then reset — the per-task delta a pool worker ships."""
         snap = self.snapshot()
         self.reset()
         return snap
 
-    def absorb(self, snap: TelemetrySnapshot, worker: int | None = None) -> None:
-        """Merge a (worker) snapshot delta into this registry's state.
-
-        With ``worker`` set, entries are stored under worker-labelled
-        names; :meth:`TelemetrySnapshot.aggregated` recovers the totals.
-        """
+    def absorb(self, snap: TelemetrySnapshot) -> None:
+        """Merge a pool worker's snapshot delta into this registry."""
         if not self.enabled or snap is None or snap.empty:
             return
-        if worker is not None:
-            snap = snap.labelled(worker=worker)
         for name, value in snap.counters.items():
             self.counter(name).add(value)
         for name, st in snap.gauges.items():

@@ -3,7 +3,7 @@
 The on-disk format is ``repro/telemetry@1``: one JSON object per line.
 The first line is always a ``run`` event carrying the schema tag and run
 metadata; subsequent lines are ``epoch`` (per-epoch training summaries),
-``heartbeat`` (study cell progress), and ``snapshot`` (the merged
+``heartbeat`` (study cell progress), and ``snapshot`` (the
 instrument state, usually once at end of run).  Every line carries a
 wall-clock ``ts`` — this file is the *only* place wall-clock time exists;
 instruments themselves time with monotonic clocks and results never see
@@ -198,18 +198,16 @@ def _fmt_sec(seconds: float) -> str:
 
 
 def render_summary(snap: TelemetrySnapshot) -> str:
-    """Human-readable end-of-run tree for one (merged) snapshot.
+    """Human-readable end-of-run tree for one snapshot.
 
     Spans are nested by their slash-joined paths; histograms report
-    interpolated p50/p90/p99.  Worker-labelled entries are aggregated
-    first — per-worker detail lives in the sink, not the summary.
+    interpolated p50/p90/p99.
     """
-    agg = snap.aggregated()
     lines = ["telemetry summary"]
-    if agg.spans:
+    if snap.spans:
         lines.append("  spans")
-        for path in sorted(agg.spans):
-            st = agg.spans[path]
+        for path in sorted(snap.spans):
+            st = snap.spans[path]
             depth = path.count("/")
             name = path.rsplit("/", 1)[-1]
             mean = st["sum"] / st["count"] if st["count"] else math.nan
@@ -217,14 +215,14 @@ def render_summary(snap: TelemetrySnapshot) -> str:
                 f"  {'  ' * (depth + 1)}{name:<28} n {st['count']:<7} "
                 f"total {_fmt_sec(st['sum']):<9} mean {_fmt_sec(mean)}"
             )
-    if agg.counters:
+    if snap.counters:
         lines.append("  counters")
-        for name in sorted(agg.counters):
-            lines.append(f"    {name:<30} {agg.counters[name]}")
-    if agg.gauges:
+        for name in sorted(snap.counters):
+            lines.append(f"    {name:<30} {snap.counters[name]}")
+    if snap.gauges:
         lines.append("  gauges")
-        for name in sorted(agg.gauges):
-            st = agg.gauges[name]
+        for name in sorted(snap.gauges):
+            st = snap.gauges[name]
             mean = st["sum"] / st["count"] if st["count"] else math.nan
             last = st.get("last")
             last_s = "-" if last is None else f"{last:.4g}"
@@ -232,10 +230,10 @@ def render_summary(snap: TelemetrySnapshot) -> str:
                 f"    {name:<30} last {last_s:<10} mean {mean:.4g} "
                 f"n {st['count']}"
             )
-    if agg.histograms:
+    if snap.histograms:
         lines.append("  histograms")
-        for name in sorted(agg.histograms):
-            st = agg.histograms[name]
+        for name in sorted(snap.histograms):
+            st = snap.histograms[name]
             p50 = histogram_quantile(st, 0.50)
             p90 = histogram_quantile(st, 0.90)
             p99 = histogram_quantile(st, 0.99)
@@ -256,7 +254,7 @@ def telemetry_run(config, meta: dict | None = None):
     registry is already active (an enclosing run owns telemetry), this
     records into it and does not open a second sink.  Otherwise it
     activates a fresh registry, opens the JSONL sink when a path is
-    configured, and on exit writes the final merged snapshot and logs the
+    configured, and on exit writes the final snapshot and logs the
     summary tree at INFO.
     """
     if config is None or core.enabled():

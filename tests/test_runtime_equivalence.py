@@ -3,8 +3,8 @@
 Process-pool evaluation must be *bit-identical* to the in-process loop:
 ``api.evaluate`` / ``api.compare`` per-sequence values are the same for
 1, 2 and 3 workers, heuristic and RL schedulers alike — a kernel policy
-and an MLP preset, whose weights are the largest payload a broadcast
-carries.  No tolerances anywhere: the worker count is a pure throughput
+and an MLP preset, whose weights are the largest state a pool worker
+starts with.  No tolerances anywhere: the worker count is a pure throughput
 knob, like ``n_envs`` in ``test_equivalence.py``.
 """
 
@@ -50,8 +50,9 @@ class TestEvaluationGolden:
             )
 
     def test_rl_policy_broadcasts_to_workers(self, trace):
-        """Pickling ships weights + metadata: an RL scheduler scores the
-        same sequences identically inside process workers."""
+        """Workers start with the scheduler's weights + metadata (inherited
+        at fork, pickled once per worker under spawn): an RL scheduler
+        scores the same sequences identically inside process workers."""
         cfg = EnvConfig(max_obsv_size=16)
         policy = KernelPolicy(cfg.job_features, seed=0)
         sched = RLSchedulerPolicy(policy, n_procs=trace.max_procs,
@@ -65,7 +66,8 @@ class TestEvaluationGolden:
     def test_mlp_policy_broadcasts_to_workers(self, trace):
         """The same with an MLP preset over the paper's 128-slot window:
         its first layer is the one array large enough that the pool used
-        to carry it out of band; it now travels as a plain pickle."""
+        to carry it out of band; it now starts with each worker like any
+        other state."""
         cfg = EnvConfig(max_obsv_size=128)
         policy = make_policy("mlp_v1", cfg.max_obsv_size, cfg.job_features,
                              seed=0)

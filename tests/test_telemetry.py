@@ -1,13 +1,11 @@
 """Telemetry subsystem tests: core algebra, spans, transport, sink, goldens.
 
-Covers the contracts everything else leans on: snapshot merges are
-associative and commutative (so worker deltas can arrive in any order),
-spans nest and survive exceptions, histogram quantiles are accurate
-within a bucket, the disabled path is a true no-op (shared null
-singletons), worker snapshots ride the ProcessPoolBackend result
-protocol, the JSONL sink round-trips through its validator — and,
-the headline guarantee, results are bit-identical with telemetry on
-vs off.
+Covers the contracts everything else leans on: worker deltas fold into
+the parent's registry (:meth:`Telemetry.absorb`) exactly once, spans
+nest and survive exceptions, histogram quantiles are accurate within a
+bucket, the disabled path is a true no-op (shared null singletons), the
+JSONL sink round-trips through its validator — and, the headline
+guarantee, results are bit-identical with telemetry on vs off.
 """
 
 import json
@@ -16,16 +14,17 @@ import math
 import numpy as np
 import pytest
 
+from repro import api
 from repro.config import EnvConfig, EvalConfig, PPOConfig, TelemetryConfig, TrainConfig
 from repro.rl import TrajectoryBuffer, Trainer
 from repro.rl import EpochRecord, UpdateStats
+from repro.schedulers import FCFS, SJF
 from repro.telemetry import core
 from repro.telemetry.core import (
     INT_BOUNDS,
     Telemetry,
     TelemetrySnapshot,
     histogram_quantile,
-    strip_labels,
 )
 from repro.telemetry.sink import (
     SCHEMA,
@@ -56,71 +55,38 @@ def make_snapshot(seed: int) -> TelemetrySnapshot:
 
 
 class TestSnapshotMerge:
-    def test_associative(self):
-        a, b, c = make_snapshot(1), make_snapshot(2), make_snapshot(3)
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left.to_dict() == right.to_dict()
-
-    def test_commutative(self):
-        a, b = make_snapshot(4), make_snapshot(5)
-        assert a.merge(b).to_dict() == b.merge(a).to_dict()
+    """:meth:`Telemetry.absorb` is the one merge: a pool worker's delta
+    folding into the parent's registry."""
 
     def test_merge_with_empty_is_identity(self):
         a = make_snapshot(6)
-        assert a.merge(TelemetrySnapshot()).to_dict() == a.to_dict()
-        assert TelemetrySnapshot().merge(a).to_dict() == a.to_dict()
+        reg = Telemetry(enabled=True)
+        reg.absorb(a)
+        assert reg.snapshot().to_dict() == a.to_dict()
+        reg.absorb(TelemetrySnapshot())
+        reg.absorb(None)
+        assert reg.snapshot().to_dict() == a.to_dict()
 
     def test_counters_add_and_disjoint_keys_survive(self):
         a, b = make_snapshot(1), make_snapshot(2)
-        merged = a.merge(b)
+        reg = Telemetry(enabled=True)
+        reg.absorb(a)
+        reg.absorb(b)
+        merged = reg.snapshot()
         assert merged.counters["jobs"] == a.counters["jobs"] + b.counters["jobs"]
         assert merged.counters["only.1"] == a.counters["only.1"]
         assert merged.counters["only.2"] == b.counters["only.2"]
-
-    def test_gauge_last_degrades_to_none_on_ambiguity(self):
-        # Two workers both set the gauge; no cross-worker ordering exists,
-        # so the merged "last" must not invent one.
-        a, b = Telemetry(enabled=True), Telemetry(enabled=True)
-        a.gauge("kl").set(0.1)
-        b.gauge("kl").set(0.2)
-        merged = a.snapshot().merge(b.snapshot())
-        assert merged.gauges["kl"]["last"] is None
-        assert merged.gauges["kl"]["count"] == 2
-        assert merged.gauges["kl"]["min"] == 0.1
-        assert merged.gauges["kl"]["max"] == 0.2
-
-    def test_gauge_last_survives_unambiguous_merges(self):
-        a, b = Telemetry(enabled=True), Telemetry(enabled=True)
-        a.gauge("kl").set(0.3)
-        b.gauge("kl").set(0.3)  # equal values: unambiguous
-        assert a.snapshot().merge(b.snapshot()).gauges["kl"]["last"] == 0.3
-        empty = Telemetry(enabled=True)
-        empty.gauge("kl")  # registered but never set
-        assert a.snapshot().merge(empty.snapshot()).gauges["kl"]["last"] == 0.3
+        assert merged.histograms["depth"]["count"] == (
+            a.histograms["depth"]["count"] + b.histograms["depth"]["count"]
+        )
+        assert merged.spans["epoch/rollout"]["count"] == 6
 
     def test_histogram_bounds_mismatch_refuses(self):
         a, b = Telemetry(enabled=True), Telemetry(enabled=True)
         a.histogram("h", bounds=(1, 2, 3)).record(1)
         b.histogram("h", bounds=(1, 2, 4)).record(1)
         with pytest.raises(ValueError, match="bounds"):
-            a.snapshot().merge(b.snapshot())
-
-    def test_labelled_then_aggregated_recovers_totals(self):
-        workers = [make_snapshot(s) for s in (7, 8, 9)]
-        combined = TelemetrySnapshot()
-        for i, snap in enumerate(workers):
-            combined = combined.merge(snap.labelled(worker=i))
-        assert "jobs{worker=0}" in combined.counters
-        agg = combined.aggregated()
-        plain = TelemetrySnapshot()
-        for snap in workers:
-            plain = plain.merge(snap)
-        assert agg.to_dict() == plain.to_dict()
-
-    def test_strip_labels(self):
-        assert strip_labels("a.b{worker=1}") == "a.b"
-        assert strip_labels("a.b") == "a.b"
+            a.absorb(b.snapshot())
 
     def test_snapshot_dict_roundtrip(self):
         a = make_snapshot(10)
@@ -260,46 +226,31 @@ class TestDisabledNoOp:
         assert core.current() is before
 
 
-def _worker_records(state: dict, i: int) -> int:
-    """Module-level (picklable) task that records telemetry in the worker."""
-    reg = core.current()
-    reg.counter("test.tasks").add(1)
-    with reg.span("test.work"):
-        pass
-    reg.histogram("test.size", bounds=INT_BOUNDS).record(i)
-    return i * i
-
-
 class TestCrossProcessTransport:
-    def test_worker_snapshots_ride_result_messages(self):
-        from repro.runtime.process_pool import ProcessPoolBackend
-
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_telemetry_arrives_exactly_once(self, trace, workers):
+        """Pool workers record into fresh registries: the parent's own
+        samples are not shipped back, and every task's sample arrives
+        once."""
+        config = EvalConfig(n_sequences=4, sequence_length=24, workers=workers)
         with core.session() as reg:
-            with ProcessPoolBackend(2) as backend:
-                out = backend.map(_worker_records, list(range(8)), chunksize=1)
-            assert sorted(out) == [i * i for i in range(8)]
+            reg.counter("test.parent").add(5)
+            reg.histogram("eval.cell_latency_sec").record(0.5)
+            api.compare([FCFS(), SJF()], trace, config=config)
             snap = reg.snapshot()
-        # per-worker labelled entries, aggregating to the full totals
-        agg = snap.aggregated()
-        assert agg.counters["test.tasks"] == 8
-        assert agg.spans["test.work"]["count"] == 8
-        assert agg.histograms["test.size"]["count"] == 8
-        workers = {name for name in snap.counters
-                   if strip_labels(name) == "test.tasks"}
-        assert workers <= {"test.tasks{worker=0}", "test.tasks{worker=1}"}
-        assert len(workers) >= 1  # at least one worker did work
-        # the runtime's own IPC instrumentation came along for free
-        ipc = [n for n in snap.histograms
-               if strip_labels(n) == "runtime.ipc.queue_wait_sec"]
-        assert ipc, sorted(snap.histograms)
+        assert snap.counters["test.parent"] == 5
+        assert snap.histograms["eval.cell_latency_sec"]["count"] == 1 + 2 * 4
 
-    def test_disabled_parent_means_dark_workers(self):
-        from repro.runtime.process_pool import ProcessPoolBackend
-
+    def test_disabled_parent_means_dark_workers(self, trace, monkeypatch):
+        """With telemetry off in the parent, no task ships a delta."""
+        absorbed = []
+        monkeypatch.setattr(core.Telemetry, "absorb",
+                            lambda self, snap: absorbed.append(snap))
         assert not core.enabled()
-        with ProcessPoolBackend(2) as backend:
-            out = backend.map(_worker_records, list(range(4)), chunksize=1)
-        assert sorted(out) == [i * i for i in range(4)]
+        config = EvalConfig(n_sequences=4, sequence_length=24, workers=2)
+        out = api.compare([FCFS(), SJF()], trace, config=config)
+        assert [r.n for r in out.values()] == [4, 4]
+        assert absorbed == [None] * (2 * 4)
         assert not core.current().has_data()
 
 
@@ -369,14 +320,11 @@ class TestSink:
             sink.write_event("custom")
         sink.close()
 
-    def test_render_summary_aggregates_workers(self):
-        snap = make_snapshot(15).labelled(worker=0).merge(
-            make_snapshot(16).labelled(worker=1)
-        )
-        text = render_summary(snap)
+    def test_render_summary_reads_the_snapshot(self):
+        text = render_summary(make_snapshot(15))
         assert "telemetry summary" in text
-        assert "{worker=" not in text  # summary is the aggregated view
-        assert "jobs" in text and "depth" in text
+        for name in ("jobs", "only.15", "kl", "depth", "rollout"):
+            assert name in text
 
 
 class TestTelemetryRun:

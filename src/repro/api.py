@@ -41,7 +41,10 @@ bit-identical for any worker count.  Schedulers and sequences reach each
 worker once per call, through the pool's initializer (for RL policies
 this is the policy weights), so each task ships a few integers; the
 scenario matrix hands over every scenario's sequences once and ships
-``(scenario, scheduler, sequence)`` index triples.
+``(scenario, scheduler, sequence)`` index triples — for an RL scheduler,
+groups of sequences run in lock-step, one policy forward per wave
+(:func:`_cell_tasks`); a job's score does not depend on the rows scored
+beside it, so no grouping can change a value.
 """
 
 from __future__ import annotations
@@ -137,27 +140,47 @@ def _install_matrix_state(schedulers, cells):
     }
 
 
-def _matrix_task(state, task):
-    """Score scheduler ``si`` on sequence ``qi`` of cell ``ci``.
+def _task_runs(task) -> list[tuple[int, int]]:
+    """The ``(ci, qi)`` runs a :func:`_matrix_task` task names."""
+    ci, _, qi = task
+    return list(zip(ci, qi)) if isinstance(ci, tuple) else [(ci, qi)]
 
-    Records the full simulate+score latency into the
-    ``eval.cell_latency_sec`` histogram; in a pool worker the sample
-    travels back to the parent with the task's value.
+
+def _matrix_task(state, task):
+    """Score scheduler ``si`` on sequence ``qi`` of cell ``ci``; returns
+    the list of values of the task's runs.
+
+    ``task`` is ``(ci, si, qi)``: one run, or, for a scheduler that runs
+    lock-step (:meth:`repro.schedulers.RLSchedulerPolicy.run_lockstep`),
+    ``ci`` and ``qi`` are parallel tuples naming a group of runs that
+    advance together.  Each run records one ``eval.cell_latency_sec``
+    sample, the task's simulate+score time split evenly over its runs; in
+    a pool worker the samples travel back with the task's values.
     """
-    ci, si, qi = task
-    cell = state["cells"][ci]
+    runs = _task_runs(task)
+    cells = state["cells"]
+    scheduler = state["schedulers"][task[1]]
     reg = _telemetry.current()
     t0 = time.perf_counter() if reg.enabled else 0.0
-    completed = run_scheduler(
-        cell["sequences"][qi],
-        cell["cluster"],
-        state["schedulers"][si],
-        backfill=cell["backfill"],
-    )
-    value = float(cell["metric_fn"](completed, cell["cluster"].n_procs))
+    settings = [
+        (cells[c]["sequences"][q], cells[c]["cluster"], cells[c]["backfill"])
+        for c, q in runs
+    ]
+    if isinstance(task[0], tuple):
+        completed = scheduler.run_lockstep(settings)
+    else:
+        jobs, cluster, backfill = settings[0]
+        completed = [run_scheduler(jobs, cluster, scheduler, backfill=backfill)]
+    values = [
+        float(cells[c]["metric_fn"](done, cells[c]["cluster"].n_procs))
+        for (c, _), done in zip(runs, completed)
+    ]
     if reg.enabled:
-        reg.histogram("eval.cell_latency_sec").record(time.perf_counter() - t0)
-    return value
+        hist = reg.histogram("eval.cell_latency_sec")
+        share = (time.perf_counter() - t0) / len(runs)
+        for _ in runs:
+            hist.record(share)
+    return values
 
 
 #: a pool worker's matrix state, set once by :func:`_pool_init`
@@ -175,23 +198,54 @@ def _pool_init(state, telemetry_enabled):
 
 
 def _pool_task(task):
-    """One task in a pool worker: its value and the telemetry it recorded
+    """One task in a pool worker: its values and the telemetry it recorded
     (``None`` when there is none)."""
-    value = _matrix_task(_pool_state, task)
+    values = _matrix_task(_pool_state, task)
     reg = _telemetry.current()
-    return value, reg.drain() if reg.has_data() else None
+    return values, reg.drain() if reg.has_data() else None
+
+
+def _cell_tasks(schedulers, cells, cell_schedulers, workers, per_cell):
+    """The tasks of a :func:`_run_cells` call (see :func:`_matrix_task`).
+
+    A scheduler with ``run_lockstep`` runs in groups: one per cell when
+    ``per_cell``, else its runs of the whole call in ``workers``
+    contiguous chunks (one group on one worker).  Every other scheduler
+    runs one ``(ci, si, qi)`` task per sequence.
+    """
+    tasks = []
+    for si, scheduler in enumerate(schedulers):
+        runs = [
+            (ci, qi)
+            for ci, sched_idx in enumerate(cell_schedulers) if si in sched_idx
+            for qi in range(len(cells[ci][0]))
+        ]
+        if not hasattr(scheduler, "run_lockstep"):
+            tasks.extend((ci, si, qi) for ci, qi in runs)
+            continue
+        if per_cell:
+            groups = [[r for r in runs if r[0] == ci] for ci in range(len(cells))]
+        else:
+            cuts = [len(runs) * k // workers for k in range(workers + 1)]
+            groups = [runs[a:b] for a, b in zip(cuts, cuts[1:])]
+        tasks.extend(
+            (tuple(c for c, _ in g), si, tuple(q for _, q in g))
+            for g in groups if g
+        )
+    return tasks
 
 
 def _run_cells(
     schedulers, cells, workers, cell_schedulers=None, heartbeat=None
 ) -> list[list[np.ndarray]]:
-    """Run every (cell, scheduler, sequence) task and reassemble
-    ``values[ci][si]`` in task order.  One worker runs the tasks in a loop
-    in this process; more map them over a :class:`ProcessPoolExecutor`
-    of ``workers`` processes, each started with the same state.  Both run
-    the same tasks in the same global order, so the values are
-    bit-identical for any worker count.  A failing task raises its own
-    exception either way; a worker that dies raises
+    """Run every (cell, scheduler, sequence) and reassemble
+    ``values[ci][si]`` in sequence order.  One worker runs the tasks in a
+    loop in this process; more map them over a
+    :class:`ProcessPoolExecutor` of ``workers`` processes, each started
+    with the same state.  A sequence's value does not depend on which
+    task ran it — a lock-stepped RL run picks exactly what it picks alone
+    — so the values are bit-identical for any worker count.  A failing
+    task raises its own exception either way; a worker that dies raises
     :class:`concurrent.futures.process.BrokenProcessPool`.
 
     ``cell_schedulers`` optionally restricts each cell to a subset of the
@@ -203,23 +257,19 @@ def _run_cells(
 
     ``heartbeat(ci, seconds)``, when given, is called in the parent after
     each cell's tasks finish (study progress reporting).  Tasks are then
-    dispatched cell-by-cell — still in the exact global task order, so
-    results stay bit-identical with the single-batch path.
+    dispatched cell by cell, and lock-step groups never span two cells.
     """
     if cell_schedulers is None:
         cell_schedulers = [list(range(len(schedulers)))] * len(cells)
-    tasks = [
-        (ci, si, qi)
-        for ci in range(len(cells))
-        for si in cell_schedulers[ci]
-        for qi in range(len(cells[ci][0]))
-    ]
+    tasks = _cell_tasks(schedulers, cells, cell_schedulers, workers,
+                        per_cell=heartbeat is not None)
     batches = (
         [tasks] if heartbeat is None
-        else [[t for t in tasks if t[0] == ci] for ci in range(len(cells))]
+        else [[t for t in tasks if _task_runs(t)[0][0] == ci]
+              for ci in range(len(cells))]
     )
     state = _install_matrix_state(list(schedulers), cells)
-    values: list[float] = []
+    values: dict[tuple[int, int, int], float] = {}
     pool = None
     if workers > 1:
         pool = ProcessPoolExecutor(
@@ -230,29 +280,32 @@ def _run_cells(
         for ci, batch in enumerate(batches):
             t0 = time.perf_counter()
             if pool is None:
-                values.extend(_matrix_task(state, t) for t in batch)
+                results = [_matrix_task(state, t) for t in batch]
             else:
                 reg = _telemetry.current()
                 chunksize = max(1, -(-len(batch) // (4 * workers)))
-                for value, delta in pool.map(_pool_task, batch,
-                                             chunksize=chunksize):
+                results = []
+                for task_values, delta in pool.map(_pool_task, batch,
+                                                   chunksize=chunksize):
                     reg.absorb(delta)
-                    values.append(value)
+                    results.append(task_values)
+            for task, task_values in zip(batch, results):
+                for (c, q), value in zip(_task_runs(task), task_values):
+                    values[c, task[1], q] = value
             if heartbeat is not None:
                 heartbeat(ci, time.perf_counter() - t0)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    out: list[list[np.ndarray]] = []
-    cursor = 0
-    for (sequences, *_), sched_idx in zip(cells, cell_schedulers):
-        row = []
-        for _ in sched_idx:
-            row.append(np.array(values[cursor : cursor + len(sequences)],
-                                dtype=np.float64))
-            cursor += len(sequences)
-        out.append(row)
-    return out
+    return [
+        [
+            np.array([values[ci, si, qi] for qi in range(len(sequences))],
+                     dtype=np.float64)
+            for si in sched_idx
+        ]
+        for ci, ((sequences, *_), sched_idx)
+        in enumerate(zip(cells, cell_schedulers))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +453,9 @@ def scenario_matrix(
 ) -> dict[str, dict[str, EvalResult]]:
     """The scenario × scheduler evaluation matrix.
 
-    Every (scenario, scheduler, sequence) simulation is an independent
-    task fanned over ``config.workers`` processes, so the whole matrix
+    Every (scenario, scheduler, sequence) simulation is independent and
+    fanned over ``config.workers`` processes (an RL scheduler's in
+    lock-step groups, see the module docstring), so the whole matrix
     parallelises across workers, each handed the state once.  Per
     scenario, all schedulers see identical pre-sampled sequences.
 

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ragged import RaggedRows
-from .tensor import Parameter, Tensor, _GradMode, row_sum
+from .tensor import Parameter, Tensor, _GradMode, matmul, row_sum
 
 __all__ = [
     "Module", "Dense", "Sequential", "DenseStack", "dense_stack",
@@ -161,7 +161,9 @@ def dense_stack(layers: "Sequence[Dense]", x) -> Tensor:
     A batch of at most one tile (acting, serving, evaluation) runs the
     per-:class:`Dense` arithmetic bit for bit.  Past one tile every output
     row is still its own product; only the weight and bias gradients are
-    summed in another order.  Without a tape (:class:`no_grad`) the hidden
+    summed in another order.  Every product goes through
+    :func:`~repro.nn.tensor.matmul`, so an output row depends on its input
+    row alone, never on the batch around it — a one-column head included.  Without a tape (:class:`no_grad`) the hidden
     activations live in one tile's worth of scratch.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
@@ -183,7 +185,7 @@ def dense_stack(layers: "Sequence[Dense]", x) -> Tensor:
         h = x.data[r0:r1]
         for i, layer in enumerate(layers):
             z = outs[i][r0:r1] if len(outs[i]) == n else outs[i][: r1 - r0]
-            np.matmul(h, layer.weight.data, out=z)
+            matmul(h, layer.weight.data, out=z)
             z += layer.bias.data
             h = _FUSED[layer.activation][0](z)
 

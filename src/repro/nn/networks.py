@@ -48,7 +48,10 @@ class KernelPolicy(Module):
     A 3-layer perceptron (default 32/16/8) slides over the job axis: the
     same weights score every job from its own feature vector, then the
     scores are soft-maxed across jobs.  Reordering the input jobs reorders
-    the output probabilities identically.
+    the output probabilities identically, bit for bit: every product,
+    the one-column head included, computes a row from that row alone
+    (:func:`repro.nn.tensor.matmul`), so a job scores the same at any
+    position of any batch, and twin jobs tie exactly.
     """
 
     def __init__(
@@ -87,7 +90,9 @@ class KernelPolicy(Module):
         Because the kernel scores each job independently, acting paths can
         skip the zero-padded slots entirely: gather the valid rows, score
         K rows instead of B·M, and scatter back.  Row results are
-        identical to :meth:`forward` on the padded batch.
+        bit-identical to :meth:`forward` on the padded batch, and to this
+        call on any other batch holding the same row — the rows of many
+        queues can share one call (lock-step evaluation).
         """
         x = Tensor(rows)
         return self.kernel(x).numpy().reshape(-1)

@@ -45,6 +45,7 @@ import numpy as np
 __all__ = [
     "as_floating",
     "row_sum",
+    "matmul",
     "Tensor",
     "Parameter",
     "no_grad",
@@ -69,6 +70,23 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     (another summation order, so the last ulp can differ)."""
     flat = a.reshape(len(a), math.prod(a.shape[1:]))
     return (np.ones(len(a), dtype=a.dtype) @ flat).reshape(a.shape[1:])
+
+
+def matmul(h: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``h @ w`` with every output row a function of its own input row.
+
+    The one rule for ``h @ W`` in the networks (:meth:`Tensor.__matmul__`,
+    :func:`repro.nn.layers.dense_stack`).  A GEMM row is the same in any
+    batch, but BLAS gemv, where a one-column ``w`` (a score or value head)
+    would go, sums a row differently by its place in the batch: that
+    product is summed row by row instead (``einsum``).
+    """
+    if w.shape[1] != 1:
+        return np.matmul(h, w, out=out)
+    if out is None:
+        out = np.empty((len(h), 1), np.result_type(h, w))
+    np.einsum("ij,j->i", h, w[:, 0], out=out[:, 0])
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -312,7 +330,7 @@ class Tensor:
             raise ValueError(
                 f"matmul supports 2-D tensors only, got {self.shape} @ {other.shape}"
             )
-        out_data = self.data @ other.data
+        out_data = matmul(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

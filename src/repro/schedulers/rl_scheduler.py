@@ -23,7 +23,9 @@ tests):
 * policies that score jobs independently (``score_rows``, e.g. the
   kernel policy) skip the padded ``(1, M, F)`` batch entirely: only the
   ``k`` visible rows go through the network, and the argmax is taken over
-  raw scores (log-softmax is monotone, so the winner is identical).
+  raw scores (log-softmax is monotone, so the winner is identical);
+* evaluation steps such a policy through many sequences at once, one
+  forward per wave (:meth:`RLSchedulerPolicy.run_lockstep`).
 
 Models persist in the one checkpoint layout (:mod:`repro.checkpoint`),
 and pickling ships the same :class:`~repro.checkpoint.Checkpoint` (cache
@@ -33,6 +35,7 @@ dropped), so policies reach evaluation pool workers cleanly.
 from __future__ import annotations
 
 import math
+import time
 from pathlib import Path
 from typing import Sequence
 
@@ -43,6 +46,8 @@ from repro.config import EnvConfig, FeatureLayoutError
 from repro.nn import Module, make_policy, masked_log_softmax, no_grad
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.env import FeatureCache, observation_rows, pad_observations
+from repro.sim.simulator import SchedulingEngine, run_scheduler
+from repro.telemetry import core as _telemetry
 from repro.workloads.job import Job
 
 from .base import Scheduler
@@ -217,29 +222,54 @@ class RLSchedulerPolicy(Scheduler):
         self, cache: FeatureCache, rows: np.ndarray, now: float, cluster
     ) -> int:
         """Position in ``rows`` (rows of ``cache``: the visible jobs, FCFS)
-        of the job the policy picks.
+        of the job the policy picks: the one-queue wave of
+        :meth:`_best_rows`."""
+        return int(self._best_rows(
+            cache, rows, [len(rows)], now, cluster.free_procs,
+            getattr(cluster, "free_mem", math.inf),
+            getattr(cluster, "total_mem", math.inf),
+        )[0])
 
-        A policy that scores jobs independently (``score_rows``) sees only
-        those ``k`` rows; log-softmax is monotone, so the argmax of the
-        raw scores is the argmax of the dense forward over the padded
-        window, which every other policy takes (ties break on the first
-        index either way).
+    def _best_rows(
+        self, table, rows: np.ndarray, counts, now, free_procs, free_mem,
+        total_mem: float,
+    ) -> np.ndarray:
+        """Per queue of a wave, the position in its rows of the job the
+        policy picks.
+
+        Queue ``i`` owns the next ``counts[i]`` of ``rows`` (rows of
+        ``table``: its visible jobs, FCFS); the state arguments are
+        scalars or one value per row (:func:`observation_rows`).  A
+        ``score_rows`` policy scores only these rows, in one forward, and
+        a job's score does not depend on the rows beside it
+        (:func:`repro.nn.tensor.matmul`).  Log-softmax is monotone, so a
+        queue's first maximum is the argmax of the dense forward over its
+        padded window, which every other policy takes — one queue per
+        wave, as that forward depends on its batch.  Ties break on the
+        first index either way.
         """
         feats = observation_rows(
-            cache, rows, now, cluster.free_procs, self.n_procs,
-            self.env_config,
-            free_mem=getattr(cluster, "free_mem", math.inf),
-            total_mem=getattr(cluster, "total_mem", math.inf),
+            table, rows, now, free_procs, self.n_procs, self.env_config,
+            free_mem=free_mem, total_mem=total_mem,
         )
         score_rows = getattr(self.policy, "score_rows", None)
         with no_grad():
-            if score_rows is not None:
-                return int(np.argmax(score_rows(feats)))
-            obs, mask = pad_observations(
-                feats, [len(rows)], self.env_config.max_obsv_size
-            )
-            logits = self.policy(obs, mask)
-            return int(np.argmax(masked_log_softmax(logits, mask).numpy()[0]))
+            if score_rows is None:
+                obs, mask = pad_observations(
+                    feats, counts, self.env_config.max_obsv_size
+                )
+                logits = self.policy(obs, mask)
+                return np.argmax(masked_log_softmax(logits, mask).numpy(), axis=1)
+            scores = score_rows(feats)
+        if len(counts) == 1:  # select / bind: no segments to reduce
+            return np.argmax(scores, keepdims=True)
+        # first maximum per segment: positions of the maxima, else a
+        # sentinel past every segment, reduced by the minimum
+        starts = np.cumsum(counts) - counts
+        top = np.repeat(np.maximum.reduceat(scores, starts), counts)
+        pos = np.arange(len(scores)) - np.repeat(starts, counts)
+        return np.minimum.reduceat(np.where(scores == top, pos, len(scores)),
+                                   starts)
 
     def bind(self, engine):
         """Bound to a batch engine, observe exactly as :class:`SchedGym`
@@ -262,6 +292,66 @@ class RLSchedulerPolicy(Scheduler):
             ]
 
         return pick
+
+    def run_lockstep(self, runs) -> list[list[Job]]:
+        """Each run's completed jobs, for ``runs`` of ``(jobs, cluster,
+        backfill)``: what :func:`run_scheduler` returns for each, decision
+        for decision, with the same telemetry totals.
+
+        A ``score_rows`` policy steps all runs' engines together: each
+        *wave* scores every unfinished engine's visible rows in one
+        :meth:`_best_rows` call, then commits each engine to its pick.
+        Runs on clusters of different total memory (the free-memory
+        feature's scale) go in separate waves.  Any other policy runs one
+        sequence at a time through :meth:`bind`.
+        """
+        if getattr(self.policy, "score_rows", None) is None:
+            return [run_scheduler(jobs, cluster, self, backfill=backfill)
+                    for jobs, cluster, backfill in runs]
+        engines = [SchedulingEngine(jobs, cluster, backfill=backfill)
+                   for jobs, cluster, backfill in runs]
+        reg = _telemetry.current()
+        t0 = time.perf_counter()
+        by_memory: dict[float, list[SchedulingEngine]] = {}
+        for engine in engines:
+            by_memory.setdefault(engine.cluster.total_mem, []).append(engine)
+        for total_mem, group in by_memory.items():
+            self._lockstep(group, total_mem)
+        if reg.enabled:
+            reg.add_span_time("engine.episode", time.perf_counter() - t0,
+                              count=len(engines))
+            reg.counter("engine.events").add(sum(e.n_events for e in engines))
+            reg.counter("engine.decisions").add(sum(e.n_jobs for e in engines))
+        return [engine.completed for engine in engines]
+
+    def _lockstep(self, engines, total_mem: float) -> None:
+        """Run ``engines`` (clusters of ``total_mem``) to completion in
+        waves.  One :class:`FeatureCache` holds every engine's jobs, each
+        engine's rows after those of the engines before it (the table is
+        read by row only, never by job id)."""
+        cache = FeatureCache(
+            [job for engine in engines for job in engine.jobs],
+            self.n_procs, self.env_config, total_mem=total_mem,
+        )
+        offsets = np.cumsum([0] + [engine.n_jobs for engine in engines])
+        m = self.env_config.max_obsv_size
+        live = [(engine, offset) for engine, offset in zip(engines, offsets)
+                if engine.advance_until_decision()]
+        while live:
+            queues = [engine.pending_rows[:m] for engine, _ in live]
+            counts = [len(queue) for queue in queues]
+            rows = np.concatenate(queues) + np.repeat(
+                [offset for _, offset in live], counts
+            )
+            now, free_procs, free_mem = np.repeat([
+                (engine.now, engine.cluster.free_procs, engine.cluster.free_mem)
+                for engine, _ in live
+            ], counts, axis=0).T
+            picks = self._best_rows(cache, rows, counts, now, free_procs,
+                                    free_mem, total_mem)
+            for (engine, _), pick in zip(live, picks):
+                engine.commit(engine.pending[pick])
+            live = [item for item in live if item[0].advance_until_decision()]
 
     # -- persistence: the one checkpoint layout (repro.checkpoint) -------
     def to_checkpoint(self) -> checkpoint.Checkpoint:

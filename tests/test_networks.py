@@ -3,6 +3,8 @@ property of the kernel network (paper §III-1, §IV-B1)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (
     POLICY_PRESETS,
@@ -64,6 +66,34 @@ class TestKernelPolicy:
     def test_needs_hidden_layers(self):
         with pytest.raises(ValueError):
             KernelPolicy(F, hidden=())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    features=st.sampled_from([7, 9]),
+    sizes=st.lists(st.integers(1, 600), min_size=1, max_size=12),
+)
+def test_kernel_score_does_not_depend_on_its_neighbours(seed, features, sizes):
+    """A job's score is a function of its own row (§IV-B1), bit for bit:
+    the rows of many queues scored in one call score as each queue alone,
+    and a job that appears twice in a queue scores the same both times,
+    so the first of them wins an argmax tie."""
+    rng = np.random.default_rng(seed)
+    net = KernelPolicy(features, seed=seed % 7)
+    parts = [rng.random((k, features)).astype(np.float32) for k in sizes]
+    alone = [net.score_rows(part) for part in parts]
+    np.testing.assert_array_equal(
+        net.score_rows(np.concatenate(parts)), np.concatenate(alone)
+    )
+    for _ in range(20):
+        queue = rng.random((int(rng.integers(2, 129)), features))
+        queue = queue.astype(np.float32)
+        first, second = sorted(rng.choice(len(queue), 2, replace=False))
+        queue[second] = queue[first]
+        scores = net.score_rows(queue)
+        assert scores[first] == scores[second]
+        assert np.argmax(scores) != second
 
 
 class TestMLPPolicy:

@@ -497,3 +497,104 @@ class TestRetarget:
         with pytest.raises(ValueError, match="on_mismatch"):
             self.seven_feature_policy().retarget("lublin-64",
                                                  on_mismatch="maybe")
+
+
+class TestLockstep:
+    """``run_lockstep`` is ``run_scheduler`` per run, decision for decision:
+    every run's ``(job_id, start_time)`` list is the one it gets alone."""
+
+    @staticmethod
+    def runs(scenario, n, backfill=False, length=64, seed=3):
+        from repro.scenarios import get_scenario
+        from repro.workloads import SequenceSampler
+
+        scen = get_scenario(scenario)
+        sampler = SequenceSampler(scen.build_trace(n_jobs=600), length,
+                                  seed=seed)
+        return [(jobs, scen.cluster, backfill) for jobs in sampler.sample_many(n)]
+
+    @staticmethod
+    def kernel(n_procs=256, max_obsv_size=8, **env):
+        cfg = EnvConfig(max_obsv_size=max_obsv_size, **env)
+        policy = KernelPolicy(cfg.job_features, seed=0)
+        return RLSchedulerPolicy(policy, n_procs=n_procs, env_config=cfg)
+
+    @staticmethod
+    def assert_per_sequence(sched, runs):
+        got = sched.run_lockstep(runs)
+        assert len(got) == len(runs)
+        for (jobs, cluster, backfill), done in zip(runs, got):
+            want = run_scheduler(jobs, cluster, sched, backfill=backfill)
+            assert [(j.job_id, j.start_time) for j in done] == [
+                (j.job_id, j.start_time) for j in want
+            ]
+
+    @pytest.mark.parametrize("backfill", [False, "easy", "conservative"])
+    def test_backfill_modes(self, backfill):
+        self.assert_per_sequence(
+            self.kernel(), self.runs("lublin-256", 4, backfill)
+        )
+
+    def test_adapted_seven_feature_policy_on_memory_cluster(self):
+        sched = self.kernel(n_procs=64).retarget("lublin-256-mem")
+        assert sched.compat == "memory-blind"
+        self.assert_per_sequence(
+            sched, self.runs("lublin-256-mem", 3, "easy")
+        )
+
+    def test_memory_features_across_clusters_of_different_memory(self):
+        """A memory-feature policy scales the free-memory column by each
+        cluster's total: runs on both kinds of cluster share one call."""
+        sched = self.kernel(job_features=9, memory_features=True)
+        self.assert_per_sequence(
+            sched,
+            self.runs("lublin-256-mem", 2) + self.runs("lublin-256", 2)
+            + self.runs("lublin-256-mem", 1, seed=4),
+        )
+
+    def test_policy_sized_for_a_larger_cluster(self):
+        """A 256-proc policy on bursty-sdsc's 128 procs encodes features
+        with its own ``n_procs``, as ``bind`` does."""
+        sched = self.kernel(n_procs=256)
+        runs = self.runs("bursty-sdsc", 3, "easy")
+        assert runs[0][1].n_procs == 128
+        self.assert_per_sequence(sched, runs)
+
+    def test_queues_deeper_than_the_window(self):
+        from repro.telemetry import core
+
+        sched = self.kernel(max_obsv_size=4)
+        runs = self.runs("bursty-sdsc", 3, length=96)
+        with core.session() as reg:
+            sched.run_lockstep(runs)
+            deepest = reg.snapshot().histograms["engine.pending_depth"]["max"]
+        assert deepest > 4
+        self.assert_per_sequence(sched, runs)
+
+    def test_group_of_one(self):
+        self.assert_per_sequence(self.kernel(), self.runs("lublin-256", 1))
+
+    def test_dense_policy_runs_one_sequence_at_a_time(self):
+        cfg = EnvConfig(max_obsv_size=8)
+        policy = make_policy("mlp_v2", 8, cfg.job_features, seed=0)
+        sched = RLSchedulerPolicy(policy, n_procs=256, env_config=cfg,
+                                  preset="mlp_v2")
+        self.assert_per_sequence(sched, self.runs("lublin-256", 2, "easy"))
+
+    def test_wave_ties_break_on_each_queues_first_row(self):
+        """Twin jobs (every feature alike) tie; each queue of a wave picks
+        its first twin, as one queue alone does."""
+        sched = self.kernel(n_procs=64, max_obsv_size=16)
+        twins = [job(i, submit=float(i // 2), run=30.0, procs=4)
+                 for i in range(12)]
+        cache = FeatureCache(twins, 64, sched.env_config)
+        cluster = cluster_with_free(64, 40)
+        queues = [[0, 1, 2, 3], [4, 5], [6, 7, 8, 9, 10, 11], [2, 3]]
+        picks = sched._best_rows(
+            cache, np.concatenate(queues), [len(q) for q in queues], 20.0,
+            cluster.free_procs, cluster.free_mem, cluster.total_mem,
+        )
+        alone = [sched._best_row(cache, np.array(q), 20.0, cluster)
+                 for q in queues]
+        assert list(picks) == alone
+        assert all(pick % 2 == 0 for pick in alone)  # the first of a pair

@@ -49,10 +49,13 @@ class TestEvaluationGolden:
                 serial[name].values, pooled[name].values
             )
 
-    def test_rl_policy_broadcasts_to_workers(self, trace):
+    @pytest.mark.parametrize("workers", [2, 3],
+                             ids=["process2", "process3"])
+    def test_rl_policy_broadcasts_to_workers(self, trace, workers):
         """Workers start with the scheduler's weights + metadata (inherited
         at fork, pickled once per worker under spawn): an RL scheduler
-        scores the same sequences identically inside process workers."""
+        scores the same sequences identically inside process workers,
+        where its lock-step groups split at other boundaries."""
         cfg = EnvConfig(max_obsv_size=16)
         policy = KernelPolicy(cfg.job_features, seed=0)
         sched = RLSchedulerPolicy(policy, n_procs=trace.max_procs,
@@ -60,8 +63,48 @@ class TestEvaluationGolden:
         serial = evaluate(sched, trace,
                           config=EvalConfig(**self.CFG))
         pooled = evaluate(sched, trace,
-                          config=EvalConfig(**self.CFG, workers=2))
+                          config=EvalConfig(**self.CFG, workers=workers))
         np.testing.assert_array_equal(serial.values, pooled.values)
+
+    def test_rl_sequence_values_do_not_depend_on_the_group(self, trace):
+        """Five sequences in one lock-step group score the first three as
+        three sequences do."""
+        cfg = EnvConfig(max_obsv_size=16)
+        sched = RLSchedulerPolicy(KernelPolicy(cfg.job_features, seed=0),
+                                  n_procs=trace.max_procs, env_config=cfg)
+        config = dict(self.CFG, n_sequences=3)
+        three = evaluate(sched, trace, config=EvalConfig(**config))
+        five = evaluate(sched, trace, config=EvalConfig(**self.CFG))
+        np.testing.assert_array_equal(three.values, five.values[:3])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_per_cell_groups_match_whole_call_groups(self, trace, workers):
+        """With a heartbeat, lock-step groups are cut per cell (and cells
+        may name a subset of the schedulers); the values are the same."""
+        from repro.api import _run_cells
+        from repro.sim import ClusterSpec
+        from repro.workloads import SequenceSampler
+
+        cfg = EnvConfig(max_obsv_size=16)
+        sched = RLSchedulerPolicy(KernelPolicy(cfg.job_features, seed=0),
+                                  n_procs=trace.max_procs, env_config=cfg)
+        sequences = SequenceSampler(trace, 24, seed=2).sample_many(3)
+        cluster = ClusterSpec(trace.max_procs)
+        cells = [(sequences, cluster, False, "bsld"),
+                 (sequences, cluster, "easy", "bsld")]
+        subsets = [[0, 1], [1]]
+        beats = []
+        whole = _run_cells([FCFS(), sched], cells, workers, subsets)
+        by_cell = _run_cells([FCFS(), sched], cells, workers, subsets,
+                             heartbeat=lambda ci, s: beats.append(ci))
+        assert beats == [0, 1]
+        assert [len(row) for row in by_cell] == [2, 1]
+        for row_whole, row_cell in zip(whole, by_cell):
+            for a, b in zip(row_whole, row_cell):
+                np.testing.assert_array_equal(a, b)
+        alone = evaluate(sched, trace, backfill="easy", config=EvalConfig(
+            n_sequences=3, sequence_length=24, seed=2))
+        np.testing.assert_array_equal(by_cell[1][0], alone.values)
 
     def test_mlp_policy_broadcasts_to_workers(self, trace):
         """The same with an MLP preset over the paper's 128-slot window:

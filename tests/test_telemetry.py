@@ -241,6 +241,38 @@ class TestCrossProcessTransport:
         assert snap.counters["test.parent"] == 5
         assert snap.histograms["eval.cell_latency_sec"]["count"] == 1 + 2 * 4
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lockstep_telemetry_matches_per_sequence(self, trace, workers):
+        """An RL policy evaluated in lock-step groups records what the
+        per-sequence path records: the engine event, decision and episode
+        totals, and one ``eval.cell_latency_sec`` sample per sequence
+        whose sum is the groups' wall time."""
+        from repro.nn import KernelPolicy
+        from repro.schedulers import RLSchedulerPolicy
+        from repro.sim import ClusterSpec, run_scheduler
+        from repro.workloads import SequenceSampler
+
+        env = EnvConfig(max_obsv_size=16)
+        rl = RLSchedulerPolicy(KernelPolicy(env.job_features, seed=0),
+                               n_procs=trace.max_procs, env_config=env)
+        config = EvalConfig(n_sequences=4, sequence_length=24, seed=6,
+                            workers=workers)
+        with core.session() as reg:
+            api.evaluate(rl, trace, config=config)
+            grouped = reg.snapshot()
+        sequences = SequenceSampler(trace, 24, seed=6).sample_many(4)
+        with core.session() as reg:
+            for jobs in sequences:
+                run_scheduler(jobs, ClusterSpec(trace.max_procs), rl)
+            alone = reg.snapshot()
+        for name in ("engine.events", "engine.decisions"):
+            assert grouped.counters[name] == alone.counters[name] > 0
+        assert grouped.spans["engine.episode"]["count"] == 4
+        latency = grouped.histograms["eval.cell_latency_sec"]
+        assert latency["count"] == 4
+        # a task's latency sample wraps its engines' episodes
+        assert latency["sum"] >= grouped.spans["engine.episode"]["sum"] > 0
+
     def test_disabled_parent_means_dark_workers(self, trace, monkeypatch):
         """With telemetry off in the parent, no task ships a delta."""
         absorbed = []

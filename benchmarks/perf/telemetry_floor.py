@@ -43,7 +43,6 @@ def main() -> int:
         train_config=TrainConfig(
             trajectories_per_epoch=len(sequences),
             trajectory_length=len(sequences[0]),
-            n_envs=8,
             seed=0,
         ),
     )

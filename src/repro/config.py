@@ -118,6 +118,14 @@ class EnvConfig:
                 "memory_features needs job_features >= 9 (columns 7 and 8 "
                 f"carry the per-resource demands), got {self.job_features}"
             )
+        # column 0 is w / (w + wait_scale) and column 1 log(r) /
+        # log(runtime_scale): in [0, 1] only for these scales
+        if not self.wait_scale > 0:  # also rejects NaN
+            raise ValueError(f"wait_scale must be > 0, got {self.wait_scale}")
+        if not self.runtime_scale > 1:
+            raise ValueError(
+                f"runtime_scale must be > 1, got {self.runtime_scale}"
+            )
 
     @property
     def observation_shape(self) -> tuple[int, int]:
@@ -198,7 +206,6 @@ class TrainConfig:
     use_trajectory_filter: bool = False
     filter_probe_samples: int = 200   # SJF probes to build the Fig. 7 distribution
     filter_phase1_fraction: float = 0.6  # fraction of epochs in filtered phase
-    n_envs: int = 16              # environments stepped in lock-step
     #: train inside a named scenario (workload + cluster); None = caller
     #: supplies the trace and cluster explicitly
     scenario: ScenarioConfig | None = None
@@ -208,8 +215,15 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if min(self.epochs, self.trajectories_per_epoch, self.trajectory_length) <= 0:
             raise ValueError("training sizes must be positive")
-        if self.n_envs <= 0:
-            raise ValueError("n_envs must be positive")
+        if self.filter_probe_samples < 1:
+            raise ValueError(
+                f"filter_probe_samples must be >= 1, got {self.filter_probe_samples}"
+            )
+        if not 0 <= self.filter_phase1_fraction <= 1:  # also rejects NaN
+            raise ValueError(
+                "filter_phase1_fraction must be in [0, 1], "
+                f"got {self.filter_phase1_fraction}"
+            )
         if self.scenario is not None and not isinstance(self.scenario, ScenarioConfig):
             raise TypeError("scenario must be a ScenarioConfig (or None)")
         if self.telemetry is not None and not isinstance(self.telemetry, TelemetryConfig):

@@ -16,16 +16,17 @@ How an epoch executes
 Nothing is configured; each choice follows from what the code observes.
 
 *Rollout.*  In this process, on the trainer's own networks: one
-:func:`lockstep_rollout` steps whole episodes through the trainer's
-:class:`VecSchedGym` (``min(n_envs, trajectories_per_epoch)``
-environments, one batched policy forward per step).  An epoch is
-synchronous, as on-policy PPO is: the rollout runs on the weights the
-previous update left, then the update runs.
+:func:`lockstep_rollout` steps all of the epoch's episodes at once
+through the trainer's :class:`VecSchedGym`, one batched policy forward
+per wave.  Validation steps its greedy episodes through the same
+stepper.  An epoch is synchronous, as on-policy PPO is: the rollout runs
+on the weights the previous update left, then the update runs.
 
 The lock-step rollout and a loop of one-episode :meth:`Trainer._rollout`
 calls, the tests' sequential reference, give **bit-identical**
-trajectories, advantages and update statistics for the same seed, at any
-lock-step width (the golden tests), because each trajectory samples
+trajectories, advantages and update statistics for the same seed, however
+the sequences are grouped into waves (the golden tests), because each
+trajectory samples
 actions from its own ``(seed, epoch, trajectory)`` RNG stream, sequences
 are sampled (and filter-checked) and enter the :class:`TrajectoryBuffer`
 in trajectory order, behaviour log-probs are computed once per finished
@@ -76,14 +77,15 @@ __all__ = ["Trainer", "lockstep_rollout", "train"]
 logger = logging.getLogger("repro.rl.trainer")
 
 
-def lockstep_rollout(vec, agent, sequences, rngs) -> tuple[list, list[float]]:
+def lockstep_rollout(vec, agent, runs, rngs, reward_fn) -> tuple[list, list[float]]:
     """The one rollout loop: whole episodes, lock-stepped through ``vec``.
 
-    Trajectory ``t`` is ``sequences[t]`` and samples its actions from
-    ``rngs[t]``; trajectories enter the envs in index order.  Returns
-    ``(episodes, rewards)`` by trajectory: the ``(rows, counts, actions)``
-    of every decision the episode made — its ragged observations and the
-    ``(T,)`` int64 actions — and its raw terminal reward.
+    Trajectory ``t`` is ``runs[t]``, a ``(jobs, cluster, backfill)`` run,
+    and samples its actions from ``rngs[t]``; every trajectory is in each
+    wave until it ends.  Returns ``(episodes, rewards)`` by trajectory:
+    the ``(rows, counts, actions)`` of every decision the episode made —
+    its ragged observations and the ``(T,)`` int64 actions — and its raw
+    terminal reward, ``reward_fn(completed jobs, cluster size)``.
 
     Waves are logged as they come and regrouped by trajectory once, at
     the end: a stable sort of the logged decisions by trajectory keeps
@@ -94,10 +96,7 @@ def lockstep_rollout(vec, agent, sequences, rngs) -> tuple[list, list[float]]:
     per-step cost is one boolean test with telemetry off, two clock reads
     per phase with it on.
     """
-    rewards = [0.0] * len(sequences)
-    n = min(vec.n_envs, len(sequences))
-    rows, counts = vec.reset(sequences[:n])
-    vec.queue_sequences(sequences[n:])
+    rows, counts = vec.reset(runs)
     log_rows, log_counts, log_trajs, log_actions = [], [], [], []
     reg = _telemetry.current()
     timed = reg.enabled
@@ -105,7 +104,7 @@ def lockstep_rollout(vec, agent, sequences, rngs) -> tuple[list, list[float]]:
     t_policy = t_env = t_buffer = 0.0
     n_waves = 0
     while len(counts):
-        trajs = vec.episodes
+        trajs = vec.runs
         if timed:
             t0 = perf()
         actions, _ = agent.act_batch(
@@ -121,18 +120,14 @@ def lockstep_rollout(vec, agent, sequences, rngs) -> tuple[list, list[float]]:
         if timed:
             t0 = perf()
             t_buffer += t0 - t1
-        result = vec.step(actions)
+        rows, counts, _ = vec.step(actions)
         if timed:
-            t1 = perf()
-            t_env += t1 - t0
+            t_env += perf() - t0
             n_waves += 1
-        for k in np.flatnonzero(result.dones).tolist():
-            rewards[trajs[k]] = float(result.rewards[k])
-        rows, counts = result.rows, result.counts
-        if timed:
-            t_buffer += perf() - t1
     if timed:
         t0 = perf()
+    rewards = [float(reward_fn(engine.completed, engine.cluster.n_procs))
+               for engine in vec.engines]
     trajs = np.concatenate(log_trajs)
     counts = np.concatenate(log_counts)
     order = np.argsort(trajs, kind="stable")
@@ -140,7 +135,7 @@ def lockstep_rollout(vec, agent, sequences, rngs) -> tuple[list, list[float]]:
     counts = counts[order]
     rows = np.concatenate(log_rows)[csr_gather(starts[order], counts)]
     actions = np.concatenate(log_actions)[order]
-    step_ptr = csr_indptr(np.bincount(trajs, minlength=len(sequences)))
+    step_ptr = csr_indptr(np.bincount(trajs, minlength=len(runs)))
     row_ptr = csr_indptr(counts)[step_ptr]
     episodes = [
         (rows[r0:r1], counts[s0:s1], actions[s0:s1])
@@ -207,16 +202,12 @@ class Trainer:
         self.cluster_spec = cluster or ClusterSpec(trace.max_procs)
 
         _, self._higher_is_better = metric_by_name(metric)
+        self.reward_fn = make_reward(metric)
         self.env = SchedGym(
-            self.cluster_spec, make_reward(metric), config=self.env_config
+            self.cluster_spec, self.reward_fn, config=self.env_config
         )
-        cfg = self.train_config
-        self.vec = VecSchedGym(
-            min(cfg.n_envs, cfg.trajectories_per_epoch),
-            self.cluster_spec,
-            make_reward(metric),
-            config=self.env_config,
-        )
+        # rollout and validation: every sequence of a batch at once
+        self.vec = VecSchedGym(self.cluster_spec.n_procs, self.env_config)
         m, f = self.env_config.max_obsv_size, self.env_config.job_features
         seed = self.train_config.seed
         self.policy = policy or make_policy(policy_preset, m, f, seed=seed)
@@ -247,12 +238,6 @@ class Trainer:
             trace, self.train_config.trajectory_length, seed=seed + 4
         )
         self._val_sequences = val_sampler.sample_many(3)
-        self._val_env = VecSchedGym(
-            len(self._val_sequences),
-            self.cluster_spec,
-            make_reward(metric),
-            config=self.env_config,
-        )
 
         # A TrainConfig that asks for telemetry owns the run's registry and
         # sink unless an enclosing run (a study, a session) already owns
@@ -358,6 +343,12 @@ class Trainer:
             sequences.append(jobs)
         return sequences, total_rejected
 
+    def _runs(self, sequences) -> list[tuple]:
+        """``sequences`` as :class:`VecSchedGym` runs on the training
+        cluster."""
+        return [(jobs, self.cluster_spec, self.env_config.backfill)
+                for jobs in sequences]
+
     def _collect(
         self, epoch: int, buffer: TrajectoryBuffer
     ) -> tuple[list[float], int]:
@@ -369,7 +360,9 @@ class Trainer:
             stream_rng(seed, self._ACT_STREAM, epoch, traj)
             for traj in range(len(sequences))
         ]
-        episodes, rewards = lockstep_rollout(self.vec, self.agent, sequences, rngs)
+        episodes, rewards = lockstep_rollout(
+            self.vec, self.agent, self._runs(sequences), rngs, self.reward_fn
+        )
         scale = self._reward_scale or 1.0
         for traj, ((rows, counts, actions), reward) in enumerate(
             zip(episodes, rewards)
@@ -448,19 +441,18 @@ class Trainer:
     def _validate(self) -> float:
         """Greedy-policy reward over the held-out validation sequences.
 
-        Runs all validation sequences through a small vec env so each
-        policy forward serves every sequence at once.
+        Steps all validation sequences through :attr:`vec` so each policy
+        forward serves every sequence at once.
         """
-        vec = self._val_env
+        vec = self.vec
         # the engines copy the jobs they run (SchedulingEngine.__init__)
-        rows, counts = vec.reset(self._val_sequences)
-        rewards = np.zeros(vec.n_envs)
+        rows, counts = vec.reset(self._runs(self._val_sequences))
         while len(counts):
-            episodes = vec.episodes
-            result = vec.step(self.agent.act_greedy_batch(rows, counts))
-            rewards[episodes[result.dones]] = result.rewards[result.dones]
-            rows, counts = result.rows, result.counts
-        return float(np.mean(rewards))
+            rows, counts, _ = vec.step(self.agent.act_greedy_batch(rows, counts))
+        return float(np.mean([
+            self.reward_fn(engine.completed, engine.cluster.n_procs)
+            for engine in vec.engines
+        ]))
 
     def close(self) -> None:
         """End the telemetry run this trainer owns: write the final

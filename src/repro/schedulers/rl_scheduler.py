@@ -9,7 +9,7 @@ the argmax job.
 Hot path
 --------
 A decision is made once per scheduled job, potentially millions of times
-over an evaluation campaign.  Two things keep it cheap while staying
+over an evaluation campaign.  Three things keep it cheap while staying
 argmax-equivalent to the reference dense forward (pinned by golden
 tests):
 
@@ -25,7 +25,9 @@ tests):
   ``k`` visible rows go through the network, and the argmax is taken over
   raw scores (log-softmax is monotone, so the winner is identical);
 * evaluation steps such a policy through many sequences at once, one
-  forward per wave (:meth:`RLSchedulerPolicy.run_lockstep`).
+  forward per wave of a :class:`~repro.sim.vec_env.VecSchedGym`
+  (:meth:`RLSchedulerPolicy.run_lockstep`), the stepper training's
+  rollout and validation use too.
 
 Models persist in the one checkpoint layout (:mod:`repro.checkpoint`),
 and pickling ships the same :class:`~repro.checkpoint.Checkpoint` (cache
@@ -46,7 +48,8 @@ from repro.config import EnvConfig, FeatureLayoutError
 from repro.nn import Module, make_policy, masked_log_softmax, no_grad
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.env import FeatureCache, observation_rows, pad_observations
-from repro.sim.simulator import SchedulingEngine, run_scheduler
+from repro.sim.simulator import run_scheduler
+from repro.sim.vec_env import VecSchedGym
 from repro.telemetry import core as _telemetry
 from repro.workloads.job import Job
 
@@ -224,34 +227,27 @@ class RLSchedulerPolicy(Scheduler):
         """Position in ``rows`` (rows of ``cache``: the visible jobs, FCFS)
         of the job the policy picks: the one-queue wave of
         :meth:`_best_rows`."""
-        return int(self._best_rows(
-            cache, rows, [len(rows)], now, cluster.free_procs,
-            getattr(cluster, "free_mem", math.inf),
-            getattr(cluster, "total_mem", math.inf),
-        )[0])
+        feats = observation_rows(
+            cache, rows, now, cluster.free_procs, self.n_procs,
+            self.env_config,
+            free_mem=getattr(cluster, "free_mem", math.inf),
+            total_mem=getattr(cluster, "total_mem", math.inf),
+        )
+        return int(self._best_rows(feats, [len(rows)])[0])
 
-    def _best_rows(
-        self, table, rows: np.ndarray, counts, now, free_procs, free_mem,
-        total_mem: float,
-    ) -> np.ndarray:
+    def _best_rows(self, feats: np.ndarray, counts) -> np.ndarray:
         """Per queue of a wave, the position in its rows of the job the
         policy picks.
 
-        Queue ``i`` owns the next ``counts[i]`` of ``rows`` (rows of
-        ``table``: its visible jobs, FCFS); the state arguments are
-        scalars or one value per row (:func:`observation_rows`).  A
-        ``score_rows`` policy scores only these rows, in one forward, and
-        a job's score does not depend on the rows beside it
-        (:func:`repro.nn.tensor.matmul`).  Log-softmax is monotone, so a
-        queue's first maximum is the argmax of the dense forward over its
-        padded window, which every other policy takes — one queue per
-        wave, as that forward depends on its batch.  Ties break on the
-        first index either way.
+        Queue ``i`` owns the next ``counts[i]`` of the feature rows
+        ``feats`` (its visible jobs, FCFS).  A ``score_rows`` policy
+        scores only these rows, in one forward, and a job's score does
+        not depend on the rows beside it (:func:`repro.nn.tensor.matmul`).
+        Log-softmax is monotone, so a queue's first maximum is the argmax
+        of the dense forward over its padded window, which every other
+        policy takes — one queue per wave, as that forward depends on its
+        batch.  Ties break on the first index either way.
         """
-        feats = observation_rows(
-            table, rows, now, free_procs, self.n_procs, self.env_config,
-            free_mem=free_mem, total_mem=total_mem,
-        )
         score_rows = getattr(self.policy, "score_rows", None)
         with no_grad():
             if score_rows is None:
@@ -298,60 +294,37 @@ class RLSchedulerPolicy(Scheduler):
         backfill)``: what :func:`run_scheduler` returns for each, decision
         for decision, with the same telemetry totals.
 
-        A ``score_rows`` policy steps all runs' engines together: each
-        *wave* scores every unfinished engine's visible rows in one
-        :meth:`_best_rows` call, then commits each engine to its pick.
-        Runs on clusters of different total memory (the free-memory
-        feature's scale) go in separate waves.  Any other policy runs one
-        sequence at a time through :meth:`bind`.
+        A ``score_rows`` policy steps all runs through one
+        :class:`~repro.sim.vec_env.VecSchedGym` observing against this
+        policy's ``n_procs``: each wave scores every unfinished run's
+        visible rows in one :meth:`_best_rows` call, then commits each run
+        to its pick.  Runs on clusters of different total memory (the
+        free-memory feature's scale) go in separate waves.  Any other
+        policy runs one sequence at a time through :meth:`bind`.
         """
         if getattr(self.policy, "score_rows", None) is None:
             return [run_scheduler(jobs, cluster, self, backfill=backfill)
                     for jobs, cluster, backfill in runs]
-        engines = [SchedulingEngine(jobs, cluster, backfill=backfill)
-                   for jobs, cluster, backfill in runs]
         reg = _telemetry.current()
         t0 = time.perf_counter()
-        by_memory: dict[float, list[SchedulingEngine]] = {}
-        for engine in engines:
-            by_memory.setdefault(engine.cluster.total_mem, []).append(engine)
-        for total_mem, group in by_memory.items():
-            self._lockstep(group, total_mem)
+        by_memory: dict[float, list[int]] = {}
+        for i, (_, cluster, _) in enumerate(runs):
+            total_mem = ClusterSpec.coerce(cluster).total_mem
+            by_memory.setdefault(total_mem, []).append(i)
+        vec = VecSchedGym(self.n_procs, self.env_config)
+        engines = [None] * len(runs)
+        for group in by_memory.values():
+            rows, counts = vec.reset([runs[i] for i in group])
+            while len(counts):
+                rows, counts, _ = vec.step(self._best_rows(rows, counts))
+            for i, engine in zip(group, vec.engines):
+                engines[i] = engine
         if reg.enabled:
             reg.add_span_time("engine.episode", time.perf_counter() - t0,
                               count=len(engines))
             reg.counter("engine.events").add(sum(e.n_events for e in engines))
             reg.counter("engine.decisions").add(sum(e.n_jobs for e in engines))
         return [engine.completed for engine in engines]
-
-    def _lockstep(self, engines, total_mem: float) -> None:
-        """Run ``engines`` (clusters of ``total_mem``) to completion in
-        waves.  One :class:`FeatureCache` holds every engine's jobs, each
-        engine's rows after those of the engines before it (the table is
-        read by row only, never by job id)."""
-        cache = FeatureCache(
-            [job for engine in engines for job in engine.jobs],
-            self.n_procs, self.env_config, total_mem=total_mem,
-        )
-        offsets = np.cumsum([0] + [engine.n_jobs for engine in engines])
-        m = self.env_config.max_obsv_size
-        live = [(engine, offset) for engine, offset in zip(engines, offsets)
-                if engine.advance_until_decision()]
-        while live:
-            queues = [engine.pending_rows[:m] for engine, _ in live]
-            counts = [len(queue) for queue in queues]
-            rows = np.concatenate(queues) + np.repeat(
-                [offset for _, offset in live], counts
-            )
-            now, free_procs, free_mem = np.repeat([
-                (engine.now, engine.cluster.free_procs, engine.cluster.free_mem)
-                for engine, _ in live
-            ], counts, axis=0).T
-            picks = self._best_rows(cache, rows, counts, now, free_procs,
-                                    free_mem, total_mem)
-            for (engine, _), pick in zip(live, picks):
-                engine.commit(engine.pending[pick])
-            live = [item for item in live if item[0].advance_until_decision()]
 
     # -- persistence: the one checkpoint layout (repro.checkpoint) -------
     def to_checkpoint(self) -> checkpoint.Checkpoint:

@@ -51,8 +51,10 @@ one producer, in training and in deployment alike: static columns
 :class:`FeatureCache` — the one job-feature table, computed once per job,
 growable for a scheduler that meets its jobs as they arrive — and
 :func:`fill_dynamic_features` overwrites the time- and state-dependent
-ones.  :func:`pad_observations` is the one place the ``(n, M, F)`` window
-and its ``(n, M)`` action mask are materialised; its callers are the
+ones; :class:`~repro.sim.vec_env.VecSchedGym` builds the wave of many
+queues this way, one queue per unfinished run.  :func:`pad_observations`
+is the one place the ``(n, M, F)`` window and its ``(n, M)`` action mask
+are materialised; its callers are the
 networks that read the whole window (the MLP / LeNet baselines of §V-B)
 and the gym-protocol surface of this module — :class:`SchedGym`, the
 paper's single-environment API, and :func:`build_observation`.  The
@@ -152,8 +154,10 @@ class FeatureCache:
     ``tests/reference.py`` does, so table rows and loop rows are
     bit-identical.  :func:`observation_rows` gathers them by row.
 
-    An episode knows its jobs up front: :meth:`SchedGym.begin` and a bound
-    :class:`~repro.schedulers.RLSchedulerPolicy` hand them to the
+    An episode knows its jobs up front: :meth:`SchedGym.reset`, a bound
+    :class:`~repro.schedulers.RLSchedulerPolicy` and
+    :class:`~repro.sim.vec_env.VecSchedGym` (one table for all its runs,
+    each run's rows after the previous run's) hand them to the
     constructor and read rows by the engine's ``pending_rows``.  A
     deployed scheduler meets jobs as they arrive: it starts from ``()``
     and asks :meth:`rows`, which adds unseen jobs (capacity doubles from a
@@ -292,7 +296,7 @@ class FeatureCache:
 
 
 def observation_rows(
-    table,
+    table: FeatureCache,
     idx: np.ndarray,
     now: "float | np.ndarray",
     free_procs: "int | np.ndarray",
@@ -303,9 +307,6 @@ def observation_rows(
 ) -> np.ndarray:
     """Feature rows of the jobs at ``idx`` of ``table``: ``(K, F)`` float32.
 
-    ``table`` holds the per-job columns ``static``, ``submit`` and
-    ``procs``: a :class:`FeatureCache`, or the per-environment slabs
-    :class:`~repro.sim.vec_env.VecSchedGym` copies those columns into.
     The state arguments are those of :func:`fill_dynamic_features`.  The
     rows are assembled in float64 and cast once, the bits every consumer
     of the encoding has always seen.
@@ -332,6 +333,23 @@ def pad_observations(
     obs = np.zeros((*masks.shape, rows.shape[1]), dtype=rows.dtype)
     obs[masks] = rows
     return obs, masks
+
+
+def check_actions(actions: np.ndarray, counts, max_obsv_size: int) -> None:
+    """Reject a wave's actions unless each picks one of its queue's
+    ``counts[k]`` visible slots: the one action check of
+    :class:`SchedGym` and :class:`~repro.sim.vec_env.VecSchedGym`."""
+    outside = (actions < 0) | (actions >= max_obsv_size)
+    if outside.any():
+        raise ValueError(f"action {actions[outside][0]} out of range "
+                         f"[0, {max_obsv_size})")
+    padded = actions >= np.asarray(counts)
+    if padded.any():
+        k = int(np.argmax(padded))
+        raise ValueError(
+            f"action {actions[k]} points at a padded slot "
+            f"({counts[k]} jobs visible); respect the action mask"
+        )
 
 
 def build_observation(
@@ -430,13 +448,8 @@ class SchedGym:
         return self.engine.pending[: self.config.max_obsv_size]
 
     # ------------------------------------------------------------------
-    # the episode itself, observation-free: what VecSchedGym drives
-    # ------------------------------------------------------------------
-    def begin(self, jobs: Sequence[Job]) -> FeatureCache:
-        """Start an episode over ``jobs`` and run to its first decision.
-
-        Returns the episode's job-feature table, its rows indexed like
-        ``engine.pending_rows``."""
+    def reset(self, jobs: Sequence[Job]) -> tuple[np.ndarray, np.ndarray]:
+        """Start an episode over ``jobs``; returns (observation, action_mask)."""
         self._engine = SchedulingEngine(
             jobs, self.cluster_spec, backfill=self.config.backfill
         )
@@ -446,46 +459,22 @@ class SchedGym:
         )
         has_decision = self._engine.advance_until_decision()
         assert has_decision, "a non-empty job sequence must yield a decision"
-        return self._cache
-
-    def schedule(self, action: int) -> float | None:
-        """Start the job in visible slot ``action`` and run to the next
-        decision.  Returns ``None`` while the episode goes on, and the
-        sequence reward once every job has completed."""
-        engine = self.engine
-        if engine.done:
-            raise RuntimeError("episode is over; call reset()")
-        m = self.config.max_obsv_size
-        if not 0 <= action < m:
-            raise ValueError(f"action {action} out of range [0, {m})")
-        n_visible = min(len(engine.pending), m)
-        if action >= n_visible:
-            raise ValueError(
-                f"action {action} points at a padded slot "
-                f"({n_visible} jobs visible); respect the action mask"
-            )
-        engine.commit(engine.pending[action])
-        if engine.advance_until_decision():
-            return None
-        assert engine.done
-        return float(self.reward_fn(engine.completed, self.n_procs))
-
-    # ------------------------------------------------------------------
-    # the gym protocol: the same episode behind padded observations
-    # ------------------------------------------------------------------
-    def reset(self, jobs: Sequence[Job]) -> tuple[np.ndarray, np.ndarray]:
-        """Start an episode over ``jobs``; returns (observation, action_mask)."""
-        self.begin(jobs)
         return self._observe()
 
     def step(self, action: int) -> StepResult:
         """Schedule the job in visible slot ``action``."""
-        reward = self.schedule(action)
         engine = self.engine
+        if engine.done:
+            raise RuntimeError("episode is over; call reset()")
+        m = self.config.max_obsv_size
+        check_actions(np.array([action]), [min(len(engine.pending), m)], m)
+        engine.commit(engine.pending[action])
+        done = not engine.advance_until_decision()
         # a finished episode has an empty queue: zero rows, all-False mask
         obs, mask = self._observe()
-        if reward is None:
+        if not done:
             return StepResult(obs, 0.0, False, mask, {"now": engine.now})
+        reward = float(self.reward_fn(engine.completed, self.n_procs))
         return StepResult(
             obs, reward, True, mask, {"now": engine.now, "completed": engine.completed}
         )

@@ -37,6 +37,19 @@ class TestEnvConfig:
         with pytest.raises(ValueError, match=f"job_features.*{job_features}"):
             EnvConfig(job_features=job_features)
 
+    @pytest.mark.parametrize("field, bad, smallest", [
+        ("runtime_scale", 1.0, 1.0 + 1e-9),  # was: ZeroDivisionError in the table
+        ("runtime_scale", 0.5, 1.0 + 1e-9),  # was: column 1 read -12.2
+        ("wait_scale", 0.0, 1e-12),          # was: column 0 read NaN
+        ("wait_scale", float("nan"), 1e-12),
+    ])
+    def test_rejects_scales_the_encoder_cannot_use(self, field, bad, smallest):
+        """Columns 0 and 1 lie in [0, 1] only for a positive wait scale
+        and a runtime scale above 1."""
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got {bad}$"):
+            EnvConfig(**{field: bad})
+        assert getattr(EnvConfig(**{field: smallest}), field) == smallest
+
 
 class TestPPOConfig:
     def test_paper_defaults(self):
@@ -78,6 +91,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field, bad, edge", [
+        ("filter_probe_samples", 0, 1),  # was: failed inside the filter fit
+        ("filter_phase1_fraction", float("nan"), 0.0),  # was: failed in run_epoch
+        ("filter_phase1_fraction", -0.5, 0.0),  # was: accepted silently
+        ("filter_phase1_fraction", 1.5, 1.0),
+    ])
+    def test_rejects_filter_settings_training_cannot_use(self, field, bad, edge):
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got {bad}$"):
+            TrainConfig(**{field: bad})
+        assert getattr(TrainConfig(**{field: edge}), field) == edge
+
     def test_rollout_mode_validation(self):
         """How rollouts are collected is not configurable; the fields that
         used to select or loosen it are gone."""
@@ -92,9 +116,10 @@ class TestTrainConfig:
                 cls(**{field: None})
 
     def test_takes_no_runtime(self):
-        """Training rolls out in the trainer's own process: there is no
-        runtime or worker count to pass it."""
-        for field in ("runtime", "workers"):
+        """Training rolls out in the trainer's own process, every sequence
+        of an epoch in one lock-step: there is no runtime, worker count or
+        lock-step width to pass it."""
+        for field in ("runtime", "workers", "n_envs"):
             with pytest.raises(TypeError):
                 TrainConfig(**{field: 2})
             assert field not in {f.name for f in dataclasses.fields(TrainConfig)}

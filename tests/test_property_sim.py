@@ -5,8 +5,8 @@ against the public reference functions, every bound scheduler pick against
 ``select``, online replay under arbitrary ``advance()`` chunking against
 the batch decision log, and the pending-queue invariants after every
 event — and the ragged observation path against its padded oracle: every
-``VecSchedGym`` wave, padded out, against the per-job loop encoder, and a
-vec of any width against a loop of ``SchedGym`` episodes."""
+``VecSchedGym`` wave, padded out, against the per-job loop encoder, and
+each of its runs against a lone ``SchedGym`` episode."""
 
 import dataclasses
 import heapq
@@ -231,14 +231,14 @@ def engine_cases(draw, max_jobs=16):
 @st.composite
 def vec_cases(draw, max_sequences=5):
     """Several colliding job streams for one cluster (half of them
-    memory-constrained) and the lock-step width to run them at."""
+    memory-constrained)."""
     memory = draw(st.booleans())
     sequences = [
         colliding_jobs(draw, memory, 14)
         for _ in range(draw(st.integers(1, max_sequences)))
     ]
     spec = ClusterSpec(N_PROCS, memory=TOTAL_MEM if memory else None)
-    return sequences, spec, draw(st.integers(1, 4))
+    return sequences, spec
 
 
 class _Checked:
@@ -634,14 +634,15 @@ def negative_bsld(jobs, n_procs):
     return -average_bounded_slowdown(jobs)
 
 
-def assert_waves_equal_padded_oracle(sequences, spec, n_envs, backfill, choose):
-    """Run ``sequences`` through a ``VecSchedGym`` of width ``n_envs`` and,
-    beside it, each one through its own ``SchedGym`` with the same actions
+def assert_waves_equal_padded_oracle(sequences, spec, backfill, choose):
+    """Run ``sequences`` through one ``VecSchedGym`` and, beside it, each
+    one through its own ``SchedGym`` with the same actions
     (``choose(n_visible)`` picks them).  Every wave, padded out, must equal
-    the loop encoder's window of that episode's queue bit for bit, and
-    every episode must end on the single environment's reward.  Returns
-    the deepest queue met (window cut-off ignored) and whether a wave
-    ever ended on a zero last column."""
+    the loop encoder's window of that run's queue bit for bit, every run
+    must finish on the single environment's step, and its completed jobs
+    must earn the single environment's reward.  Returns the deepest queue
+    met (window cut-off ignored) and whether a wave ever ended on a zero
+    last column."""
     memory = spec.memory is not None
     # a 4-slot window: most of these queues outgrow it, so the FCFS
     # cut-off at MAX_OBSV_SIZE binds
@@ -653,13 +654,16 @@ def assert_waves_equal_padded_oracle(sequences, spec, n_envs, backfill, choose):
     def copies(seq):
         return [j.copy() for j in seq]
 
-    vec = VecSchedGym(n_envs, spec, negative_bsld, config)
-    rows, counts = vec.reset([copies(s) for s in sequences[:n_envs]])
-    vec.queue_sequences([copies(s) for s in sequences[n_envs:]])
-    refs = {}  # episode -> [its SchedGym, that env's latest (obs, mask)]
+    vec = VecSchedGym(spec.n_procs, config)
+    rows, counts = vec.reset([(copies(s), spec, backfill) for s in sequences])
+    # per run: its SchedGym and that env's latest (obs, mask)
+    refs = []
+    for s in sequences:
+        env = SchedGym(spec, negative_bsld, config)
+        refs.append([env, env.reset(copies(s))])
     deepest, trailing_zero = 0, False
     while len(counts):
-        episodes = vec.episodes.tolist()
+        runs = vec.runs.tolist()
         trailing_zero |= bool((rows[np.cumsum(counts) - 1, -1] == 0).any())
         obs, masks = pad_window(rows, counts, config.max_obsv_size)
         for got, want in zip(
@@ -667,10 +671,7 @@ def assert_waves_equal_padded_oracle(sequences, spec, n_envs, backfill, choose):
         ):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         actions = []
-        for k, e in enumerate(episodes):
-            if e not in refs:
-                env = SchedGym(spec, negative_bsld, config)
-                refs[e] = [env, env.reset(copies(sequences[e]))]
+        for k, e in enumerate(runs):
             env, (gym_obs, gym_mask) = refs[e]
             engine = env.engine
             deepest = max(deepest, len(engine.pending))
@@ -685,13 +686,15 @@ def assert_waves_equal_padded_oracle(sequences, spec, n_envs, backfill, choose):
             assert gym_mask.tolist() == want_mask.tolist()
             actions.append(choose(int(counts[k])))
         result = vec.step(np.array(actions))
-        for k, e in enumerate(episodes):
+        for k, e in enumerate(runs):
             ref_result = refs[e][0].step(actions[k])
-            assert result.rewards[k] == ref_result.reward
-            assert bool(result.dones[k]) == ref_result.done
+            assert (e in result.finished) == ref_result.done
+            if ref_result.done:
+                completed = vec.engines[e].completed
+                assert negative_bsld(completed, spec.n_procs) == ref_result.reward
             refs[e][1] = (ref_result.observation, ref_result.action_mask)
         rows, counts = result.rows, result.counts
-    assert sorted(refs) == list(range(len(sequences)))
+    assert all(engine.done for engine in vec.engines)
     return deepest, trailing_zero
 
 
@@ -701,11 +704,11 @@ def test_every_wave_equals_the_padded_loop_oracle(case, backfill, data):
     """(v) Ragged from the env on: what ``VecSchedGym`` emits is, padded
     out, the window the per-job loop encodes — procs-only and memory
     clusters (with the memory columns), every backfill mode, queues past
-    the window — and a vec of any width is a loop of ``SchedGym``
-    episodes, auto-reset backlog included."""
-    sequences, spec, n_envs = case
+    the window — and every run of a vec is a lone ``SchedGym`` episode,
+    whichever runs step beside it."""
+    sequences, spec = case
     assert_waves_equal_padded_oracle(
-        sequences, spec, n_envs, backfill,
+        sequences, spec, backfill,
         lambda n_visible: data.draw(st.integers(0, n_visible - 1)),
     )
 
@@ -724,7 +727,7 @@ def test_wave_oracle_covers_queues_past_the_window(memory):
     ]
     spec = ClusterSpec(N_PROCS, memory=TOTAL_MEM if memory else None)
     deepest, trailing_zero = assert_waves_equal_padded_oracle(
-        [burst, burst[:3]], spec, 2, "easy", lambda n_visible: n_visible - 1
+        [burst, burst[:3]], spec, "easy", lambda n_visible: n_visible - 1
     )
     assert deepest > 2 * 4
     assert trailing_zero == memory

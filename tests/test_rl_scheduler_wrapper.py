@@ -9,7 +9,9 @@ import pytest
 from repro.config import EnvConfig
 from repro.nn import KernelPolicy, make_policy, masked_log_softmax, no_grad
 from repro.schedulers import RLSchedulerPolicy
-from repro.sim import Cluster, FeatureCache, build_observation, run_scheduler
+from repro.sim import (
+    Cluster, FeatureCache, build_observation, observation_rows, run_scheduler,
+)
 from repro.workloads import Job, load_trace
 
 
@@ -590,10 +592,12 @@ class TestLockstep:
         cache = FeatureCache(twins, 64, sched.env_config)
         cluster = cluster_with_free(64, 40)
         queues = [[0, 1, 2, 3], [4, 5], [6, 7, 8, 9, 10, 11], [2, 3]]
-        picks = sched._best_rows(
-            cache, np.concatenate(queues), [len(q) for q in queues], 20.0,
-            cluster.free_procs, cluster.free_mem, cluster.total_mem,
+        feats = observation_rows(
+            cache, np.concatenate(queues), 20.0, cluster.free_procs, 64,
+            sched.env_config, free_mem=cluster.free_mem,
+            total_mem=cluster.total_mem,
         )
+        picks = sched._best_rows(feats, [len(q) for q in queues])
         alone = [sched._best_row(cache, np.array(q), 20.0, cluster)
                  for q in queues]
         assert list(picks) == alone

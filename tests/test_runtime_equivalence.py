@@ -5,7 +5,8 @@ Process-pool evaluation must be *bit-identical* to the in-process loop:
 1, 2 and 3 workers, heuristic and RL schedulers alike — a kernel policy
 and an MLP preset, whose weights are the largest state a pool worker
 starts with.  No tolerances anywhere: the worker count is a pure throughput
-knob, like ``n_envs`` in ``test_equivalence.py``.
+knob, as the grouping of training's lock-step waves is
+(``test_trainer.py``).
 """
 
 import numpy as np

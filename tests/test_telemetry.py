@@ -494,7 +494,7 @@ class TestEpochRecordPhaseTimes:
 class TestRolloutPhaseSpans:
     def test_collect_records_each_phase(self, trace):
         cfg = TrainConfig(trajectories_per_epoch=2, trajectory_length=16,
-                          n_envs=2, seed=0)
+                          seed=0)
         with Trainer(trace, env_config=TINY_ENV, train_config=cfg) as t:
             with core.session() as reg:
                 t._collect(0, TrajectoryBuffer())

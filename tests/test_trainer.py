@@ -3,7 +3,7 @@
 Besides the mechanics, the goldens of the in-process rollout: an epoch of
 :func:`lockstep_rollout` trains *bit-identically* to a loop of
 one-episode ``Trainer._rollout`` calls, and an episode does not depend on
-the lock-step width it ran at (no tolerances anywhere).
+which episodes stepped beside it (no tolerances anywhere).
 """
 
 import dataclasses
@@ -238,7 +238,6 @@ def make_trainer(trace, sequential=False, epochs=2, backfill=False, dense=False)
             trajectories_per_epoch=6,
             trajectory_length=18,
             seed=0,
-            n_envs=4,  # 6 trajectories over 4 envs: exercises auto-reset
         ),
     )
 
@@ -301,20 +300,27 @@ class TestEpochGolden:
 
 class TestLockstepRollout:
     def test_width_and_arrival_order_invariance(self, golden_trace):
-        """Six episodes through widths 1, 2, 4 (auto-reset backlog) and 6
-        are bit-identical episode for episode, per-episode log-probs
+        """Six episodes stepped one per call, split 2 + 4 and all in one
+        call are bit-identical episode for episode, per-episode log-probs
         included, and so is the epoch batch valued by one forward."""
         m, f = GOLDEN_ENV.observation_shape
         agent = PPOAgent(make_policy("kernel", m, f, seed=0), ValueMLP(m, f, seed=1))
         sequences = SequenceSampler(golden_trace, 18, seed=3).sample_many(6)
+        vec = VecSchedGym(golden_trace.max_procs, GOLDEN_ENV)
+        reward_fn = make_reward("bsld")
 
-        def collect(width):
-            vec = VecSchedGym(width, golden_trace.max_procs, make_reward("bsld"),
-                              config=GOLDEN_ENV)
-            rngs = [stream_rng(0, Trainer._ACT_STREAM, 0, t) for t in range(6)]
-            episodes, rewards = lockstep_rollout(
-                vec, agent, copy_sequences(sequences), rngs
-            )
+        def collect(groups):
+            """The six episodes, ``groups[g]`` of them per rollout call."""
+            episodes, rewards = [], []
+            for lo, hi in zip(np.cumsum([0, *groups[:-1]]), np.cumsum(groups)):
+                runs = [(jobs, golden_trace.max_procs, False)
+                        for jobs in copy_sequences(sequences[lo:hi])]
+                rngs = [stream_rng(0, Trainer._ACT_STREAM, 0, t)
+                        for t in range(lo, hi)]
+                got, got_rewards = lockstep_rollout(vec, agent, runs, rngs,
+                                                    reward_fn)
+                episodes += got
+                rewards += got_rewards
             buffer = TrajectoryBuffer()
             for t, ((rows, counts, actions), reward) in enumerate(
                 zip(episodes, rewards)
@@ -328,10 +334,10 @@ class TestLockstepRollout:
             del batch["windows"]
             return [(*episode, reward) for episode, reward in zip(episodes, rewards)], batch
 
-        reference, reference_batch = collect(1)
+        reference, reference_batch = collect([1] * 6)
         assert len(reference) == 6
-        for width in (2, 4, 6):
-            got, batch = collect(width)
+        for groups in ([2, 4], [6]):
+            got, batch = collect(groups)
             assert len(got) == len(reference)
             for episode, want in zip(got, reference):
                 for column, expected in zip(episode, want):

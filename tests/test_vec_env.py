@@ -1,11 +1,10 @@
-"""Unit tests for VecSchedGym: lock-step semantics, auto-reset, ragged waves."""
+"""Unit tests for VecSchedGym: lock-step semantics and ragged waves."""
 
 import numpy as np
 import pytest
 
 from repro.config import EnvConfig
-from repro.rl import make_reward
-from repro.sim import ClusterSpec, SchedGym, VecSchedGym
+from repro.sim import ClusterSpec, VecSchedGym
 from repro.workloads import Job
 
 from .test_property_sim import assert_waves_equal_padded_oracle
@@ -28,125 +27,106 @@ def sequence(seed, n=5):
     ]
 
 
-def make_vec(n_envs=3):
-    return VecSchedGym(n_envs, 8, make_reward("bsld"), config=CFG)
+def make_vec():
+    return VecSchedGym(8, config=CFG)
 
 
-def unpad(obs, mask):
-    """A gym-protocol observation as the rows a wave carries for it."""
-    return obs[mask]
+def runs(sequences, cluster=8):
+    return [(jobs, cluster, False) for jobs in sequences]
 
 
 class TestReset:
     def test_shapes(self):
-        vec = make_vec(3)
-        seqs = [sequence(0), sequence(1), sequence(2)]
-        rows, counts = vec.reset(seqs)
+        vec = make_vec()
+        rows, counts = vec.reset(runs([sequence(0), sequence(1), sequence(2)]))
         assert rows.dtype == np.float32
         assert rows.shape == (counts.sum(), CFG.job_features)
         assert counts.shape == (3,) and (counts >= 1).all()
-        assert vec.active.all()
-        assert vec.episodes.tolist() == [0, 1, 2]
-
-    def test_partial_fill_pads_with_inactive(self):
-        """Inactive environments own no part of the wave."""
-        vec = make_vec(3)
-        rows, counts = vec.reset([sequence(0)])
-        assert vec.active.tolist() == [True, False, False]
-        assert counts.shape == (1,) and len(rows) == counts[0]
-        assert vec.episodes.tolist() == [0]
-
-    def test_too_many_sequences_rejected(self):
-        vec = make_vec(2)
-        with pytest.raises(ValueError, match="queue the"):
-            vec.reset([sequence(i) for i in range(3)])
+        assert vec.runs.tolist() == [0, 1, 2]
+        assert len(vec.engines) == 3
 
     def test_empty_reset_rejected(self):
         with pytest.raises(ValueError):
             make_vec().reset([])
 
-
-def assert_equals_single_envs(n_envs, sequences):
-    """Every wave of a vec over ``sequences`` (always acting on slot 0)
-    holds, per episode, what a lone SchedGym shows for it, and ends each
-    episode with the same reward."""
-    assert_waves_equal_padded_oracle(
-        sequences, ClusterSpec(8), n_envs, False, lambda n_visible: 0
-    )
+    def test_runs_of_different_total_memory_rejected(self):
+        """The free-memory feature is scaled by one total memory per
+        wave; a run on another cluster capacity needs its own reset."""
+        mixed = [(sequence(0), ClusterSpec(8), False),
+                 (sequence(1), ClusterSpec(8, memory=64.0), False)]
+        with pytest.raises(ValueError, match="different total memory"):
+            make_vec().reset(mixed)
 
 
 class TestStep:
     def test_matches_single_env_in_lockstep(self):
-        """Each vec slot must evolve exactly like a lone SchedGym."""
-        assert_equals_single_envs(2, [sequence(10), sequence(11)])
+        """Each run of a vec evolves exactly like a lone SchedGym."""
+        assert_waves_equal_padded_oracle(
+            [sequence(10), sequence(11)], ClusterSpec(8), False,
+            lambda n_visible: 0,
+        )
 
     def test_wrong_action_shape(self):
-        vec = make_vec(2)
-        vec.reset([sequence(0), sequence(1)])
+        vec = make_vec()
+        vec.reset(runs([sequence(0), sequence(1)]))
         with pytest.raises(ValueError, match="expected 2 actions"):
             vec.step(np.zeros(3, dtype=int))
 
     def test_step_when_all_done(self):
-        vec = make_vec(1)
-        vec.reset([[job(1, 0, 10, 2)]])
+        vec = make_vec()
+        vec.reset(runs([[job(1, 0, 10, 2)]]))
         result = vec.step(np.array([0]))
-        assert result.dones[0] and vec.all_done
-        with pytest.raises(RuntimeError, match="all environments are done"):
+        assert result.finished.tolist() == [0]
+        with pytest.raises(RuntimeError, match="every run is done"):
             vec.step(np.array([], dtype=int))
 
     def test_bad_actions_rejected_like_the_single_env(self):
-        vec = make_vec(1)
-        vec.reset([[job(1, 0, 10, 2)]])
+        vec = make_vec()
+        vec.reset(runs([[job(1, 0, 10, 2)]]))
         with pytest.raises(ValueError, match="out of range"):
             vec.step(np.array([7]))
         with pytest.raises(ValueError, match="padded slot"):
             vec.step(np.array([2]))
 
+        # a bad action anywhere in the vector moves no run at all
+        vec = make_vec()
+        wave = vec.reset(runs([sequence(0), sequence(1), sequence(2)]))
+        before = [(engine.now, len(engine.pending), len(engine.completed))
+                  for engine in vec.engines]
+        for bad in ([0, 0, 99], [0, 0, -1], [0, 0, 3]):
+            with pytest.raises(ValueError):
+                vec.step(np.array(bad))
+            assert [(engine.now, len(engine.pending), len(engine.completed))
+                    for engine in vec.engines] == before
+            assert vec.runs.tolist() == [0, 1, 2]
+        # the wave after the rejected steps is the one they were aimed at
+        rows, counts, _ = vec.step(np.zeros(3, dtype=int))
+        ref = make_vec()
+        np.testing.assert_array_equal(
+            ref.reset(runs([sequence(0), sequence(1), sequence(2)]))[0], wave[0]
+        )
+        want_rows, want_counts, _ = ref.step(np.zeros(3, dtype=int))
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(counts, want_counts)
+
 
 class TestAutoReset:
-    def test_backlog_streams_through_envs(self):
-        """5 one-job sequences through 2 envs: 5 terminal rewards total,
-        episodes numbered in hand-over order whichever env runs them."""
-        vec = make_vec(2)
-        seqs = [[job(i + 1, 0, 10 * (i + 1), 2)] for i in range(5)]
-        vec.reset(seqs[:2])
-        vec.queue_sequences(seqs[2:])
-        assert vec.n_queued == 3
-
-        finished = []
-        while not vec.all_done:
-            episodes = vec.episodes
-            result = vec.step(np.zeros(len(episodes), dtype=int))
-            finished += episodes[result.dones].tolist()
-        assert finished == [0, 1, 2, 3, 4]
-        assert vec.n_queued == 0
-
-    def test_auto_reset_obs_is_new_episode_start(self):
-        vec = make_vec(1)
-        first = [job(1, 0, 10, 2)]
-        second = [job(7, 5.0, 20, 3)]
-        vec.reset([first])
-        vec.queue_sequences([second])
-        result = vec.step(np.array([0]))
-        assert result.dones[0] and vec.episodes.tolist() == [1]
-        ref = SchedGym(8, make_reward("bsld"), CFG)
-        ref_obs, ref_mask = ref.reset([j.copy() for j in second])
-        np.testing.assert_array_equal(result.rows, unpad(ref_obs, ref_mask))
-        np.testing.assert_array_equal(result.counts, [ref_mask.sum()])
+    """Runs are never reset mid-wave: a finished run just leaves it."""
 
     def test_deactivates_without_backlog(self):
-        vec = make_vec(2)
-        vec.reset([[job(1, 0, 10, 2)], [job(2, 0, 10, 2)]])
+        """Once every run has finished, the wave is empty."""
+        vec = make_vec()
+        vec.reset(runs([[job(1, 0, 10, 2)], [job(2, 0, 10, 2)]]))
         result = vec.step(np.zeros(2, dtype=int))
-        assert result.dones.all()
-        assert vec.all_done
+        assert result.finished.tolist() == [0, 1]
+        assert all(engine.done for engine in vec.engines)
         assert result.rows.shape == (0, CFG.job_features)
         assert result.counts.shape == (0,)
 
     def test_longer_sequence_widens_the_static_table(self):
-        """A queued episode longer than any before it outgrows the
-        per-env slab while its neighbour is mid-episode: the table is
-        widened under the running episode without disturbing its rows."""
-        assert_equals_single_envs(
-            2, [sequence(0, n=12), sequence(1, n=1), sequence(2, n=40)]
+        """Runs of very different lengths share one feature table; the
+        short ones finishing early disturbs no row of the long ones."""
+        assert_waves_equal_padded_oracle(
+            [sequence(0, n=12), sequence(1, n=1), sequence(2, n=40)],
+            ClusterSpec(8), False, lambda n_visible: 0,
         )

@@ -24,7 +24,7 @@ import sys
 import time
 
 from repro.config import EnvConfig, TrainConfig
-from repro.rl import TrajectoryBuffer, Trainer
+from repro.rl import Trainer
 from repro.telemetry import core as telemetry
 from repro.workloads import SequenceSampler, load_trace
 
@@ -54,7 +54,7 @@ def main() -> int:
         prev = telemetry.set_active(reg if enabled else None)
         try:
             start = time.perf_counter()
-            trainer._collect(0, TrajectoryBuffer())
+            trainer._collect(0)
             return time.perf_counter() - start
         finally:
             telemetry.set_active(prev)

@@ -6,9 +6,7 @@ from .tensor import (
     Tensor,
     gather_rows,
     no_grad,
-    scatter_rows,
     segment_logsumexp,
-    segment_max,
     segment_sum,
 )
 from .ragged import (
@@ -25,19 +23,13 @@ from .layers import (
     DenseStack,
     Flatten,
     Module,
-    Sequential,
     conv2d,
     max_pool2d,
 )
 from .functional import (
-    entropy,
-    flat_action_index,
-    greedy_action,
     log_prob_of,
     masked_log_softmax,
     sample_action_batch,
-    segment_entropy,
-    segment_log_prob_of,
     segment_log_softmax,
     segment_rectangle,
 )
@@ -57,9 +49,7 @@ __all__ = [
     "Parameter",
     "no_grad",
     "gather_rows",
-    "scatter_rows",
     "segment_sum",
-    "segment_max",
     "segment_logsumexp",
     "RaggedRows",
     "ragged_matmul",
@@ -68,15 +58,11 @@ __all__ = [
     "csr_indptr",
     "csr_gather",
     "segment_log_softmax",
-    "segment_log_prob_of",
-    "segment_entropy",
-    "flat_action_index",
     "segment_rectangle",
     "gradcheck",
     "numerical_gradient",
     "Module",
     "Dense",
-    "Sequential",
     "DenseStack",
     "Conv2d",
     "Flatten",
@@ -84,9 +70,7 @@ __all__ = [
     "max_pool2d",
     "masked_log_softmax",
     "log_prob_of",
-    "entropy",
     "sample_action_batch",
-    "greedy_action",
     "KernelPolicy",
     "MLPPolicy",
     "LeNetPolicy",

@@ -2,27 +2,22 @@
 
 The policy networks emit one score per visible job slot; these helpers turn
 scores into a masked categorical distribution (padded slots get probability
-zero), sample actions during training, and compute the log-probs and
-entropy PPO needs.
+zero), sample actions during training, and compute the log-probs PPO
+needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_floating, gather_rows, segment_logsumexp, segment_sum
+from .tensor import Tensor, as_floating, gather_rows, segment_logsumexp
 
 __all__ = [
     "masked_log_softmax",
     "log_prob_of",
-    "entropy",
     "segment_log_softmax",
-    "segment_log_prob_of",
-    "segment_entropy",
-    "flat_action_index",
     "segment_rectangle",
     "sample_action_batch",
-    "greedy_action",
 ]
 
 _MASK_FILL = -1e9
@@ -55,18 +50,6 @@ def log_prob_of(log_probs: Tensor, actions: np.ndarray) -> Tensor:
     return log_probs[batch, actions]
 
 
-def entropy(log_probs: Tensor) -> Tensor:
-    """Mean categorical entropy, -Σ p·log p, ignoring masked slots.
-
-    Masked slots have log p ≈ -1e9 and p ≈ 0; their p·log p contribution
-    underflows to exactly 0 (in float32 as in float64: ``exp`` of the
-    shifted fill is 0), so no re-masking is needed.
-    """
-    p = log_probs.exp()
-    per_row = -(p * log_probs).sum(axis=-1)
-    return per_row.mean()
-
-
 # ---------------------------------------------------------------------------
 # segment-batched (sparse) twins
 # ---------------------------------------------------------------------------
@@ -76,24 +59,6 @@ def entropy(log_probs: Tensor) -> Tensor:
 # update-path counterpart of the deploy-side ``score_rows`` fast path.
 # Forward values agree with the dense helpers to round-off (the
 # masked slots contribute exactly zero probability in both).
-
-
-def flat_action_index(
-    masks: np.ndarray, actions: np.ndarray, indptr: np.ndarray
-) -> np.ndarray:
-    """Position of each chosen action inside the flat valid-slot vector.
-
-    ``actions[b]`` must be a valid slot of row ``b``; the flat position is
-    ``indptr[b]`` plus the number of valid slots before it in that row.
-    """
-    masks = np.asarray(masks, dtype=bool)
-    actions = np.asarray(actions, dtype=np.int64)
-    batch = np.arange(masks.shape[0])
-    if not masks[batch, actions].all():
-        bad = batch[~masks[batch, actions]]
-        raise ValueError(f"actions at rows {bad.tolist()} are masked out")
-    offsets = np.cumsum(masks, axis=-1)[batch, actions] - 1
-    return indptr[:-1] + offsets
 
 
 def segment_log_softmax(scores: Tensor, indptr: np.ndarray) -> Tensor:
@@ -110,29 +75,6 @@ def segment_log_softmax(scores: Tensor, indptr: np.ndarray) -> Tensor:
     log_norm = segment_logsumexp(scores, indptr)           # (B,)
     seg_ids = np.repeat(np.arange(lengths.size), lengths)  # (K,)
     return scores - gather_rows(log_norm, seg_ids)
-
-
-def segment_log_prob_of(
-    log_probs: Tensor, masks: np.ndarray, actions: np.ndarray, indptr: np.ndarray
-) -> Tensor:
-    """Per-observation log-probability of the chosen actions.
-
-    Sparse twin of :func:`log_prob_of`: ``log_probs`` is the flat ``(K,)``
-    output of :func:`segment_log_softmax`; ``actions`` index the original
-    (padded) slot axis and are translated to flat positions.
-    """
-    return gather_rows(log_probs, flat_action_index(masks, actions, indptr))
-
-
-def segment_entropy(log_probs: Tensor, indptr: np.ndarray) -> Tensor:
-    """Mean categorical entropy over segments (sparse twin of :func:`entropy`).
-
-    Masked slots are simply absent here; in the dense path their
-    ``p·log p`` contribution underflows to exactly 0, so both paths
-    compute the same per-row entropies.
-    """
-    per_row = -segment_sum(log_probs.exp() * log_probs, indptr)
-    return per_row.mean()
 
 
 #: NumPy sums a contiguous run of up to this many elements as one block of
@@ -182,8 +124,3 @@ def sample_action_batch(
     thresholds = uniforms * cdf[:, -1]
     actions = (cdf < thresholds[:, None]).sum(axis=-1)
     return np.minimum(actions, log_probs.shape[-1] - 1).astype(np.int64)
-
-
-def greedy_action(log_probs_row: np.ndarray) -> int:
-    """Deterministic argmax action (test-time behaviour, paper §IV-B1)."""
-    return int(np.argmax(log_probs_row))

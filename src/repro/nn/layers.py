@@ -19,7 +19,7 @@ from .ragged import RaggedRows
 from .tensor import Parameter, Tensor, _GradMode, matmul, row_sum
 
 __all__ = [
-    "Module", "Dense", "Sequential", "DenseStack", "dense_stack",
+    "Module", "Dense", "DenseStack", "dense_stack",
     "conv2d", "max_pool2d", "Conv2d", "Flatten",
 ]
 
@@ -114,17 +114,8 @@ def _collect(value, seen: set[int]) -> Iterator[Parameter]:
 _ACTIVATIONS = {
     "relu": lambda t: t.relu(),
     "tanh": lambda t: t.tanh(),
-    "sigmoid": lambda t: t.sigmoid(),
     "identity": lambda t: t,
 }
-
-
-def _sigmoid_(z: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-z))`` written over ``z``, operation for operation."""
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    return np.divide(1.0, z, out=z)
 
 
 #: what the fused :class:`Dense` node runs, in the operation order of the
@@ -136,8 +127,6 @@ _FUSED = {
              lambda g, out: np.multiply(g, out > 0.0, out=g)),
     "tanh": (lambda z: np.tanh(z, out=z),
              lambda g, out: np.multiply(g, 1.0 - out**2, out=g)),
-    "sigmoid": (_sigmoid_,
-                lambda g, out: np.multiply(np.multiply(g, out, out=g), 1.0 - out, out=g)),
     "identity": (lambda z: z, lambda g, out: g),
 }
 
@@ -266,22 +255,13 @@ class Dense(Module):
         return Tensor._from_op(out, (w, b), backward)
 
 
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module):
-        self.modules = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self.modules:
-            x = module(x)
-        return x
-
-
-class DenseStack(Sequential):
+class DenseStack(Module):
     """:class:`Dense` layers applied in order.  Fed a plain tensor, the
     stack is one tiled tape node (:func:`dense_stack`); a
     :class:`RaggedRows` input passes the first layer's own node first."""
+
+    def __init__(self, *modules: "Dense"):
+        self.modules = list(modules)
 
     def forward(self, x: "Tensor | RaggedRows") -> Tensor:
         layers = self.modules

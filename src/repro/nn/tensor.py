@@ -50,9 +50,7 @@ __all__ = [
     "Parameter",
     "no_grad",
     "gather_rows",
-    "scatter_rows",
     "segment_sum",
-    "segment_max",
     "segment_logsumexp",
 ]
 
@@ -379,15 +377,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self,), backward)
 
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return Tensor._from_op(out_data, (self,), backward)
-
     # ------------------------------------------------------------------
     # reductions
     # ------------------------------------------------------------------
@@ -568,32 +557,6 @@ def gather_rows(x: Tensor, index) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward)
 
 
-def scatter_rows(x: Tensor, index, n_rows: int) -> Tensor:
-    """Scatter rows into a zero matrix: ``out[index[k]] += x[k]``.
-
-    ``out`` has ``n_rows`` rows (remaining dims follow ``x``); rows never
-    written stay zero.  Duplicate indices sum.  The VJP is a gather — the
-    exact adjoint pair of :func:`gather_rows`.
-    """
-    x = _as_tensor(x)
-    index = np.asarray(index, dtype=np.int64)
-    if index.ndim != 1 or index.size != x.data.shape[0]:
-        raise ValueError(
-            f"index must be 1-D with one entry per row of x, got "
-            f"{index.shape} for {x.data.shape}"
-        )
-    if index.size and (index.min() < 0 or index.max() >= n_rows):
-        raise ValueError(f"index out of range [0, {n_rows})")
-    out_data = np.zeros((n_rows,) + x.data.shape[1:], dtype=x.data.dtype)
-    np.add.at(out_data, index, x.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad[index])
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
 def segment_sum(x: Tensor, indptr) -> Tensor:
     """Per-segment sum along axis 0: ``out[s] = x[indptr[s]:indptr[s+1]].sum(0)``.
 
@@ -618,35 +581,6 @@ def segment_sum(x: Tensor, indptr) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(np.repeat(grad, lengths, axis=0))
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
-def segment_max(x: Tensor, indptr) -> Tensor:
-    """Per-segment maximum along axis 0 (empty segments read ``-inf``).
-
-    The VJP routes each segment's gradient to the rows attaining the
-    maximum (ties share the full gradient, like :meth:`Tensor.where`
-    against an equality condition).
-    """
-    x = _as_tensor(x)
-    n = x.data.shape[0]
-    indptr = _check_indptr(indptr, n)
-    lengths = np.diff(indptr)
-    nonempty = lengths > 0
-    out_data = np.full(
-        (lengths.size,) + x.data.shape[1:], -np.inf, dtype=x.data.dtype
-    )
-    if nonempty.any():
-        out_data[nonempty] = np.maximum.reduceat(
-            x.data, indptr[:-1][nonempty], axis=0
-        )
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        winners = x.data == np.repeat(out_data, lengths, axis=0)
-        x._accumulate(np.repeat(grad, lengths, axis=0) * winners)
 
     return Tensor._from_op(out_data, (x,), backward)
 

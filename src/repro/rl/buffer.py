@@ -7,25 +7,22 @@ every step equals the terminal reward; GAE still shapes per-step
 advantages through the value-network baseline ("we can use (r - expr) to
 train the policy").
 
-Observations are stored the way the environments emit them — ragged, as
-``(rows, counts)``: the float32 feature rows of the waiting jobs of every
-step, one step after the other, and how many rows each step owns.  A
-finished episode is ingested by one :meth:`TrajectoryBuffer.add_episode`
-call carrying its columns whole (an episode of
-:func:`~repro.rl.trainer.lockstep_rollout` plus its behaviour log-probs),
-and :meth:`TrajectoryBuffer.get` concatenates the episodes; nothing here
-is padded to the observation window.
+A buffer holds one epoch, handed over whole as the CSR batch
+:func:`~repro.rl.trainer.lockstep_rollout` builds: the ragged
+observations ``(rows, counts)`` — the float32 feature rows of the waiting
+jobs of every step, one step after the other, and how many rows each step
+owns — the actions, the per-trajectory step boundaries ``step_ptr``, and
+beside them the behaviour log-probs and one terminal reward per episode.
+Episodes are in trajectory order, so the PPO batch does not depend on
+which episode finished first (e.g. ragged lengths under backfilling);
+nothing here is padded to the observation window.
 
 Value estimates are an epoch's, not an episode's: :meth:`get` buckets the
 whole batch's observation windows once (:meth:`RaggedRows.from_csr`),
 values them with one call of the agent's critic, computes each
-episode's advantages from its slice of those values, and hands the
-windows on in the batch, where the PPO value step plans from them.
-
-Episodes are ordered deterministically in the PPO batch: by the
-``order`` key they were added under (the trainer passes the trajectory
-index), completion order otherwise — so ``get()`` arrays do not depend on
-which episode finished first (e.g. ragged lengths under backfilling).
+episode's returns and advantages from its slice of those values, and
+hands the windows on in the batch, where the PPO value step plans from
+them.
 
 The discounted recurrences are evaluated by :func:`discount_cumsum`: one
 reversed loop over the episode's steps, a multiply and an add each.
@@ -37,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.nn import RaggedRows, csr_indptr
+from repro.nn import RaggedRows
 
 if TYPE_CHECKING:
     from repro.rl.ppo import PPOAgent
@@ -61,118 +58,96 @@ def discount_cumsum(x: np.ndarray, discount: float) -> np.ndarray:
 
 
 class TrajectoryBuffer:
-    """Append-only store for one epoch of interactions::
+    """One epoch of whole episodes, in trajectory order::
 
-        buf.add_episode(rows, counts, actions, log_probs, reward)  # per episode
-        data = buf.get(agent)                                   # once per epoch
+        buf = TrajectoryBuffer(rows, counts, actions, step_ptr,
+                               log_probs, rewards)   # once per epoch
+        data = buf.get(agent)                        # PPO's batch
+
+    ``rows`` / ``counts`` are the ragged observations of every step
+    (``counts`` has one entry per step and sums to ``len(rows)``);
+    ``actions`` and ``log_probs`` have one entry per step.  Episode ``e``
+    is steps ``step_ptr[e]:step_ptr[e + 1]`` and ends with the terminal
+    reward ``rewards[e]``.
     """
 
-    def __init__(self, gamma: float = 1.0, lam: float = 0.97):
-        if not (0.0 <= gamma <= 1.0 and 0.0 <= lam <= 1.0):
-            raise ValueError("gamma and lam must be in [0, 1]")
-        self.gamma = gamma
-        self.lam = lam
-        self.clear()
-
-    def clear(self) -> None:
-        """Drop all stored episodes (gamma/lam kept)."""
-        self._order: list[int] = []            # sort key per episode
-        self._episodes: list[tuple] = []       # get()'s columns, per episode
-        self._episode_rewards: list[float] = []
-
-    def add_episode(
+    def __init__(
         self,
         rows: np.ndarray,
         counts: np.ndarray,
         actions: np.ndarray,
+        step_ptr: np.ndarray,
         log_probs: np.ndarray,
-        reward: "float | np.ndarray",
-        order: int | None = None,
-    ) -> None:
-        """Store one finished episode of T steps and compute its returns.
-
-        ``rows`` / ``counts`` are its ragged observations (``counts`` has
-        one entry per step and sums to ``len(rows)``); ``actions`` and
-        ``log_probs`` have length T.  ``reward`` is the terminal reward of
-        the sequence, or one reward per step.  ``order`` places the
-        episode in :meth:`get` (default: after those already stored).
-        """
-        actions = np.asarray(actions, dtype=np.int64)
-        n = len(actions)
-        if n == 0:
-            raise RuntimeError("an episode needs at least one step")
-        counts = np.asarray(counts)
-        log_probs = np.asarray(log_probs, dtype=np.float64)
-        for name, column in (("counts", counts), ("log_probs", log_probs)):
+        rewards: np.ndarray,
+        gamma: float = 1.0,
+        lam: float = 0.97,
+    ):
+        self.actions = np.asarray(actions, dtype=np.int64)
+        self.counts = np.asarray(counts)
+        self.log_probs = np.asarray(log_probs, dtype=np.float64)
+        n = len(self.actions)
+        for name, column in (("counts", self.counts), ("log_probs", self.log_probs)):
             if column.shape != (n,):
                 raise ValueError(
                     f"expected {n} {name} (one per step), got {column.shape}"
                 )
-        if counts.sum() != len(rows):
+        if self.counts.sum() != len(rows):
             raise ValueError(
-                f"counts cover {counts.sum()} job rows, got {len(rows)}"
+                f"counts cover {self.counts.sum()} job rows, got {len(rows)}"
             )
-        rewards = np.asarray(reward, dtype=np.float64)
-        if rewards.ndim == 0:
-            rewards = np.zeros(n)
-            rewards[-1] = reward
-        rets = discount_cumsum(rewards, self.gamma)
+        self.step_ptr = np.asarray(step_ptr)
+        if n == 0:
+            raise ValueError("buffer is empty")
+        if (self.step_ptr[0] != 0 or self.step_ptr[-1] != n
+                or (np.diff(self.step_ptr) <= 0).any()):
+            raise ValueError("an episode needs at least one step")
+        self.rewards = np.asarray(rewards, dtype=np.float64)
+        if self.rewards.shape != (len(self.step_ptr) - 1,):
+            raise ValueError(
+                f"expected {len(self.step_ptr) - 1} rewards (one per "
+                f"episode), got {self.rewards.shape}"
+            )
+        self.rows = rows
+        self.gamma = gamma
+        self.lam = lam
 
-        self._order.append(len(self._order) if order is None else int(order))
-        self._episodes.append((rows, counts, actions, log_probs, rewards, rets))
-        self._episode_rewards.append(float(rewards.sum()))
-
-    # ------------------------------------------------------------------
-    @property
-    def n_steps(self) -> int:
-        return sum(len(episode[2]) for episode in self._episodes)
-
-    @property
-    def n_episodes(self) -> int:
-        return len(self._episodes)
-
-    @property
-    def episode_rewards(self) -> list[float]:
-        return list(self._episode_rewards)
-
-    def get(self, agent: "PPOAgent", normalize_advantages: bool = True) -> dict:
-        """All stored episodes as flat columns, advantage-normalised for
-        PPO: the ragged observations ``rows`` / ``counts`` and their
-        ``windows`` beside one entry per step of ``actions``,
-        ``log_probs``, ``advantages`` and ``returns``.
+    def get(self, agent: "PPOAgent") -> dict:
+        """The batch as flat columns, advantage-normalised for PPO: the
+        ragged observations ``rows`` / ``counts`` and their ``windows``
+        beside one entry per step of ``actions``, ``log_probs``,
+        ``advantages`` and ``returns``.
 
         ``agent`` owns the critic: the batch's observations are bucketed
         once, in batch order, into windows of its value network's
         ``max_obsv_size`` jobs, valued by one ``agent.value_batch(windows)``
         call, and handed on as ``windows``.
         """
-        if not self._episodes:
-            raise RuntimeError("buffer is empty")
-        rank = sorted(range(len(self._order)), key=self._order.__getitem__)
-        data = {
-            key: np.concatenate([self._episodes[i][k] for i in rank])
-            for k, key in enumerate(
-                ("rows", "counts", "actions", "log_probs", "rewards", "returns")
-            )
-        }
-        rewards = data.pop("rewards")
-        data["windows"] = RaggedRows.from_csr(
-            data["rows"], data["counts"], agent.value.max_obsv_size
+        n = len(self.actions)
+        windows = RaggedRows.from_csr(
+            self.rows, self.counts, agent.value.max_obsv_size
         )
-        values = np.asarray(agent.value_batch(data["windows"]), dtype=np.float64)
-        if values.shape != rewards.shape:
+        values = np.asarray(agent.value_batch(windows), dtype=np.float64)
+        if values.shape != (n,):
             raise ValueError(
-                f"expected {len(rewards)} values (one per step), "
-                f"got {values.shape}"
+                f"expected {n} values (one per step), got {values.shape}"
             )
-        adv = np.empty(len(rewards))
-        step_ptr = csr_indptr([len(self._episodes[i][2]) for i in rank])
-        for s0, s1 in zip(step_ptr[:-1], step_ptr[1:]):
+        returns, adv = np.empty(n), np.empty(n)
+        for s0, s1, reward in zip(
+            self.step_ptr[:-1], self.step_ptr[1:], self.rewards
+        ):
+            rewards = np.zeros(s1 - s0)
+            rewards[-1] = reward
+            returns[s0:s1] = discount_cumsum(rewards, self.gamma)
             v = values[s0:s1]
             next_v = np.append(v[1:], 0.0)  # terminal value is 0
-            deltas = rewards[s0:s1] + self.gamma * next_v - v
+            deltas = rewards + self.gamma * next_v - v
             adv[s0:s1] = discount_cumsum(deltas, self.gamma * self.lam)
-        if normalize_advantages:
-            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        data["advantages"] = adv
-        return data
+        return {
+            "rows": self.rows,
+            "counts": self.counts,
+            "actions": self.actions,
+            "log_probs": self.log_probs,
+            "returns": returns,
+            "windows": windows,
+            "advantages": (adv - adv.mean()) / (adv.std() + 1e-8),
+        }

@@ -1,8 +1,8 @@
 """The RLScheduler training loop (paper §V-A).
 
 Per epoch: sample ``trajectories_per_epoch`` job sequences of
-``trajectory_length`` continuous jobs from the trace, roll each through
-SchedGym with the current (stochastic) policy, then run the PPO update.
+``trajectory_length`` continuous jobs from the trace, roll them through
+the simulator with the current (stochastic) policy, then run the PPO update.
 With trajectory filtering enabled, the first ``filter_phase1_fraction`` of
 epochs trains only on sequences whose SJF-probe metric falls inside the
 fitted range (two-step schedule of §IV-C); the remaining epochs see
@@ -18,28 +18,32 @@ Nothing is configured; each choice follows from what the code observes.
 *Rollout.*  In this process, on the trainer's own networks: one
 :func:`lockstep_rollout` steps all of the epoch's episodes at once
 through the trainer's :class:`VecSchedGym`, one batched policy forward
-per wave.  Validation steps its greedy episodes through the same
-stepper.  An epoch is synchronous, as on-policy PPO is: the rollout runs
-on the weights the previous update left, then the update runs.
+per wave, and hands back the epoch as one CSR batch in trajectory order.
+:meth:`Trainer._collect` adds each episode's behaviour log-probs,
+computed on the batch of its own T observations, and builds the epoch's
+:class:`TrajectoryBuffer` from the whole batch; the epoch-0 reward-scale
+probe is one more :func:`lockstep_rollout`, of one run.  Validation
+steps its greedy episodes through the same stepper.  An epoch is
+synchronous, as on-policy PPO is: the rollout runs on the weights the
+previous update left, then the update runs.
 
-The lock-step rollout and a loop of one-episode :meth:`Trainer._rollout`
-calls, the tests' sequential reference, give **bit-identical**
-trajectories, advantages and update statistics for the same seed, however
-the sequences are grouped into waves (the golden tests), because each
-trajectory samples
-actions from its own ``(seed, epoch, trajectory)`` RNG stream, sequences
-are sampled (and filter-checked) and enter the :class:`TrajectoryBuffer`
-in trajectory order, behaviour log-probs are computed once per finished
-episode on the batch of its own T observations, and value estimates once
-per epoch, by one forward over the windows of the whole batch in
-trajectory order (:meth:`Trainer._epoch_batch`), which the update then
-plans its value steps from.
+The lock-step rollout and the tests' sequential reference — each episode
+stepped alone through :class:`~repro.sim.env.SchedGym` — give
+**bit-identical** trajectories, advantages and update statistics for the
+same seed, however the sequences are grouped into waves (the golden
+tests), because each trajectory samples actions from its own
+``(seed, epoch, trajectory)`` RNG stream, sequences are sampled (and
+filter-checked) and batched in trajectory order, behaviour log-probs are
+computed per episode, and value estimates once per epoch, by one forward
+over the windows of the whole batch in trajectory order
+(:meth:`Trainer._epoch_batch`), which the update then plans its value
+steps from.
 
 *Observations.*  Ragged all the way: environments emit ``(rows, counts)``
-waves, the rollout scores and regroups them as they are, the buffer
-concatenates them and the update plans from them.  Only a network that
-reads the whole window (the MLP / LeNet baselines) sees it padded, at its
-own input.
+waves, the rollout scores and regroups them as they are into the epoch's
+batch, the buffer windows it for the critic and the update plans from
+it.  Only a network that reads the whole window (the MLP / LeNet
+baselines) sees it padded, at its own input.
 
 *Update.*  :class:`PPOAgent` takes the sparse policy step when the policy
 exposes ``score_rows_grad`` (the kernel preset), the dense one otherwise.
@@ -60,7 +64,6 @@ from repro.nn import Module, ValueMLP, make_policy
 from repro.nn.ragged import csr_gather, csr_indptr
 from repro.runtime.seeding import stream_rng
 from repro.sim.cluster import ClusterSpec
-from repro.sim.env import SchedGym
 from repro.sim.metrics import metric_by_name
 from repro.sim.vec_env import VecSchedGym
 from repro.workloads.sampler import SequenceSampler
@@ -77,15 +80,17 @@ __all__ = ["Trainer", "lockstep_rollout", "train"]
 logger = logging.getLogger("repro.rl.trainer")
 
 
-def lockstep_rollout(vec, agent, runs, rngs, reward_fn) -> tuple[list, list[float]]:
+def lockstep_rollout(vec, agent, runs, rngs, reward_fn) -> tuple[tuple, list[float]]:
     """The one rollout loop: whole episodes, lock-stepped through ``vec``.
 
     Trajectory ``t`` is ``runs[t]``, a ``(jobs, cluster, backfill)`` run,
     and samples its actions from ``rngs[t]``; every trajectory is in each
-    wave until it ends.  Returns ``(episodes, rewards)`` by trajectory:
-    the ``(rows, counts, actions)`` of every decision the episode made —
-    its ragged observations and the ``(T,)`` int64 actions — and its raw
-    terminal reward, ``reward_fn(completed jobs, cluster size)``.
+    wave until it ends.  Returns ``(batch, rewards)``.  ``batch`` is every
+    decision of the call as one CSR batch in trajectory order,
+    ``(rows, counts, actions, step_ptr)``: the ragged observations, the
+    int64 actions, and trajectory ``t``'s steps
+    ``step_ptr[t]:step_ptr[t + 1]``.  ``rewards`` holds each trajectory's
+    raw terminal reward, ``reward_fn(completed jobs, cluster size)``.
 
     Waves are logged as they come and regrouped by trajectory once, at
     the end: a stable sort of the logged decisions by trajectory keeps
@@ -136,19 +141,12 @@ def lockstep_rollout(vec, agent, runs, rngs, reward_fn) -> tuple[list, list[floa
     rows = np.concatenate(log_rows)[csr_gather(starts[order], counts)]
     actions = np.concatenate(log_actions)[order]
     step_ptr = csr_indptr(np.bincount(trajs, minlength=len(runs)))
-    row_ptr = csr_indptr(counts)[step_ptr]
-    episodes = [
-        (rows[r0:r1], counts[s0:s1], actions[s0:s1])
-        for s0, s1, r0, r1 in zip(
-            step_ptr[:-1], step_ptr[1:], row_ptr[:-1], row_ptr[1:]
-        )
-    ]
     if timed and n_waves:
         reg.add_span_time("rollout.policy_forward", t_policy, n_waves)
         reg.add_span_time("rollout.env_step", t_env, n_waves)
         reg.add_span_time("rollout.buffer", t_buffer + perf() - t0, n_waves)
         reg.counter("rollout.env_steps").add(len(trajs))
-    return episodes, rewards
+    return (rows, counts, actions, step_ptr), rewards
 
 
 class Trainer:
@@ -203,9 +201,6 @@ class Trainer:
 
         _, self._higher_is_better = metric_by_name(metric)
         self.reward_fn = make_reward(metric)
-        self.env = SchedGym(
-            self.cluster_spec, self.reward_fn, config=self.env_config
-        )
         # rollout and validation: every sequence of a batch at once
         self.vec = VecSchedGym(self.cluster_spec.n_procs, self.env_config)
         m, f = self.env_config.max_obsv_size, self.env_config.job_features
@@ -284,48 +279,6 @@ class Trainer:
                 # sample rather than spinning forever.
                 return jobs, rejected
 
-    def _rollout(
-        self,
-        jobs,
-        buffer: TrajectoryBuffer,
-        rng: np.random.Generator,
-        slot: int = 0,
-    ) -> float:
-        """One trajectory through SchedGym; returns the raw terminal reward.
-
-        The reward-scale probe, and the tests' sequential reference: it
-        steps the gym protocol (padded observation and action mask, one
-        environment, one decision at a time), hands the masked rows to
-        the same batched agent entry points as :func:`lockstep_rollout`
-        (with batch width 1) and computes the same per-episode targets, so
-        a loop of ``_rollout`` calls fills the buffer exactly like
-        :meth:`_collect` does.
-        """
-        steps, actions = [], []
-        obs, mask = self.env.reset(jobs)
-        while True:
-            steps.append(obs[mask])
-            action, _ = self.agent.act_batch(steps[-1], [len(steps[-1])], [rng])
-            actions.append(action[0])
-            result = self.env.step(int(action[0]))
-            if result.done:
-                break
-            obs, mask = result.observation, result.action_mask
-        rows = np.concatenate(steps)
-        counts = np.array([len(step) for step in steps])
-        # The log-probs run on one batch of the finished episode's own T
-        # observations, so they do not depend on who ran the episode or
-        # how wide its lock-step waves were (BLAS results depend on batch
-        # shape; per-episode batches make it canonical); the values come
-        # from the epoch's one pass (:meth:`_epoch_batch`).
-        buffer.add_episode(
-            rows, counts, actions,
-            self.agent.episode_log_probs(rows, counts, actions),
-            result.reward / (self._reward_scale or 1.0),
-            order=slot,
-        )
-        return result.reward
-
     # -- lock-step collection -------------------------------------------
     def _epoch_filtered(self, epoch: int) -> bool:
         """Whether the trajectory filter applies to this epoch (phase 1)."""
@@ -349,38 +302,42 @@ class Trainer:
         return [(jobs, self.cluster_spec, self.env_config.backfill)
                 for jobs in sequences]
 
-    def _collect(
-        self, epoch: int, buffer: TrajectoryBuffer
-    ) -> tuple[list[float], int]:
-        """Roll one epoch's episodes through :attr:`vec` into ``buffer``,
-        in trajectory order.  Returns ``(rewards, n_rejected)``."""
+    def _collect(self, epoch: int) -> tuple[TrajectoryBuffer, list[float], int]:
+        """Roll one epoch's episodes through :attr:`vec`.  Returns
+        ``(buffer, rewards, n_rejected)``: the epoch's
+        :class:`TrajectoryBuffer`, the raw terminal rewards by trajectory
+        and how many sampled sequences the filter rejected."""
         sequences, total_rejected = self._sample_epoch_sequences(epoch)
         seed = self.train_config.seed
         rngs = [
             stream_rng(seed, self._ACT_STREAM, epoch, traj)
             for traj in range(len(sequences))
         ]
-        episodes, rewards = lockstep_rollout(
+        (rows, counts, actions, step_ptr), rewards = lockstep_rollout(
             self.vec, self.agent, self._runs(sequences), rngs, self.reward_fn
         )
-        scale = self._reward_scale or 1.0
-        for traj, ((rows, counts, actions), reward) in enumerate(
-            zip(episodes, rewards)
-        ):
-            buffer.add_episode(
-                rows, counts, actions,
-                self.agent.episode_log_probs(rows, counts, actions),
-                reward / scale, order=traj,
+        row_ptr = csr_indptr(counts)[step_ptr]
+        log_probs = np.concatenate([
+            self.agent.episode_log_probs(
+                rows[r0:r1], counts[s0:s1], actions[s0:s1]
             )
-        return rewards, total_rejected
+            for s0, s1, r0, r1 in zip(
+                step_ptr[:-1], step_ptr[1:], row_ptr[:-1], row_ptr[1:]
+            )
+        ])
+        buffer = TrajectoryBuffer(
+            rows, counts, actions, step_ptr, log_probs,
+            np.asarray(rewards) / (self._reward_scale or 1.0),
+            gamma=self.ppo_config.gamma, lam=self.ppo_config.lam,
+        )
+        return buffer, rewards, total_rejected
 
     def _epoch_batch(self, buffer: TrajectoryBuffer) -> dict:
         """The update's batch: ``buffer``'s episodes in trajectory order,
         valued by one :meth:`PPOAgent.value_batch` forward over the
         epoch's observation windows, which the batch carries on to the
-        update.  Whichever loop filled ``buffer`` (:meth:`_collect` or a
-        loop of :meth:`_rollout`), this is the one value pass; it is timed
-        as the ``rollout.targets`` span."""
+        update.  This is the epoch's one value pass; it is timed as the
+        ``rollout.targets`` span."""
         reg = _telemetry.current()
         if not reg.enabled:
             return buffer.get(self.agent)
@@ -395,9 +352,6 @@ class Trainer:
         reg = _telemetry.current()
 
         start = time.perf_counter()
-        buffer = TrajectoryBuffer(
-            gamma=self.ppo_config.gamma, lam=self.ppo_config.lam
-        )
         with reg.span("epoch.rollout") as sp_rollout:
             if self._reward_scale is None:
                 # Calibrate the reward scale with one throwaway rollout so
@@ -405,12 +359,13 @@ class Trainer:
                 # targets.
                 probe_jobs, _ = self._sample_sequence(filtered)
                 probe_rng = stream_rng(cfg.seed, self._PROBE_STREAM, epoch)
-                probe_reward = self._rollout(
-                    probe_jobs, TrajectoryBuffer(), probe_rng
+                _, (probe_reward,) = lockstep_rollout(
+                    self.vec, self.agent, self._runs([probe_jobs]),
+                    [probe_rng], self.reward_fn,
                 )
                 self._reward_scale = max(abs(probe_reward), 1e-6)
 
-            rewards, total_rejected = self._collect(epoch, buffer)
+            buffer, rewards, total_rejected = self._collect(epoch)
             data = self._epoch_batch(buffer)
 
         with reg.span("epoch.update") as sp_update:
@@ -466,7 +421,7 @@ class Trainer:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def train(self, progress: bool = False) -> TrainingResult:
+    def train(self) -> TrainingResult:
         result = TrainingResult(
             trace_name=self.trace.name,
             metric=self.metric,
@@ -484,14 +439,6 @@ class Trainer:
                 best_reward = record.val_reward
                 result.best_policy_state = self.policy.state_dict()
                 result.best_epoch = epoch
-            if progress:
-                print(
-                    f"epoch {epoch:3d}  metric={record.mean_metric:10.2f}  "
-                    f"kl={record.stats.kl:.4f}  "
-                    f"pi_iters={record.stats.pi_iters_run}  "
-                    f"{record.wall_time:5.1f}s"
-                    + ("  [filtered]" if record.filtered_phase else "")
-                )
             if record.phase_times is not None:
                 pt = record.phase_times
                 logger.info(

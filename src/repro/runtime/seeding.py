@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream_rng", "derive_streams", "task_seed"]
+__all__ = ["stream_rng"]
 
 
 def stream_rng(*keys: int) -> np.random.Generator:
@@ -22,18 +22,3 @@ def stream_rng(*keys: int) -> np.random.Generator:
     if not keys:
         raise ValueError("need at least one key")
     return np.random.default_rng(list(keys))
-
-
-def derive_streams(n: int, *prefix: int) -> list[np.random.Generator]:
-    """``n`` sibling generators keyed ``(*prefix, 0..n-1)`` — one per task."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return [stream_rng(*prefix, i) for i in range(n)]
-
-
-def task_seed(*keys: int) -> int:
-    """A single derived integer seed (for APIs that take a seed, not a
-    generator), stable across processes and platforms."""
-    if not keys:
-        raise ValueError("need at least one key")
-    return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])

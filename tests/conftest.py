@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
-from repro.nn import Module
-from repro.rl import Trainer
+from repro.nn import Module, csr_indptr
+from repro.rl import Trainer, TrajectoryBuffer
 from repro.runtime import stream_rng
+from repro.sim import SchedGym
 from repro.workloads import Job, SWFHeader, SWFTrace, load_trace
 
 
@@ -64,25 +67,56 @@ class DenseOnly(Module):
 
 
 class SequentialTrainer(Trainer):
-    """The sequential reference the rollout goldens compare against: one
-    episode at a time through ``Trainer._rollout``, in trajectory order,
-    in place of the lock-step rollout.  ``n_sequential`` counts the
-    episodes rolled that way, so a golden can assert its reference side
-    really took this path (if the hook below is ever renamed away, the
+    """The sequential reference the rollout goldens compare against: each
+    episode stepped alone through the public :class:`SchedGym` protocol
+    (padded observation and action mask, one environment, one decision at
+    a time), in trajectory order, in place of the lock-step rollout.  It
+    hands the same batched agent entry points the masked rows with batch
+    width 1 and builds the epoch's :class:`TrajectoryBuffer` from its
+    episodes' own columns, so it checks the lock-step rollout's batch and
+    its per-episode slicing both.  ``n_sequential`` counts the episodes
+    rolled that way, so a golden can assert its reference side really
+    took this path (if the hook below is ever renamed away, the
     comparison would otherwise silently become lock-step against
     lock-step).
     """
 
     n_sequential = 0
 
-    def _collect(self, epoch, buffer):
+    @cached_property
+    def gym(self) -> SchedGym:
+        return SchedGym(self.cluster_spec, self.reward_fn, config=self.env_config)
+
+    def episode(self, jobs, rng):
+        """One trajectory through :attr:`gym`: its ``(rows, counts,
+        actions)`` and raw terminal reward."""
+        steps, actions = [], []
+        obs, mask = self.gym.reset(jobs)
+        while True:
+            steps.append(obs[mask])
+            action, _ = self.agent.act_batch(steps[-1], [len(steps[-1])], [rng])
+            actions.append(action[0])
+            result = self.gym.step(int(action[0]))
+            if result.done:
+                break
+            obs, mask = result.observation, result.action_mask
+        counts = np.array([len(step) for step in steps])
+        return (np.concatenate(steps), counts, np.array(actions)), result.reward
+
+    def _collect(self, epoch):
         sequences, n_rejected = self._sample_epoch_sequences(epoch)
         seed = self.train_config.seed
-        rewards = [
-            self._rollout(
-                jobs, buffer, stream_rng(seed, self._ACT_STREAM, epoch, t), slot=t
-            )
+        episodes, rewards = zip(*(
+            self.episode(jobs, stream_rng(seed, self._ACT_STREAM, epoch, t))
             for t, jobs in enumerate(sequences)
-        ]
-        self.n_sequential += len(rewards)
-        return rewards, n_rejected
+        ))
+        self.n_sequential += len(episodes)
+        rows, counts, actions = (np.concatenate(c) for c in zip(*episodes))
+        buffer = TrajectoryBuffer(
+            rows, counts, actions,
+            csr_indptr([len(episode[2]) for episode in episodes]),
+            np.concatenate([self.agent.episode_log_probs(*e) for e in episodes]),
+            np.asarray(rewards) / (self._reward_scale or 1.0),
+            gamma=self.ppo_config.gamma, lam=self.ppo_config.lam,
+        )
+        return buffer, list(rewards), n_rejected

@@ -7,8 +7,8 @@ Three layers of guarantees, each pinned exactly (no tolerances):
 2. :func:`discount_cumsum` matches the naive reversed Python recurrence
    bit-for-bit;
 3. a training epoch collected by the lock-step rollout reproduces the
-   sequential epoch (one ``Trainer._rollout`` per trajectory, the
-   reference kept in ``conftest.py``) exactly — same rewards, same update
+   sequential epoch (each trajectory stepped alone through ``SchedGym``,
+   the reference kept in ``conftest.py``) exactly — same rewards, same update
    statistics, same post-update weights (``test_trainer.py`` adds the
    dense-policy cases).
 """
@@ -181,8 +181,8 @@ class TestTrainerEquivalenceGolden:
 
     def test_identical_with_backfill_ragged_episodes(self, trace):
         """Backfilling makes episode lengths ragged, so vec episodes finish
-        out of trajectory order — slot ordering must still restore the
-        sequential batch layout exactly."""
+        out of trajectory order — the rollout's regrouping by trajectory
+        must still restore the sequential batch layout exactly."""
         self.assert_identical(
             run_one_epoch(trace, vectorized=False, backfill=True),
             run_one_epoch(trace, vectorized=True, backfill=True),

@@ -6,8 +6,6 @@ import pytest
 from repro.nn import (
     Parameter,
     Tensor,
-    entropy,
-    greedy_action,
     log_prob_of,
     masked_log_softmax,
     sample_action_batch,
@@ -70,32 +68,12 @@ class TestLogProbOf:
         assert t.grad[0, 0] > 0 and t.grad[1, 2] > 0
 
 
-class TestEntropy:
-    def test_uniform_is_log_n(self):
-        lp = masked_log_softmax(Tensor(np.zeros((1, 8))), np.ones((1, 8), bool))
-        assert entropy(lp).item() == pytest.approx(np.log(8))
-
-    def test_deterministic_is_zero(self):
-        logits = np.array([[100.0, 0.0, 0.0]])
-        lp = masked_log_softmax(Tensor(logits), np.ones((1, 3), bool))
-        assert entropy(lp).item() == pytest.approx(0.0, abs=1e-8)
-
-    def test_masked_slots_do_not_contribute(self):
-        lp = masked_log_softmax(
-            Tensor(np.zeros((1, 4))), np.array([[True, True, False, False]])
-        )
-        assert entropy(lp).item() == pytest.approx(np.log(2))
-
-
 class TestSampling:
     def test_sample_respects_distribution(self):
         rng = np.random.default_rng(0)
         log_p = np.tile(np.log(np.array([0.9, 0.1])), (2000, 1))
         draws = sample_action_batch(log_p, rng.random(2000))
         assert np.mean(draws) == pytest.approx(0.1, abs=0.03)
-
-    def test_greedy_is_argmax(self):
-        assert greedy_action(np.array([-3.0, -0.1, -2.0])) == 1
 
     def test_sample_never_picks_masked(self):
         rng = np.random.default_rng(1)

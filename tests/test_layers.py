@@ -6,11 +6,11 @@ import pytest
 from repro.nn import (
     Conv2d,
     Dense,
+    DenseStack,
     Flatten,
     Module,
     Parameter,
     RaggedRows,
-    Sequential,
     Tensor,
     no_grad,
     ragged_matmul,
@@ -56,8 +56,8 @@ class TestDense:
 
 class TestFusedDense:
     """``Dense`` records one tape node; the public ops it replaced —
-    ``@`` / ``ragged_matmul``, broadcast ``+``, ``relu`` / ``tanh`` /
-    ``sigmoid`` — are the oracle, bit for bit."""
+    ``@`` / ``ragged_matmul``, broadcast ``+``, ``relu`` / ``tanh`` —
+    are the oracle, bit for bit."""
 
     @staticmethod
     def problem(ragged):
@@ -187,7 +187,7 @@ class TestDenseStack:
                                    rtol=1e-5, atol=1e-6)
 
     def test_gradcheck_across_a_tile_boundary(self, monkeypatch):
-        shapes = [(6, 5, "tanh"), (5, 3, "relu"), (3, 1, "sigmoid")]
+        shapes = [(6, 5, "tanh"), (5, 3, "relu"), (3, 1, "identity")]
         widest = 5
         # 4 float64 rows per tile (8 float32 rows for the float32 twin)
         monkeypatch.setattr(layers, "_TILE_BYTES", 4 * widest * 8)
@@ -220,7 +220,7 @@ class TestDenseStack:
 
 class TestModuleMechanics:
     def test_parameter_discovery(self):
-        net = Sequential(Dense(3, 4), Dense(4, 2))
+        net = DenseStack(Dense(3, 4), Dense(4, 2))
         assert len(net.parameters()) == 4  # 2 weights + 2 biases
 
     def test_num_parameters(self):
@@ -254,7 +254,7 @@ class TestModuleMechanics:
         np.testing.assert_array_equal(layer.weight.data, draws.astype(np.float32))
 
     def test_astype_casts_parameters_in_place(self):
-        net = Sequential(Dense(3, 4, activation="tanh"), Dense(4, 2))
+        net = DenseStack(Dense(3, 4, activation="tanh"), Dense(4, 2))
         net(Tensor(np.ones((1, 3)))).sum().backward()
         params = net.parameters()
         assert net.astype(np.float64) is net and net.dtype == np.float64

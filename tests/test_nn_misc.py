@@ -1,13 +1,13 @@
-"""Remaining NN-stack corners: tensor dunder behaviour, Sequential, misc."""
+"""Remaining NN-stack corners: tensor dunder behaviour, DenseStack, misc."""
 
 import numpy as np
 import pytest
 
 from repro.nn import (
     Dense,
+    DenseStack,
     KernelPolicy,
     Parameter,
-    Sequential,
     Tensor,
     ValueMLP,
     no_grad,
@@ -68,16 +68,18 @@ class TestNoGradSemantics:
 
 
 class TestSequential:
+    """:class:`DenseStack` applies its layers in sequence."""
+
     def test_empty_sequential_is_identity(self):
         x = Tensor(np.ones(3))
-        assert Sequential()(x) is x
+        assert DenseStack()(x) is x
 
     def test_composition_order(self):
         rng = np.random.default_rng(0)
         a, b = Dense(2, 2, rng=rng), Dense(2, 2, rng=rng)
         x = Tensor(np.ones((1, 2)))
         np.testing.assert_allclose(
-            Sequential(a, b)(x).numpy(), b(a(x)).numpy()
+            DenseStack(a, b)(x).numpy(), b(a(x)).numpy()
         )
 
 

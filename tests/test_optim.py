@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Dense, Parameter, Sequential, Tensor, clip_grad_norm
+from repro.nn import Adam, Dense, DenseStack, Parameter, Tensor, clip_grad_norm
 from repro.nn.tensor import row_sum
 
 
@@ -126,7 +126,7 @@ class TestAdam:
 
 def small_net(seed=0):
     rng = np.random.default_rng(seed)
-    return Sequential(Dense(3, 4, "tanh", rng=rng), Dense(4, 1, rng=rng))
+    return DenseStack(Dense(3, 4, "tanh", rng=rng), Dense(4, 1, rng=rng))
 
 
 def net_loss(net, seed=1):

@@ -13,10 +13,10 @@ from repro.nn import (
     ValueMLP,
     clip_grad_norm,
     csr_indptr,
+    gather_rows,
     log_prob_of,
     masked_log_softmax,
     sample_action_batch,
-    segment_log_prob_of,
     segment_log_softmax,
     segment_sum,
     window_extents,
@@ -39,18 +39,19 @@ def synthetic_batch(agent, n_episodes=6, steps=5, seed=0):
     """Synthetic contextual-bandit task: picking the slot whose first
     feature is largest yields +1, anything else -1.  (A *feature*-based
     rule — a positional rule would be unlearnable for the kernel policy,
-    which is order-equivariant by construction.)"""
+    which is order-equivariant by construction.)  Each of the
+    ``n_episodes * steps`` decisions is an episode of its own, rewarded
+    as it ends."""
     rng = np.random.default_rng(seed)
-    buf = TrajectoryBuffer(gamma=1.0, lam=0.97)
-    for _ in range(n_episodes):
-        rows = rng.random((steps * M, F)).astype(np.float32)
-        counts = np.full(steps, M)
-        best = rows[:, 0].reshape(steps, M).argmax(axis=1)
-        actions, logps = agent.act_batch(rows, counts)
-        buf.add_episode(
-            rows, counts, actions, logps, np.where(actions == best, 1.0, -1.0),
-        )
-    return buf.get(agent)
+    n = n_episodes * steps
+    rows = rng.random((n * M, F)).astype(np.float32)
+    counts = np.full(n, M)
+    best = rows[:, 0].reshape(n, M).argmax(axis=1)
+    actions, logps = agent.act_batch(rows, counts)
+    return TrajectoryBuffer(
+        rows, counts, actions, np.arange(n + 1), logps,
+        np.where(actions == best, 1.0, -1.0), gamma=1.0, lam=0.97,
+    ).get(agent)
 
 
 def full_queues(obs):
@@ -317,7 +318,8 @@ def reference_update(agent, data):
             indptr = csr_indptr(masks.sum(axis=1))
             scores = agent.policy.score_rows_grad(obs[b_idx, s_idx])
             log_probs = segment_log_softmax(scores, indptr)
-            logp = segment_log_prob_of(log_probs, masks, batch["actions"], indptr)
+            # a window's valid slots lead it: slot a is flat position indptr + a
+            logp = gather_rows(log_probs, indptr[:-1] + batch["actions"])
             ent = -segment_sum(log_probs.exp() * log_probs, indptr)
         else:
             log_probs = masked_log_softmax(agent.policy(obs, masks), masks)
@@ -517,8 +519,8 @@ class TestUpdatePlan:
         )
 
     def test_masked_out_action_is_rejected(self):
-        """The plan checks what ``flat_action_index`` used to: a stored
-        action must be one of its observation's jobs."""
+        """The plan checks that a stored action is one of its
+        observation's jobs."""
         agent, _ = self.agents("sparse")
         data = ragged_batch(20)
         data["actions"][7] = data["counts"][7]

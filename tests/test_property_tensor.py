@@ -11,16 +11,12 @@ from repro.nn import (
     Parameter,
     RaggedRows,
     Tensor,
-    entropy,
     gather_rows,
     log_prob_of,
     masked_log_softmax,
     row_extents,
-    scatter_rows,
-    segment_entropy,
     segment_log_softmax,
     segment_logsumexp,
-    segment_max,
     segment_rectangle,
     segment_sum,
     window_extents,
@@ -271,16 +267,15 @@ def _draw_op(draw, pool):
     if smaller:
         kinds.append("broadcast")
     if shape:
-        kinds += ["segment", "gather", "scatter"]
+        kinds += ["segment", "gather"]
     if len(shape) == 2:
         kinds.append("dense")
     kind = draw(st.sampled_from(kinds))
     if kind == "unary":
-        name = draw(st.sampled_from(["tanh", "relu", "sigmoid", "exp", "neg",
-                                     "scale", "clip", "square"]))
+        name = draw(st.sampled_from(["tanh", "relu", "exp", "neg", "scale",
+                                     "clip", "square"]))
         fn = {
             "tanh": lambda t: t.tanh(), "relu": lambda t: t.relu(),
-            "sigmoid": lambda t: t.sigmoid(),
             "exp": lambda t: t.clip(-3.0, 3.0).exp(), "neg": lambda t: -t,
             "scale": lambda t: t * 0.5, "clip": lambda t: t.clip(-0.5, 0.5),
             "square": lambda t: t ** 2.0,
@@ -314,20 +309,14 @@ def _draw_op(draw, pool):
         new = np.sum(np.zeros(shape), axis=axis, keepdims=keepdims).shape
         return new, lambda ts: ts[i].sum(axis=axis, keepdims=keepdims)
     if kind == "segment":
-        name = draw(st.sampled_from(["sum", "max", "logsumexp"]))
+        name = draw(st.sampled_from(["sum", "logsumexp"]))
         indptr = _segments(draw, shape[0], allow_empty=name == "sum")
-        fn = {"sum": segment_sum, "max": segment_max,
-              "logsumexp": segment_logsumexp}[name]
+        fn = {"sum": segment_sum, "logsumexp": segment_logsumexp}[name]
         return (indptr.size - 1, *shape[1:]), lambda ts: fn(ts[i], indptr)
     if kind == "gather":
         index = np.array(draw(st.lists(st.integers(0, shape[0] - 1),
                                        min_size=1, max_size=6)))
         return (index.size, *shape[1:]), lambda ts: gather_rows(ts[i], index)
-    if kind == "scatter":
-        n_rows = draw(st.integers(1, 6))
-        index = np.array(draw(st.lists(st.integers(0, n_rows - 1),
-                                       min_size=shape[0], max_size=shape[0])))
-        return (n_rows, *shape[1:]), lambda ts: scatter_rows(ts[i], index, n_rows)
     # the fused layer scales the gradient it owns in place: an alias handed
     # to it by mistake would be corrupted for its other holder
     width = draw(st.integers(1, 4))
@@ -435,7 +424,6 @@ DTYPE_OPS = {
     "log": lambda a, b, ip: (a * a + 1.0).log(),
     "tanh": lambda a, b, ip: a.tanh(),
     "relu": lambda a, b, ip: a.relu(),
-    "sigmoid": lambda a, b, ip: a.sigmoid(),
     "sum": lambda a, b, ip: a.sum(),
     "sum_axis": lambda a, b, ip: a.sum(axis=1, keepdims=True),
     "mean": lambda a, b, ip: a.mean(),
@@ -450,21 +438,13 @@ DTYPE_OPS = {
     "where": lambda a, b, ip: a.where(b.data > 0, b),
     "where_number": lambda a, b, ip: a.where(b.data > 0, STRAY),
     "gather_rows": lambda a, b, ip: gather_rows(a, ip[:-1]),
-    "scatter_rows": lambda a, b, ip: scatter_rows(a, np.zeros(len(a), int), 2),
     "segment_sum": lambda a, b, ip: segment_sum(a, ip),
-    "segment_max": lambda a, b, ip: segment_max(a, ip),
     "segment_logsumexp": lambda a, b, ip: segment_logsumexp(a, ip),
     "segment_log_softmax": lambda a, b, ip: segment_log_softmax(a[:, 0], ip),
-    "segment_entropy": lambda a, b, ip: segment_entropy(
-        segment_log_softmax(a[:, 0], ip), ip
-    ),
     "masked_log_softmax": lambda a, b, ip: masked_log_softmax(
         a, (b.data > 0) | (np.arange(a.shape[1]) == 0)
     ),
     "log_prob_of": lambda a, b, ip: log_prob_of(a, np.zeros(len(a), int)),
-    "entropy": lambda a, b, ip: entropy(
-        masked_log_softmax(a, np.ones(a.shape, bool))
-    ),
     "ragged_matmul": lambda a, b, ip: RaggedRows.from_dense(b.data) @ a.T,
 }
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro import api
 from repro.config import EvalConfig
-from repro.runtime import derive_streams, stream_rng, task_seed
+from repro.runtime import stream_rng
 from repro.schedulers import FCFS, SJF
 from repro.workloads import load_trace
 
@@ -93,6 +93,8 @@ class TestSeeding:
         np.testing.assert_array_equal(a, b)
         c = stream_rng(0, 7919, 3, 2).random(4)
         assert not np.array_equal(a, c)
+        with pytest.raises(ValueError):
+            stream_rng()
 
     def test_stream_rng_matches_trainer_convention(self):
         """Pin: stream_rng(*keys) is default_rng([*keys]) — the stream the
@@ -103,20 +105,3 @@ class TestSeeding:
             np.random.default_rng([0, 7919, 2, 5]).random(8),
         )
 
-    def test_derive_streams(self):
-        streams = derive_streams(4, 123, 9)
-        assert len(streams) == 4
-        draws = [s.random() for s in streams]
-        assert len(set(draws)) == 4
-        np.testing.assert_array_equal(
-            derive_streams(4, 123, 9)[2].random(3), stream_rng(123, 9, 2).random(3)
-        )
-        assert derive_streams(0, 1) == []
-
-    def test_task_seed_stable(self):
-        assert task_seed(1, 2, 3) == task_seed(1, 2, 3)
-        assert task_seed(1, 2, 3) != task_seed(1, 2, 4)
-        with pytest.raises(ValueError):
-            task_seed()
-        with pytest.raises(ValueError):
-            stream_rng()

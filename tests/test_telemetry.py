@@ -16,7 +16,7 @@ import pytest
 
 from repro import api
 from repro.config import EnvConfig, EvalConfig, PPOConfig, TelemetryConfig, TrainConfig
-from repro.rl import TrajectoryBuffer, Trainer
+from repro.rl import Trainer
 from repro.rl import EpochRecord, UpdateStats
 from repro.schedulers import FCFS, SJF
 from repro.telemetry import core
@@ -497,7 +497,7 @@ class TestRolloutPhaseSpans:
                           seed=0)
         with Trainer(trace, env_config=TINY_ENV, train_config=cfg) as t:
             with core.session() as reg:
-                t._collect(0, TrajectoryBuffer())
+                t._collect(0)
             for phase in ("policy_forward", "env_step", "buffer"):
                 assert reg.span_seconds(f"rollout.{phase}") > 0, phase
         assert not core.enabled()  # the session restored the registry

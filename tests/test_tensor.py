@@ -89,9 +89,6 @@ class TestElementwiseGradients:
     def test_relu(self):
         check_grad(lambda t: t.relu())
 
-    def test_sigmoid(self):
-        check_grad(lambda t: t.sigmoid())
-
     def test_chained(self):
         check_grad(lambda t: ((t * 2.0).tanh() + t.relu()).exp() * 0.1)
 

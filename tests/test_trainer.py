@@ -1,9 +1,11 @@
 """Integration tests for the training loop (small scale, seeded).
 
 Besides the mechanics, the goldens of the in-process rollout: an epoch of
-:func:`lockstep_rollout` trains *bit-identically* to a loop of
-one-episode ``Trainer._rollout`` calls, and an episode does not depend on
-which episodes stepped beside it (no tolerances anywhere).
+:func:`lockstep_rollout` trains *bit-identically* to the sequential
+reference (``conftest.SequentialTrainer``: one episode at a time through
+``SchedGym``), the reward-scale probe reads the reference's probe
+episode, and an episode does not depend on which episodes stepped beside
+it (no tolerances anywhere).
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.config import EnvConfig, PPOConfig, TrainConfig
-from repro.nn import ValueMLP, make_policy
+from repro.nn import ValueMLP, csr_indptr, make_policy
 from repro.rl import PPOAgent, Trainer, TrajectoryBuffer, make_reward, train
 from repro.rl.ppo import UpdateStats
 from repro.rl import EpochRecord
@@ -222,8 +224,8 @@ def copy_sequences(sequences):
 
 
 def make_trainer(trace, sequential=False, epochs=2, backfill=False, dense=False):
-    """``sequential=True`` builds the reference: a loop of one-episode
-    ``Trainer._rollout`` calls in place of the lock-step rollout.
+    """``sequential=True`` builds the reference: each episode stepped
+    alone through ``SchedGym`` in place of the lock-step rollout.
     ``dense=True`` hides the kernel policy's row scorers, so acting and
     the update pad the ragged observations to the window at the policy's
     input."""
@@ -271,7 +273,7 @@ def assert_runs_equal(run_a, run_b):
 
 
 class TestEpochGolden:
-    """The lock-step epoch == a loop of ``Trainer._rollout`` where episodes
+    """The lock-step epoch == the sequential reference where episodes
     are ragged in length (backfilling) and where the policy reads the
     padded window (``DenseOnly``); ``test_equivalence.py`` pins the plain
     kernel epoch."""
@@ -298,10 +300,52 @@ class TestEpochGolden:
                 assert set(shm.iterdir()) == before
 
 
+class TestRewardScaleProbe:
+    """The epoch-0 probe is one lock-step run; the scale it leaves is the
+    terminal reward of the same episode stepped through ``SchedGym``."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("preset", ["kernel", "mlp_v2", "lenet"])
+    def test_probe_reads_the_sequential_reference(self, lublin_trace, preset, seed):
+        def trainer(cls):
+            return cls(
+                lublin_trace, policy_preset=preset, env_config=GOLDEN_ENV,
+                ppo_config=PPOConfig(train_pi_iters=1, train_v_iters=1),
+                train_config=TrainConfig(trajectories_per_epoch=2,
+                                         trajectory_length=128, seed=seed),
+            )
+
+        with trainer(SequentialTrainer) as reference:
+            jobs, _ = reference._sample_sequence(filtered=False)
+            _, reward = reference.episode(
+                jobs, stream_rng(seed, Trainer._PROBE_STREAM, 0)
+            )
+            # the probe's actions move its reward: a probe on another
+            # stream would not match
+            _, other = reference.episode(
+                jobs, stream_rng(seed, Trainer._PROBE_STREAM, 1)
+            )
+            assert other != reward
+        with trainer(Trainer) as t:
+            t.run_epoch(0)
+            assert t._reward_scale == abs(reward)
+
+
+def merged(batches):
+    """Several :func:`lockstep_rollout` batches as one, in call order."""
+    rows, counts, actions, step_ptrs = zip(*batches)
+    offsets = np.cumsum([0] + [len(a) for a in actions[:-1]])
+    step_ptr = np.concatenate(
+        [[0]] + [p[1:] + o for p, o in zip(step_ptrs, offsets)]
+    )
+    return (np.concatenate(rows), np.concatenate(counts),
+            np.concatenate(actions), step_ptr)
+
+
 class TestLockstepRollout:
     def test_width_and_arrival_order_invariance(self, golden_trace):
         """Six episodes stepped one per call, split 2 + 4 and all in one
-        call are bit-identical episode for episode, per-episode log-probs
+        call are bit-identical step for step, per-episode log-probs
         included, and so is the epoch batch valued by one forward."""
         m, f = GOLDEN_ENV.observation_shape
         agent = PPOAgent(make_policy("kernel", m, f, seed=0), ValueMLP(m, f, seed=1))
@@ -311,37 +355,34 @@ class TestLockstepRollout:
 
         def collect(groups):
             """The six episodes, ``groups[g]`` of them per rollout call."""
-            episodes, rewards = [], []
+            batches, rewards = [], []
             for lo, hi in zip(np.cumsum([0, *groups[:-1]]), np.cumsum(groups)):
                 runs = [(jobs, golden_trace.max_procs, False)
                         for jobs in copy_sequences(sequences[lo:hi])]
                 rngs = [stream_rng(0, Trainer._ACT_STREAM, 0, t)
                         for t in range(lo, hi)]
-                got, got_rewards = lockstep_rollout(vec, agent, runs, rngs,
-                                                    reward_fn)
-                episodes += got
+                batch, got_rewards = lockstep_rollout(vec, agent, runs, rngs,
+                                                      reward_fn)
+                batches.append(batch)
                 rewards += got_rewards
-            buffer = TrajectoryBuffer()
-            for t, ((rows, counts, actions), reward) in enumerate(
-                zip(episodes, rewards)
-            ):
-                buffer.add_episode(
-                    rows, counts, actions,
-                    agent.episode_log_probs(rows, counts, actions), reward,
-                    order=t,
-                )
-            batch = buffer.get(agent)
-            del batch["windows"]
-            return [(*episode, reward) for episode, reward in zip(episodes, rewards)], batch
+            rows, counts, actions, step_ptr = merged(batches)
+            row_ptr = csr_indptr(counts)[step_ptr]
+            log_probs = np.concatenate([
+                agent.episode_log_probs(rows[r0:r1], counts[s0:s1], actions[s0:s1])
+                for s0, s1, r0, r1 in zip(step_ptr[:-1], step_ptr[1:],
+                                          row_ptr[:-1], row_ptr[1:])
+            ])
+            data = TrajectoryBuffer(rows, counts, actions, step_ptr, log_probs,
+                                    rewards).get(agent)
+            del data["windows"]
+            return (rows, counts, actions, step_ptr, log_probs, rewards), data
 
         reference, reference_batch = collect([1] * 6)
-        assert len(reference) == 6
+        assert len(reference[3]) == 6 + 1  # six episodes' step boundaries
         for groups in ([2, 4], [6]):
             got, batch = collect(groups)
-            assert len(got) == len(reference)
-            for episode, want in zip(got, reference):
-                for column, expected in zip(episode, want):
-                    np.testing.assert_array_equal(column, expected)
+            for column, expected in zip(got, reference):
+                np.testing.assert_array_equal(column, expected)
             assert batch.keys() == reference_batch.keys()
             for key, column in batch.items():
                 np.testing.assert_array_equal(column, reference_batch[key])

@@ -11,8 +11,10 @@ A buffer holds one epoch, handed over whole as the CSR batch
 :func:`~repro.rl.trainer.lockstep_rollout` builds: the ragged
 observations ``(rows, counts)`` — the float32 feature rows of the waiting
 jobs of every step, one step after the other, and how many rows each step
-owns — the actions, the per-trajectory step boundaries ``step_ptr``, and
-beside them the behaviour log-probs and one terminal reward per episode.
+owns — the actions, the per-trajectory step boundaries ``step_ptr``, the
+behaviour log-probs (the ones each action was sampled with, logged by
+the rollout as it acted) and, beside them, one terminal reward per
+episode.
 Episodes are in trajectory order, so the PPO batch does not depend on
 which episode finished first (e.g. ragged lengths under backfilling);
 nothing here is padded to the observation window.

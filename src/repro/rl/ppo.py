@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Sequence
 
 import numpy as np
 
@@ -255,30 +254,25 @@ class PPOAgent:
         self,
         rows: np.ndarray,
         counts: np.ndarray,
-        rngs: "Sequence[np.random.Generator] | np.random.Generator | None" = None,
+        uniforms: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sample actions for a wave of observations in one forward pass.
 
         ``rows`` / ``counts`` are N ragged observations (the visible job
         rows one observation after the other, and how many each owns).
-        ``rngs`` is either one generator shared by all observations or a
-        sequence of N per-observation generators (the collectors pass
-        per-trajectory streams).  Returns ``(actions, log_probs)``, both
-        length N.  Value estimates are intentionally *not* computed here:
-        an epoch fetches them once, for all its steps, via
-        :meth:`value_batch`, which is both faster and numerically
-        identical whatever the wave width.
+        ``uniforms`` holds one U[0,1) draw per observation (the rollout
+        passes each trajectory's next draw from the ones it made up
+        front); ``None`` draws N from :attr:`rng`.  Returns ``(actions,
+        log_probs)``, both length N: the log-probs are the behaviour
+        log-probs the rollout stores.  Value estimates are intentionally
+        *not* computed here: an epoch fetches them once, for all its
+        steps, via :meth:`value_batch`, which is both faster and
+        numerically identical whatever the wave width.
         """
         log_probs = self.log_probs_batch(rows, counts)
         n = len(log_probs)
-        if rngs is None:
-            rngs = self.rng
-        if isinstance(rngs, np.random.Generator):
-            uniforms = rngs.random(n)
-        else:
-            # One draw per row from that row's own stream, in row order —
-            # a trajectory's sample depends only on its own generator.
-            uniforms = np.array([rng.random() for rng in rngs])
+        if uniforms is None:
+            uniforms = self.rng.random(n)
         actions = sample_action_batch(log_probs, uniforms)
         return actions, log_probs[np.arange(n), actions]
 
@@ -301,18 +295,12 @@ class PPOAgent:
     def episode_log_probs(
         self, rows: np.ndarray, counts: np.ndarray, actions: np.ndarray
     ) -> np.ndarray:
-        """Canonical behaviour log-probs for one finished episode.
+        """Log-probs of ``actions`` for one finished episode, scored on
+        the batch of its own T observations.
 
-        ``act_batch``'s per-step forwards batch *across environments*, and
-        BLAS kernels are not bit-reproducible across batch shapes — the
-        same observation scored inside different batches can differ in the
-        last ulp.  That never flips a sampled action, but it would leak
-        batch-layout noise into the stored log-probs.  Re-deriving them
-        from the episode's own T observations in one batch (same rows in
-        the same order whether the episode was collected sequentially or
-        vectorised) makes the recorded trajectory data exactly
-        collection-order-independent.  They stay per episode: one tiled
-        pass over the whole epoch measured no faster and held more memory.
+        Kept only as a frozen e2e trace target: nothing in the package
+        calls it.  Training stores the log-probs :meth:`act_batch` acted
+        with (:func:`~repro.rl.trainer.lockstep_rollout`).
         """
         log_probs = self.log_probs_batch(rows, counts)
         return log_probs[np.arange(len(actions)), np.asarray(actions)]

@@ -18,26 +18,32 @@ Nothing is configured; each choice follows from what the code observes.
 *Rollout.*  In this process, on the trainer's own networks: one
 :func:`lockstep_rollout` steps all of the epoch's episodes at once
 through the trainer's :class:`VecSchedGym`, one batched policy forward
-per wave, and hands back the epoch as one CSR batch in trajectory order.
-:meth:`Trainer._collect` adds each episode's behaviour log-probs,
-computed on the batch of its own T observations, and builds the epoch's
-:class:`TrajectoryBuffer` from the whole batch; the epoch-0 reward-scale
-probe is one more :func:`lockstep_rollout`, of one run.  Validation
-steps its greedy episodes through the same stepper.  An epoch is
-synchronous, as on-policy PPO is: the rollout runs on the weights the
-previous update left, then the update runs.
+per wave, and hands back the epoch as one CSR batch in trajectory order,
+the log-prob each action was sampled with beside it.
+:meth:`Trainer._collect` builds the epoch's :class:`TrajectoryBuffer`
+from that batch as it is: the behaviour log-probs are the act-time ones,
+as in SpinningUp's PPO, and nothing scores an episode a second time.
+The epoch-0 reward-scale probe is one more :func:`lockstep_rollout`, of
+one run.  Validation steps its greedy episodes through the same stepper.
+An epoch is synchronous, as on-policy PPO is: the rollout runs on the
+weights the previous update left, then the update runs.
 
-The lock-step rollout and the tests' sequential reference — each episode
-stepped alone through :class:`~repro.sim.env.SchedGym` — give
-**bit-identical** trajectories, advantages and update statistics for the
-same seed, however the sequences are grouped into waves (the golden
-tests), because each trajectory samples actions from its own
-``(seed, epoch, trajectory)`` RNG stream, sequences are sampled (and
-filter-checked) and batched in trajectory order, behaviour log-probs are
-computed per episode, and value estimates once per epoch, by one forward
+For the kernel preset, the lock-step rollout and the tests' sequential
+reference — each episode stepped alone through
+:class:`~repro.sim.env.SchedGym`, its log-probs scored again per episode
+— give **bit-identical** trajectories, advantages and update statistics
+for the same seed, however the sequences are grouped into waves (the
+golden tests), because each trajectory draws its action uniforms from
+its own ``(seed, epoch, trajectory)`` RNG stream, sequences are sampled
+(and filter-checked) and batched in trajectory order, the kernel scores
+every job alone (so a log-prob does not depend on the wave it was
+scored in), and value estimates are made once per epoch, by one forward
 over the windows of the whole batch in trajectory order
 (:meth:`Trainer._epoch_batch`), which the update then plans its value
-steps from.
+steps from.  The MLP and LeNet presets read the whole window through
+BLAS products whose last bits depend on the batch, so for them a stored
+log-prob can differ in its last float32 bits from the episode re-scored
+alone, and depends on which trajectories shared its wave.
 
 *Observations.*  Ragged all the way: environments emit ``(rows, counts)``
 waves, the rollout scores and regroups them as they are into the epoch's
@@ -87,14 +93,20 @@ def lockstep_rollout(vec, agent, runs, rngs, reward_fn) -> tuple[tuple, list[flo
     and samples its actions from ``rngs[t]``; every trajectory is in each
     wave until it ends.  Returns ``(batch, rewards)``.  ``batch`` is every
     decision of the call as one CSR batch in trajectory order,
-    ``(rows, counts, actions, step_ptr)``: the ragged observations, the
-    int64 actions, and trajectory ``t``'s steps
-    ``step_ptr[t]:step_ptr[t + 1]``.  ``rewards`` holds each trajectory's
-    raw terminal reward, ``reward_fn(completed jobs, cluster size)``.
+    ``(rows, counts, actions, step_ptr, log_probs)``: the ragged
+    observations, the int64 actions, trajectory ``t``'s steps
+    ``step_ptr[t]:step_ptr[t + 1]``, and the log-prob each action had
+    when it was sampled.  ``rewards`` holds each trajectory's raw terminal
+    reward, ``reward_fn(completed jobs, cluster size)``.
 
-    Waves are logged as they come and regrouped by trajectory once, at
-    the end: a stable sort of the logged decisions by trajectory keeps
-    each episode's steps in time order, and one gather moves the job rows.
+    A run makes at most one decision per job, so trajectory ``t`` draws
+    its uniforms once, ``len(jobs)`` of them, before the first wave; a
+    per-trajectory cursor hands each wave its next ones.  A vector draw
+    gives the same bits as that many single draws, so the actions do not
+    depend on how the draws are grouped.  Waves are logged as they come and
+    regrouped by trajectory once, at the end: a stable sort of the logged
+    decisions by trajectory keeps each episode's steps in time order, and
+    one gather moves the job rows.
 
     Phase timing (``rollout.policy_forward`` / ``env_step`` / ``buffer``)
     is accumulated locally and flushed to the registry once per call: the
@@ -102,7 +114,10 @@ def lockstep_rollout(vec, agent, runs, rngs, reward_fn) -> tuple[tuple, list[flo
     per phase with it on.
     """
     rows, counts = vec.reset(runs)
-    log_rows, log_counts, log_trajs, log_actions = [], [], [], []
+    n_jobs = [len(jobs) for jobs, _, _ in runs]
+    uniforms = np.concatenate([rng.random(n) for rng, n in zip(rngs, n_jobs)])
+    cursor = csr_indptr(n_jobs)[:-1]  # trajectory t's next uniform
+    log_rows, log_counts, log_trajs, log_actions, log_lp = [], [], [], [], []
     reg = _telemetry.current()
     timed = reg.enabled
     perf = time.perf_counter
@@ -112,16 +127,18 @@ def lockstep_rollout(vec, agent, runs, rngs, reward_fn) -> tuple[tuple, list[flo
         trajs = vec.runs
         if timed:
             t0 = perf()
-        actions, _ = agent.act_batch(
-            rows, counts, [rngs[t] for t in trajs.tolist()]
+        actions, log_probs = agent.act_batch(
+            rows, counts, uniforms[cursor[trajs]]
         )
         if timed:
             t1 = perf()
             t_policy += t1 - t0
+        cursor[trajs] += 1
         log_rows.append(rows)
         log_counts.append(counts)
         log_trajs.append(trajs)
         log_actions.append(actions)
+        log_lp.append(log_probs)
         if timed:
             t0 = perf()
             t_buffer += t0 - t1
@@ -140,13 +157,14 @@ def lockstep_rollout(vec, agent, runs, rngs, reward_fn) -> tuple[tuple, list[flo
     counts = counts[order]
     rows = np.concatenate(log_rows)[csr_gather(starts[order], counts)]
     actions = np.concatenate(log_actions)[order]
+    log_probs = np.concatenate(log_lp)[order]
     step_ptr = csr_indptr(np.bincount(trajs, minlength=len(runs)))
     if timed and n_waves:
         reg.add_span_time("rollout.policy_forward", t_policy, n_waves)
         reg.add_span_time("rollout.env_step", t_env, n_waves)
         reg.add_span_time("rollout.buffer", t_buffer + perf() - t0, n_waves)
         reg.counter("rollout.env_steps").add(len(trajs))
-    return (rows, counts, actions, step_ptr), rewards
+    return (rows, counts, actions, step_ptr, log_probs), rewards
 
 
 class Trainer:
@@ -313,21 +331,11 @@ class Trainer:
             stream_rng(seed, self._ACT_STREAM, epoch, traj)
             for traj in range(len(sequences))
         ]
-        (rows, counts, actions, step_ptr), rewards = lockstep_rollout(
+        batch, rewards = lockstep_rollout(
             self.vec, self.agent, self._runs(sequences), rngs, self.reward_fn
         )
-        row_ptr = csr_indptr(counts)[step_ptr]
-        log_probs = np.concatenate([
-            self.agent.episode_log_probs(
-                rows[r0:r1], counts[s0:s1], actions[s0:s1]
-            )
-            for s0, s1, r0, r1 in zip(
-                step_ptr[:-1], step_ptr[1:], row_ptr[:-1], row_ptr[1:]
-            )
-        ])
         buffer = TrajectoryBuffer(
-            rows, counts, actions, step_ptr, log_probs,
-            np.asarray(rewards) / (self._reward_scale or 1.0),
+            *batch, np.asarray(rewards) / (self._reward_scale or 1.0),
             gamma=self.ppo_config.gamma, lam=self.ppo_config.lam,
         )
         return buffer, rewards, total_rejected

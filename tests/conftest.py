@@ -72,9 +72,14 @@ class SequentialTrainer(Trainer):
     (padded observation and action mask, one environment, one decision at
     a time), in trajectory order, in place of the lock-step rollout.  It
     hands the same batched agent entry points the masked rows with batch
-    width 1 and builds the epoch's :class:`TrajectoryBuffer` from its
-    episodes' own columns, so it checks the lock-step rollout's batch and
-    its per-episode slicing both.  ``n_sequential`` counts the episodes
+    width 1, one uniform drawn per step, and builds the epoch's
+    :class:`TrajectoryBuffer` from its episodes' own columns, so it checks
+    the lock-step rollout's batch and its per-episode slicing both.  Its
+    behaviour log-probs are each episode's, scored again on the batch of
+    its own T observations after the episode ends, so the goldens (the
+    kernel policy, with and without its row scorers) also check that the
+    log-probs the rollout stores as it acts do not depend on the wave
+    they were scored in.  ``n_sequential`` counts the episodes
     rolled that way, so a golden can assert its reference side really
     took this path (if the hook below is ever renamed away, the
     comparison would otherwise silently become lock-step against
@@ -94,7 +99,9 @@ class SequentialTrainer(Trainer):
         obs, mask = self.gym.reset(jobs)
         while True:
             steps.append(obs[mask])
-            action, _ = self.agent.act_batch(steps[-1], [len(steps[-1])], [rng])
+            action, _ = self.agent.act_batch(
+                steps[-1], [len(steps[-1])], rng.random(1)
+            )
             actions.append(action[0])
             result = self.gym.step(int(action[0]))
             if result.done:
@@ -115,7 +122,12 @@ class SequentialTrainer(Trainer):
         buffer = TrajectoryBuffer(
             rows, counts, actions,
             csr_indptr([len(episode[2]) for episode in episodes]),
-            np.concatenate([self.agent.episode_log_probs(*e) for e in episodes]),
+            np.concatenate([
+                self.agent.log_probs_batch(rows, counts)[
+                    np.arange(len(actions)), actions
+                ]
+                for rows, counts, actions in episodes
+            ]),
             np.asarray(rewards) / (self._reward_scale or 1.0),
             gamma=self.ppo_config.gamma, lam=self.ppo_config.lam,
         )

@@ -146,13 +146,7 @@ class TestWindowOracle:
                 assert got.tobytes() == want[:, :width].copy().tobytes()
                 assert (want[:, width:] < -1e8).all()
 
-                class Replay:  # hands act_batch the oracle's uniforms
-                    def __init__(self, u):
-                        self.random = lambda: u
-
-                actions, logps = agent.act_batch(
-                    rows, counts, [Replay(u) for u in uniforms]
-                )
+                actions, logps = agent.act_batch(rows, counts, uniforms)
                 np.testing.assert_array_equal(actions, want_actions)
                 assert (
                     logps.tobytes()
@@ -388,9 +382,10 @@ class TestUpdatePlan:
         self, agent, oracle, data, rel=1e-10, kl_abs=1e-14, weights=1e-10
     ):
         # behaviour log-probs of the initial policy: KL starts at zero
-        data["log_probs"] = oracle.episode_log_probs(
-            data["rows"], data["counts"], data["actions"]
-        )
+        log_probs = oracle.log_probs_batch(data["rows"], data["counts"])
+        data["log_probs"] = log_probs[
+            np.arange(len(data["actions"])), data["actions"]
+        ]
         stats = agent.update(data)
         pi_losses, kls, v_losses = reference_update(oracle, data)
         assert stats.pi_iters_run == len(kls)

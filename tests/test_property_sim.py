@@ -733,6 +733,27 @@ def test_wave_oracle_covers_queues_past_the_window(memory):
     assert trailing_zero == memory
 
 
+@settings(max_examples=100, deadline=None)
+@given(vec_cases(), st.sampled_from([False, "easy", "conservative"]), st.data())
+def test_a_run_makes_at_most_one_decision_per_job(case, backfill, data):
+    """A decision waits until the job it chose starts (backfilling others
+    meanwhile), so a run asks for at most as many decisions as it has
+    jobs, whatever is chosen and whichever runs step beside it — the
+    bound the rollout's up-front uniform draw (``len(jobs)`` per
+    trajectory) rests on."""
+    sequences, spec = case
+    vec = VecSchedGym(spec.n_procs, EnvConfig(max_obsv_size=4, backfill=backfill))
+    _, counts = vec.reset([([j.copy() for j in s], spec, backfill)
+                           for s in sequences])
+    decisions = np.zeros(len(sequences), dtype=np.int64)
+    while len(counts):
+        decisions[vec.runs] += 1
+        actions = [data.draw(st.integers(0, int(n) - 1)) for n in counts]
+        counts = vec.step(np.array(actions)).counts
+    assert all(engine.done for engine in vec.engines)
+    assert (decisions <= [len(s) for s in sequences]).all()
+
+
 # ----------------------------------------------------------------------
 # the job-feature table against the loop oracle, through its whole life
 # ----------------------------------------------------------------------

@@ -333,19 +333,19 @@ class TestRewardScaleProbe:
 
 def merged(batches):
     """Several :func:`lockstep_rollout` batches as one, in call order."""
-    rows, counts, actions, step_ptrs = zip(*batches)
+    rows, counts, actions, step_ptrs, log_probs = zip(*batches)
     offsets = np.cumsum([0] + [len(a) for a in actions[:-1]])
     step_ptr = np.concatenate(
         [[0]] + [p[1:] + o for p, o in zip(step_ptrs, offsets)]
     )
     return (np.concatenate(rows), np.concatenate(counts),
-            np.concatenate(actions), step_ptr)
+            np.concatenate(actions), step_ptr, np.concatenate(log_probs))
 
 
 class TestLockstepRollout:
     def test_width_and_arrival_order_invariance(self, golden_trace):
         """Six episodes stepped one per call, split 2 + 4 and all in one
-        call are bit-identical step for step, per-episode log-probs
+        call are bit-identical step for step, act-time log-probs
         included, and so is the epoch batch valued by one forward."""
         m, f = GOLDEN_ENV.observation_shape
         agent = PPOAgent(make_policy("kernel", m, f, seed=0), ValueMLP(m, f, seed=1))
@@ -365,17 +365,10 @@ class TestLockstepRollout:
                                                       reward_fn)
                 batches.append(batch)
                 rewards += got_rewards
-            rows, counts, actions, step_ptr = merged(batches)
-            row_ptr = csr_indptr(counts)[step_ptr]
-            log_probs = np.concatenate([
-                agent.episode_log_probs(rows[r0:r1], counts[s0:s1], actions[s0:s1])
-                for s0, s1, r0, r1 in zip(step_ptr[:-1], step_ptr[1:],
-                                          row_ptr[:-1], row_ptr[1:])
-            ])
-            data = TrajectoryBuffer(rows, counts, actions, step_ptr, log_probs,
-                                    rewards).get(agent)
+            batch = merged(batches)
+            data = TrajectoryBuffer(*batch, rewards).get(agent)
             del data["windows"]
-            return (rows, counts, actions, step_ptr, log_probs, rewards), data
+            return (*batch, rewards), data
 
         reference, reference_batch = collect([1] * 6)
         assert len(reference[3]) == 6 + 1  # six episodes' step boundaries
@@ -386,6 +379,53 @@ class TestLockstepRollout:
             assert batch.keys() == reference_batch.keys()
             for key, column in batch.items():
                 np.testing.assert_array_equal(column, reference_batch[key])
+
+    @pytest.mark.parametrize("preset", ["kernel", "mlp_v2", "lenet"])
+    def test_buffer_keeps_the_log_probs_it_acted_with(
+        self, golden_trace, preset
+    ):
+        """The epoch's stored behaviour log-probs are the ones
+        ``act_batch`` returned wave by wave, regrouped by trajectory, to
+        the bit.  The kernel scores a job alone, so for it they also
+        equal each episode scored again on its own T observations — the
+        second pass the rollout no longer makes.  Backfilling makes the
+        episodes ragged, so the last waves are narrower than the rest:
+        there the window-reading presets can score a step differently in
+        the last bits than a re-score of the whole episode would."""
+        with Trainer(
+            golden_trace, policy_preset=preset,
+            env_config=dataclasses.replace(GOLDEN_ENV, backfill=True),
+            train_config=TrainConfig(trajectories_per_epoch=3,
+                                     trajectory_length=32, seed=0),
+        ) as trainer:
+            agent, waves = trainer.agent, []
+            act_batch = agent.act_batch
+
+            def recording(rows, counts, uniforms=None):
+                actions, log_probs = act_batch(rows, counts, uniforms)
+                waves.append((trainer.vec.runs, log_probs))
+                return actions, log_probs
+
+            agent.act_batch = recording
+            buffer, _, _ = trainer._collect(0)
+
+        trajs = np.concatenate([t for t, _ in waves])
+        recorded = np.concatenate([lp for _, lp in waves])
+        assert len(waves) > 1
+        np.testing.assert_array_equal(
+            buffer.log_probs, recorded[np.argsort(trajs, kind="stable")]
+        )
+        if preset != "kernel":
+            return
+        row_ptr = csr_indptr(buffer.counts)[buffer.step_ptr]
+        episodes = zip(buffer.step_ptr[:-1], buffer.step_ptr[1:],
+                       row_ptr[:-1], row_ptr[1:])
+        for s0, s1, r0, r1 in episodes:
+            actions = buffer.actions[s0:s1]
+            recompute = agent.log_probs_batch(
+                buffer.rows[r0:r1], buffer.counts[s0:s1]
+            )[np.arange(s1 - s0), actions]
+            np.testing.assert_array_equal(buffer.log_probs[s0:s1], recompute)
 
 
 def _record(**extra):

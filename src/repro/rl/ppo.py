@@ -289,7 +289,13 @@ class PPOAgent:
             return self.value(windows).numpy().copy()
 
     def act_greedy_batch(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Deterministic actions for a wave: argmax per observation."""
+        """Deterministic actions for a wave: argmax per observation.
+
+        Kept only as a frozen e2e trace target: nothing in the package
+        calls it.  The one greedy decider is
+        :class:`~repro.schedulers.RLSchedulerPolicy`, which the trainer's
+        validation deploys (:meth:`~repro.rl.trainer.Trainer._validate`).
+        """
         return np.argmax(self.log_probs_batch(rows, counts), axis=-1)
 
     def episode_log_probs(

@@ -24,7 +24,10 @@ the log-prob each action was sampled with beside it.
 from that batch as it is: the behaviour log-probs are the act-time ones,
 as in SpinningUp's PPO, and nothing scores an episode a second time.
 The epoch-0 reward-scale probe is one more :func:`lockstep_rollout`, of
-one run.  Validation steps its greedy episodes through the same stepper.
+one run.  Validation deploys the live policy: the mean reward of
+:meth:`RLSchedulerPolicy.run_lockstep
+<repro.schedulers.RLSchedulerPolicy.run_lockstep>` over the held-out
+sequences, the greedy decisions a deployed checkpoint makes.
 An epoch is synchronous, as on-policy PPO is: the rollout runs on the
 weights the previous update left, then the update runs.
 
@@ -69,6 +72,7 @@ from repro.telemetry.sink import TelemetrySink, telemetry_run
 from repro.nn import Module, ValueMLP, make_policy
 from repro.nn.ragged import csr_gather, csr_indptr
 from repro.runtime.seeding import stream_rng
+from repro.schedulers.rl_scheduler import RLSchedulerPolicy
 from repro.sim.cluster import ClusterSpec
 from repro.sim.metrics import metric_by_name
 from repro.sim.vec_env import VecSchedGym
@@ -97,7 +101,9 @@ def lockstep_rollout(vec, agent, runs, rngs, reward_fn) -> tuple[tuple, list[flo
     observations, the int64 actions, trajectory ``t``'s steps
     ``step_ptr[t]:step_ptr[t + 1]``, and the log-prob each action had
     when it was sampled.  ``rewards`` holds each trajectory's raw terminal
-    reward, ``reward_fn(completed jobs, cluster size)``.
+    reward, ``reward_fn(completed jobs, cluster size)``.  Once the rewards
+    are read ``vec`` drops its engines, so a trainer between epochs holds
+    no episode's job copies.
 
     A run makes at most one decision per job, so trajectory ``t`` draws
     its uniforms once, ``len(jobs)`` of them, before the first wave; a
@@ -150,6 +156,7 @@ def lockstep_rollout(vec, agent, runs, rngs, reward_fn) -> tuple[tuple, list[flo
         t0 = perf()
     rewards = [float(reward_fn(engine.completed, engine.cluster.n_procs))
                for engine in vec.engines]
+    vec.engines = []
     trajs = np.concatenate(log_trajs)
     counts = np.concatenate(log_counts)
     order = np.argsort(trajs, kind="stable")
@@ -219,7 +226,7 @@ class Trainer:
 
         _, self._higher_is_better = metric_by_name(metric)
         self.reward_fn = make_reward(metric)
-        # rollout and validation: every sequence of a batch at once
+        # the rollout: every trajectory of an epoch at once
         self.vec = VecSchedGym(self.cluster_spec.n_procs, self.env_config)
         m, f = self.env_config.max_obsv_size, self.env_config.job_features
         seed = self.train_config.seed
@@ -230,6 +237,11 @@ class Trainer:
             self.value,
             self.ppo_config,
             seed=seed,
+        )
+        # validation's greedy decider: the live policy, as deployed
+        self.deployed = RLSchedulerPolicy(
+            self.policy, self.cluster_spec.n_procs, self.env_config,
+            policy_preset,
         )
         self.sampler = SequenceSampler(
             trace, self.train_config.trajectory_length, seed=seed
@@ -402,20 +414,12 @@ class Trainer:
         )
 
     def _validate(self) -> float:
-        """Greedy-policy reward over the held-out validation sequences.
-
-        Steps all validation sequences through :attr:`vec` so each policy
-        forward serves every sequence at once.
-        """
-        vec = self.vec
-        # the engines copy the jobs they run (SchedulingEngine.__init__)
-        rows, counts = vec.reset(self._runs(self._val_sequences))
-        while len(counts):
-            rows, counts, _ = vec.step(self.agent.act_greedy_batch(rows, counts))
-        return float(np.mean([
-            self.reward_fn(engine.completed, engine.cluster.n_procs)
-            for engine in vec.engines
-        ]))
+        """Greedy-policy reward over the held-out validation sequences:
+        the policy deployed (:attr:`deployed`), so the best checkpoint is
+        chosen on the decisions deployment makes."""
+        n_procs = self.cluster_spec.n_procs
+        completed = self.deployed.run_lockstep(self._runs(self._val_sequences))
+        return float(np.mean([self.reward_fn(done, n_procs) for done in completed]))
 
     def close(self) -> None:
         """End the telemetry run this trainer owns: write the final

@@ -5,15 +5,17 @@ current time, and the cluster state, it returns a score — the **lowest**
 score is scheduled first (Table III convention; FCFS scores by submit
 time).  :meth:`Scheduler.select` is the generic argmin with deterministic
 job-id tie-breaking; RL policies override it to run the policy network on
-the whole queue at once.
+the whole queue at once, and run whole batches of episodes through
+:meth:`~repro.schedulers.RLSchedulerPolicy.run_lockstep` rather than
+binding to one engine.
 
 ``select(pending, now, cluster)`` is the public contract — it takes any
 queue, in any order, and is what the serving daemon calls.
 :meth:`Scheduler.bind` is the episode hook the batch loop
 (:func:`repro.sim.run_scheduler`) uses instead: a scheduler bound to one
 engine may precompute whatever the episode's fixed job population allows
-(a priority order, per-job constants, a feature cache) and must pick
-exactly the job ``select`` would.
+(a priority order, per-job constants) and must pick exactly the job
+``select`` would.
 """
 
 from __future__ import annotations

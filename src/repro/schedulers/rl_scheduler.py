@@ -15,19 +15,20 @@ tests):
 
 * the observation comes from the same table through the same function as
   in training — a :class:`~repro.sim.env.FeatureCache` read by
-  :func:`~repro.sim.env.observation_rows`.  ``bind`` fills the table once
-  with the episode's jobs; ``select`` keeps one that grows as jobs
-  arrive, validates every lookup (and rebuilds itself when a trace reuses
-  job ids) and is pruned by ``forget_jobs`` — correctness never depends
-  on its freshness;
-* policies that score jobs independently (``score_rows``, e.g. the
-  kernel policy) skip the padded ``(1, M, F)`` batch entirely: only the
-  ``k`` visible rows go through the network, and the argmax is taken over
-  raw scores (log-softmax is monotone, so the winner is identical);
-* evaluation steps such a policy through many sequences at once, one
-  forward per wave of a :class:`~repro.sim.vec_env.VecSchedGym`
-  (:meth:`RLSchedulerPolicy.run_lockstep`), the stepper training's
-  rollout and validation use too.
+  :func:`~repro.sim.env.observation_rows`.  ``select`` keeps one that
+  grows as jobs arrive, validates every lookup (and rebuilds itself when
+  a trace reuses job ids) and is pruned by ``forget_jobs`` — correctness
+  never depends on its freshness;
+* every decision, one queue or a wave of them, is made by
+  :meth:`RLSchedulerPolicy._best_rows`.  Policies that score jobs
+  independently (``score_rows``, e.g. the kernel policy) skip the padded
+  ``(1, M, F)`` batch entirely: only the ``k`` visible rows go through the
+  network, and the argmax is taken over raw scores (log-softmax is
+  monotone, so the winner is identical);
+* batch runs step through a :class:`~repro.sim.vec_env.VecSchedGym`
+  (:meth:`RLSchedulerPolicy.run_lockstep`), a ``score_rows`` policy many
+  sequences per forward.  The trainer's validation is this call, so the
+  checkpoint is chosen on the decisions deployment makes.
 
 Models persist in the one checkpoint layout (:mod:`repro.checkpoint`),
 and pickling ships the same :class:`~repro.checkpoint.Checkpoint` (cache
@@ -48,7 +49,6 @@ from repro.config import EnvConfig, FeatureLayoutError
 from repro.nn import Module, make_policy, masked_log_softmax, no_grad
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.env import FeatureCache, observation_rows, pad_observations
-from repro.sim.simulator import run_scheduler
 from repro.sim.vec_env import VecSchedGym
 from repro.telemetry import core as _telemetry
 from repro.workloads.job import Job
@@ -219,21 +219,13 @@ class RLSchedulerPolicy(Scheduler):
                 (), self.n_procs, self.env_config, total_mem=total_mem
             )
         rows = self._cache.rows(visible)
-        return visible[self._best_row(self._cache, rows, now, cluster)]
-
-    def _best_row(
-        self, cache: FeatureCache, rows: np.ndarray, now: float, cluster
-    ) -> int:
-        """Position in ``rows`` (rows of ``cache``: the visible jobs, FCFS)
-        of the job the policy picks: the one-queue wave of
-        :meth:`_best_rows`."""
         feats = observation_rows(
-            cache, rows, now, cluster.free_procs, self.n_procs,
+            self._cache, rows, now, cluster.free_procs, self.n_procs,
             self.env_config,
             free_mem=getattr(cluster, "free_mem", math.inf),
-            total_mem=getattr(cluster, "total_mem", math.inf),
+            total_mem=total_mem,
         )
-        return int(self._best_rows(feats, [len(rows)])[0])
+        return visible[int(self._best_rows(feats, [len(rows)])[0])]
 
     def _best_rows(self, feats: np.ndarray, counts) -> np.ndarray:
         """Per queue of a wave, the position in its rows of the job the
@@ -257,7 +249,7 @@ class RLSchedulerPolicy(Scheduler):
                 logits = self.policy(obs, mask)
                 return np.argmax(masked_log_softmax(logits, mask).numpy(), axis=1)
             scores = score_rows(feats)
-        if len(counts) == 1:  # select / bind: no segments to reduce
+        if len(counts) == 1:  # select: no segments to reduce
             return np.argmax(scores, keepdims=True)
         # first maximum per segment: positions of the maxima, else a
         # sentinel past every segment, reduced by the minimum
@@ -267,53 +259,32 @@ class RLSchedulerPolicy(Scheduler):
         return np.minimum.reduceat(np.where(scores == top, pos, len(scores)),
                                    starts)
 
-    def bind(self, engine):
-        """Bound to a batch engine, observe exactly as :class:`SchedGym`
-        does: one :class:`FeatureCache` filled with the episode's jobs,
-        read by the engine's own ``pending_rows`` — no per-decision job-id
-        lookups and none of :meth:`FeatureCache.rows`' validation, which
-        guards against a population that cannot change here."""
-        if engine.jobs is None:
-            return super().bind(engine)
-        cache = FeatureCache(
-            engine.jobs, self.n_procs, self.env_config,
-            total_mem=engine.cluster.total_mem,
-        )
-        m = self.env_config.max_obsv_size
-
-        def pick() -> Job:
-            rows = np.asarray(engine.pending_rows[:m], dtype=np.intp)
-            return engine.pending[
-                self._best_row(cache, rows, engine.now, engine.cluster)
-            ]
-
-        return pick
-
     def run_lockstep(self, runs) -> list[list[Job]]:
         """Each run's completed jobs, for ``runs`` of ``(jobs, cluster,
-        backfill)``: what :func:`run_scheduler` returns for each, decision
-        for decision, with the same telemetry totals.
+        backfill)``: what :func:`~repro.sim.run_scheduler` returns for
+        each, decision for decision, with the same telemetry totals.
 
-        A ``score_rows`` policy steps all runs through one
-        :class:`~repro.sim.vec_env.VecSchedGym` observing against this
-        policy's ``n_procs``: each wave scores every unfinished run's
-        visible rows in one :meth:`_best_rows` call, then commits each run
-        to its pick.  Runs on clusters of different total memory (the
-        free-memory feature's scale) go in separate waves.  Any other
-        policy runs one sequence at a time through :meth:`bind`.
+        Runs step through a :class:`~repro.sim.vec_env.VecSchedGym`
+        observing against this policy's ``n_procs``; each wave is one
+        :meth:`_best_rows` call, then each run commits to its pick.  A
+        ``score_rows`` policy shares its waves between runs, grouped by
+        cluster total memory (the free-memory feature's scale).  Any
+        other policy's forward depends on its batch, so it gets one run
+        per reset.
         """
-        if getattr(self.policy, "score_rows", None) is None:
-            return [run_scheduler(jobs, cluster, self, backfill=backfill)
-                    for jobs, cluster, backfill in runs]
         reg = _telemetry.current()
         t0 = time.perf_counter()
-        by_memory: dict[float, list[int]] = {}
-        for i, (_, cluster, _) in enumerate(runs):
-            total_mem = ClusterSpec.coerce(cluster).total_mem
-            by_memory.setdefault(total_mem, []).append(i)
+        if getattr(self.policy, "score_rows", None) is None:
+            groups = [[i] for i in range(len(runs))]
+        else:
+            by_memory: dict[float, list[int]] = {}
+            for i, (_, cluster, _) in enumerate(runs):
+                total_mem = ClusterSpec.coerce(cluster).total_mem
+                by_memory.setdefault(total_mem, []).append(i)
+            groups = by_memory.values()
         vec = VecSchedGym(self.n_procs, self.env_config)
         engines = [None] * len(runs)
-        for group in by_memory.values():
+        for group in groups:
             rows, counts = vec.reset([runs[i] for i in group])
             while len(counts):
                 rows, counts, _ = vec.step(self._best_rows(rows, counts))

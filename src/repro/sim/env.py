@@ -154,19 +154,21 @@ class FeatureCache:
     ``tests/reference.py`` does, so table rows and loop rows are
     bit-identical.  :func:`observation_rows` gathers them by row.
 
-    An episode knows its jobs up front: :meth:`SchedGym.reset`, a bound
-    :class:`~repro.schedulers.RLSchedulerPolicy` and
+    An episode knows its jobs up front: :meth:`SchedGym.reset` and
     :class:`~repro.sim.vec_env.VecSchedGym` (one table for all its runs,
-    each run's rows after the previous run's) hand them to the
-    constructor and read rows by the engine's ``pending_rows``.  A
-    deployed scheduler meets jobs as they arrive: it starts from ``()``
-    and asks :meth:`rows`, which adds unseen jobs (capacity doubles from a
-    64-row floor) and *validates* — every attribute a feature is computed
-    from (the ``identity`` columns) is compared against the stored row,
-    and a mismatch (job ids reused across traces) rebuilds the table from
-    the queue at hand.  A lookup is therefore always correct; the table
-    only decides what it costs.  :meth:`evict` drops departed jobs, so a
-    long-lived daemon holds memory proportional to its live job set.
+    each run's rows after the previous run's — the stepper training's
+    rollout and every batch run of a deployed
+    :class:`~repro.schedulers.RLSchedulerPolicy` go through) hand them to
+    the constructor and read rows by the engine's ``pending_rows``.  A
+    deployed scheduler's ``select`` meets jobs as they arrive: it starts
+    from ``()`` and asks :meth:`rows`, which adds unseen jobs (capacity
+    doubles from a 64-row floor) and *validates* — every attribute a
+    feature is computed from (the ``identity`` columns) is compared
+    against the stored row, and a mismatch (job ids reused across traces)
+    rebuilds the table from the queue at hand.  A lookup is therefore
+    always correct; the table only decides what it costs.  :meth:`evict`
+    drops departed jobs, so a long-lived daemon holds memory proportional
+    to its live job set.
 
     Only the first ``size`` rows of ``static``, ``submit`` and ``procs``
     are filled; the rest is spare capacity (zeros).

@@ -5,9 +5,9 @@ and an observation build per decision.  Stepping every run of a batch
 together amortises both — one network call and one observation build
 serve a whole *wave*, one decision per unfinished run, and the
 Python-side event simulation is the only per-run cost left.  Training's
-rollout and validation (:mod:`repro.rl.trainer`) and RL evaluation
-(:meth:`repro.schedulers.RLSchedulerPolicy.run_lockstep`) all step
-through this class.
+rollout (:mod:`repro.rl.trainer`) and every batch run of a deployed RL
+policy (:meth:`repro.schedulers.RLSchedulerPolicy.run_lockstep`: RL
+evaluation, and the trainer's validation) step through this class.
 
 Observation type
 ----------------
@@ -114,6 +114,9 @@ class VecSchedGym:
         ``actions`` has one visible-slot index per run of the wave, in
         wave order.  The whole vector is checked before any run moves, so
         a rejected step leaves every engine — and the wave — as it was.
+        The step that ends the last run releases the reset's feature
+        table; :attr:`engines` keep the runs' results until the next
+        reset.
         """
         live = self._live
         if not live:
@@ -134,7 +137,10 @@ class VecSchedGym:
         if finished:
             done = set(finished)
             self._live = [i for i in live if i not in done]
-        return VecStepResult(*self._wave(), np.array(finished, dtype=np.int64))
+        wave = self._wave()
+        if not self._live:
+            self._cache = None
+        return VecStepResult(*wave, np.array(finished, dtype=np.int64))
 
     # ------------------------------------------------------------------
     def _wave(self) -> tuple[np.ndarray, np.ndarray]:

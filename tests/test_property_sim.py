@@ -1,12 +1,13 @@
 """Property-based tests on simulator + metrics invariants over random
 workloads and both backfilling modes, plus the decision-loop equivalences
 the engine's incremental paths rest on: the engine's backfill planner
-against the public reference functions, every bound scheduler pick against
-``select``, online replay under arbitrary ``advance()`` chunking against
-the batch decision log, and the pending-queue invariants after every
-event — and the ragged observation path against its padded oracle: every
-``VecSchedGym`` wave, padded out, against the per-job loop encoder, and
-each of its runs against a lone ``SchedGym`` episode."""
+against the public reference functions, every bound heuristic pick and
+every RL lock-step run against ``select``, online replay under arbitrary
+``advance()`` chunking against the batch decision log, and the
+pending-queue invariants after every event — and the ragged observation
+path against its padded oracle: every ``VecSchedGym`` wave, padded out,
+against the per-job loop encoder, and each of its runs against a lone
+``SchedGym`` episode."""
 
 import dataclasses
 import heapq
@@ -334,15 +335,18 @@ def test_planner_reorders_releases_clamped_to_now():
 
 
 def bound_schedulers():
-    schedulers = [make_scheduler(name) for name in sorted(ALL_HEURISTICS)]
+    return [make_scheduler(name) for name in sorted(ALL_HEURISTICS)]
+
+
+def rl_schedulers():
     # a window smaller than the queues, so the FCFS cut-off binds
     narrow = EnvConfig(max_obsv_size=4)
-    schedulers.append(
+    schedulers = [
         RLSchedulerPolicy(
             KernelPolicy(narrow.job_features, seed=3), n_procs=N_PROCS,
             env_config=narrow, name="RL-narrow",
         )
-    )
+    ]
     wide = EnvConfig(max_obsv_size=8, job_features=9, memory_features=True)
     schedulers.append(
         RLSchedulerPolicy(
@@ -350,7 +354,7 @@ def bound_schedulers():
             env_config=wide, name="RL-mem",
         )
     )
-    # a policy that reads the whole padded window binds the same way
+    # a policy that reads the whole padded window, one run per reset
     schedulers.append(
         RLSchedulerPolicy(
             make_policy("mlp_v2", narrow.max_obsv_size, narrow.job_features,
@@ -367,9 +371,8 @@ def bound_schedulers():
 @pytest.mark.parametrize("scheduler", bound_schedulers(), ids=lambda s: s.name)
 def test_bound_pick_is_select(scheduler):
     """(ii) ``scheduler.bind(engine)()`` is the job ``select`` returns —
-    for the heuristics, the ``(score, job_id)`` argmin of the generic
-    ``Scheduler.select`` — at every decision of queues full of ties."""
-    heuristic = not isinstance(scheduler, RLSchedulerPolicy)
+    the ``(score, job_id)`` argmin of the generic ``Scheduler.select`` —
+    at every decision of queues full of ties."""
 
     @settings(max_examples=60, deadline=None)
     @given(engine_cases(), st.sampled_from((False, "easy")), st.data())
@@ -379,12 +382,30 @@ def test_bound_pick_is_select(scheduler):
         pick = scheduler.bind(engine)
         while engine.advance_until_decision():
             queue = engine.pending[::-1]  # select() sorts for itself
-            if heuristic:
-                want = Scheduler.select(scheduler, queue, engine.now, engine.cluster)
-            else:
-                want = scheduler.select(queue, engine.now, engine.cluster)
+            want = Scheduler.select(scheduler, queue, engine.now, engine.cluster)
             assert pick() is want
             engine.commit(pick_arbitrary(engine, data))
+
+    check()
+
+
+@pytest.mark.parametrize("scheduler", rl_schedulers(), ids=lambda s: s.name)
+def test_lockstep_run_is_select(scheduler):
+    """(ii) An RL policy's batch path, ``run_lockstep`` (its picks taken
+    from the engine's own feature rows), schedules a run exactly as
+    ``run_scheduler`` does through ``select`` (its picks taken from the
+    growing job-id table) — on queues full of ties, so a pick that broke
+    a tie differently would show."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(engine_cases(), st.sampled_from((False, "easy")))
+    def check(case, backfill):
+        jobs, spec = case
+        (got,) = scheduler.run_lockstep([(jobs, spec, backfill)])
+        want = run_scheduler(jobs, spec, scheduler, backfill=backfill)
+        assert [(j.job_id, j.start_time) for j in got] == [
+            (j.job_id, j.start_time) for j in want
+        ]
 
     check()
 

@@ -556,7 +556,7 @@ class TestLockstep:
 
     def test_policy_sized_for_a_larger_cluster(self):
         """A 256-proc policy on bursty-sdsc's 128 procs encodes features
-        with its own ``n_procs``, as ``bind`` does."""
+        with its own ``n_procs``, as ``select`` does."""
         sched = self.kernel(n_procs=256)
         runs = self.runs("bursty-sdsc", 3, "easy")
         assert runs[0][1].n_procs == 128
@@ -578,10 +578,11 @@ class TestLockstep:
 
     def test_dense_policy_runs_one_sequence_at_a_time(self):
         cfg = EnvConfig(max_obsv_size=8)
-        policy = make_policy("mlp_v2", 8, cfg.job_features, seed=0)
-        sched = RLSchedulerPolicy(policy, n_procs=256, env_config=cfg,
-                                  preset="mlp_v2")
-        self.assert_per_sequence(sched, self.runs("lublin-256", 2, "easy"))
+        for preset in ("mlp_v2", "lenet"):
+            policy = make_policy(preset, 8, cfg.job_features, seed=0)
+            sched = RLSchedulerPolicy(policy, n_procs=256, env_config=cfg,
+                                      preset=preset)
+            self.assert_per_sequence(sched, self.runs("lublin-256", 2, "easy"))
 
     def test_wave_ties_break_on_each_queues_first_row(self):
         """Twin jobs (every feature alike) tie; each queue of a wave picks
@@ -598,7 +599,9 @@ class TestLockstep:
             total_mem=cluster.total_mem,
         )
         picks = sched._best_rows(feats, [len(q) for q in queues])
-        alone = [sched._best_row(cache, np.array(q), 20.0, cluster)
-                 for q in queues]
+        alone = []
+        for q in queues:
+            queue = [twins[i] for i in q]
+            alone.append(queue.index(sched.select(queue, 20.0, cluster)))
         assert list(picks) == alone
         assert all(pick % 2 == 0 for pick in alone)  # the first of a pair

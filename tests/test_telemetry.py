@@ -423,6 +423,12 @@ class TestGoldenBitIdentity:
         stats = validate_jsonl(str(tmp_path / "t.jsonl"))
         assert stats["events"]["epoch"] == 2
         assert core.enabled() is False  # trainer restored the registry
+        # validation deploys the policy through run_lockstep, which records
+        # its episodes as evaluation does (the rollout records none): per
+        # epoch, 3 held-out episodes of trajectory_length (16) jobs each
+        snap = TelemetrySnapshot.from_dict(stats["snapshot"])
+        assert snap.spans["engine.episode"]["count"] == 2 * 3
+        assert snap.counters["engine.decisions"] == 2 * 3 * 16
 
     def test_evaluate_identical_on_vs_off(self, trace, tmp_path):
         from repro.api import evaluate

@@ -171,6 +171,26 @@ class TestTrainerMechanics:
         assert t._val_sequences is sequences
         assert [[dataclasses.astuple(j) for j in jobs] for jobs in sequences] == before
 
+    @pytest.mark.parametrize("preset", ["kernel", "mlp_v2"])
+    def test_best_checkpoint_deployed_earns_its_validation_reward(
+        self, trace, preset
+    ):
+        """Validation runs the policy as deployed: the best checkpoint,
+        deployed on the held-out sequences, earns exactly the reward that
+        selected it — the kernel's shared waves and ``mlp_v2``'s one run
+        per reset alike."""
+        cfg = tiny_train_config(epochs=3, trajectories_per_epoch=2,
+                                trajectory_length=16)
+        with Trainer(trace, policy_preset=preset, env_config=TINY_ENV,
+                     ppo_config=PPOConfig(train_pi_iters=5, train_v_iters=5),
+                     train_config=cfg) as t:
+            result = t.train()
+            runs = t._runs(t._val_sequences)
+        completed = result.as_scheduler().run_lockstep(runs)
+        n_procs = t.cluster_spec.n_procs
+        deployed = np.mean([t.reward_fn(done, n_procs) for done in completed])
+        assert deployed == result.curve[result.best_epoch].val_reward
+
     def test_train_function_entry_point(self, trace):
         result = train(trace, env_config=TINY_ENV, ppo_config=TINY_PPO,
                        train_config=tiny_train_config(epochs=1))

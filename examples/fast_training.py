@@ -7,12 +7,13 @@ How an epoch executes follows from what the code can observe:
   epoch's sequences in one lock-step (one batched policy forward serves
   every unfinished episode of a wave); a trajectory is the same bits
   whichever episodes step beside it;
-* update — the kernel policy exposes a per-row scorer, so the agent takes
-  the sparse PPO update (cost follows the valid job rows, not the padded
-  ``MAX_OBSV_SIZE`` slots).
+* update — every preset scores the minibatch's job rows through the same
+  ``score_rows_grad(rows, counts)`` call; the kernel policy reads them as
+  they are, so its cost follows the valid job rows, not the padded
+  ``MAX_OBSV_SIZE`` slots.
 
-This script runs one epoch and reads from the telemetry trace which
-update ran and where the epoch's time went.
+This script runs one epoch and reads from the telemetry trace how many
+policy iterations ran and where the epoch's time went.
 
 Related: ``benchmarks/e2e`` measures training epochs end to end
 (``train-rollout-bound``, ``train-update-bound``).
@@ -53,7 +54,8 @@ with telemetry.session() as reg:
 
 print(f"\n48 trajectories in lock-step:  {seconds:5.1f}s  "
       f"mean bsld {record.mean_metric:.2f}  kl {record.stats.kl:.5f}")
-print("  policy iterations ran as:",
-      sorted(name for name in snap.spans if "update.policy_iter" in name))
+print("  policy iterations:",
+      sum(span["count"] for name, span in snap.spans.items()
+          if name.endswith("update.policy_iter")))
 print("  phases:", ", ".join(f"{k} {v:.2f}s"
                              for k, v in record.phase_times.items()))

@@ -533,6 +533,7 @@ def _cmd_compare(args) -> int:
                 "seed": args.seed,
                 "n_jobs": args.jobs,
                 "metric_override": args.metric,
+                "backfill_override": args.backfill,
                 "workers": args.workers,
             },
             "results": {

@@ -40,6 +40,7 @@ from .networks import (
     LeNetPolicy,
     MLPPolicy,
     ValueMLP,
+    WindowPolicy,
     make_policy,
 )
 from .optim import Adam, clip_grad_norm
@@ -73,6 +74,7 @@ __all__ = [
     "sample_action_batch",
     "KernelPolicy",
     "MLPPolicy",
+    "WindowPolicy",
     "LeNetPolicy",
     "ValueMLP",
     "POLICY_PRESETS",

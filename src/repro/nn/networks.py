@@ -1,10 +1,13 @@
 """Policy and value networks (paper §IV-B, Table IV).
 
-All policy networks share one interface: ``forward(obs, mask) -> logits``
-where ``obs`` is a float array of shape ``(B, M, F)`` — B observations of M
-visible job slots with F features — and the returned tensor has shape
-``(B, M)``: one score per slot.  Downstream, scores go through a masked
-softmax (:func:`repro.nn.functional.masked_log_softmax`).
+All policy networks share one contract: ``score_rows(rows, counts)``
+maps a wave of ragged observations (the ``(K, F)`` rows of each queue's
+visible jobs, queue after queue, and how many each owns) to ``(K,)``
+scores, one per visible job; acting calls it (no grad), the PPO update
+its twin ``score_rows_grad``.  ``row_local`` says whether a job's score
+depends on its own row alone.  ``forward(obs, mask)`` scores the padded
+``(B, M, F)`` window, one score per slot: what the tests'
+:func:`~repro.nn.functional.masked_log_softmax` oracles read.
 
 Table IV configurations reproduced here:
 
@@ -29,11 +32,12 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import Conv2d, Dense, DenseStack, Flatten, Module, max_pool2d
-from .ragged import RaggedRows
-from .tensor import Tensor
+from .ragged import RaggedRows, pad_observations
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "KernelPolicy",
+    "WindowPolicy",
     "MLPPolicy",
     "LeNetPolicy",
     "ValueMLP",
@@ -53,6 +57,8 @@ class KernelPolicy(Module):
     (:func:`repro.nn.tensor.matmul`), so a job scores the same at any
     position of any batch, and twin jobs tie exactly.
     """
+
+    row_local = True
 
     def __init__(
         self,
@@ -84,28 +90,27 @@ class KernelPolicy(Module):
         scores = self.kernel(x)          # (B*M, 1)
         return scores.reshape(b, m)
 
-    def score_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Scores for bare job rows, ``(K, F) -> (K,)``.
+    def score_rows(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Scores of a wave's job rows, ``(K, F) -> (K,)`` (no grad).
 
-        Because the kernel scores each job independently, acting paths can
-        skip the zero-padded slots entirely: gather the valid rows, score
-        K rows instead of B·M, and scatter back.  Row results are
-        bit-identical to :meth:`forward` on the padded batch, and to this
-        call on any other batch holding the same row — the rows of many
-        queues can share one call (lock-step evaluation).
+        The kernel scores each job independently, so it reads the rows
+        as they are and never ``counts``: K rows instead of the B·M
+        padded slots.  Row results are bit-identical to :meth:`forward`
+        on the padded batch, and to this call on any other batch holding
+        the same row — the rows of many queues can share one call
+        (lock-step evaluation).
         """
-        x = Tensor(rows)
-        return self.kernel(x).numpy().reshape(-1)
+        with no_grad():
+            return self.kernel(Tensor(rows)).numpy().reshape(-1)
 
-    def score_rows_grad(self, rows: np.ndarray) -> Tensor:
+    def score_rows_grad(self, rows: np.ndarray, counts: np.ndarray) -> Tensor:
         """Gradient-capable twin of :meth:`score_rows`, ``(K, F) -> (K,)``.
 
-        The segment-batched PPO update forwards only the valid job rows
-        of a minibatch through this entry point and backpropagates
-        through the returned graph — same arithmetic as :meth:`forward`
-        on the padded batch, minus the padded rows.  The kernel is one
-        tape node that walks the rows in L2-sized tiles
-        (:func:`~repro.nn.layers.dense_stack`).
+        The PPO update forwards the job rows of a minibatch through this
+        entry point and backpropagates through the returned graph — same
+        arithmetic as :meth:`forward` on the padded batch, minus the
+        padded rows.  The kernel is one tape node that walks the rows in
+        L2-sized tiles (:func:`~repro.nn.layers.dense_stack`).
         """
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.job_features:
@@ -115,7 +120,31 @@ class KernelPolicy(Module):
         return self.kernel(Tensor(rows)).reshape(-1)
 
 
-class MLPPolicy(Module):
+class WindowPolicy(Module):
+    """The Table IV baselines that read the whole ``max_obsv_size``
+    window (MLP v1–v3, LeNet), behind the kernel's contract.
+
+    Their first layers mix job slots, so a job's score depends on its
+    neighbours, and the BLAS products make even its last bits depend on
+    the batch.  They pad the wave at their input
+    (:func:`~repro.nn.ragged.pad_observations`), run :meth:`forward` over
+    the window and read back the valid slots, in wave order.
+    """
+
+    row_local = False
+
+    def score_rows(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Scores of a wave's visible jobs, ``(K,)`` (no grad)."""
+        with no_grad():
+            return self.score_rows_grad(rows, counts).numpy()
+
+    def score_rows_grad(self, rows: np.ndarray, counts: np.ndarray) -> Tensor:
+        """Gradient-capable twin of :meth:`score_rows`."""
+        obs, masks = pad_observations(rows, counts, self.max_obsv_size)
+        return self.forward(obs, masks)[masks]
+
+
+class MLPPolicy(WindowPolicy):
     """Flat MLP over the concatenated observation (Table IV v1/v2/v3).
 
     Order-*sensitive*: the first layer mixes all job slots, so the network
@@ -150,7 +179,7 @@ class MLPPolicy(Module):
         return self.mlp(x)               # (B, M)
 
 
-class LeNetPolicy(Module):
+class LeNetPolicy(WindowPolicy):
     """LeNet-style CNN (Table IV row 4): 2×(conv, maxpool) then dense.
 
     Treats the observation matrix as a 1-channel image.  The pooling and

@@ -18,7 +18,9 @@ the other and how many each owns — and :meth:`RaggedRows.from_csr`
 buckets them directly, into the same members, widths and blocks
 :meth:`RaggedRows.from_dense` derives from the padded block, and
 :meth:`RaggedRows.take` selects rows of a bucketed matrix without
-bucketing them again.
+bucketing them again.  :func:`pad_observations` is the one place the
+zero-padded ``(n, M, F)`` window itself is built, for the networks that
+read it whole and for the single-environment gym protocol.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "window_extents",
     "csr_indptr",
     "csr_gather",
+    "pad_observations",
 ]
 
 #: a bucket spans extents up to this multiple of its narrowest row, which
@@ -61,6 +64,21 @@ def csr_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
     return np.repeat(starts - (ends - counts), counts) + np.arange(total)
+
+
+def pad_observations(
+    rows: np.ndarray, counts: np.ndarray, max_obsv_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged observations as the fixed window: ``(n, M, F)``, ``(n, M)``.
+
+    Observation ``i`` owns the next ``counts[i]`` of ``rows``; they fill
+    its leading slots, the rest are zero rows, and the boolean action
+    mask marks the real ones.  The only place the padded window exists.
+    """
+    masks = np.arange(max_obsv_size) < np.asarray(counts)[:, None]
+    obs = np.zeros((*masks.shape, rows.shape[1]), dtype=rows.dtype)
+    obs[masks] = rows
+    return obs, masks
 
 
 def window_extents(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:

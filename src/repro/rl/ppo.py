@@ -31,15 +31,12 @@ from repro.nn import (
     csr_gather,
     csr_indptr,
     gather_rows,
-    log_prob_of,
-    masked_log_softmax,
     no_grad,
     sample_action_batch,
     segment_log_softmax,
     segment_rectangle,
     segment_sum,
 )
-from repro.sim.env import pad_observations
 from repro.telemetry import core as _telemetry
 
 __all__ = ["PPOAgent", "UpdateStats"]
@@ -81,20 +78,8 @@ def _take(array: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
     return array if idx is None else array[idx]
 
 
-def _row_scorer(policy: Module):
-    """The policy's gradient-capable per-row scorer, or ``None`` — the
-    whole update-path choice: a policy that scores jobs independently
-    (the kernel preset) takes the sparse update over valid rows; one that
-    scores them jointly (MLP / LeNet) has no per-row twin and takes the
-    dense update over the padded block, the oracle sparse is pinned to."""
-    scorer = getattr(policy, "score_rows_grad", None)
-    return scorer if callable(scorer) else None
-
-
 def _policy_plan(
     data: dict[str, np.ndarray],
-    sparse: bool,
-    max_obsv_size: int,
     dtype: np.dtype,
     idx: np.ndarray | None,
 ) -> tuple:
@@ -102,14 +87,13 @@ def _policy_plan(
     ``(inputs, old_log_probs, advantages)``, the arguments of
     :func:`_policy_terms` after the policy.
 
-    The stored batch is ragged (``rows`` / ``counts``), which is what the
-    sparse update forwards: ``(rows, indptr, action_pos)`` — the job rows
-    of the minibatch as stored, the observation segment splits, and each
-    chosen action's position in the flat vector.  The dense update pads
-    the same rows to the ``max_obsv_size`` window at its input and
-    forwards ``(obs, masks, actions)``.  The buffer keeps its log-probs
-    and advantages float64; they are cast here, once, to the policy's
-    ``dtype``, so the loss has the dtype of the network.
+    The stored batch is ragged (``rows`` / ``counts``), and that is what
+    the policy is handed: ``(rows, counts, indptr, action_pos)`` — the
+    job rows of the minibatch as stored, how many each observation owns,
+    the observation segment splits, and each chosen action's position in
+    the flat vector.  The buffer keeps its log-probs and advantages
+    float64; they are cast here, once, to the policy's ``dtype``, so the
+    loss has the dtype of the network.
     """
     counts = _take(data["counts"], idx)
     actions = _take(data["actions"], idx)
@@ -120,13 +104,9 @@ def _policy_plan(
     if idx is not None:
         starts = np.cumsum(data["counts"]) - data["counts"]
         rows = rows[csr_gather(starts[idx], counts)]
-    if sparse:
-        indptr = csr_indptr(counts)
-        inputs = (rows, indptr, indptr[:-1] + actions)
-    else:
-        inputs = (*pad_observations(rows, counts, max_obsv_size), actions)
+    indptr = csr_indptr(counts)
     return (
-        inputs,
+        (rows, counts, indptr, indptr[:-1] + actions),
         _take(data["log_probs"], idx).astype(dtype, copy=False),
         _take(data["advantages"], idx).astype(dtype, copy=False),
     )
@@ -158,26 +138,17 @@ def _policy_terms(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Per-row PPO-clip terms: ``(surrogate, entropy_rows, logp)``.
 
-    The one forward pass both update paths share, over a
-    :func:`_policy_plan` built for the same policy.  Dense scores the
-    padded ``(B, M)`` block and masks; sparse forwards only the valid
-    rows through the policy's :func:`_row_scorer` and works on the flat
-    vector with CSR segment ops — no ``-1e9`` padding anywhere.  Both
-    produce the same values to round-off.
+    The one forward pass of a policy step, over a :func:`_policy_plan`:
+    the policy scores the minibatch's job rows
+    (``score_rows_grad(rows, counts)``, one score per visible job) and
+    the softmax, the chosen log-probs and the entropy work on that flat
+    vector with CSR segment ops — no ``-1e9`` padding anywhere.
     """
-    scorer = _row_scorer(policy)
-    if scorer is not None:
-        rows, indptr, action_pos = inputs
-        scores = scorer(rows)
-        log_probs = segment_log_softmax(scores, indptr)
-        logp = gather_rows(log_probs, action_pos)
-        ent_rows = -segment_sum(log_probs.exp() * log_probs, indptr)
-    else:
-        obs, masks, actions = inputs
-        logits = policy(obs, masks)
-        log_probs = masked_log_softmax(logits, masks)
-        logp = log_prob_of(log_probs, actions)
-        ent_rows = -(log_probs.exp() * log_probs).sum(axis=-1)
+    rows, counts, indptr, action_pos = inputs
+    scores = policy.score_rows_grad(rows, counts)
+    log_probs = segment_log_softmax(scores, indptr)
+    logp = gather_rows(log_probs, action_pos)
+    ent_rows = -segment_sum(log_probs.exp() * log_probs, indptr)
     ratio = (logp - Tensor(old_log_probs)).exp()
     adv_t = Tensor(advantages)
     clipped = ratio.clip(1.0 - clip_ratio, 1.0 + clip_ratio) * adv_t
@@ -188,9 +159,9 @@ def _policy_terms(
 class PPOAgent:
     """Actor-critic agent with PPO-clip updates.
 
-    The policy step is the segment-batched sparse update when the policy
-    exposes ``score_rows_grad`` (:class:`KernelPolicy`) and the dense one
-    otherwise (:func:`_row_scorer`).
+    The policy is any network behind the ``(rows, counts)`` contract of
+    :mod:`repro.nn.networks`: ``score_rows`` to act, ``score_rows_grad``
+    to learn, whichever Table IV architecture it is.
     """
 
     def __init__(
@@ -224,26 +195,16 @@ class PPOAgent:
         plain ``(n, W)`` array (no grad); slots past an observation's
         ``counts[i]`` jobs carry probability 0.
 
-        Policies that score jobs independently (:class:`KernelPolicy`
-        exposes ``score_rows``) take the wave as it is: the job rows go
-        through the network, and the softmax runs on a block no wider
-        than the wave's longest queue (:func:`segment_rectangle`) with
-        the arithmetic of :func:`masked_log_softmax`
-        operation-for-operation, so the log-probabilities equal the
-        padded-window ones bit for bit.  Policies that read the whole
-        window (MLP / LeNet) get it padded here, at their input.
+        The policy scores the wave as it is (``score_rows``, one score
+        per visible job), and the softmax runs on a block no wider than
+        the wave's longest queue (:func:`segment_rectangle`) with the
+        padded window's masked softmax arithmetic operation-for-operation,
+        so the log-probabilities equal the window's bit for bit.
         """
         counts = np.asarray(counts)
         if not len(counts) or (counts <= 0).any():
             raise ValueError("every row must have at least one valid action")
-        score_rows = getattr(self.policy, "score_rows", None)
-        if score_rows is None:
-            obs, masks = pad_observations(rows, counts, self.value.max_obsv_size)
-            with no_grad():
-                logits = self.policy(obs, masks)
-                return masked_log_softmax(logits, masks).numpy()
-        with no_grad():
-            scores = score_rows(rows)
+        scores = self.policy.score_rows(rows, counts)
         logits = segment_rectangle(scores, counts, self.value.max_obsv_size)
         shift = logits.max(axis=-1, keepdims=True)
         shifted = logits - shift
@@ -334,23 +295,16 @@ class PPOAgent:
             raise ValueError("empty update batch")
         np.empty(_HEAP_KEEP_BYTES, dtype=np.uint8)  # see _HEAP_KEEP_BYTES
 
-        # Per-iteration spans carry the update path in the name so dense
-        # and sparse timings stay distinguishable in one trace; KL rides
-        # as a gauge (clip-frac is recorded inside _policy_step, where the
-        # ratios exist).
+        # KL rides as a gauge (clip-frac is recorded inside _policy_step,
+        # where the ratios exist).
         reg = _telemetry.current()
-        sparse = _row_scorer(self.policy) is not None
-        pi_span = f"update.policy_iter.{'sparse' if sparse else 'dense'}"
         kl_gauge = reg.gauge("update.kl")
 
-        build = partial(
-            _policy_plan, data, sparse, self.value.max_obsv_size,
-            self.policy.dtype,
-        )
+        build = partial(_policy_plan, data, self.policy.dtype)
         pi_losses, kls, entropies = [], [], []
         early_stopped = False
         for plan in self._plans(n, cfg.train_pi_iters, build):
-            with reg.span(pi_span):
+            with reg.span("update.policy_iter"):
                 loss_pi, kl, ent = self._policy_step(plan)
             kl_gauge.set(kl)
             pi_losses.append(loss_pi)

@@ -54,8 +54,9 @@ batch, the buffer windows it for the critic and the update plans from
 it.  Only a network that reads the whole window (the MLP / LeNet
 baselines) sees it padded, at its own input.
 
-*Update.*  :class:`PPOAgent` takes the sparse policy step when the policy
-exposes ``score_rows_grad`` (the kernel preset), the dense one otherwise.
+*Update.*  :class:`PPOAgent` takes one policy step for every preset:
+``score_rows_grad(rows, counts)`` scores the minibatch's job rows and
+segment ops softmax them per observation.
 """
 
 from __future__ import annotations

@@ -20,13 +20,12 @@ tests):
   a trace reuses job ids) and is pruned by ``forget_jobs`` — correctness
   never depends on its freshness;
 * every decision, one queue or a wave of them, is made by
-  :meth:`RLSchedulerPolicy._best_rows`.  Policies that score jobs
-  independently (``score_rows``, e.g. the kernel policy) skip the padded
-  ``(1, M, F)`` batch entirely: only the ``k`` visible rows go through the
-  network, and the argmax is taken over raw scores (log-softmax is
-  monotone, so the winner is identical);
+  :meth:`RLSchedulerPolicy._best_rows`: one ``score_rows(rows, counts)``
+  call scores the ``k`` visible rows of each queue (the kernel policy
+  reads them as they are, the window baselines pad at their own input),
+  and the argmax is taken over raw scores (log-softmax is monotone);
 * batch runs step through a :class:`~repro.sim.vec_env.VecSchedGym`
-  (:meth:`RLSchedulerPolicy.run_lockstep`), a ``score_rows`` policy many
+  (:meth:`RLSchedulerPolicy.run_lockstep`), a ``row_local`` policy many
   sequences per forward.  The trainer's validation is this call, so the
   checkpoint is chosen on the decisions deployment makes.
 
@@ -46,9 +45,9 @@ import numpy as np
 
 from repro import checkpoint
 from repro.config import EnvConfig, FeatureLayoutError
-from repro.nn import Module, make_policy, masked_log_softmax, no_grad
+from repro.nn import Module, make_policy
 from repro.sim.cluster import Cluster, ClusterSpec
-from repro.sim.env import FeatureCache, observation_rows, pad_observations
+from repro.sim.env import FeatureCache, observation_rows
 from repro.sim.vec_env import VecSchedGym
 from repro.telemetry import core as _telemetry
 from repro.workloads.job import Job
@@ -232,23 +231,11 @@ class RLSchedulerPolicy(Scheduler):
         policy picks.
 
         Queue ``i`` owns the next ``counts[i]`` of the feature rows
-        ``feats`` (its visible jobs, FCFS).  A ``score_rows`` policy
-        scores only these rows, in one forward, and a job's score does
-        not depend on the rows beside it (:func:`repro.nn.tensor.matmul`).
-        Log-softmax is monotone, so a queue's first maximum is the argmax
-        of the dense forward over its padded window, which every other
-        policy takes — one queue per wave, as that forward depends on its
-        batch.  Ties break on the first index either way.
+        ``feats`` (its visible jobs, FCFS); the policy scores them all in
+        one ``score_rows`` call.  Log-softmax is monotone, so a queue's
+        first maximum score is its pick.  Ties break on the first index.
         """
-        score_rows = getattr(self.policy, "score_rows", None)
-        with no_grad():
-            if score_rows is None:
-                obs, mask = pad_observations(
-                    feats, counts, self.env_config.max_obsv_size
-                )
-                logits = self.policy(obs, mask)
-                return np.argmax(masked_log_softmax(logits, mask).numpy(), axis=1)
-            scores = score_rows(feats)
+        scores = self.policy.score_rows(feats, counts)
         if len(counts) == 1:  # select: no segments to reduce
             return np.argmax(scores, keepdims=True)
         # first maximum per segment: positions of the maxima, else a
@@ -267,21 +254,21 @@ class RLSchedulerPolicy(Scheduler):
         Runs step through a :class:`~repro.sim.vec_env.VecSchedGym`
         observing against this policy's ``n_procs``; each wave is one
         :meth:`_best_rows` call, then each run commits to its pick.  A
-        ``score_rows`` policy shares its waves between runs, grouped by
-        cluster total memory (the free-memory feature's scale).  Any
-        other policy's forward depends on its batch, so it gets one run
-        per reset.
+        ``row_local`` policy (a job's score is its own row's) shares its
+        waves between runs, grouped by cluster total memory (the
+        free-memory feature's scale).  Any other policy's scores depend
+        on its batch, so it gets one run per reset.
         """
         reg = _telemetry.current()
         t0 = time.perf_counter()
-        if getattr(self.policy, "score_rows", None) is None:
-            groups = [[i] for i in range(len(runs))]
-        else:
+        if self.policy.row_local:
             by_memory: dict[float, list[int]] = {}
             for i, (_, cluster, _) in enumerate(runs):
                 total_mem = ClusterSpec.coerce(cluster).total_mem
                 by_memory.setdefault(total_mem, []).append(i)
             groups = by_memory.values()
+        else:
+            groups = [[i] for i in range(len(runs))]
         vec = VecSchedGym(self.n_procs, self.env_config)
         engines = [None] * len(runs)
         for group in groups:

@@ -2,13 +2,13 @@
 
 :class:`SchedulerService` owns one
 :class:`~repro.sim.core.OnlineSchedulingEngine` plus a decision policy
-(heuristic or loaded :class:`~repro.schedulers.RLSchedulerPolicy` through
-its sparse ``score_rows`` hot path over a growing
-:class:`~repro.sim.FeatureCache`) and turns submissions into scheduling
-decisions.  Memory is bounded by the *live* job set: completed jobs are
-harvested out of the engine, their rows are evicted from the policy's
-job-feature table, and the finished-record history kept for ``status``
-queries is capped.
+(heuristic or loaded :class:`~repro.schedulers.RLSchedulerPolicy`, which
+hands the queue's rows from a growing :class:`~repro.sim.FeatureCache`
+to the network's ``score_rows(rows, counts)``) and turns submissions
+into scheduling decisions.  Memory is bounded by the *live* job set:
+completed jobs are harvested out of the engine, their rows are evicted
+from the policy's job-feature table, and the finished-record history
+kept for ``status`` queries is capped.
 
 :class:`SchedulerRouter` multiplexes N independent tenants — separate
 clusters, policies, clocks, and telemetry labels — behind the one wire

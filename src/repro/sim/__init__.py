@@ -17,7 +17,6 @@ from .env import (
     build_observation,
     fill_dynamic_features,
     observation_rows,
-    pad_observations,
     stable_user_hash,
 )
 from .vec_env import VecSchedGym, VecStepResult
@@ -57,7 +56,6 @@ __all__ = [
     "build_observation",
     "fill_dynamic_features",
     "observation_rows",
-    "pad_observations",
     "stable_user_hash",
     "VecSchedGym",
     "VecStepResult",

@@ -52,11 +52,12 @@ one producer, in training and in deployment alike: static columns
 growable for a scheduler that meets its jobs as they arrive — and
 :func:`fill_dynamic_features` overwrites the time- and state-dependent
 ones; :class:`~repro.sim.vec_env.VecSchedGym` builds the wave of many
-queues this way, one queue per unfinished run.  :func:`pad_observations`
-is the one place the ``(n, M, F)`` window and its ``(n, M)`` action mask
-are materialised; its callers are the
-networks that read the whole window (the MLP / LeNet baselines of §V-B)
-and the gym-protocol surface of this module — :class:`SchedGym`, the
+queues this way, one queue per unfinished run.
+:func:`~repro.nn.ragged.pad_observations` is the one place the
+``(n, M, F)`` window and its ``(n, M)`` action mask are materialised; its
+callers are the networks that read the whole window (the MLP / LeNet
+baselines of §V-B, :class:`~repro.nn.networks.WindowPolicy`) and the
+gym-protocol surface of this module — :class:`SchedGym`, the
 paper's single-environment API, and :func:`build_observation`.  The
 per-job loop the encoding was first written as lives on in
 ``tests/reference.py`` as its executable specification.
@@ -72,6 +73,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.config import EnvConfig
+from repro.nn.ragged import pad_observations
 from repro.workloads.job import Job
 
 from .cluster import ClusterSpec, mem_demand
@@ -84,7 +86,6 @@ __all__ = [
     "build_observation",
     "fill_dynamic_features",
     "observation_rows",
-    "pad_observations",
     "stable_user_hash",
 ]
 
@@ -320,21 +321,6 @@ def observation_rows(
         free_mem=free_mem, total_mem=total_mem,
     )
     return feats.astype(np.float32)
-
-
-def pad_observations(
-    rows: np.ndarray, counts: np.ndarray, max_obsv_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged observations as the fixed window: ``(n, M, F)``, ``(n, M)``.
-
-    Observation ``i`` owns the next ``counts[i]`` of ``rows``; they fill
-    its leading slots, the rest are zero rows, and the boolean action
-    mask marks the real ones.  The only place the padded window exists.
-    """
-    masks = np.arange(max_obsv_size) < np.asarray(counts)[:, None]
-    obs = np.zeros((*masks.shape, rows.shape[1]), dtype=rows.dtype)
-    obs[masks] = rows
-    return obs, masks
 
 
 def check_actions(actions: np.ndarray, counts, max_obsv_size: int) -> None:

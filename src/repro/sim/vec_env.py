@@ -22,7 +22,7 @@ Features are encoded against the one ``n_procs`` the stepper is built
 with — the training cluster's, or a deployed policy's — and one total
 memory, so a reset's runs must share it.  Nothing here pads; a network
 that wants the fixed window pads at its own input
-(:func:`~repro.sim.env.pad_observations`).
+(:func:`~repro.nn.ragged.pad_observations`).
 
 Protocol
 --------

@@ -7,7 +7,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from repro.nn import Module, csr_indptr
+from repro.nn import Module, WindowPolicy, csr_indptr
 from repro.rl import Trainer, TrajectoryBuffer
 from repro.runtime import stream_rng
 from repro.sim import SchedGym
@@ -50,17 +50,20 @@ def make_trace(jobs: list[Job], n_procs: int, name: str = "test") -> SWFTrace:
     return SWFTrace(jobs=jobs, header=SWFHeader(max_procs=n_procs), name=name)
 
 
-class DenseOnly(Module):
-    """A policy with its per-row scorers hidden.
+class DenseOnly(WindowPolicy):
+    """A kernel policy read through its padded window.
 
-    ``PPOAgent`` picks the sparse update when the policy exposes
-    ``score_rows_grad``; wrapping a kernel policy in this forces the dense
-    update on the same weights — the oracle the sparse path is checked
-    (and its speedup measured) against.
+    Behind the same ``(rows, counts)`` contract, this scores the wave
+    the way the MLP / LeNet baselines do: padded to the
+    ``max_obsv_size`` window at the input, the kernel's :meth:`forward`
+    over every slot, the valid slots read back.  On the same weights it
+    is the oracle the kernel's row scorers are checked (and their
+    speedup measured) against.
     """
 
-    def __init__(self, policy: Module):
+    def __init__(self, policy: Module, max_obsv_size: int):
         self.policy = policy
+        self.max_obsv_size = max_obsv_size
 
     def forward(self, obs, masks):
         return self.policy(obs, masks)
@@ -77,9 +80,9 @@ class SequentialTrainer(Trainer):
     the lock-step rollout's batch and its per-episode slicing both.  Its
     behaviour log-probs are each episode's, scored again on the batch of
     its own T observations after the episode ends, so the goldens (the
-    kernel policy, with and without its row scorers) also check that the
-    log-probs the rollout stores as it acts do not depend on the wave
-    they were scored in.  ``n_sequential`` counts the episodes
+    kernel policy, by its rows and through its padded window) also check
+    that the log-probs the rollout stores as it acts do not depend on the
+    wave they were scored in.  ``n_sequential`` counts the episodes
     rolled that way, so a golden can assert its reference side really
     took this path (if the hook below is ever renamed away, the
     comparison would otherwise silently become lock-step against

@@ -228,12 +228,12 @@ class TestCommands:
         assert "--workers" in capsys.readouterr().err
         assert not model.exists()
 
-    @pytest.mark.parametrize("policy, path", [("kernel", "sparse"),
-                                              ("mlp_v2", "dense")])
-    def test_update_path_follows_the_policy(self, tmp_path, capsys,
-                                            policy, path):
-        """No flag picks the PPO update: the trace shows the kernel preset
-        took the sparse step and an MLP preset the dense one."""
+    @pytest.mark.parametrize("policy", ["kernel", "mlp_v2"])
+    def test_every_preset_takes_the_one_policy_step(self, tmp_path, capsys,
+                                                     policy):
+        """No flag and no preset picks the PPO update: the kernel and an
+        MLP preset both run their policy iterations as the one
+        ``update.policy_iter`` span."""
         from repro.telemetry.sink import validate_jsonl
 
         trace = tmp_path / "t.jsonl"
@@ -245,9 +245,9 @@ class TestCommands:
         ])
         assert code == 0
         spans = validate_jsonl(str(trace))["snapshot"]["spans"]
-        ran = {name.rsplit(".", 1)[-1] for name in spans
-               if "update.policy_iter." in name}
-        assert ran == {path}
+        ran = {name.rsplit("/", 1)[-1] for name in spans
+               if "update.policy_iter" in name}
+        assert ran == {"update.policy_iter"}
 
     def test_train_with_telemetry_writes_valid_trace(self, tmp_path, capsys):
         from repro.telemetry.sink import validate_jsonl
@@ -428,6 +428,25 @@ class TestEvaluateBackfillTriState:
         assert "(backfill" in capsys.readouterr().out  # protocol default
         assert main(base + ["--no-backfill"]) == 0
         assert "(no backfill" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, recorded", [
+        ([], None), (["--backfill"], True), (["--no-backfill"], False),
+    ], ids=["protocol", "on", "off"])
+    def test_compare_artifact_records_the_override(self, tmp_path, capsys,
+                                                  flag, recorded):
+        """Two matrices run with different backfill overrides carry
+        different provenance: ``config.backfill_override`` is the flag
+        (null when each scenario keeps its protocol)."""
+        import json
+
+        out_file = tmp_path / "matrix.json"
+        assert main([
+            "compare", "--scenarios", "lublin-64", "--schedulers", "FCFS",
+            "--jobs", "300", "--sequences", "1", "--length", "12",
+            "-o", str(out_file), *flag,
+        ]) == 0
+        config = json.loads(out_file.read_text())["config"]
+        assert config["backfill_override"] is recorded
 
     def test_plain_trace_default_stays_off(self, capsys):
         assert main(["evaluate", "Lublin-1", "--jobs", "400",

@@ -14,7 +14,11 @@ from repro.nn import (
     ValueMLP,
     make_policy,
     masked_log_softmax,
+    no_grad,
 )
+from repro.rl import PPOAgent
+
+from .reference import pad_window
 
 M, F = 16, 7  # small observation space for tests
 
@@ -82,18 +86,49 @@ def test_kernel_score_does_not_depend_on_its_neighbours(seed, features, sizes):
     rng = np.random.default_rng(seed)
     net = KernelPolicy(features, seed=seed % 7)
     parts = [rng.random((k, features)).astype(np.float32) for k in sizes]
-    alone = [net.score_rows(part) for part in parts]
+    alone = [net.score_rows(part, [len(part)]) for part in parts]
     np.testing.assert_array_equal(
-        net.score_rows(np.concatenate(parts)), np.concatenate(alone)
+        net.score_rows(np.concatenate(parts), sizes), np.concatenate(alone)
     )
     for _ in range(20):
         queue = rng.random((int(rng.integers(2, 129)), features))
         queue = queue.astype(np.float32)
         first, second = sorted(rng.choice(len(queue), 2, replace=False))
         queue[second] = queue[first]
-        scores = net.score_rows(queue)
+        scores = net.score_rows(queue, [len(queue)])
         assert scores[first] == scores[second]
         assert np.argmax(scores) != second
+
+
+@pytest.mark.parametrize("m", [16, 128])
+@pytest.mark.parametrize("preset", sorted(POLICY_PRESETS))
+def test_every_preset_scores_a_ragged_wave(preset, m):
+    """The one policy contract, for every Table IV network: a wave of
+    ragged observations in, one score per visible job out — the valid
+    slots of the padded ``forward``, in wave order, from either scorer —
+    and the agent's acting log-probs are ``masked_log_softmax`` of that
+    forward bit for bit.  Only the kernel scores a job from its own row
+    alone."""
+    rng = np.random.default_rng(m)
+    net = make_policy(preset, m, F, seed=1)
+    counts = rng.integers(1, m + 1, size=9)
+    counts[:2] = m, 1
+    rows = rng.random((counts.sum(), F)).astype(np.float32)
+    obs, masks = pad_window(rows, counts, m)
+    with no_grad():
+        logits = net(obs, masks)
+    scores = net.score_rows(rows, counts)
+    assert scores.shape == (counts.sum(),)
+    assert scores.tobytes() == logits.numpy()[masks].tobytes()
+    assert net.score_rows_grad(rows, counts).numpy().tobytes() == scores.tobytes()
+
+    agent = PPOAgent(net, ValueMLP(m, F, hidden=(4,)))
+    got = agent.log_probs_batch(rows, counts)
+    want = masked_log_softmax(logits, masks).numpy()
+    width = got.shape[1]
+    assert got.tobytes() == want[:, :width].copy().tobytes()
+    assert (want[:, width:] < -1e8).all()
+    assert net.row_local == (preset == "kernel")
 
 
 class TestMLPPolicy:

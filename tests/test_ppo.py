@@ -101,7 +101,7 @@ class TestActing:
 class ColumnScorer:
     """A row-scoring policy whose scores are column 0 of the rows."""
 
-    def score_rows(self, rows):
+    def score_rows(self, rows, counts):
         return np.asarray(rows)[:, 0]
 
 
@@ -274,7 +274,9 @@ def reference_update(agent, data):
     ragged observations, kept as the oracle: the batch is padded to the
     observation window up front, every iteration re-gathers ``data[k][idx]``,
     re-derives the valid rows, and the value network multiplies the dense
-    padded matrix, cast to its dtype, through plain ``Tensor.__matmul__``.  Losses
+    padded matrix, cast to its dtype, through plain ``Tensor.__matmul__``.
+    The kernel scores the valid rows of the window; any other policy
+    scores the whole window, softmaxed by ``masked_log_softmax``.  Losses
     are sum-reduced and gradients divided by the row count (the mean
     loss, in another operation order).  Returns ``(policy_losses, kls,
     value_losses)`` per iteration.
@@ -307,10 +309,12 @@ def reference_update(agent, data):
 
     def policy_loss(batch):
         obs, masks = batch["obs"].astype(agent.policy.dtype), batch["masks"]
-        if hasattr(agent.policy, "score_rows_grad"):
+        if isinstance(agent.policy, KernelPolicy):
             b_idx, s_idx = np.nonzero(masks)
             indptr = csr_indptr(masks.sum(axis=1))
-            scores = agent.policy.score_rows_grad(obs[b_idx, s_idx])
+            scores = agent.policy.score_rows_grad(
+                obs[b_idx, s_idx], masks.sum(axis=1)
+            )
             log_probs = segment_log_softmax(scores, indptr)
             # a window's valid slots lead it: slot a is flat position indptr + a
             logp = gather_rows(log_probs, indptr[:-1] + batch["actions"])
@@ -369,7 +373,7 @@ class TestUpdatePlan:
                 else MLPPolicy(16, F, hidden=(8, 8), seed=3)
             )
             if update_path == "dense" and policy == "kernel":
-                net = DenseOnly(net)  # hide the row scorer: dense oracle
+                net = DenseOnly(net, 16)  # the kernel read through its window
             cfg = PPOConfig(
                 train_pi_iters=6, train_v_iters=6, entropy_coef=0.01, **ppo,
             )

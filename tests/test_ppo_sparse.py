@@ -1,16 +1,14 @@
-"""Segment-batched sparse PPO update: path equivalence with the dense
-oracle, and the KL-reporting fix."""
+"""The PPO update over a wave's job rows: the kernel's row scorers
+against its padded window (``DenseOnly``, the same weights behind the
+same contract), and the KL-reporting fix."""
 
 import numpy as np
 import pytest
 
 from repro.config import EnvConfig, PPOConfig, TrainConfig
-from repro.nn import (
-    KernelPolicy, MLPPolicy, RaggedRows, Tensor, ValueMLP, make_policy,
-)
+from repro.nn import KernelPolicy, RaggedRows, ValueMLP, make_policy
 from repro.rl import PPOAgent, Trainer
 from repro.rl.ppo import UpdateStats, _policy_plan, _policy_terms
-from repro.telemetry import core as telemetry
 from repro.workloads import load_trace
 
 from .conftest import DenseOnly
@@ -36,11 +34,11 @@ def synthetic_data(n=48, m=16, seed=0):
 
 
 def make_agent(update_path="dense", m=16, **ppo_kwargs):
-    """A kernel-policy agent; ``"dense"`` hides the row scorer so the
-    agent's own rule picks the dense oracle."""
+    """A kernel-policy agent; ``"dense"`` scores through the padded
+    window (``DenseOnly``), ``"sparse"`` through the kernel's rows."""
     policy = KernelPolicy(F, hidden=(8, 8), seed=7)
     if update_path == "dense":
-        policy = DenseOnly(policy)
+        policy = DenseOnly(policy, m)
     value = ValueMLP(m, F, hidden=(16, 16), seed=8)
     cfg = PPOConfig(**ppo_kwargs)
     return PPOAgent(policy, value, cfg, seed=0)
@@ -48,25 +46,12 @@ def make_agent(update_path="dense", m=16, **ppo_kwargs):
 
 def policy_terms(policy, data, path, m=16):
     if path == "dense":
-        policy = DenseOnly(policy)
-    plan = _policy_plan(data, path == "sparse", m, policy.dtype, None)
+        policy = DenseOnly(policy, m)
+    plan = _policy_plan(data, policy.dtype, None)
     return _policy_terms(policy, *plan, 0.2)
 
 
 class TestSparsePath:
-    def test_sparse_requires_score_rows_grad(self):
-        """The update path follows the policy: a per-row scorer selects
-        the sparse step, a joint policy (or a hidden scorer) the dense."""
-        with telemetry.session() as reg:
-            for policy in (MLPPolicy(16, F, seed=0), KernelPolicy(F, seed=0),
-                           DenseOnly(KernelPolicy(F, seed=0))):
-                PPOAgent(policy, ValueMLP(16, F, seed=1),
-                         PPOConfig(train_pi_iters=1, train_v_iters=1)
-                         ).update(synthetic_data())
-            spans = reg.snapshot().spans
-        assert spans["update.policy_iter.dense"]["count"] == 2
-        assert spans["update.policy_iter.sparse"]["count"] == 1
-
     def test_config_rejects_unknown_path(self):
         """The path is not configurable any more, and neither is where
         its gradients are computed."""
@@ -86,8 +71,8 @@ class TestSparsePath:
             np.testing.assert_allclose(d.numpy(), s.numpy(), atol=atol)
 
     def test_gradient_parity_kernel_preset_m128(self, dtype=np.float64, atol=1e-8):
-        """Acceptance pin: sparse gradients match dense within 1e-8 on the
-        kernel preset at the paper's MAX_OBSV_SIZE=128."""
+        """Acceptance pin: the kernel's row gradients match its padded
+        window's within 1e-8 at the paper's MAX_OBSV_SIZE=128."""
         data = synthetic_data(n=32, m=128, seed=3)
         policy = KernelPolicy(F, hidden=(32, 16), seed=5).astype(dtype)
 
@@ -102,9 +87,10 @@ class TestSparsePath:
             np.testing.assert_allclose(gd, gs, atol=atol)
 
     def test_parity_float32(self):
-        """The float32 twins: the same two paths on the networks as they
-        are created, against float32 rows.  Terms are O(1) and a float32
-        ulp is 6e-8, summed over at most 128 slots: 1e-5 absolute."""
+        """The float32 twins: the same two scorers on the networks as
+        they are created, against float32 rows.  Terms are O(1) and a
+        float32 ulp is 6e-8, summed over at most 128 slots: 1e-5
+        absolute."""
         self.test_forward_parity(np.float32, atol=1e-5)
         self.test_gradient_parity_kernel_preset_m128(np.float32, atol=1e-5)
 
@@ -162,7 +148,7 @@ class TestTrainerIntegration:
             env_config=EnvConfig(max_obsv_size=8),
             ppo_config=PPOConfig(train_pi_iters=5, train_v_iters=5),
             policy=(
-                DenseOnly(make_policy("kernel", 8, F, seed=0))
+                DenseOnly(make_policy("kernel", 8, F, seed=0), 8)
                 if update_path == "dense" else None
             ),
             train_config=TrainConfig(

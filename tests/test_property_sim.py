@@ -46,8 +46,8 @@ from repro.sim import (
     VecSchedGym,
     backfill_candidates,
     conservative_backfill_candidates,
+    mem_demand,
     observation_rows,
-    pad_observations,
     run_scheduler,
 )
 from repro.sim.metrics import (
@@ -57,6 +57,7 @@ from repro.sim.metrics import (
     job_bounded_slowdown,
     resource_utilization,
 )
+from repro.nn.ragged import pad_observations
 from repro.workloads import Job
 
 from .reference import build_observation_loop, pad_window
@@ -65,7 +66,11 @@ N_PROCS = 16
 
 
 @st.composite
-def job_sequences(draw, max_jobs=25):
+def job_sequences(draw, max_jobs=25, memory=False):
+    """Jobs of 1..N_PROCS processors; with ``memory``, each also asks for
+    memory per processor (a power of two, at most ``TOTAL_MEM`` in all,
+    so a one-processor job can take the whole memory and memory binds
+    where processors do not) or none (the SWF ``-1`` sentinel)."""
     n = draw(st.integers(min_value=1, max_value=max_jobs))
     jobs = []
     t = 0.0
@@ -73,13 +78,20 @@ def job_sequences(draw, max_jobs=25):
         t += draw(st.floats(min_value=0.0, max_value=500.0))
         run = draw(st.floats(min_value=1.0, max_value=5000.0))
         over = draw(st.floats(min_value=1.0, max_value=10.0))
+        procs = draw(st.integers(1, N_PROCS))
+        mem = -1.0
+        if memory:
+            mem = draw(st.sampled_from(
+                [m for m in (-1.0, 0.5, 2.0, 8.0, 32.0) if m * procs <= TOTAL_MEM]
+            ))
         jobs.append(
             Job(
                 job_id=i + 1,
                 submit_time=t,
                 run_time=run,
-                requested_procs=draw(st.integers(1, N_PROCS)),
+                requested_procs=procs,
                 requested_time=run * over,
+                requested_mem=mem,
                 user_id=draw(st.integers(0, 3)),
             )
         )
@@ -104,19 +116,25 @@ def test_no_job_starts_before_submission(jobs, backfill, scheduler):
 
 
 @settings(max_examples=40, deadline=None)
-@given(job_sequences(), st.booleans())
-def test_cluster_capacity_never_exceeded(jobs, backfill):
-    """At every start instant, concurrently-running jobs fit in the cluster."""
-    done = run_scheduler(jobs, N_PROCS, FCFS(), backfill=backfill)
+@given(st.booleans(), st.booleans(), st.data())
+def test_cluster_capacity_never_exceeded(backfill, memory, data):
+    """At every start instant, concurrently-running jobs fit in the
+    cluster: its processors and, on a memory-constrained cluster, its
+    memory."""
+    jobs = data.draw(job_sequences(memory=memory))
+    spec = ClusterSpec(N_PROCS, memory=TOTAL_MEM if memory else None)
+    done = run_scheduler(jobs, spec, FCFS(), backfill=backfill)
     events = sorted(
-        [(j.start_time, j.requested_procs) for j in done]
-        + [(j.end_time, -j.requested_procs) for j in done],
+        [(j.start_time, j.requested_procs, mem_demand(j)) for j in done]
+        + [(j.end_time, -j.requested_procs, -mem_demand(j)) for j in done],
         key=lambda e: (e[0], e[1]),  # releases (negative) first on ties
     )
-    used = 0
-    for _, delta in events:
-        used += delta
-        assert used <= N_PROCS
+    procs = mem = 0
+    for _, d_procs, d_mem in events:
+        procs += d_procs
+        mem += d_mem
+        assert procs <= N_PROCS
+        assert mem <= spec.total_mem + 1e-9 * spec.total_mem
 
 
 @settings(max_examples=30, deadline=None)

@@ -363,7 +363,7 @@ class TestTapeMemory:
 
         tracemalloc.start()
         try:
-            scores = policy.score_rows_grad(rows)
+            scores = policy.score_rows_grad(rows, lengths)
             log_probs = segment_log_softmax(scores, indptr)
             logp = gather_rows(log_probs, action_pos)
             ent_rows = -segment_sum(log_probs.exp() * log_probs, indptr)

@@ -246,15 +246,15 @@ def copy_sequences(sequences):
 def make_trainer(trace, sequential=False, epochs=2, backfill=False, dense=False):
     """``sequential=True`` builds the reference: each episode stepped
     alone through ``SchedGym`` in place of the lock-step rollout.
-    ``dense=True`` hides the kernel policy's row scorers, so acting and
-    the update pad the ragged observations to the window at the policy's
-    input."""
+    ``dense=True`` reads the kernel policy through its padded window
+    (``DenseOnly``), so acting and the update pad the ragged observations
+    to the window at the policy's input."""
     m, f = GOLDEN_ENV.observation_shape
     return (SequentialTrainer if sequential else Trainer)(
         trace,
         env_config=EnvConfig(max_obsv_size=m, backfill=backfill),
         ppo_config=PPOConfig(train_pi_iters=8, train_v_iters=8),
-        policy=DenseOnly(make_policy("kernel", m, f, seed=0)) if dense else None,
+        policy=DenseOnly(make_policy("kernel", m, f, seed=0), m) if dense else None,
         train_config=TrainConfig(
             epochs=epochs,
             trajectories_per_epoch=6,

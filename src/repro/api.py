@@ -110,6 +110,11 @@ class EvalResult(float):
     def n(self) -> int:
         return int(self.values.size)
 
+    def to_dict(self) -> dict:
+        """``{mean, std, n, values}``: one cell of a JSON artifact."""
+        return {"mean": self.mean, "std": self.std, "n": self.n,
+                "values": self.values.tolist()}
+
     def __repr__(self) -> str:
         return f"EvalResult(mean={float(self):.6g}, std={self.std:.6g}, n={self.n})"
 

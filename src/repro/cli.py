@@ -59,6 +59,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -135,6 +136,9 @@ def setup_logging(verbose: bool = False, quiet: bool = False) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag whose value lands in a config field is named (``dest``)
+    after that field and takes its default and choices from
+    :mod:`repro.config`; :func:`_config` reads them back by name."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="RLScheduler reproduction: RL-based HPC batch job scheduling",
@@ -144,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="warnings and errors only on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
-    scenario_names = available_scenarios()
-    scenario_list = _name_list("scenario", scenario_names)
     scheduler_list = _name_list("scheduler", ALL_HEURISTICS)
 
     p = sub.add_parser("traces", help="list workloads and their statistics")
@@ -162,71 +164,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("evaluate", help="compare schedulers on a workload")
-    p.add_argument("name", nargs="?", default=None,
-                   help="trace name (omit when using --scenario)")
-    p.add_argument("--scenario", default=None, choices=scenario_names,
-                   metavar="SCENARIO",
-                   help="registered scenario name (workload + cluster + "
-                        "protocol defaults)")
-    p.add_argument("--jobs", type=_positive_int, default=4000)
+    _add_target_flags(p)
     p.add_argument("--seed", type=int, default=None,
                    help="workload-generation seed; with --scenario it also "
                         "overrides the protocol's sequence-sampling seed "
                         "(default: 0 for plain traces, scenario defaults "
                         "otherwise)")
     p.add_argument("--metric", choices=sorted(METRICS), default=None)
-    p.add_argument("--backfill", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="force backfilling on (--backfill) or off "
-                        "(--no-backfill); default: the scenario protocol, "
-                        "off for plain traces")
-    p.add_argument("--sequences", type=_positive_int, default=4)
-    p.add_argument("--length", type=_positive_int, default=256)
-    p.add_argument("--swf-dir", default=None)
+    _add_backfill_flag(p)
+    p.add_argument("--sequences", dest="n_sequences", type=_positive_int,
+                   default=4)
+    p.add_argument("--length", dest="sequence_length", type=_positive_int,
+                   default=256)
     p.add_argument("--model", default=None,
                    help="policy checkpoint (.npz) to include")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="fan sequences over N worker processes "
-                        "(1 = in-process)")
-    p.add_argument("--telemetry", metavar="PATH", default=None,
-                   help="enable telemetry and write the repro/telemetry@1 "
-                        "JSONL trace to PATH")
+    _add_workers_flag(p)
+    _add_telemetry_flag(p)
 
-    p = sub.add_parser(
-        "compare", help="scenario × scheduler evaluation matrix"
-    )
-    p.add_argument("--scenarios", type=scenario_list, default=None,
-                   help="comma-separated scenario names (default: all "
-                        "registered)")
+    p = sub.add_parser("compare", help="scenario × scheduler evaluation matrix")
+    _add_override_flags(p)
     p.add_argument("--schedulers", type=scheduler_list,
-                   default="FCFS,SJF,WFP3,UNICEP,F1",
+                   default=list(StudyConfig.heuristics),
                    help="comma-separated scheduler names")
-    p.add_argument("--metric", choices=sorted(METRICS), default=None,
-                   help="override every scenario's protocol metric")
-    p.add_argument("--backfill", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="force backfilling on/off for every scenario "
-                        "(default: each scenario's protocol)")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="shrink every scenario workload to N jobs")
-    p.add_argument("--sequences", type=_positive_int, default=4)
-    p.add_argument("--length", type=_positive_int, default=128)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="fan matrix cells over N worker processes")
+    _add_backfill_flag(p)
+    p.add_argument("--sequences", dest="n_sequences", type=_positive_int,
+                   default=4)
+    p.add_argument("--length", dest="sequence_length", type=_positive_int,
+                   default=128)
+    p.add_argument("--seed", type=int, default=EvalConfig.seed)
+    _add_workers_flag(p)
     p.add_argument("-o", "--output", default=None,
                    help="write the matrix as JSON")
 
     p = sub.add_parser("train", help="train an RL policy and save it")
-    p.add_argument("name", nargs="?", default=None,
-                   help="trace name (omit when using --scenario)")
-    p.add_argument("--scenario", default=None, choices=scenario_names,
-                   metavar="SCENARIO",
-                   help="registered scenario name to train inside")
-    p.add_argument("--jobs", type=_positive_int, default=4000)
+    _add_target_flags(p)
     p.add_argument("--metric", choices=sorted(METRICS), default="bsld")
     _add_train_flags(p)
-    p.add_argument("--swf-dir", default=None)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser(
@@ -234,31 +207,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-scenario generalization study (Table VII): train one "
              "policy per scenario, evaluate every policy on every scenario",
     )
-    p.add_argument("--scenarios", type=scenario_list, default=None,
-                   help="comma-separated scenario names (default: all "
-                        "registered)")
-    p.add_argument("--zoo-dir", default="zoo",
+    _add_override_flags(p)
+    p.add_argument("--zoo-dir", default=StudyConfig.zoo_dir,
                    help="policy-checkpoint directory; scenarios whose "
                         "<name>.npz already exists skip training (resume)")
     p.add_argument("--heuristics", type=scheduler_list,
-                   default="FCFS,SJF,WFP3,UNICEP,F1",
+                   default=list(StudyConfig.heuristics),
                    help="comma-separated heuristic baselines")
-    p.add_argument("--metric", choices=sorted(METRICS), default=None,
-                   help="override every scenario's protocol metric")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="shrink every scenario workload to N jobs")
     _add_train_flags(p)
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="fan the evaluation cells over N worker processes "
-                        "(1 = in-process, same results either way); "
-                        "training runs in this process")
-    p.add_argument("--sequences", type=_positive_int, default=None,
+    _add_workers_flag(p)
+    p.add_argument("--sequences", dest="n_sequences", type=_positive_int,
+                   default=None,
                    help="evaluation sequences per scenario "
                         "(default: each scenario's protocol)")
-    p.add_argument("--eval-length", type=_positive_int, default=None,
+    p.add_argument("--eval-length", dest="sequence_length",
+                   type=_positive_int, default=None,
                    help="evaluation sequence length (default: protocol)")
-    p.add_argument("--on-mismatch", choices=["adapt", "fail"],
-                   default="adapt",
+    p.add_argument("--on-mismatch", choices=StudyConfig.MISMATCH_MODES,
+                   default=StudyConfig.on_mismatch,
                    help="deploying a policy on a scenario with a different "
                         "feature layout: adapt (record the compat mode) or "
                         "fail loudly")
@@ -270,31 +236,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the scheduler daemon (selector-loop socket front end, "
              "multi-tenant)",
     )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_port, default=7653,
-                   help="TCP port (0 = ephemeral; the daemon prints the "
-                        "bound address on stdout)")
-    p.add_argument("--tenant", action="append", type=_parse_tenant,
-                   default=None,
+    _add_address_flags(p)
+    tenant = TenantConfig()
+    p.add_argument("--tenant", dest="tenants", action="append",
+                   type=_parse_tenant, default=None,
                    metavar="NAME:SCHED:PROCS[:BACKFILL[:MEMORY]]",
                    help="add a logical cluster: SCHED is a heuristic name "
                         "or a saved policy .npz path; BACKFILL is "
                         "none/easy/conservative; MEMORY is per-proc "
                         "capacity. Repeatable; default: one "
-                        "'default:FCFS:256' tenant")
-    p.add_argument("--history", type=_nonnegative_int, default=10_000,
+                        f"'{tenant.name}:{tenant.scheduler}:{tenant.n_procs}'"
+                        " tenant")
+    p.add_argument("--history", dest="completed_history", type=_nonnegative_int,
+                   default=ServeConfig.completed_history,
                    help="finished-job records retained per tenant for "
                         "status queries")
-    p.add_argument("--telemetry", metavar="PATH", default=None,
-                   help="enable telemetry and write the repro/telemetry@1 "
-                        "JSONL trace to PATH")
+    _add_telemetry_flag(p)
 
     p = sub.add_parser(
         "submit",
         help="client for a running daemon: submit jobs, query, drain",
     )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_port, default=7653)
+    _add_address_flags(p)
     p.add_argument("--tenant", default=None,
                    help="tenant name (optional for single-tenant daemons)")
     p.add_argument("--swf", default=None, metavar="FILE",
@@ -328,48 +291,116 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", action="store_true",
                    help="with --drain: shut the daemon down afterwards")
 
+    for p in sub.choices.values():
+        p.formatter_class = _FlagMetavars
     return parser
+
+
+class _FlagMetavars(argparse.HelpFormatter):
+    """Names a flag's value after the flag (``--jobs JOBS``), not after
+    the config field its ``dest`` is (``n_jobs``)."""
+
+    def _get_default_metavar_for_optional(self, action):
+        return action.option_strings[-1].lstrip("-").replace("-", "_").upper()
+
+
+def _add_target_flags(p: argparse.ArgumentParser) -> None:
+    """What ``evaluate`` and ``train`` run on: a trace or a scenario."""
+    p.add_argument("name", nargs="?", default=None,
+                   help="trace name (omit when using --scenario)")
+    p.add_argument("--scenario", default=None, choices=available_scenarios(),
+                   metavar="SCENARIO",
+                   help="registered scenario name (workload + cluster + "
+                        "protocol defaults)")
+    p.add_argument("--jobs", dest="n_jobs", type=_positive_int, default=4000)
+    p.add_argument("--swf-dir", default=None)
+
+
+def _add_override_flags(p: argparse.ArgumentParser) -> None:
+    """The scenario set and the overrides ``compare`` and ``study`` apply
+    to every scenario of it."""
+    p.add_argument("--scenarios",
+                   type=_name_list("scenario", available_scenarios()),
+                   default=None,
+                   help="comma-separated scenario names (default: all "
+                        "registered)")
+    p.add_argument("--metric", choices=sorted(METRICS), default=None,
+                   help="override every scenario's protocol metric")
+    p.add_argument("--jobs", dest="n_jobs", type=_positive_int, default=None,
+                   help="shrink every scenario workload to N jobs")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     """The flags ``train`` and ``study`` share (one Trainer, or one per
-    scenario); :func:`_train_config` reads them back."""
-    p.add_argument("--seed", type=int, default=0,
+    scenario); their defaults are the study's smoke size."""
+    smoke = StudyConfig.train
+    p.add_argument("--seed", type=int, default=smoke.seed,
                    help="training seed (train: the workload's too; study: "
                         "workloads keep scenario seeds)")
-    p.add_argument("--epochs", type=_positive_int, default=16)
-    p.add_argument("--trajectories", type=_positive_int, default=14)
-    p.add_argument("--length", type=_positive_int, default=64,
+    p.add_argument("--epochs", type=_positive_int, default=smoke.epochs)
+    p.add_argument("--trajectories", dest="trajectories_per_epoch",
+                   type=_positive_int, default=smoke.trajectories_per_epoch)
+    p.add_argument("--length", dest="trajectory_length", type=_positive_int,
+                   default=smoke.trajectory_length,
                    help="training trajectory length (jobs per sequence)")
-    p.add_argument("--obsv", type=_positive_int, default=32,
-                   help="MAX_OBSV_SIZE (paper default 128)")
-    p.add_argument("--policy", choices=list(POLICY_PRESETS), default="kernel")
-    p.add_argument("--filter", action="store_true",
+    p.add_argument("--obsv", dest="max_obsv_size", type=_positive_int,
+                   default=StudyConfig.max_obsv_size,
+                   help="MAX_OBSV_SIZE (paper default "
+                        f"{EnvConfig.max_obsv_size})")
+    p.add_argument("--policy", dest="policy_preset",
+                   choices=list(POLICY_PRESETS),
+                   default=StudyConfig.policy_preset)
+    p.add_argument("--filter", dest="use_trajectory_filter",
+                   action="store_true",
                    help="enable trajectory filtering (recommended for PIK)")
+    _add_telemetry_flag(p)
+
+
+def _add_backfill_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--backfill", action=argparse.BooleanOptionalAction,
+                   default=None,
+                   help="force backfilling on (--backfill) or off "
+                        "(--no-backfill); default: each scenario's "
+                        "protocol, off for plain traces")
+
+
+def _add_workers_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workers", type=_positive_int, default=EvalConfig.workers,
+                   help="fan the evaluation cells over N worker processes "
+                        "(1 = in-process; same results either way)")
+
+
+def _add_address_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--host", default=ServeConfig.host)
+    p.add_argument("--port", type=_port, default=ServeConfig.port,
+                   help="TCP port (serve: 0 = ephemeral; the daemon prints "
+                        "the bound address on stdout)")
+
+
+def _add_telemetry_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--telemetry", metavar="PATH", default=None,
                    help="enable telemetry and write the repro/telemetry@1 "
                         "JSONL trace to PATH")
 
 
-def _train_config(args, **extra) -> TrainConfig:
-    """The :class:`TrainConfig` of ``train`` / ``study`` arguments;
-    ``extra`` adds the fields only one of the two commands sets."""
-    return TrainConfig(
-        epochs=args.epochs,
-        trajectories_per_epoch=args.trajectories,
-        trajectory_length=args.length,
-        seed=args.seed,
-        use_trajectory_filter=args.filter,
-        **extra,
-    )
-
-
-def _telemetry_config(args) -> TelemetryConfig | None:
-    """``--telemetry PATH`` -> config, ``None`` when the flag is absent."""
-    path = getattr(args, "telemetry", None)
-    if path is None:
-        return None
-    return TelemetryConfig(path=path)
+def _config(cls, args, **fields):
+    """A ``cls`` whose fields are the flags named after them (one left at
+    ``None`` keeps the field's default), ``--telemetry`` / ``--scenario``
+    filling the nested config of that name, and then ``fields``.  A value
+    the config rejects is a usage error: :func:`main` exits 2."""
+    flags = vars(args)
+    values = {f.name: flags[f.name] for f in dataclasses.fields(cls)
+              if flags.get(f.name) is not None}
+    try:
+        if "telemetry" in values:
+            values["telemetry"] = TelemetryConfig(path=values["telemetry"])
+        if "scenario" in values:
+            values["scenario"] = _config(ScenarioConfig, args,
+                                         name=values["scenario"])
+        values.update(fields)
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentError(None, str(exc)) from None
 
 
 def _positive_int(text: str) -> int:
@@ -394,7 +425,8 @@ def _port(text: str) -> int:
 
 
 def _name_list(kind: str, known):
-    """A ``type=`` for a comma-separated list of names, each in ``known``."""
+    """A ``type=`` for a comma-separated list of distinct names, each in
+    ``known``."""
     def parse(text: str) -> list[str]:
         names = [n.strip() for n in text.split(",")]
         unknown = [n for n in names if n not in known]
@@ -403,6 +435,8 @@ def _name_list(kind: str, known):
                 f"unknown {kind} {', '.join(map(repr, unknown))}; "
                 f"known: {', '.join(sorted(known))}"
             )
+        if len(set(names)) != len(names):
+            raise argparse.ArgumentTypeError(f"repeated {kind} in {text!r}")
         return names
     return parse
 
@@ -449,14 +483,8 @@ def _cmd_evaluate(args) -> int:
         # Seed precedence: --seed overrides BOTH the workload-generation
         # seed and the protocol's sequence-sampling seed; without it the
         # scenario defaults apply to both.
-        eval_seed = scen.protocol.seed if args.seed is None else args.seed
-        config = EvalConfig(
-            n_sequences=args.sequences, sequence_length=args.length,
-            seed=eval_seed, workers=args.workers,
-            telemetry=_telemetry_config(args),
-            scenario=ScenarioConfig(name=args.scenario, n_jobs=args.jobs,
-                                    seed=args.seed),
-        )
+        seed = scen.protocol.seed if args.seed is None else args.seed
+        config = _config(EvalConfig, args, seed=seed)
         n_procs = scen.cluster.n_procs
         metric = args.metric or scen.protocol.metric
         backfill = args.backfill  # tri-state; None = protocol default
@@ -464,13 +492,11 @@ def _cmd_evaluate(args) -> int:
                        else args.backfill)
         trace_arg, label = None, f"scenario {scen.name}"
     else:
-        trace_arg = load_trace(args.name, n_jobs=args.jobs,
+        # a plain trace's --seed generates the workload only
+        config = _config(EvalConfig, args, seed=EvalConfig.seed)
+        trace_arg = load_trace(args.name, n_jobs=args.n_jobs,
                                seed=0 if args.seed is None else args.seed,
                                swf_dir=args.swf_dir)
-        config = EvalConfig(n_sequences=args.sequences,
-                            sequence_length=args.length, seed=42,
-                            workers=args.workers,
-                            telemetry=_telemetry_config(args))
         n_procs = trace_arg.max_procs
         metric = args.metric or "bsld"
         backfill = bool(args.backfill)
@@ -496,64 +522,61 @@ def _cmd_evaluate(args) -> int:
         mode = "no backfill"
     else:  # True or a named variant like "conservative"
         mode = "backfill" if backfill_on is True else f"{backfill_on} backfill"
-    print(f"{metric} on {label} ({mode}, "
-          f"{args.sequences}x{args.length} jobs, workers={args.workers}):")
+    print(f"{metric} on {label} ({mode}, {config.n_sequences}x"
+          f"{config.sequence_length} jobs, workers={config.workers}):")
     for name, value in scores.items():
         print(f"  {name:<14} {float(value):12.3f} ± {value.std:.3f}")
     return 0
 
 
 def _cmd_compare(args) -> int:
-    names = args.scenarios or available_scenarios()
+    config = _config(EvalConfig, args)
     scheds = [make_scheduler(n) for n in args.schedulers]
-    config = EvalConfig(
-        n_sequences=args.sequences, sequence_length=args.length,
-        seed=args.seed, workers=args.workers,
-    )
     matrix = scenario_matrix(
-        scheds, names, metric=args.metric,
+        scheds, args.scenarios or available_scenarios(), metric=args.metric,
         backfill=args.backfill,  # tri-state; None = per-scenario protocol
-        config=config, n_jobs=args.jobs,
+        config=config, n_jobs=args.n_jobs,
     )
-    sched_names = [s.name for s in scheds]
-    width = max(len(n) for n in matrix) + 2
-    print(f"scenario × scheduler matrix "
-          f"({args.sequences}x{args.length} jobs, workers={args.workers}):")
-    print(" " * width + "".join(f"{n:>14}" for n in sched_names))
-    for scen_name, row in matrix.items():
-        cells = "".join(f"{float(row[n]):14.3f}" for n in sched_names)
-        print(f"{scen_name:<{width}}{cells}")
+    results = {scen_name: {name: r.to_dict() for name, r in row.items()}
+               for scen_name, row in matrix.items()}
+    _print_matrix(f"scenario × scheduler matrix ({config.n_sequences}x"
+                  f"{config.sequence_length} jobs, workers={config.workers}):",
+                  results)
     if args.output:
-        doc = {
+        _write_json(args.output, {
             "config": {
                 "scenarios": list(matrix),
-                "schedulers": sched_names,
-                "n_sequences": args.sequences,
-                "sequence_length": args.length,
-                "seed": args.seed,
-                "n_jobs": args.jobs,
+                "schedulers": [s.name for s in scheds],
+                "n_sequences": config.n_sequences,
+                "sequence_length": config.sequence_length,
+                "seed": config.seed,
+                "n_jobs": args.n_jobs,
                 "metric_override": args.metric,
                 "backfill_override": args.backfill,
-                "workers": args.workers,
+                "workers": config.workers,
             },
-            "results": {
-                scen_name: {
-                    name: {
-                        "mean": float(r),
-                        "std": r.std,
-                        "n": r.n,
-                        "values": [float(v) for v in r.values],
-                    }
-                    for name, r in row.items()
-                }
-                for scen_name, row in matrix.items()
-            },
-        }
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        logger.info("wrote %s", args.output)
+            "results": results,
+        })
     return 0
+
+
+def _print_matrix(title: str, results: dict) -> None:
+    """``{scenario: {scheduler: {"mean": ...}}}`` as a table of means."""
+    columns = list(next(iter(results.values())))
+    width = max(len(n) for n in results) + 2
+    col_width = max(14, max(len(n) for n in columns) + 2)
+    print(title)
+    print(" " * width + "".join(f"{n:>{col_width}}" for n in columns))
+    for scen_name, row in results.items():
+        cells = "".join(f"{row[n]['mean']:{col_width}.3f}" for n in columns)
+        print(f"{scen_name:<{width}}{cells}")
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+    logger.info("wrote %s", path)
 
 
 def _cmd_train(args) -> int:
@@ -561,29 +584,15 @@ def _cmd_train(args) -> int:
         print("train: pass a trace name or --scenario (not both)",
               file=sys.stderr)
         return 2
-    scenario_cfg = None
-    trace = None
-    if args.scenario:
-        scenario_cfg = ScenarioConfig(name=args.scenario, n_jobs=args.jobs,
-                                      seed=args.seed)
-        trace_label = f"scenario {args.scenario}"
-    else:
-        trace = load_trace(args.name, n_jobs=args.jobs, seed=args.seed,
-                           swf_dir=args.swf_dir)
-        trace_label = trace.name
-    result = train(
-        trace,
-        metric=args.metric,
-        policy_preset=args.policy,
-        env_config=EnvConfig(max_obsv_size=args.obsv),
-        train_config=_train_config(
-            args,
-            telemetry=_telemetry_config(args),
-            scenario=scenario_cfg,
-        ),
-    )
+    env_config = _config(EnvConfig, args)
+    train_config = _config(TrainConfig, args)
+    trace = None if args.scenario else load_trace(
+        args.name, n_jobs=args.n_jobs, seed=args.seed, swf_dir=args.swf_dir)
+    trace_label = f"scenario {args.scenario}" if trace is None else trace.name
+    result = train(trace, metric=args.metric, policy_preset=args.policy_preset,
+                   env_config=env_config, train_config=train_config)
     result.save(args.output)
-    print(f"trained {args.policy} on {trace_label} for {args.metric}: "
+    print(f"trained {args.policy_preset} on {trace_label} for {args.metric}: "
           + _train_summary(result))
     logger.info("saved to %s", args.output)
     return 0
@@ -611,32 +620,15 @@ def _train_summary(result) -> str:
 
 
 def _cmd_study(args) -> int:
-    config = StudyConfig(
-        scenarios=tuple(args.scenarios or ()),
-        zoo_dir=args.zoo_dir,
-        heuristics=tuple(args.heuristics),
-        policy_preset=args.policy,
-        metric=args.metric,
-        train=_train_config(args),
-        max_obsv_size=args.obsv,
-        n_jobs=args.jobs,
-        n_sequences=args.sequences,
-        sequence_length=args.eval_length,
-        on_mismatch=args.on_mismatch,
-        workers=args.workers,
-        telemetry=_telemetry_config(args),
-    )
+    # the study runs one telemetry trace around all of its trainings
+    config = _config(StudyConfig, args,
+                     train=_config(TrainConfig, args, telemetry=None))
     doc = generalization_matrix(config, progress=logger.info)
     results = doc["results"]
-    columns = list(next(iter(results.values())))
-    width = max(len(n) for n in results) + 2
-    col_width = max(14, max(len(n) for n in columns) + 2)
-    print(f"generalization matrix ({len(results)} scenarios x "
-          f"{len(columns)} schedulers, workers={args.workers}):")
-    print(" " * width + "".join(f"{n:>{col_width}}" for n in columns))
-    for scen_name, row in results.items():
-        cells = "".join(f"{row[n]['mean']:{col_width}.3f}" for n in columns)
-        print(f"{scen_name:<{width}}{cells}")
+    n_columns = len(config.heuristics) + len(doc["policies"])
+    _print_matrix(f"generalization matrix ({len(results)} scenarios x "
+                  f"{n_columns} schedulers, workers={config.workers}):",
+                  results)
     for policy_name, info in doc["policies"].items():
         non_native = {s: c for s, c in info["compat"].items()
                       if c != "native"}
@@ -644,10 +636,7 @@ def _cmd_study(args) -> int:
             notes = ", ".join(f"{s}: {c}" for s, c in non_native.items())
             logger.info("%s deployed cross-layout -> %s", policy_name, notes)
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2, allow_nan=False)
-            fh.write("\n")
-        logger.info("wrote %s", args.output)
+        _write_json(args.output, doc)
     return 0
 
 
@@ -702,15 +691,7 @@ def _parse_tenant(text: str) -> TenantConfig:
 def _cmd_serve(args) -> int:
     from .serve import serve  # lazy: the socket front end only when serving
 
-    tenants = tuple(args.tenant or ())
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        tenants=tenants or (TenantConfig(),),
-        completed_history=args.history,
-        telemetry=_telemetry_config(args),
-    )
-    return serve(config)
+    return serve(_config(ServeConfig, args))
 
 
 def _cmd_submit(args) -> int:
@@ -788,10 +769,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     setup_logging(verbose=args.verbose, quiet=args.quiet)
     try:
         return _COMMANDS[args.command](args)
+    except argparse.ArgumentError as exc:  # a config rejected a flag value
+        parser.error(f"{args.command}: {exc}")
     except CheckpointError as exc:  # a policy file named on the command line
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,11 @@ __all__ = [
     "TenantConfig",
     "ServeConfig",
     "FeatureLayoutError",
+    "BACKFILL_MODES",
 ]
+
+#: accepted backfilling modes of an engine (True is an alias for "easy")
+BACKFILL_MODES = (False, True, "easy", "conservative")
 
 
 class FeatureLayoutError(ValueError):
@@ -270,9 +274,6 @@ class TenantConfig:
     resolution happens in :mod:`repro.serve`.
     """
 
-    #: accepted backfilling modes (mirrors ``EngineCore.BACKFILL_MODES``)
-    BACKFILL_MODES = (False, True, "easy", "conservative")
-
     name: str = "default"
     scheduler: str = "FCFS"
     n_procs: int = 256
@@ -289,9 +290,9 @@ class TenantConfig:
             raise ValueError(f"n_procs must be positive, got {self.n_procs}")
         if self.memory is not None and self.memory <= 0:
             raise ValueError(f"memory must be positive, got {self.memory}")
-        if self.backfill not in self.BACKFILL_MODES:
+        if self.backfill not in BACKFILL_MODES:
             raise ValueError(
-                f"backfill must be one of {self.BACKFILL_MODES}, "
+                f"backfill must be one of {BACKFILL_MODES}, "
                 f"got {self.backfill!r}"
             )
         if not self.scheduler and self.policy_path is None:
@@ -351,10 +352,12 @@ class StudyConfig:
 
     ``train`` is the protocol every per-scenario
     :class:`~repro.rl.trainer.Trainer` runs (``train.scenario`` is filled
-    in per scenario; the default is the CLI's smoke size) — the study
-    declares no training knob of its own.  ``workers`` is how many
-    processes the evaluation cells fan over (1 = in-process); training
-    runs in this process.
+    in per scenario) — the study declares no training knob of its own.
+    Its default is the smoke size.  The CLI reads its flag defaults from
+    this class (``train``'s and ``study``'s training flags from
+    ``train``), so a flagless ``repro study`` runs exactly
+    ``StudyConfig()``.  ``workers`` is how many processes the evaluation
+    cells fan over (1 = in-process); training runs in this process.
 
     ``None`` for the eval knobs (``n_sequences`` / ``sequence_length``)
     and for ``metric`` means each scenario's own protocol applies;

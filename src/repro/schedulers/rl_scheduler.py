@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import checkpoint
-from repro.config import EnvConfig, FeatureLayoutError
+from repro.config import EnvConfig, FeatureLayoutError, StudyConfig
 from repro.nn import Module, make_policy
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.env import FeatureCache, observation_rows
@@ -134,9 +134,10 @@ class RLSchedulerPolicy(Scheduler):
         ``self`` is never mutated — the zoo copy a study holds stays
         aimed at its training cluster.
         """
-        if on_mismatch not in ("adapt", "fail"):
+        if on_mismatch not in StudyConfig.MISMATCH_MODES:
             raise ValueError(
-                f"on_mismatch must be 'adapt' or 'fail', got {on_mismatch!r}"
+                f"on_mismatch must be one of {StudyConfig.MISMATCH_MODES}, "
+                f"got {on_mismatch!r}"
             )
         from repro.scenarios import Scenario, get_scenario  # local: no cycle
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import socket
 
+from repro.config import ServeConfig
 from repro.workloads.job import Job
 from repro.workloads.swf import read_swf
 
@@ -26,7 +27,8 @@ class ServeError(RuntimeError):
 class ServeClient:
     """One connection to a running daemon; safe to reuse across requests."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 7653,
+    def __init__(self, host: str = ServeConfig.host,
+                 port: int = ServeConfig.port,
                  timeout: float = 30.0):
         self.address = (host, port)
         try:

@@ -48,7 +48,8 @@ class ServiceError(ValueError):
 class SchedulerService:
     """One tenant: an online engine + a policy + bounded bookkeeping."""
 
-    def __init__(self, tenant: TenantConfig, completed_history: int = 10_000):
+    def __init__(self, tenant: TenantConfig,
+                 completed_history: int = ServeConfig.completed_history):
         self.tenant = tenant
         self.spec = ClusterSpec(tenant.n_procs, memory=tenant.memory)
         self.engine = OnlineSchedulingEngine(self.spec, backfill=tenant.backfill)

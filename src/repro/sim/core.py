@@ -65,6 +65,7 @@ from heapq import heappop, heappush
 from operator import attrgetter, itemgetter
 from typing import ValuesView
 
+from repro.config import BACKFILL_MODES
 from repro.telemetry import core as _telemetry
 from repro.workloads.job import Job
 
@@ -100,8 +101,8 @@ class EngineCore:
       full dataclass ``__eq__``.
     """
 
-    #: accepted backfilling modes (True is an alias for "easy")
-    BACKFILL_MODES = (False, True, "easy", "conservative")
+    #: accepted backfilling modes, :data:`repro.config.BACKFILL_MODES`
+    BACKFILL_MODES = BACKFILL_MODES
 
     #: the episode's whole job population, indexed by ``pending_rows``,
     #: when it is known up front (the batch driver sets it); ``None`` on an

@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from repro.config import EnvConfig, ScenarioConfig, StudyConfig
 from repro.rl import Trainer, TrainingResult
 from repro.scenarios import Scenario, available_scenarios, get_scenario
@@ -281,7 +279,7 @@ def generalization_matrix(
                     index=ci, total=len(scenarios),
                 )
 
-        from repro.api import _run_cells  # local: repro.api re-exports us
+        from repro.api import EvalResult, _run_cells  # local: repro.api re-exports us
 
         # Cell-by-cell dispatch only when someone is listening — the
         # single-map path and the heartbeat path are bit-identical.
@@ -292,12 +290,7 @@ def generalization_matrix(
         )
     results = {
         scenario.name: {
-            name: {
-                "mean": float(np.mean(vals)),
-                "std": float(np.std(vals)),
-                "n": int(vals.size),
-                "values": [float(v) for v in vals],
-            }
+            name: EvalResult(vals).to_dict()
             for name, vals in zip(names, values[ci])
         }
         for ci, scenario in enumerate(scenarios)

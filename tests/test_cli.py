@@ -36,14 +36,15 @@ class TestParser:
         parser = build_parser()
         train = vars(parser.parse_args(["train", "Lublin-1", "-o", "m.npz"]))
         study = vars(parser.parse_args(["study"]))
-        shared = {"seed": 0, "epochs": 16, "trajectories": 14, "length": 64,
-                  "obsv": 32, "policy": "kernel", "filter": False}
+        shared = {"seed": 0, "epochs": 16, "trajectories_per_epoch": 14,
+                  "trajectory_length": 64, "max_obsv_size": 32,
+                  "policy_preset": "kernel", "use_trajectory_filter": False}
         for flag, default in shared.items():
             assert train[flag] == study[flag] == default, flag
         for command in (["train", "Lublin-1", "-o", "m.npz"], ["study"]):
             for preset in POLICY_PRESETS:
                 args = parser.parse_args(command + ["--policy", preset])
-                assert args.policy == preset
+                assert args.policy_preset == preset
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -95,6 +96,11 @@ class TestParser:
         ["generate", "Lublin-1", "-o", "x.swf", "--jobs", "0"],
         ["serve", "--port", "70000"],
         ["submit", "--port", "-1", "--stats"],
+        ["serve", "--tenant", "a:FCFS:16", "--tenant", "a:SJF:16"],
+        ["study", "--zoo-dir", ""],
+        ["compare", "--scenarios", "lublin-64,lublin-64"],
+        ["compare", "--schedulers", "FCFS,FCFS"],
+        ["study", "--heuristics", "FCFS,FCFS"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_input_is_a_usage_error(self, argv, capsys):
         """Bad command-line input stops in argparse: exit 2 and one
@@ -112,10 +118,10 @@ class TestParser:
         assert args.scenarios == ["lublin-256", "lublin-64"]
         assert args.schedulers == ["FCFS", "SJF", "WFP3", "UNICEP", "F1"]
         args = build_parser().parse_args(["study"])
-        assert args.scenarios is None and args.jobs is None
-        assert args.sequences is None and args.eval_length is None
+        assert args.scenarios is None and args.n_jobs is None
+        assert args.n_sequences is None and args.sequence_length is None
         tenant = build_parser().parse_args(
-            ["serve", "--tenant", "a:SJF:32:easy"]).tenant[0]
+            ["serve", "--tenant", "a:SJF:32:easy"]).tenants[0]
         assert (tenant.name, tenant.scheduler, tenant.backfill) == (
             "a", "SJF", "easy")
 
@@ -158,6 +164,18 @@ class TestParser:
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
             assert exit_info.value.code == 2  # argparse: unrecognized argument
+
+    @pytest.mark.parametrize("command", [
+        [], ["traces"], ["scenarios"], ["generate"], ["evaluate"],
+        ["compare"], ["train"], ["study"], ["serve"], ["submit"],
+    ], ids=lambda command: " ".join(command) or "repro")
+    def test_help_renders(self, command, capsys):
+        """argparse formats help only when asked; every page must."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(
+            " ".join(["usage: repro", *command]))
 
     def test_verbosity_flags_are_global(self):
         args = build_parser().parse_args(["-v", "evaluate", "Lublin-1"])
@@ -483,6 +501,38 @@ class TestEvaluateScenarioSeed:
         assert captured["config"].scenario.seed is None  # workload default
 
 
+class TestFlaglessConfigs:
+    """Without flags a command hands its entry point the config's own
+    defaults: the flags declare no default of their own."""
+
+    def test_study(self, monkeypatch, capsys):
+        from repro import StudyConfig
+
+        calls = {}
+
+        def fake_matrix(config, progress=None):
+            calls["config"] = config
+            return {"results": {"lublin-64": {"FCFS": {"mean": 1.0}}},
+                    "policies": {}}
+
+        monkeypatch.setattr("repro.cli.generalization_matrix", fake_matrix)
+        assert main(["study"]) == 0
+        assert calls["config"] == StudyConfig()
+
+    def test_serve(self, monkeypatch):
+        from repro import ServeConfig
+
+        calls = {}
+
+        def fake_serve(config):
+            calls["config"] = config
+            return 0
+
+        monkeypatch.setattr("repro.serve.serve", fake_serve)
+        assert main(["serve"]) == 0
+        assert calls["config"] == ServeConfig()
+
+
 class TestTrainSummary:
     """The train report must show the validation-best epoch's curve value
     with direction-aware wording (regression: it printed curve.min(),
@@ -589,8 +639,8 @@ class TestServeParser:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 7653
-        assert args.tenant is None
-        assert args.history == 10_000
+        assert args.tenants is None
+        assert args.completed_history == 10_000
         assert args.telemetry is None
 
     def test_tenant_spec_minimal(self):

@@ -6,16 +6,16 @@ score is scheduled first (Table III convention; FCFS scores by submit
 time).  :meth:`Scheduler.select` is the generic argmin with deterministic
 job-id tie-breaking; RL policies override it to run the policy network on
 the whole queue at once, and run whole batches of episodes through
-:meth:`~repro.schedulers.RLSchedulerPolicy.run_lockstep` rather than
-binding to one engine.
+:meth:`~repro.schedulers.RLSchedulerPolicy.run_lockstep`.
 
 ``select(pending, now, cluster)`` is the public contract — it takes any
-queue, in any order, and is what the serving daemon calls.
-:meth:`Scheduler.bind` is the episode hook the batch loop
-(:func:`repro.sim.run_scheduler`) uses instead: a scheduler bound to one
-engine may precompute whatever the episode's fixed job population allows
-(a priority order, per-job constants) and must pick exactly the job
-``select`` would.
+queue, in any order.  :meth:`Scheduler.bind` is the hook every engine
+loop uses instead — the batch loop (:func:`repro.sim.run_scheduler`) and
+the serving daemon (:class:`repro.serve.SchedulerService`) bind once and
+ask the picker for each decision.  A bound scheduler may lean on what
+the engine fixes — an episode's job population (a priority order,
+per-job constants) or, on any engine, the FCFS order of ``pending`` and
+the row each job holds — and must pick exactly the job ``select`` would.
 """
 
 from __future__ import annotations
@@ -54,9 +54,11 @@ class Scheduler(abc.ABC):
 
         The default closes over :meth:`select`.  Overrides may precompute
         per-episode state from ``engine.jobs`` and read
-        ``engine.pending_rows`` instead of walking ``engine.pending``;
-        they fall back to this when ``engine.jobs`` is ``None`` (an
-        open-ended engine has no fixed population to precompute over).
+        ``engine.pending_rows`` instead of walking ``engine.pending``; the
+        heuristics fall back to this when ``engine.jobs`` is ``None`` (an
+        open-ended engine has no fixed population to precompute over),
+        while an RL policy reads the rows of either engine as they come
+        (:class:`~repro.schedulers.rl_scheduler.EnginePicker`).
         """
         select = self.select
         return lambda: select(engine.pending, engine.now, engine.cluster)

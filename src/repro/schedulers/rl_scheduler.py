@@ -15,10 +15,14 @@ tests):
 
 * the observation comes from the same table through the same function as
   in training — a :class:`~repro.sim.env.FeatureCache` read by
-  :func:`~repro.sim.env.observation_rows`.  ``select`` keeps one that
-  grows as jobs arrive, validates every lookup (and rebuilds itself when
-  a trace reuses job ids) and is pruned by ``forget_jobs`` — correctness
-  never depends on its freshness;
+  :func:`~repro.sim.env.observation_rows`.  Bound to an engine
+  (:meth:`RLSchedulerPolicy.bind`, the serving daemon's and
+  :func:`~repro.sim.run_scheduler`'s path) a pick reads the engine's
+  FCFS-sorted rows as they stand from a table keyed by engine row
+  (:class:`EnginePicker`): no sort, no validation.  ``select`` takes any
+  queue: it sorts, and its job-id keyed table validates every lookup
+  (and rebuilds itself when a trace reuses job ids) — correctness never
+  depends on its freshness;
 * every decision, one queue or a wave of them, is made by
   :meth:`RLSchedulerPolicy._best_rows`: one ``score_rows(rows, counts)``
   call scores the ``k`` visible rows of each queue (the kernel policy
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -53,6 +57,9 @@ from repro.telemetry import core as _telemetry
 from repro.workloads.job import Job
 
 from .base import Scheduler
+
+if TYPE_CHECKING:
+    from repro.sim.core import EngineCore
 
 __all__ = ["RLSchedulerPolicy", "FeatureLayoutError"]
 
@@ -194,8 +201,9 @@ class RLSchedulerPolicy(Scheduler):
     def forget_jobs(self, job_ids) -> int:
         """Evict departed jobs from ``select``'s job-feature table.
 
-        Serving daemons call this as jobs complete so the table stays
-        bounded by the live queue; returns how many rows were dropped.
+        A caller that feeds ``select`` an endless job stream calls this
+        as jobs complete so the table stays bounded by the live queue;
+        returns how many rows were dropped.
         """
         return 0 if self._cache is None else self._cache.evict(job_ids)
 
@@ -226,6 +234,12 @@ class RLSchedulerPolicy(Scheduler):
             total_mem=total_mem,
         )
         return visible[int(self._best_rows(feats, [len(rows)])[0])]
+
+    def bind(self, engine: "EngineCore") -> "EnginePicker":
+        """``pick()`` for ``engine``, batch or online: the job
+        :meth:`select` would choose from its queue, read from the
+        engine's own rows (see :class:`EnginePicker`)."""
+        return EnginePicker(self, engine)
 
     def _best_rows(self, feats: np.ndarray, counts) -> np.ndarray:
         """Per queue of a wave, the position in its rows of the job the
@@ -312,3 +326,63 @@ class RLSchedulerPolicy(Scheduler):
 
     def __setstate__(self, state: checkpoint.Checkpoint) -> None:
         self.__dict__.update(self.from_checkpoint(state).__dict__)
+
+
+class EnginePicker:
+    """:meth:`RLSchedulerPolicy.select` bound to one engine's queue.
+
+    The engine keeps ``pending`` FCFS-sorted with ``pending_rows``
+    parallel to it and gives each admitted job a row of its own, so the
+    window is ``pending_rows[:M]`` as it stands and a row names one job
+    while it waits: nothing is sorted or validated.  :attr:`table` holds
+    the static features of each row seen in the window (:attr:`slot`:
+    engine row -> table row), added as it enters; once it would pass
+    :attr:`bound` rows it is compacted to the window at hand.  Binding
+    fixes the policy's ``n_procs``.
+    """
+
+    #: :attr:`bound`, in windows of ``M`` rows
+    COMPACT_AT = 4
+
+    def __init__(self, policy: RLSchedulerPolicy, engine: "EngineCore"):
+        self.policy = policy
+        self.engine = engine
+        self.n_procs = policy.n_procs
+        self.m = policy.env_config.max_obsv_size
+        self.bound = self.COMPACT_AT * self.m
+        self.table = FeatureCache((), self.n_procs, policy.env_config,
+                                  total_mem=engine.cluster.total_mem)
+        self.slot: dict[int, int] = {}  # engine row -> table row
+
+    def __call__(self) -> Job:
+        engine = self.engine
+        rows = engine.pending_rows[: self.m]
+        get = self.slot.get
+        idx = [get(row, -1) for row in rows]
+        if -1 in idx:
+            idx = self._admit(rows, idx)
+        cluster = engine.cluster
+        policy = self.policy
+        feats = observation_rows(
+            self.table, np.array(idx, dtype=np.intp), engine.now,
+            cluster.free_procs, self.n_procs, policy.env_config,
+            free_mem=cluster.free_mem, total_mem=cluster.total_mem,
+        )
+        return engine.pending[int(policy._best_rows(feats, [len(idx)])[0])]
+
+    def _admit(self, rows: list[int], idx: list[int]) -> list[int]:
+        """Add the window's unseen rows (``idx`` -1), compacting the table
+        to the window first if they would take it past :attr:`bound`;
+        returns the window's table rows."""
+        table = self.table
+        new = [i for i, at in enumerate(idx) if at < 0]
+        if table.size + len(new) > self.bound:
+            seen = [i for i, at in enumerate(idx) if at >= 0]
+            table.compact(np.array([idx[i] for i in seen], dtype=np.intp))
+            self.slot = {rows[i]: k for k, i in enumerate(seen)}
+        slot = self.slot
+        pending = self.engine.pending
+        for k, i in enumerate(new, table.size):
+            slot[rows[i]] = k
+        table.append([pending[i] for i in new])
+        return [slot[row] for row in rows]

@@ -2,13 +2,16 @@
 
 :class:`SchedulerService` owns one
 :class:`~repro.sim.core.OnlineSchedulingEngine` plus a decision policy
-(heuristic or loaded :class:`~repro.schedulers.RLSchedulerPolicy`, which
-hands the queue's rows from a growing :class:`~repro.sim.FeatureCache`
-to the network's ``score_rows(rows, counts)``) and turns submissions
-into scheduling decisions.  Memory is bounded by the *live* job set:
-completed jobs are harvested out of the engine, their rows are evicted
-from the policy's job-feature table, and the finished-record history
-kept for ``status`` queries is capped.
+(heuristic or loaded :class:`~repro.schedulers.RLSchedulerPolicy`) and
+turns submissions into scheduling decisions.  The policy is bound to the
+engine once (:meth:`~repro.schedulers.Scheduler.bind`) and ``pump`` asks
+the picker for each decision.  An RL tenant's picker reads the engine's
+FCFS-sorted queue as it stands and keeps a feature table keyed by engine
+row, bounded by a fixed number of observation windows
+(:class:`~repro.schedulers.rl_scheduler.EnginePicker`); a heuristic
+tenant's picker is its ``select`` on the live queue.  Memory is bounded
+by the *live* job set: completed jobs are harvested out of the engine,
+and the finished-record history kept for ``status`` queries is capped.
 
 :class:`SchedulerRouter` multiplexes N independent tenants — separate
 clusters, policies, clocks, and telemetry labels — behind the one wire
@@ -61,6 +64,7 @@ class SchedulerService:
             )
         else:
             self.policy = make_scheduler(tenant.scheduler)
+        self._pick = self.policy.bind(self.engine)
         self._completed_history = completed_history
         self._records: dict[int, dict] = {}  # live jobs (pending/running)
         self._finished: OrderedDict[int, dict] = OrderedDict()
@@ -112,6 +116,8 @@ class SchedulerService:
         self.engine.drain()
         decisions = self.pump()
         assert self.engine.idle, "engine not quiescent after drain"
+        # nothing waits: a fresh picker holds no started job's row
+        self._pick = self.policy.bind(self.engine)
         # "decisions" is the *delta* made by this drain, consistent with
         # submit/advance; the cumulative count lives in stats()["decisions"],
         # which would otherwise clobber it
@@ -154,7 +160,7 @@ class SchedulerService:
         made = 0
         while engine.next_decision():
             t0 = perf_counter()
-            best = self.policy.select(engine.pending, engine.now, engine.cluster)
+            best = self._pick()
             started = engine.commit(best)
             self._latency.record(perf_counter() - t0)
             self._tel_decisions.add()
@@ -177,11 +183,6 @@ class SchedulerService:
         if not finished:
             return
         self.n_finished += len(finished)
-        # departed jobs leave the policy's job-feature table too —
-        # without this a long-lived daemon grows that table forever
-        forget = getattr(self.policy, "forget_jobs", None)
-        if forget is not None:
-            forget([job.job_id for job in finished])
         for job in finished:
             record = self._records.pop(job.job_id, None) or {
                 "job_id": job.job_id,

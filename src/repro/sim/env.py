@@ -161,15 +161,16 @@ class FeatureCache:
     rollout and every batch run of a deployed
     :class:`~repro.schedulers.RLSchedulerPolicy` go through) hand them to
     the constructor and read rows by the engine's ``pending_rows``.  A
-    deployed scheduler's ``select`` meets jobs as they arrive: it starts
-    from ``()`` and asks :meth:`rows`, which adds unseen jobs (capacity
-    doubles from a 64-row floor) and *validates* — every attribute a
-    feature is computed from (the ``identity`` columns) is compared
-    against the stored row, and a mismatch (job ids reused across traces)
-    rebuilds the table from the queue at hand.  A lookup is therefore
-    always correct; the table only decides what it costs.  :meth:`evict`
-    drops departed jobs, so a long-lived daemon holds memory proportional
-    to its live job set.
+    deployed scheduler meets jobs as they arrive and starts from ``()``.
+    Bound to an engine it keys the table by engine row itself
+    (:meth:`append` as a job enters the window, :meth:`compact` once
+    started jobs' rows pile up).  Its ``select`` asks :meth:`rows`,
+    which adds unseen jobs (capacity doubles from a 64-row floor) and
+    *validates* — every attribute a feature is computed from (the
+    ``identity`` columns) is compared against the stored row, and a
+    mismatch (job ids reused across traces) rebuilds the table from the
+    queue at hand.  A lookup is therefore always correct; the table only
+    decides what it costs.  :meth:`evict` drops departed jobs by id.
 
     Only the first ``size`` rows of ``static``, ``submit`` and ``procs``
     are filled; the rest is spare capacity (zeros).
@@ -220,7 +221,16 @@ class FeatureCache:
         ], dtype=np.float64).T
 
     def _add(self, jobs: Sequence[Job]) -> None:
-        """Append one row per job — the static-column maths."""
+        """Append one row per job and index it by job id."""
+        lo = self.size
+        self.append(jobs)
+        index = self.index
+        for row, job in enumerate(jobs, lo):
+            index[job.job_id] = row
+
+    def append(self, jobs: Sequence[Job]) -> None:
+        """Append one row per job, from row ``size`` on — the static-column
+        maths — without indexing it by job id."""
         lo, hi = self.size, self.size + len(jobs)
         if hi > len(self.identity):
             self._resize(slice(lo), _capacity(hi))
@@ -245,9 +255,6 @@ class FeatureCache:
             static[:, config.MEM_DEMAND_COL] = np.minimum(
                 demand / self.total_mem, 1.0
             )
-        index = self.index
-        for row, job in enumerate(jobs, lo):
-            index[job.job_id] = row
         self.size = hi
 
     def rows(self, jobs: Sequence[Job]) -> np.ndarray:
@@ -293,9 +300,15 @@ class FeatureCache:
         self.index = {
             jid: int(moved[row]) for jid, row in index.items() if keep[row]
         }
-        self.size = int(keep.sum())
-        self._resize(np.flatnonzero(keep), _capacity(self.size))
+        self.compact(np.flatnonzero(keep))
         return len(drop)
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep only rows ``keep``, renumbered ``0, 1, ...`` in that order
+        (the caller renumbers its keys); capacity shrinks back to the
+        doubling schedule."""
+        self.size = len(keep)
+        self._resize(keep, _capacity(self.size))
 
 
 def observation_rows(

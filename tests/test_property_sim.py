@@ -1,10 +1,12 @@
 """Property-based tests on simulator + metrics invariants over random
 workloads and both backfilling modes, plus the decision-loop equivalences
 the engine's incremental paths rest on: the engine's backfill planner
-against the public reference functions, every bound heuristic pick and
-every RL lock-step run against ``select``, online replay under arbitrary
-``advance()`` chunking against the batch decision log, and the
-pending-queue invariants after every event — and the ragged observation
+against the public reference functions, every bound pick (heuristic or
+RL) against ``select``, every RL lock-step run against
+``run_scheduler``, online replay under arbitrary ``advance()`` chunking
+against the batch decision log (a served RL tenant against
+``run_scheduler`` too), and the pending-queue invariants after every
+event — and the ragged observation
 path against its padded oracle: every ``VecSchedGym`` wave, padded out,
 against the per-job loop encoder, and each of its runs against a lone
 ``SchedGym`` episode."""
@@ -25,7 +27,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.config import EnvConfig
+from repro.config import EnvConfig, TenantConfig
 from repro.nn import KernelPolicy, make_policy
 from repro.schedulers import (
     ALL_HEURISTICS,
@@ -58,6 +60,7 @@ from repro.sim.metrics import (
     resource_utilization,
 )
 from repro.nn.ragged import pad_observations
+from repro.serve import SchedulerService, job_to_wire
 from repro.workloads import Job
 
 from .reference import build_observation_loop, pad_window
@@ -408,12 +411,40 @@ def test_bound_pick_is_select(scheduler):
 
 
 @pytest.mark.parametrize("scheduler", rl_schedulers(), ids=lambda s: s.name)
+def test_rl_bound_pick_is_select(scheduler):
+    """(ii) An RL policy bound to an engine picks, from the engine's own
+    rows and with no sort, the job ``select`` returns for the same queue
+    handed over in reverse — also with its feature table compacted to the
+    window whenever it passes one window of rows, and never past its
+    bound."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(engine_cases(), st.sampled_from((False, "easy")), st.booleans(),
+           st.data())
+    def check(case, backfill, tight, data):
+        jobs, spec = case
+        engine = SchedulingEngine(jobs, spec, backfill=backfill)
+        pick = scheduler.bind(engine)
+        if tight:
+            pick.bound = pick.m
+        while engine.advance_until_decision():
+            queue = engine.pending[::-1]  # select() sorts for itself
+            want = scheduler.select(queue, engine.now, engine.cluster)
+            assert pick() is want
+            assert pick.table.size <= pick.bound
+            engine.commit(pick_arbitrary(engine, data))
+
+    check()
+
+
+@pytest.mark.parametrize("scheduler", rl_schedulers(), ids=lambda s: s.name)
 def test_lockstep_run_is_select(scheduler):
-    """(ii) An RL policy's batch path, ``run_lockstep`` (its picks taken
-    from the engine's own feature rows), schedules a run exactly as
-    ``run_scheduler`` does through ``select`` (its picks taken from the
-    growing job-id table) — on queues full of ties, so a pick that broke
-    a tie differently would show."""
+    """(ii) An RL policy's lock-step batch path, ``run_lockstep`` (one
+    feature table over every run's jobs), schedules a run exactly as
+    ``run_scheduler`` does through the policy's bound picker (a table
+    grown as jobs enter the window, checked against ``select`` above) —
+    on queues full of ties, so a pick that broke a tie differently would
+    show."""
 
     @settings(max_examples=60, deadline=None)
     @given(engine_cases(), st.sampled_from((False, "easy")))
@@ -516,6 +547,52 @@ def test_advance_chunking_reproduces_batch_log(case, backfill, name, data):
     assert sorted((j.job_id, j.start_time) for j in online.take_completed()) == (
         sorted((j.job_id, j.start_time) for j in batch.completed)
     )
+
+
+@pytest.mark.parametrize("backfill", [False, "easy"])
+def test_served_rl_tenant_starts_jobs_as_run_scheduler(backfill):
+    """(iii) An RL tenant of the serving daemon (the committed kernel
+    fixture), fed the stream one submission at a time with external time
+    ticking forward in arbitrary ``advance()`` chunks, starts every job
+    at the time ``run_scheduler`` gives for the same jobs and policy —
+    and each of its picks is the job ``select`` returns for that
+    decision's queue."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(engine_cases(), st.data())
+    def check(case, data):
+        jobs, spec = case
+        svc = SchedulerService(TenantConfig(
+            name="rl", n_procs=spec.n_procs, memory=spec.memory,
+            backfill=backfill, policy_path=str(FIXTURE_POLICY),
+        ))
+        policy, engine, pick = svc.policy, svc.engine, svc._pick
+
+        def checked_pick():
+            queue = engine.pending[::-1]  # select() sorts for itself
+            want = policy.select(queue, engine.now, engine.cluster)
+            got = pick()
+            assert got is want
+            return got
+
+        svc._pick = checked_pick
+        stream = sorted(jobs, key=fcfs_key)
+        for job, following in zip(stream, stream[1:] + [None]):
+            svc.submit(job_to_wire(job))
+            if following is None:
+                break
+            gap = following.submit_time - job.submit_time
+            for fraction in sorted(
+                data.draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+            ):
+                svc.advance(job.submit_time + fraction * gap)
+        svc.drain()
+        want = run_scheduler(jobs, spec, policy, backfill=backfill)
+        assert {
+            j.job_id: svc.status(j.job_id)["job"]["start_time"] for j in jobs
+        } == {j.job_id: j.start_time for j in want}
+
+    check()
 
 
 @settings(max_examples=80, deadline=None)

@@ -334,15 +334,6 @@ class TestSchedulerService:
             svc.status(0)  # evicted from history
         assert svc.status(11)["job"]["state"] == "finished"
 
-    def test_forget_jobs_called_on_completion(self):
-        svc = self.make()
-        forgotten = []
-        svc.policy.forget_jobs = forgotten.extend  # duck-typed hook
-        svc.submit(wire_job(1, run=3.0))
-        svc.submit(wire_job(2, run=3.0))
-        svc.drain()
-        assert sorted(forgotten) == [1, 2]
-
 
 class TestServiceWithRLPolicy:
     def test_policy_tenant_decides_and_evicts(self, policy_path):
@@ -354,9 +345,36 @@ class TestServiceWithRLPolicy:
             svc.submit(wire_job(jid, run=5.0, procs=4))
         svc.drain()
         assert svc.n_finished == 20
-        # departed jobs left the deploy feature cache (satellite 1 wiring)
-        cache = svc.policy._cache
-        assert cache is None or cache.size == 0
+        # the drained tenant's picker holds no departed job's row, and
+        # the policy's job-id keyed select() table was never started
+        assert svc._pick.table.size == 0 and not svc._pick.slot
+        assert svc.policy._cache is None
+
+    def test_picker_table_stays_bounded(self, policy_path):
+        """5 000 jobs streamed through an RL tenant: its picker's table
+        never holds more than the compaction bound (a fixed number of
+        observation windows), and after ``drain`` no more than the live
+        queue."""
+        trace = load_trace("Lublin-1", n_jobs=5000, seed=3)
+        svc = SchedulerService(TenantConfig(
+            name="rl", n_procs=trace.max_procs, policy_path=policy_path,
+            backfill="easy",
+        ))
+        picker = svc._pick
+        assert picker.bound == picker.COMPACT_AT * 16
+        compactions = deepest = 0
+        for job in trace_jobs(trace, 5000, seed=2, max_procs=trace.max_procs):
+            size = picker.table.size
+            svc.submit(job_to_wire(job))
+            assert picker.table.size <= picker.bound
+            compactions += picker.table.size < size
+            deepest = max(deepest, len(svc.engine.pending))
+        # the table was compacted over and over, through queues deeper
+        # than the 16-job window
+        assert compactions >= 10 and deepest > 16
+        svc.drain()
+        assert svc.n_finished == 5000
+        assert svc._pick.table.size <= len(svc.engine.pending) == 0
 
     def test_policy_is_retargeted_to_tenant_cluster(self, policy_path):
         svc = SchedulerService(TenantConfig(

@@ -13,16 +13,15 @@ over an evaluation campaign.  Three things keep it cheap while staying
 argmax-equivalent to the reference dense forward (pinned by golden
 tests):
 
-* the observation comes from the same table through the same function as
-  in training — a :class:`~repro.sim.env.FeatureCache` read by
-  :func:`~repro.sim.env.observation_rows`.  Bound to an engine
+* the observation comes from the same row-keyed table through the same
+  function as in training — a :class:`~repro.sim.env.FeatureCache` read
+  by :func:`~repro.sim.env.observation_rows`.  Bound to an engine
   (:meth:`RLSchedulerPolicy.bind`, the serving daemon's and
   :func:`~repro.sim.run_scheduler`'s path) a pick reads the engine's
   FCFS-sorted rows as they stand from a table keyed by engine row
-  (:class:`EnginePicker`): no sort, no validation.  ``select`` takes any
-  queue: it sorts, and its job-id keyed table validates every lookup
-  (and rebuilds itself when a trace reuses job ids) — correctness never
-  depends on its freshness;
+  (:class:`EnginePicker`): no sort.  ``select`` takes any queue and
+  observes its window afresh (:func:`~repro.sim.env.observe_queue`), so
+  it holds no state between calls;
 * every decision, one queue or a wave of them, is made by
   :meth:`RLSchedulerPolicy._best_rows`: one ``score_rows(rows, counts)``
   call scores the ``k`` visible rows of each queue (the kernel policy
@@ -34,8 +33,8 @@ tests):
   checkpoint is chosen on the decisions deployment makes.
 
 Models persist in the one checkpoint layout (:mod:`repro.checkpoint`),
-and pickling ships the same :class:`~repro.checkpoint.Checkpoint` (cache
-dropped), so policies reach evaluation pool workers cleanly.
+and pickling ships the same :class:`~repro.checkpoint.Checkpoint`, so
+policies reach evaluation pool workers cleanly.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from repro import checkpoint
 from repro.config import EnvConfig, FeatureLayoutError, StudyConfig
 from repro.nn import Module, make_policy
 from repro.sim.cluster import Cluster, ClusterSpec
-from repro.sim.env import FeatureCache, observation_rows
+from repro.sim.env import FeatureCache, observation_rows, observe_queue
 from repro.sim.vec_env import VecSchedGym
 from repro.telemetry import core as _telemetry
 from repro.workloads.job import Job
@@ -111,8 +110,7 @@ class RLSchedulerPolicy(Scheduler):
                 f"slots but env_config.max_obsv_size is "
                 f"{self.env_config.max_obsv_size}"
             )
-        self._cache: FeatureCache | None = None
-        self.n_procs = n_procs  # checked property; also resets the cache
+        self.n_procs = n_procs  # checked property
         if name is not None:
             self.name = name
 
@@ -173,7 +171,7 @@ class RLSchedulerPolicy(Scheduler):
                 f"({compat}); pass on_mismatch='adapt' to deploy anyway"
             )
         clone = self.from_checkpoint(self.to_checkpoint())
-        clone.n_procs = cluster.n_procs  # checked setter, rebinds the cache
+        clone.n_procs = cluster.n_procs  # checked setter
         clone.compat = compat
         if name is not None:
             clone.name = name
@@ -182,8 +180,8 @@ class RLSchedulerPolicy(Scheduler):
     # ------------------------------------------------------------------
     @property
     def n_procs(self) -> int:
-        """Target cluster size; assignment validates and rebinds the
-        feature cache (processor fractions depend on it)."""
+        """Target cluster size (processor fractions are relative to it);
+        assignment validates."""
         return self._n_procs
 
     @n_procs.setter
@@ -195,17 +193,14 @@ class RLSchedulerPolicy(Scheduler):
         if value <= 0:
             raise ValueError(f"n_procs must be positive, got {value}")
         self._n_procs = int(value)
-        self._cache = None
 
     # ------------------------------------------------------------------
     def forget_jobs(self, job_ids) -> int:
-        """Evict departed jobs from ``select``'s job-feature table.
-
-        A caller that feeds ``select`` an endless job stream calls this
-        as jobs complete so the table stays bounded by the live queue;
-        returns how many rows were dropped.
+        """A no-op returning 0: :meth:`select` keeps no job between
+        calls, so there is nothing to forget.  Kept only because
+        ``benchmarks/e2e``'s tracer wraps it by name (ROADMAP item 8(c)).
         """
-        return 0 if self._cache is None else self._cache.evict(job_ids)
+        return 0
 
     # ------------------------------------------------------------------
     def score(self, job: Job, now: float, cluster: Cluster) -> float:
@@ -216,24 +211,12 @@ class RLSchedulerPolicy(Scheduler):
     def select(self, pending: Sequence[Job], now: float, cluster: Cluster) -> Job:
         if not pending:
             raise ValueError("cannot select from an empty queue")
-        visible = sorted(pending, key=lambda j: (j.submit_time, j.job_id))
-        visible = visible[: self.env_config.max_obsv_size]
-        total_mem = getattr(cluster, "total_mem", math.inf)
-        if self._cache is None or self._cache.total_mem != total_mem:
-            # total_mem comparison: inf != inf is False, so unconstrained
-            # clusters never trigger a rebuild; a retarget to a different
-            # memory capacity rescales the static demand column.
-            self._cache = FeatureCache(
-                (), self.n_procs, self.env_config, total_mem=total_mem
-            )
-        rows = self._cache.rows(visible)
-        feats = observation_rows(
-            self._cache, rows, now, cluster.free_procs, self.n_procs,
-            self.env_config,
+        feats, visible = observe_queue(
+            pending, now, cluster.free_procs, self.n_procs, self.env_config,
             free_mem=getattr(cluster, "free_mem", math.inf),
-            total_mem=total_mem,
+            total_mem=getattr(cluster, "total_mem", math.inf),
         )
-        return visible[int(self._best_rows(feats, [len(rows)])[0])]
+        return visible[int(self._best_rows(feats, [len(visible)])[0])]
 
     def bind(self, engine: "EngineCore") -> "EnginePicker":
         """``pick()`` for ``engine``, batch or online: the job
@@ -334,7 +317,7 @@ class EnginePicker:
     The engine keeps ``pending`` FCFS-sorted with ``pending_rows``
     parallel to it and gives each admitted job a row of its own, so the
     window is ``pending_rows[:M]`` as it stands and a row names one job
-    while it waits: nothing is sorted or validated.  :attr:`table` holds
+    while it waits: nothing is sorted.  :attr:`table` holds
     the static features of each row seen in the window (:attr:`slot`:
     engine row -> table row), added as it enters; once it would pass
     :attr:`bound` rows it is compacted to the window at hand.  Binding
@@ -382,7 +365,6 @@ class EnginePicker:
             self.slot = {rows[i]: k for k, i in enumerate(seen)}
         slot = self.slot
         pending = self.engine.pending
-        for k, i in enumerate(new, table.size):
+        for i, k in zip(new, table.rows([pending[i] for i in new]).tolist()):
             slot[rows[i]] = k
-        table.append([pending[i] for i in new])
         return [slot[row] for row in rows]

@@ -54,7 +54,12 @@ class SchedulerService:
     def __init__(self, tenant: TenantConfig,
                  completed_history: int = ServeConfig.completed_history):
         self.tenant = tenant
-        self.spec = ClusterSpec(tenant.n_procs, memory=tenant.memory)
+        # the tenant's memory is per processor, the spec's the cluster's
+        self.spec = ClusterSpec(
+            tenant.n_procs,
+            memory=None if tenant.memory is None
+            else tenant.memory * tenant.n_procs,
+        )
         self.engine = OnlineSchedulingEngine(self.spec, backfill=tenant.backfill)
         if tenant.policy_path is not None:
             # retarget through the checked setter: a policy trained for a

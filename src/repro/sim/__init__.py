@@ -17,6 +17,7 @@ from .env import (
     build_observation,
     fill_dynamic_features,
     observation_rows,
+    observe_queue,
     stable_user_hash,
 )
 from .vec_env import VecSchedGym, VecStepResult
@@ -56,6 +57,7 @@ __all__ = [
     "build_observation",
     "fill_dynamic_features",
     "observation_rows",
+    "observe_queue",
     "stable_user_hash",
     "VecSchedGym",
     "VecStepResult",

@@ -47,12 +47,14 @@ the other, and how many belong to each queue.  The kernel network scores
 each job from its own row (§IV-B1), so nothing between the engine and the
 PPO update needs the zero-padded window.  :func:`observation_rows` is the
 one producer, in training and in deployment alike: static columns
-(normalised runtime, processor fraction, user hash) are gathered from a
-:class:`FeatureCache` — the one job-feature table, computed once per job,
-growable for a scheduler that meets its jobs as they arrive — and
-:func:`fill_dynamic_features` overwrites the time- and state-dependent
-ones; :class:`~repro.sim.vec_env.VecSchedGym` builds the wave of many
-queues this way, one queue per unfinished run.
+(normalised runtime, processor fraction, user hash) are gathered by row
+from a :class:`FeatureCache` — the one job-feature table, one row per
+job, computed once — and :func:`fill_dynamic_features` overwrites the
+time- and state-dependent ones; :class:`~repro.sim.vec_env.VecSchedGym`
+builds the wave of many queues this way, one queue per unfinished run.
+A queue that no engine keeps in order is observed by
+:func:`observe_queue`: FCFS sort, cut to the window, a fresh table of
+those jobs.
 :func:`~repro.nn.ragged.pad_observations` is the one place the
 ``(n, M, F)`` window and its ``(n, M)`` action mask are materialised; its
 callers are the networks that read the whole window (the MLP / LeNet
@@ -86,6 +88,7 @@ __all__ = [
     "build_observation",
     "fill_dynamic_features",
     "observation_rows",
+    "observe_queue",
     "stable_user_hash",
 ]
 
@@ -153,24 +156,22 @@ class FeatureCache:
     memory-demand fraction) are computed once per job, here and nowhere
     else — with :func:`math.log`, exactly as the loop of
     ``tests/reference.py`` does, so table rows and loop rows are
-    bit-identical.  :func:`observation_rows` gathers them by row.
+    bit-identical.  :func:`observation_rows` gathers them by row;
+    ``submit`` and ``procs`` are the float64 columns the dynamic features
+    are computed from.
 
-    An episode knows its jobs up front: :meth:`SchedGym.reset` and
-    :class:`~repro.sim.vec_env.VecSchedGym` (one table for all its runs,
-    each run's rows after the previous run's — the stepper training's
-    rollout and every batch run of a deployed
-    :class:`~repro.schedulers.RLSchedulerPolicy` go through) hand them to
-    the constructor and read rows by the engine's ``pending_rows``.  A
-    deployed scheduler meets jobs as they arrive and starts from ``()``.
-    Bound to an engine it keys the table by engine row itself
-    (:meth:`append` as a job enters the window, :meth:`compact` once
-    started jobs' rows pile up).  Its ``select`` asks :meth:`rows`,
-    which adds unseen jobs (capacity doubles from a 64-row floor) and
-    *validates* — every attribute a feature is computed from (the
-    ``identity`` columns) is compared against the stored row, and a
-    mismatch (job ids reused across traces) rebuilds the table from the
-    queue at hand.  A lookup is therefore always correct; the table only
-    decides what it costs.  :meth:`evict` drops departed jobs by id.
+    The table is keyed by row and knows nothing of job ids.  :meth:`rows`
+    is its one writer: it appends one row per job (capacity doubles from
+    a 64-row floor) and returns their row numbers.  :meth:`compact` is
+    its one shrink.  An episode knows its jobs up front:
+    :meth:`SchedGym.reset` and :class:`~repro.sim.vec_env.VecSchedGym`
+    (one table for all its runs, each run's rows after the previous
+    run's) hand them to the constructor and read rows by the engine's
+    ``pending_rows``.  A picker bound to an engine
+    (:class:`~repro.schedulers.rl_scheduler.EnginePicker`) starts from
+    ``()``, adds a job's row as it enters the window and compacts once
+    started jobs' rows pile up.  Any other queue is observed through a
+    fresh table of its window (:func:`observe_queue`).
 
     Only the first ``size`` rows of ``static``, ``submit`` and ``procs``
     are filled; the rest is spare capacity (zeros).
@@ -183,60 +184,31 @@ class FeatureCache:
         self.n_procs = n_procs
         self.config = config
         self.total_mem = total_mem
-        self.clear()
-        self._add(jobs)
-
-    def clear(self) -> None:
-        """Forget every job."""
-        self.index: dict = {}  # job id -> row
         self.size = 0
-        self.static = np.zeros((0, self.config.job_features))
-        self.identity = self._identity(())
-        self._resize(slice(0), 0)  # binds the submit / procs views
+        self.static = np.zeros((0, config.job_features))
+        self.submit, self.procs = np.zeros(0), np.zeros(0)
+        self.rows(jobs)
 
     def _resize(self, keep: "slice | np.ndarray", capacity: int) -> None:
         """Re-house rows ``keep`` at the front of ``capacity``-row columns:
         the one reallocation behind growth (``keep`` is the filled
         prefix) and compaction (``keep`` is the surviving rows)."""
-        for name in ("static", "identity"):
+        for name in ("static", "submit", "procs"):
             kept = getattr(self, name)[keep]
-            column = np.zeros((capacity, kept.shape[1]))
+            column = np.zeros((capacity, *kept.shape[1:]))
             column[: len(kept)] = kept
             setattr(self, name, column)
-        # the two identity columns the dynamic features are computed from
-        self.submit = self.identity[:, 0]
-        self.procs = self.identity[:, 1]
 
-    @staticmethod
-    def _identity(jobs: Sequence[Job]) -> np.ndarray:
-        """Every attribute of ``jobs`` a feature is computed from, one row
-        per job: submit time, processors, requested runtime, user hash,
-        requested memory."""
-        return np.array([
-            [j.submit_time for j in jobs],
-            [j.requested_procs for j in jobs],
-            [j.requested_time for j in jobs],
-            [stable_user_hash(j.user_id) for j in jobs],
-            [j.requested_mem for j in jobs],
-        ], dtype=np.float64).T
-
-    def _add(self, jobs: Sequence[Job]) -> None:
-        """Append one row per job and index it by job id."""
-        lo = self.size
-        self.append(jobs)
-        index = self.index
-        for row, job in enumerate(jobs, lo):
-            index[job.job_id] = row
-
-    def append(self, jobs: Sequence[Job]) -> None:
-        """Append one row per job, from row ``size`` on — the static-column
-        maths — without indexing it by job id."""
+    def rows(self, jobs: Sequence[Job]) -> np.ndarray:
+        """Append one row per job, from row ``size`` on, and return their
+        row numbers."""
         lo, hi = self.size, self.size + len(jobs)
-        if hi > len(self.identity):
+        if hi > len(self.submit):
             self._resize(slice(lo), _capacity(hi))
         config = self.config
-        identity = self.identity[lo:hi]
-        identity[:] = self._identity(jobs)
+        self.submit[lo:hi] = [j.submit_time for j in jobs]
+        procs = self.procs[lo:hi]
+        procs[:] = [j.requested_procs for j in jobs]
         # rows past ``size`` are zeros, so the dynamic columns (0, 3, 4,
         # 8) need no write here; observation_rows overwrites them anyway
         static = self.static[lo:hi]
@@ -245,8 +217,8 @@ class FeatureCache:
             min(math.log(max(j.requested_time, 1.0)) / log_cap, 1.0)
             for j in jobs
         ]
-        static[:, 2] = identity[:, 1] / self.n_procs
-        static[:, 5] = identity[:, 3]
+        static[:, 2] = procs / self.n_procs
+        static[:, 5] = [stable_user_hash(j.user_id) for j in jobs]
         static[:, 6] = 1.0
         if config.memory_features:
             # demand / capacity, saturating at 1; x/inf == 0 covers the
@@ -256,52 +228,7 @@ class FeatureCache:
                 demand / self.total_mem, 1.0
             )
         self.size = hi
-
-    def rows(self, jobs: Sequence[Job]) -> np.ndarray:
-        """Validated table row per job, adding unseen jobs on the way.
-
-        Validation covers every feature-bearing attribute (submit time,
-        processor, runtime and memory requests, user hash), so a hit can
-        never serve a row that differs from a fresh computation.
-        """
-        index = self.index
-        new = [j for j in jobs if j.job_id not in index]
-        if new:
-            self._add(new)
-        rows = np.fromiter(
-            (index[j.job_id] for j in jobs), dtype=np.intp, count=len(jobs)
-        )
-        if np.array_equal(self.identity[rows], self._identity(jobs)):
-            return rows
-        # Stale identity (a different trace reused these job ids): rebuild
-        # from this queue alone.  The fresh batch occupies rows 0..k-1 in
-        # queue order, which stays correct even if the queue itself holds
-        # conflicting duplicate ids (the index may then be ambiguous, but
-        # these positional rows are not — and the next call revalidates).
-        self.clear()
-        self._add(jobs)
-        return np.arange(len(jobs), dtype=np.intp)
-
-    def evict(self, job_ids) -> int:
-        """Drop the rows of departed jobs; returns the count evicted.
-
-        An episode never needs this — its table dies with it — but a
-        serving daemon sees an unbounded job stream.  Surviving rows are
-        compacted to the front and capacity shrinks back to the doubling
-        schedule, so held memory tracks the *live* job set.
-        """
-        index = self.index
-        drop = [index[jid] for jid in job_ids if jid in index]
-        if not drop:
-            return 0
-        keep = np.ones(self.size, dtype=bool)
-        keep[drop] = False
-        moved = np.cumsum(keep) - 1  # the new row of every surviving row
-        self.index = {
-            jid: int(moved[row]) for jid, row in index.items() if keep[row]
-        }
-        self.compact(np.flatnonzero(keep))
-        return len(drop)
+        return np.arange(lo, hi, dtype=np.intp)
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep only rows ``keep``, renumbered ``0, 1, ...`` in that order
@@ -353,37 +280,47 @@ def check_actions(actions: np.ndarray, counts, max_obsv_size: int) -> None:
         )
 
 
+def observe_queue(
+    pending: Sequence[Job],
+    now: float,
+    free_procs: int,
+    n_procs: int,
+    config: EnvConfig,
+    free_mem: float = math.inf,
+    total_mem: float = math.inf,
+) -> tuple[np.ndarray, list[Job]]:
+    """Feature rows of any waiting queue's window: ``(feats, visible)``,
+    where row ``i`` of ``feats`` describes ``visible[i]``.
+
+    The window is the queue in FCFS ``(submit_time, job_id)`` order, cut
+    to ``max_obsv_size``; its rows come from a fresh table of those jobs
+    alone, so the result depends on nothing but the arguments.
+    """
+    visible = sorted(pending, key=lambda j: (j.submit_time, j.job_id))
+    visible = visible[: config.max_obsv_size]
+    table = FeatureCache((), n_procs, config, total_mem=total_mem)
+    feats = observation_rows(
+        table, table.rows(visible), now, free_procs, n_procs, config,
+        free_mem=free_mem, total_mem=total_mem,
+    )
+    return feats, visible
+
+
 def build_observation(
     pending: Sequence[Job],
     now: float,
     free_procs: int,
     n_procs: int,
     config: EnvConfig,
-    cache: FeatureCache | None = None,
-    assume_sorted: bool = False,
     free_mem: float = math.inf,
     total_mem: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray, list[Job]]:
     """Fixed-size observation of a waiting queue, any queue: the padded
-    window training and deployment both see the rows of.  Returns
-    ``(observation, action_mask, visible_jobs)`` where ``visible_jobs[i]``
-    is the job row ``i`` describes.
-
-    ``cache`` is the job-feature table to look the jobs up in (see
-    :meth:`FeatureCache.rows`; an empty one is started when none is
-    given); ``assume_sorted`` skips the FCFS sort when the caller
-    maintains ``pending`` in ``(submit_time, job_id)`` order, as
-    :class:`~repro.sim.simulator.SchedulingEngine` does.
-    """
-    if assume_sorted:
-        visible = list(pending[: config.max_obsv_size])
-    else:
-        visible = sorted(pending, key=lambda j: (j.submit_time, j.job_id))
-        visible = visible[: config.max_obsv_size]
-    if cache is None:
-        cache = FeatureCache((), n_procs, config, total_mem=total_mem)
-    feats = observation_rows(
-        cache, cache.rows(visible), now, free_procs, n_procs, config,
+    window of :func:`observe_queue`'s rows.  Returns ``(observation,
+    action_mask, visible_jobs)`` where ``visible_jobs[i]`` is the job row
+    ``i`` describes."""
+    feats, visible = observe_queue(
+        pending, now, free_procs, n_procs, config,
         free_mem=free_mem, total_mem=total_mem,
     )
     obs, mask = pad_observations(feats, [len(visible)], config.max_obsv_size)

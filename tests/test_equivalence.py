@@ -3,7 +3,7 @@
 Three layers of guarantees, each pinned exactly (no tolerances):
 
 1. the NumPy observation builder matches the per-job reference loop
-   bit-for-bit, with and without a :class:`FeatureCache`;
+   bit-for-bit, over any queue and over rows of a :class:`FeatureCache`;
 2. :func:`discount_cumsum` matches the naive reversed Python recurrence
    bit-for-bit;
 3. a training epoch collected by the lock-step rollout reproduces the
@@ -18,7 +18,7 @@ import pytest
 
 from repro.config import EnvConfig, PPOConfig, TrainConfig
 from repro.rl import Trainer, discount_cumsum
-from repro.sim import FeatureCache, build_observation
+from repro.sim import FeatureCache, build_observation, observation_rows
 from repro.sim.env import stable_user_hash
 from repro.workloads import Job, load_trace
 
@@ -82,26 +82,35 @@ class TestObservationBuilderGolden:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cached_matches_loop_bitwise(self, seed):
+        """A table built once over an episode's jobs, read at the rows of
+        a pending subset (as removals during an episode leave it) in
+        FCFS order, gives the loop's rows of that subset."""
         rng = np.random.default_rng(100 + seed)
         cfg = EnvConfig(max_obsv_size=32)
         jobs = random_jobs(rng, 80)
         cache = FeatureCache(jobs, 64, cfg)
-        # random pending subsets, as removals during an episode produce
-        subset = [j for j in jobs if rng.random() < 0.5] or jobs[:1]
+        pending = [r for r in range(len(jobs)) if rng.random() < 0.5] or [0]
+        window = sorted(pending, key=lambda r: (jobs[r].submit_time,
+                                                jobs[r].job_id))[:32]
         now = float(rng.uniform(0, 2e5))
         free = int(rng.integers(0, 65))
-        ref = build_observation_loop(subset, now, free, 64, cfg)
-        fast = build_observation(subset, now, free, 64, cfg, cache=cache)
-        np.testing.assert_array_equal(fast[0], ref[0])
-        np.testing.assert_array_equal(fast[1], ref[1])
+        obs, mask, _ = build_observation_loop(
+            [jobs[r] for r in pending], now, free, 64, cfg
+        )
+        rows = observation_rows(cache, np.array(window), now, free, 64, cfg)
+        assert rows.dtype == obs.dtype
+        np.testing.assert_array_equal(rows, obs[mask])
 
     def test_presorted_input_skips_sort_safely(self):
+        """A queue kept FCFS-sorted (as the engine keeps ``pending``) is
+        read at its head rows as they stand, with no sort."""
         rng = np.random.default_rng(7)
         cfg = EnvConfig(max_obsv_size=16)
         jobs = sorted(random_jobs(rng, 30), key=lambda j: (j.submit_time, j.job_id))
-        ref = build_observation_loop(jobs, 5e4, 10, 64, cfg)
-        fast = build_observation(jobs, 5e4, 10, 64, cfg, assume_sorted=True)
-        np.testing.assert_array_equal(fast[0], ref[0])
+        cache = FeatureCache(jobs, 64, cfg)
+        obs, mask, _ = build_observation_loop(jobs, 5e4, 10, 64, cfg)
+        rows = observation_rows(cache, np.arange(16), 5e4, 10, 64, cfg)
+        np.testing.assert_array_equal(rows, obs[mask])
 
     def test_empty_queue(self):
         cfg = EnvConfig(max_obsv_size=8)

@@ -11,7 +11,6 @@ path against its padded oracle: every ``VecSchedGym`` wave, padded out,
 against the per-job loop encoder, and each of its runs against a lone
 ``SchedGym`` episode."""
 
-import dataclasses
 import heapq
 import math
 from pathlib import Path
@@ -887,114 +886,69 @@ def table_jobs(job_ids):
 
 
 class FeatureTableLife(RuleBasedStateMachine):
-    """(vi) One ``FeatureCache`` through what a deployed scheduler does to
-    it — jobs arrive, are looked up a queue at a time, depart, and a new
-    trace reuses their ids with other attributes — in any interleaving.
-    After every step ``observation_rows(table, table.rows(queue), …)`` is
-    bit for bit the loop encoder's rows of that queue, in both layouts,
-    with and without a memory capacity; and since a table that rebuilds
-    itself on every lookup would pass that too, it may only rebuild when
-    an attribute really changed under it."""
+    """(vi) One ``FeatureCache`` through what an engine-bound picker does
+    to it — jobs arrive and get the next rows, and the table is compacted
+    to any survivors, in any order — in any interleaving.  Ids may repeat
+    with other attributes: the table is keyed by row alone.  After every
+    step ``observation_rows`` over the live rows' FCFS window is bit for
+    bit the loop encoder's rows of the live jobs, in both layouts, with
+    and without a memory capacity."""
 
     @initialize(memory_features=st.booleans(), finite_mem=st.booleans())
     def layout(self, memory_features, finite_mem):
         self.total_mem = 256.0 if finite_mem else math.inf
         self.config = EnvConfig(
-            max_obsv_size=400,  # every id at once: a lookup sees all of live
+            max_obsv_size=400,
             memory_features=memory_features,
             job_features=9 if memory_features else 7,
         )
         self.table = FeatureCache((), N_PROCS, self.config, self.total_mem)
-        self.live: dict[int, Job] = {}  # the truth the table must follow
-        self.stale = False              # may the table hold an outdated row?
-        self.rebuilds = 0
-        clear = self.table.clear
-
-        def counted_clear():
-            self.rebuilds += 1
-            clear()
-
-        self.table.clear = counted_clear
-
-    def look_up(self, queue):
-        """``table.rows(queue)``, which may rebuild only a stale table."""
-        before = self.rebuilds
-        rows = self.table.rows(queue)
-        assert self.stale or self.rebuilds == before
-        return rows
+        self.live: list[Job] = []  # the job of each table row, in row order
 
     @rule(jobs=st.one_of(
         st.lists(table_jobs(st.integers(1, 150)), max_size=40),
-        # a burst past the 64-row floor, so capacity has to double; ids of
-        # its own, so it rarely excuses a rebuild by reusing one
+        # a burst past the 64-row floor, so capacity has to double
         st.lists(table_jobs(st.integers(1000, 1200)), min_size=65,
-                 max_size=80, unique_by=lambda j: j.job_id),
+                 max_size=80),
     ))
     def arrive(self, jobs):
-        """New ids join; a known id arrives with (possibly) other
-        attributes — the trace changed under the table."""
-        for job in jobs:
-            self.stale |= self.live.get(job.job_id, job) != job
-            self.live[job.job_id] = job
+        lo = len(self.live)
+        assert self.table.rows(jobs).tolist() == list(range(lo, lo + len(jobs)))
+        self.live += jobs
 
     @rule(data=st.data())
-    def look_up_part_of_the_queue(self, data):
-        if self.live:
-            part = data.draw(st.lists(st.sampled_from(sorted(self.live)),
-                                      unique=True))
-            self.look_up([self.live[i] for i in part])
-
-    @rule(data=st.data(), strangers=st.lists(st.integers(151, 160)))
-    def depart(self, data, strangers):
-        gone = data.draw(st.lists(st.sampled_from(sorted(self.live) or [0]),
-                                  unique=True))
-        known = [i for i in gone if i in self.table.index]
-        for i in gone:
-            self.live.pop(i, None)
-        assert self.table.evict(gone + strangers) == len(known)
-        if known:  # compacted: capacity is back on the doubling schedule
-            assert len(self.table.submit) == max(
-                64, 1 << (self.table.size - 1).bit_length()
-            )
-
-    @rule(data=st.data())
-    def one_attribute_changes(self, data):
-        """The narrowest reuse: same id, one feature-bearing field moved."""
-        if not self.live:
-            return
-        job = self.live[data.draw(st.sampled_from(sorted(self.live)))]
-        field, value = data.draw(st.sampled_from([
-            ("submit_time", job.submit_time + 1.0),
-            ("requested_procs", job.requested_procs % N_PROCS + 1),
-            ("requested_time", job.requested_time * 2.0),
-            ("requested_mem", 1.0 if job.requested_mem != 1.0 else 3.0),
-            ("user_id", job.user_id + 1),
-        ]))
-        self.live[job.job_id] = dataclasses.replace(job, **{field: value})
-        self.stale = True
+    def compact(self, data):
+        keep = data.draw(st.permutations(range(len(self.live))))
+        keep = keep[: data.draw(st.integers(0, len(keep)))]
+        self.table.compact(np.array(keep, dtype=np.intp))
+        self.live = [self.live[r] for r in keep]
+        # capacity is back on the doubling schedule
+        assert len(self.table.submit) == max(
+            64, 1 << (self.table.size - 1).bit_length()
+        )
 
     @invariant()
     def rows_equal_the_loop_oracle(self):
-        table, config = self.table, self.config
-        # the table is exactly its index: no orphan row, no spare slot used
-        assert sorted(table.index.values()) == list(range(table.size))
-        assert table.size <= len(table.submit) == len(table.static)
-        queue = list(self.live.values())
+        table, config, queue = self.table, self.config, self.live
+        assert table.size == len(queue)
+        assert table.size <= len(table.submit) == len(table.procs) \
+            == len(table.static)
         now = max((j.submit_time for j in queue), default=0.0) + 17.0
         free_procs = len(queue) % (N_PROCS + 1)
         free_mem = min(self.total_mem, 100.0) / 3
-        want, mask, visible = build_observation_loop(
+        want, mask, _ = build_observation_loop(
             queue, now, free_procs, N_PROCS, config,
             free_mem=free_mem, total_mem=self.total_mem,
         )
-        assert len(visible) == len(queue)
+        # the loop's window: a stable FCFS sort of the rows, cut to M
+        window = sorted(range(len(queue)), key=lambda r: (
+            queue[r].submit_time, queue[r].job_id))[: config.max_obsv_size]
         got = observation_rows(
-            table, self.look_up(visible), now, free_procs, N_PROCS, config,
-            free_mem=free_mem, total_mem=self.total_mem,
+            table, np.array(window, dtype=np.intp), now, free_procs, N_PROCS,
+            config, free_mem=free_mem, total_mem=self.total_mem,
         )
         assert got.dtype == want.dtype
         assert got.tobytes() == want[mask].tobytes()
-        self.stale = False  # every live job was just validated
 
 
 FeatureTableLife.TestCase.settings = settings(

@@ -85,8 +85,8 @@ def cluster_with_free(n_procs, free):
 
 
 class TestSparseSelectGolden:
-    """The deployment hot path (score_rows + persistent FeatureCache)
-    must pick the same job as the reference dense batch-1 forward."""
+    """``select`` (a fresh window table + score_rows) must pick the same
+    job as the reference dense batch-1 forward."""
 
     def dense_reference(self, policy, cfg, pending, now, cluster, n_procs):
         obs, mask, visible = build_observation(
@@ -115,20 +115,6 @@ class TestSparseSelectGolden:
                     policy, cfg, pending, now, cluster, 64
                 ).job_id
             )
-
-    def test_cache_persists_and_grows_across_calls(self):
-        rng = np.random.default_rng(9)
-        cfg = EnvConfig(max_obsv_size=16)
-        sched = RLSchedulerPolicy(
-            KernelPolicy(cfg.job_features, seed=0), n_procs=64, env_config=cfg
-        )
-        first = random_pending(rng, 10)
-        sched.select(first, 2e5, Cluster(64))
-        cache = sched._cache
-        assert cache is not None and cache.size == 10
-        sched.select(first + random_pending(rng, 3), 2e5, Cluster(64))
-        assert sched._cache is cache  # same cache, grown in place
-        assert cache.size == 13
 
     def test_cache_self_heals_on_reused_job_ids(self):
         """The same job ids with different attributes (a different trace)
@@ -226,67 +212,8 @@ class TestDeployFeatureCache:
         assert len(cache.submit) >= 70  # grown past the 64-row floor
         assert cache.static.shape[1] == cfg.job_features
 
-    def test_evict_remaps_surviving_rows(self):
-        cfg = EnvConfig(max_obsv_size=8)
-        cache = FeatureCache((), 64, cfg)
-        rng = np.random.default_rng(3)
-        jobs = random_pending(rng, 12)
-        cache.rows(jobs)
-        gone = [j.job_id for j in jobs[::2]]
-        assert cache.evict(gone) == len(gone)
-        assert cache.size == 12 - len(gone)
-        # surviving rows must still validate — rows() rebuilds (and resets
-        # size) on any identity mismatch, so an unchanged size proves the
-        # compaction kept every feature column aligned
-        survivors = jobs[1::2]
-        rows = cache.rows(survivors)
-        assert cache.size == len(survivors)
-        np.testing.assert_array_equal(
-            cache.submit[rows], [j.submit_time for j in survivors]
-        )
-        # evicting unknown ids is a no-op
-        assert cache.evict(gone) == 0
-
-    def test_evict_bounds_long_lived_stream(self):
-        """Regression: a daemon's unbounded job stream must not grow the
-        cache without bound once departed jobs are evicted."""
-        cfg = EnvConfig(max_obsv_size=8)
-        cache = FeatureCache((), 64, cfg)
-        rng = np.random.default_rng(5)
-        leaked = FeatureCache((), 64, cfg)
-        for _ in range(40):
-            batch = random_pending(rng, 25)
-            cache.rows(batch)
-            leaked.rows(batch)
-            cache.evict([j.job_id for j in batch])  # all depart
-        assert leaked.size == 40 * 25  # the old behaviour: unbounded
-        assert cache.size == 0
-        assert len(cache.submit) == 64  # capacity shrank back to the floor
-
-    def test_evict_all_then_reuse(self):
-        cfg = EnvConfig(max_obsv_size=8)
-        cache = FeatureCache((), 64, cfg)
-        rng = np.random.default_rng(8)
-        jobs = random_pending(rng, 5)
-        cache.rows(jobs)
-        cache.evict([j.job_id for j in jobs])
-        assert cache.size == 0 and cache.index == {}
-        fresh = random_pending(rng, 3)
-        rows = cache.rows(fresh)
-        np.testing.assert_array_equal(rows, [0, 1, 2])
-
 
 class TestForgetJobs:
-    def test_policy_forgets_departed_jobs(self, policy_scheduler):
-        pending = [job(i, submit=float(i)) for i in range(1, 7)]
-        policy_scheduler.select(pending, 10.0, Cluster(8))
-        assert policy_scheduler._cache.size == 6
-        assert policy_scheduler.forget_jobs([1, 2, 3]) == 3
-        assert policy_scheduler._cache.size == 3
-        # selection over the survivors still works after compaction
-        chosen = policy_scheduler.select(pending[3:], 10.0, Cluster(8))
-        assert chosen in pending[3:]
-
     def test_forget_before_any_select_is_noop(self, policy_scheduler):
         assert policy_scheduler.forget_jobs([1, 2]) == 0
 
@@ -305,12 +232,20 @@ class TestCheckedNProcs:
             RLSchedulerPolicy(policy, n_procs=True, env_config=cfg)
 
     def test_setter_validates_and_resets_cache(self, policy_scheduler):
-        pending = [job(1), job(2)]
-        policy_scheduler.select(pending, 0.0, Cluster(8))
-        assert policy_scheduler._cache is not None
+        """After a retarget ``select`` decides as a policy built for the
+        new size: nothing observed at the old size survives."""
+        rng = np.random.default_rng(6)
+        queues = [random_pending(rng, 12, n_procs=8) for _ in range(20)]
+        for queue in queues:
+            policy_scheduler.select(queue, 2e5, Cluster(8))
         policy_scheduler.n_procs = 16  # retarget: fractions change
-        assert policy_scheduler._cache is None
         assert policy_scheduler.n_procs == 16
+        fresh = RLSchedulerPolicy(policy_scheduler.policy, n_procs=16,
+                                  env_config=policy_scheduler.env_config)
+        for queue in queues:
+            cluster = cluster_with_free(16, 5)
+            assert (policy_scheduler.select(queue, 2e5, cluster)
+                    is fresh.select(queue, 2e5, cluster))
         with pytest.raises(ValueError):
             policy_scheduler.n_procs = 0
         with pytest.raises(TypeError):

@@ -229,6 +229,15 @@ class TestSchedulerService:
         with pytest.raises(ServiceError, match="requests 16 procs"):
             svc.submit(wire_job(1, procs=16))
 
+    def test_tenant_memory_is_per_processor(self):
+        """A 4-processor tenant with 2.0 memory per processor holds 8.0:
+        a full-width job asking 1.0 per processor runs, 3.0 cannot fit."""
+        svc = self.make(n_procs=4, memory=2.0)
+        out = svc.submit(wire_job(1, procs=4, requested_mem=1.0))
+        assert out["state"] == "running"
+        with pytest.raises(ServiceError, match="memory"):
+            svc.submit(wire_job(2, procs=4, requested_mem=3.0))
+
     def test_submit_rejects_duplicate_id(self):
         svc = self.make()
         svc.submit(wire_job(1))
@@ -345,10 +354,8 @@ class TestServiceWithRLPolicy:
             svc.submit(wire_job(jid, run=5.0, procs=4))
         svc.drain()
         assert svc.n_finished == 20
-        # the drained tenant's picker holds no departed job's row, and
-        # the policy's job-id keyed select() table was never started
+        # the drained tenant's picker holds no departed job's row
         assert svc._pick.table.size == 0 and not svc._pick.slot
-        assert svc.policy._cache is None
 
     def test_picker_table_stays_bounded(self, policy_path):
         """5 000 jobs streamed through an RL tenant: its picker's table

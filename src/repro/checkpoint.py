@@ -8,7 +8,12 @@ and ``name``, to which a result adds ``trace_name``, ``metric``,
 ``best_epoch``, ``train_meta`` and ``curve``; ``final/p*`` and
 ``value/p*`` hold a result's final-epoch policy (beside a best epoch)
 and value network.  Imports nothing from :mod:`repro` but
-:mod:`repro.config`.
+:mod:`repro.config` and the encoder's scales (:mod:`repro.sim.env`).
+
+Files written before the observation layout followed from
+``max_obsv_size`` and ``memory_features`` store three more ``env_config``
+fields: ``job_features``, ``wait_scale`` and ``runtime_scale``.  They are
+read only to check that they hold what the layout implies.
 """
 
 from __future__ import annotations
@@ -23,11 +28,19 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from repro.config import EnvConfig
+from repro.sim.env import RUNTIME_SCALE, WAIT_SCALE
 
 __all__ = ["Checkpoint", "CheckpointError", "read", "write"]
 
 T = TypeVar("T")
 _META = "__meta__"
+
+#: retired ``env_config`` fields -> the value the layout implies for them
+_IMPLIED = {
+    "job_features": lambda env: env.job_features,
+    "wait_scale": lambda env: WAIT_SCALE,
+    "runtime_scale": lambda env: RUNTIME_SCALE,
+}
 
 
 class CheckpointError(ValueError):
@@ -78,7 +91,8 @@ def read(
 ) -> T:
     """``build(checkpoint)`` for the file at ``path``, whose ``meta``
     holds the keys ``require`` names.  Whatever fails — reading, a field
-    absent, building (an unknown preset, weights of another shape) —
+    absent, a retired ``env_config`` field that disagrees with the
+    layout, building (an unknown preset, weights of another shape) —
     raises :class:`CheckpointError`."""
     # opened here, not by np.load, which leaks its handle when the
     # archive fails to open
@@ -124,9 +138,17 @@ def read(
         raise CheckpointError(
             f"{path}: checkpoint lacks field(s) {', '.join(missing)}")
     try:
+        env = dict(meta.pop("env_config"))
+        retired = {key: env.pop(key) for key in _IMPLIED if key in env}
+        env_config = EnvConfig(**env)
+        for key, value in retired.items():
+            implied = _IMPLIED[key](env_config)
+            if value != implied:
+                raise ValueError(
+                    f"env_config field {key!r} is {value!r}, but the "
+                    f"layout implies {implied!r}")
         return build(Checkpoint(
-            meta.pop("preset"), meta.pop("n_procs"),
-            EnvConfig(**meta.pop("env_config")), weights,
+            meta.pop("preset"), meta.pop("n_procs"), env_config, weights,
             meta.pop("name", None), groups, meta,
         ))
     except (KeyError, TypeError, ValueError) as exc:

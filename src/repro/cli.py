@@ -223,11 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-length", dest="sequence_length",
                    type=_positive_int, default=None,
                    help="evaluation sequence length (default: protocol)")
-    p.add_argument("--on-mismatch", choices=StudyConfig.MISMATCH_MODES,
-                   default=StudyConfig.on_mismatch,
-                   help="deploying a policy on a scenario with a different "
-                        "feature layout: adapt (record the compat mode) or "
-                        "fail loudly")
     p.add_argument("-o", "--output", default=None,
                    help="write the generalization-matrix JSON artifact")
 

@@ -32,15 +32,15 @@ BACKFILL_MODES = (False, True, "easy", "conservative")
 
 
 class FeatureLayoutError(ValueError):
-    """A policy's observation layout cannot be deployed as requested.
+    """A policy network does not fit the observation layout it is given.
 
-    Raised either at :class:`repro.schedulers.RLSchedulerPolicy`
-    construction time, when the policy network's input width disagrees
-    with the :class:`EnvConfig` it is asked to observe through (the error
-    that would otherwise surface as a shape mismatch deep inside the
-    first ``select()``), or by ``retarget(..., on_mismatch="fail")`` when
-    the policy's feature layout differs from the target scenario's native
-    one and the caller asked for strict semantics.
+    Raised at :class:`repro.schedulers.RLSchedulerPolicy` construction
+    when the network's input width or slot count disagrees with the
+    :class:`EnvConfig` it is asked to observe through — the error that
+    would otherwise surface as a shape mismatch deep inside the first
+    decision.  A policy deployed on a scenario of another layout is not
+    an error: it observes through its own (see
+    :meth:`EnvConfig.feature_compat`).
     """
 
 
@@ -93,13 +93,16 @@ class TelemetryConfig:
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """SchedGym observation / action space parameters."""
+    """SchedGym observation / action space parameters.
+
+    The observation layout is a function of ``max_obsv_size`` and
+    ``memory_features`` alone: ``job_features`` follows from them, and the
+    wait / runtime scales of columns 0 and 1 are constants of the encoder
+    (:data:`repro.sim.env.WAIT_SCALE`, :data:`repro.sim.env.RUNTIME_SCALE`).
+    """
 
     max_obsv_size: int = 128      # MAX_OBSV_SIZE: visible job slots
-    job_features: int = 7         # features per visible job (see env.py)
     backfill: bool = False
-    wait_scale: float = 86_400.0      # saturating scale for wait-time feature
-    runtime_scale: float = 5 * 86_400.0  # log-normalisation cap for runtimes
     #: append per-resource memory columns (7: job memory-demand fraction,
     #: 8: free-memory fraction) for memory-constrained scenarios; the
     #: default 7-feature layout is byte-identical with this off
@@ -112,24 +115,12 @@ class EnvConfig:
     def __post_init__(self) -> None:
         if self.max_obsv_size <= 0:
             raise ValueError("max_obsv_size must be positive")
-        if self.job_features < 7:
-            raise ValueError(
-                "job_features must be >= 7 (the encoder writes columns 0-6), "
-                f"got {self.job_features}"
-            )
-        if self.memory_features and self.job_features < 9:
-            raise ValueError(
-                "memory_features needs job_features >= 9 (columns 7 and 8 "
-                f"carry the per-resource demands), got {self.job_features}"
-            )
-        # column 0 is w / (w + wait_scale) and column 1 log(r) /
-        # log(runtime_scale): in [0, 1] only for these scales
-        if not self.wait_scale > 0:  # also rejects NaN
-            raise ValueError(f"wait_scale must be > 0, got {self.wait_scale}")
-        if not self.runtime_scale > 1:
-            raise ValueError(
-                f"runtime_scale must be > 1, got {self.runtime_scale}"
-            )
+
+    @property
+    def job_features(self) -> int:
+        """Features per visible job (see :mod:`repro.sim.env`): 9 with
+        the memory columns, else 7."""
+        return 9 if self.memory_features else 7
 
     @property
     def observation_shape(self) -> tuple[int, int]:
@@ -141,8 +132,9 @@ class EnvConfig:
 
         A deployed policy always builds observations through its own
         :class:`EnvConfig`, so any combination *runs*; this classifies
-        what the policy can and cannot see so callers implement explicit
-        adapt-or-fail semantics instead of silently degrading:
+        what the policy can and cannot see, which
+        :meth:`repro.schedulers.RLSchedulerPolicy.retarget` records and
+        the study artifact reports:
 
         ``"native"``
             same per-resource layout — nothing is lost;
@@ -361,16 +353,12 @@ class StudyConfig:
 
     ``None`` for the eval knobs (``n_sequences`` / ``sequence_length``)
     and for ``metric`` means each scenario's own protocol applies;
-    ``n_jobs`` shrinks every scenario workload (smoke runs).
-    ``on_mismatch`` selects the cross-feature-layout semantics of
-    :meth:`repro.schedulers.RLSchedulerPolicy.retarget`: ``"adapt"``
-    deploys a policy on scenarios with a different per-resource layout
-    (recording the compatibility mode in the artifact), ``"fail"``
-    raises :class:`FeatureLayoutError` instead.
+    ``n_jobs`` shrinks every scenario workload (smoke runs).  Every
+    policy is evaluated on every scenario, a different per-resource
+    layout included: it observes through its own layout, and the
+    artifact records the compatibility mode of each pair
+    (:meth:`EnvConfig.feature_compat`).
     """
-
-    #: accepted cross-layout deployment semantics
-    MISMATCH_MODES = ("adapt", "fail")
 
     scenarios: tuple = ()         # scenario names; () = all registered
     zoo_dir: str = "zoo"
@@ -386,7 +374,6 @@ class StudyConfig:
     n_jobs: int | None = None
     n_sequences: int | None = None
     sequence_length: int | None = None
-    on_mismatch: str = "adapt"
     workers: int = 1
     #: observability (spans/metrics + optional JSONL sink); None = off
     telemetry: TelemetryConfig | None = None
@@ -405,11 +392,6 @@ class StudyConfig:
                             ("sequence_length", self.sequence_length)):
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive (or None), got {value}")
-        if self.on_mismatch not in self.MISMATCH_MODES:
-            raise ValueError(
-                f"on_mismatch must be one of {self.MISMATCH_MODES}, "
-                f"got {self.on_mismatch!r}"
-            )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.telemetry is not None and not isinstance(self.telemetry, TelemetryConfig):

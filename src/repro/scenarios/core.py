@@ -295,7 +295,6 @@ class Scenario:
         updates: dict = {}
         if self.cluster.memory is not None and not base.memory_features:
             updates["memory_features"] = True
-            updates["job_features"] = max(base.job_features, 9)
         if self.protocol.backfill and not base.backfill:
             updates["backfill"] = self.protocol.backfill
         return dataclasses.replace(base, **updates) if updates else base

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro import checkpoint
-from repro.config import EnvConfig, FeatureLayoutError, StudyConfig
+from repro.config import EnvConfig, FeatureLayoutError
 from repro.nn import Module, make_policy
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.env import FeatureCache, observation_rows, observe_queue
@@ -99,8 +99,9 @@ class RLSchedulerPolicy(Scheduler):
             raise FeatureLayoutError(
                 f"policy network expects {policy_features} features per job "
                 f"but env_config.job_features is "
-                f"{self.env_config.job_features}; rebuild the network for "
-                "this layout or pass the EnvConfig it was trained with"
+                f"{self.env_config.job_features} (memory_features="
+                f"{self.env_config.memory_features}); rebuild the network "
+                "for this layout or pass the EnvConfig it was trained with"
             )
         policy_slots = getattr(policy, "max_obsv_size", None)
         if (policy_slots is not None
@@ -115,12 +116,7 @@ class RLSchedulerPolicy(Scheduler):
             self.name = name
 
     # ------------------------------------------------------------------
-    def retarget(
-        self,
-        target,
-        on_mismatch: str = "adapt",
-        name: str | None = None,
-    ) -> "RLSchedulerPolicy":
+    def retarget(self, target, name: str | None = None) -> "RLSchedulerPolicy":
         """A copy of this policy aimed at another scenario or cluster.
 
         ``target`` is a registered scenario name, a
@@ -132,44 +128,22 @@ class RLSchedulerPolicy(Scheduler):
         target's native one (``"native"`` / ``"memory-blind"`` /
         ``"memory-neutral"`` — see
         :meth:`repro.config.EnvConfig.feature_compat`).  The policy keeps
-        observing through its *own* trained layout either way; with
-        ``on_mismatch="fail"`` a non-native combination raises
-        :class:`~repro.config.FeatureLayoutError` instead of adapting.
+        observing through its *own* trained layout either way, so every
+        combination deploys.
 
         ``self`` is never mutated — the zoo copy a study holds stays
         aimed at its training cluster.
         """
-        if on_mismatch not in StudyConfig.MISMATCH_MODES:
-            raise ValueError(
-                f"on_mismatch must be one of {StudyConfig.MISMATCH_MODES}, "
-                f"got {on_mismatch!r}"
-            )
         from repro.scenarios import Scenario, get_scenario  # local: no cycle
 
-        target_label = None
         if isinstance(target, (str, Scenario)):
             scenario = get_scenario(target)
             cluster = scenario.cluster
             target_env = scenario.env_config()
-            target_label = f"scenario {scenario.name!r}"
         else:
             cluster = ClusterSpec.coerce(target)
-            memory = cluster.memory is not None
-            target_env = EnvConfig(
-                job_features=max(self.env_config.job_features, 9) if memory
-                else self.env_config.job_features,
-                memory_features=memory,
-            )
-            target_label = f"cluster {cluster.n_procs}p"
+            target_env = EnvConfig(memory_features=cluster.memory is not None)
         compat = self.env_config.feature_compat(target_env)
-        if compat != "native" and on_mismatch == "fail":
-            raise FeatureLayoutError(
-                f"{self.name} was trained "
-                f"{'without' if compat == 'memory-blind' else 'with'} memory "
-                f"features but {target_label} is "
-                f"{'memory-constrained' if compat == 'memory-blind' else 'unconstrained'} "
-                f"({compat}); pass on_mismatch='adapt' to deploy anyway"
-            )
         clone = self.from_checkpoint(self.to_checkpoint())
         clone.n_procs = cluster.n_procs  # checked setter
         clone.compat = compat

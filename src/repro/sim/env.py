@@ -10,8 +10,8 @@ Observation (one row per visible job, ``JOB_FEATURES = 7`` columns):
 ====  =======================================================
 col   feature (all in [0, 1])
 ====  =======================================================
-0     waiting time so far, saturating ``w / (w + wait_scale)``
-1     requested runtime, ``log(r) / log(runtime_scale)``
+0     waiting time so far, saturating ``w / (w + WAIT_SCALE)``
+1     requested runtime, ``log(r) / log(RUNTIME_SCALE)``
 2     requested processors, ``n / cluster_size``
 3     free processors fraction (system state, same each row)
 4     can-run-now flag (request fits free processors)
@@ -19,7 +19,7 @@ col   feature (all in [0, 1])
 6     validity flag: 1 = real job, 0 = zero-padded slot
 ====  =======================================================
 
-With ``EnvConfig.memory_features`` on (and ``job_features >= 9``) two
+With ``EnvConfig.memory_features`` on (``job_features`` is then 9) two
 per-resource columns are appended for memory-constrained scenarios:
 
 ====  =======================================================
@@ -90,7 +90,14 @@ __all__ = [
     "observation_rows",
     "observe_queue",
     "stable_user_hash",
+    "WAIT_SCALE",
+    "RUNTIME_SCALE",
 ]
+
+#: saturating scale of the wait-time column 0, in seconds
+WAIT_SCALE = 86_400.0
+#: log-normalisation cap of the requested-runtime column 1, in seconds
+RUNTIME_SCALE = 5 * 86_400.0
 
 
 def fill_dynamic_features(
@@ -120,7 +127,7 @@ def fill_dynamic_features(
     free).
     """
     wait = now - submit
-    feats[:, 0] = wait / (wait + config.wait_scale)
+    feats[:, 0] = wait / (wait + WAIT_SCALE)
     feats[:, 3] = free_procs / n_procs
     feats[:, 4] = procs <= free_procs
     if config.memory_features:
@@ -212,7 +219,7 @@ class FeatureCache:
         # rows past ``size`` are zeros, so the dynamic columns (0, 3, 4,
         # 8) need no write here; observation_rows overwrites them anyway
         static = self.static[lo:hi]
-        log_cap = math.log(config.runtime_scale)
+        log_cap = math.log(RUNTIME_SCALE)
         static[:, 1] = [
             min(math.log(max(j.requested_time, 1.0)) / log_cap, 1.0)
             for j in jobs

@@ -84,6 +84,11 @@ class SchedulingEngine(EngineCore):
         #: row index of each job within ``self.jobs``; observation builders
         #: gather precomputed per-job feature columns by these rows
         self._row_of = {j.job_id: i for i, j in enumerate(self.jobs)}
+        if len(self._row_of) < len(self.jobs):
+            # a row names one job: two jobs with one id would share it
+            dup = next(j.job_id for i, j in enumerate(self.jobs)
+                       if self._row_of[j.job_id] != i)
+            raise ValueError(f"job {dup} appears more than once in the sequence")
         self._next_row = len(self.jobs)
 
     # ------------------------------------------------------------------

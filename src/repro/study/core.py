@@ -16,13 +16,13 @@ setting?  This module orchestrates the answer end to end:
 :func:`generalization_matrix`
     every trained policy, retargeted at every scenario through
     :meth:`~repro.schedulers.RLSchedulerPolicy.retarget` (checked
-    ``n_procs`` rebind + explicit feature-layout adapt-or-fail
-    semantics), evaluated alongside the heuristic baselines on each
-    scenario's own protocol sequences.  All (scenario, scheduler,
-    sequence) simulations run through the same cell dispatch as
-    :func:`repro.api.scenario_matrix` — per-cell scheduler subsets carry
-    the per-scenario retargeted policy instances — so results are
-    bit-identical for any worker count.
+    ``n_procs`` rebind; the policy observes through its own feature
+    layout and the compatibility mode is recorded), evaluated alongside
+    the heuristic baselines on each scenario's own protocol sequences.
+    All (scenario, scheduler, sequence) simulations run through the same
+    cell dispatch as :func:`repro.api.scenario_matrix` — per-cell
+    scheduler subsets carry the per-scenario retargeted policy instances
+    — so results are bit-identical for any worker count.
 
 The returned artifact is one JSON-serializable document: per-cell
 mean/std/per-sequence values, per-policy training curves and
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 #: artifact format identifier (bump on incompatible layout changes)
-ARTIFACT_SCHEMA = "repro/generalization-matrix@3"
+ARTIFACT_SCHEMA = "repro/generalization-matrix@4"
 
 
 @dataclass
@@ -192,12 +192,12 @@ def generalization_matrix(
 
     Trains (or restores) the zoo via :func:`train_matrix` unless
     ``trained`` is supplied, then evaluates each trained policy —
-    retargeted per scenario with ``config.on_mismatch`` semantics —
+    retargeted per scenario, its compatibility mode recorded —
     alongside ``config.heuristics`` on every scenario's protocol
     sequences.  Returns a JSON-serializable document::
 
         {
-          "schema": "repro/generalization-matrix@3",
+          "schema": "repro/generalization-matrix@4",
           "config": {... study config; "train" nests the TrainConfig,
                      "workers" is the evaluation's process count ...},
           "scenarios": {name: scenario.to_dict()},
@@ -250,9 +250,7 @@ def generalization_matrix(
             )
             sched_idx = list(range(len(heuristics)))
             for policy in policies:
-                retargeted = deployed[policy.name].retarget(
-                    scenario, on_mismatch=config.on_mismatch
-                )
+                retargeted = deployed[policy.name].retarget(scenario)
                 compat[policy.name][scenario.name] = retargeted.compat
                 sched_idx.append(len(schedulers))
                 schedulers.append(retargeted)

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.config import EnvConfig
 from repro.sim.cluster import mem_demand
-from repro.sim.env import stable_user_hash
+from repro.sim.env import RUNTIME_SCALE, WAIT_SCALE, stable_user_hash
 from repro.workloads.job import Job
 from repro.workloads.lublin import LublinParams, _daily_rate
 
@@ -41,10 +41,10 @@ def build_observation_loop(
 
     obs = np.zeros(config.observation_shape, dtype=np.float32)
     free_frac = free_procs / n_procs
-    log_cap = math.log(config.runtime_scale)
+    log_cap = math.log(RUNTIME_SCALE)
     for i, job in enumerate(visible):
         wait = now - job.submit_time
-        obs[i, 0] = wait / (wait + config.wait_scale)
+        obs[i, 0] = wait / (wait + WAIT_SCALE)
         obs[i, 1] = min(math.log(max(job.requested_time, 1.0)) / log_cap, 1.0)
         obs[i, 2] = job.requested_procs / n_procs
         obs[i, 3] = free_frac

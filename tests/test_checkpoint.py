@@ -74,6 +74,15 @@ class TestFrozenFixture:
         digest = hashlib.sha256(repr(schedules).encode()).hexdigest()
         assert digest[:16] == "0b29ad842248773f"
 
+    def test_retired_layout_fields_read_as_the_layout_implies(self):
+        """The file stores ``job_features`` 7, ``wait_scale`` 86400.0 and
+        ``runtime_scale`` 432000.0, which the layout now implies."""
+        stored = meta_of(FIXTURE)["env_config"]
+        assert (stored["job_features"], stored["wait_scale"],
+                stored["runtime_scale"]) == (7, 86_400.0, 432_000.0)
+        policy = RLSchedulerPolicy.load(FIXTURE)
+        assert policy.env_config == EnvConfig(max_obsv_size=128)
+
 
 class TestTrainingCheckpoint:
     def test_deploys_what_as_scheduler_deploys(self, result, trace, tmp_path):
@@ -199,6 +208,35 @@ class TestPolicyFile:
         with pytest.raises(KeyboardInterrupt):
             policy.save(target)
         assert list(tmp_path.iterdir()) == []
+
+    def test_memory_features_policy_round_trips(self, tmp_path):
+        env = EnvConfig(max_obsv_size=16, memory_features=True)
+        RLSchedulerPolicy(KernelPolicy(9, seed=0), 8, env).save(
+            tmp_path / "mem.npz")
+        assert set(meta_of(tmp_path / "mem.npz")["env_config"]) == {
+            "max_obsv_size", "backfill", "memory_features"}
+        loaded = RLSchedulerPolicy.load(tmp_path / "mem.npz")
+        assert loaded.env_config == env and loaded.env_config.job_features == 9
+        assert loaded.policy.job_features == 9
+
+    @pytest.mark.parametrize("field, value", [
+        ("wait_scale", 3600.0), ("job_features", 8), ("runtime_scale", 0.5),
+    ])
+    def test_retired_field_the_layout_contradicts_fails(
+        self, tmp_path, field, value
+    ):
+        """A retired ``env_config`` field is read only to check it: a
+        value the layout does not imply names the file and the field."""
+        path = tmp_path / "model.npz"
+        RLSchedulerPolicy(KernelPolicy(7, seed=0), 8, TINY_ENV).save(path)
+        env = dict(meta_of(path)["env_config"], job_features=7,
+                   wait_scale=86_400.0, runtime_scale=432_000.0)
+        _rewrite_meta(path, env_config=env)
+        assert RLSchedulerPolicy.load(path).env_config == TINY_ENV
+        _rewrite_meta(path, env_config={**env, field: value})
+        with pytest.raises(CheckpointError,
+                           match=f"model.npz: env_config field '{field}'"):
+            RLSchedulerPolicy.load(path)
 
     def test_writes_the_path_it_is_given(self, tmp_path):
         RLSchedulerPolicy(KernelPolicy(7, seed=0), 8, TINY_ENV).save(

@@ -367,7 +367,7 @@ def rl_schedulers():
             env_config=narrow, name="RL-narrow",
         )
     ]
-    wide = EnvConfig(max_obsv_size=8, job_features=9, memory_features=True)
+    wide = EnvConfig(max_obsv_size=8, memory_features=True)
     schedulers.append(
         RLSchedulerPolicy(
             KernelPolicy(wide.job_features, seed=4), n_procs=N_PROCS,
@@ -762,8 +762,7 @@ def assert_waves_equal_padded_oracle(sequences, spec, backfill, choose):
     # a 4-slot window: most of these queues outgrow it, so the FCFS
     # cut-off at MAX_OBSV_SIZE binds
     config = EnvConfig(
-        max_obsv_size=4, backfill=backfill,
-        job_features=9 if memory else 7, memory_features=memory,
+        max_obsv_size=4, backfill=backfill, memory_features=memory,
     )
 
     def copies(seq):
@@ -898,9 +897,7 @@ class FeatureTableLife(RuleBasedStateMachine):
     def layout(self, memory_features, finite_mem):
         self.total_mem = 256.0 if finite_mem else math.inf
         self.config = EnvConfig(
-            max_obsv_size=400,
-            memory_features=memory_features,
-            job_features=9 if memory_features else 7,
+            max_obsv_size=400, memory_features=memory_features,
         )
         self.table = FeatureCache((), N_PROCS, self.config, self.total_mem)
         self.live: list[Job] = []  # the job of each table row, in row order

@@ -340,8 +340,7 @@ class TestFeatureLayoutValidation:
         from repro.schedulers import FeatureLayoutError
 
         policy = make_policy("kernel", 16, 7)
-        nine_col = EnvConfig(max_obsv_size=16, job_features=9,
-                             memory_features=True)
+        nine_col = EnvConfig(max_obsv_size=16, memory_features=True)
         with pytest.raises(FeatureLayoutError, match="7 features"):
             RLSchedulerPolicy(policy, n_procs=8, env_config=nine_col)
 
@@ -364,8 +363,7 @@ class TestRetarget:
                                  name="RL-7f")
 
     def nine_feature_policy(self):
-        env_config = EnvConfig(max_obsv_size=16, job_features=9,
-                               memory_features=True)
+        env_config = EnvConfig(max_obsv_size=16, memory_features=True)
         policy = make_policy("kernel", 16, 9, seed=0)
         return RLSchedulerPolicy(policy, n_procs=256, env_config=env_config,
                                  name="RL-9f")
@@ -404,21 +402,6 @@ class TestRetarget:
         assert deployed.compat == "native"
         assert deployed.n_procs == 256
 
-    def test_strict_mode_raises_both_directions(self):
-        from repro.schedulers import FeatureLayoutError
-
-        with pytest.raises(FeatureLayoutError, match="memory-blind"):
-            self.seven_feature_policy().retarget(
-                "lublin-256-mem", on_mismatch="fail")
-        with pytest.raises(FeatureLayoutError, match="memory-neutral"):
-            self.nine_feature_policy().retarget(
-                "lublin-64", on_mismatch="fail")
-
-    def test_strict_mode_native_still_works(self):
-        deployed = self.seven_feature_policy().retarget(
-            "lublin-256", on_mismatch="fail")
-        assert deployed.compat == "native"
-
     def test_cluster_spec_and_bare_int_targets(self):
         from repro.sim import ClusterSpec
 
@@ -429,11 +412,6 @@ class TestRetarget:
         assert rl.retarget(mem_cluster).compat == "memory-blind"
         with pytest.raises(Exception):
             rl.retarget(0)  # checked n_procs setter fails loudly
-
-    def test_invalid_on_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="on_mismatch"):
-            self.seven_feature_policy().retarget("lublin-64",
-                                                 on_mismatch="maybe")
 
 
 class TestLockstep:
@@ -482,7 +460,7 @@ class TestLockstep:
     def test_memory_features_across_clusters_of_different_memory(self):
         """A memory-feature policy scales the free-memory column by each
         cluster's total: runs on both kinds of cluster share one call."""
-        sched = self.kernel(job_features=9, memory_features=True)
+        sched = self.kernel(memory_features=True)
         self.assert_per_sequence(
             sched,
             self.runs("lublin-256-mem", 2) + self.runs("lublin-256", 2)

@@ -143,7 +143,7 @@ class TestEnvConfigHelper:
     def test_memory_scenario_enables_memory_features(self):
         scen = get_scenario("lublin-256-mem")
         cfg = scen.env_config()
-        assert cfg.memory_features and cfg.job_features >= 9
+        assert cfg.memory_features and cfg.job_features == 9
 
     def test_default_scenario_keeps_base_config(self):
         base = EnvConfig(max_obsv_size=16)
@@ -347,8 +347,7 @@ class TestMemoryFeatures:
         jobs = trace.jobs[:24]
 
         base_cfg = EnvConfig(max_obsv_size=8)
-        mem_cfg = EnvConfig(max_obsv_size=8, job_features=9,
-                            memory_features=True)
+        mem_cfg = EnvConfig(max_obsv_size=8, memory_features=True)
         env_base = SchedGym(scen.cluster, make_reward("bsld"), config=base_cfg)
         env_mem = SchedGym(scen.cluster, make_reward("bsld"), config=mem_cfg)
         obs_b, _ = env_base.reset([j.copy() for j in jobs])
@@ -366,7 +365,7 @@ class TestMemoryFeatures:
 
         scen = get_scenario("lublin-256-mem")
         trace = scen.build_trace(n_jobs=60)
-        cfg = EnvConfig(max_obsv_size=16, job_features=9, memory_features=True)
+        cfg = EnvConfig(max_obsv_size=16, memory_features=True)
         pending = trace.jobs[:10]
         a = build_observation(pending, 50.0, 100, 256, cfg,
                               free_mem=120.0, total_mem=192.0)
@@ -375,8 +374,9 @@ class TestMemoryFeatures:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_memory_features_need_nine_columns(self):
-        with pytest.raises(ValueError, match="job_features >= 9"):
-            EnvConfig(memory_features=True)
+        """The width follows from the layout: it cannot disagree with it."""
+        assert EnvConfig(memory_features=True).job_features == 9
+        assert EnvConfig().job_features == 7
 
 
 class TestScenarioTraining:

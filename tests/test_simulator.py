@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.schedulers import FCFS, SJF
-from repro.sim import SchedulingEngine, run_scheduler
+from repro.config import EnvConfig
+from repro.schedulers import FCFS, SJF, make_scheduler
+from repro.sim import SchedulingEngine, VecSchedGym, run_scheduler
 from repro.sim.metrics import average_waiting_time
 from repro.workloads import Job
 
@@ -31,6 +32,22 @@ class TestEngineBasics:
     def test_oversized_job_rejected(self):
         with pytest.raises(ValueError, match="cluster has 4"):
             SchedulingEngine([job(1, 0, 10, 8)], 4)
+
+    def test_repeated_job_id_rejected(self):
+        """A row names one job, keyed by its id: two jobs with one id used
+        to share a row, so FCFS / SJF / WFP3 died mid-run ("job 1 is not
+        pending") and a training reset read the second job's features
+        for the first.  The sequence is refused up front instead."""
+        jobs = [job(1, 0, 100, 4), job(1, 1, 10, 4), job(2, 2, 5, 4)]
+        match = "job 1 appears more than once"
+        with pytest.raises(ValueError, match=match):
+            SchedulingEngine(jobs, 4)
+        for name in ("FCFS", "SJF", "WFP3"):
+            with pytest.raises(ValueError, match=match):
+                run_scheduler(jobs, 4, make_scheduler(name))
+        with pytest.raises(ValueError, match=match):
+            VecSchedGym(4, EnvConfig(max_obsv_size=4)).reset(
+                [(jobs, 4, False)])
 
     def test_single_job_runs_immediately(self):
         engine = SchedulingEngine([job(1, 0, 100, 2)], 4)

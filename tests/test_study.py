@@ -296,20 +296,8 @@ class TestGeneralizationMatrix:
         assert all(p["from_checkpoint"] for p in doc2["policies"].values())
         assert doc2["results"] == doc["results"]
 
-    def test_on_mismatch_fail_raises(self, zoo):
-        from repro.config import FeatureLayoutError
-
-        _, config, trained = zoo
-        strict = dataclasses.replace(config, on_mismatch="fail")
-        with pytest.raises(FeatureLayoutError):
-            generalization_matrix(strict, trained=trained)
-
 
 class TestStudyConfig:
-    def test_validates_on_mismatch(self, tmp_path):
-        with pytest.raises(ValueError, match="on_mismatch"):
-            tiny_study_config(tmp_path, on_mismatch="explode")
-
     def test_validates_sizes(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_study_config(tmp_path, epochs=0)

@@ -35,16 +35,16 @@ Worker processes
 Sequences are independent simulations.  ``EvalConfig.workers`` (1 by
 default) runs them in a loop in this process; ``workers=N`` fans them
 over a :class:`concurrent.futures.ProcessPoolExecutor` of N processes.
-Sequences are pre-sampled in the parent and dispatched by index, and
-per-sequence values are reassembled in sampling order — scores are
-bit-identical for any worker count.  Schedulers and sequences reach each
-worker once per call, through the pool's initializer (for RL policies
-this is the policy weights), so each task ships a few integers; the
-scenario matrix hands over every scenario's sequences once and ships
-``(scenario, scheduler, sequence)`` index triples — for an RL scheduler,
-groups of sequences run in lock-step, one policy forward per wave
-(:func:`_cell_tasks`); a job's score does not depend on the rows scored
-beside it, so no grouping can change a value.
+Every call builds *cells* (:func:`_cell`: one setting's pre-sampled
+sequences, cluster, backfill mode and metric, and the schedulers scored
+on it) and hands them to the one dispatcher, :func:`_run_cells`.
+Schedulers and sequences reach each worker once per call, through the
+pool's initializer (for RL policies this is the policy weights), so each
+task ships a few integers: ``(scheduler, ((cell, sequence), ...))`` —
+one run, or for an RL scheduler a group of runs in lock-step, one policy
+forward per wave.  Per-sequence values are reassembled in sampling
+order, and a job's score does not depend on the rows scored beside it,
+so scores are bit-identical for any worker count and any grouping.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ __all__ = [
     "train_matrix",
     "generalization_matrix",
     "EvalResult",
+    "WindowError",
 ]
 
 train = _train
@@ -125,59 +126,31 @@ class EvalResult(float):
 # ----------------------------------------------------------------------
 # task functions (top-level: picklable by reference)
 # ----------------------------------------------------------------------
-def _install_matrix_state(schedulers, cells):
-    """Everything a task needs, built once per call: ``cells[ci]`` holds
-    one evaluation setting's pre-sampled sequences, cluster spec,
-    backfill mode and metric name.  evaluate/compare are the one-cell
-    special case of the scenario matrix, so this is the single state
-    for all of them."""
-    return {
-        "schedulers": schedulers,
-        "cells": [
-            {
-                "sequences": sequences,
-                "cluster": cluster,
-                "backfill": backfill,
-                "metric_fn": metric_by_name(metric)[0],
-            }
-            for sequences, cluster, backfill, metric in cells
-        ],
-    }
-
-
-def _task_runs(task) -> list[tuple[int, int]]:
-    """The ``(ci, qi)`` runs a :func:`_matrix_task` task names."""
-    ci, _, qi = task
-    return list(zip(ci, qi)) if isinstance(ci, tuple) else [(ci, qi)]
-
-
 def _matrix_task(state, task):
-    """Score scheduler ``si`` on sequence ``qi`` of cell ``ci``; returns
-    the list of values of the task's runs.
+    """Score ``task = (si, runs)``: scheduler ``si`` on sequence ``qi`` of
+    cell ``ci`` for each ``(ci, qi)`` in ``runs``; returns their values.
 
-    ``task`` is ``(ci, si, qi)``: one run, or, for a scheduler that runs
-    lock-step (:meth:`repro.schedulers.RLSchedulerPolicy.run_lockstep`),
-    ``ci`` and ``qi`` are parallel tuples naming a group of runs that
-    advance together.  Each run records one ``eval.cell_latency_sec``
-    sample, the task's simulate+score time split evenly over its runs; in
-    a pool worker the samples travel back with the task's values.
+    ``state`` is ``(schedulers, cells)`` of a :func:`_run_cells` call.  A
+    scheduler that runs lock-step
+    (:meth:`repro.schedulers.RLSchedulerPolicy.run_lockstep`) advances its
+    runs together; any other has one run per task.  Each run records one
+    ``eval.cell_latency_sec`` sample, the task's simulate+score time split
+    evenly over its runs; in a pool worker the samples travel back with
+    the task's values.
     """
-    runs = _task_runs(task)
-    cells = state["cells"]
-    scheduler = state["schedulers"][task[1]]
+    schedulers, cells = state
+    si, runs = task
+    scheduler = schedulers[si]
     reg = _telemetry.current()
     t0 = time.perf_counter() if reg.enabled else 0.0
-    settings = [
-        (cells[c]["sequences"][q], cells[c]["cluster"], cells[c]["backfill"])
-        for c, q in runs
-    ]
-    if isinstance(task[0], tuple):
+    settings = [(cells[c][0][q], cells[c][1], cells[c][2]) for c, q in runs]
+    if hasattr(scheduler, "run_lockstep"):
         completed = scheduler.run_lockstep(settings)
     else:
-        jobs, cluster, backfill = settings[0]
+        [(jobs, cluster, backfill)] = settings
         completed = [run_scheduler(jobs, cluster, scheduler, backfill=backfill)]
     values = [
-        float(cells[c]["metric_fn"](done, cells[c]["cluster"].n_procs))
+        float(metric_by_name(cells[c][3])[0](done, cells[c][1].n_procs))
         for (c, _), done in zip(runs, completed)
     ]
     if reg.enabled:
@@ -188,8 +161,8 @@ def _matrix_task(state, task):
     return values
 
 
-#: a pool worker's matrix state, set once by :func:`_pool_init`
-_pool_state: dict = {}
+#: a pool worker's ``(schedulers, cells)``, set once by :func:`_pool_init`
+_pool_state: tuple = ()
 
 
 def _pool_init(state, telemetry_enabled):
@@ -210,42 +183,17 @@ def _pool_task(task):
     return values, reg.drain() if reg.has_data() else None
 
 
-def _cell_tasks(schedulers, cells, cell_schedulers, workers, per_cell):
-    """The tasks of a :func:`_run_cells` call (see :func:`_matrix_task`).
+def _run_cells(cells, workers, heartbeat=None) -> list[list[np.ndarray]]:
+    """Run every (cell, scheduler, sequence) and return ``values[ci][k]``,
+    scheduler ``k`` of cell ``ci`` over the cell's sequences in order.
 
-    A scheduler with ``run_lockstep`` runs in groups: one per cell when
-    ``per_cell``, else its runs of the whole call in ``workers``
-    contiguous chunks (one group on one worker).  Every other scheduler
-    runs one ``(ci, si, qi)`` task per sequence.
-    """
-    tasks = []
-    for si, scheduler in enumerate(schedulers):
-        runs = [
-            (ci, qi)
-            for ci, sched_idx in enumerate(cell_schedulers) if si in sched_idx
-            for qi in range(len(cells[ci][0]))
-        ]
-        if not hasattr(scheduler, "run_lockstep"):
-            tasks.extend((ci, si, qi) for ci, qi in runs)
-            continue
-        if per_cell:
-            groups = [[r for r in runs if r[0] == ci] for ci in range(len(cells))]
-        else:
-            cuts = [len(runs) * k // workers for k in range(workers + 1)]
-            groups = [runs[a:b] for a, b in zip(cuts, cuts[1:])]
-        tasks.extend(
-            (tuple(c for c, _ in g), si, tuple(q for _, q in g))
-            for g in groups if g
-        )
-    return tasks
-
-
-def _run_cells(
-    schedulers, cells, workers, cell_schedulers=None, heartbeat=None
-) -> list[list[np.ndarray]]:
-    """Run every (cell, scheduler, sequence) and reassemble
-    ``values[ci][si]`` in sequence order.  One worker runs the tasks in a
-    loop in this process; more map them over a
+    A cell is ``(sequences, cluster, backfill, metric, schedulers)``
+    (:func:`_cell`); one scheduler object named by several cells is one
+    scheduler.  Every task is ``(si, runs)`` (:func:`_matrix_task`): a
+    scheduler with ``run_lockstep`` takes its runs of the whole call in
+    ``workers`` contiguous groups, any other one run per task.  Tasks run
+    in the order of the cell their first run is in: in a loop in this
+    process on one worker, else through one ``map`` over a
     :class:`ProcessPoolExecutor` of ``workers`` processes, each started
     with the same state.  A sequence's value does not depend on which
     task ran it — a lock-stepped RL run picks exactly what it picks alone
@@ -253,70 +201,94 @@ def _run_cells(
     task raises its own exception either way; a worker that dies raises
     :class:`concurrent.futures.process.BrokenProcessPool`.
 
-    ``cell_schedulers`` optionally restricts each cell to a subset of the
-    global scheduler list: one list of scheduler indices per cell (the
-    generalization study evaluates per-scenario retargeted policy
-    instances, so its cells disagree on which schedulers apply).  The
-    returned ``values[ci]`` is aligned with ``cell_schedulers[ci]``;
-    ``None`` keeps the historical all-schedulers-everywhere behaviour.
-
-    ``heartbeat(ci, seconds)``, when given, is called in the parent after
-    each cell's tasks finish (study progress reporting).  Tasks are then
-    dispatched cell by cell, and lock-step groups never span two cells.
+    ``heartbeat(ci, seconds)``, when given, is called in the parent, in
+    cell order, once the last task naming cell ``ci`` has been consumed;
+    ``seconds`` is the time since the previous call (on one worker, the
+    time the cell's tasks took).
     """
-    if cell_schedulers is None:
-        cell_schedulers = [list(range(len(schedulers)))] * len(cells)
-    tasks = _cell_tasks(schedulers, cells, cell_schedulers, workers,
-                        per_cell=heartbeat is not None)
-    batches = (
-        [tasks] if heartbeat is None
-        else [[t for t in tasks if _task_runs(t)[0][0] == ci]
-              for ci in range(len(cells))]
-    )
-    state = _install_matrix_state(list(schedulers), cells)
+    schedulers = list({id(s): s for *_, named in cells for s in named}.values())
+    slot = {id(s): si for si, s in enumerate(schedulers)}
+    tasks = []
+    for si, scheduler in enumerate(schedulers):
+        runs = [
+            (ci, qi)
+            for ci, (sequences, *_, named) in enumerate(cells)
+            if any(s is scheduler for s in named)
+            for qi in range(len(sequences))
+        ]
+        if hasattr(scheduler, "run_lockstep"):
+            cuts = [len(runs) * k // workers for k in range(workers + 1)]
+            tasks.extend((si, tuple(runs[a:b]))
+                         for a, b in zip(cuts, cuts[1:]) if a < b)
+        else:
+            tasks.extend((si, (run,)) for run in runs)
+    tasks.sort(key=lambda task: task[1][0][0])
+    last = [-1] * len(cells)
+    for t, (_, runs) in enumerate(tasks):
+        for ci, _ in runs:
+            last[ci] = t
+    state = (schedulers, cells)
     values: dict[tuple[int, int, int], float] = {}
     pool = None
-    if workers > 1:
-        pool = ProcessPoolExecutor(
-            workers, initializer=_pool_init,
-            initargs=(state, _telemetry.enabled()),
-        )
     try:
-        for ci, batch in enumerate(batches):
-            t0 = time.perf_counter()
-            if pool is None:
-                results = [_matrix_task(state, t) for t in batch]
-            else:
-                reg = _telemetry.current()
-                chunksize = max(1, -(-len(batch) // (4 * workers)))
-                results = []
-                for task_values, delta in pool.map(_pool_task, batch,
-                                                   chunksize=chunksize):
-                    reg.absorb(delta)
-                    results.append(task_values)
-            for task, task_values in zip(batch, results):
-                for (c, q), value in zip(_task_runs(task), task_values):
-                    values[c, task[1], q] = value
-            if heartbeat is not None:
-                heartbeat(ci, time.perf_counter() - t0)
+        if workers > 1:
+            pool = ProcessPoolExecutor(
+                workers, initializer=_pool_init,
+                initargs=(state, _telemetry.enabled()),
+            )
+            chunksize = max(1, -(-len(tasks) // (4 * workers)))
+            results = pool.map(_pool_task, tasks, chunksize=chunksize)
+        else:
+            results = ((_matrix_task(state, task), None) for task in tasks)
+        reg = _telemetry.current()
+        beat, t0 = 0, time.perf_counter()
+        for t, ((si, runs), (task_values, delta)) in enumerate(
+            zip(tasks, results)
+        ):
+            reg.absorb(delta)
+            for (ci, qi), value in zip(runs, task_values):
+                values[ci, si, qi] = value
+            while heartbeat and beat < len(cells) and last[beat] <= t:
+                now = time.perf_counter()
+                heartbeat(beat, now - t0)
+                beat, t0 = beat + 1, now
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return [
         [
-            np.array([values[ci, si, qi] for qi in range(len(sequences))],
+            np.array([values[ci, slot[id(s)], qi] for qi in range(len(sequences))],
                      dtype=np.float64)
-            for si in sched_idx
+            for s in named
         ]
-        for ci, ((sequences, *_), sched_idx)
-        in enumerate(zip(cells, cell_schedulers))
+        for ci, (sequences, *_, named) in enumerate(cells)
     ]
 
 
+class WindowError(ValueError):
+    """An evaluation window longer than the trace it is sampled from."""
+
+
+def _cell(schedulers, trace, cluster, backfill, metric, config, name=None):
+    """One evaluation cell, ``(sequences, cluster, backfill, metric,
+    schedulers)``: ``config.n_sequences`` windows of
+    ``config.sequence_length`` jobs sampled from ``trace`` at
+    ``config.seed``, the same windows for every scheduler.  An unknown
+    metric, or a window longer than the trace (:class:`WindowError`,
+    naming the cell ``name`` or else the trace), fails here in the parent,
+    before anything runs."""
+    metric_by_name(metric)
+    if config.sequence_length > len(trace):
+        raise WindowError(
+            f"{name or f'trace {trace.name!r}'}: a {config.sequence_length}"
+            f"-job evaluation window does not fit in a {len(trace)}-job trace"
+        )
+    sampler = SequenceSampler(trace, config.sequence_length, seed=config.seed)
+    sequences = sampler.sample_many(config.n_sequences)
+    return sequences, cluster, backfill, metric, list(schedulers)
+
+
 # ----------------------------------------------------------------------
-TraceOrScenario = "SWFTrace | str | Scenario"
-
-
 def _resolve_setting(
     trace,
     metric: str | None,
@@ -337,10 +309,7 @@ def _resolve_setting(
         scenario = get_scenario(trace)
         trace = None
     if scenario is None and config is not None and config.scenario is not None:
-        if trace is None:
-            scenario, trace = resolve_scenario_config(config.scenario)
-        else:
-            scenario = get_scenario(config.scenario.name)
+        scenario, trace = resolve_scenario_config(config.scenario, trace)
     if scenario is not None:
         if trace is None:
             trace = scenario.build_trace()
@@ -361,28 +330,6 @@ def _resolve_setting(
     return trace, cluster, metric, backfill, config
 
 
-def _evaluate_matrix(
-    schedulers: Sequence[Scheduler],
-    trace: SWFTrace,
-    metric: str,
-    backfill: "bool | str",
-    config: EvalConfig,
-    cluster: ClusterSpec | None = None,
-) -> np.ndarray:
-    """Per-(scheduler, sequence) metric values, ``(S, Q)``, over
-    ``config.workers`` — the one-cell case of :func:`_run_cells`.  Every
-    scheduler sees the identical pre-sampled sequence list, and results
-    are assembled in (scheduler, sequence) order regardless of worker
-    count."""
-    metric_by_name(metric)  # fail fast in the parent on unknown metrics
-    cluster = cluster or ClusterSpec(trace.max_procs)
-    sampler = SequenceSampler(trace, config.sequence_length, seed=config.seed)
-    sequences = sampler.sample_many(config.n_sequences)
-    cells = [(sequences, cluster, backfill, metric)]
-    values = _run_cells(schedulers, cells, config.workers)
-    return np.stack(values[0])
-
-
 def evaluate(
     scheduler: Scheduler,
     trace: "SWFTrace | str | Scenario" = None,
@@ -401,13 +348,12 @@ def evaluate(
     trace, cluster, metric, backfill, config = _resolve_setting(
         trace, metric, backfill, config
     )
+    cell = _cell([scheduler], trace, cluster, backfill, metric, config)
     with telemetry_run(
         config.telemetry, meta={"command": "evaluate", "metric": metric}
     ):
-        matrix = _evaluate_matrix(
-            [scheduler], trace, metric, backfill, config, cluster=cluster
-        )
-    return EvalResult(matrix[0])
+        [values] = _run_cells([cell], config.workers)[0]
+    return EvalResult(values)
 
 
 def _named_schedulers(
@@ -436,16 +382,13 @@ def compare(
         trace, metric, backfill, config
     )
     items = _named_schedulers(schedulers)
+    cell = _cell([s for _, s in items], trace, cluster, backfill, metric,
+                 config)
     with telemetry_run(
         config.telemetry, meta={"command": "compare", "metric": metric}
     ):
-        matrix = _evaluate_matrix(
-            [s for _, s in items], trace, metric, backfill, config,
-            cluster=cluster,
-        )
-    return {
-        name: EvalResult(matrix[i]) for i, (name, _) in enumerate(items)
-    }
+        [values] = _run_cells([cell], config.workers)
+    return {name: EvalResult(v) for (name, _), v in zip(items, values)}
 
 
 def scenario_matrix(
@@ -479,31 +422,24 @@ def scenario_matrix(
     if not resolved:
         raise ValueError("need at least one scenario")
     items = _named_schedulers(schedulers)
-
-    cells = []
-    for scen in resolved:
-        proto = scen.protocol
-        cell_metric = metric or proto.metric
-        metric_by_name(cell_metric)  # fail fast in the parent
-        cell_config = config or proto.eval_config()
-        sampler = SequenceSampler(
+    cells = [
+        _cell(
+            [s for _, s in items],
             scen.build_trace(n_jobs=n_jobs),
-            cell_config.sequence_length,
-            seed=cell_config.seed,
-        )
-        cells.append((
-            sampler.sample_many(cell_config.n_sequences),
             scen.cluster,
-            proto.backfill if backfill is None else backfill,
-            cell_metric,
-        ))
-
+            scen.protocol.backfill if backfill is None else backfill,
+            metric or scen.protocol.metric,
+            config or scen.protocol.eval_config(),
+            f"scenario {scen.name}",
+        )
+        for scen in resolved
+    ]
     eval_config = config or EvalConfig()
     with telemetry_run(
         eval_config.telemetry,
         meta={"command": "scenario_matrix", "scenarios": len(resolved)},
     ):
-        values = _run_cells([s for _, s in items], cells, eval_config.workers)
+        values = _run_cells(cells, eval_config.workers)
     return {
         scen.name: {
             name: EvalResult(values[ci][si])

@@ -79,6 +79,7 @@ from . import (
     scenario_matrix,
     train,
 )
+from .api import WindowError
 from .checkpoint import CheckpointError
 from .nn import POLICY_PRESETS
 from .scenarios import available_scenarios, get_scenario
@@ -771,7 +772,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except argparse.ArgumentError as exc:  # a config rejected a flag value
         parser.error(f"{args.command}: {exc}")
-    except CheckpointError as exc:  # a policy file named on the command line
+    # a policy file named on the command line, or an evaluation window
+    # longer than its trace
+    except (CheckpointError, WindowError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

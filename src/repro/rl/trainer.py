@@ -204,14 +204,11 @@ class Trainer:
             # Scenario training: the scenario supplies whatever the caller
             # did not pass explicitly — trace, cluster, and (for
             # memory-constrained clusters) the per-resource feature config.
-            from repro.scenarios import get_scenario, resolve_scenario_config
+            from repro.scenarios import resolve_scenario_config
 
-            if trace is None:
-                scenario, trace = resolve_scenario_config(
-                    self.train_config.scenario
-                )
-            else:
-                scenario = get_scenario(self.train_config.scenario.name)
+            scenario, trace = resolve_scenario_config(
+                self.train_config.scenario, trace
+            )
             cluster = cluster or scenario.cluster
             env_config = scenario.env_config(env_config)
         if trace is None:

@@ -354,9 +354,16 @@ def available_scenarios() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def resolve_scenario_config(config: ScenarioConfig) -> tuple[Scenario, SWFTrace]:
+def resolve_scenario_config(
+    config: ScenarioConfig, trace: SWFTrace | None = None
+) -> tuple[Scenario, SWFTrace]:
     """Resolve a :class:`repro.config.ScenarioConfig` into the scenario
-    and its built trace, honouring the config's size/seed overrides."""
+    and its built trace, honouring the config's size/seed overrides.
+
+    An explicitly passed ``trace`` wins over the scenario's workload and
+    comes back as is; the scenario still supplies the cluster and the
+    protocol (evaluation and training apply this one rule alike)."""
     scenario = get_scenario(config.name)
-    trace = scenario.build_trace(n_jobs=config.n_jobs, seed=config.seed)
+    if trace is None:
+        trace = scenario.build_trace(n_jobs=config.n_jobs, seed=config.seed)
     return scenario, trace

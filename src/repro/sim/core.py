@@ -417,7 +417,6 @@ class OnlineSchedulingEngine(EngineCore):
     def __init__(self, cluster: int | ClusterSpec, backfill: bool | str = False):
         super().__init__(cluster, backfill=backfill)
         self._horizon = 0.0
-        self._inflight: Job | None = None
         #: jobs started since the last :meth:`take_started`, in start order
         self.started: list[Job] = []
         self.n_submitted = 0
@@ -432,7 +431,7 @@ class OnlineSchedulingEngine(EngineCore):
     @property
     def inflight(self) -> Job | None:
         """The committed-but-stalled job, if a commit paused at the horizon."""
-        return self._inflight
+        return self._stall
 
     @property
     def idle(self) -> bool:
@@ -440,7 +439,7 @@ class OnlineSchedulingEngine(EngineCore):
         admitted."""
         return (
             not self.pending
-            and self._inflight is None
+            and self._stall is None
             and not self._running  # one finish on the heap per running job
             and self._cursor == len(self._arrivals)
         )
@@ -490,24 +489,20 @@ class OnlineSchedulingEngine(EngineCore):
         Resumes any stalled commit first — new decisions are not exposed
         while a previous commitment is still waiting to be honoured.
         """
-        if self._inflight is not None:
-            if not super().commit(self._inflight, self._horizon):
-                return False
-            self._inflight = None
+        if self._stall is not None and not super().commit(
+            self._stall, self._horizon
+        ):
+            return False
         return self.advance_until_decision(self._horizon)
 
     def commit(self, job: Job, until: float | None = None) -> bool:
         """Commit to ``job``; False if the wait stalled at the horizon."""
-        if self._inflight is not None and self._inflight is not job:
+        if self._stall is not None and self._stall is not job:
             raise RuntimeError(
-                f"commit already in flight for job {self._inflight.job_id}; "
+                f"commit already in flight for job {self._stall.job_id}; "
                 "pump next_decision() before committing another"
             )
-        self._inflight = None
-        if super().commit(job, self._horizon if until is None else until):
-            return True
-        self._inflight = job
-        return False
+        return super().commit(job, self._horizon if until is None else until)
 
     def _start(self, i: int, job: Job) -> None:
         super()._start(i, job)

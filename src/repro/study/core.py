@@ -20,9 +20,9 @@ setting?  This module orchestrates the answer end to end:
     layout and the compatibility mode is recorded), evaluated alongside
     the heuristic baselines on each scenario's own protocol sequences.
     All (scenario, scheduler, sequence) simulations run through the same
-    cell dispatch as :func:`repro.api.scenario_matrix` — per-cell
-    scheduler subsets carry the per-scenario retargeted policy instances
-    — so results are bit-identical for any worker count.
+    cells and dispatch as :func:`repro.api.scenario_matrix` — each cell
+    names the heuristics and the policy instances retargeted at its
+    scenario — so results are bit-identical for any worker count.
 
 The returned artifact is one JSON-serializable document: per-cell
 mean/std/per-sequence values, per-policy training curves and
@@ -38,13 +38,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.config import EnvConfig, ScenarioConfig, StudyConfig
+from repro.config import EnvConfig, EvalConfig, ScenarioConfig, StudyConfig
 from repro.rl import Trainer, TrainingResult
 from repro.scenarios import Scenario, available_scenarios, get_scenario
 from repro.schedulers import RLSchedulerPolicy, make_scheduler
-from repro.sim.metrics import metric_by_name
 from repro.telemetry.sink import telemetry_run
-from repro.workloads.sampler import SequenceSampler
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -205,12 +203,38 @@ def generalization_matrix(
           "results": {scenario: {scheduler: {mean, std, n, values}}},
         }
 
-    Results are bit-identical for any worker count (sequences are
-    pre-sampled in the parent and reassembled in dispatch order), so
-    in-process and multi-worker runs produce the same artifact.
+    Every scenario's sequences are sampled first, so a metric or an
+    evaluation window that does not fit (:class:`repro.api.WindowError`)
+    fails before any training.  Results are bit-identical for any worker
+    count (sequences are pre-sampled in the parent and reassembled in
+    sampling order), so in-process and multi-worker runs produce the same
+    artifact.  ``progress`` hears one line per cell (and the telemetry
+    sink one ``heartbeat`` event) as each cell's last task completes.
     """
     config = config or StudyConfig()
     scenarios = _study_scenarios(config)
+    from repro.api import EvalResult, _cell, _run_cells  # local: repro.api re-exports us
+
+    # every scenario's metric and window are checked, and its sequences
+    # sampled, before any policy trains
+    heuristics = [make_scheduler(n) for n in config.heuristics]
+    cells = [
+        _cell(
+            heuristics,
+            scenario.build_trace(n_jobs=config.n_jobs),
+            scenario.cluster,
+            scenario.protocol.backfill,
+            config.metric or scenario.protocol.metric,
+            EvalConfig(
+                n_sequences=config.n_sequences or scenario.protocol.n_sequences,
+                sequence_length=(config.sequence_length
+                                 or scenario.protocol.sequence_length),
+                seed=scenario.protocol.seed,
+            ),
+            f"scenario {scenario.name}",
+        )
+        for scenario in scenarios
+    ]
     with telemetry_run(
         config.telemetry,
         meta={"command": "study", "scenarios": [s.name for s in scenarios]},
@@ -218,49 +242,21 @@ def generalization_matrix(
         if trained is None:
             trained = train_matrix(config, progress=progress)
         policies = list(trained.values())
-
-        heuristics = [make_scheduler(n) for n in config.heuristics]
         names = [s.name for s in heuristics] + [p.name for p in policies]
         if len(set(names)) != len(names):
             raise ValueError(f"scheduler names must be unique, got {names}")
 
-        # Global scheduler list: the heuristics apply to every cell; each
-        # trained policy contributes one retargeted instance per scenario
+        # Each trained policy joins every cell retargeted at its scenario
         # (n_procs and the feature-compat mode differ cell to cell).  The
-        # best-epoch deployment is scenario-independent — build it once per
-        # policy; retarget() clones per scenario.
-        schedulers: list = list(heuristics)
-        deployed = {
-            p.name: p.result.as_scheduler(name=p.name) for p in policies
-        }
-        cells, cell_schedulers = [], []
+        # best-epoch deployment is scenario-independent — build it once
+        # per policy; retarget() clones per scenario.
+        deployed = [p.result.as_scheduler(name=p.name) for p in policies]
         compat: dict[str, dict[str, str]] = {p.name: {} for p in policies}
-        for scenario in scenarios:
-            protocol = scenario.protocol
-            metric = config.metric or protocol.metric
-            metric_by_name(metric)  # fail fast in the parent
-            n_sequences = config.n_sequences or protocol.n_sequences
-            sequence_length = (
-                config.sequence_length or protocol.sequence_length
-            )
-            sampler = SequenceSampler(
-                scenario.build_trace(n_jobs=config.n_jobs),
-                sequence_length,
-                seed=protocol.seed,
-            )
-            sched_idx = list(range(len(heuristics)))
-            for policy in policies:
-                retargeted = deployed[policy.name].retarget(scenario)
-                compat[policy.name][scenario.name] = retargeted.compat
-                sched_idx.append(len(schedulers))
-                schedulers.append(retargeted)
-            cells.append((
-                sampler.sample_many(n_sequences),
-                scenario.cluster,
-                protocol.backfill,
-                metric,
-            ))
-            cell_schedulers.append(sched_idx)
+        for ci, scenario in enumerate(scenarios):
+            retargeted = [rl.retarget(scenario) for rl in deployed]
+            for policy, rl in zip(policies, retargeted):
+                compat[policy.name][scenario.name] = rl.compat
+            cells[ci] = (*cells[ci][:4], heuristics + retargeted)
         _say(progress,
              f"evaluating {len(names)} schedulers x {len(scenarios)} "
              f"scenarios on {config.workers} worker(s)")
@@ -277,15 +273,7 @@ def generalization_matrix(
                     index=ci, total=len(scenarios),
                 )
 
-        from repro.api import EvalResult, _run_cells  # local: repro.api re-exports us
-
-        # Cell-by-cell dispatch only when someone is listening — the
-        # single-map path and the heartbeat path are bit-identical.
-        wants_heartbeat = progress is not None or sink is not None
-        values = _run_cells(
-            schedulers, cells, config.workers, cell_schedulers,
-            heartbeat=_heartbeat if wants_heartbeat else None,
-        )
+        values = _run_cells(cells, config.workers, heartbeat=_heartbeat)
     results = {
         scenario.name: {
             name: EvalResult(vals).to_dict()

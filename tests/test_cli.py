@@ -634,6 +634,35 @@ class TestPolicyFiles:
         assert "Traceback" not in captured.err
 
 
+class TestEvaluationWindow:
+    """An evaluation window longer than its trace stops the command with
+    one line naming the scenario or trace, the window and the job count,
+    and exit 2, no traceback; the study stops before any training."""
+
+    @pytest.mark.parametrize("argv, label, window, jobs", [
+        (["study", "--scenarios", "lublin-64", "--heuristics", "FCFS",
+          "--jobs", "400", "--epochs", "1", "--trajectories", "2",
+          "--length", "16", "--obsv", "8"], "scenario lublin-64", 1024, 400),
+        (["compare", "--scenarios", "lublin-64", "--jobs", "100",
+          "--length", "128"], "scenario lublin-64", 128, 100),
+        (["evaluate", "Lublin-1", "--jobs", "100", "--length", "128"],
+         "trace 'Lublin-1'", 128, 100),
+    ])
+    def test_oversize_window_fails_in_one_line(self, argv, label, window,
+                                               jobs, tmp_path, capsys):
+        zoo = tmp_path / "zoo"
+        if argv[0] == "study":
+            argv = [*argv, "--zoo-dir", str(zoo)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"{argv[0]}: {label}: ")
+        assert f"{window}-job" in line and f"{jobs}-job" in line
+        assert "Traceback" not in captured.err
+        assert not zoo.exists()
+
+
 class TestServeParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])

@@ -39,8 +39,8 @@ class TestLifecycle:
 # ----------------------------------------------------------------------
 # worker failures
 # ----------------------------------------------------------------------
-#: the task ``(cell, scheduler, sequence)`` whose worker is killed
-_DOOMED = (0, 0, 1)
+#: the task ``(scheduler, ((cell, sequence),))`` whose worker is killed
+_DOOMED = (0, ((0, 1),))
 _matrix_task = api._matrix_task
 
 
@@ -79,7 +79,7 @@ class TestInProcess:
         outlives the call."""
         config = EvalConfig(n_sequences=2, sequence_length=24, workers=workers)
         monkeypatch.setattr(api, "_matrix_task", _matrix_task_raises)
-        with pytest.raises(_TaskFailure, match=r"task \(0, 0, 0\)") as err:
+        with pytest.raises(_TaskFailure, match=r"task \(0, \(\(0, 0\),\)\)") as err:
             api.compare([FCFS(), SJF()], trace, config=config)
         if workers > 1:
             assert "_matrix_task_raises" in str(err.value.__cause__)

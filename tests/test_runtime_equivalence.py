@@ -78,33 +78,31 @@ class TestEvaluationGolden:
         five = evaluate(sched, trace, config=EvalConfig(**self.CFG))
         np.testing.assert_array_equal(three.values, five.values[:3])
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_per_cell_groups_match_whole_call_groups(self, trace, workers):
-        """With a heartbeat, lock-step groups are cut per cell (and cells
-        may name a subset of the schedulers); the values are the same."""
-        from repro.api import _run_cells
+        """Cells name their own schedulers (one object in two cells is
+        one scheduler, whose lock-step groups may span both); a heartbeat
+        fires once per cell, in cell order, and changes no value."""
+        from repro.api import _cell, _run_cells
         from repro.sim import ClusterSpec
-        from repro.workloads import SequenceSampler
 
         cfg = EnvConfig(max_obsv_size=16)
         sched = RLSchedulerPolicy(KernelPolicy(cfg.job_features, seed=0),
                                   n_procs=trace.max_procs, env_config=cfg)
-        sequences = SequenceSampler(trace, 24, seed=2).sample_many(3)
+        config = EvalConfig(n_sequences=3, sequence_length=24, seed=2)
         cluster = ClusterSpec(trace.max_procs)
-        cells = [(sequences, cluster, False, "bsld"),
-                 (sequences, cluster, "easy", "bsld")]
-        subsets = [[0, 1], [1]]
+        cells = [_cell([FCFS(), sched], trace, cluster, False, "bsld", config),
+                 _cell([sched], trace, cluster, "easy", "bsld", config)]
         beats = []
-        whole = _run_cells([FCFS(), sched], cells, workers, subsets)
-        by_cell = _run_cells([FCFS(), sched], cells, workers, subsets,
+        whole = _run_cells(cells, workers)
+        by_cell = _run_cells(cells, workers,
                              heartbeat=lambda ci, s: beats.append(ci))
         assert beats == [0, 1]
         assert [len(row) for row in by_cell] == [2, 1]
         for row_whole, row_cell in zip(whole, by_cell):
             for a, b in zip(row_whole, row_cell):
                 np.testing.assert_array_equal(a, b)
-        alone = evaluate(sched, trace, backfill="easy", config=EvalConfig(
-            n_sequences=3, sequence_length=24, seed=2))
+        alone = evaluate(sched, trace, backfill="easy", config=config)
         np.testing.assert_array_equal(by_cell[1][0], alone.values)
 
     def test_mlp_policy_broadcasts_to_workers(self, trace):

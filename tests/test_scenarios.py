@@ -402,6 +402,25 @@ class TestScenarioTraining:
         score = repro.evaluate(sched, scen, config=SMALL)
         assert np.isfinite(float(score))
 
+    def test_explicit_trace_wins_over_train_config_scenario(self):
+        """The Trainer side of the one precedence rule: a passed trace is
+        trained on as is, while the scenario supplies the cluster (its
+        192 memory units) and the memory-feature layout."""
+        from repro.config import TrainConfig
+
+        trace = load_trace("Lublin-1", n_jobs=300, seed=0)
+        with repro.Trainer(
+            trace,
+            env_config=EnvConfig(max_obsv_size=8),
+            train_config=TrainConfig(
+                scenario=ScenarioConfig("lublin-256-mem", n_jobs=300)
+            ),
+        ) as trainer:
+            assert trainer.trace is trace
+            assert trainer.cluster_spec == get_scenario("lublin-256-mem").cluster
+            assert trainer.cluster_spec.memory == 192
+            assert trainer.env_config.memory_features
+
     def test_trainer_requires_trace_or_scenario(self):
         with pytest.raises(ValueError, match="needs a trace"):
             repro.Trainer(None)

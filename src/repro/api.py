@@ -64,7 +64,7 @@ from .schedulers.base import Scheduler
 from .sim.cluster import ClusterSpec
 from .sim.metrics import metric_by_name
 from .sim.simulator import run_scheduler
-from .workloads.sampler import SequenceSampler
+from .workloads.sampler import SequenceSampler, WindowError, check_window
 from .workloads.swf import SWFTrace
 
 __all__ = [
@@ -265,10 +265,6 @@ def _run_cells(cells, workers, heartbeat=None) -> list[list[np.ndarray]]:
     ]
 
 
-class WindowError(ValueError):
-    """An evaluation window longer than the trace it is sampled from."""
-
-
 def _cell(schedulers, trace, cluster, backfill, metric, config, name=None):
     """One evaluation cell, ``(sequences, cluster, backfill, metric,
     schedulers)``: ``config.n_sequences`` windows of
@@ -278,11 +274,7 @@ def _cell(schedulers, trace, cluster, backfill, metric, config, name=None):
     naming the cell ``name`` or else the trace), fails here in the parent,
     before anything runs."""
     metric_by_name(metric)
-    if config.sequence_length > len(trace):
-        raise WindowError(
-            f"{name or f'trace {trace.name!r}'}: a {config.sequence_length}"
-            f"-job evaluation window does not fit in a {len(trace)}-job trace"
-        )
+    check_window(trace, config.sequence_length, "evaluation", name)
     sampler = SequenceSampler(trace, config.sequence_length, seed=config.seed)
     sequences = sampler.sample_many(config.n_sequences)
     return sequences, cluster, backfill, metric, list(schedulers)

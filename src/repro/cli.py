@@ -245,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                         " tenant")
     p.add_argument("--history", dest="completed_history", type=_nonnegative_int,
                    default=ServeConfig.completed_history,
-                   help="finished-job records retained per tenant for "
-                        "status queries")
+                   help="finished jobs retained per tenant for status "
+                        "queries (about 160 B each per tenant)")
     _add_telemetry_flag(p)
 
     p = sub.add_parser(

@@ -298,8 +298,9 @@ class ServeConfig:
     One process (one thread) listens on ``host:port`` speaking the versioned
     JSON line protocol and multiplexes every configured tenant.  ``port``
     0 binds an ephemeral port (the daemon prints the bound address on
-    stdout).  ``completed_history`` caps the finished-job records each
-    tenant retains for ``status`` queries — the serving path must hold
+    stdout).  ``completed_history`` caps the finished jobs each tenant
+    retains for ``status`` queries, at ≈ 160 B a job (a ring of typed
+    columns that fills as jobs finish) — the serving path must hold
     memory proportional to the live job set, not the lifetime stream.
     """
 
@@ -308,7 +309,8 @@ class ServeConfig:
     tenants: tuple = (TenantConfig(),)
     #: observability (spans/metrics + optional JSONL sink); None = off
     telemetry: TelemetryConfig | None = None
-    #: finished-job records retained per tenant for ``status`` queries
+    #: finished jobs retained per tenant for ``status`` queries
+    #: (≈ 160 B each once retained; nothing before a job finishes)
     completed_history: int = 10_000
 
     def __post_init__(self) -> None:

@@ -77,7 +77,7 @@ from repro.schedulers.rl_scheduler import RLSchedulerPolicy
 from repro.sim.cluster import ClusterSpec
 from repro.sim.metrics import metric_by_name
 from repro.sim.vec_env import VecSchedGym
-from repro.workloads.sampler import SequenceSampler
+from repro.workloads.sampler import SequenceSampler, check_window
 from repro.workloads.swf import SWFTrace
 
 from .buffer import TrajectoryBuffer
@@ -215,6 +215,13 @@ class Trainer:
             raise ValueError(
                 "Trainer needs a trace (or a TrainConfig with a scenario)"
             )
+        # before anything is built: the rollout and validation samplers
+        # draw windows of this length
+        check_window(
+            trace, self.train_config.trajectory_length, "training",
+            None if self.train_config.scenario is None
+            else f"scenario {scenario.name}",
+        )
         self.trace = trace
         self.metric = metric
         self.policy_preset = policy_preset

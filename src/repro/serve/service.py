@@ -11,7 +11,12 @@ row, bounded by a fixed number of observation windows
 (:class:`~repro.schedulers.rl_scheduler.EnginePicker`); a heuristic
 tenant's picker is its ``select`` on the live queue.  Memory is bounded
 by the *live* job set: completed jobs are harvested out of the engine,
-and the finished-record history kept for ``status`` queries is capped.
+and the finished-job history kept for ``status`` queries is a
+:class:`FinishedRing` — a fixed-capacity FIFO of typed columns (times in
+``array('d')``, processor counts in ``array('q')``, one job id per slot
+and one id → slot dict, ≈ 160 B a job) that grows by append up to
+``completed_history`` and then overwrites its oldest slot; a finished
+job's ``status`` record is built from its slot only when asked.
 
 :class:`SchedulerRouter` multiplexes N independent tenants — separate
 clusters, policies, clocks, and telemetry labels — behind the one wire
@@ -24,7 +29,7 @@ anywhere in the decision path.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from array import array
 from time import perf_counter
 
 from repro.config import ServeConfig, TenantConfig
@@ -46,6 +51,81 @@ __all__ = ["ServiceError", "SchedulerService", "SchedulerRouter"]
 
 class ServiceError(ValueError):
     """A well-formed request the service cannot honour (bad tenant/job)."""
+
+
+class FinishedRing:
+    """The last ``capacity`` finished jobs, one slot each, oldest
+    overwritten first.
+
+    Columns grow by append until they hold ``capacity`` slots, so an idle
+    ring holds nothing in proportion to its capacity (and ``capacity`` 0
+    keeps nothing).  A job id submitted again after it finished takes a
+    new slot when it finishes again; its older slot stays in the ring,
+    unreachable, until the ring overwrites it, which leaves the newer
+    entry alone.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._slot: dict[int, int] = {}  # job id -> its latest slot
+        self._ids: list[int] = []        # job id per slot
+        self._submit = array("d")
+        self._start = array("d")
+        self._finish = array("d")
+        self._procs = array("q")
+        self._oldest = 0  # the slot the next finish overwrites once full
+
+    def __len__(self) -> int:
+        return len(self._slot)
+
+    def __contains__(self, job_id: int) -> bool:
+        return job_id in self._slot
+
+    def extend(self, jobs) -> None:
+        """Record finished ``jobs`` (the engine's own, in finish order)."""
+        capacity = self.capacity
+        if not capacity:
+            return
+        slot_of, ids = self._slot, self._ids
+        for job in jobs:
+            job_id = job.job_id
+            start = job.start_time
+            if len(ids) < capacity:
+                slot = len(ids)
+                ids.append(job_id)
+                self._submit.append(job.submit_time)
+                self._start.append(start)
+                self._finish.append(start + job.run_time)  # job.end_time
+                self._procs.append(job.requested_procs)
+            else:
+                slot = self._oldest
+                self._oldest = slot + 1 if slot + 1 < capacity else 0
+                evicted = ids[slot]
+                if slot_of.get(evicted) == slot:  # not re-finished since
+                    del slot_of[evicted]
+                ids[slot] = job_id
+                self._submit[slot] = job.submit_time
+                self._start[slot] = start
+                self._finish[slot] = start + job.run_time
+                self._procs[slot] = job.requested_procs
+            slot_of[job_id] = slot
+
+    def record(self, job_id: int, tenant: str) -> dict | None:
+        """``job_id``'s ``status`` record, or None when it is not held."""
+        slot = self._slot.get(job_id)
+        if slot is None:
+            return None
+        submit, start = self._submit[slot], self._start[slot]
+        return {
+            "job_id": job_id,
+            "tenant": tenant,
+            "state": "finished",
+            "submit_time": submit,
+            "requested_procs": self._procs[slot],
+            "start_time": start,
+            "finish_time": self._finish[slot],
+            "wait_time": start - submit,
+        }
 
 
 class SchedulerService:
@@ -70,9 +150,8 @@ class SchedulerService:
         else:
             self.policy = make_scheduler(tenant.scheduler)
         self._pick = self.policy.bind(self.engine)
-        self._completed_history = completed_history
         self._records: dict[int, dict] = {}  # live jobs (pending/running)
-        self._finished: OrderedDict[int, dict] = OrderedDict()
+        self._history = FinishedRing(completed_history)
         self.n_decisions = 0
         self.n_finished = 0
         # Every decision's latency is recorded once, into one histogram:
@@ -133,13 +212,16 @@ class SchedulerService:
             job_id = _integer(job_id)
         except (TypeError, ValueError, OverflowError):  # int(1e400) overflows
             raise ServiceError(f"status needs an integer job_id, got {job_id!r}") from None
-        record = self._records.get(job_id) or self._finished.get(job_id)
+        record = self._records.get(job_id)
+        if record is not None:
+            return {"job": dict(record)}
+        record = self._history.record(job_id, self.tenant.name)
         if record is None:
             raise ServiceError(
                 f"unknown job {job_id} on tenant {self.tenant.name!r} "
                 "(never submitted, or evicted from the finished history)"
             )
-        return {"job": dict(record)}
+        return {"job": record}
 
     def stats(self) -> dict:
         engine = self.engine
@@ -178,7 +260,7 @@ class SchedulerService:
 
     def _reconcile(self) -> None:
         """Sync job records with the engine's start and finish deltas;
-        bound the finished history."""
+        finished jobs leave ``_records`` for the history ring."""
         for job in self.engine.take_started():
             record = self._records.get(job.job_id)
             if record is not None:
@@ -188,26 +270,16 @@ class SchedulerService:
         if not finished:
             return
         self.n_finished += len(finished)
+        records = self._records
         for job in finished:
-            record = self._records.pop(job.job_id, None) or {
-                "job_id": job.job_id,
-                "tenant": self.tenant.name,
-                "submit_time": job.submit_time,
-                "requested_procs": job.requested_procs,
-            }
-            record.update(
-                state="finished",
-                start_time=job.start_time,
-                finish_time=job.end_time,
-                wait_time=job.start_time - job.submit_time,
-            )
-            self._finished[job.job_id] = record
-        while len(self._finished) > self._completed_history:
-            self._finished.popitem(last=False)
+            records.pop(job.job_id, None)
+        self._history.extend(finished)
 
     def _state_of(self, job_id: int) -> str:
-        record = self._records.get(job_id) or self._finished.get(job_id)
-        return record["state"] if record else "unknown"
+        record = self._records.get(job_id)
+        if record is not None:
+            return record["state"]
+        return "finished" if job_id in self._history else "unknown"
 
 
 def latency_summary(hist: Histogram) -> dict:

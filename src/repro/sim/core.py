@@ -132,6 +132,9 @@ class EngineCore:
         #: each running job, recorded at its start for the backfill planner
         #: (kept only when backfilling is on)
         self._planned: dict[int, tuple[float, int, float]] = {}
+        #: the same releases, kept sorted: insorted at a start, bisected
+        #: out at the finish
+        self._releases: list[tuple[float, int, float]] = []
         self.completed: list[Job] = []
         #: arrivals sorted by (submit_time, job_id); those from ``_cursor``
         #: on are not admitted yet (see "Event order" above)
@@ -204,9 +207,9 @@ class EngineCore:
         job_id = job.job_id
         self._running[job_id] = job
         if self.backfill:
-            self._planned[job_id] = (
-                now + job.requested_time, job.requested_procs, mem
-            )
+            release = (now + job.requested_time, job.requested_procs, mem)
+            self._planned[job_id] = release
+            insort(self._releases, release)
         end = now + job.run_time  # job.end_time, without its two properties
         if end < 0:
             raise ValueError(f"event time must be non-negative, got {end}")
@@ -240,7 +243,10 @@ class EngineCore:
             _, job_id, job = heappop(finishes)
             self.cluster.release(job)
             del self._running[job_id]
-            self._planned.pop(job_id, None)
+            release = self._planned.pop(job_id, None)
+            if release is not None:
+                releases = self._releases
+                del releases[bisect_left(releases, release)]
             self.completed.append(job)
             return _FINISH
         self._cursor = cursor + 1
@@ -380,11 +386,12 @@ class EngineCore:
         """:func:`~repro.sim.backfill.shadow_state` of the running jobs,
         from the releases recorded at their starts."""
         now = self.now
-        releases = sorted(self._planned.values())
+        releases = self._releases
         # shadow_state clamps an overrun job's release to ``now``, which
         # re-orders the releases already due among themselves by demand
         due = bisect_right(releases, (now, math.inf))
         if due > 1:
+            releases = releases.copy()
             releases[:due] = sorted(releases[:due], key=itemgetter(1, 2))
         return planned_start(head, releases, self.cluster, now)
 

@@ -43,6 +43,7 @@ from repro.rl import Trainer, TrainingResult
 from repro.scenarios import Scenario, available_scenarios, get_scenario
 from repro.schedulers import RLSchedulerPolicy, make_scheduler
 from repro.telemetry.sink import telemetry_run
+from repro.workloads.sampler import check_window
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -83,6 +84,11 @@ def _study_scenarios(config: StudyConfig) -> list[Scenario]:
     return scenarios
 
 
+def _checkpoint(config: StudyConfig, scenario: Scenario) -> Path:
+    """The zoo file of ``scenario``'s policy."""
+    return Path(config.zoo_dir) / f"{scenario.name}.npz"
+
+
 def _train_provenance(config: StudyConfig, metric: str) -> dict:
     """The training knobs a zoo checkpoint records (resume drift check):
     flat keys, whatever the config nests — every zoo file written so far
@@ -117,11 +123,10 @@ def train_matrix(
     authoritative in the artifact.
     """
     config = config or StudyConfig()
-    zoo = Path(config.zoo_dir)
-    zoo.mkdir(parents=True, exist_ok=True)
+    Path(config.zoo_dir).mkdir(parents=True, exist_ok=True)
     out: dict[str, StudyPolicy] = {}
     for scenario in _study_scenarios(config):
-        checkpoint = zoo / f"{scenario.name}.npz"
+        checkpoint = _checkpoint(config, scenario)
         metric = config.metric or scenario.protocol.metric
         if checkpoint.exists():
             result = TrainingResult.load(checkpoint)
@@ -204,8 +209,9 @@ def generalization_matrix(
         }
 
     Every scenario's sequences are sampled first, so a metric or an
-    evaluation window that does not fit (:class:`repro.api.WindowError`)
-    fails before any training.  Results are bit-identical for any worker
+    evaluation window that does not fit — or the training window of a
+    policy still to be trained (:class:`repro.api.WindowError`) — fails
+    before any training.  Results are bit-identical for any worker
     count (sequences are pre-sampled in the parent and reassembled in
     sampling order), so in-process and multi-worker runs produce the same
     artifact.  ``progress`` hears one line per cell (and the telemetry
@@ -218,10 +224,11 @@ def generalization_matrix(
     # every scenario's metric and window are checked, and its sequences
     # sampled, before any policy trains
     heuristics = [make_scheduler(n) for n in config.heuristics]
+    traces = [s.build_trace(n_jobs=config.n_jobs) for s in scenarios]
     cells = [
         _cell(
             heuristics,
-            scenario.build_trace(n_jobs=config.n_jobs),
+            trace,
             scenario.cluster,
             scenario.protocol.backfill,
             config.metric or scenario.protocol.metric,
@@ -233,8 +240,14 @@ def generalization_matrix(
             ),
             f"scenario {scenario.name}",
         )
-        for scenario in scenarios
+        for scenario, trace in zip(scenarios, traces)
     ]
+    if trained is None:
+        # ... and so is the training window of every policy to be trained
+        for scenario, trace in zip(scenarios, traces):
+            if not _checkpoint(config, scenario).exists():
+                check_window(trace, config.train.trajectory_length,
+                             "training", f"scenario {scenario.name}")
     with telemetry_run(
         config.telemetry,
         meta={"command": "study", "scenarios": [s.name for s in scenarios]},

@@ -27,7 +27,26 @@ import numpy as np
 from .job import Job
 from .swf import SWFTrace
 
-__all__ = ["SequenceSampler", "sample_sequence", "rebase_jobs"]
+__all__ = [
+    "SequenceSampler", "WindowError", "check_window", "sample_sequence",
+    "rebase_jobs",
+]
+
+
+class WindowError(ValueError):
+    """A sampling window longer than the trace it is sampled from."""
+
+
+def check_window(trace: SWFTrace, length: int, kind: str,
+                 name: str | None = None) -> None:
+    """Raise :class:`WindowError` unless a ``length``-job ``kind``
+    (``"training"``, ``"evaluation"``) window fits in ``trace``; the
+    message names ``name``, or else the trace."""
+    if length > len(trace):
+        raise WindowError(
+            f"{name or f'trace {trace.name!r}'}: a {length}-job {kind} "
+            f"window does not fit in a {len(trace)}-job trace"
+        )
 
 
 def rebase_jobs(jobs: list[Job]) -> list[Job]:

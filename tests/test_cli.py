@@ -635,9 +635,10 @@ class TestPolicyFiles:
 
 
 class TestEvaluationWindow:
-    """An evaluation window longer than its trace stops the command with
-    one line naming the scenario or trace, the window and the job count,
-    and exit 2, no traceback; the study stops before any training."""
+    """An evaluation or training window longer than its trace stops the
+    command with one line naming the scenario or trace, the window and the
+    job count, and exit 2, no traceback; the study stops before any
+    training and ``train`` writes no model."""
 
     @pytest.mark.parametrize("argv, label, window, jobs", [
         (["study", "--scenarios", "lublin-64", "--heuristics", "FCFS",
@@ -661,6 +662,27 @@ class TestEvaluationWindow:
         assert f"{window}-job" in line and f"{jobs}-job" in line
         assert "Traceback" not in captured.err
         assert not zoo.exists()
+
+    @pytest.mark.parametrize("argv, label", [
+        (["train", "Lublin-1"], "trace 'Lublin-1'"),
+        # every policy the study is to train; its evaluation windows fit
+        (["study", "--scenarios", "lublin-64", "--heuristics", "FCFS",
+          "--sequences", "2", "--eval-length", "24"], "scenario lublin-64"),
+    ])
+    def test_oversize_training_window_fails_in_one_line(self, argv, label,
+                                                        tmp_path, capsys):
+        zoo, model = tmp_path / "zoo", tmp_path / "m.npz"
+        argv = [*argv, "--jobs", "100", "--epochs", "1", "--trajectories",
+                "2", "--length", "128", "--obsv", "8",
+                *(["--zoo-dir", str(zoo)] if argv[0] == "study"
+                  else ["-o", str(model)])]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == (f"{argv[0]}: {label}: a 128-job training window "
+                        "does not fit in a 100-job trace")
+        assert not zoo.exists() and not model.exists()
 
 
 class TestServeParser:

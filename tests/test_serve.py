@@ -3,6 +3,7 @@ multi-tenant router, selector-loop socket daemon, load generator, and graceful
 shutdown (the SIGTERM subprocess test mirrors ``TestNoLeakedWorkers``)."""
 
 import contextlib
+import gc
 import json
 import logging
 import os
@@ -14,8 +15,12 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from collections import OrderedDict, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import EnvConfig, ServeConfig, TenantConfig
 from repro.nn import KernelPolicy
@@ -338,7 +343,7 @@ class TestSchedulerService:
             svc.submit(wire_job(jid, run=1.0, procs=8))
         svc.drain()
         assert svc.n_finished == 12
-        assert len(svc._finished) == 5
+        assert len(svc._history) == 5
         with pytest.raises(ServiceError, match="unknown job 0"):
             svc.status(0)  # evicted from history
         assert svc.status(11)["job"]["state"] == "finished"
@@ -388,6 +393,170 @@ class TestServiceWithRLPolicy:
             name="big", n_procs=128, policy_path=policy_path
         ))
         assert svc.policy.n_procs == 128
+
+
+# ---------------------------------------------------------------------------
+# finished-job history
+# ---------------------------------------------------------------------------
+class OrderedDictService(SchedulerService):
+    """The finished history as an ``OrderedDict`` of the live records,
+    capped at ``completed_history`` ids, a re-finished id moved to the
+    end; ``last_finishes`` holds the ids of the last ``completed_history``
+    finishes, the jobs a ring of that many slots holds."""
+
+    def __init__(self, tenant, completed_history):
+        super().__init__(tenant, completed_history)
+        self.cap = completed_history
+        self.finished = OrderedDict()
+        self.last_finishes = deque(maxlen=completed_history)
+
+    def _reconcile(self):
+        for job in self.engine.take_started():
+            record = self._records[job.job_id]
+            record["state"] = "running"
+            record["start_time"] = job.start_time
+        finished = self.engine.take_completed()
+        self.n_finished += len(finished)
+        for job in finished:
+            record = self._records.pop(job.job_id)
+            record.update(
+                state="finished",
+                start_time=job.start_time,
+                finish_time=job.end_time,
+                wait_time=job.start_time - job.submit_time,
+            )
+            self.finished[job.job_id] = record
+            self.finished.move_to_end(job.job_id)
+            self.last_finishes.append(job.job_id)
+        while len(self.finished) > self.cap:
+            self.finished.popitem(last=False)
+
+    def status(self, job_id):
+        record = self._records.get(job_id) or self.finished.get(job_id)
+        if record is None:
+            raise ServiceError(
+                f"unknown job {job_id} on tenant {self.tenant.name!r} "
+                "(never submitted, or evicted from the finished history)"
+            )
+        return {"job": dict(record)}
+
+    def _state_of(self, job_id):
+        record = self._records.get(job_id) or self.finished.get(job_id)
+        return record["state"] if record else "unknown"
+
+
+def _answer(call, *args):
+    """One request's encoded response, or its ``ServiceError`` message
+    (a drain's latency summary is wall time, so it is left out)."""
+    try:
+        out = call(*args)
+    except ServiceError as exc:
+        return str(exc)
+    out.pop("decision_latency_sec", None)
+    return encode(ok_response(**out))
+
+
+_history_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(0, 5),
+                  st.sampled_from([0.0, 1.0, 2.5, 7.0]), st.integers(1, 8)),
+        st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 3.0, 10.0])),
+        st.tuples(st.just("drain")),
+        # status twice: a third of the ops ask
+        st.tuples(st.just("status"), st.integers(0, 5)),
+        st.tuples(st.just("status"), st.integers(0, 5)),
+    ),
+    min_size=10,
+    max_size=60,
+)
+
+
+class TestFinishedHistory:
+    @settings(max_examples=150, deadline=None)
+    @given(cap=st.integers(0, 5), backfill=st.sampled_from([False, "easy"]),
+           ops=_history_ops)
+    def test_ring_answers_as_the_ordered_dict(self, cap, backfill, ops):
+        """Random submit / advance / drain / status sequences over six
+        reused job ids: every response is byte-identical to the
+        ``OrderedDict`` history's, except that a status the ring cannot
+        answer is one of a job outside the last ``cap`` finishes — an id
+        finishing again holds a second slot until it is overwritten."""
+        tenant = TenantConfig(name="t", n_procs=8, backfill=backfill)
+        ring = SchedulerService(tenant, completed_history=cap)
+        ref = OrderedDictService(tenant, completed_history=cap)
+        now = 0.0
+        for op, *args in ops:
+            if op == "submit":
+                jid, run, procs = args
+                args = (wire_job(jid, run=run, procs=procs, submit_time=now),)
+            elif op == "advance":
+                now += args[0]
+                args = (now,)
+            got = _answer(getattr(ring, op), *args)
+            want = _answer(getattr(ref, op), *args)
+            if op != "status" or args[0] in ref._records:
+                assert got == want
+            elif args[0] in ref.last_finishes:
+                assert isinstance(got, bytes) and got == want
+            else:
+                assert got.startswith(f"unknown job {args[0]} ")
+                # the OrderedDict still answering means an id finished
+                # twice within the last ``cap`` finishes
+                assert isinstance(want, str) or \
+                    len(set(ref.last_finishes)) < len(ref.last_finishes)
+            assert len(ring._history) <= cap and len(ring._history._ids) <= cap
+
+    def test_reused_id_keeps_its_newer_finish(self):
+        """A re-finished id takes a new slot: overwriting its older slot
+        leaves the newer entry, which is evicted only in its own turn."""
+        svc = SchedulerService(TenantConfig(name="t", n_procs=8),
+                               completed_history=3)
+        for jid in (1, 2, 1):  # job 1 again, once the engine forgot it
+            svc.submit(wire_job(jid, run=1.0, procs=8))
+            svc.drain()
+        svc.submit(wire_job(3, run=1.0, procs=8))
+        svc.drain()  # overwrites job 1's first slot
+        assert svc.status(1)["job"]["start_time"] == 2.0
+        assert len(svc._history) == 3
+        for jid in (4, 5):
+            svc.submit(wire_job(jid, run=1.0, procs=8))
+            svc.drain()
+        with pytest.raises(ServiceError, match="unknown job 1 "):
+            svc.status(1)  # its newer slot was the oldest
+        assert [svc.status(j)["job"]["job_id"] for j in (3, 4, 5)] == [3, 4, 5]
+
+    def test_empty_ring_holds_nothing_per_slot(self):
+        svc = SchedulerService(TenantConfig(name="t", n_procs=8))
+        ring = svc._history
+        assert ring.capacity == 10_000
+        assert len(ring._ids) == len(ring._submit) == len(ring._procs) == 0
+        svc.submit(wire_job(1, run=1.0))
+        svc.drain()
+        assert len(ring._ids) == len(ring._finish) == 1
+
+    def test_retained_bytes_per_finished_job(self):
+        """10 000 jobs through a tenant that keeps 5 000: what it holds
+        beyond an identical tenant that keeps none is at most 250 B per
+        retained job (an ``OrderedDict`` of 8-key dicts held ≈ 480 B)."""
+
+        def held(history):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                svc = SchedulerService(TenantConfig(name="t", n_procs=64),
+                                       completed_history=history)
+                for i in range(10_000):  # ids made while traced
+                    svc.submit(wire_job(i, run=1.0 + i % 7, procs=1 + i % 8,
+                                        submit_time=float(i)))
+                svc.drain()
+                assert len(svc._history) == history
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        per_job = (held(5000) - held(0)) / 5000
+        assert 0 < per_job <= 250, per_job
 
 
 # ---------------------------------------------------------------------------

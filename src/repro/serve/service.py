@@ -9,9 +9,10 @@ the picker for each decision.  An RL tenant's picker reads the engine's
 FCFS-sorted queue as it stands and keeps a feature table keyed by engine
 row, bounded by a fixed number of observation windows
 (:class:`~repro.schedulers.rl_scheduler.EnginePicker`); a heuristic
-tenant's picker is its ``select`` on the live queue.  Memory is bounded
-by the *live* job set: completed jobs are harvested out of the engine,
-and the finished-job history kept for ``status`` queries is a
+tenant's picker is its ``select`` on the live queue.  A live job is
+read from the engine (``engine.live``), its one record.  Memory is
+bounded by the *live* job set: completed jobs are harvested out of the
+engine, and the finished-job history kept for ``status`` queries is a
 :class:`FinishedRing` — a fixed-capacity FIFO of typed columns (times in
 ``array('d')``, processor counts in ``array('q')``, one job id per slot
 and one id → slot dict, ≈ 160 B a job) that grows by append up to
@@ -28,7 +29,6 @@ anywhere in the decision path.
 
 from __future__ import annotations
 
-import math
 from array import array
 from time import perf_counter
 
@@ -40,6 +40,7 @@ from repro.telemetry.core import Histogram, histogram_quantile
 
 from .protocol import (
     ProtocolError,
+    _finite,
     _integer,
     job_from_wire,
     job_to_wire,
@@ -150,7 +151,6 @@ class SchedulerService:
         else:
             self.policy = make_scheduler(tenant.scheduler)
         self._pick = self.policy.bind(self.engine)
-        self._records: dict[int, dict] = {}  # live jobs (pending/running)
         self._history = FinishedRing(completed_history)
         self.n_decisions = 0
         self.n_finished = 0
@@ -174,13 +174,6 @@ class SchedulerService:
             admitted = self.engine.submit(job)
         except ValueError as exc:
             raise ServiceError(str(exc)) from None
-        self._records[admitted.job_id] = {
-            "job_id": admitted.job_id,
-            "tenant": self.tenant.name,
-            "state": "pending",
-            "submit_time": admitted.submit_time,
-            "requested_procs": admitted.requested_procs,
-        }
         decisions = self.pump()
         return {
             "job": job_to_wire(admitted),
@@ -189,10 +182,17 @@ class SchedulerService:
         }
 
     def advance(self, until: float) -> dict:
-        """External time reached ``until``; run any decisions that unblocks."""
-        if not isinstance(until, (int, float)) or math.isnan(until):
-            raise ServiceError(f"advance needs a numeric 'until', got {until!r}")
-        self.engine.advance(float(until))
+        """External time reached ``until``; run any decisions that unblocks.
+        Only ``drain`` lifts the horizon for good: ``until`` is finite."""
+        try:
+            if isinstance(until, (bool, str)):  # float() takes true and "7"
+                raise TypeError
+            until = _finite(until)
+        except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
+            raise ServiceError(
+                f"advance needs a finite numeric 'until', got {until!r}"
+            ) from None
+        self.engine.advance(until)
         return {"decisions": self.pump(), "now": self.engine.now}
 
     def drain(self) -> dict:
@@ -212,9 +212,19 @@ class SchedulerService:
             job_id = _integer(job_id)
         except (TypeError, ValueError, OverflowError):  # int(1e400) overflows
             raise ServiceError(f"status needs an integer job_id, got {job_id!r}") from None
-        record = self._records.get(job_id)
-        if record is not None:
-            return {"job": dict(record)}
+        job = self.engine.live(job_id)
+        if job is not None:
+            running = job.scheduled
+            record = {
+                "job_id": job_id,
+                "tenant": self.tenant.name,
+                "state": "running" if running else "pending",
+                "submit_time": job.submit_time,
+                "requested_procs": job.requested_procs,
+            }
+            if running:
+                record["start_time"] = job.start_time
+            return {"job": record}
         record = self._history.record(job_id, self.tenant.name)
         if record is None:
             raise ServiceError(
@@ -230,7 +240,8 @@ class SchedulerService:
             "scheduler": self.policy.name,
             "n_procs": self.spec.n_procs,
             "submitted": engine.n_submitted,
-            "started": engine.n_started,
+            # _reconcile harvested every finish: a start is running or done
+            "started": self.n_finished + len(engine.running_view),
             "finished": self.n_finished,
             "pending": len(engine.pending),
             "running": len(engine.running_view),
@@ -259,26 +270,16 @@ class SchedulerService:
         return made
 
     def _reconcile(self) -> None:
-        """Sync job records with the engine's start and finish deltas;
-        finished jobs leave ``_records`` for the history ring."""
-        for job in self.engine.take_started():
-            record = self._records.get(job.job_id)
-            if record is not None:
-                record["state"] = "running"
-                record["start_time"] = job.start_time
+        """Move the engine's finished jobs into the history ring."""
         finished = self.engine.take_completed()
-        if not finished:
-            return
-        self.n_finished += len(finished)
-        records = self._records
-        for job in finished:
-            records.pop(job.job_id, None)
-        self._history.extend(finished)
+        if finished:
+            self.n_finished += len(finished)
+            self._history.extend(finished)
 
     def _state_of(self, job_id: int) -> str:
-        record = self._records.get(job_id)
-        if record is not None:
-            return record["state"]
+        job = self.engine.live(job_id)
+        if job is not None:
+            return "running" if job.scheduled else "pending"
         return "finished" if job_id in self._history else "unknown"
 
 

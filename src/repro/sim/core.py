@@ -163,11 +163,6 @@ class EngineCore:
         of the engine's own map (no copy; do not hold it across events)."""
         return self._running.values()
 
-    @property
-    def running(self) -> list[Job]:
-        """Currently executing jobs, in start order (a fresh list)."""
-        return list(self.running_view)
-
     def _validate_fits_cluster(self, job: Job) -> None:
         """Reject jobs that can never run on this cluster."""
         if job.requested_procs > self.spec.n_procs:
@@ -405,7 +400,7 @@ class OnlineSchedulingEngine(EngineCore):
         engine.submit(job)                  # as requests arrive
         while engine.next_decision():       # pump after submit/advance
             engine.commit(<pick one of engine.pending>)
-        started = engine.take_started()     # committed + backfilled starts
+        engine.live(job_id)                 # a live job's copy, or None
         finished = engine.take_completed()  # harvest + free bookkeeping
         engine.drain()                      # shutdown: run to quiescence
 
@@ -418,27 +413,21 @@ class OnlineSchedulingEngine(EngineCore):
     Unlike the batch engine there is no ``jobs`` list: completed jobs are
     handed back through :meth:`take_completed`, which also drops their
     row-index bookkeeping so a long-lived daemon holds memory proportional
-    to the *live* job set, not everything it ever served.
+    to the *live* job set, not everything it ever served.  The engine is
+    the one record of a live job: :meth:`live` returns its copy, whose
+    ``start_time`` is set once it starts.
     """
 
     def __init__(self, cluster: int | ClusterSpec, backfill: bool | str = False):
         super().__init__(cluster, backfill=backfill)
         self._horizon = 0.0
-        #: jobs started since the last :meth:`take_started`, in start order
-        self.started: list[Job] = []
         self.n_submitted = 0
-        self.n_started = 0
 
     # ------------------------------------------------------------------
     @property
     def horizon(self) -> float:
         """Latest externally-observed instant; events beyond it wait."""
         return self._horizon
-
-    @property
-    def inflight(self) -> Job | None:
-        """The committed-but-stalled job, if a commit paused at the horizon."""
-        return self._stall
 
     @property
     def idle(self) -> bool:
@@ -460,7 +449,8 @@ class OnlineSchedulingEngine(EngineCore):
         being observed now, and the pending-queue sort key must agree with
         the arrival event's timestamp.
         """
-        if job.job_id in self._row_of or job.job_id in self._running:
+        # a job keeps its row from submit to take_completed, running too
+        if job.job_id in self._row_of:
             raise ValueError(f"job {job.job_id} is already known to the engine")
         self._validate_fits_cluster(job)
         job = job.copy()
@@ -511,16 +501,19 @@ class OnlineSchedulingEngine(EngineCore):
             )
         return super().commit(job, self._horizon if until is None else until)
 
-    def _start(self, i: int, job: Job) -> None:
-        super()._start(i, job)
-        self.started.append(job)
-        self.n_started += 1
-
-    def take_started(self) -> list[Job]:
-        """Harvest the jobs started since the last call, committed and
-        backfilled alike: a driver need not walk the running set."""
-        started, self.started = self.started, []
-        return started
+    def live(self, job_id: int) -> Job | None:
+        """The engine's copy of ``job_id`` while it is live — running,
+        pending (a stalled commit included), or submitted for a later
+        instant and not admitted yet — and None once it has finished."""
+        job = self._running.get(job_id)
+        if job is None and (row := self._row_of.get(job_id)) is not None:
+            rows = self.pending_rows
+            if row in rows:
+                return self.pending[rows.index(row)]
+            # not admitted yet, or finished and not harvested yet
+            arrivals = self._arrivals[self._cursor:]
+            job = next((j for j in arrivals if j.job_id == job_id), None)
+        return job
 
     def take_completed(self) -> list[Job]:
         """Harvest finished jobs and release their row bookkeeping."""

@@ -162,7 +162,7 @@ class TestEngineShadowReservation:
         head = engine.pending[0]
         assert head.job_id == 2
         shadow, _, _ = shadow_state(
-            head, engine.running, engine.cluster, engine.now
+            head, list(engine.running_view), engine.cluster, engine.now
         )
         engine.commit(head)
         assert head.start_time <= shadow

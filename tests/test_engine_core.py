@@ -228,9 +228,9 @@ class TestOnlineEngine:
         arrival clamped to ``now`` with a smaller id sorts in ahead of it,
         and the job that finally starts is still the committed one."""
         engine = OnlineSchedulingEngine(ClusterSpec(4))
-        engine.submit(_job(1, 0.0, run=20.0, procs=4))
+        first = engine.submit(_job(1, 0.0, run=20.0, procs=4))
         assert engine.next_decision() and engine.commit(engine.pending[0])
-        engine.submit(_job(8, 10.0, procs=4))
+        committed = engine.submit(_job(8, 10.0, procs=4))
         assert engine.next_decision()
         assert not engine.commit(engine.pending[0])  # stalls at t=10
         late = engine.submit(_job(5, 2.0, procs=4))  # clamped to now=10, id < 8
@@ -238,9 +238,8 @@ class TestOnlineEngine:
         engine.drain()
         assert engine.next_decision()  # job 8 started; job 5 awaits its turn
         assert [j.job_id for j in engine.pending] == [5]
-        assert [(j.job_id, j.start_time) for j in engine.take_started()] == [
-            (1, 0.0), (8, 20.0),
-        ]
+        assert (first.start_time, committed.start_time) == (0.0, 20.0)
+        assert engine.live(5) is late and late.start_time < 0
 
     def test_arrival_buffer_holds_the_live_set_only(self):
         """10 000 submit / pump / harvest cycles: what was admitted leaves
@@ -253,7 +252,6 @@ class TestOnlineEngine:
             while engine.next_decision():
                 if not engine.commit(engine.pending[0]):
                     break
-            engine.take_started()
             engine.take_completed()
             deepest = max(deepest, len(engine._arrivals))
         assert deepest <= 2
@@ -270,14 +268,17 @@ class TestOnlineEngine:
         assert engine.commit(engine.pending[0])
         # job 2 needs the whole cluster; the finish event at t=50 is
         # beyond the horizon (t=1), so the commit must stall
-        engine.submit(_job(2, 1.0, procs=4))
+        second = engine.submit(_job(2, 1.0, procs=4))
         assert engine.next_decision()
         assert not engine.commit(engine.pending[0])
-        assert engine.inflight is not None and engine.inflight.job_id == 2
+        # the stalled commit's job is still pending
+        assert engine._stall is second and engine.live(2) is second
+        assert second.start_time < 0
         # a later observation lifts the horizon past the finish: resume
         engine.advance(60.0)
         assert not engine.next_decision()  # resumed; nothing else pending
-        assert engine.inflight is None
+        assert engine._stall is None and second.start_time == 50.0
+        assert engine.live(2) is None  # finished at t=60, not harvested yet
         # job 2 started at t=50 and its finish (t=60) is inside the horizon
         done = {j.job_id: j.start_time for j in engine.take_completed()}
         assert done == {1: 0.0, 2: 50.0}
@@ -314,39 +315,42 @@ class TestOnlineEngine:
         engine.submit(_job(1, engine.now))
         assert engine.next_decision()
 
-    def test_take_started_reports_every_start_once_in_start_order(self):
-        """Committed, backfilled and resumed-after-a-stall starts alike:
-        the harvested deltas add up to the engine's own start order."""
+    def test_live_reports_committed_backfilled_and_resumed_starts(self):
+        """Committed, backfilled and resumed-after-a-stall starts alike
+        show on the engine's copy of the job, the one ``live`` returns;
+        a job submitted for a later instant is live before it arrives."""
         engine = OnlineSchedulingEngine(ClusterSpec(4), backfill="easy")
-        assert engine.take_started() == []
-        engine.submit(_job(1, 0.0, run=50.0, procs=3))
-        engine.submit(_job(2, 1.0, run=10.0, procs=4))  # head: must wait
-        engine.submit(_job(3, 2.0, run=5.0, procs=1))   # backfills beside 1
-        seen = []
+        jobs = [
+            engine.submit(_job(1, 0.0, run=50.0, procs=3)),
+            engine.submit(_job(2, 1.0, run=10.0, procs=4)),  # head: must wait
+            engine.submit(_job(3, 2.0, run=5.0, procs=1)),   # backfills beside 1
+        ]
+        assert not engine.pending  # all three wait in the arrival buffer
+        assert all(engine.live(j.job_id) is j for j in jobs)
         while engine.next_decision():
             if not engine.commit(engine.pending[0]):
                 break
-        seen.append([j.job_id for j in engine.take_started()])
-        assert seen == [[1, 3]]  # 2 stalled at the horizon, 3 backfilled
-        assert engine.take_started() == []
-        assert {j.job_id for j in engine.running_view} == {1, 3}
+        # 2 stalled at the horizon, 3 backfilled
+        assert [j.start_time for j in jobs] == [0.0, -1.0, 2.0]
+        assert all(engine.live(j.job_id) is j for j in jobs)
+        assert list(engine.running_view) == [jobs[0], jobs[2]]
+        assert engine.live(4) is None
         engine.drain()
         while engine.next_decision():
             engine.commit(engine.pending[0])
-        started = engine.take_started()
-        assert [j.job_id for j in started] == [2]  # the resumed commit
-        assert started[0].start_time == 50.0
+        assert jobs[1].start_time == 50.0  # the resumed commit
+        assert [engine.live(j.job_id) for j in jobs] == [None] * 3
         assert engine.idle
 
     def test_counters(self):
         engine = OnlineSchedulingEngine(ClusterSpec(4))
-        for i in range(3):
-            engine.submit(_job(i, float(i)))
+        jobs = [engine.submit(_job(i, float(i))) for i in range(3)]
         assert engine.n_submitted == 3
         engine.drain()
         while engine.next_decision():
             engine.commit(engine.pending[0])
-        assert engine.n_started == 3
+        assert [j.start_time for j in jobs] == [0.0, 1.0, 2.0]
+        assert len(engine.take_completed()) == 3
 
     def test_horizon_monotonic(self):
         engine = OnlineSchedulingEngine(ClusterSpec(4))

@@ -49,7 +49,7 @@ class TestOrdering:
         assert engine.advance_until_decision()
         # job 2's arrival at t=5 found job 1 already gone: it starts at
         # once, without waiting for any further event
-        assert engine.now == 5.0 and not engine.running
+        assert engine.now == 5.0 and not engine.running_view
         assert engine.cluster.free_procs == 4
         events = engine.n_events
         engine.commit(engine.pending[0])
@@ -71,7 +71,7 @@ class TestOrdering:
         assert [j.job_id for j in engine.pending] == [5, 7]
         engine.commit(engine.pending[1])
         engine.commit(engine.pending[0])
-        assert [j.job_id for j in engine.running] == [3, 7, 5]
+        assert [j.job_id for j in engine.running_view] == [3, 7, 5]
         assert not engine.advance_until_decision()
         assert [(j.job_id, j.end_time) for j in engine.completed] == [
             (1, 6.0), (3, 16.0), (5, 16.0), (7, 16.0),
@@ -87,11 +87,11 @@ class TestOrdering:
         for _ in range(3):
             assert not engine.next_decision()  # the finish at t=10 waits
             assert (engine.now, engine.n_events) == (0.0, 1)
-            assert [j.job_id for j in engine.running] == [1]
+            assert [j.job_id for j in engine.running_view] == [1]
         engine.advance(10.0)
         assert not engine.next_decision()
         assert (engine.now, engine.n_events) == (10.0, 2)
-        assert not engine.running
+        assert not engine.running_view
 
     def test_next_time(self):
         """The next event is the earlier of the next finish and the next

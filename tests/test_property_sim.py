@@ -297,7 +297,8 @@ class _Checked:
         )
         # the references take any order; hand them the reverse of ours
         want = reference(
-            head, self.pending[::-1], self.running[::-1], self.cluster, self.now
+            head, self.pending[::-1], list(self.running_view)[::-1],
+            self.cluster, self.now,
         )
         assert ids(got) == ids(want)
         return plan

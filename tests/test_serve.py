@@ -6,6 +6,7 @@ import contextlib
 import gc
 import json
 import logging
+import math
 import os
 import re
 import signal
@@ -323,6 +324,11 @@ class TestSchedulerService:
             svc.advance("soon")
         with pytest.raises(ServiceError, match="numeric"):
             svc.advance(float("nan"))
+        # an infinite horizon would never come down: drain lifts it
+        for until in (math.inf, -math.inf, 10**400, True, "7"):
+            with pytest.raises(ServiceError, match="finite numeric"):
+                svc.advance(until)
+        assert svc.engine.horizon == 0.0
 
     def test_stats_shape(self):
         svc = self.make()
@@ -399,19 +405,36 @@ class TestServiceWithRLPolicy:
 # finished-job history
 # ---------------------------------------------------------------------------
 class OrderedDictService(SchedulerService):
-    """The finished history as an ``OrderedDict`` of the live records,
-    capped at ``completed_history`` ids, a re-finished id moved to the
-    end; ``last_finishes`` holds the ids of the last ``completed_history``
-    finishes, the jobs a ring of that many slots holds."""
+    """Its own record per live job, made at submit and marked running
+    when the job shows in the running set, and the finished history as
+    an ``OrderedDict`` of those records, capped at ``completed_history``
+    ids, a re-finished id moved to the end; ``last_finishes`` holds the
+    ids of the last ``completed_history`` finishes, the jobs a ring of
+    that many slots holds."""
 
     def __init__(self, tenant, completed_history):
         super().__init__(tenant, completed_history)
         self.cap = completed_history
+        self._records = {}
         self.finished = OrderedDict()
         self.last_finishes = deque(maxlen=completed_history)
+        submit = self.engine.submit
+
+        def submit_and_record(job):
+            admitted = submit(job)
+            self._records[admitted.job_id] = {
+                "job_id": admitted.job_id,
+                "tenant": self.tenant.name,
+                "state": "pending",
+                "submit_time": admitted.submit_time,
+                "requested_procs": admitted.requested_procs,
+            }
+            return admitted
+
+        self.engine.submit = submit_and_record
 
     def _reconcile(self):
-        for job in self.engine.take_started():
+        for job in self.engine.running_view:
             record = self._records[job.job_id]
             record["state"] = "running"
             record["start_time"] = job.start_time
@@ -459,7 +482,8 @@ def _answer(call, *args):
 _history_ops = st.lists(
     st.one_of(
         st.tuples(st.just("submit"), st.integers(0, 5),
-                  st.sampled_from([0.0, 1.0, 2.5, 7.0]), st.integers(1, 8)),
+                  st.sampled_from([0.0, 1.0, 2.5, 7.0]), st.integers(1, 8),
+                  st.sampled_from([0.0, 2.5])),
         st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 3.0, 10.0])),
         st.tuples(st.just("drain")),
         # status twice: a third of the ops ask
@@ -477,7 +501,7 @@ class TestFinishedHistory:
            ops=_history_ops)
     def test_ring_answers_as_the_ordered_dict(self, cap, backfill, ops):
         """Random submit / advance / drain / status sequences over six
-        reused job ids: every response is byte-identical to the
+        reused job ids, some submitted for a later instant: every response is byte-identical to the
         ``OrderedDict`` history's, except that a status the ring cannot
         answer is one of a job outside the last ``cap`` finishes — an id
         finishing again holds a second slot until it is overwritten."""
@@ -487,8 +511,9 @@ class TestFinishedHistory:
         now = 0.0
         for op, *args in ops:
             if op == "submit":
-                jid, run, procs = args
-                args = (wire_job(jid, run=run, procs=procs, submit_time=now),)
+                jid, run, procs, ahead = args
+                args = (wire_job(jid, run=run, procs=procs,
+                                 submit_time=now + ahead),)
             elif op == "advance":
                 now += args[0]
                 args = (now,)
@@ -625,6 +650,18 @@ class TestSchedulerRouter:
         assert out["stop"] is True
         assert set(out["tenants"]) == {"a", "b"}
         assert all(s.engine.idle for s in router.services.values())
+
+    def test_infinite_advance_is_refused(self):
+        """``until: 1e400`` decodes to infinity: refused, the horizon
+        stays, and a later job is reported as it runs, not finished."""
+        router = make_router(TenantConfig(name="only", n_procs=8))
+        with pytest.raises(ServiceError, match="finite numeric"):
+            router.dispatch(decode(b'{"v":1,"op":"advance","until":1e400}\n'))
+        assert router.services["only"].engine.horizon == 0.0
+        out = router.dispatch(
+            msg("submit", job=wire_job(1, run=5.0, submit_time=100.0))
+        )
+        assert out["state"] == "running"
 
     def test_ping_lists_tenants(self):
         out = make_router().dispatch(msg("ping"))

@@ -223,11 +223,11 @@ class TestHotPathInvariants:
         engine.commit(next(j for j in engine.pending if j.job_id == 1))
         engine.advance_until_decision()
         engine.commit(next(j for j in engine.pending if j.job_id == 2))
-        assert [j.job_id for j in engine.running] == [1, 2]
+        assert [j.job_id for j in engine.running_view] == [1, 2]
         # job 3 needs the full machine: committing it drains 1 and 2 first
         engine.advance_until_decision()
         engine.commit(next(j for j in engine.pending if j.job_id == 3))
-        assert [j.job_id for j in engine.running] == [3]
+        assert [j.job_id for j in engine.running_view] == [3]
 
 
 class TestRunningView:
@@ -238,8 +238,6 @@ class TestRunningView:
         engine.advance_until_decision()
         engine.commit(engine.pending[0])
         assert [j.job_id for j in view] == [1]  # same view, now one job
-        assert engine.running == list(view)
-        assert engine.running is not engine.running  # the list is a copy
 
 
 class TestBoundRunGoldens:
